@@ -43,9 +43,7 @@ from .implicit import (
     ImplicitEuler,
     JacobianSystem,
     NewtonParams,
-    lu_factor,
     lu_solve,
-    lu_solve_factored,
 )
 from .integrate import (
     EvaluationCounter,
@@ -137,9 +135,7 @@ __all__ = [
     "integrate_adaptive",
     "integrate_const",
     "integrate_const_dense",
-    "lu_factor",
     "lu_solve",
-    "lu_solve_factored",
     "make_lorenz",
     "next_step_size",
     "observed_order",

@@ -35,7 +35,8 @@ class Algebra:
         raise NotImplementedError
 
     def clone_shape(self, src):
-        """New zero-filled state with the same length and container as ``src``."""
+        """New zero-filled floating state with the same length and
+        container as ``src``."""
         raise NotImplementedError
 
     def error_ratio_max(self, xerr, x, dxdt, atol, rtol, dt) -> float:
@@ -82,7 +83,8 @@ class NumpyAlgebra(Algebra):
         return float(np.max(np.abs(state)))
 
     def clone_shape(self, src):
-        return np.zeros_like(src)
+        # Integer and boolean states get a float64 clone; float32 stays.
+        return np.zeros_like(src, dtype=np.result_type(src, 0.0))
 
     def error_ratio_max(self, xerr, x, dxdt, atol, rtol, dt):
         if not len(xerr) == len(x) == len(dxdt):
@@ -170,3 +172,22 @@ def algebra_for(state) -> Algebra:
         f"no state algebra for {type(state).__name__}; expected a numpy"
         " array or a mutable sequence"
     )
+
+
+def scratch(owner, x, count):
+    """Backend for ``x`` and ``count`` zero states shaped like it.
+
+    ``owner`` pins the backend in ``_fixed_algebra`` (None picks the
+    default for ``x``) and caches the buffers in ``_scratch``; they are
+    reallocated only when the backend or the length of ``x`` changes,
+    so a step allocates no state-sized memory.  Returns
+    ``(algebra, buffers)``.
+    """
+    algebra = owner._fixed_algebra
+    if algebra is None:
+        algebra = algebra_for(x)
+    key = (id(algebra), len(x))
+    cached = owner._scratch
+    if cached is None or cached[0] != key:
+        cached = owner._scratch = (key, [algebra.clone_shape(x) for _ in range(count)])
+    return algebra, cached[1]

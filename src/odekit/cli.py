@@ -20,8 +20,16 @@ from .implicit import ImplicitEuler
 from .integrate import integrate_const
 from .systems import SYSTEMS, order_study
 
-INTEGRATE_STEPPERS = ("euler", "rk4", "implicit_euler", "ck54", "dopri5", "dopri5_dense")
-ORDER_STEPPERS = ("euler", "rk4", "implicit_euler", "ck54", "dopri5")
+# Name -> factory taking the controller parameters.  Order studies
+# step with the scheme underneath a controlled or dense stepper.
+STEPPERS = {
+    "euler": lambda params: ExplicitEuler(),
+    "rk4": lambda params: RungeKutta4(),
+    "implicit_euler": lambda params: ImplicitEuler(),
+    "ck54": lambda params: ControlledStepper(CashKarp54(), params),
+    "dopri5": lambda params: ControlledStepper(DormandPrince5(), params),
+    "dopri5_dense": DenseOutputDopri5,
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -42,24 +50,10 @@ def _usage_fail(message):
     return 1
 
 
-def _plain_stepper(name):
-    return {
-        "euler": ExplicitEuler,
-        "rk4": RungeKutta4,
-        "implicit_euler": ImplicitEuler,
-        "ck54": CashKarp54,
-        "dopri5": DormandPrince5,
-    }[name]()
-
-
-def _build_stepper(name, params):
-    if name in ("euler", "rk4", "implicit_euler"):
-        return _plain_stepper(name)
-    if name == "ck54":
-        return ControlledStepper(CashKarp54(), params)
-    if name == "dopri5":
-        return ControlledStepper(DormandPrince5(), params)
-    return DenseOutputDopri5(params)
+def _make_stepper(name, params=None):
+    if name not in STEPPERS:
+        raise LookupError(f"unknown stepper '{name}' (choose from: {', '.join(STEPPERS)})")
+    return STEPPERS[name](params)
 
 
 def _resolve_system(name):
@@ -70,6 +64,8 @@ def _resolve_system(name):
 
 
 def _parse_x0(text, system):
+    if text is None:
+        return list(system.default_state)
     try:
         values = [float(part) for part in text.split(",")]
     except ValueError:
@@ -81,8 +77,8 @@ def _parse_x0(text, system):
     return values
 
 
-def _stepping_system(stepper_name, system):
-    if stepper_name == "implicit_euler":
+def _stepping_system(stepper, system):
+    if getattr(stepper, "needs_jacobian", False):
         if system.jacobian is None:
             raise LookupError(f"system '{system.name}' carries no Jacobian")
         return system.jacobian_system()
@@ -91,24 +87,14 @@ def _stepping_system(stepper_name, system):
 
 def _cmd_integrate(args):
     system = _resolve_system(args.system)
-    if args.stepper not in INTEGRATE_STEPPERS:
-        raise LookupError(
-            f"unknown stepper '{args.stepper}' (choose from: "
-            + ", ".join(INTEGRATE_STEPPERS)
-            + ")"
-        )
+    params = ControllerParams(atol=args.atol, rtol=args.rtol)
+    stepper = _make_stepper(args.stepper, params)
     if args.t1 <= args.t0:
         raise LookupError("--t1 must exceed --t0")
     if args.dt <= 0.0:
         raise LookupError("--dt must be positive")
-    x0 = (
-        list(system.default_state)
-        if args.x0 is None
-        else _parse_x0(args.x0, system)
-    )
-    params = ControllerParams(atol=args.atol, rtol=args.rtol)
-    stepper = _build_stepper(args.stepper, params)
-    target = _stepping_system(args.stepper, system)
+    x0 = _parse_x0(args.x0, system)
+    target = _stepping_system(stepper, system)
 
     out = open(args.out, "w", newline="") if args.out else sys.stdout
     try:
@@ -126,11 +112,8 @@ def _cmd_integrate(args):
 
 def _cmd_order(args):
     system = _resolve_system(args.system)
-    if args.stepper not in ORDER_STEPPERS:
-        raise LookupError(
-            f"stepper '{args.stepper}' is not usable for order studies "
-            "(choose from: " + ", ".join(ORDER_STEPPERS) + ")"
-        )
+    stepper = _make_stepper(args.stepper)
+    stepper = getattr(stepper, "stepper", stepper)
     if system.exact is None:
         solvable = ", ".join(sorted(n for n, s in SYSTEMS.items() if s.exact))
         raise LookupError(
@@ -141,7 +124,6 @@ def _cmd_order(args):
     if args.t1 <= args.t0 or args.dt <= 0.0:
         raise LookupError("need --t1 above --t0 and positive --dt")
     x0 = None if args.x0 is None else _parse_x0(args.x0, system)
-    stepper = _plain_stepper(args.stepper)
     dts = [args.dt / 2**k for k in range(args.levels)]
     study = order_study(stepper, system, x0, args.t0, args.t1, dts)
     excluded = set(study.excluded)
@@ -158,25 +140,14 @@ def _cmd_bench(args):
     names = [n.strip() for n in args.stepper.split(",") if n.strip()]
     if not names:
         raise LookupError("no stepper names given")
-    for name in names:
-        if name not in INTEGRATE_STEPPERS:
-            raise LookupError(
-                f"unknown stepper '{name}' (choose from: "
-                + ", ".join(INTEGRATE_STEPPERS)
-                + ")"
-            )
+    params = ControllerParams(atol=args.atol, rtol=args.rtol)
+    steppers = [(name, _make_stepper(name, params)) for name in names]
     if args.t1 <= args.t0 or args.dt <= 0.0:
         raise LookupError("need --t1 above --t0 and positive --dt")
-    x0 = (
-        list(system.default_state)
-        if args.x0 is None
-        else _parse_x0(args.x0, system)
-    )
-    params = ControllerParams(atol=args.atol, rtol=args.rtol)
+    x0 = _parse_x0(args.x0, system)
     print("stepper,steps_attempted,steps_accepted,steps_rejected,system_evaluations")
-    for name in names:
-        stepper = _build_stepper(name, params)
-        target = _stepping_system(name, system)
+    for name, stepper in steppers:
+        target = _stepping_system(stepper, system)
         report = integrate_const(stepper, target, x0, args.t0, args.t1, args.dt)
         print(
             f"{name},{report.steps_attempted},{report.steps_accepted},"

@@ -10,9 +10,10 @@ growth window.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
-from .algebra import algebra_for
+from .algebra import algebra_for, scratch
 from .errors import StepSizeUnderflowError
 
 
@@ -87,6 +88,17 @@ def error_ratio(xerr, x_old, dxdt_old, dt, params, algebra=None):
     return algebra.error_ratio_max(xerr, x_old, dxdt_old, params.atol, params.rtol, dt)
 
 
+def _step_factor(err, error_order, params, was_rejected):
+    if err == 0.0:
+        factor = params.fac_max
+    else:
+        factor = params.safety * err ** (-1.0 / (error_order + 1))
+        factor = min(params.fac_max, max(params.fac_min, factor))
+    if was_rejected and factor > 1.0:
+        factor = 1.0
+    return factor
+
+
 def next_step_size(dt, err, error_order, params, was_rejected=False):
     """Integral controller for the following step width.
 
@@ -95,17 +107,17 @@ def next_step_size(dt, err, error_order, params, was_rejected=False):
     Raises :class:`StepSizeUnderflowError` when the proposed width
     drops below ``dt_min``.
     """
-    if err == 0.0:
-        factor = params.fac_max
-    else:
-        factor = params.safety * err ** (-1.0 / (error_order + 1))
-        factor = min(params.fac_max, max(params.fac_min, factor))
-    if was_rejected and factor > 1.0:
-        factor = 1.0
-    dt_new = dt * factor
+    dt_new = dt * _step_factor(err, error_order, params, was_rejected)
     if abs(dt_new) < params.dt_min:
         raise StepSizeUnderflowError(dt_new)
     return dt_new
+
+
+def _underflow(dt, t, err):
+    exc = StepSizeUnderflowError(dt, t=t)
+    if not math.isfinite(err):
+        exc.args = (f"{exc}; the last error estimate was {err!r}, not finite",)
+    return exc
 
 
 class ControlledStepper:
@@ -120,7 +132,8 @@ class ControlledStepper:
 
     Instances carry trial scratch and the derivative cache; do not
     share one instance between concurrent integrations.  Call
-    ``reset`` after modifying the state externally.
+    ``reset`` after modifying the state externally; the drivers call
+    it at the start of every run.
     """
 
     def __init__(self, stepper, params=None, algebra=None):
@@ -133,34 +146,18 @@ class ControlledStepper:
         self.stepper = stepper
         self.params = ControllerParams() if params is None else params
         self._fixed_algebra = algebra
-        self._scratch_key = None
-        self._xtrial = None
-        self._xerr = None
-        self._dxdt = None
-        self._dxdt_valid = False
+        self._scratch = None
+        self._dxdt = None  # the scratch buffer holding f(x, t), when valid
         self._last_rejected = False
         self._rejections = 0
         self.last_stage_record = None
 
     def reset(self):
         """Drop the cached derivative and rejection history."""
-        self._dxdt_valid = False
+        self._dxdt = None
         self._last_rejected = False
         self._rejections = 0
         self.last_stage_record = None
-
-    def _prepare(self, x):
-        algebra = self._fixed_algebra
-        if algebra is None:
-            algebra = algebra_for(x)
-        key = (id(algebra), len(x))
-        if key != self._scratch_key:
-            self._xtrial = algebra.clone_shape(x)
-            self._xerr = algebra.clone_shape(x)
-            self._dxdt = algebra.clone_shape(x)
-            self._dxdt_valid = False
-            self._scratch_key = key
-        return algebra
 
     def try_step(self, system, x, t, dt):
         """Attempt one step of width ``dt`` from ``(x, t)``.
@@ -168,47 +165,41 @@ class ControlledStepper:
         Returns a :class:`StepResult`.  On acceptance ``x`` holds the
         new state and ``result.t`` the advanced time; on rejection both
         are unchanged and ``result.dt`` carries the reduced width to
-        retry with.  Raises :class:`StepSizeUnderflowError` once a step
-        has been rejected more than ``max_rejections`` times in a row
-        or the width falls below ``dt_min``.
+        retry with.  An accepted step never raises.  A rejection raises
+        :class:`StepSizeUnderflowError` once a step has been rejected
+        more than ``max_rejections`` times in a row or the width falls
+        below ``dt_min``.
         """
         if dt == 0.0:
             raise ValueError("step width must be nonzero")
-        algebra = self._prepare(x)
+        algebra, (xtrial, xerr, dxdt) = scratch(self, x, 3)
         params = self.params
         stepper = self.stepper
 
-        if not self._dxdt_valid:
-            system(x, self._dxdt, t)
-            self._dxdt_valid = True
+        if self._dxdt is not dxdt:
+            system(x, dxdt, t)
+            self._dxdt = dxdt
 
         if stepper.fsal:
             _, _, record = stepper.do_step_with_error(
-                system, x, t, dt, out=self._xtrial, xerr=self._xerr, dxdt_in=self._dxdt
+                system, x, t, dt, out=xtrial, xerr=xerr, dxdt_in=dxdt
             )
             self.last_stage_record = record
         else:
-            stepper.do_step_with_error(system, x, t, dt, out=self._xtrial, xerr=self._xerr)
+            stepper.do_step_with_error(system, x, t, dt, out=xtrial, xerr=xerr)
             record = None
 
-        err = algebra.error_ratio_max(
-            self._xerr, x, self._dxdt, params.atol, params.rtol, dt
-        )
+        err = algebra.error_ratio_max(xerr, x, dxdt, params.atol, params.rtol, dt)
 
         if err <= 1.0:
-            algebra.copy(x, self._xtrial)
+            algebra.copy(x, xtrial)
             if record is not None:
                 # The last stage derivative belongs to the state just
                 # accepted; keep it as the next trial's first stage.
-                algebra.copy(self._dxdt, record.new_derivative)
+                algebra.copy(dxdt, record.new_derivative)
             else:
-                self._dxdt_valid = False
-            try:
-                dt_next = next_step_size(
-                    dt, err, stepper.error_order, params, self._last_rejected
-                )
-            except StepSizeUnderflowError as exc:
-                raise StepSizeUnderflowError(exc.dt, t=t + dt) from None
+                self._dxdt = None
+            dt_next = dt * _step_factor(err, stepper.error_order, params, self._last_rejected)
             self._last_rejected = False
             self._rejections = 0
             outcome = (
@@ -223,9 +214,9 @@ class ControlledStepper:
         self._rejections += 1
         self._last_rejected = True
         if self._rejections > params.max_rejections:
-            raise StepSizeUnderflowError(dt, t=t)
+            raise _underflow(dt, t, err)
         try:
             dt_next = next_step_size(dt, err, stepper.error_order, params, True)
         except StepSizeUnderflowError as exc:
-            raise StepSizeUnderflowError(exc.dt, t=t) from None
+            raise _underflow(exc.dt, t, err) from None
         return StepResult(StepOutcome.REJECTED, t, dt_next, err)

@@ -6,15 +6,19 @@ class DimensionError(ValueError):
 
 
 class SolverError(RuntimeError):
-    """Base class for numerical failures during stepping or solving."""
+    """Base class for numerical failures during stepping or solving.
+
+    When raised from a controlled integration run, ``partial_report``
+    holds the counters and state accumulated before the failure.
+    """
+
+    partial_report = None
 
 
 class StepSizeUnderflowError(SolverError):
     """Adaptive step size fell below the permitted minimum.
 
-    Carries the time and step size at the point of failure.  When raised
-    from an integration driver, ``partial_report`` holds the counters
-    accumulated before the failure.
+    Carries the time and step size at the point of failure.
     """
 
     def __init__(self, dt, t=None, partial_report=None):
@@ -26,7 +30,7 @@ class StepSizeUnderflowError(SolverError):
 
 
 class SingularMatrixError(SolverError):
-    """A pivot smaller than the singularity floor was encountered."""
+    """The matrix of a linear solve is singular."""
 
 
 class ConvergenceError(SolverError):

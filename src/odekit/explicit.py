@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .algebra import algebra_for
+from .algebra import scratch
 from .tableaus import CASH_KARP_54, DORMAND_PRINCE_54, EULER, RK4_CLASSIC
 
 OrderInfo = namedtuple("OrderInfo", ["order", "error_order", "stage_count"])
@@ -55,10 +55,9 @@ class ExplicitRungeKutta:
         self.order = tableau.order
         self.error_order = tableau.error_order
         self.stage_count = tableau.stage_count
+        self.fsal = tableau.is_fsal
         self._fixed_algebra = algebra
-        self._scratch_key = None
-        self._k = None
-        self._u = None
+        self._scratch = None
         # Nonzero-coefficient index lists, fixed per tableau.
         self._stage_idx = tuple(
             tuple(j for j, aij in enumerate(row) if aij != 0.0) for row in tableau.a
@@ -71,22 +70,10 @@ class ExplicitRungeKutta:
     def order_info(self):
         return OrderInfo(self.order, self.error_order, self.stage_count)
 
-    def _prepare(self, x):
-        algebra = self._fixed_algebra
-        if algebra is None:
-            algebra = algebra_for(x)
-        key = (id(algebra), len(x))
-        if key != self._scratch_key:
-            self._k = [algebra.clone_shape(x) for _ in range(self.stage_count)]
-            self._u = algebra.clone_shape(x)
-            self._scratch_key = key
-        return algebra
-
-    def _run_stages(self, algebra, system, x, t, dt, first_stage, stop=None):
-        a, c, k, u = self.tableau.a, self.tableau.c, self._k, self._u
-        if stop is None:
-            stop = self.stage_count
-        for i in range(first_stage, stop):
+    def _run_stages(self, algebra, system, x, t, dt, k, stop):
+        # k holds the stage derivatives followed by the stage state.
+        a, c, u = self.tableau.a, self.tableau.c, k[-1]
+        for i in range(1, stop):
             idx = self._stage_idx[i - 1]
             row = a[i - 1]
             algebra.scale_sum(
@@ -96,8 +83,8 @@ class ExplicitRungeKutta:
             )
             system(u, k[i], t + c[i] * dt)
 
-    def _combine(self, algebra, x, dt, target):
-        b, k = self.tableau.b, self._k
+    def _combine(self, algebra, x, dt, k, target):
+        b = self.tableau.b
         algebra.scale_sum(
             target,
             (1.0,) + tuple(dt * b[j] for j in self._b_idx),
@@ -112,41 +99,58 @@ class ExplicitRungeKutta:
         state into ``out`` and leaves ``x`` unchanged.  Returns the
         updated state.
         """
-        algebra = self._prepare(x)
-        system(x, self._k[0], t)
-        self._run_stages(algebra, system, x, t, dt, 1)
-        return self._combine(algebra, x, dt, x if out is None else out)
+        algebra, k = scratch(self, x, self.stage_count + 1)
+        system(x, k[0], t)
+        self._run_stages(algebra, system, x, t, dt, k, self.stage_count)
+        return self._combine(algebra, x, dt, k, x if out is None else out)
 
 
 class EmbeddedRungeKutta(ExplicitRungeKutta):
-    """Explicit pair producing a solution and an error estimate."""
+    """Explicit pair producing a solution and an error estimate.
+
+    When the tableau is first-same-as-last (``tableau.is_fsal``), the
+    last stage derivative is evaluated at the accepted new state, so it
+    doubles as the first stage of the following step.  Callers chain
+    steps by feeding ``StageRecord.new_derivative`` back through
+    ``dxdt_in``, which saves one system evaluation per step.
+    """
 
     def __init__(self, tableau, algebra=None):
         if tableau.b_embedded is None:
             raise ValueError(f"{tableau.name}: embedded weights required")
         super().__init__(tableau, algebra)
-        self._xerr_scratch = None
-        self._xerr_key = None
 
-    def _error_estimate(self, algebra, dt, xerr):
+    def do_step_with_error(self, system, x, t, dt, out=None, xerr=None, dxdt_in=None):
+        """As ``do_step`` but also fills ``xerr`` with the embedded
+        error estimate.  ``dxdt_in``, when given, is ``f(x, t)``
+        (typically the previous step's ``new_derivative``) and replaces
+        the first stage evaluation; omit it whenever ``x`` was modified
+        externally.  Returns ``(new_state, xerr)``, plus the
+        :class:`StageRecord` for a first-same-as-last pair.
+        """
+        s = self.stage_count
+        algebra, k = scratch(self, x, s + 1)
+        if dxdt_in is None:
+            system(x, k[0], t)
+        else:
+            algebra.copy(k[0], dxdt_in)
+        # A first-same-as-last stage state is the new state itself:
+        # combine first, then evaluate the last stage there.
+        self._run_stages(algebra, system, x, t, dt, k, s - self.fsal)
+        target = self._combine(algebra, x, dt, k, x if out is None else out)
+        if self.fsal:
+            system(target, k[s - 1], t + dt)
         if xerr is None:
-            xerr = algebra.clone_shape(self._k[0])
-        ew, k = self.tableau.error_weights, self._k
+            xerr = algebra.clone_shape(k[0])
+        ew = self.tableau.error_weights
         algebra.scale_sum(
             xerr,
             tuple(dt * ew[j] for j in self._e_idx),
             tuple(k[j] for j in self._e_idx),
         )
-        return xerr
-
-    def do_step_with_error(self, system, x, t, dt, out=None, xerr=None):
-        """As ``do_step`` but also fills ``xerr`` with the embedded
-        error estimate.  Returns ``(new_state, xerr)``."""
-        algebra = self._prepare(x)
-        system(x, self._k[0], t)
-        self._run_stages(algebra, system, x, t, dt, 1)
-        target = self._combine(algebra, x, dt, x if out is None else out)
-        return target, self._error_estimate(algebra, dt, xerr)
+        if self.fsal:
+            return target, xerr, StageRecord(tuple(k[:s]))
+        return target, xerr
 
 
 class ExplicitEuler(ExplicitRungeKutta):
@@ -182,11 +186,8 @@ class DormandPrince5(EmbeddedRungeKutta):
     """Dormand-Prince 5(4) with first-same-as-last stage reuse.
 
     The seventh stage derivative is evaluated at the accepted new state,
-    so it doubles as the first stage of the following step.  Callers
-    chain steps by feeding ``StageRecord.new_derivative`` back through
-    ``dxdt_in``, which brings the cost down to six fresh system
-    evaluations per step.  The full stage record also feeds the dense
-    output interpolant.
+    so chained steps cost six fresh system evaluations each.  The full
+    stage record also feeds the dense output interpolant.
 
     References
     ----------
@@ -195,44 +196,7 @@ class DormandPrince5(EmbeddedRungeKutta):
     (1980) 19-26.
     """
 
-    fsal = True
+    fsal = DORMAND_PRINCE_54.is_fsal
 
     def __init__(self, algebra=None):
         super().__init__(DORMAND_PRINCE_54, algebra)
-
-    def do_step_with_error(self, system, x, t, dt, out=None, xerr=None, dxdt_in=None):
-        """Advance one step and estimate its error.
-
-        Parameters
-        ----------
-        dxdt_in : state, optional
-            Precomputed ``f(x, t)``, typically the previous step's
-            ``new_derivative``.  Supplying it skips the first stage
-            evaluation; it must belong to the current ``(x, t)``, so
-            omit it whenever ``x`` was modified externally.
-
-        Returns
-        -------
-        (new_state, xerr, StageRecord)
-        """
-        algebra = self._prepare(x)
-        k = self._k
-        if dxdt_in is None:
-            system(x, k[0], t)
-        else:
-            algebra.copy(k[0], dxdt_in)
-        # The last row of the tableau repeats the solution weights, so
-        # the seventh stage state is the new state itself; run the loop
-        # up to stage six and evaluate the last stage at the target.
-        self._run_stages(algebra, system, x, t, dt, 1, stop=6)
-        target = self._combine(algebra, x, dt, x if out is None else out)
-        system(target, k[6], t + dt)
-        return target, self._error_estimate(algebra, dt, xerr), StageRecord(tuple(k))
-
-    def do_step(self, system, x, t, dt, out=None):
-        algebra = self._prepare(x)
-        if self._xerr_key != self._scratch_key:
-            self._xerr_scratch = algebra.clone_shape(x)
-            self._xerr_key = self._scratch_key
-        state, _, _ = self.do_step_with_error(system, x, t, dt, out, self._xerr_scratch)
-        return state

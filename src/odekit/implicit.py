@@ -2,8 +2,8 @@
 
 Each step solves ``u = x + dt * f(u, t + dt)`` by Newton iteration on
 the residual ``G(u) = u - x - dt * f(u, t + dt)``, refreshing the
-dense Newton matrix ``I - dt * J(u)`` every iteration and solving it by
-LU factorization with partial pivoting.  The user supplies the
+dense Newton matrix ``I - dt * J(u)`` every iteration and solving it
+with LAPACK through ``numpy.linalg``.  The user supplies the
 Jacobian analytically; matrices are dense and desk-scale.
 """
 
@@ -13,66 +13,30 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import algebra_for
+from .algebra import scratch
 from .errors import ConvergenceError, DimensionError, SingularMatrixError
 from .explicit import OrderInfo
 
-# Pivots at or below this magnitude are treated as exact zeros.
-PIVOT_FLOOR = 1e-300
-
-
-def lu_factor(matrix):
-    """Row-pivoted LU factorization of a square matrix.
-
-    Returns ``(lu, perm)`` where ``lu`` packs the unit lower and the
-    upper factor of the row-permuted matrix and ``perm`` maps factor
-    rows to input rows.  The input is copied, not modified.  Raises
-    :class:`SingularMatrixError` when a pivot magnitude falls below
-    ``PIVOT_FLOOR``.
-    """
-    a = np.array(matrix, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionError(f"expected a square matrix, got shape {a.shape}")
-    n = a.shape[0]
-    perm = np.arange(n)
-    for col in range(n):
-        pivot_row = col + int(np.argmax(np.abs(a[col:, col])))
-        if abs(a[pivot_row, col]) < PIVOT_FLOOR:
-            raise SingularMatrixError(
-                f"pivot {a[pivot_row, col]!r} in column {col} below {PIVOT_FLOOR}"
-            )
-        if pivot_row != col:
-            a[[col, pivot_row]] = a[[pivot_row, col]]
-            perm[[col, pivot_row]] = perm[[pivot_row, col]]
-        a[col + 1 :, col] /= a[col, col]
-        a[col + 1 :, col + 1 :] -= np.outer(a[col + 1 :, col], a[col, col + 1 :])
-    return a, perm
-
-
-def lu_solve_factored(lu, perm, rhs):
-    """Solve with an existing factorization; ``rhs`` is a 1-D array."""
-    n = lu.shape[0]
-    y = rhs[perm].astype(float, copy=True)
-    for i in range(1, n):  # forward substitution, unit lower factor
-        y[i] -= lu[i, :i] @ y[:i]
-    for i in range(n - 1, -1, -1):  # back substitution
-        y[i] = (y[i] - lu[i, i + 1 :] @ y[i + 1 :]) / lu[i, i]
-    return y
-
 
 def lu_solve(matrix, rhs):
-    """Solve ``matrix @ x = rhs`` by pivoted LU.
+    """Solve ``matrix @ x = rhs`` by LAPACK's pivoted LU (``numpy.linalg``).
 
     The result container matches ``rhs``: a numpy array stays an array,
-    any other sequence comes back as a list.
+    any other sequence comes back as a list.  Raises
+    :class:`SingularMatrixError` for an exactly singular matrix.
     """
-    lu, perm = lu_factor(matrix)
+    a = np.asarray(matrix, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise DimensionError(f"expected a square matrix, got shape {a.shape}")
     b = np.asarray(rhs, dtype=float)
-    if b.ndim != 1 or len(b) != lu.shape[0]:
+    if b.ndim != 1 or len(b) != a.shape[0]:
         raise DimensionError(
-            f"right-hand side of length {b.shape} does not match matrix order {lu.shape[0]}"
+            f"right-hand side of length {b.shape} does not match matrix order {a.shape[0]}"
         )
-    x = lu_solve_factored(lu, perm, b)
+    try:
+        x = np.linalg.solve(a, b)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrixError(str(exc)) from None
     return x if isinstance(rhs, np.ndarray) else list(x)
 
 
@@ -122,34 +86,12 @@ class ImplicitEuler:
     def __init__(self, params=None, algebra=None):
         self.params = NewtonParams() if params is None else params
         self._fixed_algebra = algebra
-        self._scratch_key = None
-        self._u = None
-        self._f = None
-        self._g = None
-        self._jac = None
-        self._m = None
-        self._rhs = None
+        self._scratch = None
         self.last_iteration_count = 0
 
     @property
     def order_info(self):
         return OrderInfo(self.order, self.error_order, self.stage_count)
-
-    def _prepare(self, x):
-        algebra = self._fixed_algebra
-        if algebra is None:
-            algebra = algebra_for(x)
-        n = len(x)
-        key = (id(algebra), n)
-        if key != self._scratch_key:
-            self._u = algebra.clone_shape(x)
-            self._f = algebra.clone_shape(x)
-            self._g = algebra.clone_shape(x)
-            self._jac = np.empty((n, n))
-            self._m = np.empty((n, n))
-            self._rhs = np.empty(n)
-            self._scratch_key = key
-        return algebra
 
     def do_step(self, system, x, t, dt, out=None):
         """Advance ``x`` from ``t`` by ``dt > 0``.
@@ -161,13 +103,13 @@ class ImplicitEuler:
         """
         if dt <= 0.0:
             raise ValueError("implicit Euler steps forward: dt must be positive")
-        algebra = self._prepare(x)
+        algebra, (u, f, g) = scratch(self, x, 3)
         rhs_f = system.system
         jac_f = system.jacobian
         params = self.params
         n = len(x)
         t_new = t + dt
-        u, f, g = self._u, self._f, self._g
+        jac = np.empty((n, n))
         algebra.copy(u, x)
         applied = 0
         while True:
@@ -179,13 +121,10 @@ class ImplicitEuler:
                 raise ConvergenceError(
                     applied, f"Newton stalled after {applied} updates at t={t_new!r}"
                 )
-            jac_f(u, self._jac, t_new)
-            np.multiply(self._jac, -dt, out=self._m)
-            self._m.flat[:: n + 1] += 1.0  # I - dt*J
-            self._rhs[:] = g
-            np.negative(self._rhs, out=self._rhs)
-            lu, perm = lu_factor(self._m)
-            delta = lu_solve_factored(lu, perm, self._rhs)
+            jac_f(u, jac, t_new)
+            m = np.multiply(jac, -dt)
+            m.flat[:: n + 1] += 1.0  # I - dt*J
+            delta = lu_solve(m, np.negative(np.asarray(g, dtype=float)))
             algebra.scale_sum(u, (1.0, 1.0), (u, delta))
             applied += 1
             if float(np.max(np.abs(delta))) <= params.tol:

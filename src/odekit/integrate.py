@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import algebra_for
-from .errors import StepSizeUnderflowError
+from .errors import SolverError
 from .implicit import JacobianSystem
 
 # Grid times within this fraction of a width of the interval end are
@@ -102,10 +102,49 @@ def _grid(t0, t1, dt):
 
 
 def _clone_of(x0):
+    """Floating working copy of the initial state."""
     algebra = algebra_for(x0)
     x = algebra.clone_shape(x0)
     algebra.copy(x, x0)
-    return algebra, x
+    return x
+
+
+def _controlled_walk(stepper, system, x, t0, targets, dt, observer, observe_steps):
+    """Adapt freely from ``t0`` and land exactly on each of ``targets``.
+
+    The observer sees every accepted step when ``observe_steps`` is
+    set, otherwise each target once it is reached.  The stepper is
+    reset first, so no cache from an earlier run leaks in.  Any
+    :class:`SolverError` leaves with the counters so far in
+    ``partial_report``.
+    """
+    counted, counter = _counted(system)
+    stepper.reset()
+    attempted = accepted = rejected = 0
+    t = t0
+    try:
+        for target in targets:
+            while t < target:
+                clamped = dt >= target - t
+                result = stepper.try_step(counted, x, t, target - t if clamped else dt)
+                attempted += 1
+                if result.accepted:
+                    accepted += 1
+                    t = target if clamped else result.t
+                    if observe_steps and observer is not None:
+                        observer(_readonly(x), t)
+                else:
+                    rejected += 1
+                dt = result.dt
+            t = target
+            if not observe_steps and observer is not None:
+                observer(_readonly(x), t)
+    except SolverError as exc:
+        exc.partial_report = IntegrationReport(
+            x, t, attempted, accepted, rejected, counter.count
+        )
+        raise
+    return IntegrationReport(x, t, attempted, accepted, rejected, counter.count)
 
 
 def integrate_const(stepper, system, x0, t0, t1, dt, observer=None):
@@ -113,10 +152,11 @@ def integrate_const(stepper, system, x0, t0, t1, dt, observer=None):
 
     The observer fires at ``t0`` first.  Plain steppers advance with
     fixed width ``dt``; controlled steppers adapt freely inside each
-    grid interval but land exactly on the grid points; dense-output
-    steppers delegate to :func:`integrate_const_dense`.  The run ends
-    at the last grid point inside the interval (dense runs end at
-    ``t1`` itself).
+    grid interval but land exactly on the grid points, and a failure
+    of theirs carries ``partial_report``; dense-output steppers
+    delegate to :func:`integrate_const_dense`.  The run ends at the
+    last grid point inside the interval (dense runs end at ``t1``
+    itself).
     """
     if t1 <= t0:
         raise ValueError("end time must exceed start time")
@@ -125,49 +165,30 @@ def integrate_const(stepper, system, x0, t0, t1, dt, observer=None):
     kind = _stepper_kind(stepper)
     if kind == "dense":
         return integrate_const_dense(stepper, system, x0, t0, t1, dt, observer)
-    counted, counter = _counted(system)
-    algebra, x = _clone_of(x0)
+    x = _clone_of(x0)
     steps, t_last = _grid(t0, t1, dt)
 
     if observer is not None:
         observer(_readonly(x), t0)
 
-    if kind == "plain":
-        for k in range(1, steps + 1):
-            stepper.do_step(counted, x, t0 + (k - 1) * dt, dt)
-            if observer is not None:
-                observer(_readonly(x), t_last if k == steps else t0 + k * dt)
-        return IntegrationReport(x, t_last, steps, steps, 0, counter.count)
+    if kind == "controlled":
+        targets = (t_last if k == steps else t0 + k * dt for k in range(1, steps + 1))
+        return _controlled_walk(stepper, system, x, t0, targets, dt, observer, False)
 
-    # Controlled: adapt inside each grid interval, land on its end.
-    attempted = accepted = rejected = 0
-    t = t0
-    dt_inner = dt
+    counted, counter = _counted(system)
     for k in range(1, steps + 1):
-        target = t_last if k == steps else t0 + k * dt
-        while t < target:
-            clamped = dt_inner >= target - t
-            dt_trial = target - t if clamped else dt_inner
-            result = stepper.try_step(counted, x, t, dt_trial)
-            attempted += 1
-            if result.accepted:
-                accepted += 1
-                t = target if clamped else result.t
-            else:
-                rejected += 1
-            dt_inner = result.dt
+        stepper.do_step(counted, x, t0 + (k - 1) * dt, dt)
         if observer is not None:
-            observer(_readonly(x), target)
-        t = target
-    return IntegrationReport(x, t_last, attempted, accepted, rejected, counter.count)
+            observer(_readonly(x), t_last if k == steps else t0 + k * dt)
+    return IntegrationReport(x, t_last, steps, steps, 0, counter.count)
 
 
 def integrate_adaptive(stepper, system, x0, t0, t1, dt0, observer=None):
     """Integrate with free step choice, observing every accepted step.
 
     ``stepper`` must be a controlled stepper.  The final step is
-    clamped so the run ends exactly at ``t1``.  On step size underflow
-    the raised error carries the counters gathered so far in
+    clamped so the run ends exactly at ``t1``.  On failure the raised
+    :class:`SolverError` carries the counters gathered so far in
     ``partial_report``.
     """
     if t1 <= t0:
@@ -176,35 +197,12 @@ def integrate_adaptive(stepper, system, x0, t0, t1, dt0, observer=None):
         raise ValueError("initial step width must be positive")
     if _stepper_kind(stepper) != "controlled":
         raise TypeError("integrate_adaptive needs a stepper with try_step")
-    counted, counter = _counted(system)
-    algebra, x = _clone_of(x0)
+    x = _clone_of(x0)
 
     if observer is not None:
         observer(_readonly(x), t0)
 
-    attempted = accepted = rejected = 0
-    t = t0
-    dt = dt0
-    try:
-        while t < t1:
-            clamped = dt >= t1 - t
-            dt_trial = t1 - t if clamped else dt
-            result = stepper.try_step(counted, x, t, dt_trial)
-            attempted += 1
-            if result.accepted:
-                accepted += 1
-                t = t1 if clamped else result.t
-                if observer is not None:
-                    observer(_readonly(x), t)
-            else:
-                rejected += 1
-            dt = result.dt
-    except StepSizeUnderflowError as exc:
-        exc.partial_report = IntegrationReport(
-            x, t, attempted, accepted, rejected, counter.count
-        )
-        raise
-    return IntegrationReport(x, t, attempted, accepted, rejected, counter.count)
+    return _controlled_walk(stepper, system, x, t0, (t1,), dt0, observer, True)
 
 
 def integrate_const_dense(dense_stepper, system, x0, t0, t1, observe_dt, observer=None):

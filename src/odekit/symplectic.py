@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import algebra_for
+from .algebra import scratch
 from .errors import DimensionError
 from .explicit import OrderInfo
 
@@ -67,22 +67,11 @@ class SymplecticEuler:
 
     def __init__(self, algebra=None):
         self._fixed_algebra = algebra
-        self._scratch_key = None
-        self._buf = None
+        self._scratch = None
 
     @property
     def order_info(self):
         return OrderInfo(self.order, self.error_order, self.stage_count)
-
-    def _prepare(self, state):
-        algebra = self._fixed_algebra
-        if algebra is None:
-            algebra = algebra_for(state.q)
-        key = (id(algebra), len(state))
-        if key != self._scratch_key:
-            self._buf = algebra.clone_shape(state.q)
-            self._scratch_key = key
-        return algebra
 
     def do_step(self, system, state, t, dt, out=None):
         """Advance a :class:`PairState` from ``t`` by ``dt``.
@@ -92,11 +81,10 @@ class SymplecticEuler:
         time argument is carried for signature uniformity; separable
         systems here are autonomous.
         """
-        algebra = self._prepare(state)
+        algebra, (buf,) = scratch(self, state.q, 1)
         target = state if out is None else out
         if len(target) != len(state):
             raise DimensionError("output pair length does not match state")
-        buf = self._buf
         system.dpdt(state.q, buf)
         algebra.scale_sum(target.p, (1.0, dt), (state.p, buf))
         system.dqdt(target.p, buf)

@@ -1,0 +1,118 @@
+"""Clean state per run, accepted steps that never raise, named failure
+causes, partial reports from every controlled run, integer states."""
+
+import numpy as np
+import pytest
+
+from odekit import (
+    CashKarp54,
+    ControlledStepper,
+    ControllerParams,
+    DenseOutputDopri5,
+    DormandPrince5,
+    HARMONIC,
+    LORENZ,
+    RungeKutta4,
+    StepSizeUnderflowError,
+    integrate_adaptive,
+    integrate_const,
+)
+
+
+def decay(x, dxdt, t):
+    dxdt[0] = -x[0]
+
+
+def nan_rhs(x, dxdt, t):
+    dxdt[0] = float("nan")
+
+
+def tight():
+    return ControllerParams(atol=1e-8, rtol=1e-8)
+
+
+def test_reused_controlled_stepper_matches_fresh_one():
+    reused = ControlledStepper(DormandPrince5(), tight())
+    integrate_adaptive(reused, LORENZ, [10.0, 10.0, 10.0], 0.0, 1.0, 0.01)
+    again = integrate_adaptive(reused, LORENZ, [-5.0, 3.0, 20.0], 0.0, 1.0, 0.01)
+    fresh = integrate_adaptive(
+        ControlledStepper(DormandPrince5(), tight()), LORENZ, [-5.0, 3.0, 20.0], 0.0, 1.0, 0.01
+    )
+    assert again.final_state == fresh.final_state
+    assert again.system_evaluations == fresh.system_evaluations
+
+
+def test_accepted_step_below_dt_min_does_not_raise():
+    ctl = ControlledStepper(DormandPrince5(), ControllerParams(dt_min=1e-6))
+    x = [1.0]
+    result = ctl.try_step(decay, x, 0.0, 1e-7)
+    assert result.accepted
+    assert result.t == 1e-7
+    assert x[0] == pytest.approx(np.exp(-1e-7), abs=1e-15)
+    assert result.dt > 1e-7
+
+
+def test_rejection_below_dt_min_still_raises():
+    ctl = ControlledStepper(DormandPrince5(), ControllerParams(dt_min=1e-6))
+    x = [1.0]
+    with pytest.raises(StepSizeUnderflowError):
+        ctl.try_step(nan_rhs, x, 0.0, 1e-6)
+    assert x == [1.0]
+
+
+def test_non_finite_error_named_in_underflow():
+    with pytest.raises(StepSizeUnderflowError, match="not finite") as info:
+        integrate_adaptive(ControlledStepper(DormandPrince5()), nan_rhs, [1.0], 0.0, 1.0, 0.1)
+    report = info.value.partial_report
+    assert report.steps_accepted == 0 and report.steps_rejected > 0
+
+
+def test_finite_underflow_does_not_blame_non_finite():
+    params = ControllerParams(max_rejections=1)
+    with pytest.raises(StepSizeUnderflowError) as info:
+        integrate_adaptive(ControlledStepper(DormandPrince5(), params), decay,
+                           [1.0], 0.0, 1000.0, 1000.0)
+    assert "finite" not in str(info.value)
+
+
+def test_integrate_const_controlled_failure_carries_partial_report():
+    steps = []
+    with pytest.raises(StepSizeUnderflowError) as info:
+        integrate_const(ControlledStepper(DormandPrince5()), nan_rhs, [1.0], 0.0, 1.0, 0.1,
+                        lambda x, t: steps.append(t))
+    report = info.value.partial_report
+    assert report is not None
+    assert report.final_time == 0.0 and report.final_state == [1.0]
+    assert report.steps_attempted == report.steps_rejected > 0
+    assert report.system_evaluations > 0
+    assert steps == [0.0]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [RungeKutta4, lambda: ControlledStepper(CashKarp54()), DenseOutputDopri5],
+    ids=["plain", "controlled", "dense"],
+)
+def test_integer_numpy_state_runs_as_float64(make):
+    ints = integrate_const(make(), HARMONIC, np.array([1, 0]), 0, 1, 0.1)
+    floats = integrate_const(make(), HARMONIC, [1.0, 0.0], 0, 1, 0.1)
+    assert ints.final_state.dtype == np.float64
+    assert list(ints.final_state) == floats.final_state
+
+
+@pytest.mark.parametrize(
+    "make",
+    [RungeKutta4, lambda: ControlledStepper(CashKarp54()), DenseOutputDopri5],
+    ids=["plain", "controlled", "dense"],
+)
+def test_float32_state_stays_float32(make):
+    report = integrate_const(make(), HARMONIC, np.array([1.0, 0.0], dtype=np.float32), 0, 1, 0.1)
+    assert report.final_state.dtype == np.float32
+
+
+def test_integer_state_through_integrate_adaptive():
+    x0 = np.array([True])
+    report = integrate_adaptive(ControlledStepper(DormandPrince5()), decay, x0, 0.0, 1.0, 0.1)
+    assert report.final_state.dtype == np.float64
+    assert report.final_state[0] == pytest.approx(np.exp(-1.0), rel=1e-5)
+    assert x0[0]
