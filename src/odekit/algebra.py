@@ -179,14 +179,19 @@ def scratch(owner, x, count):
 
     ``owner`` pins the backend in ``_fixed_algebra`` (None picks the
     default for ``x``) and caches the buffers in ``_scratch``; they are
-    reallocated only when the backend or the length of ``x`` changes,
-    so a step allocates no state-sized memory.  Returns
-    ``(algebra, buffers)``.
+    reallocated only when the backend, the length, or for numpy states
+    the shape or dtype of ``x`` changes, so a step allocates no
+    state-sized memory.  Returns ``(algebra, buffers)``.
     """
     algebra = owner._fixed_algebra
-    if algebra is None:
-        algebra = algebra_for(x)
-    key = (id(algebra), len(x))
+    if isinstance(x, np.ndarray):
+        if algebra is None:
+            algebra = NUMPY_ALGEBRA
+        key = (id(algebra), x.shape, x.dtype)
+    else:
+        if algebra is None:
+            algebra = algebra_for(x)
+        key = (id(algebra), len(x))
     cached = owner._scratch
     if cached is None or cached[0] != key:
         cached = owner._scratch = (key, [algebra.clone_shape(x) for _ in range(count)])

@@ -126,9 +126,10 @@ class ControlledStepper:
     ``try_step`` writes the new state into ``x`` only on acceptance; a
     rejected trial leaves ``x`` and ``t`` untouched and only shrinks
     the step width.  The derivative at the current state, needed for
-    the error scale, is cached between trials and, for steppers with a
-    first-same-as-last stage, shared with the stepper itself, so a
-    smooth run costs one extra system evaluation in total.
+    the error scale, is cached between trials and handed to the stepper
+    as its first stage.  For steppers with a first-same-as-last stage
+    it is refreshed from the last stage on acceptance, so a smooth run
+    costs one extra system evaluation in total.
 
     Instances carry trial scratch and the derivative cache; do not
     share one instance between concurrent integrations.  Call
@@ -180,14 +181,10 @@ class ControlledStepper:
             system(x, dxdt, t)
             self._dxdt = dxdt
 
-        if stepper.fsal:
-            _, _, record = stepper.do_step_with_error(
-                system, x, t, dt, out=xtrial, xerr=xerr, dxdt_in=dxdt
-            )
-            self.last_stage_record = record
-        else:
-            stepper.do_step_with_error(system, x, t, dt, out=xtrial, xerr=xerr)
-            record = None
+        trial = stepper.do_step_with_error(
+            system, x, t, dt, out=xtrial, xerr=xerr, dxdt_in=dxdt
+        )
+        record = self.last_stage_record = trial[2] if stepper.fsal else None
 
         err = algebra.error_ratio_max(xerr, x, dxdt, params.atol, params.rtol, dt)
 

@@ -1,15 +1,17 @@
 """Dense output stepping: adapt freely, interpolate anywhere.
 
-The stepper advances with the largest step widths the error control
-admits and keeps, for the latest step, the quartic continuous extension
-of the Dormand-Prince pair.  ``calc_state`` then evaluates the
-trajectory at any time inside that step without further system
-evaluations.
+``DenseOutputDopri5`` is a controlled stepper: ``try_step`` has the
+accept/reject contract of :class:`ControlledStepper`, and every
+accepted trial also fits the quartic continuous extension of the
+Dormand-Prince pair over the step just taken.  ``calc_state`` then
+evaluates the trajectory at any time inside that step without further
+system evaluations.  The drivers run it on the same controlled walk as
+any other controlled stepper.
 """
 
 from __future__ import annotations
 
-from .algebra import algebra_for
+from .algebra import algebra_for, scratch
 from .controlled import ControlledStepper, ControllerParams
 from .explicit import DormandPrince5
 
@@ -26,38 +28,39 @@ _D7 = 69997945.0 / 29380423.0
 class DenseOutputDopri5:
     """Adaptive Dormand-Prince stepping with free interpolation.
 
-    Usage: ``initialize`` with the initial state, time, and a first
-    step width proposal; then alternate ``do_step`` (which picks its
-    own width) and ``calc_state`` for any times inside the interval the
-    last step covered.  The interpolant is the published quartic
-    continuous extension; it reproduces both interval endpoints to
-    rounding accuracy and costs no system evaluations.
+    Either call ``try_step`` on your own state, as with any controlled
+    stepper, or ``initialize`` with the initial state, time, and a
+    first width proposal and then call ``do_step``, which retries until
+    a trial is accepted.  After each accepted trial ``calc_state``
+    answers for any time inside the step just taken, at no system
+    evaluations; the quartic interpolant reproduces both interval ends
+    to rounding accuracy.  Any new trial discards it, so
+    ``calc_state`` raises until the next acceptance.
 
     Parameters
     ----------
     params : ControllerParams, optional
         Tolerances and limits of the internal error control.
     algebra : Algebra, optional
-        State backend; defaults to the container of the initial state.
+        State backend; defaults to the container of the state stepped.
     """
 
     def __init__(self, params=None, algebra=None):
         self.params = ControllerParams() if params is None else params
         self._fixed_algebra = algebra
+        self._scratch = None  # x_prev and the four interpolant coefficients
         self.stepper = DormandPrince5(algebra)
         self.controller = ControlledStepper(self.stepper, self.params, algebra)
-        self._algebra = None
-        self._x = None
-        self._t = None
-        self._dt = None
-        self._t_prev = None
-        self._h = None
-        self._cont = None  # x_prev, ydiff, bspl, c4, c5
-        self._have_interval = False
+        self._algebra = self._x = self._t = self._dt = None
+        self.reset()
+
+    def reset(self):
+        """Drop the interpolant, the controller's caches, and the counters."""
+        self.controller.reset()
+        # (t_prev, t_cur, width, algebra, buffers) of the interpolant
+        self._span = None
         self.last_error_ratio = None
-        self.steps_attempted = 0
-        self.steps_accepted = 0
-        self.steps_rejected = 0
+        self.steps_attempted = self.steps_accepted = self.steps_rejected = 0
 
     def initialize(self, x0, t0, dt0):
         """Set the start state, start time, and first width proposal."""
@@ -68,18 +71,10 @@ class DenseOutputDopri5:
             algebra = algebra_for(x0)
         self._algebra = algebra
         self._x = algebra.clone_shape(x0)
-        self._cont = [algebra.clone_shape(x0) for _ in range(5)]
         algebra.copy(self._x, x0)
         self._t = t0
         self._dt = dt0
-        self._t_prev = None
-        self._h = None
-        self._have_interval = False
-        self.last_error_ratio = None
-        self.steps_attempted = 0
-        self.steps_accepted = 0
-        self.steps_rejected = 0
-        self.controller.reset()
+        self.reset()
 
     @property
     def current_time(self):
@@ -95,80 +90,79 @@ class DenseOutputDopri5:
 
     @property
     def interval(self):
-        """``(t_previous, t_current)`` covered by the last step."""
+        """``(t_previous, t_current)`` covered by the last accepted step."""
         self._require_interval()
-        return (self._t_prev, self._t)
+        return self._span[:2]
 
     def _require_initialized(self):
         if self._x is None or self._t is None:
             raise RuntimeError("initialize() must be called first")
 
     def _require_interval(self):
-        if not self._have_interval:
-            raise RuntimeError("no step taken yet; call do_step() first")
+        if self._span is None:
+            raise RuntimeError("no accepted step since the last trial")
 
-    def do_step(self, system):
-        """Advance by one accepted step of self-chosen width.
+    def try_step(self, system, x, t, dt):
+        """Attempt one step of width ``dt`` from ``(x, t)``.
 
-        Retries internally on rejection.  Returns the covered interval
-        ``(t_previous, t_current)``.
+        Same contract as :meth:`ControlledStepper.try_step`; on
+        acceptance the interpolant covers ``[t, result.t]``.
         """
-        self._require_initialized()
-        algebra = self._algebra
-        x_prev, ydiff, bspl, c4, c5 = self._cont
-        algebra.copy(x_prev, self._x)
-        t_start = self._t
-        dt = self._dt
-        while True:
-            dt_used = dt
-            result = self.controller.try_step(system, self._x, self._t, dt)
-            self.steps_attempted += 1
-            dt = result.dt
-            if result.accepted:
-                self.steps_accepted += 1
-                break
+        algebra, buffers = scratch(self, x, 5)
+        x_prev, ydiff, bspl, c4, c5 = buffers
+        self._span = None
+        algebra.copy(x_prev, x)
+        result = self.controller.try_step(system, x, t, dt)
+        self.steps_attempted += 1
+        self.last_error_ratio = result.error_ratio
+        if not result.accepted:
             self.steps_rejected += 1
+            return result
+        self.steps_accepted += 1
 
         k = self.controller.last_stage_record.derivatives
-        h = dt_used
         # Interpolation coefficients, Horner-ready:
         #   x(t_prev + theta*h) = x_prev + theta*ydiff
         #     + theta*(1-theta)*bspl + theta^2*(1-theta)*c4
         #     + theta^2*(1-theta)^2*c5
-        algebra.scale_sum(ydiff, (1.0, -1.0), (self._x, x_prev))
-        algebra.scale_sum(bspl, (h, -1.0), (k[0], ydiff))
-        algebra.scale_sum(c4, (1.0, -h, -1.0), (ydiff, k[6], bspl))
+        algebra.scale_sum(ydiff, (1.0, -1.0), (x, x_prev))
+        algebra.scale_sum(bspl, (dt, -1.0), (k[0], ydiff))
+        algebra.scale_sum(c4, (1.0, -dt, -1.0), (ydiff, k[6], bspl))
         algebra.scale_sum(
             c5,
-            (h * _D1, h * _D3, h * _D4, h * _D5, h * _D6, h * _D7),
+            (dt * _D1, dt * _D3, dt * _D4, dt * _D5, dt * _D6, dt * _D7),
             (k[0], k[2], k[3], k[4], k[5], k[6]),
         )
-        self._t_prev = t_start
-        self._t = result.t
-        self._h = h
-        self._dt = result.dt
-        self._have_interval = True
-        self.last_error_ratio = result.error_ratio
-        return (self._t_prev, self._t)
+        self._span = (t, result.t, dt, algebra, buffers)
+        return result
+
+    def do_step(self, system):
+        """Advance the state set by ``initialize`` by one accepted step
+        of self-chosen width; returns ``(t_previous, t_current)``."""
+        self._require_initialized()
+        while True:
+            result = self.try_step(system, self._x, self._t, self._dt)
+            self._dt = result.dt
+            if result.accepted:
+                self._t = result.t
+                return self.interval
 
     def calc_state(self, t, out=None):
-        """Interpolated state at a time inside the last step.
+        """Interpolated state at a time inside the last accepted step.
 
         ``t`` must satisfy ``t_previous <= t <= t_current``; there is
         no extrapolation.  Performs no system evaluations.
         """
         self._require_interval()
-        lo, hi = self._t_prev, self._t
+        lo, hi, h, algebra, (x_prev, ydiff, bspl, c4, c5) = self._span
         if not (min(lo, hi) <= t <= max(lo, hi)):
             raise ValueError(
                 f"time {t!r} lies outside the last step interval [{lo!r}, {hi!r}]"
             )
-        algebra = self._algebra
         if out is None:
-            out = algebra.clone_shape(self._x)
-        theta = (t - lo) / self._h
+            out = algebra.clone_shape(x_prev)
+        theta = (t - lo) / h
         omt = 1.0 - theta
-        x_prev, ydiff, bspl, c4, c5 = self._cont
         algebra.scale_sum(
             out,
             (1.0, theta, theta * omt, theta * theta * omt, theta * theta * omt * omt),

@@ -2,8 +2,10 @@
 
 Drivers copy the initial state, dispatch on what the stepper can do,
 and call the observer with read-only snapshots; observers never see a
-rejected trial.  Every run returns an :class:`IntegrationReport` with
-the final state and the step and evaluation counters.
+rejected trial.  Controlled and dense-output steppers run on one
+adaptive loop, ``_controlled_walk``.  Every run returns an
+:class:`IntegrationReport` with the final state and the step and
+evaluation counters.
 """
 
 from __future__ import annotations
@@ -101,11 +103,18 @@ def _grid(t0, t1, dt):
     return count, t_last
 
 
-def _clone_of(x0):
-    """Floating working copy of the initial state."""
+def _start(x0, t0, t1, dt, observer):
+    """Check the run's bounds, then return a floating working copy of
+    the initial state, observed at ``t0``."""
+    if t1 <= t0:
+        raise ValueError("end time must exceed start time")
+    if dt <= 0.0:
+        raise ValueError("step or grid width must be positive")
     algebra = algebra_for(x0)
     x = algebra.clone_shape(x0)
     algebra.copy(x, x0)
+    if observer is not None:
+        observer(_readonly(x), t0)
     return x
 
 
@@ -152,98 +161,75 @@ def integrate_const(stepper, system, x0, t0, t1, dt, observer=None):
 
     The observer fires at ``t0`` first.  Plain steppers advance with
     fixed width ``dt``; controlled steppers adapt freely inside each
-    grid interval but land exactly on the grid points, and a failure
-    of theirs carries ``partial_report``; dense-output steppers
-    delegate to :func:`integrate_const_dense`.  The run ends at the
-    last grid point inside the interval (dense runs end at ``t1``
-    itself).
+    grid interval but land exactly on the grid points; dense-output
+    steppers delegate to :func:`integrate_const_dense`.  The run ends
+    at the last grid point inside the interval (dense runs end at
+    ``t1`` itself).  A :class:`SolverError` carries the counters so
+    far, and the last time reached, in ``partial_report``.
     """
-    if t1 <= t0:
-        raise ValueError("end time must exceed start time")
-    if dt <= 0.0:
-        raise ValueError("grid width must be positive")
     kind = _stepper_kind(stepper)
     if kind == "dense":
         return integrate_const_dense(stepper, system, x0, t0, t1, dt, observer)
-    x = _clone_of(x0)
+    x = _start(x0, t0, t1, dt, observer)
     steps, t_last = _grid(t0, t1, dt)
-
-    if observer is not None:
-        observer(_readonly(x), t0)
-
     if kind == "controlled":
         targets = (t_last if k == steps else t0 + k * dt for k in range(1, steps + 1))
         return _controlled_walk(stepper, system, x, t0, targets, dt, observer, False)
 
     counted, counter = _counted(system)
-    for k in range(1, steps + 1):
-        stepper.do_step(counted, x, t0 + (k - 1) * dt, dt)
-        if observer is not None:
-            observer(_readonly(x), t_last if k == steps else t0 + k * dt)
+    t = t0
+    try:
+        for k in range(1, steps + 1):
+            stepper.do_step(counted, x, t, dt)
+            t = t_last if k == steps else t0 + k * dt
+            if observer is not None:
+                observer(_readonly(x), t)
+    except SolverError as exc:
+        exc.partial_report = IntegrationReport(x, t, k - 1, k - 1, 0, counter.count)
+        raise
     return IntegrationReport(x, t_last, steps, steps, 0, counter.count)
 
 
 def integrate_adaptive(stepper, system, x0, t0, t1, dt0, observer=None):
     """Integrate with free step choice, observing every accepted step.
 
-    ``stepper`` must be a controlled stepper.  The final step is
-    clamped so the run ends exactly at ``t1``.  On failure the raised
-    :class:`SolverError` carries the counters gathered so far in
-    ``partial_report``.
+    ``stepper`` must have ``try_step``: a controlled or a dense-output
+    stepper.  The final step is clamped so the run ends exactly at
+    ``t1``.  On failure the raised :class:`SolverError` carries the
+    counters gathered so far in ``partial_report``.
     """
-    if t1 <= t0:
-        raise ValueError("end time must exceed start time")
-    if dt0 <= 0.0:
-        raise ValueError("initial step width must be positive")
-    if _stepper_kind(stepper) != "controlled":
+    if not hasattr(stepper, "try_step"):
         raise TypeError("integrate_adaptive needs a stepper with try_step")
-    x = _clone_of(x0)
-
-    if observer is not None:
-        observer(_readonly(x), t0)
-
+    x = _start(x0, t0, t1, dt0, observer)
     return _controlled_walk(stepper, system, x, t0, (t1,), dt0, observer, True)
 
 
 def integrate_const_dense(dense_stepper, system, x0, t0, t1, observe_dt, observer=None):
     """Step as far as error control allows, observe on a uniform grid.
 
-    The stepper picks its own interior step widths; grid values come
-    from interpolation, so observer calls do not constrain the step
-    sequence.  The observer fires at ``t0``, at every grid point
-    strictly inside the interval, and finally at ``t1`` itself.
+    The stepper picks its own step widths on the controlled walk that
+    :func:`integrate_adaptive` uses, so the last step lands on ``t1``
+    and no right-hand side evaluation lies past it.  After each
+    accepted step, the grid points inside it are interpolated, so
+    observer calls do not constrain the step sequence.  The observer
+    fires at ``t0``, at every grid point strictly inside the interval,
+    and finally at ``t1`` with the stepped (not interpolated) state.
     """
-    if t1 <= t0:
-        raise ValueError("end time must exceed start time")
-    if observe_dt <= 0.0:
-        raise ValueError("observation width must be positive")
-    counted, counter = _counted(system)
-    dense_stepper.initialize(x0, t0, observe_dt)
-    snap = GRID_SNAP * observe_dt
-
+    x = _start(x0, t0, t1, observe_dt, observer)
+    observe_step = None
     if observer is not None:
-        observer(_readonly(dense_stepper.current_state), t0)
+        t_end = t1 - GRID_SNAP * observe_dt
+        k = 1
 
-    k = 1
-    t_cur = t0
-    while t_cur < t1 - snap:
-        _, t_cur = dense_stepper.do_step(counted)
-        while True:
+        def observe_step(x_step, t):
+            nonlocal k
+            hi = dense_stepper.interval[1]
             t_k = t0 + k * observe_dt
-            if t_k >= t1 - snap or t_k > t_cur + snap:
-                break
-            if observer is not None:
-                observer(_readonly(dense_stepper.calc_state(min(t_k, t_cur))), t_k)
-            k += 1
+            while t_k < t_end and t_k <= t + GRID_SNAP * observe_dt:
+                observer(_readonly(dense_stepper.calc_state(min(t_k, hi))), t_k)
+                k += 1
+                t_k = t0 + k * observe_dt
+            if t == t1:
+                observer(x_step, t1)
 
-    final = dense_stepper.calc_state(min(t1, t_cur))
-    if observer is not None:
-        observer(_readonly(final), t1)
-    return IntegrationReport(
-        final,
-        t1,
-        dense_stepper.steps_attempted,
-        dense_stepper.steps_accepted,
-        dense_stepper.steps_rejected,
-        counter.count,
-    )
+    return _controlled_walk(dense_stepper, system, x, t0, (t1,), observe_dt, observe_step, True)

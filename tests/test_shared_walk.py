@@ -1,0 +1,155 @@
+"""Dense output as a controlled stepper on the shared walk, one trial
+call form for every embedded pair, scratch keyed on shape and dtype,
+and partial reports from the fixed-step driver."""
+
+import math
+
+import numpy as np
+import pytest
+
+from odekit import (
+    CashKarp54,
+    ControlledStepper,
+    ConvergenceError,
+    DenseOutputDopri5,
+    EvaluationCounter,
+    ImplicitEuler,
+    JacobianSystem,
+    NewtonParams,
+    RungeKutta4,
+    StepSizeUnderflowError,
+    integrate_adaptive,
+    integrate_const,
+    integrate_const_dense,
+)
+
+
+def expgrow(x, dxdt, t):
+    dxdt[0] = x[0]
+
+
+def nan_rhs(x, dxdt, t):
+    dxdt[0] = float("nan")
+
+
+def test_dense_driver_never_evaluates_past_t1():
+    times = []
+
+    def rhs(x, dxdt, t):
+        times.append(t)
+        dxdt[0] = x[0]
+
+    report = integrate_const_dense(DenseOutputDopri5(), rhs, [1.0], 0.0, 1.05, 0.1)
+    assert max(times) <= math.nextafter(1.05, math.inf)
+    assert report.final_time == 1.05
+    assert report.final_state[0] == pytest.approx(math.exp(1.05), rel=1e-6)
+
+
+def test_dense_driver_final_state_is_the_stepped_state():
+    ref = integrate_adaptive(DenseOutputDopri5(), expgrow, [1.0], 0.0, 1.05, 0.1)
+    seen = []
+    report = integrate_const_dense(DenseOutputDopri5(), expgrow, [1.0], 0.0, 1.05, 0.1,
+                                   lambda x, t: seen.append((t, list(x))))
+    assert report.final_state == ref.final_state
+    assert seen[-1] == (1.05, ref.final_state)
+    assert report.system_evaluations == ref.system_evaluations
+
+
+def test_dense_failure_carries_partial_report():
+    seen = []
+    with pytest.raises(StepSizeUnderflowError) as info:
+        integrate_const_dense(DenseOutputDopri5(), nan_rhs, [1.0], 0.0, 1.0, 0.1,
+                              lambda x, t: seen.append(t))
+    report = info.value.partial_report
+    assert report is not None
+    assert report.final_time == 0.0 and report.final_state == [1.0]
+    assert report.steps_accepted == 0
+    assert report.steps_attempted == report.steps_rejected > 0
+    assert seen == [0.0]
+
+
+def test_integrate_adaptive_runs_dense_stepper():
+    dense = DenseOutputDopri5()
+    times = []
+    report = integrate_adaptive(dense, expgrow, np.array([1.0]), 0.0, 1.0, 0.1,
+                                lambda x, t: times.append(t))
+    assert times[0] == 0.0 and times[-1] == 1.0
+    assert report.steps_accepted == len(times) - 1
+    lo, hi = dense.interval
+    assert lo == times[-2]
+    assert dense.calc_state(hi)[0] == pytest.approx(report.final_state[0], rel=1e-12)
+    mid = 0.5 * (lo + hi)
+    assert dense.calc_state(mid)[0] == pytest.approx(math.exp(mid), rel=1e-6)
+
+
+def test_dense_try_step_contract():
+    dense = DenseOutputDopri5()
+    x = [1.0]
+    rejected = dense.try_step(expgrow, x, 0.0, 5.0)
+    assert not rejected.accepted and rejected.t == 0.0 and x == [1.0]
+    with pytest.raises(RuntimeError):
+        dense.calc_state(0.0)
+    accepted = dense.try_step(expgrow, x, 0.0, 0.01)
+    assert accepted.accepted
+    assert dense.interval == (0.0, accepted.t)
+    assert dense.calc_state(0.0) == [1.0]
+    assert (dense.steps_attempted, dense.steps_accepted, dense.steps_rejected) == (2, 1, 1)
+    dense.reset()
+    assert dense.steps_attempted == 0
+    with pytest.raises(RuntimeError):
+        dense.calc_state(0.0)
+
+
+def test_ck54_trial_reuses_cached_derivative():
+    counter = EvaluationCounter(expgrow)
+    ctl = ControlledStepper(CashKarp54())
+    x = [1.0]
+    first = ctl.try_step(counter, x, 0.0, 5.0)
+    assert not first.accepted
+    assert counter.count == 6
+    counter.reset()
+    ctl.try_step(counter, x, 0.0, first.dt)
+    assert counter.count == 5
+
+
+def decay_all(x, dxdt, t):
+    dxdt[...] = -x
+
+
+def test_scratch_follows_numpy_shape():
+    rk4 = RungeKutta4()
+    rk4.do_step(decay_all, np.ones((3, 4)), 0.0, 0.1)
+    out = rk4.do_step(decay_all, np.ones((3, 5)), 0.0, 0.1)
+    assert out.shape == (3, 5)
+    assert np.all(out == RungeKutta4().do_step(decay_all, np.ones((3, 5)), 0.0, 0.1))
+
+
+def test_scratch_follows_numpy_dtype():
+    rk4 = RungeKutta4()
+    rk4.do_step(decay_all, np.ones(1), 0.0, 0.1)
+    reused = rk4.do_step(decay_all, np.ones(1, dtype=np.float32), 0.0, 0.1)
+    fresh = RungeKutta4().do_step(decay_all, np.ones(1, dtype=np.float32), 0.0, 0.1)
+    assert reused.dtype == np.float32
+    assert reused[0] == fresh[0]
+
+
+def test_integrate_const_fixed_failure_carries_partial_report():
+    def rhs(x, dxdt, t):
+        # Stiff and strongly nonlinear once t passes 0.25.
+        dxdt[0] = -x[0] if t < 0.25 else -1e8 * x[0] ** 3
+
+    def jac(x, out, t):
+        out[0, 0] = -1.0 if t < 0.25 else -3e8 * x[0] ** 2
+
+    seen = []
+    stepper = ImplicitEuler(NewtonParams(max_iter=2))
+    with pytest.raises(ConvergenceError) as info:
+        integrate_const(stepper, JacobianSystem(rhs, jac), np.array([1.0]), 0.0, 1.0, 0.1,
+                        lambda x, t: seen.append(t))
+    report = info.value.partial_report
+    assert report is not None
+    assert report.final_time == seen[-1] == pytest.approx(0.2)
+    assert report.steps_attempted == report.steps_accepted == len(seen) - 1
+    assert report.steps_rejected == 0
+    assert report.system_evaluations > 0
+    assert report.final_state[0] == pytest.approx(1.0 / 1.1 ** 2)
