@@ -11,15 +11,12 @@ from .algebra import (
     NUMPY_ALGEBRA,
     SEQUENCE_ALGEBRA,
     Algebra,
-    NumpyAlgebra,
-    SequenceAlgebra,
     algebra_for,
 )
 from .controlled import (
     ControlledStepper,
     ControllerParams,
     StepOutcome,
-    StepResult,
     error_ratio,
     next_step_size,
 )
@@ -35,7 +32,6 @@ from .explicit import (
     CashKarp54,
     DormandPrince5,
     ExplicitEuler,
-    OrderInfo,
     RungeKutta4,
     StageRecord,
 )
@@ -62,7 +58,6 @@ from .systems import (
     SYSTEMS,
     LorenzParams,
     NamedSystem,
-    OrderStudy,
     fit_order,
     get_system,
     harmonic_energy,
@@ -107,9 +102,6 @@ __all__ = [
     "NUMPY_ALGEBRA",
     "NamedSystem",
     "NewtonParams",
-    "NumpyAlgebra",
-    "OrderInfo",
-    "OrderStudy",
     "PairState",
     "RK4_CLASSIC",
     "RungeKutta4",
@@ -117,12 +109,10 @@ __all__ = [
     "STIFF2",
     "SYSTEMS",
     "SeparableHamiltonian",
-    "SequenceAlgebra",
     "SingularMatrixError",
     "SolverError",
     "StageRecord",
     "StepOutcome",
-    "StepResult",
     "StepSizeUnderflowError",
     "SymplecticEuler",
     "TrajectoryRecorder",

@@ -10,6 +10,7 @@ errors, 2 on numerical failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .controlled import ControlledStepper, ControllerParams
@@ -18,7 +19,7 @@ from .errors import SolverError
 from .explicit import CashKarp54, DormandPrince5, ExplicitEuler, RungeKutta4
 from .implicit import ImplicitEuler
 from .integrate import integrate_const
-from .systems import SYSTEMS, order_study
+from .systems import SYSTEMS, get_system, order_study
 
 # Name -> factory taking the controller parameters.  Order studies
 # step with the scheme underneath a controlled or dense stepper.
@@ -33,10 +34,10 @@ STEPPERS = {
 
 
 class _Parser(argparse.ArgumentParser):
-    """Argument parser that exits with status 1 on usage errors."""
+    """Argument parser that exits with status 1 and one stderr line on
+    usage errors."""
 
     def error(self, message):
-        self.print_usage(sys.stderr)
         sys.stderr.write(f"{self.prog}: error: {message}\n")
         raise SystemExit(1)
 
@@ -45,22 +46,20 @@ def _fmt(value):
     return f"{value:.17g}"
 
 
-def _usage_fail(message):
-    sys.stderr.write(f"error: {message}\n")
-    return 1
+def _finite(text):
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
 
 
 def _make_stepper(name, params=None):
     if name not in STEPPERS:
-        raise LookupError(f"unknown stepper '{name}' (choose from: {', '.join(STEPPERS)})")
+        raise ValueError(f"unknown stepper '{name}' (choose from: {', '.join(STEPPERS)})")
     return STEPPERS[name](params)
-
-
-def _resolve_system(name):
-    if name not in SYSTEMS:
-        options = ", ".join(sorted(SYSTEMS))
-        raise LookupError(f"unknown system '{name}' (choose from: {options})")
-    return SYSTEMS[name]
 
 
 def _parse_x0(text, system):
@@ -69,32 +68,23 @@ def _parse_x0(text, system):
     try:
         values = [float(part) for part in text.split(",")]
     except ValueError:
-        raise LookupError(f"cannot parse initial state '{text}'") from None
+        raise ValueError(f"cannot parse initial state '{text}'") from None
     if len(values) != system.dimension:
-        raise LookupError(
+        raise ValueError(
             f"system '{system.name}' needs {system.dimension} components, got {len(values)}"
         )
     return values
 
 
-def _stepping_system(stepper, system):
-    if getattr(stepper, "needs_jacobian", False):
-        if system.jacobian is None:
-            raise LookupError(f"system '{system.name}' carries no Jacobian")
-        return system.jacobian_system()
-    return system
-
-
 def _cmd_integrate(args):
-    system = _resolve_system(args.system)
+    system = get_system(args.system)
     params = ControllerParams(atol=args.atol, rtol=args.rtol)
     stepper = _make_stepper(args.stepper, params)
     if args.t1 <= args.t0:
-        raise LookupError("--t1 must exceed --t0")
+        raise ValueError("--t1 must exceed --t0")
     if args.dt <= 0.0:
-        raise LookupError("--dt must be positive")
+        raise ValueError("--dt must be positive")
     x0 = _parse_x0(args.x0, system)
-    target = _stepping_system(stepper, system)
 
     out = open(args.out, "w", newline="") if args.out else sys.stdout
     try:
@@ -103,7 +93,7 @@ def _cmd_integrate(args):
         def observer(x, t):
             out.write(_fmt(t) + "," + ",".join(_fmt(v) for v in x) + "\n")
 
-        integrate_const(stepper, target, x0, args.t0, args.t1, args.dt, observer)
+        integrate_const(stepper, system, x0, args.t0, args.t1, args.dt, observer)
     finally:
         if out is not sys.stdout:
             out.close()
@@ -111,20 +101,16 @@ def _cmd_integrate(args):
 
 
 def _cmd_order(args):
-    system = _resolve_system(args.system)
+    system = get_system(args.system)
     stepper = _make_stepper(args.stepper)
     stepper = getattr(stepper, "stepper", stepper)
     if system.exact is None:
         solvable = ", ".join(sorted(n for n, s in SYSTEMS.items() if s.exact))
-        raise LookupError(
+        raise ValueError(
             f"system '{system.name}' has no exact solution (choose from: {solvable})"
         )
-    if args.levels < 3:
-        raise LookupError("--levels must be at least 3")
-    if args.t1 <= args.t0 or args.dt <= 0.0:
-        raise LookupError("need --t1 above --t0 and positive --dt")
     x0 = None if args.x0 is None else _parse_x0(args.x0, system)
-    dts = [args.dt / 2**k for k in range(args.levels)]
+    dts = [args.dt * 0.5**k for k in range(args.levels)]
     study = order_study(stepper, system, x0, args.t0, args.t1, dts)
     excluded = set(study.excluded)
     print("dt,error,status")
@@ -136,19 +122,18 @@ def _cmd_order(args):
 
 
 def _cmd_bench(args):
-    system = _resolve_system(args.system)
+    system = get_system(args.system)
     names = [n.strip() for n in args.stepper.split(",") if n.strip()]
     if not names:
-        raise LookupError("no stepper names given")
+        raise ValueError("no stepper names given")
     params = ControllerParams(atol=args.atol, rtol=args.rtol)
     steppers = [(name, _make_stepper(name, params)) for name in names]
     if args.t1 <= args.t0 or args.dt <= 0.0:
-        raise LookupError("need --t1 above --t0 and positive --dt")
+        raise ValueError("need --t1 above --t0 and positive --dt")
     x0 = _parse_x0(args.x0, system)
     print("stepper,steps_attempted,steps_accepted,steps_rejected,system_evaluations")
     for name, stepper in steppers:
-        target = _stepping_system(stepper, system)
-        report = integrate_const(stepper, target, x0, args.t0, args.t1, args.dt)
+        report = integrate_const(stepper, system, x0, args.t0, args.t1, args.dt)
         print(
             f"{name},{report.steps_attempted},{report.steps_accepted},"
             f"{report.steps_rejected},{report.system_evaluations}"
@@ -159,12 +144,12 @@ def _cmd_bench(args):
 def _add_shared(parser, t1_default=None):
     parser.add_argument("--system", required=True, help="system name")
     parser.add_argument("--stepper", required=True, help="stepper name")
-    parser.add_argument("--t0", type=float, default=0.0)
+    parser.add_argument("--t0", type=_finite, default=0.0)
     parser.add_argument(
-        "--t1", type=float, required=t1_default is None, default=t1_default
+        "--t1", type=_finite, required=t1_default is None, default=t1_default
     )
-    parser.add_argument("--atol", type=float, default=1e-6)
-    parser.add_argument("--rtol", type=float, default=1e-6)
+    parser.add_argument("--atol", type=_finite, default=1e-6)
+    parser.add_argument("--rtol", type=_finite, default=1e-6)
     parser.add_argument("--x0", help="comma separated initial state")
 
 
@@ -174,19 +159,19 @@ def build_parser():
 
     p_int = sub.add_parser("integrate", help="write an observed CSV trajectory")
     _add_shared(p_int)
-    p_int.add_argument("--dt", type=float, required=True, help="observation grid width")
+    p_int.add_argument("--dt", type=_finite, required=True, help="observation grid width")
     p_int.add_argument("--out", help="output file (default: stdout)")
     p_int.set_defaults(func=_cmd_integrate)
 
     p_ord = sub.add_parser("order", help="fit the observed convergence order")
     _add_shared(p_ord, t1_default=1.0)
-    p_ord.add_argument("--dt", type=float, default=0.2, help="coarsest step width")
+    p_ord.add_argument("--dt", type=_finite, default=0.2, help="coarsest step width")
     p_ord.add_argument("--levels", type=int, default=5, help="number of halvings")
     p_ord.set_defaults(func=_cmd_order)
 
     p_ben = sub.add_parser("bench", help="print step and evaluation counters")
     _add_shared(p_ben)
-    p_ben.add_argument("--dt", type=float, required=True, help="observation grid width")
+    p_ben.add_argument("--dt", type=_finite, required=True, help="observation grid width")
     p_ben.set_defaults(func=_cmd_bench)
 
     return parser
@@ -201,8 +186,9 @@ def run_cli(argv=None):
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except LookupError as exc:
-        return _usage_fail(str(exc))
+    except ValueError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return 1
     except SolverError as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return 2

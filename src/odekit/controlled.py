@@ -10,7 +10,6 @@ growth window.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 from .algebra import algebra_for, scratch
@@ -113,13 +112,6 @@ def next_step_size(dt, err, error_order, params, was_rejected=False):
     return dt_new
 
 
-def _underflow(dt, t, err):
-    exc = StepSizeUnderflowError(dt, t=t)
-    if not math.isfinite(err):
-        exc.args = (f"{exc}; the last error estimate was {err!r}, not finite",)
-    return exc
-
-
 class ControlledStepper:
     """Accept/reject wrapper around an embedded-error stepper.
 
@@ -211,9 +203,9 @@ class ControlledStepper:
         self._rejections += 1
         self._last_rejected = True
         if self._rejections > params.max_rejections:
-            raise _underflow(dt, t, err)
+            raise StepSizeUnderflowError(dt, t, err)
         try:
             dt_next = next_step_size(dt, err, stepper.error_order, params, True)
         except StepSizeUnderflowError as exc:
-            raise _underflow(exc.dt, t, err) from None
+            raise StepSizeUnderflowError(exc.dt, t, err) from None
         return StepResult(StepOutcome.REJECTED, t, dt_next, err)

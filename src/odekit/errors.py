@@ -1,5 +1,7 @@
 """Exception types raised by the solvers."""
 
+import math
+
 
 class DimensionError(ValueError):
     """State, derivative, or matrix operands have incompatible lengths."""
@@ -18,15 +20,18 @@ class SolverError(RuntimeError):
 class StepSizeUnderflowError(SolverError):
     """Adaptive step size fell below the permitted minimum.
 
-    Carries the time and step size at the point of failure.
+    Carries the time and step size at the point of failure.  The
+    message names the last error estimate ``err`` when it is not finite.
     """
 
-    def __init__(self, dt, t=None, partial_report=None):
+    def __init__(self, dt, t=None, err=None):
         self.dt = dt
         self.t = t
-        self.partial_report = partial_report
         where = "" if t is None else f" at t={t!r}"
-        super().__init__(f"step size underflow{where}: dt={dt!r}")
+        message = f"step size underflow{where}: dt={dt!r}"
+        if err is not None and not math.isfinite(err):
+            message += f"; the last error estimate was {err!r}, not finite"
+        super().__init__(message)
 
 
 class SingularMatrixError(SolverError):

@@ -48,7 +48,6 @@ class ExplicitRungeKutta:
     """
 
     fsal = False
-    needs_jacobian = False
 
     def __init__(self, tableau, algebra=None):
         self.tableau = tableau

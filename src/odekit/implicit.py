@@ -59,12 +59,16 @@ class NewtonParams:
 class JacobianSystem:
     """A system callable paired with its analytic Jacobian.
 
-    ``system(x, dxdt, t)`` writes the derivative; ``jacobian(x, jac, t)``
-    fills the dense ``(n, n)`` array ``jac`` with ``d f_i / d x_j``.
+    Calling the pair runs ``system(x, dxdt, t)``, which writes the
+    derivative; ``jacobian(x, jac, t)`` fills the dense ``(n, n)`` array
+    ``jac`` with ``d f_i / d x_j``.
     """
 
     system: object
     jacobian: object
+
+    def __call__(self, x, dxdt, t):
+        return self.system(x, dxdt, t)
 
 
 class ImplicitEuler:
@@ -81,7 +85,6 @@ class ImplicitEuler:
     error_order = None
     stage_count = 1
     fsal = False
-    needs_jacobian = True
 
     def __init__(self, params=None, algebra=None):
         self.params = NewtonParams() if params is None else params
@@ -96,16 +99,19 @@ class ImplicitEuler:
     def do_step(self, system, x, t, dt, out=None):
         """Advance ``x`` from ``t`` by ``dt > 0``.
 
-        ``system`` must pair the right-hand side with its Jacobian (see
-        :class:`JacobianSystem`).  In place when ``out`` is None.
-        Raises :class:`ConvergenceError` when Newton does not converge
-        within ``max_iter`` updates.
+        ``system(x, dxdt, t)`` writes the derivative and
+        ``system.jacobian`` fills its Jacobian, as a :class:`JacobianSystem`
+        or a named system does; a system without one raises
+        :class:`ValueError`.  In place when ``out`` is None.  Raises
+        :class:`ConvergenceError` when Newton does not converge within
+        ``max_iter`` updates.
         """
         if dt <= 0.0:
             raise ValueError("implicit Euler steps forward: dt must be positive")
+        jac_f = getattr(system, "jacobian", None)
+        if jac_f is None:
+            raise ValueError("implicit Euler needs a system that carries a jacobian")
         algebra, (u, f, g) = scratch(self, x, 3)
-        rhs_f = system.system
-        jac_f = system.jacobian
         params = self.params
         n = len(x)
         t_new = t + dt
@@ -113,7 +119,7 @@ class ImplicitEuler:
         algebra.copy(u, x)
         applied = 0
         while True:
-            rhs_f(u, f, t_new)
+            system(u, f, t_new)
             algebra.scale_sum(g, (1.0, -1.0, -dt), (u, x, f))
             if applied and algebra.norm_inf(g) <= params.tol:
                 break

@@ -16,7 +16,6 @@ import numpy as np
 
 from .algebra import algebra_for
 from .errors import SolverError
-from .implicit import JacobianSystem
 
 # Grid times within this fraction of a width of the interval end are
 # treated as the end itself.
@@ -36,10 +35,15 @@ class IntegrationReport:
 
 
 class EvaluationCounter:
-    """Counts calls to a wrapped ``(x, dxdt, t)`` system callable."""
+    """Counts calls to a wrapped ``(x, dxdt, t)`` system callable.
+
+    The wrapped system's ``jacobian``, if any, is carried along
+    uncounted, so steppers that need it find it on the counter.
+    """
 
     def __init__(self, system):
         self.system = system
+        self.jacobian = getattr(system, "jacobian", None)
         self.count = 0
 
     def __call__(self, x, dxdt, t):
@@ -63,15 +67,6 @@ class TrajectoryRecorder:
 
     def as_arrays(self):
         return np.asarray(self.times), np.asarray(self.states)
-
-
-def _counted(system):
-    """Wrap the right-hand side of ``system`` in an evaluation counter."""
-    if isinstance(system, JacobianSystem):
-        counter = EvaluationCounter(system.system)
-        return JacobianSystem(counter, system.jacobian), counter
-    counter = EvaluationCounter(system)
-    return counter, counter
 
 
 def _readonly(x):
@@ -127,7 +122,7 @@ def _controlled_walk(stepper, system, x, t0, targets, dt, observer, observe_step
     :class:`SolverError` leaves with the counters so far in
     ``partial_report``.
     """
-    counted, counter = _counted(system)
+    counter = EvaluationCounter(system)
     stepper.reset()
     attempted = accepted = rejected = 0
     t = t0
@@ -135,7 +130,7 @@ def _controlled_walk(stepper, system, x, t0, targets, dt, observer, observe_step
         for target in targets:
             while t < target:
                 clamped = dt >= target - t
-                result = stepper.try_step(counted, x, t, target - t if clamped else dt)
+                result = stepper.try_step(counter, x, t, target - t if clamped else dt)
                 attempted += 1
                 if result.accepted:
                     accepted += 1
@@ -160,7 +155,9 @@ def integrate_const(stepper, system, x0, t0, t1, dt, observer=None):
     """Integrate over ``[t0, t1]`` observing on the grid ``t0 + k*dt``.
 
     The observer fires at ``t0`` first.  Plain steppers advance with
-    fixed width ``dt``; controlled steppers adapt freely inside each
+    fixed width ``dt``, except that a last grid point snapped onto
+    ``t1`` (within ``GRID_SNAP`` widths) sizes the last step to end on
+    it; controlled steppers adapt freely inside each
     grid interval but land exactly on the grid points; dense-output
     steppers delegate to :func:`integrate_const_dense`.  The run ends
     at the last grid point inside the interval (dense runs end at
@@ -176,11 +173,13 @@ def integrate_const(stepper, system, x0, t0, t1, dt, observer=None):
         targets = (t_last if k == steps else t0 + k * dt for k in range(1, steps + 1))
         return _controlled_walk(stepper, system, x, t0, targets, dt, observer, False)
 
-    counted, counter = _counted(system)
+    counter = EvaluationCounter(system)
+    # A last grid point snapped onto t1 ends the last step there.
+    dt_last = dt if t_last == t0 + steps * dt else t_last - (t0 + (steps - 1) * dt)
     t = t0
     try:
         for k in range(1, steps + 1):
-            stepper.do_step(counted, x, t, dt)
+            stepper.do_step(counter, x, t, dt_last if k == steps else dt)
             t = t_last if k == steps else t0 + k * dt
             if observer is not None:
                 observer(_readonly(x), t)

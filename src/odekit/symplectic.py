@@ -63,7 +63,6 @@ class SymplecticEuler:
     error_order = None
     stage_count = 1
     fsal = False
-    needs_jacobian = False
 
     def __init__(self, algebra=None):
         self._fixed_algebra = algebra

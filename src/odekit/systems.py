@@ -18,7 +18,7 @@ class NamedSystem:
     The instance is itself callable with the ``(x, dxdt, t)`` stepping
     convention.  ``exact``, when present, maps ``(x0, t0, t)`` to the
     closed-form state as a list.  ``jacobian`` fills a dense ``(n, n)``
-    array in place.
+    array in place, so implicit steppers take the instance as it is.
     """
 
     name: str
@@ -242,16 +242,14 @@ def _check_geometric(dt_list):
 def order_study(stepper, system, x0, t0, t1, dt_list, underflow=1e-13):
     """Run fixed-step integrations at each width and fit the slope.
 
-    ``system`` must carry an exact solution.  Steppers that need a
-    Jacobian receive the system's Jacobian pairing automatically.
-    Widths must divide the interval.
+    ``system`` must carry an exact solution, and a Jacobian for
+    steppers that need one.  Widths must divide the interval.
     """
+    if t1 <= t0:
+        raise ValueError("end time must exceed start time")
     _check_geometric(dt_list)
     if system.exact is None:
         raise ValueError(f"system '{system.name}' has no exact solution")
-    stepping_system = (
-        system.jacobian_system() if getattr(stepper, "needs_jacobian", False) else system
-    )
     x0 = tuple(system.default_state if x0 is None else x0)
     span = t1 - t0
     reference = np.asarray(system.exact(x0, t0, t1), dtype=float)
@@ -262,7 +260,7 @@ def order_study(stepper, system, x0, t0, t1, dt_list, underflow=1e-13):
             raise ValueError(f"width {dt!r} does not divide the interval")
         x = np.array(x0, dtype=float)
         for k in range(steps):
-            stepper.do_step(stepping_system, x, t0 + k * dt, dt)
+            stepper.do_step(system, x, t0 + k * dt, dt)
         errors.append(float(np.max(np.abs(x - reference))))
     return fit_order(dt_list, errors, underflow)
 

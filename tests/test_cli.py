@@ -6,10 +6,12 @@ import sys
 import pytest
 
 from odekit import (
+    STIFF2,
     ControlledStepper,
     ControllerParams,
     DormandPrince5,
     ExplicitEuler,
+    ImplicitEuler,
     get_system,
     integrate_const,
 )
@@ -132,6 +134,42 @@ def test_bench_lists_counters(capsys):
     assert int(dp_row[1]) == report.steps_attempted
     assert int(dp_row[4]) == report.system_evaluations
 
+
+
+def test_bench_implicit_row_matches_jacobian_pairing(capsys):
+    code = run_cli([
+        "bench", "--system", "stiff2", "--stepper", "implicit_euler",
+        "--t1", "1", "--dt", "0.1",
+    ])
+    assert code == 0
+    row = capsys.readouterr().out.splitlines()[1].split(",")
+    report = integrate_const(
+        ImplicitEuler(), STIFF2.jacobian_system(), [1.0, 1.0], 0.0, 1.0, 0.1
+    )
+    assert row == ["implicit_euler", "10", "10", "0", str(report.system_evaluations)]
+
+
+SHARED = ["--system", "expdecay", "--stepper", "rk4"]
+
+
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        (["integrate", *SHARED, "--t1", "1", "--dt", "0.1", "--atol", "-1"], "tolerances"),
+        (["bench", *SHARED, "--t1", "1", "--dt", "0.1", "--rtol", "-1"], "tolerances"),
+        (["order", *SHARED, "--dt", "0.3", "--levels", "3"], "does not divide"),
+        (["order", *SHARED, "--t0", "2"], "end time must exceed start time"),
+        (["order", *SHARED, "--levels", "2"], "at least three"),
+        (["integrate", *SHARED, "--t1", "inf", "--dt", "0.1"], "not a finite number"),
+        (["integrate", "--system", "harmonic"], "required"),
+    ],
+)
+def test_usage_error_is_one_stderr_line(argv, reason, capsys):
+    assert run_cli(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert reason in captured.err and "Traceback" not in captured.err
 
 
 def test_unknown_system_lists_options():

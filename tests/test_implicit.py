@@ -11,8 +11,11 @@ from odekit import (
     EXPDECAY,
     ImplicitEuler,
     JacobianSystem,
+    NamedSystem,
     NewtonParams,
+    STIFF2,
     SingularMatrixError,
+    integrate_const,
     lu_solve,
 )
 
@@ -225,3 +228,42 @@ def test_two_dimensional_stiff_system():
     assert np.all(np.isfinite(x))
     assert x[0] == pytest.approx(exact[0], abs=0.05)
     assert x[1] == pytest.approx(exact[1], abs=1e-8)
+
+
+# --- systems that carry their own Jacobian ----------------------------------
+
+
+@pytest.mark.parametrize("system", [STIFF2, EXPDECAY], ids=lambda s: s.name)
+def test_named_system_steps_like_its_jacobian_pairing(system):
+    x0 = list(system.default_state)
+    direct = ImplicitEuler().do_step(system, np.array(x0), 0.0, 0.1)
+    paired = ImplicitEuler().do_step(system.jacobian_system(), np.array(x0), 0.0, 0.1)
+    assert direct.tolist() == paired.tolist()
+
+    a = integrate_const(ImplicitEuler(), system, x0, 0.0, 1.0, 0.1)
+    b = integrate_const(ImplicitEuler(), system.jacobian_system(), x0, 0.0, 1.0, 0.1)
+    assert list(a.final_state) == list(b.final_state)
+    assert a.system_evaluations == b.system_evaluations
+
+
+def test_stiff2_runs_as_it_is():
+    report = integrate_const(ImplicitEuler(), STIFF2, [1.0, 1.0], 0.0, 1.0, 0.1)
+    assert report.system_evaluations == 14
+    # (1, 1) is the fast eigenvector, contracted by 1 + 1e6*dt per step.
+    assert report.final_state[1] == pytest.approx((1.0 + 1e5) ** -10, rel=1e-12)
+
+
+def test_system_without_jacobian_is_rejected_before_evaluation():
+    calls = []
+
+    def rhs(x, dxdt, t):
+        calls.append(t)
+        dxdt[0] = -x[0]
+
+    bare = NamedSystem(name="bare", dimension=1, rhs=rhs)
+    for system in (bare, rhs):
+        with pytest.raises(ValueError, match="jacobian"):
+            ImplicitEuler().do_step(system, np.array([1.0]), 0.0, 0.1)
+        with pytest.raises(ValueError, match="jacobian"):
+            integrate_const(ImplicitEuler(), system, [1.0], 0.0, 1.0, 0.1)
+    assert calls == []

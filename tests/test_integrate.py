@@ -87,6 +87,26 @@ def test_final_time_clamped_to_t1():
     assert len(times) == 8
 
 
+def test_fixed_step_run_ends_on_snapped_t1():
+    # The grid point 0.3 lies 1e-12 above t1, within GRID_SNAP widths,
+    # so it is snapped onto t1 and the last step is shortened to end there.
+    t0, t1, dt = 0.0, 0.3 - 1e-12, 0.1
+    times = []
+
+    def rhs(x, dxdt, t):
+        times.append(t)
+        dxdt[0] = -x[0]
+
+    report = integrate_const(RungeKutta4(), rhs, [1.0], t0, t1, dt)
+    assert report.final_time == t1
+    assert max(times) <= t1
+    x, stepper = [1.0], RungeKutta4()
+    stepper.do_step(rhs, x, t0, dt)
+    stepper.do_step(rhs, x, t0 + dt, dt)
+    stepper.do_step(rhs, x, t0 + 2 * dt, t1 - (t0 + 2 * dt))
+    assert report.final_state == x
+
+
 def test_observer_receives_readonly_state():
     def tamper(x, t):
         with pytest.raises((ValueError, TypeError)):

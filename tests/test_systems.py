@@ -229,6 +229,11 @@ def test_order_study_rejects_non_dividing_width():
         order_study(RungeKutta4(), EXPDECAY, None, 0.0, 1.0, [0.3, 0.15, 0.075])
 
 
+def test_order_study_rejects_empty_interval():
+    with pytest.raises(ValueError, match="end time must exceed start time"):
+        order_study(RungeKutta4(), EXPDECAY, None, 1.0, 1.0, [0.1, 0.05, 0.025])
+
+
 def test_order_study_needs_exact_solution():
     with pytest.raises(ValueError):
         order_study(RungeKutta4(), LORENZ, None, 0.0, 1.0, [0.1, 0.05, 0.025])
