@@ -16,7 +16,6 @@ from .algebra import (
 from .controlled import (
     ControlledStepper,
     ControllerParams,
-    StepOutcome,
     error_ratio,
     next_step_size,
 )
@@ -112,7 +111,6 @@ __all__ = [
     "SingularMatrixError",
     "SolverError",
     "StageRecord",
-    "StepOutcome",
     "StepSizeUnderflowError",
     "SymplecticEuler",
     "TrajectoryRecorder",

@@ -9,7 +9,7 @@ growth window.
 
 from __future__ import annotations
 
-import enum
+from collections import namedtuple
 from dataclasses import dataclass
 
 from .algebra import algebra_for, scratch
@@ -48,31 +48,10 @@ class ControllerParams:
             raise ValueError("max_rejections must be at least 1")
 
 
-class StepOutcome(enum.Enum):
-    """Result classification of one trial step."""
-
-    ACCEPTED_DT_UNCHANGED = "accepted_dt_unchanged"
-    ACCEPTED_DT_INCREASED = "accepted_dt_increased"
-    REJECTED = "rejected"
-
-    @property
-    def accepted(self):
-        return self is not StepOutcome.REJECTED
-
-
-@dataclass(frozen=True)
-class StepResult:
-    """Outcome of ``try_step``: the time after the call, the width to
-    use for the next trial, and the trial's error ratio."""
-
-    outcome: StepOutcome
-    t: float
-    dt: float
-    error_ratio: float
-
-    @property
-    def accepted(self):
-        return self.outcome.accepted
+class StepResult(namedtuple("StepResult", ["accepted", "t", "dt", "error_ratio"])):
+    """Outcome of ``try_step``: whether the trial was accepted, the time
+    after the call, the width to use for the next trial, and the
+    trial's error ratio."""
 
 
 def error_ratio(xerr, x_old, dxdt_old, dt, params, algebra=None):
@@ -130,12 +109,8 @@ class ControlledStepper:
     """
 
     def __init__(self, stepper, params=None, algebra=None):
-        if not hasattr(stepper, "do_step_with_error"):
-            raise TypeError(
-                f"{type(stepper).__name__} provides no embedded error estimate"
-            )
-        if stepper.error_order is None:
-            raise TypeError(f"{type(stepper).__name__} declares no error order")
+        if getattr(stepper, "error_order", None) is None:
+            raise TypeError(f"{type(stepper).__name__} provides no embedded error estimate")
         self.stepper = stepper
         self.params = ControllerParams() if params is None else params
         self._fixed_algebra = algebra
@@ -155,10 +130,12 @@ class ControlledStepper:
     def try_step(self, system, x, t, dt):
         """Attempt one step of width ``dt`` from ``(x, t)``.
 
-        Returns a :class:`StepResult`.  On acceptance ``x`` holds the
-        new state and ``result.t`` the advanced time; on rejection both
-        are unchanged and ``result.dt`` carries the reduced width to
-        retry with.  An accepted step never raises.  A rejection raises
+        Returns a :class:`StepResult` ``(accepted, t, dt, error_ratio)``.
+        On acceptance ``x`` holds the new state, ``result.t`` the
+        advanced time and ``result.dt`` the width proposed for the next
+        step; on rejection ``x`` and the time are unchanged and
+        ``result.dt`` carries the reduced width to retry with.  An
+        accepted step never raises.  A rejection raises
         :class:`StepSizeUnderflowError` once a step has been rejected
         more than ``max_rejections`` times in a row or the width falls
         below ``dt_min``.
@@ -191,12 +168,7 @@ class ControlledStepper:
             dt_next = dt * _step_factor(err, stepper.error_order, params, self._last_rejected)
             self._last_rejected = False
             self._rejections = 0
-            outcome = (
-                StepOutcome.ACCEPTED_DT_INCREASED
-                if dt_next > dt
-                else StepOutcome.ACCEPTED_DT_UNCHANGED
-            )
-            return StepResult(outcome, t + dt, dt_next, err)
+            return StepResult(True, t + dt, dt_next, err)
 
         # Rejected: x and t stay untouched, the cached derivative is
         # still the derivative at (x, t).
@@ -208,4 +180,4 @@ class ControlledStepper:
             dt_next = next_step_size(dt, err, stepper.error_order, params, True)
         except StepSizeUnderflowError as exc:
             raise StepSizeUnderflowError(exc.dt, t, err) from None
-        return StepResult(StepOutcome.REJECTED, t, dt_next, err)
+        return StepResult(False, t, dt_next, err)

@@ -15,9 +15,6 @@ from collections import namedtuple
 from .algebra import scratch
 from .tableaus import CASH_KARP_54, DORMAND_PRINCE_54, EULER, RK4_CLASSIC
 
-OrderInfo = namedtuple("OrderInfo", ["order", "error_order", "stage_count"])
-
-
 class StageRecord(namedtuple("StageRecord", ["derivatives"])):
     """Stage derivatives retained from the latest step.
 
@@ -47,8 +44,6 @@ class ExplicitRungeKutta:
         to the first call.
     """
 
-    fsal = False
-
     def __init__(self, tableau, algebra=None):
         self.tableau = tableau
         self.order = tableau.order
@@ -64,10 +59,6 @@ class ExplicitRungeKutta:
         self._b_idx = tuple(j for j, bj in enumerate(tableau.b) if bj != 0.0)
         ew = tableau.error_weights
         self._e_idx = None if ew is None else tuple(j for j, e in enumerate(ew) if e != 0.0)
-
-    @property
-    def order_info(self):
-        return OrderInfo(self.order, self.error_order, self.stage_count)
 
     def _run_stages(self, algebra, system, x, t, dt, k, stop):
         # k holds the stage derivatives followed by the stage state.
@@ -194,8 +185,6 @@ class DormandPrince5(EmbeddedRungeKutta):
     formulae", Journal of Computational and Applied Mathematics 6
     (1980) 19-26.
     """
-
-    fsal = DORMAND_PRINCE_54.is_fsal
 
     def __init__(self, algebra=None):
         super().__init__(DORMAND_PRINCE_54, algebra)

@@ -15,14 +15,13 @@ import numpy as np
 
 from .algebra import scratch
 from .errors import ConvergenceError, DimensionError, SingularMatrixError
-from .explicit import OrderInfo
 
 
 def lu_solve(matrix, rhs):
     """Solve ``matrix @ x = rhs`` by LAPACK's pivoted LU (``numpy.linalg``).
 
     The result container matches ``rhs``: a numpy array stays an array,
-    any other sequence comes back as a list.  Raises
+    any other sequence comes back as a list of Python floats.  Raises
     :class:`SingularMatrixError` for an exactly singular matrix.
     """
     a = np.asarray(matrix, dtype=float)
@@ -37,7 +36,7 @@ def lu_solve(matrix, rhs):
         x = np.linalg.solve(a, b)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError(str(exc)) from None
-    return x if isinstance(rhs, np.ndarray) else list(x)
+    return x if isinstance(rhs, np.ndarray) else x.tolist()
 
 
 @dataclass(frozen=True)
@@ -82,19 +81,12 @@ class ImplicitEuler:
     """
 
     order = 1
-    error_order = None
-    stage_count = 1
-    fsal = False
 
     def __init__(self, params=None, algebra=None):
         self.params = NewtonParams() if params is None else params
         self._fixed_algebra = algebra
         self._scratch = None
         self.last_iteration_count = 0
-
-    @property
-    def order_info(self):
-        return OrderInfo(self.order, self.error_order, self.stage_count)
 
     def do_step(self, system, x, t, dt, out=None):
         """Advance ``x`` from ``t`` by ``dt > 0``.
@@ -130,8 +122,8 @@ class ImplicitEuler:
             jac_f(u, jac, t_new)
             m = np.multiply(jac, -dt)
             m.flat[:: n + 1] += 1.0  # I - dt*J
-            delta = lu_solve(m, np.negative(np.asarray(g, dtype=float)))
-            algebra.scale_sum(u, (1.0, 1.0), (u, delta))
+            delta = lu_solve(m, g)
+            algebra.scale_sum(u, (1.0, -1.0), (u, delta))
             applied += 1
             if float(np.max(np.abs(delta))) <= params.tol:
                 break

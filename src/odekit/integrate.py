@@ -10,6 +10,7 @@ evaluation counters.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,21 +80,12 @@ def _readonly(x):
     return x
 
 
-def _stepper_kind(stepper):
-    if hasattr(stepper, "calc_state") and hasattr(stepper, "initialize"):
-        return "dense"
-    if hasattr(stepper, "try_step"):
-        return "controlled"
-    if hasattr(stepper, "do_step"):
-        return "plain"
-    raise TypeError(f"{type(stepper).__name__} is not a stepper")
-
-
 def _grid(t0, t1, dt):
-    """Number of whole widths in the interval and the clamped end time."""
+    """Number of whole widths in the interval and the clamped end time;
+    a run that fits no whole width ends at ``t0``."""
     count = int(np.floor((t1 - t0) / dt + GRID_SNAP))
     t_last = t0 + count * dt
-    if abs(t_last - t1) <= GRID_SNAP * dt:
+    if count and abs(t_last - t1) <= GRID_SNAP * dt:
         t_last = t1
     return count, t_last
 
@@ -101,6 +93,8 @@ def _grid(t0, t1, dt):
 def _start(x0, t0, t1, dt, observer):
     """Check the run's bounds, then return a floating working copy of
     the initial state, observed at ``t0``."""
+    if not (math.isfinite(t0) and math.isfinite(t1) and math.isfinite(dt)):
+        raise ValueError("start time, end time and width must be finite")
     if t1 <= t0:
         raise ValueError("end time must exceed start time")
     if dt <= 0.0:
@@ -164,12 +158,14 @@ def integrate_const(stepper, system, x0, t0, t1, dt, observer=None):
     ``t1`` itself).  A :class:`SolverError` carries the counters so
     far, and the last time reached, in ``partial_report``.
     """
-    kind = _stepper_kind(stepper)
-    if kind == "dense":
+    if hasattr(stepper, "calc_state"):
         return integrate_const_dense(stepper, system, x0, t0, t1, dt, observer)
+    controlled = hasattr(stepper, "try_step")
+    if not (controlled or hasattr(stepper, "do_step")):
+        raise TypeError(f"{type(stepper).__name__} is not a stepper")
     x = _start(x0, t0, t1, dt, observer)
     steps, t_last = _grid(t0, t1, dt)
-    if kind == "controlled":
+    if controlled:
         targets = (t_last if k == steps else t0 + k * dt for k in range(1, steps + 1))
         return _controlled_walk(stepper, system, x, t0, targets, dt, observer, False)
 

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 from .algebra import scratch
 from .errors import DimensionError
-from .explicit import OrderInfo
 
 
 class PairState:
@@ -60,17 +59,10 @@ class SymplecticEuler:
     """
 
     order = 1
-    error_order = None
-    stage_count = 1
-    fsal = False
 
     def __init__(self, algebra=None):
         self._fixed_algebra = algebra
         self._scratch = None
-
-    @property
-    def order_info(self):
-        return OrderInfo(self.order, self.error_order, self.stage_count)
 
     def do_step(self, system, state, t, dt, out=None):
         """Advance a :class:`PairState` from ``t`` by ``dt``.

@@ -12,9 +12,10 @@ from odekit import (
     DormandPrince5,
     ExplicitEuler,
     HARMONIC,
+    ImplicitEuler,
     RungeKutta4,
-    StepOutcome,
     StepSizeUnderflowError,
+    SymplecticEuler,
     error_ratio,
     next_step_size,
 )
@@ -126,10 +127,9 @@ def test_next_step_size_nan_error_shrinks():
 
 
 def test_requires_error_stepper():
-    with pytest.raises(TypeError):
-        ControlledStepper(ExplicitEuler())
-    with pytest.raises(TypeError):
-        ControlledStepper(RungeKutta4())
+    for cls in (ExplicitEuler, RungeKutta4, ImplicitEuler, SymplecticEuler):
+        with pytest.raises(TypeError):
+            ControlledStepper(cls())
 
 
 def test_zero_dt_rejected():
@@ -144,7 +144,7 @@ def test_zero_rhs_accepts_and_grows(base):
     x = [5.0, 7.0]
     res = ctl.try_step(zero_rhs, x, 0.0, 0.1)
     assert res.accepted
-    assert res.outcome is StepOutcome.ACCEPTED_DT_INCREASED
+    assert res.dt > 0.1
     assert x == [5.0, 7.0]
     assert res.t == 0.1
     assert res.dt == pytest.approx(0.5, rel=1e-13)  # fac_max growth
@@ -166,7 +166,6 @@ def test_reject_leaves_state_bitwise_unchanged():
     x = np.array([1.0])
     before = x.tobytes()
     res = ctl.try_step(expgrow, x, 0.0, 10.0)
-    assert res.outcome is StepOutcome.REJECTED
     assert not res.accepted
     assert res.t == 0.0
     assert res.dt < 10.0
@@ -232,7 +231,7 @@ def test_nan_error_counts_as_rejection():
     ctl = ControlledStepper(DormandPrince5())
     x = np.array([1.0])
     res = ctl.try_step(nasty, x, 0.0, 0.1)
-    assert res.outcome is StepOutcome.REJECTED
+    assert not res.accepted
     assert res.dt < 0.1
     assert x[0] == 1.0
 

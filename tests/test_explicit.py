@@ -57,8 +57,8 @@ def test_euler_lorenz_hand_value():
 
 
 def test_euler_order_info():
-    info = ExplicitEuler().order_info
-    assert info.order == 1 and info.stage_count == 1
+    stepper = ExplicitEuler()
+    assert stepper.order == 1 and stepper.stage_count == 1
 
 
 # --- classical RK4 ----------------------------------------------------------
@@ -90,8 +90,8 @@ def test_rk4_matches_truncated_taylor():
 
 
 def test_rk4_order_info():
-    info = RungeKutta4().order_info
-    assert info.order == 4 and info.stage_count == 4 and info.error_order is None
+    stepper = RungeKutta4()
+    assert stepper.order == 4 and stepper.stage_count == 4 and stepper.error_order is None
 
 
 # --- Cash-Karp 5(4) ---------------------------------------------------------
@@ -169,9 +169,9 @@ def test_dp5_without_reuse_costs_seven():
 
 
 def test_dp5_order_info():
-    info = DormandPrince5().order_info
-    assert info.order == 5 and info.error_order == 4 and info.stage_count == 7
-    assert DormandPrince5.fsal
+    stepper = DormandPrince5()
+    assert stepper.order == 5 and stepper.error_order == 4 and stepper.stage_count == 7
+    assert stepper.fsal
 
 
 # --- shared stepper contracts ----------------------------------------------
@@ -209,7 +209,7 @@ def test_out_aliasing_input_is_permitted(cls):
 def test_stage_evaluation_count(cls):
     counter = EvaluationCounter(expgrow)
     cls().do_step(counter, [1.0], 0.0, 0.1)
-    assert counter.count == cls().order_info.stage_count
+    assert counter.count == cls().stage_count
 
 
 @pytest.mark.parametrize("cls", STEPPERS, ids=lambda c: c.__name__)

@@ -267,3 +267,31 @@ def test_system_without_jacobian_is_rejected_before_evaluation():
         with pytest.raises(ValueError, match="jacobian"):
             integrate_const(ImplicitEuler(), system, [1.0], 0.0, 1.0, 0.1)
     assert calls == []
+
+
+def test_lu_solve_returns_python_floats_for_a_list():
+    # np.float64 subclasses float, so check the exact type.
+    x = lu_solve(np.array([[2.0, 1.0], [1.0, 3.0]]), [3.0, 5.0])
+    assert type(x) is list
+    assert all(type(v) is float for v in x)
+
+
+def _cubic(x, dxdt, t):
+    dxdt[0] = -x[0] ** 3
+
+
+def _cubic_jac(x, out, t):
+    out[0, 0] = -3.0 * x[0] ** 2
+
+
+@pytest.mark.parametrize(
+    "system, x0",
+    [(EXPDECAY, [1.0]), (STIFF2, [1.0, 1.0]), (JacobianSystem(_cubic, _cubic_jac), [1.0])],
+    ids=["expdecay", "stiff2", "cubic"],
+)
+def test_list_state_stays_python_floats(system, x0):
+    # Python floats, and still bit for bit the numpy run.
+    listed = integrate_const(ImplicitEuler(), system, x0, 0.0, 0.2, 0.1).final_state
+    array = integrate_const(ImplicitEuler(), system, np.array(x0), 0.0, 0.2, 0.1).final_state
+    assert all(type(v) is float for v in listed)
+    assert np.array(listed).tobytes() == array.tobytes()

@@ -128,6 +128,52 @@ def test_validation_errors():
         integrate_const(object(), zero_rhs, [1.0], 0.0, 1.0, 0.1)
 
 
+def test_non_stepper_rejected_before_observer():
+    seen = []
+    with pytest.raises(TypeError):
+        integrate_const(object(), zero_rhs, [1.0], 0.0, 1.0, 0.1,
+                        lambda x, t: seen.append(t))
+    assert seen == []
+
+
+RUNS = {
+    "const-plain": lambda *a: integrate_const(RungeKutta4(), *a),
+    "const-controlled": lambda *a: integrate_const(ControlledStepper(DormandPrince5()), *a),
+    "const-dense": lambda *a: integrate_const(DenseOutputDopri5(), *a),
+    "adaptive": lambda *a: integrate_adaptive(ControlledStepper(DormandPrince5()), *a),
+    "dense-driver": lambda *a: integrate_const_dense(DenseOutputDopri5(), *a),
+}
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("bound", ["t0", "t1", "dt"])
+@pytest.mark.parametrize("run", RUNS.values(), ids=RUNS.keys())
+def test_non_finite_bounds_rejected_before_any_call(run, bound, value):
+    bounds = {"t0": 0.0, "t1": 1.0, "dt": 0.1, bound: value}
+    counter = EvaluationCounter(expgrow)
+    seen = []
+    with pytest.raises(ValueError):
+        run(counter, [1.0], bounds["t0"], bounds["t1"], bounds["dt"],
+            lambda x, t: seen.append(t))
+    assert counter.count == 0
+    assert seen == []
+
+
+def test_zero_step_run_ends_at_t0():
+    # No whole width fits into [0, 1e-12]: plain and controlled runs
+    # both report the untouched state at t0.
+    reports = []
+    for stepper in (RungeKutta4(), ControlledStepper(DormandPrince5())):
+        times = []
+        reports.append(integrate_const(stepper, expgrow, [1.0], 0.0, 1e-12, 0.1,
+                                       lambda x, t: times.append(t)))
+        assert times == [0.0]
+    for report in reports:
+        assert report.final_time == 0.0
+        assert report.final_state == [1.0]
+        assert report.steps_attempted == report.system_evaluations == 0
+
+
 def test_trajectory_recorder():
     rec = TrajectoryRecorder()
     integrate_const(RungeKutta4(), expgrow, [1.0], 0.0, 1.0, 0.25, rec)

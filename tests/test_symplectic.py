@@ -137,5 +137,4 @@ def test_energy_error_bounded_short_run():
 
 
 def test_order_info():
-    info = SymplecticEuler().order_info
-    assert info.order == 1
+    assert SymplecticEuler().order == 1
