@@ -6,6 +6,10 @@ drives numpy arrays, Python lists, or any other indexable container an
 algebra knows how to handle.  Both shipped backends perform the
 floating point operations of ``scale_sum`` in the same left-to-right
 order, which keeps trajectories bit-identical across containers.
+
+Public calls are checked.  Inside the steppers the shipped backends
+check lengths once per scratch buffer set and run unchecked kernels; a
+backend that overrides ``scale_sum`` receives every update through it.
 """
 
 from __future__ import annotations
@@ -27,8 +31,21 @@ class Algebra:
     works) but must not alias any later term.
     """
 
+    # Unchecked scale_sum bodies by term count, on a backend whose
+    # scale_sum is the argument check followed by ``_kernels[k]``.
+    _kernels = None
+
     def scale_sum(self, out, coeffs, terms):
-        raise NotImplementedError
+        if self._kernels is None:
+            raise NotImplementedError
+        return self._kernels[self._check_scale_sum(out, coeffs, terms)](out, coeffs, terms)
+
+    def _kernel(self, k):
+        """Unchecked ``scale_sum`` for ``k`` terms; ``scale_sum`` itself
+        on a backend without kernels or whose class overrides it."""
+        if self._kernels is None or type(self).scale_sum is not Algebra.scale_sum:
+            return self.scale_sum
+        return self._kernels[k]
 
     def norm_inf(self, state) -> float:
         """Maximum absolute component.  Empty states are rejected."""
@@ -45,7 +62,9 @@ class Algebra:
 
     def copy(self, out, src):
         """Copy ``src`` into ``out``; a one-term ``scale_sum``."""
-        return self.scale_sum(out, (1.0,), (src,))
+        if len(out) != len(src):
+            raise DimensionError(f"cannot copy length {len(src)} into length {len(out)}")
+        return self._kernel(1)(out, (1.0,), (src,))
 
     @staticmethod
     def _check_scale_sum(out, coeffs, terms):
@@ -62,20 +81,38 @@ class Algebra:
                 raise DimensionError(
                     f"term of length {len(term)} does not match output length {n}"
                 )
-        return k, n
+        return k
+
+
+def _numpy_scale_sum(out, coeffs, terms):
+    # Accumulate strictly left to right; same rounding sequence as the
+    # sequence backend.
+    np.multiply(terms[0], coeffs[0], out=out)
+    for c, term in zip(coeffs[1:], terms[1:]):
+        out += np.multiply(term, c)
+    return out
+
+
+def _sequence_scale_sum(k):
+    # out[i] = c0*t0[i] + c1*t1[i] + ..., unrolled and added left to right.
+    c = ", ".join(f"c{j}" for j in range(k))
+    t = ", ".join(f"t{j}" for j in range(k))
+    body = " + ".join(f"c{j} * t{j}[i]" for j in range(k))
+    namespace = {}
+    exec(
+        f"def scale_sum_{k}(out, coeffs, terms):\n"
+        f"    ({c},), ({t},) = coeffs, terms\n"
+        f"    for i in range(len(out)):\n        out[i] = {body}\n"
+        "    return out\n",
+        namespace,
+    )
+    return namespace[f"scale_sum_{k}"]
 
 
 class NumpyAlgebra(Algebra):
     """Vectorized backend for one-dimensional ``numpy.ndarray`` states."""
 
-    def scale_sum(self, out, coeffs, terms):
-        self._check_scale_sum(out, coeffs, terms)
-        # Accumulate strictly left to right; same rounding sequence as
-        # the sequence backend.
-        np.multiply(terms[0], coeffs[0], out=out)
-        for c, term in zip(coeffs[1:], terms[1:]):
-            out += np.multiply(term, c)
-        return out
+    _kernels = (None,) + (_numpy_scale_sum,) * MAX_TERMS
 
     def norm_inf(self, state):
         if len(state) == 0:
@@ -103,35 +140,13 @@ class SequenceAlgebra(Algebra):
     constructed from an iterable of floats.
     """
 
-    def scale_sum(self, out, coeffs, terms):
-        k, n = self._check_scale_sum(out, coeffs, terms)
-        # Unrolled small-k paths keep the million-step runs affordable.
-        if k == 1:
-            (c0,), (t0,) = coeffs, terms
-            for i in range(n):
-                out[i] = c0 * t0[i]
-        elif k == 2:
-            c0, c1 = coeffs
-            t0, t1 = terms
-            for i in range(n):
-                out[i] = c0 * t0[i] + c1 * t1[i]
-        elif k == 3:
-            c0, c1, c2 = coeffs
-            t0, t1, t2 = terms
-            for i in range(n):
-                out[i] = c0 * t0[i] + c1 * t1[i] + c2 * t2[i]
-        else:
-            for i in range(n):
-                acc = coeffs[0] * terms[0][i]
-                for j in range(1, k):
-                    acc += coeffs[j] * terms[j][i]
-                out[i] = acc
-        return out
+    _kernels = (None,) + tuple(_sequence_scale_sum(k) for k in range(1, MAX_TERMS + 1))
 
     def norm_inf(self, state):
         if len(state) == 0:
             raise DimensionError("norm of an empty state is undefined")
-        return float(max(abs(v) for v in state))
+        values = [abs(v) for v in state]  # max alone would drop a NaN after the first item
+        return float("nan") if any(v != v for v in values) else float(max(values))
 
     def clone_shape(self, src):
         if isinstance(src, list):
@@ -174,14 +189,20 @@ def algebra_for(state) -> Algebra:
     )
 
 
-def scratch(owner, x, count):
-    """Backend for ``x`` and ``count`` zero states shaped like it.
+def _kernel_table(algebra, buffers):
+    return [algebra._kernel(k) for k in range(MAX_TERMS + 1)]
+
+
+def scratch(owner, x, count, bind=_kernel_table):
+    """Backend for ``x``, ``count`` zero states shaped like it, and
+    ``bind(algebra, buffers)``, by default the kernels by term count.
 
     ``owner`` pins the backend in ``_fixed_algebra`` (None picks the
     default for ``x``) and caches the buffers in ``_scratch``; they are
-    reallocated only when the backend, the length, or for numpy states
-    the shape or dtype of ``x`` changes, so a step allocates no
-    state-sized memory.  Returns ``(algebra, buffers)``.
+    reallocated, their lengths checked and ``bind`` called again only
+    when the backend, the length, or for numpy states the shape or
+    dtype of ``x`` changes, so a step allocates no state-sized memory.
+    Returns ``(algebra, buffers, bound)``.
     """
     algebra = owner._fixed_algebra
     if isinstance(x, np.ndarray):
@@ -194,5 +215,8 @@ def scratch(owner, x, count):
         key = (id(algebra), len(x))
     cached = owner._scratch
     if cached is None or cached[0] != key:
-        cached = owner._scratch = (key, [algebra.clone_shape(x) for _ in range(count)])
-    return algebra, cached[1]
+        buffers = [algebra.clone_shape(x) for _ in range(count)]
+        if any(len(buf) != len(x) for buf in buffers):
+            raise DimensionError("clone_shape changed the state length")
+        cached = owner._scratch = (key, buffers, bind(algebra, buffers))
+    return algebra, cached[1], cached[2]

@@ -142,7 +142,7 @@ class ControlledStepper:
         """
         if dt == 0.0:
             raise ValueError("step width must be nonzero")
-        algebra, (xtrial, xerr, dxdt) = scratch(self, x, 3)
+        algebra, (xtrial, xerr, dxdt), _ = scratch(self, x, 3)
         params = self.params
         stepper = self.stepper
 

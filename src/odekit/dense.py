@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from .algebra import algebra_for, scratch
 from .controlled import ControlledStepper, ControllerParams
+from .errors import DimensionError
 from .explicit import DormandPrince5
 
 # Interpolation weights of the quartic term, from the continuous
@@ -57,7 +58,7 @@ class DenseOutputDopri5:
     def reset(self):
         """Drop the interpolant, the controller's caches, and the counters."""
         self.controller.reset()
-        # (t_prev, t_cur, width, algebra, buffers) of the interpolant
+        # (t_prev, t_cur, width, algebra, kernels, buffers) of the interpolant
         self._span = None
         self.last_error_ratio = None
         self.steps_attempted = self.steps_accepted = self.steps_rejected = 0
@@ -108,7 +109,7 @@ class DenseOutputDopri5:
         Same contract as :meth:`ControlledStepper.try_step`; on
         acceptance the interpolant covers ``[t, result.t]``.
         """
-        algebra, buffers = scratch(self, x, 5)
+        algebra, buffers, kernels = scratch(self, x, 5)
         x_prev, ydiff, bspl, c4, c5 = buffers
         self._span = None
         algebra.copy(x_prev, x)
@@ -125,15 +126,15 @@ class DenseOutputDopri5:
         #   x(t_prev + theta*h) = x_prev + theta*ydiff
         #     + theta*(1-theta)*bspl + theta^2*(1-theta)*c4
         #     + theta^2*(1-theta)^2*c5
-        algebra.scale_sum(ydiff, (1.0, -1.0), (x, x_prev))
-        algebra.scale_sum(bspl, (dt, -1.0), (k[0], ydiff))
-        algebra.scale_sum(c4, (1.0, -dt, -1.0), (ydiff, k[6], bspl))
-        algebra.scale_sum(
+        kernels[2](ydiff, (1.0, -1.0), (x, x_prev))
+        kernels[2](bspl, (dt, -1.0), (k[0], ydiff))
+        kernels[3](c4, (1.0, -dt, -1.0), (ydiff, k[6], bspl))
+        kernels[6](
             c5,
             (dt * _D1, dt * _D3, dt * _D4, dt * _D5, dt * _D6, dt * _D7),
             (k[0], k[2], k[3], k[4], k[5], k[6]),
         )
-        self._span = (t, result.t, dt, algebra, buffers)
+        self._span = (t, result.t, dt, algebra, kernels, buffers)
         return result
 
     def do_step(self, system):
@@ -154,16 +155,18 @@ class DenseOutputDopri5:
         no extrapolation.  Performs no system evaluations.
         """
         self._require_interval()
-        lo, hi, h, algebra, (x_prev, ydiff, bspl, c4, c5) = self._span
+        lo, hi, h, algebra, kernels, (x_prev, ydiff, bspl, c4, c5) = self._span
         if not (min(lo, hi) <= t <= max(lo, hi)):
             raise ValueError(
                 f"time {t!r} lies outside the last step interval [{lo!r}, {hi!r}]"
             )
         if out is None:
             out = algebra.clone_shape(x_prev)
+        elif len(out) != len(x_prev):
+            raise DimensionError(f"output length {len(out)} != state length {len(x_prev)}")
         theta = (t - lo) / h
         omt = 1.0 - theta
-        algebra.scale_sum(
+        kernels[5](
             out,
             (1.0, theta, theta * omt, theta * theta * omt, theta * theta * omt * omt),
             (x_prev, ydiff, bspl, c4, c5),

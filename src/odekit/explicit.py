@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .algebra import scratch
+from .algebra import MAX_TERMS, scratch
+from .errors import DimensionError
 from .tableaus import CASH_KARP_54, DORMAND_PRINCE_54, EULER, RK4_CLASSIC
 
 class StageRecord(namedtuple("StageRecord", ["derivatives"])):
@@ -52,35 +53,36 @@ class ExplicitRungeKutta:
         self.fsal = tableau.is_fsal
         self._fixed_algebra = algebra
         self._scratch = None
-        # Nonzero-coefficient index lists, fixed per tableau.
-        self._stage_idx = tuple(
-            tuple(j for j, aij in enumerate(row) if aij != 0.0) for row in tableau.a
+
+    def _bind(self, algebra, k):
+        # Once per buffer set (k: the stage derivatives, then the stage
+        # state): each update's kernel, nonzero weights and the buffers
+        # they scale, for the stages, the solution and the error.
+        def update(weights, lead):
+            idx = [j for j, w in enumerate(weights) if w != 0.0]
+            n = len(idx) + lead
+            if not 1 <= n <= MAX_TERMS:
+                raise ValueError(f"{self.tableau.name}: {n} terms in one update;"
+                                 f" the algebra takes 1..{MAX_TERMS}")
+            return algebra._kernel(n), tuple(weights[j] for j in idx), tuple(k[j] for j in idx)
+
+        tableau = self.tableau
+        stages = tuple(
+            update(row, 1) + (k[i], tableau.c[i]) for i, row in enumerate(tableau.a, start=1)
         )
-        self._b_idx = tuple(j for j, bj in enumerate(tableau.b) if bj != 0.0)
         ew = tableau.error_weights
-        self._e_idx = None if ew is None else tuple(j for j, e in enumerate(ew) if e != 0.0)
+        return stages, update(tableau.b, 1), None if ew is None else update(ew, 0)
 
-    def _run_stages(self, algebra, system, x, t, dt, k, stop):
-        # k holds the stage derivatives followed by the stage state.
-        a, c, u = self.tableau.a, self.tableau.c, k[-1]
-        for i in range(1, stop):
-            idx = self._stage_idx[i - 1]
-            row = a[i - 1]
-            algebra.scale_sum(
-                u,
-                (1.0,) + tuple(dt * row[j] for j in idx),
-                (x,) + tuple(k[j] for j in idx),
-            )
-            system(u, k[i], t + c[i] * dt)
+    @staticmethod
+    def _run_stages(stages, system, x, t, dt, u):
+        for kernel, weights, terms, k_i, c_i in stages:
+            kernel(u, (1.0, *[dt * w for w in weights]), (x, *terms))
+            system(u, k_i, t + c_i * dt)
 
-    def _combine(self, algebra, x, dt, k, target):
-        b = self.tableau.b
-        algebra.scale_sum(
-            target,
-            (1.0,) + tuple(dt * b[j] for j in self._b_idx),
-            (x,) + tuple(k[j] for j in self._b_idx),
-        )
-        return target
+    @staticmethod
+    def _combine(combine, x, dt, target):
+        kernel, weights, terms = combine
+        return kernel(target, (1.0, *[dt * w for w in weights]), (x, *terms))
 
     def do_step(self, system, x, t, dt, out=None):
         """Advance ``x`` from ``t`` by ``dt``.
@@ -89,10 +91,17 @@ class ExplicitRungeKutta:
         state into ``out`` and leaves ``x`` unchanged.  Returns the
         updated state.
         """
-        algebra, k = scratch(self, x, self.stage_count + 1)
+        _, k, (stages, combine, _) = scratch(self, x, self.stage_count + 1, self._bind)
+        _check_lengths(x, out)
         system(x, k[0], t)
-        self._run_stages(algebra, system, x, t, dt, k, self.stage_count)
-        return self._combine(algebra, x, dt, k, x if out is None else out)
+        self._run_stages(stages, system, x, t, dt, k[-1])
+        return self._combine(combine, x, dt, x if out is None else out)
+
+
+def _check_lengths(x, *given):
+    for state in given:
+        if state is not None and len(state) != len(x):
+            raise DimensionError(f"length {len(state)} does not match state length {len(x)}")
 
 
 class EmbeddedRungeKutta(ExplicitRungeKutta):
@@ -119,25 +128,22 @@ class EmbeddedRungeKutta(ExplicitRungeKutta):
         :class:`StageRecord` for a first-same-as-last pair.
         """
         s = self.stage_count
-        algebra, k = scratch(self, x, s + 1)
+        algebra, k, (stages, combine, error) = scratch(self, x, s + 1, self._bind)
+        _check_lengths(x, out, xerr, dxdt_in)
         if dxdt_in is None:
             system(x, k[0], t)
         else:
             algebra.copy(k[0], dxdt_in)
         # A first-same-as-last stage state is the new state itself:
         # combine first, then evaluate the last stage there.
-        self._run_stages(algebra, system, x, t, dt, k, s - self.fsal)
-        target = self._combine(algebra, x, dt, k, x if out is None else out)
+        self._run_stages(stages[:-1] if self.fsal else stages, system, x, t, dt, k[-1])
+        target = self._combine(combine, x, dt, x if out is None else out)
         if self.fsal:
             system(target, k[s - 1], t + dt)
         if xerr is None:
             xerr = algebra.clone_shape(k[0])
-        ew = self.tableau.error_weights
-        algebra.scale_sum(
-            xerr,
-            tuple(dt * ew[j] for j in self._e_idx),
-            tuple(k[j] for j in self._e_idx),
-        )
+        kernel, weights, terms = error
+        kernel(xerr, [dt * w for w in weights], terms)
         if self.fsal:
             return target, xerr, StageRecord(tuple(k[:s]))
         return target, xerr

@@ -103,7 +103,7 @@ class ImplicitEuler:
         jac_f = getattr(system, "jacobian", None)
         if jac_f is None:
             raise ValueError("implicit Euler needs a system that carries a jacobian")
-        algebra, (u, f, g) = scratch(self, x, 3)
+        algebra, (u, f, g), _ = scratch(self, x, 3)
         params = self.params
         n = len(x)
         t_new = t + dt

@@ -93,7 +93,11 @@ def _grid(t0, t1, dt):
 def _start(x0, t0, t1, dt, observer):
     """Check the run's bounds, then return a floating working copy of
     the initial state, observed at ``t0``."""
-    if not (math.isfinite(t0) and math.isfinite(t1) and math.isfinite(dt)):
+    try:
+        finite = math.isfinite(t0) and math.isfinite(t1) and math.isfinite(dt)
+    except OverflowError:  # an int beyond the float range
+        finite = False
+    if not finite:
         raise ValueError("start time, end time and width must be finite")
     if t1 <= t0:
         raise ValueError("end time must exceed start time")

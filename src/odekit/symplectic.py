@@ -72,12 +72,12 @@ class SymplecticEuler:
         time argument is carried for signature uniformity; separable
         systems here are autonomous.
         """
-        algebra, (buf,) = scratch(self, state.q, 1)
+        _, (buf,), kernels = scratch(self, state.q, 1)
         target = state if out is None else out
-        if len(target) != len(state):
+        if not len(state.p) == len(target.q) == len(target.p) == len(buf):
             raise DimensionError("output pair length does not match state")
         system.dpdt(state.q, buf)
-        algebra.scale_sum(target.p, (1.0, dt), (state.p, buf))
+        kernels[2](target.p, (1.0, dt), (state.p, buf))
         system.dqdt(target.p, buf)
-        algebra.scale_sum(target.q, (1.0, dt), (state.q, buf))
+        kernels[2](target.q, (1.0, dt), (state.q, buf))
         return target

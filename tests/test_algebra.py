@@ -101,6 +101,12 @@ def test_norm_inf(algebra):
     assert algebra.norm_inf(make_state(algebra, [1.0, -3.0, 2.0])) == 3.0
     assert algebra.norm_inf(make_state(algebra, [0.0, 0.0, 0.0])) == 0.0
     assert algebra.norm_inf(make_state(algebra, [-5.5, 5.4])) == 5.5
+    # NaN propagates from any position, as in error_ratio_max.
+    for pos in range(3):
+        values = [1.0, -3.0, 2.0]
+        values[pos] = float("nan")
+        got = algebra.norm_inf(make_state(algebra, values))
+        assert got != got, (pos, got)
 
 
 @pytest.mark.parametrize("algebra", ALGEBRAS)
@@ -157,17 +163,30 @@ def test_error_ratio_max_nan_propagates(algebra):
     assert got != got
 
 
+def reference_scale_sum(coeffs, terms):
+    # The plain loop, accumulating left to right.
+    out = []
+    for i in range(len(terms[0])):
+        acc = coeffs[0] * terms[0][i]
+        for j in range(1, len(coeffs)):
+            acc += coeffs[j] * terms[j][i]
+        out.append(acc)
+    return out
+
+
 def test_backend_parity_bitwise():
-    # same coefficients, same accumulation order: results must agree to the bit
+    # same coefficients, same accumulation order: results must agree to the
+    # bit, checked or through the unchecked kernels the steppers bind
     rng = np.random.default_rng(99)
     for k in range(1, MAX_TERMS + 1):
-        coeffs = tuple(rng.normal(size=k))
-        base = [rng.normal(size=5) for _ in range(k)]
-        out_np = np.zeros(5)
-        NUMPY_ALGEBRA.scale_sum(out_np, coeffs, [np.array(t) for t in base])
-        out_seq = [0.0] * 5
-        SEQUENCE_ALGEBRA.scale_sum(out_seq, coeffs, [list(t) for t in base])
-        assert [float(v) for v in out_np] == out_seq
+        coeffs = tuple(float(c) for c in rng.normal(size=k))
+        base = [[float(v) for v in rng.normal(size=5)] for _ in range(k)]
+        expected = reference_scale_sum(coeffs, base)
+        for algebra in ALGEBRAS:
+            for scale_sum in (algebra.scale_sum, algebra._kernel(k)):
+                out = make_state(algebra, [0.0] * 5)
+                scale_sum(out, coeffs, [make_state(algebra, t) for t in base])
+                assert [float(v) for v in out] == expected
 
 
 def test_algebra_for_dispatch():

@@ -145,7 +145,9 @@ RUNS = {
 }
 
 
-@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize(
+    "value", [math.inf, -math.inf, math.nan, 10**400], ids=["inf", "-inf", "nan", "huge-int"]
+)
 @pytest.mark.parametrize("bound", ["t0", "t1", "dt"])
 @pytest.mark.parametrize("run", RUNS.values(), ids=RUNS.keys())
 def test_non_finite_bounds_rejected_before_any_call(run, bound, value):
