@@ -17,8 +17,7 @@ def main():
     x0 = np.array([2.0, 1.0])
     dt = 0.1
 
-    implicit = integrate_const(ImplicitEuler(), system.jacobian_system(), x0.copy(),
-                               t0=0.0, t1=1.0, dt=dt)
+    implicit = integrate_const(ImplicitEuler(), system, x0.copy(), t0=0.0, t1=1.0, dt=dt)
     exact = system.exact(x0, 0.0, 1.0)
     print("implicit Euler, dt=0.1:")
     print(f"  computed [{implicit.final_state[0]:.6f}, {implicit.final_state[1]:.3e}]")

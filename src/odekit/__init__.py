@@ -7,16 +7,12 @@ algebra layer keeps the arithmetic identical between the two.
 """
 
 from .algebra import (
-    MAX_TERMS,
-    NUMPY_ALGEBRA,
-    SEQUENCE_ALGEBRA,
     Algebra,
     algebra_for,
 )
 from .controlled import (
     ControlledStepper,
     ControllerParams,
-    error_ratio,
     next_step_size,
 )
 from .dense import DenseOutputDopri5
@@ -32,7 +28,6 @@ from .explicit import (
     DormandPrince5,
     ExplicitEuler,
     RungeKutta4,
-    StageRecord,
 )
 from .implicit import (
     ImplicitEuler,
@@ -46,7 +41,6 @@ from .integrate import (
     TrajectoryRecorder,
     integrate_adaptive,
     integrate_const,
-    integrate_const_dense,
 )
 from .symplectic import PairState, SeparableHamiltonian, SymplecticEuler
 from .systems import (
@@ -55,14 +49,12 @@ from .systems import (
     LORENZ,
     STIFF2,
     SYSTEMS,
-    LorenzParams,
     NamedSystem,
     fit_order,
     get_system,
     harmonic_energy,
     harmonic_separable,
     make_lorenz,
-    observed_order,
     order_study,
 )
 from .tableaus import (
@@ -96,37 +88,29 @@ __all__ = [
     "IntegrationReport",
     "JacobianSystem",
     "LORENZ",
-    "LorenzParams",
-    "MAX_TERMS",
-    "NUMPY_ALGEBRA",
     "NamedSystem",
     "NewtonParams",
     "PairState",
     "RK4_CLASSIC",
     "RungeKutta4",
-    "SEQUENCE_ALGEBRA",
     "STIFF2",
     "SYSTEMS",
     "SeparableHamiltonian",
     "SingularMatrixError",
     "SolverError",
-    "StageRecord",
     "StepSizeUnderflowError",
     "SymplecticEuler",
     "TrajectoryRecorder",
     "algebra_for",
-    "error_ratio",
     "fit_order",
     "get_system",
     "harmonic_energy",
     "harmonic_separable",
     "integrate_adaptive",
     "integrate_const",
-    "integrate_const_dense",
     "lu_solve",
     "make_lorenz",
     "next_step_size",
-    "observed_order",
     "order_study",
     "__version__",
 ]

@@ -3,8 +3,8 @@
 A trial step is accepted when its scaled error ratio is at most one;
 otherwise the state and time stay untouched and the step width shrinks.
 The next width follows the standard integral controller
-``dt * safety * ratio**(-1/(error_order+1))``, clamped to a bounded
-growth window.
+``dt * SAFETY * ratio**(-1/(error_order+1))``, clamped to the growth
+window ``[FAC_MIN, FAC_MAX]``.
 """
 
 from __future__ import annotations
@@ -12,39 +12,34 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass
 
-from .algebra import algebra_for, scratch
+from .algebra import scratch
 from .errors import StepSizeUnderflowError
+
+SAFETY = 0.9
+FAC_MIN = 0.2
+FAC_MAX = 5.0
 
 
 @dataclass(frozen=True)
 class ControllerParams:
     """Tolerances and limits for adaptive stepping.
 
-    ``atol`` and ``rtol`` weight the error test; ``safety`` shrinks the
-    predicted width; ``fac_min`` and ``fac_max`` bound how fast the
-    width may change in one adaptation; ``dt_min`` is the smallest
-    usable width; ``max_rejections`` bounds consecutive rejected trials
-    of one step.
+    ``atol`` and ``rtol`` weight the error test; ``dt_min`` is the
+    smallest usable width; ``max_rejections`` bounds consecutive
+    rejected trials of one step.  Every field rejects NaN.
     """
 
     atol: float = 1e-6
     rtol: float = 1e-6
-    safety: float = 0.9
-    fac_min: float = 0.2
-    fac_max: float = 5.0
     dt_min: float = 1e-14
     max_rejections: int = 100
 
     def __post_init__(self):
-        if self.atol < 0.0 or self.rtol < 0.0 or self.atol + self.rtol == 0.0:
-            raise ValueError("tolerances must be nonnegative and not both zero")
-        if not 0.0 < self.safety <= 1.0:
-            raise ValueError("safety must lie in (0, 1]")
-        if not 0.0 < self.fac_min < 1.0 < self.fac_max:
-            raise ValueError("need fac_min < 1 < fac_max with fac_min > 0")
-        if self.dt_min <= 0.0:
+        if not (self.atol >= 0.0 and self.rtol >= 0.0 and self.atol + self.rtol > 0.0):
+            raise ValueError("tolerances must be nonnegative numbers, not both zero")
+        if not self.dt_min > 0.0:
             raise ValueError("dt_min must be positive")
-        if self.max_rejections < 1:
+        if not self.max_rejections >= 1:
             raise ValueError("max_rejections must be at least 1")
 
 
@@ -54,41 +49,22 @@ class StepResult(namedtuple("StepResult", ["accepted", "t", "dt", "error_ratio"]
     trial's error ratio."""
 
 
-def error_ratio(xerr, x_old, dxdt_old, dt, params, algebra=None):
-    """Scaled max-norm of an error estimate against the step tolerances.
-
-    The scale for component ``i`` is
-    ``atol + rtol * (|x_old_i| + |dt| * |dxdt_old_i|)``; a ratio of at
-    most one means the step passes.
-    """
-    if algebra is None:
-        algebra = algebra_for(x_old)
-    return algebra.error_ratio_max(xerr, x_old, dxdt_old, params.atol, params.rtol, dt)
-
-
-def _step_factor(err, error_order, params, was_rejected):
-    if err == 0.0:
-        factor = params.fac_max
-    else:
-        factor = params.safety * err ** (-1.0 / (error_order + 1))
-        factor = min(params.fac_max, max(params.fac_min, factor))
-    if was_rejected and factor > 1.0:
-        factor = 1.0
-    return factor
-
-
-def next_step_size(dt, err, error_order, params, was_rejected=False):
+def next_step_size(dt, err, error_order, was_rejected=False):
     """Integral controller for the following step width.
 
-    A zero error ratio grows the width by ``fac_max`` outright.  After
-    a rejection the growth factor is additionally capped at one.
-    Raises :class:`StepSizeUnderflowError` when the proposed width
-    drops below ``dt_min``.
+    Returns ``dt`` times a factor in ``[FAC_MIN, FAC_MAX]``: a zero
+    error ratio grows the width by ``FAC_MAX`` outright, a NaN ratio
+    shrinks it by ``FAC_MIN``, and after a rejection the factor is
+    capped at one.  Never raises.
     """
-    dt_new = dt * _step_factor(err, error_order, params, was_rejected)
-    if abs(dt_new) < params.dt_min:
-        raise StepSizeUnderflowError(dt_new)
-    return dt_new
+    if err == 0.0:
+        factor = FAC_MAX
+    else:
+        factor = SAFETY * err ** (-1.0 / (error_order + 1))
+        factor = min(FAC_MAX, max(FAC_MIN, factor))
+    if was_rejected and factor > 1.0:
+        factor = 1.0
+    return dt * factor
 
 
 class ControlledStepper:
@@ -165,7 +141,7 @@ class ControlledStepper:
                 algebra.copy(dxdt, record.new_derivative)
             else:
                 self._dxdt = None
-            dt_next = dt * _step_factor(err, stepper.error_order, params, self._last_rejected)
+            dt_next = next_step_size(dt, err, stepper.error_order, self._last_rejected)
             self._last_rejected = False
             self._rejections = 0
             return StepResult(True, t + dt, dt_next, err)
@@ -176,8 +152,7 @@ class ControlledStepper:
         self._last_rejected = True
         if self._rejections > params.max_rejections:
             raise StepSizeUnderflowError(dt, t, err)
-        try:
-            dt_next = next_step_size(dt, err, stepper.error_order, params, True)
-        except StepSizeUnderflowError as exc:
-            raise StepSizeUnderflowError(exc.dt, t, err) from None
+        dt_next = next_step_size(dt, err, stepper.error_order, True)
+        if abs(dt_next) < params.dt_min:
+            raise StepSizeUnderflowError(dt_next, t, err)
         return StepResult(False, t, dt_next, err)

@@ -67,8 +67,11 @@ class ExplicitRungeKutta:
             return algebra._kernel(n), tuple(weights[j] for j in idx), tuple(k[j] for j in idx)
 
         tableau = self.tableau
+        # A first-same-as-last stage state is the new state itself, and
+        # its derivative has zero weight, so its row is left out.
+        rows = tableau.a[:-1] if self.fsal else tableau.a
         stages = tuple(
-            update(row, 1) + (k[i], tableau.c[i]) for i, row in enumerate(tableau.a, start=1)
+            update(row, 1) + (k[i], tableau.c[i]) for i, row in enumerate(rows, start=1)
         )
         ew = tableau.error_weights
         return stages, update(tableau.b, 1), None if ew is None else update(ew, 0)
@@ -134,9 +137,8 @@ class EmbeddedRungeKutta(ExplicitRungeKutta):
             system(x, k[0], t)
         else:
             algebra.copy(k[0], dxdt_in)
-        # A first-same-as-last stage state is the new state itself:
-        # combine first, then evaluate the last stage there.
-        self._run_stages(stages[:-1] if self.fsal else stages, system, x, t, dt, k[-1])
+        # A first-same-as-last stage is evaluated at the new state.
+        self._run_stages(stages, system, x, t, dt, k[-1])
         target = self._combine(combine, x, dt, x if out is None else out)
         if self.fsal:
             system(target, k[s - 1], t + dt)

@@ -48,9 +48,9 @@ class NewtonParams:
     max_iter: int = 50
 
     def __post_init__(self):
-        if self.tol <= 0.0:
+        if not self.tol > 0.0:
             raise ValueError("tolerance must be positive")
-        if self.max_iter < 1:
+        if not self.max_iter >= 1:
             raise ValueError("max_iter must be at least 1")
 
 

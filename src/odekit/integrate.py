@@ -1,4 +1,4 @@
-"""Integration drivers: fixed-grid, fully adaptive, and dense-observed.
+"""Integration drivers: observed on a fixed grid or at every step.
 
 Drivers copy the initial state, dispatch on what the stepper can do,
 and call the observer with read-only snapshots; observers never see a
@@ -29,10 +29,13 @@ class IntegrationReport:
 
     final_state: object
     final_time: float
-    steps_attempted: int
     steps_accepted: int
     steps_rejected: int
     system_evaluations: int
+
+    @property
+    def steps_attempted(self):
+        return self.steps_accepted + self.steps_rejected
 
 
 class EvaluationCounter:
@@ -122,14 +125,13 @@ def _controlled_walk(stepper, system, x, t0, targets, dt, observer, observe_step
     """
     counter = EvaluationCounter(system)
     stepper.reset()
-    attempted = accepted = rejected = 0
+    accepted = rejected = 0
     t = t0
     try:
         for target in targets:
             while t < target:
                 clamped = dt >= target - t
                 result = stepper.try_step(counter, x, t, target - t if clamped else dt)
-                attempted += 1
                 if result.accepted:
                     accepted += 1
                     t = target if clamped else result.t
@@ -142,11 +144,30 @@ def _controlled_walk(stepper, system, x, t0, targets, dt, observer, observe_step
             if not observe_steps and observer is not None:
                 observer(_readonly(x), t)
     except SolverError as exc:
-        exc.partial_report = IntegrationReport(
-            x, t, attempted, accepted, rejected, counter.count
-        )
+        exc.partial_report = IntegrationReport(x, t, accepted, rejected, counter.count)
         raise
-    return IntegrationReport(x, t, attempted, accepted, rejected, counter.count)
+    return IntegrationReport(x, t, accepted, rejected, counter.count)
+
+
+def _interpolating(dense_stepper, observer, t0, t1, dt):
+    """Step observer that hands ``observer`` the grid points
+    ``t0 + k*dt`` inside each accepted step, interpolated, and ``t1``
+    with the stepped state."""
+    t_end = t1 - GRID_SNAP * dt
+    k = 1
+
+    def observe_step(x_step, t):
+        nonlocal k
+        hi = dense_stepper.interval[1]
+        t_k = t0 + k * dt
+        while t_k < t_end and t_k <= t + GRID_SNAP * dt:
+            observer(_readonly(dense_stepper.calc_state(min(t_k, hi))), t_k)
+            k += 1
+            t_k = t0 + k * dt
+        if t == t1:
+            observer(x_step, t1)
+
+    return observe_step
 
 
 def integrate_const(stepper, system, x0, t0, t1, dt, observer=None):
@@ -156,18 +177,26 @@ def integrate_const(stepper, system, x0, t0, t1, dt, observer=None):
     fixed width ``dt``, except that a last grid point snapped onto
     ``t1`` (within ``GRID_SNAP`` widths) sizes the last step to end on
     it; controlled steppers adapt freely inside each
-    grid interval but land exactly on the grid points; dense-output
-    steppers delegate to :func:`integrate_const_dense`.  The run ends
-    at the last grid point inside the interval (dense runs end at
-    ``t1`` itself).  A :class:`SolverError` carries the counters so
-    far, and the last time reached, in ``partial_report``.
+    grid interval but land exactly on the grid points.  The run ends
+    at the last grid point inside the interval.
+
+    Dense-output steppers pick their own widths on the walk that
+    :func:`integrate_adaptive` uses, so the grid does not constrain
+    the step sequence, and the run ends at ``t1`` with no right-hand
+    side evaluation past it.  The grid points strictly inside the
+    interval are interpolated after each accepted step; the observer
+    sees ``t1`` with the stepped state.
+
+    A :class:`SolverError` carries the counters so far, and the last
+    time reached, in ``partial_report``.
     """
-    if hasattr(stepper, "calc_state"):
-        return integrate_const_dense(stepper, system, x0, t0, t1, dt, observer)
     controlled = hasattr(stepper, "try_step")
     if not (controlled or hasattr(stepper, "do_step")):
         raise TypeError(f"{type(stepper).__name__} is not a stepper")
     x = _start(x0, t0, t1, dt, observer)
+    if hasattr(stepper, "calc_state"):
+        observe = None if observer is None else _interpolating(stepper, observer, t0, t1, dt)
+        return _controlled_walk(stepper, system, x, t0, (t1,), dt, observe, True)
     steps, t_last = _grid(t0, t1, dt)
     if controlled:
         targets = (t_last if k == steps else t0 + k * dt for k in range(1, steps + 1))
@@ -184,9 +213,9 @@ def integrate_const(stepper, system, x0, t0, t1, dt, observer=None):
             if observer is not None:
                 observer(_readonly(x), t)
     except SolverError as exc:
-        exc.partial_report = IntegrationReport(x, t, k - 1, k - 1, 0, counter.count)
+        exc.partial_report = IntegrationReport(x, t, k - 1, 0, counter.count)
         raise
-    return IntegrationReport(x, t_last, steps, steps, 0, counter.count)
+    return IntegrationReport(x, t_last, steps, 0, counter.count)
 
 
 def integrate_adaptive(stepper, system, x0, t0, t1, dt0, observer=None):
@@ -201,34 +230,3 @@ def integrate_adaptive(stepper, system, x0, t0, t1, dt0, observer=None):
         raise TypeError("integrate_adaptive needs a stepper with try_step")
     x = _start(x0, t0, t1, dt0, observer)
     return _controlled_walk(stepper, system, x, t0, (t1,), dt0, observer, True)
-
-
-def integrate_const_dense(dense_stepper, system, x0, t0, t1, observe_dt, observer=None):
-    """Step as far as error control allows, observe on a uniform grid.
-
-    The stepper picks its own step widths on the controlled walk that
-    :func:`integrate_adaptive` uses, so the last step lands on ``t1``
-    and no right-hand side evaluation lies past it.  After each
-    accepted step, the grid points inside it are interpolated, so
-    observer calls do not constrain the step sequence.  The observer
-    fires at ``t0``, at every grid point strictly inside the interval,
-    and finally at ``t1`` with the stepped (not interpolated) state.
-    """
-    x = _start(x0, t0, t1, observe_dt, observer)
-    observe_step = None
-    if observer is not None:
-        t_end = t1 - GRID_SNAP * observe_dt
-        k = 1
-
-        def observe_step(x_step, t):
-            nonlocal k
-            hi = dense_stepper.interval[1]
-            t_k = t0 + k * observe_dt
-            while t_k < t_end and t_k <= t + GRID_SNAP * observe_dt:
-                observer(_readonly(dense_stepper.calc_state(min(t_k, hi))), t_k)
-                k += 1
-                t_k = t0 + k * observe_dt
-            if t == t1:
-                observer(x_step, t1)
-
-    return _controlled_walk(dense_stepper, system, x, t0, (t1,), observe_dt, observe_step, True)

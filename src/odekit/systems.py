@@ -7,7 +7,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .implicit import JacobianSystem
 from .symplectic import SeparableHamiltonian
 
 
@@ -32,22 +31,9 @@ class NamedSystem:
     def __call__(self, x, dxdt, t):
         return self.rhs(x, dxdt, t)
 
-    def jacobian_system(self):
-        if self.jacobian is None:
-            raise ValueError(f"system '{self.name}' carries no Jacobian")
-        return JacobianSystem(self.rhs, self.jacobian)
 
-
-@dataclass(frozen=True)
-class LorenzParams:
-    sigma: float = 10.0
-    rho: float = 28.0
-    beta: float = 8.0 / 3.0
-
-
-def make_lorenz(params=LorenzParams()):
+def make_lorenz(sigma=10.0, rho=28.0, beta=8.0 / 3.0):
     """Lorenz system; chaotic at the classic parameter values."""
-    sigma, rho, beta = params.sigma, params.rho, params.beta
 
     def rhs(x, dxdt, t):
         dxdt[0] = sigma * (x[1] - x[0])
@@ -263,8 +249,3 @@ def order_study(stepper, system, x0, t0, t1, dt_list, underflow=1e-13):
             stepper.do_step(system, x, t0 + k * dt, dt)
         errors.append(float(np.max(np.abs(x - reference))))
     return fit_order(dt_list, errors, underflow)
-
-
-def observed_order(stepper, system, x0, t0, t1, dt_list):
-    """Observed convergence order of a stepper on a solvable system."""
-    return order_study(stepper, system, x0, t0, t1, dt_list).slope

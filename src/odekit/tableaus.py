@@ -84,10 +84,11 @@ class ButcherTableau:
 
     @property
     def is_fsal(self):
-        """Last stage evaluates the derivative at the accepted new state."""
+        """Last stage has zero weight and evaluates the derivative at the
+        accepted new state."""
         if self.stage_count < 2 or self.c[-1] != 1.0:
             return False
-        return self.a[-1] == self.b[: self.stage_count - 1]
+        return self.a[-1] == self.b[: self.stage_count - 1] and self.b[-1] == 0.0
 
 
 EULER = ButcherTableau(

@@ -3,13 +3,8 @@
 import numpy as np
 import pytest
 
-from odekit import (
-    MAX_TERMS,
-    NUMPY_ALGEBRA,
-    SEQUENCE_ALGEBRA,
-    DimensionError,
-    algebra_for,
-)
+from odekit import DimensionError, algebra_for
+from odekit.algebra import MAX_TERMS, NUMPY_ALGEBRA, SEQUENCE_ALGEBRA
 
 ALGEBRAS = [NUMPY_ALGEBRA, SEQUENCE_ALGEBRA]
 

@@ -16,9 +16,9 @@ from odekit import (
     RungeKutta4,
     StepSizeUnderflowError,
     SymplecticEuler,
-    error_ratio,
     next_step_size,
 )
+from odekit.algebra import SEQUENCE_ALGEBRA
 
 
 def expgrow(x, dxdt, t):
@@ -36,21 +36,37 @@ def zero_rhs(x, dxdt, t):
 def test_params_defaults():
     p = ControllerParams()
     assert p.atol == 1e-6 and p.rtol == 1e-6
-    assert p.safety == 0.9 and p.fac_min == 0.2 and p.fac_max == 5.0
+    assert p.dt_min == 1e-14 and p.max_rejections == 100
 
 
 def test_params_validation():
     with pytest.raises(ValueError):
         ControllerParams(atol=0.0, rtol=0.0)
     with pytest.raises(ValueError):
-        ControllerParams(fac_min=1.5)
+        ControllerParams(atol=-1e-6)
     with pytest.raises(ValueError):
-        ControllerParams(fac_max=0.5)
+        ControllerParams(dt_min=0.0)
     with pytest.raises(ValueError):
-        ControllerParams(safety=0.0)
+        ControllerParams(max_rejections=0)
 
 
-# --- error_ratio ------------------------------------------------------------
+@pytest.mark.parametrize("field", ["atol", "rtol", "dt_min"])
+def test_params_reject_nan(field):
+    with pytest.raises(ValueError):
+        ControllerParams(**{field: float("nan")})
+
+
+def test_params_are_the_four_settable_fields():
+    assert list(ControllerParams.__dataclass_fields__) == [
+        "atol", "rtol", "dt_min", "max_rejections"
+    ]
+
+
+# --- error ratio (the algebra's error_ratio_max, as try_step calls it) -------
+
+
+def error_ratio(xerr, x_old, dxdt_old, dt, p):
+    return SEQUENCE_ALGEBRA.error_ratio_max(xerr, x_old, dxdt_old, p.atol, p.rtol, dt)
 
 
 def test_error_ratio_zero_error():
@@ -81,45 +97,46 @@ def test_error_ratio_derivative_term():
 
 
 def test_next_step_size_at_tolerance():
-    p = ControllerParams()
-    assert next_step_size(0.1, 1.0, 4, p) == pytest.approx(0.09, rel=1e-13)
+    assert next_step_size(0.1, 1.0, 4) == pytest.approx(0.09, rel=1e-13)
 
 
 def test_next_step_size_zero_error_hits_ceiling():
-    p = ControllerParams()
-    assert next_step_size(0.1, 0.0, 4, p) == pytest.approx(0.5, rel=1e-13)
+    assert next_step_size(0.1, 0.0, 4) == pytest.approx(0.5, rel=1e-13)
 
 
 def test_next_step_size_large_error_hits_floor():
-    p = ControllerParams()
-    assert next_step_size(0.1, 1e5, 4, p) == pytest.approx(0.02, rel=1e-13)
+    assert next_step_size(0.1, 1e5, 4) == pytest.approx(0.02, rel=1e-13)
 
 
 def test_next_step_size_growth_capped_after_rejection():
-    p = ControllerParams()
-    grown = next_step_size(0.1, 1e-4, 4, p)
+    grown = next_step_size(0.1, 1e-4, 4)
     assert grown > 0.1
-    capped = next_step_size(0.1, 1e-4, 4, p, was_rejected=True)
+    capped = next_step_size(0.1, 1e-4, 4, was_rejected=True)
     assert capped == 0.1
 
 
 def test_next_step_size_shrink_unaffected_by_rejection_flag():
-    p = ControllerParams()
-    a = next_step_size(0.1, 50.0, 4, p)
-    b = next_step_size(0.1, 50.0, 4, p, was_rejected=True)
+    a = next_step_size(0.1, 50.0, 4)
+    b = next_step_size(0.1, 50.0, 4, was_rejected=True)
     assert a == b < 0.1
 
 
 def test_next_step_size_underflow_raises():
-    p = ControllerParams()
-    with pytest.raises(StepSizeUnderflowError):
-        next_step_size(1e-14, 1e5, 4, p)
+    # The width itself never raises; a rejected trial whose shrunk
+    # width falls below dt_min does.
+    assert next_step_size(1e-14, 1e5, 4) == pytest.approx(2e-15, rel=1e-13)
+    ctl = ControlledStepper(DormandPrince5(), ControllerParams(atol=1e-300, rtol=0.0))
+    x = [1.0]
+    with pytest.raises(StepSizeUnderflowError) as info:
+        ctl.try_step(expgrow, x, 0.0, 1e-14)
+    assert info.value.dt == pytest.approx(2e-15, rel=1e-13)
+    assert info.value.t == 0.0
+    assert x == [1.0]
 
 
 def test_next_step_size_nan_error_shrinks():
     # NaN must not freeze dt at its current value
-    p = ControllerParams()
-    got = next_step_size(0.1, float("nan"), 4, p)
+    got = next_step_size(0.1, float("nan"), 4)
     assert got == pytest.approx(0.02, rel=1e-13)
 
 
@@ -147,7 +164,7 @@ def test_zero_rhs_accepts_and_grows(base):
     assert res.dt > 0.1
     assert x == [5.0, 7.0]
     assert res.t == 0.1
-    assert res.dt == pytest.approx(0.5, rel=1e-13)  # fac_max growth
+    assert res.dt == pytest.approx(0.5, rel=1e-13)  # FAC_MAX growth
     assert res.error_ratio == 0.0
 
 

@@ -19,7 +19,6 @@ from odekit import (
     TrajectoryRecorder,
     integrate_adaptive,
     integrate_const,
-    integrate_const_dense,
 )
 
 
@@ -141,7 +140,6 @@ RUNS = {
     "const-controlled": lambda *a: integrate_const(ControlledStepper(DormandPrince5()), *a),
     "const-dense": lambda *a: integrate_const(DenseOutputDopri5(), *a),
     "adaptive": lambda *a: integrate_adaptive(ControlledStepper(DormandPrince5()), *a),
-    "dense-driver": lambda *a: integrate_const_dense(DenseOutputDopri5(), *a),
 }
 
 
@@ -259,7 +257,7 @@ def test_adaptive_underflow_attaches_partial_report():
     assert partial.steps_rejected > 0
 
 
-# --- integrate_const_dense --------------------------------------------------
+# --- integrate_const with a dense-output stepper ----------------------------
 
 
 def test_dense_driver_observation_grid():
@@ -270,7 +268,7 @@ def test_dense_driver_observation_grid():
         times.append(t)
         values.append(x[0])
 
-    report = integrate_const_dense(d, expgrow, np.array([1.0]), 0.0, 10.0, 0.1, obs)
+    report = integrate_const(d, expgrow, np.array([1.0]), 0.0, 10.0, 0.1, obs)
     assert len(times) == 101
     assert times[0] == 0.0
     assert times[-1] == 10.0
@@ -283,22 +281,22 @@ def test_dense_driver_observation_grid():
 def test_dense_driver_degenerate_grid():
     d = DenseOutputDopri5()
     calls = []
-    integrate_const_dense(d, expgrow, np.array([1.0]), 0.0, 0.5, 2.0,
-                          lambda x, t: calls.append(t))
+    integrate_const(d, expgrow, np.array([1.0]), 0.0, 0.5, 2.0,
+                    lambda x, t: calls.append(t))
     assert calls == [0.0, 0.5]
 
 
 def test_dense_driver_grid_spacing():
     d = DenseOutputDopri5()
     times = []
-    integrate_const_dense(d, HARMONIC, np.array([1.0, 0.0]), 0.0, 3.0, 0.5,
-                          lambda x, t: times.append(t))
+    integrate_const(d, HARMONIC, np.array([1.0, 0.0]), 0.0, 3.0, 0.5,
+                    lambda x, t: times.append(t))
     assert times == pytest.approx([0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0])
 
 
 def test_dense_driver_counts_evaluations():
     d = DenseOutputDopri5()
-    report = integrate_const_dense(d, expgrow, np.array([1.0]), 0.0, 2.0, 0.25)
+    report = integrate_const(d, expgrow, np.array([1.0]), 0.0, 2.0, 0.25)
     # FSAL chaining inside the dense stepper: 6 per accepted step plus
     # the very first stage, plus 7 per rejected trial
     expected = 6 * report.steps_accepted + 1 + 7 * report.steps_rejected
@@ -338,7 +336,7 @@ def test_drivers_track_reference_on_harmonic():
         e = ref(t)
         worst = max(worst, max(abs(a - b) for a, b in zip(x, e)))
 
-    integrate_const_dense(d, HARMONIC, np.array([1.0, 0.0]), 0.0, 100.0, 0.5, obs)
+    integrate_const(d, HARMONIC, np.array([1.0, 0.0]), 0.0, 100.0, 0.5, obs)
     assert worst < 100 * tol
 
 

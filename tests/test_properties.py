@@ -1,7 +1,8 @@
 """Properties: list and numpy runs agree bit for bit through every
 driver; rejected trials change nothing; drivers observe exactly their
 grid, stop on it, and never evaluate past t1; the dense interpolant
-reproduces both ends of its interval."""
+reproduces both ends of its interval; the step size controller stays
+inside its growth window."""
 
 import math
 
@@ -19,7 +20,7 @@ from odekit import (
     RungeKutta4,
     integrate_adaptive,
     integrate_const,
-    integrate_const_dense,
+    next_step_size,
 )
 from odekit.integrate import GRID_SNAP
 
@@ -149,7 +150,7 @@ def test_drivers_observe_the_grid_and_stop_at_t1(t0, span, dt, tol, case):
         assert all(a < b for a, b in zip(seen, seen[1:]))
     else:
         stepper = make_trial_stepper("dense", tol)
-        report, evals, seen = record_run(integrate_const_dense, stepper, t0, t1, dt)
+        report, evals, seen = record_run(integrate_const, stepper, t0, t1, dt)
         inner = [t for t in expected_grid(t0, t1, dt) if t < t1 - GRID_SNAP * dt]
         assert seen == inner + [t1] and report.final_time == t1
     assert max(evals, default=t0) <= math.nextafter(t1, math.inf)
@@ -173,3 +174,26 @@ def test_interpolant_reproduces_interval_ends(x0, dt, tol):
         for got, want, other in zip(dense.calc_state(hi), after, before):
             assert abs(got - want) <= 1e-12 * max(abs(want), abs(other), 1e-300)
         before = after
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    dt=st.floats(1e-300, 1e300),
+    errs=st.lists(st.floats(0.0, math.inf), min_size=2, max_size=2),
+    error_order=st.integers(1, 8),
+)
+def test_next_step_size_stays_in_its_window(dt, errs, error_order):
+    lo, hi = sorted(errs)
+    for was_rejected in (False, True):
+        widths = [
+            next_step_size(dt, err, error_order, was_rejected)
+            for err in (0.0, lo, hi, math.nan)
+        ]
+        assert all(0.2 * dt <= w <= 5.0 * dt for w in widths)
+        # A larger error never proposes a wider step; NaN counts as the
+        # largest error of all.
+        assert widths == sorted(widths, reverse=True)
+        assert widths[-1] == 0.2 * dt
+        assert widths[0] == (dt if was_rejected else 5.0 * dt)
+        if was_rejected:
+            assert max(widths) <= dt

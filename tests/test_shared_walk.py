@@ -20,7 +20,6 @@ from odekit import (
     StepSizeUnderflowError,
     integrate_adaptive,
     integrate_const,
-    integrate_const_dense,
 )
 
 
@@ -39,7 +38,7 @@ def test_dense_driver_never_evaluates_past_t1():
         times.append(t)
         dxdt[0] = x[0]
 
-    report = integrate_const_dense(DenseOutputDopri5(), rhs, [1.0], 0.0, 1.05, 0.1)
+    report = integrate_const(DenseOutputDopri5(), rhs, [1.0], 0.0, 1.05, 0.1)
     assert max(times) <= math.nextafter(1.05, math.inf)
     assert report.final_time == 1.05
     assert report.final_state[0] == pytest.approx(math.exp(1.05), rel=1e-6)
@@ -48,8 +47,8 @@ def test_dense_driver_never_evaluates_past_t1():
 def test_dense_driver_final_state_is_the_stepped_state():
     ref = integrate_adaptive(DenseOutputDopri5(), expgrow, [1.0], 0.0, 1.05, 0.1)
     seen = []
-    report = integrate_const_dense(DenseOutputDopri5(), expgrow, [1.0], 0.0, 1.05, 0.1,
-                                   lambda x, t: seen.append((t, list(x))))
+    report = integrate_const(DenseOutputDopri5(), expgrow, [1.0], 0.0, 1.05, 0.1,
+                             lambda x, t: seen.append((t, list(x))))
     assert report.final_state == ref.final_state
     assert seen[-1] == (1.05, ref.final_state)
     assert report.system_evaluations == ref.system_evaluations
@@ -58,8 +57,8 @@ def test_dense_driver_final_state_is_the_stepped_state():
 def test_dense_failure_carries_partial_report():
     seen = []
     with pytest.raises(StepSizeUnderflowError) as info:
-        integrate_const_dense(DenseOutputDopri5(), nan_rhs, [1.0], 0.0, 1.0, 0.1,
-                              lambda x, t: seen.append(t))
+        integrate_const(DenseOutputDopri5(), nan_rhs, [1.0], 0.0, 1.0, 0.1,
+                        lambda x, t: seen.append(t))
     report = info.value.partial_report
     assert report is not None
     assert report.final_time == 0.0 and report.final_state == [1.0]

@@ -6,7 +6,6 @@ import pytest
 
 from odekit import (
     LORENZ,
-    MAX_TERMS,
     CashKarp54,
     ControlledStepper,
     ControllerParams,
@@ -21,7 +20,7 @@ from odekit import (
     SymplecticEuler,
     harmonic_separable,
 )
-from odekit.algebra import SequenceAlgebra
+from odekit.algebra import MAX_TERMS, SequenceAlgebra
 from odekit.explicit import ExplicitRungeKutta
 from odekit.tableaus import ButcherTableau
 

@@ -74,6 +74,14 @@ def test_fsal_detection():
     assert not EULER.is_fsal
 
 
+def test_fsal_needs_a_zero_last_weight():
+    # The last row repeats the weights and the node is 1, but the last
+    # weight is not exactly zero (within the consistency tolerance), so
+    # the last stage must still be evaluated.
+    nearly = ButcherTableau(name="nearly-fsal", a=((1.0,),), b=(1.0, 1e-15), c=(0.0, 1.0), order=1)
+    assert not nearly.is_fsal
+
+
 def test_error_weights():
     ew = DORMAND_PRINCE_54.error_weights
     assert len(ew) == 7
