@@ -238,6 +238,22 @@ def test_two_dimensional_stiff_system():
 # --- systems that carry their own Jacobian ----------------------------------
 
 
+@pytest.mark.parametrize("system", [STIFF2, EXPDECAY], ids=lambda s: s.name)
+def test_named_system_steps_like_its_jacobian_pairing(system):
+    # A named system passed as it is steps exactly like the hand-built
+    # JacobianSystem pairing of its rhs and jacobian.
+    pairing = JacobianSystem(system.rhs, system.jacobian)
+    x0 = list(system.default_state)
+    direct = ImplicitEuler().do_step(system, np.array(x0), 0.0, 0.1)
+    paired = ImplicitEuler().do_step(pairing, np.array(x0), 0.0, 0.1)
+    assert direct.tolist() == paired.tolist()
+
+    a = integrate_const(ImplicitEuler(), system, x0, 0.0, 1.0, 0.1)
+    b = integrate_const(ImplicitEuler(), pairing, x0, 0.0, 1.0, 0.1)
+    assert list(a.final_state) == list(b.final_state)
+    assert a.system_evaluations == b.system_evaluations
+
+
 def test_stiff2_runs_as_it_is():
     report = integrate_const(ImplicitEuler(), STIFF2, [1.0, 1.0], 0.0, 1.0, 0.1)
     assert report.system_evaluations == 14

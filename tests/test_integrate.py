@@ -140,6 +140,7 @@ RUNS = {
     "const-controlled": lambda *a: integrate_const(ControlledStepper(DormandPrince5()), *a),
     "const-dense": lambda *a: integrate_const(DenseOutputDopri5(), *a),
     "adaptive": lambda *a: integrate_adaptive(ControlledStepper(DormandPrince5()), *a),
+    "adaptive-dense": lambda *a: integrate_adaptive(DenseOutputDopri5(), *a),
 }
 
 

@@ -139,6 +139,16 @@ def test_get_system_unknown_lists_options():
         assert name in msg
 
 
+def test_named_system_without_jacobian():
+    # A named system with no jacobian is refused by the implicit stepper
+    # before its rhs is called.
+    calls = []
+    bare = NamedSystem(name="bare", dimension=1, rhs=lambda x, d, t: calls.append(t))
+    with pytest.raises(ValueError, match="jacobian"):
+        ImplicitEuler().do_step(bare, np.array([1.0]), 0.0, 0.1)
+    assert calls == []
+
+
 # --- fit_order --------------------------------------------------------------
 
 
