@@ -32,13 +32,10 @@ from .explicit import (
 from .implicit import (
     ImplicitEuler,
     JacobianSystem,
-    NewtonParams,
-    lu_solve,
 )
 from .integrate import (
     EvaluationCounter,
     IntegrationReport,
-    TrajectoryRecorder,
     integrate_adaptive,
     integrate_const,
 )
@@ -89,7 +86,6 @@ __all__ = [
     "JacobianSystem",
     "LORENZ",
     "NamedSystem",
-    "NewtonParams",
     "PairState",
     "RK4_CLASSIC",
     "RungeKutta4",
@@ -100,7 +96,6 @@ __all__ = [
     "SolverError",
     "StepSizeUnderflowError",
     "SymplecticEuler",
-    "TrajectoryRecorder",
     "algebra_for",
     "fit_order",
     "get_system",
@@ -108,7 +103,6 @@ __all__ = [
     "harmonic_separable",
     "integrate_adaptive",
     "integrate_const",
-    "lu_solve",
     "make_lorenz",
     "next_step_size",
     "order_study",

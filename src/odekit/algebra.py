@@ -1,7 +1,7 @@
 """Elementwise state operations decoupled from the state container.
 
 Steppers never index into states themselves.  Every elementwise
-operation goes through an :class:`Algebra`, so the same stepper code
+update goes through an :class:`Algebra`, so the same stepper code
 drives numpy arrays, Python lists, or any other indexable container an
 algebra knows how to handle.  Both shipped backends perform the
 floating point operations of ``scale_sum`` in the same left-to-right
@@ -23,7 +23,10 @@ MAX_TERMS = 7
 
 
 class Algebra:
-    """Operations a state backend must provide.
+    """Operations a state backend must provide: ``scale_sum``,
+    ``clone_shape``, ``error_ratio_max`` and ``copy``.  These are the
+    vector operations the steppers share; implicit Euler's Newton
+    matrix, solve and norms run on numpy directly.
 
     ``scale_sum`` is the workhorse: a fused linear combination
     ``out[i] = sum_j coeffs[j] * terms[j][i]`` written in one pass.
@@ -46,10 +49,6 @@ class Algebra:
         if self._kernels is None or type(self).scale_sum is not Algebra.scale_sum:
             return self.scale_sum
         return self._kernels[k]
-
-    def norm_inf(self, state) -> float:
-        """Maximum absolute component.  Empty states are rejected."""
-        raise NotImplementedError
 
     def clone_shape(self, src):
         """New zero-filled floating state with the same length and
@@ -114,11 +113,6 @@ class NumpyAlgebra(Algebra):
 
     _kernels = (None,) + (_numpy_scale_sum,) * MAX_TERMS
 
-    def norm_inf(self, state):
-        if len(state) == 0:
-            raise DimensionError("norm of an empty state is undefined")
-        return float(np.max(np.abs(state)))
-
     def clone_shape(self, src):
         # Integer and boolean states get a float64 clone; float32 stays.
         return np.zeros_like(src, dtype=np.result_type(src, 0.0))
@@ -141,12 +135,6 @@ class SequenceAlgebra(Algebra):
     """
 
     _kernels = (None,) + tuple(_sequence_scale_sum(k) for k in range(1, MAX_TERMS + 1))
-
-    def norm_inf(self, state):
-        if len(state) == 0:
-            raise DimensionError("norm of an empty state is undefined")
-        values = [abs(v) for v in state]  # max alone would drop a NaN after the first item
-        return float("nan") if any(v != v for v in values) else float(max(values))
 
     def clone_shape(self, src):
         if isinstance(src, list):

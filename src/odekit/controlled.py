@@ -9,6 +9,7 @@ window ``[FAC_MIN, FAC_MAX]``.
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -26,7 +27,8 @@ class ControllerParams:
 
     ``atol`` and ``rtol`` weight the error test; ``dt_min`` is the
     smallest usable width; ``max_rejections`` bounds consecutive
-    rejected trials of one step.  Every field rejects NaN.
+    rejected trials of one step.  Every field rejects NaN, and the
+    tolerances reject infinity.
     """
 
     atol: float = 1e-6
@@ -35,8 +37,9 @@ class ControllerParams:
     max_rejections: int = 100
 
     def __post_init__(self):
-        if not (self.atol >= 0.0 and self.rtol >= 0.0 and self.atol + self.rtol > 0.0):
-            raise ValueError("tolerances must be nonnegative numbers, not both zero")
+        if not (0.0 <= self.atol < math.inf and 0.0 <= self.rtol < math.inf
+                and self.atol + self.rtol > 0.0):
+            raise ValueError("tolerances must be finite nonnegative numbers, not both zero")
         if not self.dt_min > 0.0:
             raise ValueError("dt_min must be positive")
         if not self.max_rejections >= 1:
@@ -114,10 +117,11 @@ class ControlledStepper:
         accepted step never raises.  A rejection raises
         :class:`StepSizeUnderflowError` once a step has been rejected
         more than ``max_rejections`` times in a row or the width falls
-        below ``dt_min``.
+        below ``dt_min``.  A non-finite ``t`` or ``dt``, or ``dt == 0``,
+        raises :class:`ValueError` before any evaluation.
         """
-        if dt == 0.0:
-            raise ValueError("step width must be nonzero")
+        if not (math.isfinite(t) and math.isfinite(dt)) or dt == 0.0:
+            raise ValueError("time and step width must be finite, the width nonzero")
         algebra, (xtrial, xerr, dxdt), _ = scratch(self, x, 3)
         params = self.params
         stepper = self.stepper

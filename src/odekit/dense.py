@@ -11,6 +11,8 @@ any other controlled stepper.
 
 from __future__ import annotations
 
+import math
+
 from .algebra import algebra_for, scratch
 from .controlled import ControlledStepper, ControllerParams
 from .errors import DimensionError
@@ -64,9 +66,10 @@ class DenseOutputDopri5:
         self.steps_attempted = self.steps_accepted = self.steps_rejected = 0
 
     def initialize(self, x0, t0, dt0):
-        """Set the start state, start time, and first width proposal."""
-        if dt0 <= 0.0:
-            raise ValueError("initial step width proposal must be positive")
+        """Set the start state, start time, and first width proposal;
+        the time must be finite, the width finite and positive."""
+        if not (math.isfinite(t0) and 0.0 < dt0 < math.inf):
+            raise ValueError("need a finite start time and a finite positive width proposal")
         algebra = self._fixed_algebra
         if algebra is None:
             algebra = algebra_for(x0)

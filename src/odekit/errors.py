@@ -27,11 +27,17 @@ class StepSizeUnderflowError(SolverError):
     def __init__(self, dt, t=None, err=None):
         self.dt = dt
         self.t = t
+        self._err = err
         where = "" if t is None else f" at t={t!r}"
         message = f"step size underflow{where}: dt={dt!r}"
         if err is not None and not math.isfinite(err):
             message += f"; the last error estimate was {err!r}, not finite"
         super().__init__(message)
+
+    def __reduce__(self):
+        # pickle (and so multiprocessing) would call the class with
+        # ``args``, the message; rebuild from the constructor arguments.
+        return type(self), (self.dt, self.t, self._err), self.__dict__
 
 
 class SingularMatrixError(SolverError):
@@ -44,3 +50,6 @@ class ConvergenceError(SolverError):
     def __init__(self, iterations, message=None):
         self.iterations = iterations
         super().__init__(message or f"no convergence after {iterations} iterations")
+
+    def __reduce__(self):
+        return type(self), (self.iterations, str(self)), self.__dict__

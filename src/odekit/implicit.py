@@ -5,53 +5,23 @@ the residual ``G(u) = u - x - dt * f(u, t + dt)``, refreshing the
 dense Newton matrix ``I - dt * J(u)`` every iteration and solving it
 with LAPACK through ``numpy.linalg``.  The user supplies the
 Jacobian analytically; matrices are dense and desk-scale.
+
+Newton's stop is scaled to the step's start state (see
+:class:`ImplicitEuler`); its limits are the two constants below.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .algebra import scratch
-from .errors import ConvergenceError, DimensionError, SingularMatrixError
+from .errors import ConvergenceError, SingularMatrixError
 
-
-def lu_solve(matrix, rhs):
-    """Solve ``matrix @ x = rhs`` by LAPACK's pivoted LU (``numpy.linalg``).
-
-    The result container matches ``rhs``: a numpy array stays an array,
-    any other sequence comes back as a list of Python floats.  Raises
-    :class:`SingularMatrixError` for an exactly singular matrix.
-    """
-    a = np.asarray(matrix, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionError(f"expected a square matrix, got shape {a.shape}")
-    b = np.asarray(rhs, dtype=float)
-    if b.ndim != 1 or len(b) != a.shape[0]:
-        raise DimensionError(
-            f"right-hand side of length {b.shape} does not match matrix order {a.shape[0]}"
-        )
-    try:
-        x = np.linalg.solve(a, b)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError(str(exc)) from None
-    return x if isinstance(rhs, np.ndarray) else x.tolist()
-
-
-@dataclass(frozen=True)
-class NewtonParams:
-    """Newton iteration limits: ``tol`` bounds the update max-norm at
-    convergence, ``max_iter`` the number of updates."""
-
-    tol: float = 1e-12
-    max_iter: int = 50
-
-    def __post_init__(self):
-        if not self.tol > 0.0:
-            raise ValueError("tolerance must be positive")
-        if not self.max_iter >= 1:
-            raise ValueError("max_iter must be at least 1")
+NEWTON_TOL = 1e-12
+NEWTON_MAX_ITER = 50
 
 
 @dataclass(frozen=True)
@@ -73,17 +43,16 @@ class JacobianSystem:
 class ImplicitEuler:
     """First order implicit Euler for stiff problems.
 
-    Convergence is declared when the Newton update max-norm drops to
-    ``tol``, or as soon as the residual itself has collapsed to ``tol``
-    after at least one update; for linear systems a single iteration
-    therefore suffices.  The iteration count of the latest step is kept
-    in ``last_iteration_count``.
+    Newton stops when an update, or the residual after at least one
+    update, has max-norm at most ``NEWTON_TOL * max(1, |x|_inf)``, with
+    ``x`` the state the step starts from; for linear systems a single
+    update therefore suffices.  The update count of the latest step is
+    kept in ``last_iteration_count``.
     """
 
     order = 1
 
-    def __init__(self, params=None, algebra=None):
-        self.params = NewtonParams() if params is None else params
+    def __init__(self, algebra=None):
         self._fixed_algebra = algebra
         self._scratch = None
         self.last_iteration_count = 0
@@ -93,39 +62,46 @@ class ImplicitEuler:
 
         ``system(x, dxdt, t)`` writes the derivative and
         ``system.jacobian`` fills its Jacobian, as a :class:`JacobianSystem`
-        or a named system does; a system without one raises
-        :class:`ValueError`.  In place when ``out`` is None.  Raises
+        or a named system does; a system without one, or a non-finite
+        ``t`` or ``dt``, raises :class:`ValueError` before any
+        evaluation.  In place when ``out`` is None.  Raises
         :class:`ConvergenceError` when Newton does not converge within
-        ``max_iter`` updates.
+        ``NEWTON_MAX_ITER`` updates and :class:`SingularMatrixError`
+        when the Newton matrix is singular.
         """
-        if dt <= 0.0:
-            raise ValueError("implicit Euler steps forward: dt must be positive")
+        if not (math.isfinite(t) and 0.0 < dt < math.inf):
+            raise ValueError("implicit Euler needs a finite t and a finite positive dt")
         jac_f = getattr(system, "jacobian", None)
         if jac_f is None:
             raise ValueError("implicit Euler needs a system that carries a jacobian")
         algebra, (u, f, g), _ = scratch(self, x, 3)
-        params = self.params
         n = len(x)
         t_new = t + dt
+        tol = NEWTON_TOL * max(1.0, float(np.abs(x).max()))
         jac = np.empty((n, n))
         algebra.copy(u, x)
         applied = 0
         while True:
             system(u, f, t_new)
             algebra.scale_sum(g, (1.0, -1.0, -dt), (u, x, f))
-            if applied and algebra.norm_inf(g) <= params.tol:
+            if applied and float(np.abs(g).max()) <= tol:
                 break
-            if applied >= params.max_iter:
+            if applied >= NEWTON_MAX_ITER:
                 raise ConvergenceError(
                     applied, f"Newton stalled after {applied} updates at t={t_new!r}"
                 )
             jac_f(u, jac, t_new)
             m = np.multiply(jac, -dt)
             m.flat[:: n + 1] += 1.0  # I - dt*J
-            delta = lu_solve(m, g)
+            try:
+                delta = np.linalg.solve(m, g)
+            except np.linalg.LinAlgError:
+                raise SingularMatrixError(f"singular Newton matrix at t={t_new!r}") from None
+            if not isinstance(g, np.ndarray):
+                delta = delta.tolist()  # a sequence state keeps Python floats
             algebra.scale_sum(u, (1.0, -1.0), (u, delta))
             applied += 1
-            if float(np.max(np.abs(delta))) <= params.tol:
+            if float(np.abs(delta).max()) <= tol:
                 break
         self.last_iteration_count = applied
         target = x if out is None else out

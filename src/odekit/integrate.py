@@ -58,21 +58,6 @@ class EvaluationCounter:
         self.count = 0
 
 
-class TrajectoryRecorder:
-    """Observer that keeps times and state copies as they arrive."""
-
-    def __init__(self):
-        self.times = []
-        self.states = []
-
-    def __call__(self, x, t):
-        self.times.append(t)
-        self.states.append(np.array(x, dtype=float))
-
-    def as_arrays(self):
-        return np.asarray(self.times), np.asarray(self.states)
-
-
 def _readonly(x):
     if isinstance(x, np.ndarray):
         view = x.view()

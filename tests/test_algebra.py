@@ -92,25 +92,6 @@ def test_scale_sum_rejects_bad_shapes(algebra):
 
 
 @pytest.mark.parametrize("algebra", ALGEBRAS)
-def test_norm_inf(algebra):
-    assert algebra.norm_inf(make_state(algebra, [1.0, -3.0, 2.0])) == 3.0
-    assert algebra.norm_inf(make_state(algebra, [0.0, 0.0, 0.0])) == 0.0
-    assert algebra.norm_inf(make_state(algebra, [-5.5, 5.4])) == 5.5
-    # NaN propagates from any position, as in error_ratio_max.
-    for pos in range(3):
-        values = [1.0, -3.0, 2.0]
-        values[pos] = float("nan")
-        got = algebra.norm_inf(make_state(algebra, values))
-        assert got != got, (pos, got)
-
-
-@pytest.mark.parametrize("algebra", ALGEBRAS)
-def test_norm_inf_empty_rejected(algebra):
-    with pytest.raises(DimensionError):
-        algebra.norm_inf(make_state(algebra, []))
-
-
-@pytest.mark.parametrize("algebra", ALGEBRAS)
 @pytest.mark.parametrize("n", [1, 3])
 def test_clone_shape_zero_filled(algebra, n):
     src = make_state(algebra, range(1, n + 1))

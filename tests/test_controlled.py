@@ -50,10 +50,15 @@ def test_params_validation():
         ControllerParams(max_rejections=0)
 
 
-@pytest.mark.parametrize("field", ["atol", "rtol", "dt_min"])
-def test_params_reject_nan(field):
+@pytest.mark.parametrize(
+    "field, value",
+    [(f, math.nan) for f in ("atol", "rtol", "dt_min")]
+    + [(f, v) for f in ("atol", "rtol") for v in (math.inf, -math.inf)],
+)
+def test_params_reject_nan(field, value):
+    # An infinite tolerance would accept every trial at ratio 0.
     with pytest.raises(ValueError):
-        ControllerParams(**{field: float("nan")})
+        ControllerParams(**{field: value})
 
 
 def test_params_are_the_four_settable_fields():

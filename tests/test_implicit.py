@@ -1,4 +1,4 @@
-"""Implicit Euler and the dense LU solver underneath it."""
+"""Implicit Euler: Newton on the scaled stop, LAPACK solves, list states."""
 
 import math
 
@@ -7,89 +7,16 @@ import pytest
 
 from odekit import (
     ConvergenceError,
-    DimensionError,
     EXPDECAY,
+    LORENZ,
     ImplicitEuler,
     JacobianSystem,
     NamedSystem,
-    NewtonParams,
     STIFF2,
     SingularMatrixError,
     integrate_const,
-    lu_solve,
 )
-
-
-# --- lu_solve ---------------------------------------------------------------
-
-
-def test_identity_solve():
-    assert list(lu_solve(np.eye(2), np.array([3.0, 4.0]))) == [3.0, 4.0]
-
-
-def test_diagonal_solve():
-    a = np.array([[2.0, 0.0], [0.0, 4.0]])
-    assert list(lu_solve(a, np.array([2.0, 8.0]))) == [1.0, 2.0]
-
-
-def test_pivoting_handles_zero_leading_entry():
-    a = np.array([[0.0, 1.0], [1.0, 0.0]])
-    x = lu_solve(a, np.array([5.0, 6.0]))
-    assert list(x) == [6.0, 5.0]
-
-
-def test_random_solves_meet_residual_bound():
-    # residual oracle: |A x - b|_inf <= 1e-10 (|A|_inf |x|_inf + |b|_inf)
-    rng = np.random.default_rng(42)
-    for _ in range(50):
-        n = int(rng.integers(2, 8))
-        a = rng.normal(size=(n, n)) + n * np.eye(n)  # well-conditioned
-        b = rng.normal(size=n)
-        x = np.asarray(lu_solve(a, b))
-        residual = np.max(np.abs(a @ x - b))
-        norm_a = np.max(np.sum(np.abs(a), axis=1))
-        bound = 1e-10 * (norm_a * np.max(np.abs(x)) + np.max(np.abs(b)))
-        assert residual <= bound
-
-
-def test_singular_matrix_raises():
-    with pytest.raises(SingularMatrixError):
-        lu_solve(np.zeros((2, 2)), np.array([1.0, 1.0]))
-    with pytest.raises(SingularMatrixError):
-        lu_solve(np.array([[1.0, 2.0], [2.0, 4.0]]), np.array([1.0, 1.0]))
-
-
-def test_nonsquare_rejected():
-    with pytest.raises(DimensionError):
-        lu_solve(np.ones((2, 3)), np.array([1.0, 1.0]))
-    with pytest.raises(DimensionError):
-        lu_solve(np.eye(2), np.array([1.0, 2.0, 3.0]))
-
-
-def test_list_input_round_trips():
-    x = lu_solve([[2.0, 0.0], [0.0, 4.0]], [2.0, 8.0])
-    assert isinstance(x, list)
-    assert x == [1.0, 2.0]
-
-
-# --- NewtonParams -----------------------------------------------------------
-
-
-def test_newton_params_defaults():
-    p = NewtonParams()
-    assert p.tol == 1e-12 and p.max_iter == 50
-
-
-def test_newton_params_validation():
-    with pytest.raises(ValueError):
-        NewtonParams(tol=0.0)
-    with pytest.raises(ValueError):
-        NewtonParams(max_iter=0)
-
-
-def test_newton_params_reject_nan():
-    with pytest.raises(ValueError):
-        NewtonParams(tol=float("nan"))
+from odekit.implicit import NEWTON_MAX_ITER
 
 
 # --- implicit Euler ---------------------------------------------------------
@@ -196,10 +123,38 @@ def test_nonconvergence_carries_iteration_count():
     def jac(x, out, t):
         out[0, 0] = 0.0
 
-    stepper = ImplicitEuler(NewtonParams(tol=1e-12, max_iter=7))
+    stepper = ImplicitEuler()
     with pytest.raises(ConvergenceError) as info:
         stepper.do_step(JacobianSystem(rhs, jac), np.array([1.0]), 0.0, 1.0)
-    assert info.value.iterations == 7
+    assert info.value.iterations == NEWTON_MAX_ITER == 50
+
+
+def test_singular_newton_matrix_raises():
+    # f = x + 1 with its true J = 1 and dt = 1: I - dt*J is exactly zero.
+    def rhs(x, dxdt, t):
+        dxdt[0] = x[0] + 1.0
+
+    def jac(x, out, t):
+        out[0, 0] = 1.0
+
+    for x0 in ([1.0], np.array([1.0])):
+        with pytest.raises(SingularMatrixError, match="Newton matrix"):
+            ImplicitEuler().do_step(JacobianSystem(rhs, jac), x0, 0.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "t, dt", [(0.0, math.inf), (0.0, math.nan), (math.nan, 0.1), (math.inf, 0.1)]
+)
+def test_non_finite_time_or_width_rejected_before_evaluation(t, dt):
+    calls = []
+
+    def rhs(x, dxdt, t):
+        calls.append(t)
+        dxdt[0] = -x[0]
+
+    with pytest.raises(ValueError):
+        ImplicitEuler().do_step(JacobianSystem(rhs, EXPDECAY.jacobian), [1.0], t, dt)
+    assert calls == []
 
 
 def test_observed_first_order_convergence():
@@ -277,13 +232,6 @@ def test_system_without_jacobian_is_rejected_before_evaluation():
     assert calls == []
 
 
-def test_lu_solve_returns_python_floats_for_a_list():
-    # np.float64 subclasses float, so check the exact type.
-    x = lu_solve(np.array([[2.0, 1.0], [1.0, 3.0]]), [3.0, 5.0])
-    assert type(x) is list
-    assert all(type(v) is float for v in x)
-
-
 def _cubic(x, dxdt, t):
     dxdt[0] = -x[0] ** 3
 
@@ -303,3 +251,32 @@ def test_list_state_stays_python_floats(system, x0):
     array = integrate_const(ImplicitEuler(), system, np.array(x0), 0.0, 0.2, 0.1).final_state
     assert all(type(v) is float for v in listed)
     assert np.array(listed).tobytes() == array.tobytes()
+
+
+def _forced(x, dxdt, t):
+    dxdt[0] = -x[0] + 1e5 * math.sin(t)
+
+
+def _forced_jac(x, out, t):
+    out[0, 0] = -1.0
+
+
+@pytest.mark.parametrize(
+    "system, x0",
+    [
+        (STIFF2, [1e4, 1e4]),
+        (LORENZ, [1e5, 1.0, 20.0]),
+        (LORENZ, [1e8, 1.0, 20.0]),
+        (JacobianSystem(_forced, _forced_jac), [1e5]),
+    ],
+    ids=["stiff2-1e4", "lorenz-1e5", "lorenz-1e8", "forced-1e5"],
+)
+def test_large_states_converge(system, x0):
+    # An absolute 1e-12 stop lies below the rounding floor of these
+    # states; the stop scaled to |x|_inf converges, on both containers.
+    listed = integrate_const(ImplicitEuler(), system, x0, 0.0, 0.1, 0.01)
+    array = integrate_const(ImplicitEuler(), system, np.array(x0), 0.0, 0.1, 0.01)
+    assert listed.steps_accepted == 10
+    assert np.all(np.isfinite(array.final_state))
+    assert np.array(listed.final_state).tobytes() == array.final_state.tobytes()
+    assert listed.system_evaluations == array.system_evaluations

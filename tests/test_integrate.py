@@ -16,7 +16,6 @@ from odekit import (
     LORENZ,
     RungeKutta4,
     StepSizeUnderflowError,
-    TrajectoryRecorder,
     integrate_adaptive,
     integrate_const,
 )
@@ -175,13 +174,17 @@ def test_zero_step_run_ends_at_t0():
         assert report.steps_attempted == report.system_evaluations == 0
 
 
-def test_trajectory_recorder():
-    rec = TrajectoryRecorder()
-    integrate_const(RungeKutta4(), expgrow, [1.0], 0.0, 1.0, 0.25, rec)
-    times, states = rec.as_arrays()
-    assert times.shape == (5,)
-    assert states.shape == (5, 1)
-    assert states[-1, 0] == pytest.approx(math.e, rel=1e-4)
+def test_recording_observer():
+    times, states = [], []
+
+    def record(x, t):
+        times.append(t)
+        states.append(list(x))
+
+    integrate_const(RungeKutta4(), expgrow, [1.0], 0.0, 1.0, 0.25, record)
+    assert times == [0.0, 0.25, 0.5, 0.75, 1.0]
+    assert [len(s) for s in states] == [1] * 5
+    assert states[-1][0] == pytest.approx(math.e, rel=1e-4)
 
 
 # --- integrate_const with a controlled stepper ------------------------------

@@ -1,5 +1,10 @@
 """Clean state per run, accepted steps that never raise, named failure
-causes, partial reports from every controlled run, integer states."""
+causes, partial reports from every controlled run, integer states,
+bounds checked at the manual stepping entry points, and errors that
+survive pickling."""
+
+import math
+import pickle
 
 import numpy as np
 import pytest
@@ -8,11 +13,15 @@ from odekit import (
     CashKarp54,
     ControlledStepper,
     ControllerParams,
+    ConvergenceError,
     DenseOutputDopri5,
     DormandPrince5,
     HARMONIC,
+    IntegrationReport,
     LORENZ,
     RungeKutta4,
+    SingularMatrixError,
+    SolverError,
     StepSizeUnderflowError,
     integrate_adaptive,
     integrate_const,
@@ -116,3 +125,55 @@ def test_integer_state_through_integrate_adaptive():
     assert report.final_state.dtype == np.float64
     assert report.final_state[0] == pytest.approx(np.exp(-1.0), rel=1e-5)
     assert x0[0]
+
+
+NON_FINITE = [(0.0, math.nan), (0.0, math.inf), (0.0, -math.inf), (math.nan, 0.1), (math.inf, 0.1)]
+
+
+@pytest.mark.parametrize("t, dt", NON_FINITE)
+def test_try_step_rejects_non_finite_time_or_width(t, dt):
+    calls = []
+
+    def rhs(x, dxdt, t):
+        calls.append(t)
+        dxdt[0] = -x[0]
+
+    for stepper in (ControlledStepper(DormandPrince5()), DenseOutputDopri5()):
+        x = [1.0]
+        with pytest.raises(ValueError, match="finite"):
+            stepper.try_step(rhs, x, t, dt)
+        assert x == [1.0]
+    assert calls == []
+
+
+@pytest.mark.parametrize("t0, dt0", NON_FINITE)
+def test_dense_initialize_rejects_non_finite_start_or_width(t0, dt0):
+    with pytest.raises(ValueError, match="finite"):
+        DenseOutputDopri5().initialize([1.0], t0, dt0)
+
+
+@pytest.mark.parametrize(
+    "error, attributes",
+    [
+        (SolverError("diverged"), {}),
+        (SingularMatrixError("singular Newton matrix at t=0.5"), {}),
+        (StepSizeUnderflowError(1e-15, 2.0, math.nan), {"dt": 1e-15, "t": 2.0}),
+        (StepSizeUnderflowError(1e-15), {"dt": 1e-15, "t": None}),
+        (ConvergenceError(7, "Newton stalled"), {"iterations": 7}),
+        (ConvergenceError(7), {"iterations": 7}),
+    ],
+    ids=["base", "singular", "underflow", "underflow-bare", "convergence", "convergence-bare"],
+)
+def test_solver_errors_survive_pickling(error, attributes):
+    # As multiprocessing hands a worker's exception back.
+    error.partial_report = IntegrationReport([1.0, 2.0], 0.5, 3, 1, 20)
+    back = pickle.loads(pickle.dumps(error))
+    assert type(back) is type(error)
+    assert str(back) == str(error)
+    assert {k: getattr(back, k) for k in attributes} == attributes
+    assert back.partial_report == error.partial_report
+
+
+def test_pickling_test_covers_every_solver_error():
+    covered = {SolverError, SingularMatrixError, StepSizeUnderflowError, ConvergenceError}
+    assert set(SolverError.__subclasses__()) | {SolverError} == covered

@@ -15,7 +15,6 @@ from odekit import (
     EvaluationCounter,
     ImplicitEuler,
     JacobianSystem,
-    NewtonParams,
     RungeKutta4,
     StepSizeUnderflowError,
     integrate_adaptive,
@@ -134,14 +133,15 @@ def test_scratch_follows_numpy_dtype():
 
 def test_integrate_const_fixed_failure_carries_partial_report():
     def rhs(x, dxdt, t):
-        # Stiff and strongly nonlinear once t passes 0.25.
-        dxdt[0] = -x[0] if t < 0.25 else -1e8 * x[0] ** 3
+        dxdt[0] = -x[0]
 
     def jac(x, out, t):
-        out[0, 0] = -1.0 if t < 0.25 else -3e8 * x[0] ** 2
+        # Lies once t passes 0.25: with dt = 0.1 the Newton matrix is
+        # 1 - 0.1*30 = -2, and the error grows 1.55-fold per update.
+        out[0, 0] = -1.0 if t < 0.25 else 30.0
 
     seen = []
-    stepper = ImplicitEuler(NewtonParams(max_iter=2))
+    stepper = ImplicitEuler()
     with pytest.raises(ConvergenceError) as info:
         integrate_const(stepper, JacobianSystem(rhs, jac), np.array([1.0]), 0.0, 1.0, 0.1,
                         lambda x, t: seen.append(t))
