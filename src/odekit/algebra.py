@@ -186,25 +186,28 @@ def scratch(owner, x, count, bind=_kernel_table):
     ``bind(algebra, buffers)``, by default the kernels by term count.
 
     ``owner`` pins the backend in ``_fixed_algebra`` (None picks the
-    default for ``x``) and caches the buffers in ``_scratch``; they are
-    reallocated, their lengths checked and ``bind`` called again only
-    when the backend, the length, or for numpy states the shape or
-    dtype of ``x`` changes, so a step allocates no state-sized memory.
-    Returns ``(algebra, buffers, bound)``.
+    default for ``x``) and caches ``(tag, key, result)`` in
+    ``_scratch``.  A call whose tag, ``type(x)`` and ``len(x)`` (shape
+    and dtype for numpy states), matches returns the cached result at
+    once.  Otherwise an equal key, the length (shape and dtype), keeps
+    the buffers under the new tag: a list's buffers serve an
+    ``array.array`` of its length.  Only a new key reallocates them,
+    checks their lengths and calls ``bind`` again, so a step allocates
+    no state-sized memory.  Returns ``(algebra, buffers, bound)``.
     """
-    algebra = owner._fixed_algebra
-    if isinstance(x, np.ndarray):
-        if algebra is None:
-            algebra = NUMPY_ALGEBRA
-        key = (id(algebra), x.shape, x.dtype)
-    else:
-        if algebra is None:
-            algebra = algebra_for(x)
-        key = (id(algebra), len(x))
+    numpy = isinstance(x, np.ndarray)
+    tag = (x.shape, x.dtype) if numpy else (type(x), len(x))
     cached = owner._scratch
-    if cached is None or cached[0] != key:
+    if cached is not None and cached[0] == tag:
+        return cached[2]
+    algebra = owner._fixed_algebra
+    if algebra is None:
+        algebra = NUMPY_ALGEBRA if numpy else algebra_for(x)
+    key = tag if numpy else len(x)
+    if cached is None or cached[1] != key:
         buffers = [algebra.clone_shape(x) for _ in range(count)]
         if any(len(buf) != len(x) for buf in buffers):
             raise DimensionError("clone_shape changed the state length")
-        cached = owner._scratch = (key, buffers, bind(algebra, buffers))
-    return algebra, cached[1], cached[2]
+        cached = (tag, key, (algebra, buffers, bind(algebra, buffers)))
+    owner._scratch = (tag, key, cached[2])
+    return cached[2]

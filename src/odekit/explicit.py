@@ -11,6 +11,7 @@ unrepaired.
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import lru_cache
 
 from .algebra import MAX_TERMS, scratch
 from .errors import DimensionError
@@ -56,36 +57,8 @@ class ExplicitRungeKutta:
 
     def _bind(self, algebra, k):
         # Once per buffer set (k: the stage derivatives, then the stage
-        # state): each update's kernel, nonzero weights and the buffers
-        # they scale, for the stages, the solution and the error.
-        def update(weights, lead):
-            idx = [j for j, w in enumerate(weights) if w != 0.0]
-            n = len(idx) + lead
-            if not 1 <= n <= MAX_TERMS:
-                raise ValueError(f"{self.tableau.name}: {n} terms in one update;"
-                                 f" the algebra takes 1..{MAX_TERMS}")
-            return algebra._kernel(n), tuple(weights[j] for j in idx), tuple(k[j] for j in idx)
-
-        tableau = self.tableau
-        # A first-same-as-last stage state is the new state itself, and
-        # its derivative has zero weight, so its row is left out.
-        rows = tableau.a[:-1] if self.fsal else tableau.a
-        stages = tuple(
-            update(row, 1) + (k[i], tableau.c[i]) for i, row in enumerate(rows, start=1)
-        )
-        ew = tableau.error_weights
-        return stages, update(tableau.b, 1), None if ew is None else update(ew, 0)
-
-    @staticmethod
-    def _run_stages(stages, system, x, t, dt, u):
-        for kernel, weights, terms, k_i, c_i in stages:
-            kernel(u, (1.0, *[dt * w for w in weights]), (x, *terms))
-            system(u, k_i, t + c_i * dt)
-
-    @staticmethod
-    def _combine(combine, x, dt, target):
-        kernel, weights, terms = combine
-        return kernel(target, (1.0, *[dt * w for w in weights]), (x, *terms))
+        # state): the tableau's generated step, bound to the kernels.
+        return _step_code(self.tableau)(algebra._kernel, k)
 
     def do_step(self, system, x, t, dt, out=None):
         """Advance ``x`` from ``t`` by ``dt``.
@@ -94,11 +67,50 @@ class ExplicitRungeKutta:
         state into ``out`` and leaves ``x`` unchanged.  Returns the
         updated state.
         """
-        _, k, (stages, combine, _) = scratch(self, x, self.stage_count + 1, self._bind)
+        _, k, (advance, _) = scratch(self, x, self.stage_count + 1, self._bind)
         _check_lengths(x, out)
         system(x, k[0], t)
-        self._run_stages(stages, system, x, t, dt, k[-1])
-        return self._combine(combine, x, dt, x if out is None else out)
+        return advance(system, x, t, dt, x if out is None else out)
+
+
+@lru_cache(maxsize=32)
+def _step_code(tableau):
+    """Straight-line step code for ``tableau``, generated once per
+    tableau value: ``make(kernel, k)`` binds the kernels by term count
+    and the buffers, and returns ``advance(system, x, t, dt, target)``,
+    which runs the stages after the first and writes the solution, and
+    ``error(dt, xerr)`` (None without embedded weights).  Zero weights
+    are left out and the others are exact float literals, so every
+    update is the stage loop's, term for term and bit for bit."""
+    counts = set()
+
+    def update(out, weights, lead):
+        idx = [j for j, w in enumerate(weights) if w != 0.0]
+        n = len(idx) + lead
+        if not 1 <= n <= MAX_TERMS:
+            raise ValueError(f"{tableau.name}: {n} terms in one update;"
+                             f" the algebra takes 1..{MAX_TERMS}")
+        counts.add(n)
+        coeffs = ["1.0"] * lead + [f"dt * {float(weights[j])!r}" for j in idx]
+        terms = ["x"] * lead + [f"k{j}" for j in idx]
+        return f"K{n}({out}, ({', '.join(coeffs)},), ({', '.join(terms)},))"
+
+    # A first-same-as-last stage state is the new state itself, and
+    # its derivative has zero weight, so its row is left out.
+    rows = tableau.a[:-1] if tableau.is_fsal else tableau.a
+    body = ["    def advance(system, x, t, dt, target):"]
+    for i, row in enumerate(rows, start=1):
+        node = f"t + {float(tableau.c[i])!r} * dt"
+        body.append(f"        {update('u', row, 1)}; system(u, k{i}, {node})")
+    body.append(f"        return {update('target', tableau.b, 1)}")
+    ew = tableau.error_weights
+    body += ["    error = None"] if ew is None else [
+        "    def error(dt, xerr):", f"        return {update('xerr', ew, 0)}"]
+    head = ["def make(kernel, k):", f"    {''.join(f'k{j}, ' for j in range(tableau.stage_count))}u = k"]
+    head += [f"    K{n} = kernel({n})" for n in sorted(counts)]
+    namespace = {}
+    exec("\n".join(head + body + ["    return advance, error"]), namespace)
+    return namespace["make"]
 
 
 def _check_lengths(x, *given):
@@ -131,21 +143,19 @@ class EmbeddedRungeKutta(ExplicitRungeKutta):
         :class:`StageRecord` for a first-same-as-last pair.
         """
         s = self.stage_count
-        algebra, k, (stages, combine, error) = scratch(self, x, s + 1, self._bind)
+        algebra, k, (advance, error) = scratch(self, x, s + 1, self._bind)
         _check_lengths(x, out, xerr, dxdt_in)
         if dxdt_in is None:
             system(x, k[0], t)
         else:
             algebra.copy(k[0], dxdt_in)
+        target = advance(system, x, t, dt, x if out is None else out)
         # A first-same-as-last stage is evaluated at the new state.
-        self._run_stages(stages, system, x, t, dt, k[-1])
-        target = self._combine(combine, x, dt, x if out is None else out)
         if self.fsal:
             system(target, k[s - 1], t + dt)
         if xerr is None:
             xerr = algebra.clone_shape(k[0])
-        kernel, weights, terms = error
-        kernel(xerr, [dt * w for w in weights], terms)
+        error(dt, xerr)
         if self.fsal:
             return target, xerr, StageRecord(tuple(k[:s]))
         return target, xerr

@@ -58,11 +58,14 @@ class EvaluationCounter:
         self.count = 0
 
 
-def _readonly(x):
+def _readonly(x, fresh=False):
+    """Read-only snapshot of ``x``; a ``fresh`` numpy state, one no
+    other code holds, is frozen without a copy."""
     if isinstance(x, np.ndarray):
-        view = x.view()
-        view.flags.writeable = False
-        return view
+        if not fresh:
+            x = x.copy()
+        x.flags.writeable = False
+        return x
     if isinstance(x, list):
         return tuple(x)
     return x
@@ -146,7 +149,7 @@ def _interpolating(dense_stepper, observer, t0, t1, dt):
         hi = dense_stepper.interval[1]
         t_k = t0 + k * dt
         while t_k < t_end and t_k <= t + GRID_SNAP * dt:
-            observer(_readonly(dense_stepper.calc_state(min(t_k, hi))), t_k)
+            observer(_readonly(dense_stepper.calc_state(min(t_k, hi)), fresh=True), t_k)
             k += 1
             t_k = t0 + k * dt
         if t == t1:

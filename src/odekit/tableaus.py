@@ -23,16 +23,16 @@ class ButcherTableau:
     ----------
     name : str
         Identifier used in messages.
-    a : tuple of tuples
+    a : sequence of sequences
         Strictly lower triangular stage coefficients; row ``i`` (counted
         from the second stage) holds ``i`` entries.
-    b : tuple
+    b : sequence
         Solution weights.
-    c : tuple
+    c : sequence
         Stage nodes; ``c[0]`` must be 0.
     order : int
         Order of the propagated solution.
-    b_embedded : tuple, optional
+    b_embedded : sequence, optional
         Weights of the embedded comparison solution.
     error_order : int, optional
         Order of the embedded solution; must be below ``order``.
@@ -47,6 +47,12 @@ class ButcherTableau:
     error_order: int = None
 
     def __post_init__(self):
+        # Stored as tuples: a tableau is hashable and keys its step code.
+        fields = {"a": tuple(map(tuple, self.a)), "b": tuple(self.b), "c": tuple(self.c)}
+        if self.b_embedded is not None:
+            fields["b_embedded"] = tuple(self.b_embedded)
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
         s = len(self.b)
         if len(self.c) != s or len(self.a) != s - 1:
             raise ValueError(f"{self.name}: inconsistent tableau dimensions")
@@ -55,16 +61,18 @@ class ButcherTableau:
         for i, row in enumerate(self.a, start=1):
             if len(row) != i:
                 raise ValueError(f"{self.name}: row {i} must hold {i} entries")
-            if not math.isclose(sum(row), self.c[i], rel_tol=0.0, abs_tol=CONSISTENCY_TOL):
+            # A finite node also rules out infinite entries in the row.
+            if not (math.isfinite(self.c[i]) and math.isclose(
+                    sum(row), self.c[i], rel_tol=0.0, abs_tol=CONSISTENCY_TOL)):
                 raise ValueError(
                     f"{self.name}: node c[{i}]={self.c[i]} does not match row sum {sum(row)}"
                 )
-        if abs(sum(self.b) - 1.0) > CONSISTENCY_TOL:
+        if not abs(sum(self.b) - 1.0) <= CONSISTENCY_TOL:  # NaN fails too
             raise ValueError(f"{self.name}: solution weights sum to {sum(self.b)}, not 1")
         if self.b_embedded is not None:
             if len(self.b_embedded) != s:
                 raise ValueError(f"{self.name}: embedded weights length mismatch")
-            if abs(sum(self.b_embedded) - 1.0) > CONSISTENCY_TOL:
+            if not abs(sum(self.b_embedded) - 1.0) <= CONSISTENCY_TOL:
                 raise ValueError(f"{self.name}: embedded weights do not sum to 1")
             if self.error_order is None or not self.error_order < self.order:
                 raise ValueError(f"{self.name}: embedded order must be below {self.order}")

@@ -117,6 +117,29 @@ def test_observer_receives_readonly_state():
     assert all(isinstance(s, tuple) for s in seen)
 
 
+SNAPSHOT_RUNS = {
+    "const": lambda: (integrate_const, RungeKutta4()),
+    "const-controlled": lambda: (integrate_const, ControlledStepper(DormandPrince5())),
+    "adaptive": lambda: (integrate_adaptive, ControlledStepper(DormandPrince5())),
+    "const-dense": lambda: (integrate_const, DenseOutputDopri5()),
+}
+
+
+@pytest.mark.parametrize("run", SNAPSHOT_RUNS)
+def test_stored_numpy_snapshots_match_the_list_run(run):
+    # An observer may keep what it receives: later steps must not
+    # change a numpy snapshot, so it equals the list run's bit for bit.
+    def snapshots(x0):
+        driver, stepper = SNAPSHOT_RUNS[run]()
+        seen = []
+        driver(stepper, LORENZ, x0, 0.0, 0.05, 0.01, lambda x, t: seen.append((t, x)))
+        return [(t, [float(v).hex() for v in x]) for t, x in seen]
+
+    as_list = snapshots([1.0, 2.0, 3.0])
+    assert len(as_list) >= 4
+    assert snapshots(np.array([1.0, 2.0, 3.0])) == as_list
+
+
 def test_validation_errors():
     with pytest.raises(ValueError):
         integrate_const(ExplicitEuler(), zero_rhs, [1.0], 0.0, 1.0, -0.1)

@@ -2,12 +2,14 @@
 driver; rejected trials change nothing; drivers observe exactly their
 grid, stop on it, and never evaluate past t1; the dense interpolant
 reproduces both ends of its interval; the step size controller stays
-inside its growth window."""
+inside its growth window; the generated step code of any explicit
+tableau matches a stage loop on the checked ``scale_sum`` bit for
+bit."""
 
 import math
 
 import numpy as np
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from odekit import (
@@ -16,13 +18,17 @@ from odekit import (
     ControllerParams,
     DenseOutputDopri5,
     DormandPrince5,
+    EvaluationCounter,
     ExplicitEuler,
     RungeKutta4,
     integrate_adaptive,
     integrate_const,
     next_step_size,
 )
+from odekit.algebra import algebra_for
+from odekit.explicit import EmbeddedRungeKutta, ExplicitRungeKutta
 from odekit.integrate import GRID_SNAP
+from odekit.tableaus import ButcherTableau
 
 
 def ring(x, dxdt, t):
@@ -197,3 +203,100 @@ def test_next_step_size_stays_in_its_window(dt, errs, error_order):
         assert widths[0] == (dt if was_rejected else 5.0 * dt)
         if was_rejected:
             assert max(widths) <= dt
+
+
+# --- generated step code against a stage loop ---------------------------------
+
+
+def weights(count):
+    # Zeros are common, so updates with dropped terms are too.
+    return st.lists(st.sampled_from([0.0, 0.0, 1.0]) | st.floats(-2.0, 2.0),
+                    min_size=count, max_size=count)
+
+
+def summing_to_one(draw, count):
+    w = draw(weights(count - 1))
+    return (*w, 1.0 - sum(w))
+
+
+@st.composite
+def tableaus(draw):
+    fsal = draw(st.booleans())
+    s = draw(st.integers(2 if fsal else 1, 7 if fsal else 6))
+    a = [tuple(draw(weights(i))) for i in range(1, s)]
+    if fsal:  # the last row repeats b, and b[-1] == 0
+        b = (*summing_to_one(draw, s - 1), 0.0)
+        a[-1] = b[:-1]
+    else:
+        b = summing_to_one(draw, s)
+    c = (0.0, *(sum(row) for row in a))
+    if fsal:
+        c = (*c[:-1], 1.0)
+    embedded = summing_to_one(draw, s) if draw(st.booleans()) else None
+    tableau = ButcherTableau(name="drawn", a=tuple(a), b=b, c=c, order=2,
+                             b_embedded=embedded, error_order=None if embedded is None else 1)
+    assert tableau.is_fsal or not fsal  # zeros can make a drawn tableau FSAL too
+    return tableau
+
+
+def stage_loop(tableau, system, x, t, dt, algebra):
+    """The stage loop on the public, checked ``scale_sum``: returns the
+    new state, the error estimate (or None) and the stage derivatives."""
+
+    def combine(out, lead, w, k):
+        idx = [j for j, wj in enumerate(w) if wj != 0.0]
+        algebra.scale_sum(out, [1.0] * lead + [dt * w[j] for j in idx],
+                          [x] * lead + [k[j] for j in idx])
+        return out
+
+    s = tableau.stage_count
+    k = [algebra.clone_shape(x) for _ in range(s)]
+    u, new = algebra.clone_shape(x), algebra.clone_shape(x)
+    system(x, k[0], t)
+    for i, row in enumerate(tableau.a[:-1] if tableau.is_fsal else tableau.a, start=1):
+        system(combine(u, 1, row, k), k[i], t + tableau.c[i] * dt)
+    combine(new, 1, tableau.b, k)
+    if tableau.b_embedded is None:
+        return new, None, k
+    if tableau.is_fsal:
+        system(new, k[s - 1], t + dt)
+    return new, combine(algebra.clone_shape(x), 0, tableau.error_weights, k), k
+
+
+def hexes(v):
+    return None if v is None else [float(e).hex() for e in v]
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    tableau=tableaus(),
+    x0=st.lists(st.floats(-1.5, 1.5), min_size=1, max_size=3),
+    t=st.floats(-1.0, 1.0),
+    dt=st.floats(0.001, 0.5),
+    box=st.sampled_from([list, np.array]),
+)
+def test_generated_step_matches_the_stage_loop(tableau, x0, t, dt, box):
+    algebra = algebra_for(box(x0))
+    error_terms = sum(w != 0.0 for w in tableau.error_weights or (1.0,))
+    assume(error_terms > 0)  # an error update needs at least one term
+    reference = EvaluationCounter(ring)
+    new, err, k = stage_loop(tableau, reference, box(x0), t, dt, algebra)
+
+    stepper, counter = ExplicitRungeKutta(tableau), EvaluationCounter(ring)
+    x, out = box(x0), algebra.clone_shape(box(x0))
+    assert hexes(stepper.do_step(counter, x, t, dt, out=out)) == hexes(new)
+    assert hexes(x) == hexes(x0)
+    assert hexes(stepper.do_step(counter, x, t, dt)) == hexes(new)
+    fsal_stage = err is not None and tableau.is_fsal
+    assert counter.count == 2 * (reference.count - fsal_stage)
+    if err is None:
+        return
+    pair = EmbeddedRungeKutta(tableau)
+    for dxdt_in in (None, k[0]):
+        x, counter = box(x0), EvaluationCounter(ring)
+        got = pair.do_step_with_error(counter, x, t, dt, dxdt_in=dxdt_in)
+        assert (hexes(got[0]), hexes(got[1])) == (hexes(new), hexes(err))
+        assert counter.count == reference.count - (dxdt_in is not None)
+        if tableau.is_fsal:
+            record = got[2].derivatives
+            assert [hexes(d) for d in record] == [hexes(d) for d in k]

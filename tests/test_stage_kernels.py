@@ -1,6 +1,8 @@
 """Stage kernels: lengths checked once per buffer set and per call on
 caller-supplied buffers, and custom algebras kept on the general path."""
 
+import array
+
 import numpy as np
 import pytest
 
@@ -14,14 +16,17 @@ from odekit import (
     DormandPrince5,
     EvaluationCounter,
     ExplicitEuler,
+    ImplicitEuler,
+    JacobianSystem,
     PairState,
     RungeKutta4,
     SeparableHamiltonian,
+    SolverError,
     SymplecticEuler,
     harmonic_separable,
 )
 from odekit.algebra import MAX_TERMS, SequenceAlgebra
-from odekit.explicit import ExplicitRungeKutta
+from odekit.explicit import ExplicitRungeKutta, _step_code
 from odekit.tableaus import ButcherTableau
 
 X0 = [10.0, 10.0, 10.0]
@@ -173,3 +178,129 @@ def test_custom_algebra_keeps_the_general_path(run):
     assert states == expected_states
     # The shipped backend runs the same arithmetic through its kernels.
     assert run(None) == expected_states
+
+
+# --- generated step code and scratch rebinding -------------------------------
+
+
+def test_step_code_is_generated_once_per_tableau():
+    _step_code.cache_clear()
+    advances = []
+    for box in (list, np.array):
+        for _ in range(25):
+            for make in (DormandPrince5, RungeKutta4):
+                stepper = make()
+                stepper.do_step(LORENZ, box(X0), 0.0, 0.01)
+                advances.append((make, stepper._scratch[2][2][0]))
+            dense = DenseOutputDopri5()
+            dense.initialize(box(X0), 0.0, 0.01)
+            dense.do_step(LORENZ)
+            advances.append((DormandPrince5, dense.stepper._scratch[2][2][0]))
+    info = _step_code.cache_info()
+    assert (info.misses, info.currsize) == (2, 2)
+    # Every stepper of a tableau runs the one compiled step.
+    for make in (DormandPrince5, RungeKutta4):
+        codes = {id(advance.__code__) for owner, advance in advances if owner is make}
+        assert len(codes) == 1
+
+
+def decay_rows(x, dxdt, t):
+    for i in range(len(x)):
+        dxdt[i] = -(i + 1.0) * x[i] + 0.25 * t
+
+
+def decay_rows_jacobian(x, jac, t):
+    jac[...] = np.diag([-(i + 1.0) for i in range(len(x))])
+
+
+def step_explicit(owner, x):
+    return owner.do_step(LORENZ, x, 0.0, 0.01)
+
+
+def step_controlled(owner, x):
+    owner.reset()
+    owner.try_step(LORENZ, x, 0.0, 0.01)
+    return x
+
+
+def step_dense(owner, x):
+    owner.reset()
+    result = owner.try_step(LORENZ, x, 0.0, 0.01)
+    assert result.accepted
+    return owner.calc_state(0.005)
+
+
+def step_implicit(owner, x):
+    return owner.do_step(JacobianSystem(decay_rows, decay_rows_jacobian), x, 0.0, 0.1)
+
+
+def step_symplectic(owner, x):
+    half = len(x) // 2
+    state = PairState(x[:half], x[half:])
+    owner.do_step(harmonic_separable(), state, 0.0, 0.1)
+    return state.q, state.p
+
+
+OWNERS = {
+    "explicit": (DormandPrince5, step_explicit),
+    "controlled": (lambda: ControlledStepper(DormandPrince5()), step_controlled),
+    "dense": (DenseOutputDopri5, step_dense),
+    "implicit": (ImplicitEuler, step_implicit),
+    "symplectic": (SymplecticEuler, step_symplectic),
+}
+STATES = [
+    lambda: [1.0, 2.0, 3.0, 4.0],
+    lambda: np.array([1.0, 2.0, 3.0, 4.0]),
+    lambda: np.array([1.0, 2.0, 3.0, 4.0], dtype=np.float32),
+    lambda: np.array([[1.0, -1.0], [2.0, 0.5], [3.0, 0.0], [4.0, 2.0]]),
+    lambda: [0.5, -1.5, 2.5, 4.0],
+]
+
+
+def parts(result):
+    return result if isinstance(result, tuple) else (result,)
+
+
+def outcome(step, owner, x):
+    # The container, dtype, shape and bits of each result, or the error:
+    # implicit Euler's Newton stop is out of float32's reach, for a
+    # fresh stepper as much as for a reused one.
+    try:
+        return [(type(v), np.asarray(v).dtype, np.asarray(v).shape, np.asarray(v).tobytes())
+                for v in parts(step(owner, x))]
+    except SolverError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("kind", OWNERS)
+def test_scratch_rebinds_when_the_state_changes(kind):
+    make, step = OWNERS[kind]
+    rows = 3 if kind in ("explicit", "controlled", "dense") else 4  # Lorenz has 3
+    owner = make()
+    for make_state in STATES:
+        reused = outcome(step, owner, make_state()[:rows])
+        assert reused == outcome(step, make(), make_state()[:rows])
+
+
+@pytest.mark.parametrize("kind", OWNERS)
+def test_list_buffers_serve_an_array_of_the_same_length(kind):
+    # A fresh stepper cannot clone an array.array('d') (its constructor
+    # wants a type code), but one that stepped a list of the same length
+    # steps it on the list's buffers, with the list's arithmetic.
+    make, step = OWNERS[kind]
+    x0 = [1.0, 2.0, 3.0, 4.0][: 3 if kind in ("explicit", "controlled", "dense") else 4]
+    owner = make()
+    from_list = parts(step(owner, list(x0)))
+    from_array = parts(step(owner, array.array("d", x0)))
+    # calc_state clones its list buffers for the interpolated state.
+    container = list if kind == "dense" else array.array
+    assert all(type(v) is container for v in from_array)
+    assert [list(v) for v in from_array] == [list(v) for v in from_list]
+
+
+def test_a_tuple_is_refused_after_a_list_of_its_length():
+    # A new container type is checked again, even when the buffers fit.
+    stepper = RungeKutta4()
+    stepper.do_step(LORENZ, list(X0), 0.0, 0.01)
+    with pytest.raises(TypeError):
+        stepper.do_step(LORENZ, tuple(X0), 0.0, 0.01, out=list(X0))

@@ -132,3 +132,24 @@ def test_constructor_rejects_embedded_mismatch():
             b_embedded=(1.0, 0.0),
             error_order=2,  # must be strictly below order
         )
+
+
+def test_constructor_rejects_non_finite_weights():
+    # A NaN weight sum passes a `> tol` comparison, so it needs its own case.
+    for b, b_embedded in [((math.nan, 1.0), None), ((math.inf, -math.inf), None),
+                          ((0.5, 0.5), (math.nan, 1.0))]:
+        with pytest.raises(ValueError):
+            ButcherTableau(name="bad", a=((1.0,),), b=b, c=(0.0, 1.0), order=2,
+                           b_embedded=b_embedded, error_order=b_embedded and 1)
+    # An infinite row entry under an infinite node passes `isclose`.
+    with pytest.raises(ValueError):
+        ButcherTableau(name="bad", a=((math.inf,),), b=(0.5, 0.5), c=(0.0, math.inf), order=2)
+
+
+def test_sequences_are_stored_as_tuples():
+    # A tableau is hashable whatever sequences it was given, and equals
+    # the same coefficients given as tuples.
+    given = ButcherTableau(name="rk4", a=[[0.5], [0.0, 0.5], [0.0, 0.0, 1.0]],
+                           b=[1 / 6, 1 / 3, 1 / 3, 1 / 6], c=[0.0, 0.5, 0.5, 1.0], order=4)
+    assert given == RK4_CLASSIC and hash(given) == hash(RK4_CLASSIC)
+    assert isinstance(given.a[0], tuple) and isinstance(given.b, tuple)
