@@ -26,7 +26,8 @@ class Algebra:
     """Operations a state backend must provide: ``scale_sum``,
     ``clone_shape``, ``error_ratio_max`` and ``copy``.  These are the
     vector operations the steppers share; implicit Euler's Newton
-    matrix, solve and norms run on numpy directly.
+    matrix, solve and norms run on numpy directly.  The controller's
+    error norm runs in place on two states of its own scratch.
 
     ``scale_sum`` is the workhorse: a fused linear combination
     ``out[i] = sum_j coeffs[j] * terms[j][i]`` written in one pass.
@@ -37,6 +38,10 @@ class Algebra:
     # Unchecked scale_sum bodies by term count, on a backend whose
     # scale_sum is the argument check followed by ``_kernels[k]``.
     _kernels = None
+    # ``_ratio(w, v)``: the unchecked error ratio computing in states w
+    # and v, on a backend whose error_ratio_max checks, then runs it.
+    _ratio = None
+    _shape = len  # what two states must share; the shape on numpy
 
     def scale_sum(self, out, coeffs, terms):
         if self._kernels is None:
@@ -50,6 +55,16 @@ class Algebra:
             return self.scale_sum
         return self._kernels[k]
 
+    def _error_kernel(self, buffers):
+        """Unchecked ``error_ratio_max`` computing in the last two
+        scratch states of ``buffers``; ``error_ratio_max`` itself on a
+        backend without one or that overrides it, on its class or on
+        the instance."""
+        ratio = getattr(self.error_ratio_max, "__func__", None)
+        if self._ratio is None or ratio is not Algebra.error_ratio_max:
+            return self.error_ratio_max
+        return self._ratio(*buffers[-2:])
+
     def clone_shape(self, src):
         """New zero-filled floating state with the same length and
         container as ``src``."""
@@ -57,29 +72,30 @@ class Algebra:
 
     def error_ratio_max(self, xerr, x, dxdt, atol, rtol, dt) -> float:
         """max_i |xerr_i| / (atol + rtol * (|x_i| + |dt| * |dxdt_i|))."""
-        raise NotImplementedError
+        if self._ratio is None:
+            raise NotImplementedError
+        shape = self._shape(x)
+        empty = 0 in getattr(x, "shape", (len(x),))
+        if empty or not self._shape(xerr) == shape == self._shape(dxdt):
+            raise DimensionError("error, state and derivative need one nonempty shape")
+        return self._ratio(self.clone_shape(x), self.clone_shape(x))(xerr, x, dxdt, atol, rtol, dt)
 
     def copy(self, out, src):
         """Copy ``src`` into ``out``; a one-term ``scale_sum``."""
-        if len(out) != len(src):
-            raise DimensionError(f"cannot copy length {len(src)} into length {len(out)}")
+        if self._shape(out) != self._shape(src):
+            raise DimensionError(f"cannot copy shape {self._shape(src)} into {self._shape(out)}")
         return self._kernel(1)(out, (1.0,), (src,))
 
-    @staticmethod
-    def _check_scale_sum(out, coeffs, terms):
+    def _check_scale_sum(self, out, coeffs, terms):
         k = len(coeffs)
         if k != len(terms):
-            raise DimensionError(
-                f"got {k} coefficients for {len(terms)} terms"
-            )
+            raise DimensionError(f"got {k} coefficients for {len(terms)} terms")
         if not 1 <= k <= MAX_TERMS:
             raise ValueError(f"scale_sum supports 1..{MAX_TERMS} terms, got {k}")
-        n = len(out)
+        shape = self._shape(out)
         for term in terms:
-            if len(term) != n:
-                raise DimensionError(
-                    f"term of length {len(term)} does not match output length {n}"
-                )
+            if self._shape(term) != shape:
+                raise DimensionError(f"term of shape {self._shape(term)} does not match {shape}")
         return k
 
 
@@ -108,22 +124,37 @@ def _sequence_scale_sum(k):
     return namespace[f"scale_sum_{k}"]
 
 
+def _numpy_error_ratio(w, v):
+    # The formula's operations and operands, in place: same bits, no temporary.
+    def ratio(xerr, x, dxdt, atol, rtol, dt):
+        np.multiply(np.abs(dxdt, out=w), abs(dt), out=w)
+        np.add(np.abs(x, out=v), w, out=w)
+        np.add(np.multiply(w, rtol, out=w), atol, out=w)
+        np.divide(np.abs(xerr, out=v), w, out=v)
+        return float(v.max())
+
+    return ratio
+
+
+def _sequence_error_ratio(xerr, x, dxdt, atol, rtol, dt):
+    adt, worst = abs(dt), 0.0
+    for e, s, d in zip(xerr, x, dxdt):
+        ratio = abs(e) / (atol + rtol * (abs(s) + adt * abs(d)))
+        if ratio > worst or ratio != ratio:  # propagate NaN
+            worst = ratio
+    return float(worst)
+
+
 class NumpyAlgebra(Algebra):
-    """Vectorized backend for one-dimensional ``numpy.ndarray`` states."""
+    """Vectorized backend for ``numpy.ndarray`` states."""
 
     _kernels = (None,) + (_numpy_scale_sum,) * MAX_TERMS
+    _ratio = staticmethod(_numpy_error_ratio)
+    _shape = staticmethod(lambda state: getattr(state, "shape", None) or np.shape(state))
 
     def clone_shape(self, src):
         # Integer and boolean states get a float64 clone; float32 stays.
         return np.zeros_like(src, dtype=np.result_type(src, 0.0))
-
-    def error_ratio_max(self, xerr, x, dxdt, atol, rtol, dt):
-        if not len(xerr) == len(x) == len(dxdt):
-            raise DimensionError("error, state, and derivative lengths differ")
-        if len(xerr) == 0:
-            raise DimensionError("error ratio of an empty state is undefined")
-        scale = atol + rtol * (np.abs(x) + abs(dt) * np.abs(dxdt))
-        return float(np.max(np.abs(xerr) / scale))
 
 
 class SequenceAlgebra(Algebra):
@@ -135,6 +166,7 @@ class SequenceAlgebra(Algebra):
     """
 
     _kernels = (None,) + tuple(_sequence_scale_sum(k) for k in range(1, MAX_TERMS + 1))
+    _ratio = staticmethod(lambda w, v: _sequence_error_ratio)
 
     def clone_shape(self, src):
         if isinstance(src, list):
@@ -146,19 +178,6 @@ class SequenceAlgebra(Algebra):
                 f"cannot build a zero state of type {type(src).__name__};"
                 " provide a custom algebra"
             ) from exc
-
-    def error_ratio_max(self, xerr, x, dxdt, atol, rtol, dt):
-        if not len(xerr) == len(x) == len(dxdt):
-            raise DimensionError("error, state, and derivative lengths differ")
-        if len(xerr) == 0:
-            raise DimensionError("error ratio of an empty state is undefined")
-        adt = abs(dt)
-        worst = 0.0
-        for i in range(len(xerr)):
-            ratio = abs(xerr[i]) / (atol + rtol * (abs(x[i]) + adt * abs(dxdt[i])))
-            if ratio > worst or ratio != ratio:  # propagate NaN
-                worst = ratio
-        return float(worst)
 
 
 NUMPY_ALGEBRA = NumpyAlgebra()

@@ -13,7 +13,7 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass
 
-from .algebra import scratch
+from .algebra import Algebra, scratch
 from .errors import StepSizeUnderflowError
 
 SAFETY = 0.9
@@ -81,10 +81,11 @@ class ControlledStepper:
     it is refreshed from the last stage on acceptance, so a smooth run
     costs one extra system evaluation in total.
 
-    Instances carry trial scratch and the derivative cache; do not
-    share one instance between concurrent integrations.  Call
-    ``reset`` after modifying the state externally; the drivers call
-    it at the start of every run.
+    Instances carry five scratch states, among them the derivative
+    cache and two states the error ratio is computed in, and the
+    rejection history; do not share one instance between concurrent
+    integrations.  Call ``reset`` after modifying the state externally;
+    the drivers call it at the start of every run.
     """
 
     def __init__(self, stepper, params=None, algebra=None):
@@ -122,7 +123,7 @@ class ControlledStepper:
         """
         if not (math.isfinite(t) and math.isfinite(dt)) or dt == 0.0:
             raise ValueError("time and step width must be finite, the width nonzero")
-        algebra, (xtrial, xerr, dxdt), _ = scratch(self, x, 3)
+        algebra, (xtrial, xerr, dxdt, _, _), ratio = scratch(self, x, 5, Algebra._error_kernel)
         params = self.params
         stepper = self.stepper
 
@@ -135,7 +136,7 @@ class ControlledStepper:
         )
         record = self.last_stage_record = trial[2] if stepper.fsal else None
 
-        err = algebra.error_ratio_max(xerr, x, dxdt, params.atol, params.rtol, dt)
+        err = ratio(xerr, x, dxdt, params.atol, params.rtol, dt)
 
         if err <= 1.0:
             algebra.copy(x, xtrial)

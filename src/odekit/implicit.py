@@ -46,8 +46,10 @@ class ImplicitEuler:
     Newton stops when an update, or the residual after at least one
     update, has max-norm at most ``NEWTON_TOL * max(1, |x|_inf)``, with
     ``x`` the state the step starts from; for linear systems a single
-    update therefore suffices.  The update count of the latest step is
-    kept in ``last_iteration_count``.
+    update therefore suffices.  ``NEWTON_TOL`` is floored at 8 units of
+    roundoff of the state's float type, which float64 never reaches.
+    The update count of the latest step is kept in
+    ``last_iteration_count``.
     """
 
     order = 1
@@ -74,16 +76,17 @@ class ImplicitEuler:
         jac_f = getattr(system, "jacobian", None)
         if jac_f is None:
             raise ValueError("implicit Euler needs a system that carries a jacobian")
-        algebra, (u, f, g), _ = scratch(self, x, 3)
+        algebra, (u, f, g), kernels = scratch(self, x, 3)
         n = len(x)
         t_new = t + dt
-        tol = NEWTON_TOL * max(1.0, float(np.abs(x).max()))
+        eps = float(np.finfo(getattr(u, "dtype", float)).eps)
+        tol = max(NEWTON_TOL, 8.0 * eps) * max(1.0, float(np.abs(x).max()))
         jac = np.empty((n, n))
         algebra.copy(u, x)
         applied = 0
         while True:
             system(u, f, t_new)
-            algebra.scale_sum(g, (1.0, -1.0, -dt), (u, x, f))
+            kernels[3](g, (1.0, -1.0, -dt), (u, x, f))
             if applied and float(np.abs(g).max()) <= tol:
                 break
             if applied >= NEWTON_MAX_ITER:
@@ -99,7 +102,7 @@ class ImplicitEuler:
                 raise SingularMatrixError(f"singular Newton matrix at t={t_new!r}") from None
             if not isinstance(g, np.ndarray):
                 delta = delta.tolist()  # a sequence state keeps Python floats
-            algebra.scale_sum(u, (1.0, -1.0), (u, delta))
+            kernels[2](u, (1.0, -1.0), (u, delta))
             applied += 1
             if float(np.abs(delta).max()) <= tol:
                 break

@@ -139,6 +139,30 @@ def test_error_ratio_max_nan_propagates(algebra):
     assert got != got
 
 
+def test_numpy_checked_calls_compare_shapes():
+    # A (3, 1) operand used to broadcast silently into (3, 4), and a
+    # (3, 5) one raised numpy's ValueError.
+    wide = np.ones((3, 4))
+    for bad in (np.ones((3, 1)), np.ones((3, 5))):
+        for args in ((wide, bad, wide), (bad, wide, wide), (wide, wide, bad)):
+            with pytest.raises(DimensionError):
+                NUMPY_ALGEBRA.error_ratio_max(*args, 1e-6, 1e-6, 0.1)
+        with pytest.raises(DimensionError):
+            NUMPY_ALGEBRA.scale_sum(np.zeros((3, 4)), (1.0, 1.0), (wide, bad))
+        with pytest.raises(DimensionError):
+            NUMPY_ALGEBRA.copy(np.zeros((3, 4)), bad)
+
+
+@pytest.mark.parametrize(
+    "algebra, state",
+    [(NUMPY_ALGEBRA, np.ones((0,))), (NUMPY_ALGEBRA, np.ones((3, 0))), (SEQUENCE_ALGEBRA, [])],
+    ids=["numpy-0", "numpy-3x0", "list-0"],
+)
+def test_error_ratio_of_an_empty_state_rejected(algebra, state):
+    with pytest.raises(DimensionError):
+        algebra.error_ratio_max(state, state, state, 1e-6, 1e-6, 0.1)
+
+
 def reference_scale_sum(coeffs, terms):
     # The plain loop, accumulating left to right.
     out = []

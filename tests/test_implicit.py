@@ -129,6 +129,21 @@ def test_nonconvergence_carries_iteration_count():
     assert info.value.iterations == NEWTON_MAX_ITER == 50
 
 
+@pytest.mark.parametrize("system, x0", [(EXPDECAY, [1.0]), (STIFF2, [1.0, 0.5])],
+                         ids=["expdecay", "stiff2"])
+def test_float32_state_converges(system, x0):
+    # The stop is floored at a few float32 roundoffs; 1e-12 alone lies
+    # below float32 resolution and no step converged.
+    x32, x64 = np.array(x0, dtype=np.float32), np.array(x0)
+    stepper = ImplicitEuler()
+    for x in (x64, x32):
+        for i in range(10):
+            stepper.do_step(system, x, 0.1 * i, 0.1)
+        assert stepper.last_iteration_count == 1
+    assert x32.dtype == np.float32
+    np.testing.assert_allclose(x32, x64, rtol=1e-5, atol=1e-6)
+
+
 def test_singular_newton_matrix_raises():
     # f = x + 1 with its true J = 1 and dt = 1: I - dt*J is exactly zero.
     def rhs(x, dxdt, t):

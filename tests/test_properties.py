@@ -4,13 +4,15 @@ grid, stop on it, and never evaluate past t1; the dense interpolant
 reproduces both ends of its interval; the step size controller stays
 inside its growth window; the generated step code of any explicit
 tableau matches a stage loop on the checked ``scale_sum`` bit for
-bit."""
+bit; the controller's in-place error ratio equals the checked one, the
+textbook formula and the list backend bit for bit."""
 
 import math
 
 import numpy as np
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from odekit import (
     CashKarp54,
@@ -25,7 +27,7 @@ from odekit import (
     integrate_const,
     next_step_size,
 )
-from odekit.algebra import algebra_for
+from odekit.algebra import NUMPY_ALGEBRA, SEQUENCE_ALGEBRA, algebra_for
 from odekit.explicit import EmbeddedRungeKutta, ExplicitRungeKutta
 from odekit.integrate import GRID_SNAP
 from odekit.tableaus import ButcherTableau
@@ -300,3 +302,45 @@ def test_generated_step_matches_the_stage_loop(tableau, x0, t, dt, box):
         if tableau.is_fsal:
             record = got[2].derivatives
             assert [hexes(d) for d in record] == [hexes(d) for d in k]
+
+
+# --- the controller's error ratio -------------------------------------------
+
+
+def same_ratio(a, b):
+    return a == b or (a != a and b != b)  # NaN matches NaN
+
+
+@st.composite
+def ratio_inputs(draw):
+    dtype = draw(st.sampled_from([np.float64, np.float32]))
+    shape = draw(st.sampled_from([(1,), (5,), (3, 4)]))
+    width = 32 if dtype is np.float32 else 64
+    values = st.one_of(
+        st.just(0.0), st.just(math.nan), st.floats(-1e6, 1e6, width=width)
+    )
+    xerr, x, dxdt = (draw(arrays(dtype, shape, elements=values)) for _ in range(3))
+    atol = draw(st.floats(1e-12, 1.0))
+    rtol = draw(st.one_of(st.just(0.0), st.floats(1e-12, 1.0)))
+    dt = draw(st.one_of(st.just(0.0), st.floats(-1.0, 1.0)))
+    return xerr, x, dxdt, atol, rtol, dt
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(args=ratio_inputs())
+def test_bound_error_ratio_matches_every_other_form(args):
+    xerr, x, dxdt, atol, rtol, dt = args
+    work = [NUMPY_ALGEBRA.clone_shape(x) for _ in range(2)]
+    bound = NUMPY_ALGEBRA._error_kernel(work)
+    got = bound(*args)
+    assert type(got) is float
+    assert same_ratio(bound(*args), got)  # reusing the buffers
+    assert same_ratio(NUMPY_ALGEBRA.error_ratio_max(*args), got)
+    with np.errstate(all="ignore"):
+        textbook = float(np.max(np.abs(xerr) / (atol + rtol * (np.abs(x) + abs(dt) * np.abs(dxdt)))))
+    assert same_ratio(textbook, got)
+    if x.dtype == np.float64:
+        lists = [v.ravel().tolist() for v in (xerr, x, dxdt)]
+        assert same_ratio(SEQUENCE_ALGEBRA.error_ratio_max(*lists, atol, rtol, dt), got)
+        list_work = [SEQUENCE_ALGEBRA.clone_shape(lists[1]) for _ in range(2)]
+        assert same_ratio(SEQUENCE_ALGEBRA._error_kernel(list_work)(*lists, atol, rtol, dt), got)

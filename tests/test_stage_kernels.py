@@ -1,7 +1,9 @@
 """Stage kernels: lengths checked once per buffer set and per call on
-caller-supplied buffers, and custom algebras kept on the general path."""
+caller-supplied buffers, custom algebras kept on the general path, and
+the controller's error ratio computed in place on its own scratch."""
 
 import array
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +27,7 @@ from odekit import (
     SymplecticEuler,
     harmonic_separable,
 )
-from odekit.algebra import MAX_TERMS, SequenceAlgebra
+from odekit.algebra import MAX_TERMS, NUMPY_ALGEBRA, NumpyAlgebra, SequenceAlgebra
 from odekit.explicit import ExplicitRungeKutta, _step_code
 from odekit.tableaus import ButcherTableau
 
@@ -304,3 +306,72 @@ def test_a_tuple_is_refused_after_a_list_of_its_length():
     stepper.do_step(LORENZ, list(X0), 0.0, 0.01)
     with pytest.raises(TypeError):
         stepper.do_step(LORENZ, tuple(X0), 0.0, 0.01, out=list(X0))
+
+
+# --- the controller's error ratio -------------------------------------------
+
+
+def counted_ratio(base, on_instance):
+    """A ``base`` backend counting its ``error_ratio_max`` calls, the
+    method replaced on the instance or overridden by the class."""
+
+    class Counting(base):
+        def __init__(self):
+            self.calls = 0
+            if on_instance:
+                inner = self.error_ratio_max
+
+                def counted(*args):
+                    self.calls += 1
+                    return inner(*args)
+
+                self.error_ratio_max = counted
+
+        if not on_instance:
+            def error_ratio_max(self, *args):
+                self.calls += 1
+                return super().error_ratio_max(*args)
+
+    return Counting()
+
+
+@pytest.mark.parametrize("on_instance", [False, True], ids=["class", "instance"])
+@pytest.mark.parametrize("box", [list, np.array], ids=["list", "numpy"])
+@pytest.mark.parametrize("kind", ["controlled", "dense"])
+def test_custom_error_ratio_receives_one_call_per_trial(kind, box, on_instance):
+    algebra = counted_ratio(NumpyAlgebra if box is np.array else SequenceAlgebra, on_instance)
+    params = ControllerParams(atol=1e-8, rtol=1e-8)
+    runs = []
+    for chosen in (algebra, None):
+        if kind == "dense":
+            stepper = DenseOutputDopri5(params, chosen)
+        else:
+            stepper = ControlledStepper(DormandPrince5(chosen), params, chosen)
+        x, t, dt, ratios = box(X0), 0.0, 0.05, []  # the first trial is rejected
+        for _ in range(6):
+            result = stepper.try_step(LORENZ, x, t, dt)
+            t, dt = result.t, result.dt
+            ratios.append(result.error_ratio)
+        runs.append((list(x), ratios))
+    assert algebra.calls == 6
+    assert runs[0] == runs[1]  # the custom path computes the same bits
+
+
+def test_controlled_trial_ratio_allocates_no_state_sized_array():
+    # The (3, 10000) ensemble state: the formula's temporaries took
+    # about 229 page faults per call.
+    rng = np.random.default_rng(4)
+    x = np.vstack([rng.uniform(-10, 10, 10_000) for _ in range(3)])
+    controller = ControlledStepper(DormandPrince5())
+    controller.try_step(LORENZ, x, 0.0, 1e-3)  # warm-up binds the scratch
+    _, (_, xerr, dxdt, *_), ratio = controller._scratch[2]
+    ratio(xerr, x, dxdt, 1e-6, 1e-6, 1e-3)
+    peaks = []
+    for call in (ratio, NUMPY_ALGEBRA.error_ratio_max):
+        tracemalloc.start()
+        got = call(xerr, x, dxdt, 1e-6, 1e-6, 1e-3)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+        assert got == ratio(xerr, x, dxdt, 1e-6, 1e-6, 1e-3)
+    assert peaks[0] < x.nbytes // 100
+    assert peaks[1] >= 2 * x.nbytes  # the check would see an allocation
