@@ -7,9 +7,10 @@ algebra knows how to handle.  Both shipped backends perform the
 floating point operations of ``scale_sum`` in the same left-to-right
 order, which keeps trajectories bit-identical across containers.
 
-Public calls are checked.  Inside the steppers the shipped backends
-check lengths once per scratch buffer set and run unchecked kernels; a
-backend that overrides ``scale_sum`` receives every update through it.
+Only this module decides how states are checked and which kernels
+run: one shape rule checks every buffer a caller passes before any
+evaluation; one override rule (class or instance) for ``scale_sum``,
+``copy`` and ``error_ratio_max`` is fixed when a stepper binds.
 """
 
 from __future__ import annotations
@@ -26,13 +27,18 @@ class Algebra:
     """Operations a state backend must provide: ``scale_sum``,
     ``clone_shape``, ``error_ratio_max`` and ``copy``.  These are the
     vector operations the steppers share; implicit Euler's Newton
-    matrix, solve and norms run on numpy directly.  The controller's
-    error norm runs in place on two states of its own scratch.
+    matrix, solve and norms run on numpy directly.
 
     ``scale_sum`` is the workhorse: a fused linear combination
     ``out[i] = sum_j coeffs[j] * terms[j][i]`` written in one pass.
     ``out`` may alias ``terms[0]`` (that is how in-place stepping
     works) but must not alias any later term.
+
+    One shape rule, ``_shape``, checks every state a public call or a
+    stepper's caller hands in, before any evaluation.  A ``scale_sum``,
+    ``copy`` or ``error_ratio_max`` replaced on the class or on the
+    instance receives every such call, the others run as unchecked
+    kernels; a stepper fixes that choice when it binds its scratch.
     """
 
     # Unchecked scale_sum bodies by term count, on a backend whose
@@ -46,24 +52,36 @@ class Algebra:
     def scale_sum(self, out, coeffs, terms):
         if self._kernels is None:
             raise NotImplementedError
-        return self._kernels[self._check_scale_sum(out, coeffs, terms)](out, coeffs, terms)
+        k = len(coeffs)
+        if k != len(terms):
+            raise DimensionError(f"got {k} coefficients for {len(terms)} terms")
+        if not 1 <= k <= MAX_TERMS:
+            raise ValueError(f"scale_sum supports 1..{MAX_TERMS} terms, got {k}")
+        self._check_shapes(out, *terms)
+        return self._kernels[k](out, coeffs, terms)
+
+    def _replaced(self, name):
+        """Whether the class or the instance replaced Algebra's method ``name``."""
+        return getattr(self, name) != getattr(Algebra, name).__get__(self)
 
     def _kernel(self, k):
-        """Unchecked ``scale_sum`` for ``k`` terms; ``scale_sum`` itself
-        on a backend without kernels or whose class overrides it."""
-        if self._kernels is None or type(self).scale_sum is not Algebra.scale_sum:
+        """Unchecked ``scale_sum`` of ``k`` terms, unless absent or replaced."""
+        if self._kernels is None or self._replaced("scale_sum"):
             return self.scale_sum
         return self._kernels[k]
 
     def _error_kernel(self, buffers):
-        """Unchecked ``error_ratio_max`` computing in the last two
-        scratch states of ``buffers``; ``error_ratio_max`` itself on a
-        backend without one or that overrides it, on its class or on
-        the instance."""
-        ratio = getattr(self.error_ratio_max, "__func__", None)
-        if self._ratio is None or ratio is not Algebra.error_ratio_max:
+        """Unchecked error ratio in the last two of ``buffers``, unless absent or replaced."""
+        if self._ratio is None or self._replaced("error_ratio_max"):
             return self.error_ratio_max
         return self._ratio(*buffers[-2:])
+
+    def _check_shapes(self, x, *given):
+        """Raise :class:`DimensionError` unless each state given has x's shape."""
+        shape = self._shape(x)
+        for state in given:
+            if state is not None and self._shape(state) != shape:
+                raise DimensionError(f"shape {self._shape(state)} does not match {shape}")
 
     def clone_shape(self, src):
         """New zero-filled floating state with the same length and
@@ -74,29 +92,15 @@ class Algebra:
         """max_i |xerr_i| / (atol + rtol * (|x_i| + |dt| * |dxdt_i|))."""
         if self._ratio is None:
             raise NotImplementedError
-        shape = self._shape(x)
-        empty = 0 in getattr(x, "shape", (len(x),))
-        if empty or not self._shape(xerr) == shape == self._shape(dxdt):
-            raise DimensionError("error, state and derivative need one nonempty shape")
+        self._check_shapes(x, xerr, dxdt)
+        if 0 in getattr(x, "shape", (len(x),)):
+            raise DimensionError("the error ratio of an empty state is undefined")
         return self._ratio(self.clone_shape(x), self.clone_shape(x))(xerr, x, dxdt, atol, rtol, dt)
 
     def copy(self, out, src):
         """Copy ``src`` into ``out``; a one-term ``scale_sum``."""
-        if self._shape(out) != self._shape(src):
-            raise DimensionError(f"cannot copy shape {self._shape(src)} into {self._shape(out)}")
+        self._check_shapes(out, src)
         return self._kernel(1)(out, (1.0,), (src,))
-
-    def _check_scale_sum(self, out, coeffs, terms):
-        k = len(coeffs)
-        if k != len(terms):
-            raise DimensionError(f"got {k} coefficients for {len(terms)} terms")
-        if not 1 <= k <= MAX_TERMS:
-            raise ValueError(f"scale_sum supports 1..{MAX_TERMS} terms, got {k}")
-        shape = self._shape(out)
-        for term in terms:
-            if self._shape(term) != shape:
-                raise DimensionError(f"term of shape {self._shape(term)} does not match {shape}")
-        return k
 
 
 def _numpy_scale_sum(out, coeffs, terms):
@@ -201,8 +205,8 @@ def _kernel_table(algebra, buffers):
 
 
 def scratch(owner, x, count, bind=_kernel_table):
-    """Backend for ``x``, ``count`` zero states shaped like it, and
-    ``bind(algebra, buffers)``, by default the kernels by term count.
+    """Backend for ``x``, ``count`` zero states shaped like it, the copy,
+    and ``bind(algebra, buffers)``, by default the kernels by term count.
 
     ``owner`` pins the backend in ``_fixed_algebra`` (None picks the
     default for ``x``) and caches ``(tag, key, result)`` in
@@ -211,8 +215,8 @@ def scratch(owner, x, count, bind=_kernel_table):
     once.  Otherwise an equal key, the length (shape and dtype), keeps
     the buffers under the new tag: a list's buffers serve an
     ``array.array`` of its length.  Only a new key reallocates them,
-    checks their lengths and calls ``bind`` again, so a step allocates
-    no state-sized memory.  Returns ``(algebra, buffers, bound)``.
+    checks their shapes and binds again, so a step allocates no
+    state-sized memory.  Returns ``(algebra, buffers, copy, bound)``.
     """
     numpy = isinstance(x, np.ndarray)
     tag = (x.shape, x.dtype) if numpy else (type(x), len(x))
@@ -225,8 +229,9 @@ def scratch(owner, x, count, bind=_kernel_table):
     key = tag if numpy else len(x)
     if cached is None or cached[1] != key:
         buffers = [algebra.clone_shape(x) for _ in range(count)]
-        if any(len(buf) != len(x) for buf in buffers):
-            raise DimensionError("clone_shape changed the state length")
-        cached = (tag, key, (algebra, buffers, bind(algebra, buffers)))
+        algebra._check_shapes(x, *buffers)
+        one = algebra._kernel(1)  # the copy is a one-term update, unless replaced
+        copy = algebra.copy if algebra._replaced("copy") else lambda out, src: one(out, (1.0,), (src,))
+        cached = (tag, key, (algebra, buffers, copy, bind(algebra, buffers)))
     owner._scratch = (tag, key, cached[2])
     return cached[2]

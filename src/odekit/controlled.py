@@ -123,7 +123,7 @@ class ControlledStepper:
         """
         if not (math.isfinite(t) and math.isfinite(dt)) or dt == 0.0:
             raise ValueError("time and step width must be finite, the width nonzero")
-        algebra, (xtrial, xerr, dxdt, _, _), ratio = scratch(self, x, 5, Algebra._error_kernel)
+        _, (xtrial, xerr, dxdt, _, _), copy, ratio = scratch(self, x, 5, Algebra._error_kernel)
         params = self.params
         stepper = self.stepper
 
@@ -139,11 +139,11 @@ class ControlledStepper:
         err = ratio(xerr, x, dxdt, params.atol, params.rtol, dt)
 
         if err <= 1.0:
-            algebra.copy(x, xtrial)
+            copy(x, xtrial)
             if record is not None:
                 # The last stage derivative belongs to the state just
                 # accepted; keep it as the next trial's first stage.
-                algebra.copy(dxdt, record.new_derivative)
+                copy(dxdt, record.new_derivative)
             else:
                 self._dxdt = None
             dt_next = next_step_size(dt, err, stepper.error_order, self._last_rejected)

@@ -15,7 +15,6 @@ import math
 
 from .algebra import algebra_for, scratch
 from .controlled import ControlledStepper, ControllerParams
-from .errors import DimensionError
 from .explicit import DormandPrince5
 
 # Interpolation weights of the quartic term, from the continuous
@@ -112,10 +111,10 @@ class DenseOutputDopri5:
         Same contract as :meth:`ControlledStepper.try_step`; on
         acceptance the interpolant covers ``[t, result.t]``.
         """
-        algebra, buffers, kernels = scratch(self, x, 5)
+        algebra, buffers, copy, kernels = scratch(self, x, 5)
         x_prev, ydiff, bspl, c4, c5 = buffers
         self._span = None
-        algebra.copy(x_prev, x)
+        copy(x_prev, x)
         result = self.controller.try_step(system, x, t, dt)
         self.steps_attempted += 1
         self.last_error_ratio = result.error_ratio
@@ -165,8 +164,8 @@ class DenseOutputDopri5:
             )
         if out is None:
             out = algebra.clone_shape(x_prev)
-        elif len(out) != len(x_prev):
-            raise DimensionError(f"output length {len(out)} != state length {len(x_prev)}")
+        else:
+            algebra._check_shapes(x_prev, out)
         theta = (t - lo) / h
         omt = 1.0 - theta
         kernels[5](

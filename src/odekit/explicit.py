@@ -14,7 +14,6 @@ from collections import namedtuple
 from functools import lru_cache
 
 from .algebra import MAX_TERMS, scratch
-from .errors import DimensionError
 from .tableaus import CASH_KARP_54, DORMAND_PRINCE_54, EULER, RK4_CLASSIC
 
 class StageRecord(namedtuple("StageRecord", ["derivatives"])):
@@ -67,8 +66,9 @@ class ExplicitRungeKutta:
         state into ``out`` and leaves ``x`` unchanged.  Returns the
         updated state.
         """
-        _, k, (advance, _) = scratch(self, x, self.stage_count + 1, self._bind)
-        _check_lengths(x, out)
+        algebra, k, _, (advance, _) = scratch(self, x, self.stage_count + 1, self._bind)
+        if out is not None:
+            algebra._check_shapes(x, out)
         system(x, k[0], t)
         return advance(system, x, t, dt, x if out is None else out)
 
@@ -113,12 +113,6 @@ def _step_code(tableau):
     return namespace["make"]
 
 
-def _check_lengths(x, *given):
-    for state in given:
-        if state is not None and len(state) != len(x):
-            raise DimensionError(f"length {len(state)} does not match state length {len(x)}")
-
-
 class EmbeddedRungeKutta(ExplicitRungeKutta):
     """Explicit pair producing a solution and an error estimate.
 
@@ -143,12 +137,12 @@ class EmbeddedRungeKutta(ExplicitRungeKutta):
         :class:`StageRecord` for a first-same-as-last pair.
         """
         s = self.stage_count
-        algebra, k, (advance, error) = scratch(self, x, s + 1, self._bind)
-        _check_lengths(x, out, xerr, dxdt_in)
+        algebra, k, copy, (advance, error) = scratch(self, x, s + 1, self._bind)
+        algebra._check_shapes(x, out, xerr, dxdt_in)
         if dxdt_in is None:
             system(x, k[0], t)
         else:
-            algebra.copy(k[0], dxdt_in)
+            copy(k[0], dxdt_in)
         target = advance(system, x, t, dt, x if out is None else out)
         # A first-same-as-last stage is evaluated at the new state.
         if self.fsal:

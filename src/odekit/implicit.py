@@ -76,13 +76,14 @@ class ImplicitEuler:
         jac_f = getattr(system, "jacobian", None)
         if jac_f is None:
             raise ValueError("implicit Euler needs a system that carries a jacobian")
-        algebra, (u, f, g), kernels = scratch(self, x, 3)
+        algebra, (u, f, g), copy, kernels = scratch(self, x, 3)
+        algebra._check_shapes(x, out)
         n = len(x)
         t_new = t + dt
         eps = float(np.finfo(getattr(u, "dtype", float)).eps)
         tol = max(NEWTON_TOL, 8.0 * eps) * max(1.0, float(np.abs(x).max()))
         jac = np.empty((n, n))
-        algebra.copy(u, x)
+        copy(u, x)
         applied = 0
         while True:
             system(u, f, t_new)
@@ -108,5 +109,5 @@ class ImplicitEuler:
                 break
         self.last_iteration_count = applied
         target = x if out is None else out
-        algebra.copy(target, u)
+        copy(target, u)
         return target

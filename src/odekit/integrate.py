@@ -59,15 +59,13 @@ class EvaluationCounter:
 
 
 def _readonly(x, fresh=False):
-    """Read-only snapshot of ``x``; a ``fresh`` numpy state, one no
-    other code holds, is frozen without a copy."""
-    if isinstance(x, np.ndarray):
-        if not fresh:
-            x = x.copy()
-        x.flags.writeable = False
-        return x
-    if isinstance(x, list):
+    """Read-only snapshot of ``x``: a tuple, or a read-only numpy copy;
+    a ``fresh`` numpy state, one no other code holds, is not copied."""
+    if not isinstance(x, np.ndarray):
         return tuple(x)
+    if not fresh:
+        x = x.copy()
+    x.flags.writeable = False
     return x
 
 

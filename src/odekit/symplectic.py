@@ -72,10 +72,11 @@ class SymplecticEuler:
         time argument is carried for signature uniformity; separable
         systems here are autonomous.
         """
-        _, (buf,), kernels = scratch(self, state.q, 1)
+        algebra, (buf,), _, kernels = scratch(self, state.q, 1)
         target = state if out is None else out
-        if not len(state.p) == len(target.q) == len(target.p) == len(buf):
-            raise DimensionError("output pair length does not match state")
+        shape = algebra._shape
+        if not shape(state.p) == shape(target.q) == shape(target.p) == shape(buf):
+            raise DimensionError("output pair shape does not match state")
         system.dpdt(state.q, buf)
         kernels[2](target.p, (1.0, dt), (state.p, buf))
         system.dqdt(target.p, buf)

@@ -1,6 +1,7 @@
 """Integration drivers: observation grids, counters, capability dispatch."""
 
 import math
+from collections import UserList
 
 import numpy as np
 import pytest
@@ -115,6 +116,19 @@ def test_observer_receives_readonly_state():
     integrate_const(ExplicitEuler(), zero_rhs, [1.0], 0.0, 0.2, 0.1,
                     lambda x, t: seen.append(x))
     assert all(isinstance(s, tuple) for s in seen)
+
+
+def test_observer_keeps_a_snapshot_of_any_sequence_state():
+    # A UserList state is no list, yet each observation must outlive
+    # the steps after it.
+    seen = []
+    report = integrate_const(RungeKutta4(), HARMONIC, UserList([1.0, 0.0]), 0, 0.3, 0.1,
+                             lambda x, t: seen.append(x))
+    assert len(seen) == 4
+    assert all(type(s) is tuple for s in seen)
+    assert seen[0] == (1.0, 0.0)
+    assert len(set(seen)) == 4
+    assert seen[-1] == tuple(report.final_state)
 
 
 SNAPSHOT_RUNS = {

@@ -1,6 +1,7 @@
-"""Stage kernels: lengths checked once per buffer set and per call on
-caller-supplied buffers, custom algebras kept on the general path, and
-the controller's error ratio computed in place on its own scratch."""
+"""Stage kernels: shapes checked once per buffer set and at entry on
+caller-supplied buffers, custom algebras (replaced on the class or on
+the instance) kept on the general path, and the controller's error
+ratio computed in place on its own scratch."""
 
 import array
 import tracemalloc
@@ -43,13 +44,47 @@ def test_do_step_rejects_mismatched_out_before_any_call(make, box):
     assert counter.count == 0
 
 
-@pytest.mark.parametrize("box", [list, np.array], ids=["list", "numpy"])
-@pytest.mark.parametrize("arg", ["out", "xerr", "dxdt_in"])
-@pytest.mark.parametrize("make", [CashKarp54, DormandPrince5])
-def test_do_step_with_error_rejects_mismatched_buffers_before_any_call(make, arg, box):
+# A state and a buffer of another shape: a (3, 1) buffer has the
+# length of a (3, 4) state, only the shape tells them apart.
+MISFITS = {
+    "list": lambda: (list(X0), [0.0, 0.0]),
+    "numpy": lambda: (np.array(X0), np.zeros(2)),
+    "numpy-3x4": lambda: (np.tile(np.array(X0)[:, None], 4), np.zeros((3, 1))),
+}
+# Every entry point that takes a caller's buffer, and the keyword it
+# takes it as.
+ENTRIES = [(make, arg) for make in (CashKarp54, DormandPrince5) for arg in ("out", "xerr", "dxdt_in")]
+ENTRIES += [(RungeKutta4, "out"), (ImplicitEuler, "out"), (SymplecticEuler, "out"),
+            (DenseOutputDopri5, "out")]
+
+
+def entry_call(make, arg, x, buffer):
+    """``make``'s entry point on ``x`` with ``buffer`` as ``arg``, and
+    the counter of the system evaluations it makes."""
     counter = EvaluationCounter(LORENZ)
+    if make is SymplecticEuler:
+        ham = harmonic_separable()
+        counter = EvaluationCounter(lambda q, out, t: ham.dpdt(q, out))
+        system = SeparableHamiltonian(ham.dqdt, lambda q, out: counter(q, out, 0.0))
+        pair, out = PairState(x, x.copy()), PairState(buffer, buffer.copy())
+        return lambda: make().do_step(system, pair, 0.0, 0.01, out=out), counter
+    if make is DenseOutputDopri5:
+        dense = make()
+        dense.initialize(x, 0.0, 0.01)
+        lo, hi = dense.do_step(counter)
+        counter.reset()
+        return lambda: dense.calc_state(0.5 * (lo + hi), out=buffer), counter
+    if make in (CashKarp54, DormandPrince5):
+        return lambda: make().do_step_with_error(counter, x, 0.0, 0.01, **{arg: buffer}), counter
+    return lambda: make().do_step(counter, x, 0.0, 0.01, out=buffer), counter
+
+
+@pytest.mark.parametrize("box", MISFITS)
+@pytest.mark.parametrize("make, arg", ENTRIES, ids=lambda v: getattr(v, "__name__", v))
+def test_do_step_with_error_rejects_mismatched_buffers_before_any_call(make, arg, box):
+    call, counter = entry_call(make, arg, *MISFITS[box]())
     with pytest.raises(DimensionError):
-        make().do_step_with_error(counter, box(X0), 0.0, 0.01, **{arg: box([0.0, 0.0])})
+        call()
     assert counter.count == 0
 
 
@@ -107,6 +142,25 @@ class LoggingAlgebra(SequenceAlgebra):
     def copy(self, out, src):
         self.log.append("c")
         return super().copy(out, src)
+
+
+def logging_instance():
+    """A shipped backend with ``scale_sum`` and ``copy`` replaced on
+    the instance, logging as :class:`LoggingAlgebra` does."""
+    algebra = SequenceAlgebra()
+    algebra.log = []
+    scale_sum, copy = algebra.scale_sum, algebra.copy
+
+    def logged_scale_sum(out, coeffs, terms):
+        algebra.log.append(f"s{len(coeffs)}")
+        return scale_sum(out, coeffs, terms)
+
+    def logged_copy(out, src):
+        algebra.log.append("c")
+        return copy(out, src)
+
+    algebra.scale_sum, algebra.copy = logged_scale_sum, logged_copy
+    return algebra
 
 
 def run_controlled(algebra):
@@ -171,9 +225,13 @@ GENERAL_PATH = {
 }
 
 
-@pytest.mark.parametrize("run", GENERAL_PATH, ids=lambda run: run.__name__)
-def test_custom_algebra_keeps_the_general_path(run):
-    algebra = LoggingAlgebra()
+@pytest.mark.parametrize("run, make", [
+    pytest.param(run, make, id=run.__name__ + suffix)
+    for make, suffix in ((LoggingAlgebra, ""), (logging_instance, "-instance"))
+    for run in GENERAL_PATH
+])
+def test_custom_algebra_keeps_the_general_path(run, make):
+    algebra = make()
     states = run(algebra)
     log, expected_states = GENERAL_PATH[run]
     assert " ".join(algebra.log) == log
@@ -193,11 +251,11 @@ def test_step_code_is_generated_once_per_tableau():
             for make in (DormandPrince5, RungeKutta4):
                 stepper = make()
                 stepper.do_step(LORENZ, box(X0), 0.0, 0.01)
-                advances.append((make, stepper._scratch[2][2][0]))
+                advances.append((make, stepper._scratch[2][3][0]))
             dense = DenseOutputDopri5()
             dense.initialize(box(X0), 0.0, 0.01)
             dense.do_step(LORENZ)
-            advances.append((DormandPrince5, dense.stepper._scratch[2][2][0]))
+            advances.append((DormandPrince5, dense.stepper._scratch[2][3][0]))
     info = _step_code.cache_info()
     assert (info.misses, info.currsize) == (2, 2)
     # Every stepper of a tableau runs the one compiled step.
@@ -364,7 +422,7 @@ def test_controlled_trial_ratio_allocates_no_state_sized_array():
     x = np.vstack([rng.uniform(-10, 10, 10_000) for _ in range(3)])
     controller = ControlledStepper(DormandPrince5())
     controller.try_step(LORENZ, x, 0.0, 1e-3)  # warm-up binds the scratch
-    _, (_, xerr, dxdt, *_), ratio = controller._scratch[2]
+    _, (_, xerr, dxdt, *_), _, ratio = controller._scratch[2]
     ratio(xerr, x, dxdt, 1e-6, 1e-6, 1e-3)
     peaks = []
     for call in (ratio, NUMPY_ALGEBRA.error_ratio_max):
