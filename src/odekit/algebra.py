@@ -7,8 +7,9 @@ algebra knows how to handle.  Both shipped backends perform the
 floating point operations of ``scale_sum`` in the same left-to-right
 order, which keeps trajectories bit-identical across containers.
 
-Only this module decides how states are checked and which kernels
-run: one shape rule checks every buffer a caller passes before any
+Only this module decides which backend handles a state
+(:func:`algebra_of`), how states are checked and which kernels run:
+one shape rule checks every buffer a caller passes before any
 evaluation; one override rule (class or instance) for ``scale_sum``,
 ``copy`` and ``error_ratio_max`` is fixed when a stepper binds.
 """
@@ -200,6 +201,12 @@ def algebra_for(state) -> Algebra:
     )
 
 
+def algebra_of(owner, x) -> Algebra:
+    """The backend ``owner`` pins in ``_fixed_algebra``, else the default for ``x``."""
+    algebra = getattr(owner, "_fixed_algebra", None)
+    return algebra_for(x) if algebra is None else algebra
+
+
 def _kernel_table(algebra, buffers):
     return [algebra._kernel(k) for k in range(MAX_TERMS + 1)]
 
@@ -208,30 +215,22 @@ def scratch(owner, x, count, bind=_kernel_table):
     """Backend for ``x``, ``count`` zero states shaped like it, the copy,
     and ``bind(algebra, buffers)``, by default the kernels by term count.
 
-    ``owner`` pins the backend in ``_fixed_algebra`` (None picks the
-    default for ``x``) and caches ``(tag, key, result)`` in
-    ``_scratch``.  A call whose tag, ``type(x)`` and ``len(x)`` (shape
-    and dtype for numpy states), matches returns the cached result at
-    once.  Otherwise an equal key, the length (shape and dtype), keeps
-    the buffers under the new tag: a list's buffers serve an
-    ``array.array`` of its length.  Only a new key reallocates them,
-    checks their shapes and binds again, so a step allocates no
-    state-sized memory.  Returns ``(algebra, buffers, copy, bound)``.
+    The backend is :func:`algebra_of` ``owner``.  ``owner._scratch``
+    caches ``(tag, result)``: a call whose tag, ``type(x)`` and
+    ``len(x)`` (shape and dtype for numpy states), matches returns the
+    cached result at once.  Any other state gets new buffers, checked
+    and bound again, so a stepper answers a state as a fresh one would,
+    and a step allocates no state-sized memory.  Returns
+    ``(algebra, buffers, copy, bound)``.
     """
-    numpy = isinstance(x, np.ndarray)
-    tag = (x.shape, x.dtype) if numpy else (type(x), len(x))
+    tag = (x.shape, x.dtype) if isinstance(x, np.ndarray) else (type(x), len(x))
     cached = owner._scratch
     if cached is not None and cached[0] == tag:
-        return cached[2]
-    algebra = owner._fixed_algebra
-    if algebra is None:
-        algebra = NUMPY_ALGEBRA if numpy else algebra_for(x)
-    key = tag if numpy else len(x)
-    if cached is None or cached[1] != key:
-        buffers = [algebra.clone_shape(x) for _ in range(count)]
-        algebra._check_shapes(x, *buffers)
-        one = algebra._kernel(1)  # the copy is a one-term update, unless replaced
-        copy = algebra.copy if algebra._replaced("copy") else lambda out, src: one(out, (1.0,), (src,))
-        cached = (tag, key, (algebra, buffers, copy, bind(algebra, buffers)))
-    owner._scratch = (tag, key, cached[2])
-    return cached[2]
+        return cached[1]
+    algebra = algebra_of(owner, x)
+    buffers = [algebra.clone_shape(x) for _ in range(count)]
+    algebra._check_shapes(x, *buffers)
+    one = algebra._kernel(1)  # the copy is a one-term update, unless replaced
+    copy = algebra.copy if algebra._replaced("copy") else lambda out, src: one(out, (1.0,), (src,))
+    owner._scratch = (tag, (algebra, buffers, copy, bind(algebra, buffers)))
+    return owner._scratch[1]

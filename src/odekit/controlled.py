@@ -14,7 +14,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 
 from .algebra import Algebra, scratch
-from .errors import StepSizeUnderflowError
+from .errors import SolverError, StepSizeUnderflowError
 
 SAFETY = 0.9
 FAC_MIN = 0.2
@@ -79,7 +79,8 @@ class ControlledStepper:
     the error scale, is cached between trials and handed to the stepper
     as its first stage.  For steppers with a first-same-as-last stage
     it is refreshed from the last stage on acceptance, so a smooth run
-    costs one extra system evaluation in total.
+    costs one extra system evaluation in total.  The state backend is
+    ``algebra`` when given, else the stepper's.
 
     Instances carry five scratch states, among them the derivative
     cache and two states the error ratio is computed in, and the
@@ -93,17 +94,15 @@ class ControlledStepper:
             raise TypeError(f"{type(stepper).__name__} provides no embedded error estimate")
         self.stepper = stepper
         self.params = ControllerParams() if params is None else params
-        self._fixed_algebra = algebra
+        self._fixed_algebra = getattr(stepper, "_fixed_algebra", None) if algebra is None else algebra
         self._scratch = None
         self._dxdt = None  # the scratch buffer holding f(x, t), when valid
-        self._last_rejected = False
         self._rejections = 0
         self.last_stage_record = None
 
     def reset(self):
         """Drop the cached derivative and rejection history."""
         self._dxdt = None
-        self._last_rejected = False
         self._rejections = 0
         self.last_stage_record = None
 
@@ -118,8 +117,10 @@ class ControlledStepper:
         accepted step never raises.  A rejection raises
         :class:`StepSizeUnderflowError` once a step has been rejected
         more than ``max_rejections`` times in a row or the width falls
-        below ``dt_min``.  A non-finite ``t`` or ``dt``, or ``dt == 0``,
-        raises :class:`ValueError` before any evaluation.
+        below ``dt_min``, and :class:`SolverError` at once when the
+        error ratio and the derivative at ``(x, t)`` are not finite.
+        A non-finite ``t`` or ``dt``, or ``dt == 0``, raises
+        :class:`ValueError` before any evaluation.
         """
         if not (math.isfinite(t) and math.isfinite(dt)) or dt == 0.0:
             raise ValueError("time and step width must be finite, the width nonzero")
@@ -146,15 +147,16 @@ class ControlledStepper:
                 copy(dxdt, record.new_derivative)
             else:
                 self._dxdt = None
-            dt_next = next_step_size(dt, err, stepper.error_order, self._last_rejected)
-            self._last_rejected = False
+            dt_next = next_step_size(dt, err, stepper.error_order, self._rejections > 0)
             self._rejections = 0
             return StepResult(True, t + dt, dt_next, err)
 
         # Rejected: x and t stay untouched, the cached derivative is
-        # still the derivative at (x, t).
+        # still the derivative at (x, t).  When it is not finite, no
+        # smaller width can help.
+        if not math.isfinite(err) and not math.isfinite(ratio(dxdt, x, dxdt, 1.0, 0.0, 0.0)):
+            raise SolverError(f"the derivative at t={t!r} is not finite")
         self._rejections += 1
-        self._last_rejected = True
         if self._rejections > params.max_rejections:
             raise StepSizeUnderflowError(dt, t, err)
         dt_next = next_step_size(dt, err, stepper.error_order, True)

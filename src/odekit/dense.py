@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import math
 
-from .algebra import algebra_for, scratch
-from .controlled import ControlledStepper, ControllerParams
+from .algebra import algebra_of, scratch
+from .controlled import ControlledStepper
 from .explicit import DormandPrince5
 
 # Interpolation weights of the quartic term, from the continuous
@@ -42,17 +42,17 @@ class DenseOutputDopri5:
     Parameters
     ----------
     params : ControllerParams, optional
-        Tolerances and limits of the internal error control.
+        Tolerances and limits of the internal error control, kept
+        by ``controller`` alone.
     algebra : Algebra, optional
         State backend; defaults to the container of the state stepped.
     """
 
     def __init__(self, params=None, algebra=None):
-        self.params = ControllerParams() if params is None else params
         self._fixed_algebra = algebra
         self._scratch = None  # x_prev and the four interpolant coefficients
         self.stepper = DormandPrince5(algebra)
-        self.controller = ControlledStepper(self.stepper, self.params, algebra)
+        self.controller = ControlledStepper(self.stepper, params)
         self._algebra = self._x = self._t = self._dt = None
         self.reset()
 
@@ -69,10 +69,7 @@ class DenseOutputDopri5:
         the time must be finite, the width finite and positive."""
         if not (math.isfinite(t0) and 0.0 < dt0 < math.inf):
             raise ValueError("need a finite start time and a finite positive width proposal")
-        algebra = self._fixed_algebra
-        if algebra is None:
-            algebra = algebra_for(x0)
-        self._algebra = algebra
+        self._algebra = algebra = algebra_of(self, x0)
         self._x = algebra.clone_shape(x0)
         algebra.copy(self._x, x0)
         self._t = t0

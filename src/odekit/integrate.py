@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import algebra_for
+from .algebra import algebra_of
 from .errors import SolverError
 
 # Grid times within this fraction of a width of the interval end are
@@ -79,9 +79,10 @@ def _grid(t0, t1, dt):
     return count, t_last
 
 
-def _start(x0, t0, t1, dt, observer):
+def _start(stepper, x0, t0, t1, dt, observer):
     """Check the run's bounds, then return a floating working copy of
-    the initial state, observed at ``t0``."""
+    the initial state, made by the stepper's backend and observed at
+    ``t0``."""
     try:
         finite = math.isfinite(t0) and math.isfinite(t1) and math.isfinite(dt)
     except OverflowError:  # an int beyond the float range
@@ -92,7 +93,7 @@ def _start(x0, t0, t1, dt, observer):
         raise ValueError("end time must exceed start time")
     if dt <= 0.0:
         raise ValueError("step or grid width must be positive")
-    algebra = algebra_for(x0)
+    algebra = algebra_of(stepper, x0)
     x = algebra.clone_shape(x0)
     algebra.copy(x, x0)
     if observer is not None:
@@ -179,7 +180,7 @@ def integrate_const(stepper, system, x0, t0, t1, dt, observer=None):
     controlled = hasattr(stepper, "try_step")
     if not (controlled or hasattr(stepper, "do_step")):
         raise TypeError(f"{type(stepper).__name__} is not a stepper")
-    x = _start(x0, t0, t1, dt, observer)
+    x = _start(stepper, x0, t0, t1, dt, observer)
     if hasattr(stepper, "calc_state"):
         observe = None if observer is None else _interpolating(stepper, observer, t0, t1, dt)
         return _controlled_walk(stepper, system, x, t0, (t1,), dt, observe, True)
@@ -214,5 +215,5 @@ def integrate_adaptive(stepper, system, x0, t0, t1, dt0, observer=None):
     """
     if not hasattr(stepper, "try_step"):
         raise TypeError("integrate_adaptive needs a stepper with try_step")
-    x = _start(x0, t0, t1, dt0, observer)
+    x = _start(stepper, x0, t0, t1, dt0, observer)
     return _controlled_walk(stepper, system, x, t0, (t1,), dt0, observer, True)

@@ -10,10 +10,12 @@ from odekit import (
     ControlledStepper,
     ControllerParams,
     DormandPrince5,
+    EvaluationCounter,
     ExplicitEuler,
     HARMONIC,
     ImplicitEuler,
     RungeKutta4,
+    SolverError,
     StepSizeUnderflowError,
     SymplecticEuler,
     next_step_size,
@@ -232,37 +234,54 @@ def test_rejections_shrink_dt_monotonically():
     assert all(b < a for a, b in zip(seen[:-2], seen[1:-1]))
 
 
-def test_underflow_raises_with_location():
-    def nasty(x, dxdt, t):
-        dxdt[0] = float("nan")
+def nan_after_start(x, dxdt, t):
+    # Finite at t = 0, NaN at every later stage: only a narrower trial
+    # could help, so the controller keeps shrinking.
+    dxdt[0] = -x[0] if t == 0.0 else float("nan")
 
+
+def test_underflow_raises_with_location():
     ctl = ControlledStepper(DormandPrince5())
     x = np.array([1.0])
     dt = 0.1
     with pytest.raises(StepSizeUnderflowError) as info:
         for _ in range(200):
-            res = ctl.try_step(nasty, x, 0.0, dt)
+            res = ctl.try_step(nan_after_start, x, 0.0, dt)
             dt = res.dt
     assert info.value.dt < 0.1
+    assert info.value.t == 0.0
 
 
 def test_nan_error_counts_as_rejection():
-    def nasty(x, dxdt, t):
-        dxdt[0] = float("nan")
-
     ctl = ControlledStepper(DormandPrince5())
     x = np.array([1.0])
-    res = ctl.try_step(nasty, x, 0.0, 0.1)
+    res = ctl.try_step(nan_after_start, x, 0.0, 0.1)
     assert not res.accepted
     assert res.dt < 0.1
     assert x[0] == 1.0
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("box", [list, np.array], ids=["list", "numpy"])
+def test_non_finite_derivative_at_the_state_raises_at_once(box, value):
+    # No width can help: the first rejected trial raises, naming t, and
+    # blames the derivative, not the step size.
+    def nasty(x, dxdt, t):
+        dxdt[0] = value
+
+    counter = EvaluationCounter(nasty)
+    x = box([1.0])
+    with pytest.raises(SolverError, match="the derivative at t=0.5 is not finite") as info, \
+            np.errstate(invalid="ignore"):  # inf - inf in the stages
+        ControlledStepper(DormandPrince5()).try_step(counter, x, 0.5, 0.1)
+    assert not isinstance(info.value, StepSizeUnderflowError)
+    assert counter.count == 7  # the cached derivative and six stages
+    assert list(x) == [1.0]
+
+
 def test_fsal_cache_survives_rejection():
     # derivative at (x, t) is reused across a rejection: the retry costs
     # six evaluations instead of seven
-    from odekit import EvaluationCounter
-
     counter = EvaluationCounter(expgrow)
     ctl = ControlledStepper(DormandPrince5())
     x = np.array([1.0])
@@ -275,8 +294,6 @@ def test_fsal_cache_survives_rejection():
 
 
 def test_reset_clears_cached_derivative():
-    from odekit import EvaluationCounter
-
     counter = EvaluationCounter(expgrow)
     ctl = ControlledStepper(DormandPrince5())
     x = np.array([1.0])

@@ -30,6 +30,15 @@ def test_initialize_sets_time():
     assert d.current_state[0] == 1.0
 
 
+def test_tolerances_live_in_the_controller_only():
+    # One copy of each controller fact: no dense-side params to drift.
+    params = ControllerParams(atol=1e-12)
+    d = DenseOutputDopri5(params)
+    assert d.controller.params is params
+    assert not hasattr(d, "params")
+    assert DenseOutputDopri5().controller.params == ControllerParams()
+
+
 def test_initialize_rejects_bad_dt0():
     d = DenseOutputDopri5()
     with pytest.raises(ValueError):

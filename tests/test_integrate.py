@@ -77,6 +77,37 @@ def test_input_state_is_not_mutated_by_driver():
     assert x0 == [1.0]
 
 
+class DuckEuler:
+    """A user stepper with no algebra of its own: the drivers and the
+    controller fall back to the default backend of the state."""
+
+    order = error_order = 1
+    fsal = False
+
+    def do_step(self, system, x, t, dt, out=None):
+        dxdt = [0.0] * len(x)
+        system(x, dxdt, t)
+        out = x if out is None else out
+        for i, (v, d) in enumerate(zip(x, dxdt)):
+            out[i] = v + dt * d
+        return out
+
+    def do_step_with_error(self, system, x, t, dt, out, xerr, dxdt_in):
+        self.do_step(system, x, t, dt, out)
+        for i, (a, b) in enumerate(zip(out, x)):
+            xerr[i] = 0.5 * dt * (a - b)
+
+
+@pytest.mark.parametrize("drive, make", [
+    (integrate_const, DuckEuler),
+    (integrate_adaptive, lambda: ControlledStepper(DuckEuler())),
+], ids=["plain", "controlled"])
+def test_duck_typed_stepper_runs_on_the_default_backend(drive, make):
+    report = drive(make(), expgrow, [1.0], 0.0, 1.0, 0.1)
+    assert type(report.final_state) is list
+    assert report.final_time == 1.0 and report.final_state[0] > 2.0
+
+
 def test_final_time_clamped_to_t1():
     # 0.1 is inexact in binary; the last grid point must still be t1
     times = []
@@ -287,7 +318,8 @@ def test_adaptive_requires_controlled_stepper():
 
 def test_adaptive_underflow_attaches_partial_report():
     def nasty(x, dxdt, t):
-        dxdt[0] = float("nan")
+        # Finite at the start, NaN beyond it: the width keeps shrinking.
+        dxdt[0] = -x[0] if t == 0.0 else float("nan")
 
     ctl = ControlledStepper(DormandPrince5())
     with pytest.raises(StepSizeUnderflowError) as info:

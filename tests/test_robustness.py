@@ -36,6 +36,12 @@ def nan_rhs(x, dxdt, t):
     dxdt[0] = float("nan")
 
 
+def nan_after_start(x, dxdt, t):
+    # Finite at the start state, NaN at every later stage: no width is
+    # accepted, yet only the error estimate is not finite.
+    dxdt[0] = -x[0] if t == 0.0 else float("nan")
+
+
 def tight():
     return ControllerParams(atol=1e-8, rtol=1e-8)
 
@@ -65,13 +71,13 @@ def test_rejection_below_dt_min_still_raises():
     ctl = ControlledStepper(DormandPrince5(), ControllerParams(dt_min=1e-6))
     x = [1.0]
     with pytest.raises(StepSizeUnderflowError):
-        ctl.try_step(nan_rhs, x, 0.0, 1e-6)
+        ctl.try_step(nan_after_start, x, 0.0, 1e-6)
     assert x == [1.0]
 
 
 def test_non_finite_error_named_in_underflow():
     with pytest.raises(StepSizeUnderflowError, match="not finite") as info:
-        integrate_adaptive(ControlledStepper(DormandPrince5()), nan_rhs, [1.0], 0.0, 1.0, 0.1)
+        integrate_adaptive(ControlledStepper(DormandPrince5()), nan_after_start, [1.0], 0.0, 1.0, 0.1)
     report = info.value.partial_report
     assert report.steps_accepted == 0 and report.steps_rejected > 0
 
@@ -87,7 +93,7 @@ def test_finite_underflow_does_not_blame_non_finite():
 def test_integrate_const_controlled_failure_carries_partial_report():
     steps = []
     with pytest.raises(StepSizeUnderflowError) as info:
-        integrate_const(ControlledStepper(DormandPrince5()), nan_rhs, [1.0], 0.0, 1.0, 0.1,
+        integrate_const(ControlledStepper(DormandPrince5()), nan_after_start, [1.0], 0.0, 1.0, 0.1,
                         lambda x, t: steps.append(t))
     report = info.value.partial_report
     assert report is not None
@@ -95,6 +101,29 @@ def test_integrate_const_controlled_failure_carries_partial_report():
     assert report.steps_attempted == report.steps_rejected > 0
     assert report.system_evaluations > 0
     assert steps == [0.0]
+
+
+@pytest.mark.parametrize(
+    "drive, make",
+    [(integrate_adaptive, lambda: ControlledStepper(DormandPrince5())),
+     (integrate_const, lambda: ControlledStepper(DormandPrince5())),
+     (integrate_adaptive, DenseOutputDopri5),
+     (integrate_const, DenseOutputDopri5)],
+    ids=["adaptive-controlled", "const-controlled", "adaptive-dense", "const-dense"],
+)
+def test_non_finite_derivative_fails_fast_in_every_driver(drive, make):
+    # The derivative at the start is NaN: the first trial raises a
+    # SolverError that blames it, after 7 evaluations, not an underflow
+    # after 18 rejections.
+    seen = []
+    with pytest.raises(SolverError, match="the derivative at t=0.0 is not finite") as info:
+        drive(make(), nan_rhs, [1.0], 0.0, 1.0, 0.1, lambda x, t: seen.append(t))
+    assert not isinstance(info.value, StepSizeUnderflowError)
+    report = info.value.partial_report
+    assert report.final_time == 0.0 and report.final_state == [1.0]
+    assert report.steps_attempted == 0  # the raising trial is not counted
+    assert report.system_evaluations == 7
+    assert seen == [0.0]
 
 
 @pytest.mark.parametrize(

@@ -26,8 +26,9 @@ def expgrow(x, dxdt, t):
     dxdt[0] = x[0]
 
 
-def nan_rhs(x, dxdt, t):
-    dxdt[0] = float("nan")
+def nan_after_start(x, dxdt, t):
+    # Finite at the start state, NaN at every later stage.
+    dxdt[0] = -x[0] if t == 0.0 else float("nan")
 
 
 def test_dense_driver_never_evaluates_past_t1():
@@ -56,7 +57,7 @@ def test_dense_driver_final_state_is_the_stepped_state():
 def test_dense_failure_carries_partial_report():
     seen = []
     with pytest.raises(StepSizeUnderflowError) as info:
-        integrate_const(DenseOutputDopri5(), nan_rhs, [1.0], 0.0, 1.0, 0.1,
+        integrate_const(DenseOutputDopri5(), nan_after_start, [1.0], 0.0, 1.0, 0.1,
                         lambda x, t: seen.append(t))
     report = info.value.partial_report
     assert report is not None

@@ -27,6 +27,8 @@ from odekit import (
     SolverError,
     SymplecticEuler,
     harmonic_separable,
+    integrate_adaptive,
+    integrate_const,
 )
 from odekit.algebra import MAX_TERMS, NUMPY_ALGEBRA, NumpyAlgebra, SequenceAlgebra
 from odekit.explicit import ExplicitRungeKutta, _step_code
@@ -251,11 +253,11 @@ def test_step_code_is_generated_once_per_tableau():
             for make in (DormandPrince5, RungeKutta4):
                 stepper = make()
                 stepper.do_step(LORENZ, box(X0), 0.0, 0.01)
-                advances.append((make, stepper._scratch[2][3][0]))
+                advances.append((make, stepper._scratch[1][3][0]))
             dense = DenseOutputDopri5()
             dense.initialize(box(X0), 0.0, 0.01)
             dense.do_step(LORENZ)
-            advances.append((DormandPrince5, dense.stepper._scratch[2][3][0]))
+            advances.append((DormandPrince5, dense.stepper._scratch[1][3][0]))
     info = _step_code.cache_info()
     assert (info.misses, info.currsize) == (2, 2)
     # Every stepper of a tableau runs the one compiled step.
@@ -343,19 +345,56 @@ def test_scratch_rebinds_when_the_state_changes(kind):
 
 
 @pytest.mark.parametrize("kind", OWNERS)
-def test_list_buffers_serve_an_array_of_the_same_length(kind):
-    # A fresh stepper cannot clone an array.array('d') (its constructor
-    # wants a type code), but one that stepped a list of the same length
-    # steps it on the list's buffers, with the list's arithmetic.
+def test_a_warmed_stepper_answers_an_array_as_a_fresh_one(kind):
+    # The default backend cannot build an array.array('d') (its
+    # constructor wants a type code).  A stepper that stepped a list of
+    # the same length answers it as a fresh stepper does: one cache key.
     make, step = OWNERS[kind]
     x0 = [1.0, 2.0, 3.0, 4.0][: 3 if kind in ("explicit", "controlled", "dense") else 4]
     owner = make()
-    from_list = parts(step(owner, list(x0)))
-    from_array = parts(step(owner, array.array("d", x0)))
-    # calc_state clones its list buffers for the interpolated state.
-    container = list if kind == "dense" else array.array
-    assert all(type(v) is container for v in from_array)
-    assert [list(v) for v in from_array] == [list(v) for v in from_list]
+    step(owner, list(x0))
+    outcomes = []
+    for stepper in (owner, make()):
+        try:
+            outcomes.append(outcome(step, stepper, array.array("d", x0)))
+        except TypeError as exc:
+            outcomes.append((TypeError, str(exc)))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] is TypeError
+
+
+class ArrayAlgebra(SequenceAlgebra):
+    """The sequence arithmetic on ``array.array('d')`` states, which
+    the default backend cannot build."""
+
+    def clone_shape(self, src):
+        return array.array("d", bytes(8 * len(src)))
+
+
+TIGHT = ControllerParams(atol=1e-8, rtol=1e-8)
+DRIVERS = {
+    "const-rk4": lambda a: (integrate_const, RungeKutta4(a)),
+    "const-controlled": lambda a: (integrate_const, ControlledStepper(DormandPrince5(a), TIGHT)),
+    "const-dense": lambda a: (integrate_const, DenseOutputDopri5(TIGHT, a)),
+    "adaptive-controlled": lambda a: (integrate_adaptive, ControlledStepper(DormandPrince5(a), TIGHT)),
+    "adaptive-dense": lambda a: (integrate_adaptive, DenseOutputDopri5(TIGHT, a)),
+}
+
+
+@pytest.mark.parametrize("run", DRIVERS)
+def test_every_driver_runs_on_the_steppers_algebra(run):
+    # The stepper's backend makes the run's working copy and every
+    # buffer of the stack, the controller's included; the array run is
+    # the list run, bit for bit.
+    runs = []
+    for algebra, box in ((ArrayAlgebra(), lambda v: array.array("d", v)), (None, list)):
+        drive, stepper = DRIVERS[run](algebra)
+        seen = []
+        report = drive(stepper, LORENZ, box(X0), 0.0, 0.5, 0.05, lambda x, t: seen.append((t, x)))
+        runs.append((type(report.final_state), array.array("d", report.final_state).tobytes(),
+                     seen, report.steps_accepted, report.steps_rejected, report.system_evaluations))
+    assert (runs[0][0], runs[1][0]) == (array.array, list)
+    assert runs[0][1:] == runs[1][1:]
 
 
 def test_a_tuple_is_refused_after_a_list_of_its_length():
@@ -395,7 +434,7 @@ def counted_ratio(base, on_instance):
 
 @pytest.mark.parametrize("on_instance", [False, True], ids=["class", "instance"])
 @pytest.mark.parametrize("box", [list, np.array], ids=["list", "numpy"])
-@pytest.mark.parametrize("kind", ["controlled", "dense"])
+@pytest.mark.parametrize("kind", ["controlled", "stepper", "dense"])
 def test_custom_error_ratio_receives_one_call_per_trial(kind, box, on_instance):
     algebra = counted_ratio(NumpyAlgebra if box is np.array else SequenceAlgebra, on_instance)
     params = ControllerParams(atol=1e-8, rtol=1e-8)
@@ -403,6 +442,8 @@ def test_custom_error_ratio_receives_one_call_per_trial(kind, box, on_instance):
     for chosen in (algebra, None):
         if kind == "dense":
             stepper = DenseOutputDopri5(params, chosen)
+        elif kind == "stepper":  # the controller takes its stepper's algebra
+            stepper = ControlledStepper(DormandPrince5(chosen), params)
         else:
             stepper = ControlledStepper(DormandPrince5(chosen), params, chosen)
         x, t, dt, ratios = box(X0), 0.0, 0.05, []  # the first trial is rejected
@@ -415,6 +456,13 @@ def test_custom_error_ratio_receives_one_call_per_trial(kind, box, on_instance):
     assert runs[0] == runs[1]  # the custom path computes the same bits
 
 
+def test_the_controllers_own_algebra_wins_over_its_steppers():
+    algebra = counted_ratio(SequenceAlgebra, on_instance=False)
+    controller = ControlledStepper(DormandPrince5(SequenceAlgebra()), algebra=algebra)
+    controller.try_step(LORENZ, list(X0), 0.0, 0.01)
+    assert algebra.calls == 1
+
+
 def test_controlled_trial_ratio_allocates_no_state_sized_array():
     # The (3, 10000) ensemble state: the formula's temporaries took
     # about 229 page faults per call.
@@ -422,7 +470,7 @@ def test_controlled_trial_ratio_allocates_no_state_sized_array():
     x = np.vstack([rng.uniform(-10, 10, 10_000) for _ in range(3)])
     controller = ControlledStepper(DormandPrince5())
     controller.try_step(LORENZ, x, 0.0, 1e-3)  # warm-up binds the scratch
-    _, (_, xerr, dxdt, *_), _, ratio = controller._scratch[2]
+    _, (_, xerr, dxdt, *_), _, ratio = controller._scratch[1]
     ratio(xerr, x, dxdt, 1e-6, 1e-6, 1e-3)
     peaks = []
     for call in (ratio, NUMPY_ALGEBRA.error_ratio_max):
