@@ -18,12 +18,14 @@ def main():
     dense = DenseOutputDopri5()
     dense.initialize(np.array([1.0, 0.0]), 0.0, 0.1)
     dense.do_step(counter)
+    steps = 1  # each do_step call is one accepted step
 
     t_grid = 0.0
     print(f"{'t':>6} {'q interp':>12} {'q exact':>12} {'|err|':>9}")
     while t_grid <= 10.0:
         while dense.current_time < t_grid:
             dense.do_step(counter)
+            steps += 1
         evals_before = counter.count
         q = dense.calc_state(t_grid)[0]
         assert counter.count == evals_before
@@ -32,7 +34,7 @@ def main():
                   f"{abs(q - math.cos(t_grid)):9.2e}")
         t_grid += 0.25
 
-    print(f"\n{dense.steps_accepted} accepted steps, {counter.count} evaluations, "
+    print(f"\n{steps} accepted steps, {counter.count} evaluations, "
           f"41 grid queries at no evaluation cost")
 
 

@@ -207,6 +207,18 @@ def algebra_of(owner, x) -> Algebra:
     return algebra_for(x) if algebra is None else algebra
 
 
+def _initial_copy(owner, x0):
+    """``owner``'s backend and its copy of a run's initial state, refused if empty or non-finite."""
+    algebra = algebra_of(owner, x0)
+    x = algebra.clone_shape(x0)
+    algebra.copy(x, x0)
+    if 0 in getattr(x, "shape", (len(x),)):
+        raise DimensionError("the initial state is empty")
+    if not np.isfinite(x).all():
+        raise ValueError("the initial state is not finite")
+    return algebra, x
+
+
 def _kernel_table(algebra, buffers):
     return [algebra._kernel(k) for k in range(MAX_TERMS + 1)]
 

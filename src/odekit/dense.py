@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 
-from .algebra import algebra_of, scratch
+from .algebra import _initial_copy, scratch
 from .controlled import ControlledStepper
 from .explicit import DormandPrince5
 
@@ -57,21 +57,17 @@ class DenseOutputDopri5:
         self.reset()
 
     def reset(self):
-        """Drop the interpolant, the controller's caches, and the counters."""
+        """Drop the interpolant and the controller's caches."""
         self.controller.reset()
         # (t_prev, t_cur, width, algebra, kernels, buffers) of the interpolant
         self._span = None
-        self.last_error_ratio = None
-        self.steps_attempted = self.steps_accepted = self.steps_rejected = 0
 
     def initialize(self, x0, t0, dt0):
-        """Set the start state, start time, and first width proposal;
-        the time must be finite, the width finite and positive."""
+        """Set the start state, start time, and first width proposal:
+        all finite, the state non-empty, the width positive."""
         if not (math.isfinite(t0) and 0.0 < dt0 < math.inf):
             raise ValueError("need a finite start time and a finite positive width proposal")
-        self._algebra = algebra = algebra_of(self, x0)
-        self._x = algebra.clone_shape(x0)
-        algebra.copy(self._x, x0)
+        self._algebra, self._x = _initial_copy(self, x0)
         self._t = t0
         self._dt = dt0
         self.reset()
@@ -113,12 +109,8 @@ class DenseOutputDopri5:
         self._span = None
         copy(x_prev, x)
         result = self.controller.try_step(system, x, t, dt)
-        self.steps_attempted += 1
-        self.last_error_ratio = result.error_ratio
         if not result.accepted:
-            self.steps_rejected += 1
             return result
-        self.steps_accepted += 1
 
         k = self.controller.last_stage_record.derivatives
         # Interpolation coefficients, Horner-ready:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import algebra_of
+from .algebra import _initial_copy
 from .errors import SolverError
 
 # Grid times within this fraction of a width of the interval end are
@@ -81,8 +81,8 @@ def _grid(t0, t1, dt):
 
 def _start(stepper, x0, t0, t1, dt, observer):
     """Check the run's bounds, then return a floating working copy of
-    the initial state, made by the stepper's backend and observed at
-    ``t0``."""
+    the initial state, made by the stepper's backend, checked before
+    any evaluation, and observed at ``t0``."""
     try:
         finite = math.isfinite(t0) and math.isfinite(t1) and math.isfinite(dt)
     except OverflowError:  # an int beyond the float range
@@ -93,9 +93,7 @@ def _start(stepper, x0, t0, t1, dt, observer):
         raise ValueError("end time must exceed start time")
     if dt <= 0.0:
         raise ValueError("step or grid width must be positive")
-    algebra = algebra_of(stepper, x0)
-    x = algebra.clone_shape(x0)
-    algebra.copy(x, x0)
+    x = _initial_copy(stepper, x0)[1]
     if observer is not None:
         observer(_readonly(x), t0)
     return x

@@ -9,6 +9,9 @@ import numpy as np
 
 from .symplectic import SeparableHamiltonian
 
+# Errors at or below this are rounding noise and stay out of an order fit.
+UNDERFLOW = 1e-13
+
 
 @dataclass
 class NamedSystem:
@@ -189,7 +192,7 @@ class OrderStudy:
 
     ``slope`` is NaN when fewer than two points survive the underflow
     cut; ``excluded`` lists the ``(dt, error)`` pairs that were
-    dropped because their error fell below the cut.
+    dropped because their error was at most ``UNDERFLOW``.
     """
 
     slope: float
@@ -198,16 +201,15 @@ class OrderStudy:
     excluded: tuple = field(default_factory=tuple)
 
 
-def fit_order(dts, errors, underflow=1e-13):
-    """Fit the observed convergence order from paired dt/error data."""
+def fit_order(dts, errors):
+    """Fit the observed convergence order to the dt/error pairs above ``UNDERFLOW``."""
     if len(dts) != len(errors):
         raise ValueError("dt and error lists differ in length")
-    used = [(d, e) for d, e in zip(dts, errors) if e > underflow]
-    excluded = tuple((d, e) for d, e in zip(dts, errors) if e <= underflow)
+    used = [(d, e) for d, e in zip(dts, errors) if e > UNDERFLOW]
+    excluded = tuple((d, e) for d, e in zip(dts, errors) if e <= UNDERFLOW)
     if len(used) < 2:
-        return OrderStudy(float("nan"), tuple(dts), tuple(errors), excluded)
-    logs_d = np.log([d for d, _ in used])
-    logs_e = np.log([e for _, e in used])
+        return OrderStudy(math.nan, tuple(dts), tuple(errors), excluded)
+    logs_d, logs_e = np.log(used).T
     slope = float(np.polyfit(logs_d, logs_e, 1)[0])
     return OrderStudy(slope, tuple(dts), tuple(errors), excluded)
 
@@ -225,8 +227,8 @@ def _check_geometric(dt_list):
             raise ValueError("step widths must form a geometric progression")
 
 
-def order_study(stepper, system, x0, t0, t1, dt_list, underflow=1e-13):
-    """Run fixed-step integrations at each width and fit the slope.
+def order_study(stepper, system, x0, t0, t1, dt_list):
+    """Run fixed-step integrations at each width; fit the errors above ``UNDERFLOW``.
 
     ``system`` must carry an exact solution, and a Jacobian for
     steppers that need one.  Widths must divide the interval.
@@ -235,7 +237,8 @@ def order_study(stepper, system, x0, t0, t1, dt_list, underflow=1e-13):
         raise ValueError("end time must exceed start time")
     _check_geometric(dt_list)
     if system.exact is None:
-        raise ValueError(f"system '{system.name}' has no exact solution")
+        solvable = ", ".join(sorted(n for n, s in SYSTEMS.items() if s.exact))
+        raise ValueError(f"system '{system.name}' has no exact solution (choose from: {solvable})")
     x0 = tuple(system.default_state if x0 is None else x0)
     span = t1 - t0
     reference = np.asarray(system.exact(x0, t0, t1), dtype=float)
@@ -248,4 +251,4 @@ def order_study(stepper, system, x0, t0, t1, dt_list, underflow=1e-13):
         for k in range(steps):
             stepper.do_step(system, x, t0 + k * dt, dt)
         errors.append(float(np.max(np.abs(x - reference))))
-    return fit_order(dt_list, errors, underflow)
+    return fit_order(dt_list, errors)

@@ -15,7 +15,7 @@ from odekit import (
     get_system,
     integrate_const,
 )
-from odekit.cli import run_cli
+from odekit.cli import STEPPERS, run_cli
 
 
 def run_proc(*args):
@@ -108,9 +108,22 @@ def test_order_euler_slope(capsys):
     assert 0.9 <= value <= 1.1
 
 
+@pytest.mark.parametrize("name", list(STEPPERS))
+def test_order_fits_the_scheme_under_every_stepper(name, capsys):
+    # Controlled and dense steppers are studied through the scheme
+    # they wrap, the one their ``stepper`` attribute holds.
+    code = run_cli(["order", "--system", "expdecay", "--stepper", name])
+    assert code == 0
+    label, value = capsys.readouterr().out.splitlines()[-1].split(",")
+    stepper = STEPPERS[name](None)
+    assert label == "slope"
+    assert abs(float(value) - getattr(stepper, "stepper", stepper).order) <= 0.3
+
+
 def test_order_rejects_system_without_exact(capsys):
     code = run_cli(["order", "--system", "lorenz", "--stepper", "rk4"])
     assert code == 1
+    assert "choose from: expdecay, harmonic, stiff2" in capsys.readouterr().err
 
 
 def test_bench_lists_counters(capsys):

@@ -11,6 +11,7 @@ from odekit import (
     DenseOutputDopri5,
     EvaluationCounter,
     HARMONIC,
+    integrate_adaptive,
 )
 
 
@@ -84,7 +85,10 @@ def test_step_reports_positive_interval_and_tolerated_error():
     d.initialize(np.array([1.0, 0.0]), 0.0, 0.01)
     t_prev, t_cur = d.do_step(HARMONIC)
     assert t_cur > t_prev == 0.0
-    assert d.last_error_ratio <= 1.0
+    # A trial's error ratio lives in its StepResult alone.
+    result = d.try_step(HARMONIC, d.current_state, t_cur, 0.01)
+    assert result.accepted and 0.0 <= result.error_ratio <= 1.0
+    assert d.interval == (t_cur, result.t)
 
 
 def test_consecutive_intervals_abut_exactly():
@@ -181,14 +185,23 @@ def test_calc_state_out_buffer():
     assert buf[0] == pytest.approx(d.current_state[0], rel=1e-12)
 
 
-def test_step_counters():
-    d = DenseOutputDopri5()
-    d.initialize(np.array([1.0]), 0.0, 0.05)
-    d.do_step(expgrow)
-    d.do_step(expgrow)
-    assert d.steps_accepted == 2
-    assert d.steps_attempted >= d.steps_accepted
-    assert d.steps_rejected == d.steps_attempted - d.steps_accepted
+def test_trials_are_counted_by_the_walk_and_each_step_result_only():
+    # One ledger: a run's trials in its IntegrationReport, a trial's
+    # outcome and error ratio in its StepResult, none on the stepper.
+    outcomes = []
+
+    class Spy(DenseOutputDopri5):
+        def try_step(self, system, x, t, dt):
+            result = super().try_step(system, x, t, dt)
+            outcomes.append(result.accepted)
+            return result
+
+    spy = Spy()
+    report = integrate_adaptive(spy, expgrow, [1.0], 0.0, 1.0, 5.0)
+    assert report.steps_accepted == outcomes.count(True)
+    assert report.steps_rejected == outcomes.count(False) > 0
+    for name in ("steps_attempted", "steps_accepted", "steps_rejected", "last_error_ratio"):
+        assert not hasattr(spy, name)
 
 
 def test_list_states_supported():

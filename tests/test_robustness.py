@@ -1,7 +1,7 @@
 """Clean state per run, accepted steps that never raise, named failure
 causes, partial reports from every controlled run, integer states,
-bounds checked at the manual stepping entry points, and errors that
-survive pickling."""
+initial states checked at every run entry, bounds checked at the
+manual stepping entry points, and errors that survive pickling."""
 
 import math
 import pickle
@@ -15,9 +15,12 @@ from odekit import (
     ControllerParams,
     ConvergenceError,
     DenseOutputDopri5,
+    DimensionError,
     DormandPrince5,
     HARMONIC,
+    ImplicitEuler,
     IntegrationReport,
+    JacobianSystem,
     LORENZ,
     RungeKutta4,
     SingularMatrixError,
@@ -154,6 +157,61 @@ def test_integer_state_through_integrate_adaptive():
     assert report.final_state.dtype == np.float64
     assert report.final_state[0] == pytest.approx(np.exp(-1.0), rel=1e-5)
     assert x0[0]
+
+
+BAD_INITIAL_STATES = [
+    ([], DimensionError),
+    ([math.nan], ValueError),
+    ([1.0, math.inf], ValueError),
+]
+
+
+def _start_dense(stepper, system, x0, t0, t1, dt, observer):
+    stepper.initialize(x0, t0, dt)
+
+
+@pytest.mark.parametrize("container", [list, np.array], ids=["list", "numpy"])
+@pytest.mark.parametrize("x0, error", BAD_INITIAL_STATES, ids=["empty", "nan", "inf"])
+@pytest.mark.parametrize(
+    "drive, make",
+    [(integrate_const, RungeKutta4),
+     (integrate_const, ImplicitEuler),
+     (integrate_const, lambda: ControlledStepper(DormandPrince5())),
+     (integrate_const, DenseOutputDopri5),
+     (integrate_adaptive, lambda: ControlledStepper(DormandPrince5())),
+     (integrate_adaptive, DenseOutputDopri5),
+     (_start_dense, DenseOutputDopri5)],
+    ids=["const-rk4", "const-implicit", "const-controlled", "const-dense",
+         "adaptive-controlled", "adaptive-dense", "initialize"],
+)
+def test_bad_initial_state_is_refused_before_any_call(drive, make, x0, error, container):
+    # An empty state has no error ratio and a non-finite one no
+    # trajectory: every run entry refuses both before the rhs or the
+    # observer sees anything, for lists and numpy alike.
+    calls, seen = [], []
+
+    def rhs(x, dxdt, t):
+        calls.append(t)
+        for i in range(len(x)):
+            dxdt[i] = -x[i]
+
+    def jacobian(x, jac, t):
+        jac[...] = -np.eye(len(x))
+
+    system = JacobianSystem(rhs, jacobian)
+    with pytest.raises(error, match="initial state") as info:
+        drive(make(), system, container(x0), 0.0, 1.0, 0.1, lambda x, t: seen.append(t))
+    assert isinstance(info.value, DimensionError) == (error is DimensionError)
+    assert calls == [] and seen == []
+
+
+@pytest.mark.parametrize("x0", [[], [math.nan]], ids=["empty", "nan"])
+def test_refused_initialize_keeps_the_session(x0):
+    dense = DenseOutputDopri5()
+    dense.initialize([2.0], 1.0, 0.1)
+    with pytest.raises(ValueError, match="initial state"):
+        dense.initialize(x0, 0.0, 0.1)
+    assert dense.current_state == [2.0] and dense.current_time == 1.0
 
 
 NON_FINITE = [(0.0, math.nan), (0.0, math.inf), (0.0, -math.inf), (math.nan, 0.1), (math.inf, 0.1)]

@@ -86,15 +86,14 @@ def test_dense_try_step_contract():
     x = [1.0]
     rejected = dense.try_step(expgrow, x, 0.0, 5.0)
     assert not rejected.accepted and rejected.t == 0.0 and x == [1.0]
+    assert rejected.error_ratio > 1.0
     with pytest.raises(RuntimeError):
         dense.calc_state(0.0)
     accepted = dense.try_step(expgrow, x, 0.0, 0.01)
-    assert accepted.accepted
+    assert accepted.accepted and accepted.error_ratio <= 1.0
     assert dense.interval == (0.0, accepted.t)
     assert dense.calc_state(0.0) == [1.0]
-    assert (dense.steps_attempted, dense.steps_accepted, dense.steps_rejected) == (2, 1, 1)
     dense.reset()
-    assert dense.steps_attempted == 0
     with pytest.raises(RuntimeError):
         dense.calc_state(0.0)
 
