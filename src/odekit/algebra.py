@@ -94,8 +94,7 @@ class Algebra:
         if self._ratio is None:
             raise NotImplementedError
         self._check_shapes(x, xerr, dxdt)
-        if 0 in getattr(x, "shape", (len(x),)):
-            raise DimensionError("the error ratio of an empty state is undefined")
+        _refuse_empty(x, "the error ratio of an empty state is undefined")
         return self._ratio(self.clone_shape(x), self.clone_shape(x))(xerr, x, dxdt, atol, rtol, dt)
 
     def copy(self, out, src):
@@ -207,13 +206,18 @@ def algebra_of(owner, x) -> Algebra:
     return algebra_for(x) if algebra is None else algebra
 
 
+def _refuse_empty(x, message):
+    """Raise :class:`DimensionError` with ``message`` when ``x`` holds no element."""
+    if 0 in getattr(x, "shape", (len(x),)):
+        raise DimensionError(message)
+
+
 def _initial_copy(owner, x0):
     """``owner``'s backend and its copy of a run's initial state, refused if empty or non-finite."""
     algebra = algebra_of(owner, x0)
     x = algebra.clone_shape(x0)
     algebra.copy(x, x0)
-    if 0 in getattr(x, "shape", (len(x),)):
-        raise DimensionError("the initial state is empty")
+    _refuse_empty(x, "the initial state is empty")
     if not np.isfinite(x).all():
         raise ValueError("the initial state is not finite")
     return algebra, x
@@ -230,15 +234,17 @@ def scratch(owner, x, count, bind=_kernel_table):
     The backend is :func:`algebra_of` ``owner``.  ``owner._scratch``
     caches ``(tag, result)``: a call whose tag, ``type(x)`` and
     ``len(x)`` (shape and dtype for numpy states), matches returns the
-    cached result at once.  Any other state gets new buffers, checked
-    and bound again, so a stepper answers a state as a fresh one would,
-    and a step allocates no state-sized memory.  Returns
+    cached result at once.  Any other state is refused when empty,
+    else gets new buffers, checked and bound again, so a stepper
+    answers it as a fresh one would, and a step allocates no
+    state-sized memory.  Returns
     ``(algebra, buffers, copy, bound)``.
     """
     tag = (x.shape, x.dtype) if isinstance(x, np.ndarray) else (type(x), len(x))
     cached = owner._scratch
     if cached is not None and cached[0] == tag:
         return cached[1]
+    _refuse_empty(x, "an empty state cannot be stepped")
     algebra = algebra_of(owner, x)
     buffers = [algebra.clone_shape(x) for _ in range(count)]
     algebra._check_shapes(x, *buffers)

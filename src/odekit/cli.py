@@ -10,6 +10,7 @@ errors, 2 on numerical failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import sys
 
@@ -21,8 +22,7 @@ from .implicit import ImplicitEuler
 from .integrate import integrate_const
 from .systems import get_system, order_study
 
-# Name -> factory taking the controller parameters.  Order studies
-# step with the scheme underneath a controlled or dense stepper.
+# Name -> factory taking the controller parameters.
 STEPPERS = {
     "euler": lambda params: ExplicitEuler(),
     "rk4": lambda params: RungeKutta4(),
@@ -78,39 +78,33 @@ def _parse_x0(text, system):
 
 def _cmd_integrate(args):
     system = get_system(args.system)
-    params = ControllerParams(atol=args.atol, rtol=args.rtol)
-    stepper = _make_stepper(args.stepper, params)
-    if args.t1 <= args.t0:
-        raise ValueError("--t1 must exceed --t0")
-    if args.dt <= 0.0:
-        raise ValueError("--dt must be positive")
+    stepper = _make_stepper(args.stepper, ControllerParams(atol=args.atol, rtol=args.rtol))
     x0 = _parse_x0(args.x0, system)
+    out = None
 
-    out = open(args.out, "w", newline="") if args.out else sys.stdout
-    try:
-        out.write("t," + ",".join(f"x{i}" for i in range(system.dimension)) + "\n")
+    def observer(x, t):
+        nonlocal out
+        if out is None:  # the driver's call at t0, once it accepted the run
+            out = files.enter_context(open(args.out, "w", newline="")) if args.out else sys.stdout
+            out.write("t," + ",".join(f"x{i}" for i in range(system.dimension)) + "\n")
+        out.write(_fmt(t) + "," + ",".join(_fmt(v) for v in x) + "\n")
 
-        def observer(x, t):
-            out.write(_fmt(t) + "," + ",".join(_fmt(v) for v in x) + "\n")
-
+    with contextlib.ExitStack() as files:
         integrate_const(stepper, system, x0, args.t0, args.t1, args.dt, observer)
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 0
 
 
 def _cmd_order(args):
     system = get_system(args.system)
     stepper = _make_stepper(args.stepper)
-    stepper = getattr(stepper, "stepper", stepper)
     x0 = None if args.x0 is None else _parse_x0(args.x0, system)
     dts = [args.dt * 0.5**k for k in range(args.levels)]
     study = order_study(stepper, system, x0, args.t0, args.t1, dts)
     excluded = set(study.excluded)
     print("dt,error,status")
     for d, e in zip(study.dts, study.errors):
-        status = "underflow" if (d, e) in excluded else "used"
+        dropped = "underflow" if math.isfinite(e) else "not finite"
+        status = dropped if (d, e) in excluded else "used"
         print(f"{_fmt(d)},{_fmt(e)},{status}")
     print(f"slope,{_fmt(study.slope)}")
     return 0
@@ -123,12 +117,11 @@ def _cmd_bench(args):
         raise ValueError("no stepper names given")
     params = ControllerParams(atol=args.atol, rtol=args.rtol)
     steppers = [(name, _make_stepper(name, params)) for name in names]
-    if args.t1 <= args.t0 or args.dt <= 0.0:
-        raise ValueError("need --t1 above --t0 and positive --dt")
     x0 = _parse_x0(args.x0, system)
-    print("stepper,steps_attempted,steps_accepted,steps_rejected,system_evaluations")
     for name, stepper in steppers:
         report = integrate_const(stepper, system, x0, args.t0, args.t1, args.dt)
+        if stepper is steppers[0][1]:  # the driver accepted the first run
+            print("stepper,steps_attempted,steps_accepted,steps_rejected,system_evaluations")
         print(
             f"{name},{report.steps_attempted},{report.steps_accepted},"
             f"{report.steps_rejected},{report.system_evaluations}"
@@ -136,15 +129,16 @@ def _cmd_bench(args):
     return 0
 
 
-def _add_shared(parser, t1_default=None):
+def _add_shared(parser, t1_default=None, tolerances=True):
     parser.add_argument("--system", required=True, help="system name")
     parser.add_argument("--stepper", required=True, help="stepper name")
     parser.add_argument("--t0", type=_finite, default=0.0)
     parser.add_argument(
         "--t1", type=_finite, required=t1_default is None, default=t1_default
     )
-    parser.add_argument("--atol", type=_finite, default=1e-6)
-    parser.add_argument("--rtol", type=_finite, default=1e-6)
+    if tolerances:
+        parser.add_argument("--atol", type=_finite, default=1e-6)
+        parser.add_argument("--rtol", type=_finite, default=1e-6)
     parser.add_argument("--x0", help="comma separated initial state")
 
 
@@ -159,7 +153,7 @@ def build_parser():
     p_int.set_defaults(func=_cmd_integrate)
 
     p_ord = sub.add_parser("order", help="fit the observed convergence order")
-    _add_shared(p_ord, t1_default=1.0)
+    _add_shared(p_ord, t1_default=1.0, tolerances=False)
     p_ord.add_argument("--dt", type=_finite, default=0.2, help="coarsest step width")
     p_ord.add_argument("--levels", type=int, default=5, help="number of halvings")
     p_ord.set_defaults(func=_cmd_order)

@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .integrate import integrate_const
 from .symplectic import SeparableHamiltonian
 
 # Errors at or below this are rounding noise and stay out of an order fit.
@@ -29,7 +30,6 @@ class NamedSystem:
     jacobian: object = None
     exact: object = None
     default_state: tuple = ()
-    description: str = ""
 
     def __call__(self, x, dxdt, t):
         return self.rhs(x, dxdt, t)
@@ -60,7 +60,6 @@ def make_lorenz(sigma=10.0, rho=28.0, beta=8.0 / 3.0):
         rhs=rhs,
         jacobian=jacobian,
         default_state=(10.0, 10.0, 10.0),
-        description=f"Lorenz flow, sigma={sigma}, rho={rho}, beta={beta}",
     )
 
 
@@ -89,7 +88,6 @@ HARMONIC = NamedSystem(
     jacobian=_harmonic_jacobian,
     exact=_harmonic_exact,
     default_state=(1.0, 0.0),
-    description="unit harmonic oscillator as (position, velocity)",
 )
 
 
@@ -112,7 +110,6 @@ EXPDECAY = NamedSystem(
     jacobian=_expdecay_jacobian,
     exact=_expdecay_exact,
     default_state=(1.0,),
-    description="scalar exponential decay",
 )
 
 # Upper triangular two-by-two with eigenvalues -1 and -1e6; the spread
@@ -147,7 +144,6 @@ STIFF2 = NamedSystem(
     jacobian=_stiff2_jacobian,
     exact=_stiff2_exact,
     default_state=(1.0, 1.0),
-    description="stiff linear pair, rates 1 and 1e6",
 )
 
 LORENZ = make_lorenz()
@@ -190,9 +186,9 @@ def harmonic_energy(q, p):
 class OrderStudy:
     """Least-squares fit of log(error) against log(dt).
 
-    ``slope`` is NaN when fewer than two points survive the underflow
-    cut; ``excluded`` lists the ``(dt, error)`` pairs that were
-    dropped because their error was at most ``UNDERFLOW``.
+    ``slope`` is NaN when fewer than two points survive the cut;
+    ``excluded`` lists the ``(dt, error)`` pairs that were dropped
+    because their error was at most ``UNDERFLOW`` or not finite.
     """
 
     slope: float
@@ -202,11 +198,13 @@ class OrderStudy:
 
 
 def fit_order(dts, errors):
-    """Fit the observed convergence order to the dt/error pairs above ``UNDERFLOW``."""
+    """Fit the observed convergence order to the dt/error pairs whose
+    error is finite and above ``UNDERFLOW``."""
     if len(dts) != len(errors):
         raise ValueError("dt and error lists differ in length")
-    used = [(d, e) for d, e in zip(dts, errors) if e > UNDERFLOW]
-    excluded = tuple((d, e) for d, e in zip(dts, errors) if e <= UNDERFLOW)
+    pairs = tuple(zip(dts, errors))
+    used = [p for p in pairs if UNDERFLOW < p[1] < math.inf]
+    excluded = tuple(p for p in pairs if not UNDERFLOW < p[1] < math.inf)
     if len(used) < 2:
         return OrderStudy(math.nan, tuple(dts), tuple(errors), excluded)
     logs_d, logs_e = np.log(used).T
@@ -228,27 +226,27 @@ def _check_geometric(dt_list):
 
 
 def order_study(stepper, system, x0, t0, t1, dt_list):
-    """Run fixed-step integrations at each width; fit the errors above ``UNDERFLOW``.
+    """Run :func:`integrate_const` at each width; fit the errors above ``UNDERFLOW``.
 
+    A controlled or dense-output stepper is studied through the scheme
+    it wraps, its ``stepper``: adapting would hide the width.
     ``system`` must carry an exact solution, and a Jacobian for
-    steppers that need one.  Widths must divide the interval.
+    steppers that need one.  ``x0`` None starts from the system's
+    ``default_state``.  Each width must end the driver's grid on
+    ``t1``; the driver refuses an empty interval and an empty or
+    non-finite ``x0`` before any evaluation.
     """
-    if t1 <= t0:
-        raise ValueError("end time must exceed start time")
     _check_geometric(dt_list)
     if system.exact is None:
         solvable = ", ".join(sorted(n for n, s in SYSTEMS.items() if s.exact))
         raise ValueError(f"system '{system.name}' has no exact solution (choose from: {solvable})")
-    x0 = tuple(system.default_state if x0 is None else x0)
-    span = t1 - t0
-    reference = np.asarray(system.exact(x0, t0, t1), dtype=float)
+    x0 = list(system.default_state) if x0 is None else x0
+    scheme = getattr(stepper, "stepper", stepper)
     errors = []
     for dt in dt_list:
-        steps = round(span / dt)
-        if steps < 1 or abs(steps * dt - span) > 1e-8 * abs(span):
+        report = integrate_const(scheme, system, x0, t0, t1, dt)
+        if report.final_time != t1:
             raise ValueError(f"width {dt!r} does not divide the interval")
-        x = np.array(x0, dtype=float)
-        for k in range(steps):
-            stepper.do_step(system, x, t0 + k * dt, dt)
-        errors.append(float(np.max(np.abs(x - reference))))
+        reference = system.exact(x0, t0, t1)
+        errors.append(float(np.max(np.abs(np.subtract(report.final_state, reference)))))
     return fit_order(dt_list, errors)

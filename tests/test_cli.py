@@ -1,5 +1,6 @@
 """Command line interface: golden equivalence with the library, exit codes."""
 
+import math
 import subprocess
 import sys
 
@@ -173,14 +174,46 @@ SHARED = ["--system", "expdecay", "--stepper", "rk4"]
         (["order", *SHARED, "--levels", "2"], "at least three"),
         (["integrate", *SHARED, "--t1", "inf", "--dt", "0.1"], "not a finite number"),
         (["integrate", "--system", "harmonic"], "required"),
+        (["order", *SHARED, "--atol", "1e-3"], "unrecognized arguments: --atol"),
+    ]
+    + [
+        ([command, *SHARED, "--t1", "1", "--dt", "0.1", *bad], reason)
+        for command in ("integrate", "bench")
+        for bad, reason in [
+            (["--x0", "nan"], "initial state is not finite"),
+            (["--x0", "inf"], "initial state is not finite"),
+            (["--t0", "2"], "end time must exceed start time"),
+            (["--dt", "-0.1"], "width must be positive"),
+        ]
     ],
 )
 def test_usage_error_is_one_stderr_line(argv, reason, capsys):
+    # The library checks every bound and state; nothing reaches stdout
+    # before it accepts the run.
     assert run_cli(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert reason in captured.err and "Traceback" not in captured.err
+
+
+def test_refused_integrate_creates_no_output_file(tmp_path):
+    out = tmp_path / "refused.csv"
+    argv = ["integrate", *SHARED, "--t1", "1", "--dt", "0.5", "--x0", "nan", "--out", str(out)]
+    assert run_cli(argv) == 1
+    assert not out.exists()
+
+
+def test_order_marks_non_finite_errors(capsys):
+    # Explicit Euler blows up on the stiff pair; its NaN errors are
+    # listed as dropped, not fitted.
+    assert run_cli(["order", "--system", "stiff2", "--stepper", "euler"]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:-1]]
+    assert rows and all(
+        status == ("used" if math.isfinite(float(error)) else "not finite")
+        for _, error, status in rows
+    )
+    assert any(status == "not finite" for _, _, status in rows)
 
 
 def test_unknown_system_lists_options():

@@ -1,7 +1,7 @@
 """Clean state per run, accepted steps that never raise, named failure
 causes, partial reports from every controlled run, integer states,
-initial states checked at every run entry, bounds checked at the
-manual stepping entry points, and errors that survive pickling."""
+initial states checked at every run entry, empty states and bounds
+checked at the manual stepping entry points, and errors that survive pickling."""
 
 import math
 import pickle
@@ -22,10 +22,13 @@ from odekit import (
     IntegrationReport,
     JacobianSystem,
     LORENZ,
+    PairState,
     RungeKutta4,
+    SeparableHamiltonian,
     SingularMatrixError,
     SolverError,
     StepSizeUnderflowError,
+    SymplecticEuler,
     integrate_adaptive,
     integrate_const,
 )
@@ -203,6 +206,33 @@ def test_bad_initial_state_is_refused_before_any_call(drive, make, x0, error, co
         drive(make(), system, container(x0), 0.0, 1.0, 0.1, lambda x, t: seen.append(t))
     assert isinstance(info.value, DimensionError) == (error is DimensionError)
     assert calls == [] and seen == []
+
+
+MANUAL_STEPS = {
+    "rk4": lambda sys, x: RungeKutta4().do_step(sys, x, 0.0, 0.1),
+    "with-error": lambda sys, x: CashKarp54().do_step_with_error(sys, x, 0.0, 0.1),
+    "implicit": lambda sys, x: ImplicitEuler().do_step(sys, x, 0.0, 0.1),
+    "controlled": lambda sys, x: ControlledStepper(DormandPrince5()).try_step(sys, x, 0.0, 0.1),
+    "dense": lambda sys, x: DenseOutputDopri5().try_step(sys, x, 0.0, 0.1),
+    "symplectic": lambda sys, x: SymplecticEuler().do_step(
+        SeparableHamiltonian(sys, sys), PairState(x, x), 0.0, 0.1),
+}
+
+
+@pytest.mark.parametrize("container", [list, np.array], ids=["list", "numpy"])
+@pytest.mark.parametrize("step", MANUAL_STEPS.values(), ids=MANUAL_STEPS.keys())
+def test_manual_step_on_an_empty_state_is_refused_before_any_call(step, container):
+    # The stepper's scratch refuses an empty state when it binds, so
+    # lists and numpy fail alike and the rhs never runs.
+    calls = []
+
+    def rhs(*args):
+        calls.append(args)
+
+    system = JacobianSystem(rhs, rhs)
+    with pytest.raises(DimensionError, match="empty"):
+        step(system, container([]))
+    assert calls == []
 
 
 @pytest.mark.parametrize("x0", [[], [math.nan]], ids=["empty", "nan"])

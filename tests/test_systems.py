@@ -11,6 +11,9 @@ from odekit import (
     LORENZ,
     STIFF2,
     SYSTEMS,
+    ControlledStepper,
+    DenseOutputDopri5,
+    DormandPrince5,
     ExplicitEuler,
     ImplicitEuler,
     NamedSystem,
@@ -160,16 +163,21 @@ def test_fit_order_recovers_slope():
     assert study.excluded == ()
 
 
-def test_fit_order_excludes_underflow():
+@pytest.mark.parametrize("dropped", [1e-16, math.nan, math.inf], ids=["underflow", "nan", "inf"])
+def test_fit_order_excludes_underflow(dropped):
+    # An error at rounding level or not finite is listed, never fitted.
     dts = [0.1, 0.05, 0.025]
-    errors = [1e-4, 1e-5, 1e-16]
+    errors = [1e-4, 1e-5, dropped]
     study = fit_order(dts, errors)
-    assert study.excluded == ((0.025, 1e-16),)
+    assert study.excluded == ((0.025, dropped),)
     assert study.slope == pytest.approx(math.log(10.0) / math.log(2.0), rel=1e-10)
 
 
-def test_fit_order_nan_when_starved():
-    study = fit_order([0.1, 0.05, 0.025], [1e-16, 1e-17, 1e-18])
+@pytest.mark.parametrize(
+    "errors", [[1e-16, 1e-17, 1e-18], [math.nan, math.inf, 1e-18]], ids=["underflow", "not-finite"]
+)
+def test_fit_order_nan_when_starved(errors):
+    study = fit_order([0.1, 0.05, 0.025], errors)
     assert math.isnan(study.slope)
     assert len(study.excluded) == 3
 
@@ -233,6 +241,45 @@ def test_order_study_rejects_non_dividing_width():
 def test_order_study_rejects_empty_interval():
     with pytest.raises(ValueError, match="end time must exceed start time"):
         order_study(RungeKutta4(), EXPDECAY, None, 1.0, 1.0, [0.1, 0.05, 0.025])
+
+
+def test_order_study_refuses_a_non_finite_state_before_any_call():
+    calls = []
+    system = NamedSystem(
+        name="probe", dimension=1, rhs=lambda x, d, t: calls.append(t), exact=EXPDECAY.exact
+    )
+    with pytest.raises(ValueError, match="initial state is not finite"):
+        order_study(RungeKutta4(), system, [math.nan], 0.0, 1.0, [0.1, 0.05, 0.025])
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: ControlledStepper(DormandPrince5()), DenseOutputDopri5],
+    ids=["controlled", "dense"],
+)
+def test_order_study_steps_the_wrapped_scheme(make):
+    dts = [0.2, 0.1, 0.05]
+    assert order_study(make(), HARMONIC, None, 0.0, 1.0, dts) == order_study(
+        DormandPrince5(), HARMONIC, None, 0.0, 1.0, dts
+    )
+
+
+@pytest.mark.parametrize("stepper", [ExplicitEuler(), RungeKutta4(), ImplicitEuler()],
+                         ids=["euler", "rk4", "implicit"])
+@pytest.mark.parametrize("container", [list, np.array], ids=["list", "numpy"])
+def test_order_study_errors_match_a_manual_step_loop(stepper, container):
+    # The driver's fixed-step run is the plain do_step loop, bit for bit.
+    dts = [0.2, 0.1, 0.05, 0.025]
+    x0, t1 = [1.0, 0.5], 1.0
+    reference = np.array(HARMONIC.exact(x0, 0.0, t1))
+    expected = []
+    for dt in dts:
+        x = np.array(x0)
+        for k in range(round(t1 / dt)):
+            stepper.do_step(HARMONIC, x, k * dt, dt)
+        expected.append(float(np.max(np.abs(x - reference))))
+    study = order_study(stepper, HARMONIC, container(x0), 0.0, t1, dts)
+    assert [e.hex() for e in study.errors] == [e.hex() for e in expected]
 
 
 def test_order_study_needs_exact_solution():
