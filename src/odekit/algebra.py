@@ -12,9 +12,19 @@ Only this module decides which backend handles a state
 one shape rule checks every buffer a caller passes before any
 evaluation; one override rule (class or instance) for ``scale_sum``,
 ``copy`` and ``error_ratio_max`` is fixed when a stepper binds.
+
+The sequence backend's code is generated per state length, and one
+function, :func:`_update_lines`, writes every update in it: one
+statement per element up to ``UNROLL`` elements, one loop beyond.  A
+stepper binding a sequence state gets the kernels, the copy and the
+error ratio for its length, and the explicit and symplectic steppers
+write their updates inline; numpy states and any replaced method keep
+their kernel calls.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -22,6 +32,9 @@ from .errors import DimensionError
 
 # A seven-stage embedded pair needs at most seven terms in one update.
 MAX_TERMS = 7
+# Generated sequence code writes one statement per element for states
+# up to this length, and one loop for longer ones.
+UNROLL = 8
 
 
 class Algebra:
@@ -39,7 +52,8 @@ class Algebra:
     stepper's caller hands in, before any evaluation.  A ``scale_sum``,
     ``copy`` or ``error_ratio_max`` replaced on the class or on the
     instance receives every such call, the others run as unchecked
-    kernels; a stepper fixes that choice when it binds its scratch.
+    kernels or, on the sequence backend, as code written inline; a
+    stepper fixes that choice when it binds its scratch.
     """
 
     # Unchecked scale_sum bodies by term count, on a backend whose
@@ -60,6 +74,13 @@ class Algebra:
             raise ValueError(f"scale_sum supports 1..{MAX_TERMS} terms, got {k}")
         self._check_shapes(out, *terms)
         return self._kernels[k](out, coeffs, terms)
+
+    def _fused_length(self, x):
+        """The length the updates on ``x`` are generated for, every
+        length past ``UNROLL`` as ``UNROLL + 1`` (one loop); None where
+        they are kernel calls: on every backend but the sequence one,
+        and wherever ``scale_sum`` is replaced."""
+        return None
 
     def _replaced(self, name):
         """Whether the class or the instance replaced Algebra's method ``name``."""
@@ -112,20 +133,77 @@ def _numpy_scale_sum(out, coeffs, terms):
     return out
 
 
-def _sequence_scale_sum(k):
-    # out[i] = c0*t0[i] + c1*t1[i] + ..., unrolled and added left to right.
-    c = ", ".join(f"c{j}" for j in range(k))
-    t = ", ".join(f"t{j}" for j in range(k))
-    body = " + ".join(f"c{j} * t{j}[i]" for j in range(k))
+def _each(n, length, row):
+    """Lines running the statement ``row(i)`` on every element ``i``:
+    one line per element for a length ``n <= UNROLL``, else one loop
+    over ``range(length)``."""
+    if n <= UNROLL:
+        return [row(i) for i in range(n)]
+    return [f"for i in range({length}):", f"    {row('i')}"]
+
+
+def _update_lines(n, out, coeffs, terms):
+    """Lines writing ``out[i] = c0 * t0[i] + c1 * t1[i] + ...``, added
+    left to right, for the coefficient expressions ``coeffs`` (each
+    evaluated once, first) and the term names ``terms``: with ``n``
+    None a call of the kernel ``K<k>`` of the k terms, else inline for
+    states of length ``n`` (see :func:`_each`).  Every generated update
+    is written here, so every one has the same bits."""
+    if n is None:
+        return [f"K{len(terms)}({out}, ({', '.join(coeffs)},), ({', '.join(terms)},))"]
+    c = [f"c{j}" for j in range(len(coeffs))]
+    row = lambda i: f"{out}[{i}] = " + " + ".join(f"{cj} * {t}[{i}]" for cj, t in zip(c, terms))
+    return [f"{', '.join(c)}, = {', '.join(coeffs)},", *_each(n, f"len({out})", row)]
+
+
+def _define(name, args, lines):
+    """The function ``def name(args)`` with the body ``lines``."""
     namespace = {}
-    exec(
-        f"def scale_sum_{k}(out, coeffs, terms):\n"
-        f"    ({c},), ({t},) = coeffs, terms\n"
-        f"    for i in range(len(out)):\n        out[i] = {body}\n"
-        "    return out\n",
-        namespace,
-    )
-    return namespace[f"scale_sum_{k}"]
+    exec(f"def {name}({args}):\n" + "".join(f"    {line}\n" for line in lines), namespace)
+    return namespace[name]
+
+
+def _sequence_scale_sum(k, n):
+    # Unchecked scale_sum of k terms on sequences of length n.
+    t = [f"t{j}" for j in range(k)]
+    coeffs = [f"coeffs[{j}]" for j in range(k)]
+    return _define("scale_sum", "out, coeffs, terms",
+                   [f"{', '.join(t)}, = terms", *_update_lines(n, "out", coeffs, t), "return out"])
+
+
+class _Kernels(dict):
+    """Kernels by term count, each made by ``make(k)`` on first use."""
+
+    def __init__(self, make):
+        super().__init__()
+        self._make = make
+
+    def __missing__(self, k):
+        self[k] = kernel = self._make(k)
+        return kernel
+
+
+# The generated sequence code is cached per length n <= UNROLL + 1
+# (and term count), so these caches stay bounded.
+@lru_cache(maxsize=None)
+def _sequence_kernels(n):
+    """The sequence kernels for states of length ``n``, by term count."""
+    return _Kernels(lambda k: _sequence_scale_sum(k, n))
+
+
+@lru_cache(maxsize=None)
+def _sequence_copy(n):
+    """Unchecked copy on sequences of length ``n``: a one-term update."""
+    return _define("copy", "out, src", [*_update_lines(n, "out", ["1.0"], ["src"]), "return out"])
+
+
+@lru_cache(maxsize=None)
+def _sequence_ratio(n):
+    """Unchecked error ratio on sequences of length ``n``, NaN propagated."""
+    row = lambda i: (f"r = abs(xerr[{i}]) / (atol + rtol * (abs(x[{i}]) + adt * abs(dxdt[{i}])));"
+                     " worst = r if r > worst or r != r else worst")
+    return _define("ratio", "xerr, x, dxdt, atol, rtol, dt",
+                   ["adt, worst = abs(dt), 0.0", *_each(n, "len(x)", row), "return float(worst)"])
 
 
 def _numpy_error_ratio(w, v):
@@ -138,15 +216,6 @@ def _numpy_error_ratio(w, v):
         return float(v.max())
 
     return ratio
-
-
-def _sequence_error_ratio(xerr, x, dxdt, atol, rtol, dt):
-    adt, worst = abs(dt), 0.0
-    for e, s, d in zip(xerr, x, dxdt):
-        ratio = abs(e) / (atol + rtol * (abs(s) + adt * abs(d)))
-        if ratio > worst or ratio != ratio:  # propagate NaN
-            worst = ratio
-    return float(worst)
 
 
 class NumpyAlgebra(Algebra):
@@ -169,8 +238,11 @@ class SequenceAlgebra(Algebra):
     constructed from an iterable of floats.
     """
 
-    _kernels = (None,) + tuple(_sequence_scale_sum(k) for k in range(1, MAX_TERMS + 1))
-    _ratio = staticmethod(lambda w, v: _sequence_error_ratio)
+    _kernels = _sequence_kernels(UNROLL + 1)
+    _ratio = staticmethod(lambda w, v: _sequence_ratio(min(len(w), UNROLL + 1)))
+
+    def _fused_length(self, x):
+        return None if self._replaced("scale_sum") else min(len(x), UNROLL + 1)
 
     def clone_shape(self, src):
         if isinstance(src, list):
@@ -224,7 +296,8 @@ def _initial_copy(owner, x0):
 
 
 def _kernel_table(algebra, buffers):
-    return [algebra._kernel(k) for k in range(MAX_TERMS + 1)]
+    n = algebra._fused_length(buffers[0])
+    return [algebra._kernel(k) for k in range(MAX_TERMS + 1)] if n is None else _sequence_kernels(n)
 
 
 def scratch(owner, x, count, bind=_kernel_table):
@@ -237,7 +310,9 @@ def scratch(owner, x, count, bind=_kernel_table):
     cached result at once.  Any other state is refused when empty,
     else gets new buffers, checked and bound again, so a stepper
     answers it as a fresh one would, and a step allocates no
-    state-sized memory.  Returns
+    state-sized memory.  On the sequence backend the kernels, the copy
+    and the error ratio bound are generated for the length of ``x``
+    (see ``Algebra._fused_length``).  Returns
     ``(algebra, buffers, copy, bound)``.
     """
     tag = (x.shape, x.dtype) if isinstance(x, np.ndarray) else (type(x), len(x))
@@ -248,7 +323,13 @@ def scratch(owner, x, count, bind=_kernel_table):
     algebra = algebra_of(owner, x)
     buffers = [algebra.clone_shape(x) for _ in range(count)]
     algebra._check_shapes(x, *buffers)
-    one = algebra._kernel(1)  # the copy is a one-term update, unless replaced
-    copy = algebra.copy if algebra._replaced("copy") else lambda out, src: one(out, (1.0,), (src,))
+    n = algebra._fused_length(x)
+    if algebra._replaced("copy"):
+        copy = algebra.copy
+    elif n is not None:
+        copy = _sequence_copy(n)
+    else:
+        one = algebra._kernel(1)  # the copy is a one-term update, unless replaced
+        copy = lambda out, src: one(out, (1.0,), (src,))
     owner._scratch = (tag, (algebra, buffers, copy, bind(algebra, buffers)))
     return owner._scratch[1]

@@ -175,7 +175,7 @@ def run_cli(argv=None):
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # bad input, or an --out path that cannot be opened
         sys.stderr.write(f"error: {exc}\n")
         return 1
     except SolverError as exc:

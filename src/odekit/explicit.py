@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache
 
-from .algebra import MAX_TERMS, scratch
+from .algebra import MAX_TERMS, _define, _update_lines, scratch
 from .tableaus import CASH_KARP_54, DORMAND_PRINCE_54, EULER, RK4_CLASSIC
 
 class StageRecord(namedtuple("StageRecord", ["derivatives"])):
@@ -56,8 +56,9 @@ class ExplicitRungeKutta:
 
     def _bind(self, algebra, k):
         # Once per buffer set (k: the stage derivatives, then the stage
-        # state): the tableau's generated step, bound to the kernels.
-        return _step_code(self.tableau)(algebra._kernel, k)
+        # state): the tableau's generated step, inline for the state's
+        # length on the sequence backend, else bound to the kernels.
+        return _step_code(self.tableau, algebra._fused_length(k[0]))(algebra._kernel, k)
 
     def do_step(self, system, x, t, dt, out=None):
         """Advance ``x`` from ``t`` by ``dt``.
@@ -73,44 +74,46 @@ class ExplicitRungeKutta:
         return advance(system, x, t, dt, x if out is None else out)
 
 
-@lru_cache(maxsize=32)
-def _step_code(tableau):
+@lru_cache(maxsize=64)
+def _step_code(tableau, n=None):
     """Straight-line step code for ``tableau``, generated once per
-    tableau value: ``make(kernel, k)`` binds the kernels by term count
-    and the buffers, and returns ``advance(system, x, t, dt, target)``,
-    which runs the stages after the first and writes the solution, and
-    ``error(dt, xerr)`` (None without embedded weights).  Zero weights
-    are left out and the others are exact float literals, so every
-    update is the stage loop's, term for term and bit for bit."""
+    tableau value and length ``n``: ``make(kernel, k)`` binds the
+    kernels by term count and the buffers, and returns
+    ``advance(system, x, t, dt, target)``, which runs the stages after
+    the first and writes the solution, and ``error(dt, xerr)`` (None
+    without embedded weights).  With ``n`` None every update is a
+    kernel call; with a length (see ``Algebra._fused_length``) it is
+    written inline.  Zero weights are left out and the others are
+    exact float literals, so every update is the stage loop's, term
+    for term and bit for bit."""
     counts = set()
 
     def update(out, weights, lead):
         idx = [j for j, w in enumerate(weights) if w != 0.0]
-        n = len(idx) + lead
-        if not 1 <= n <= MAX_TERMS:
-            raise ValueError(f"{tableau.name}: {n} terms in one update;"
+        k = len(idx) + lead
+        if not 1 <= k <= MAX_TERMS:
+            raise ValueError(f"{tableau.name}: {k} terms in one update;"
                              f" the algebra takes 1..{MAX_TERMS}")
-        counts.add(n)
+        counts.add(k)
         coeffs = ["1.0"] * lead + [f"dt * {float(weights[j])!r}" for j in idx]
         terms = ["x"] * lead + [f"k{j}" for j in idx]
-        return f"K{n}({out}, ({', '.join(coeffs)},), ({', '.join(terms)},))"
+        return [f"    {line}" for line in _update_lines(n, out, coeffs, terms)]
 
     # A first-same-as-last stage state is the new state itself, and
     # its derivative has zero weight, so its row is left out.
     rows = tableau.a[:-1] if tableau.is_fsal else tableau.a
-    body = ["    def advance(system, x, t, dt, target):"]
+    body = ["def advance(system, x, t, dt, target):"]
     for i, row in enumerate(rows, start=1):
-        node = f"t + {float(tableau.c[i])!r} * dt"
-        body.append(f"        {update('u', row, 1)}; system(u, k{i}, {node})")
-    body.append(f"        return {update('target', tableau.b, 1)}")
+        body += update("u", row, 1)
+        body.append(f"    system(u, k{i}, t + {float(tableau.c[i])!r} * dt)")
+    body += update("target", tableau.b, 1) + ["    return target"]
     ew = tableau.error_weights
-    body += ["    error = None"] if ew is None else [
-        "    def error(dt, xerr):", f"        return {update('xerr', ew, 0)}"]
-    head = ["def make(kernel, k):", f"    {''.join(f'k{j}, ' for j in range(tableau.stage_count))}u = k"]
-    head += [f"    K{n} = kernel({n})" for n in sorted(counts)]
-    namespace = {}
-    exec("\n".join(head + body + ["    return advance, error"]), namespace)
-    return namespace["make"]
+    body += ["error = None"] if ew is None else [
+        "def error(dt, xerr):", *update("xerr", ew, 0), "    return xerr"]
+    head = [f"{''.join(f'k{j}, ' for j in range(tableau.stage_count))}u = k"]
+    if n is None:
+        head += [f"K{k} = kernel({k})" for k in sorted(counts)]
+    return _define("make", "kernel, k", head + body + ["return advance, error"])
 
 
 class EmbeddedRungeKutta(ExplicitRungeKutta):

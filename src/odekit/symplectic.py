@@ -10,8 +10,9 @@ form and keeps long-run energy drift bounded.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
-from .algebra import scratch
+from .algebra import _define, _update_lines, scratch
 from .errors import DimensionError
 
 
@@ -72,13 +73,32 @@ class SymplecticEuler:
         time argument is carried for signature uniformity; separable
         systems here are autonomous.
         """
-        algebra, (buf,), _, kernels = scratch(self, state.q, 1)
+        algebra, (buf,), _, step = scratch(self, state.q, 1, _bind)
         target = state if out is None else out
         shape = algebra._shape
         if not shape(state.p) == shape(target.q) == shape(target.p) == shape(buf):
             raise DimensionError("output pair shape does not match state")
-        system.dpdt(state.q, buf)
-        kernels[2](target.p, (1.0, dt), (state.p, buf))
-        system.dqdt(target.p, buf)
-        kernels[2](target.q, (1.0, dt), (state.q, buf))
-        return target
+        return step(system, state, dt, target)
+
+
+def _bind(algebra, buffers):
+    return _kick_drift(algebra._fused_length(buffers[0]))(algebra._kernel, buffers[0])
+
+
+@lru_cache(maxsize=None)  # n is None or at most UNROLL + 1
+def _kick_drift(n):
+    """Symplectic Euler's step, generated once per length ``n`` as the
+    explicit steppers' is: ``make(kernel, buf)`` returns
+    ``step(system, state, dt, target)``."""
+    kick = _update_lines(n, "pn", ["1.0", "dt"], ["p", "buf"])
+    drift = _update_lines(n, "qn", ["1.0", "dt"], ["q", "buf"])
+    head = ["K2 = kernel(2)"] if n is None else []
+    return _define("make", "kernel, buf", [
+        *head,
+        "def step(system, state, dt, target):",
+        "    q, p, qn, pn = state.q, state.p, target.q, target.p",
+        "    system.dpdt(q, buf)", *(f"    {line}" for line in kick),
+        "    system.dqdt(pn, buf)", *(f"    {line}" for line in drift),
+        "    return target",
+        "return step",
+    ])

@@ -175,6 +175,8 @@ SHARED = ["--system", "expdecay", "--stepper", "rk4"]
         (["integrate", *SHARED, "--t1", "inf", "--dt", "0.1"], "not a finite number"),
         (["integrate", "--system", "harmonic"], "required"),
         (["order", *SHARED, "--atol", "1e-3"], "unrecognized arguments: --atol"),
+        (["integrate", *SHARED, "--t1", "1", "--dt", "0.5", "--out", "/no/such/dir/f.csv"],
+         "No such file or directory"),
     ]
     + [
         ([command, *SHARED, "--t1", "1", "--dt", "0.1", *bad], reason)

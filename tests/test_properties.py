@@ -4,9 +4,12 @@ grid, stop on it, and never evaluate past t1; the dense interpolant
 reproduces both ends of its interval; the step size controller stays
 inside its growth window; the generated step code of any explicit
 tableau matches a stage loop on the checked ``scale_sum`` bit for
-bit; the controller's in-place error ratio equals the checked one, the
-textbook formula and the list backend bit for bit."""
+bit, unrolled or looped; a controlled trial, a dense state and a
+symplectic step have the same bits on lists, numpy and the general
+path; the controller's in-place error ratio equals the checked one,
+the textbook formula and the list backend bit for bit."""
 
+import array
 import math
 
 import numpy as np
@@ -22,12 +25,15 @@ from odekit import (
     DormandPrince5,
     EvaluationCounter,
     ExplicitEuler,
+    PairState,
     RungeKutta4,
+    SeparableHamiltonian,
+    SymplecticEuler,
     integrate_adaptive,
     integrate_const,
     next_step_size,
 )
-from odekit.algebra import NUMPY_ALGEBRA, SEQUENCE_ALGEBRA, algebra_for
+from odekit.algebra import NUMPY_ALGEBRA, SEQUENCE_ALGEBRA, UNROLL, SequenceAlgebra
 from odekit.explicit import EmbeddedRungeKutta, ExplicitRungeKutta
 from odekit.integrate import GRID_SNAP
 from odekit.tableaus import ButcherTableau
@@ -269,22 +275,47 @@ def hexes(v):
     return None if v is None else [float(e).hex() for e in v]
 
 
-@settings(max_examples=60, deadline=None, database=None)
+class ArrayAlgebra(SequenceAlgebra):
+    """The sequence arithmetic on ``array.array('d')`` states."""
+
+    def clone_shape(self, src):
+        return array.array("d", bytes(8 * len(src)))
+
+
+class GeneralAlgebra(SequenceAlgebra):
+    """A replaced ``scale_sum``: every update is a call of it."""
+
+    def scale_sum(self, out, coeffs, terms):
+        return super().scale_sum(out, coeffs, terms)
+
+
+# A container and the backend to step it with (None: the default).
+BOXES = {
+    "list": (list, None),
+    "numpy": (np.array, None),
+    "array": (lambda v: array.array("d", v), ArrayAlgebra()),
+}
+# Lengths on both sides of the unroll bound.
+STATES = st.lists(st.floats(-1.5, 1.5), min_size=1, max_size=UNROLL + 2)
+
+
+@settings(max_examples=80, deadline=None, database=None)
 @given(
     tableau=tableaus(),
-    x0=st.lists(st.floats(-1.5, 1.5), min_size=1, max_size=3),
+    x0=STATES,
     t=st.floats(-1.0, 1.0),
     dt=st.floats(0.001, 0.5),
-    box=st.sampled_from([list, np.array]),
+    box=st.sampled_from(sorted(BOXES)),
 )
 def test_generated_step_matches_the_stage_loop(tableau, x0, t, dt, box):
-    algebra = algebra_for(box(x0))
+    box, chosen = BOXES[box]
+    algebra = chosen or (NUMPY_ALGEBRA if box is np.array else SEQUENCE_ALGEBRA)
     error_terms = sum(w != 0.0 for w in tableau.error_weights or (1.0,))
     assume(error_terms > 0)  # an error update needs at least one term
     reference = EvaluationCounter(ring)
     new, err, k = stage_loop(tableau, reference, box(x0), t, dt, algebra)
 
-    stepper, counter = ExplicitRungeKutta(tableau), EvaluationCounter(ring)
+    stepper, counter = ExplicitRungeKutta(tableau, chosen), EvaluationCounter(ring)
     x, out = box(x0), algebra.clone_shape(box(x0))
     assert hexes(stepper.do_step(counter, x, t, dt, out=out)) == hexes(new)
     assert hexes(x) == hexes(x0)
@@ -293,7 +324,7 @@ def test_generated_step_matches_the_stage_loop(tableau, x0, t, dt, box):
     assert counter.count == 2 * (reference.count - fsal_stage)
     if err is None:
         return
-    pair = EmbeddedRungeKutta(tableau)
+    pair = EmbeddedRungeKutta(tableau, chosen)
     for dxdt_in in (None, k[0]):
         x, counter = box(x0), EvaluationCounter(ring)
         got = pair.do_step_with_error(counter, x, t, dt, dxdt_in=dxdt_in)
@@ -302,6 +333,62 @@ def test_generated_step_matches_the_stage_loop(tableau, x0, t, dt, box):
         if tableau.is_fsal:
             record = got[2].derivatives
             assert [hexes(d) for d in record] == [hexes(d) for d in k]
+
+
+def controlled_trials(algebra, box, x0, t, dt, tol):
+    """State, error estimate and error ratio of three chained trials."""
+    controller = ControlledStepper(DormandPrince5(algebra), ControllerParams(atol=tol, rtol=tol))
+    x, seen = box(x0), []
+    for _ in range(3):
+        result = controller.try_step(ring, x, t, dt)
+        xerr = controller._scratch[1][1][1]
+        seen.append((hexes(x), hexes(xerr), result.error_ratio.hex()))
+        t, dt = result.t, result.dt
+    return seen
+
+
+def dense_state(algebra, box, x0, t, dt, tol):
+    dense = DenseOutputDopri5(ControllerParams(atol=tol, rtol=tol), algebra)
+    dense.initialize(box(x0), t, dt)
+    lo, hi = dense.do_step(ring)
+    return [hexes(dense.calc_state(lo + theta * (hi - lo))) for theta in (0.0, 0.3, 1.0)]
+
+
+def kick(q, out):
+    n = len(q)
+    for i in range(n):
+        out[i] = -q[i] * q[i] * q[i] - 0.5 * q[(i + 1) % n]
+
+
+def drift(p, out):
+    for i in range(len(p)):
+        out[i] = p[i] * (1.0 + 0.25 * p[i])
+
+
+def symplectic_steps(algebra, box, x0, t, dt, tol):
+    system = SeparableHamiltonian(dqdt=drift, dpdt=kick)
+    stepper = SymplecticEuler(algebra)
+    pair = PairState(box(x0), box(x0[::-1]))
+    stepper.do_step(system, pair, t, dt)
+    out = PairState(box(x0), box(x0))
+    stepper.do_step(system, pair, t + dt, dt, out=out)
+    return [hexes(v) for v in (pair.q, pair.p, out.q, out.p)]
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    x0=STATES,
+    t=st.floats(-1.0, 1.0),
+    dt=st.floats(0.001, 0.5),
+    tol=st.floats(1e-9, 1e-3),
+    run=st.sampled_from([controlled_trials, dense_state, symplectic_steps]),
+)
+def test_fused_sequence_path_matches_numpy_and_the_general_path(x0, t, dt, tol, run):
+    # The list run writes its updates inline, numpy calls its kernels
+    # and the replaced scale_sum receives every update: same bits.
+    as_list = run(None, list, x0, t, dt, tol)
+    assert run(None, np.array, x0, t, dt, tol) == as_list
+    assert run(GeneralAlgebra(), list, x0, t, dt, tol) == as_list
 
 
 # --- the controller's error ratio -------------------------------------------

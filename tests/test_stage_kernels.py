@@ -30,7 +30,7 @@ from odekit import (
     integrate_adaptive,
     integrate_const,
 )
-from odekit.algebra import MAX_TERMS, NUMPY_ALGEBRA, NumpyAlgebra, SequenceAlgebra
+from odekit.algebra import MAX_TERMS, NUMPY_ALGEBRA, UNROLL, NumpyAlgebra, SequenceAlgebra
 from odekit.explicit import ExplicitRungeKutta, _step_code
 from odekit.tableaus import ButcherTableau
 
@@ -246,6 +246,8 @@ def test_custom_algebra_keeps_the_general_path(run, make):
 
 
 def test_step_code_is_generated_once_per_tableau():
+    # The cache key is (tableau, generated length): None for numpy,
+    # which keeps its kernel calls, and the length of a sequence state.
     _step_code.cache_clear()
     advances = []
     for box in (list, np.array):
@@ -253,17 +255,26 @@ def test_step_code_is_generated_once_per_tableau():
             for make in (DormandPrince5, RungeKutta4):
                 stepper = make()
                 stepper.do_step(LORENZ, box(X0), 0.0, 0.01)
-                advances.append((make, stepper._scratch[1][3][0]))
+                advances.append((make, box, stepper._scratch[1][3][0]))
             dense = DenseOutputDopri5()
             dense.initialize(box(X0), 0.0, 0.01)
             dense.do_step(LORENZ)
-            advances.append((DormandPrince5, dense.stepper._scratch[1][3][0]))
+            advances.append((DormandPrince5, box, dense.stepper._scratch[1][3][0]))
     info = _step_code.cache_info()
-    assert (info.misses, info.currsize) == (2, 2)
-    # Every stepper of a tableau runs the one compiled step.
+    assert (info.misses, info.currsize) == (4, 4)
+    # Every stepper of a tableau runs one compiled step per length.
     for make in (DormandPrince5, RungeKutta4):
-        codes = {id(advance.__code__) for owner, advance in advances if owner is make}
-        assert len(codes) == 1
+        for box in (list, np.array):
+            codes = {id(advance.__code__) for owner, b, advance in advances if (owner, b) == (make, box)}
+            assert len(codes) == 1
+    # Lengths past UNROLL share one looped step, so the cache stays
+    # bounded however many lengths are stepped.
+    _step_code.cache_clear()
+    for n in range(1, 41):
+        for make in (DormandPrince5, RungeKutta4):
+            make().do_step(decay_rows, [1.0] * n, 0.0, 0.01)
+    info = _step_code.cache_info()
+    assert info.misses == info.currsize == 2 * (UNROLL + 1) <= info.maxsize
 
 
 def decay_rows(x, dxdt, t):
