@@ -23,18 +23,16 @@ FAC_MAX = 5.0
 
 @dataclass(frozen=True)
 class ControllerParams:
-    """Tolerances and limits for adaptive stepping.
+    """Tolerances and the width floor of adaptive stepping.
 
-    ``atol`` and ``rtol`` weight the error test; ``dt_min`` is the
-    smallest usable width; ``max_rejections`` bounds consecutive
-    rejected trials of one step.  Every field rejects NaN, and the
-    tolerances reject infinity.
+    ``atol`` and ``rtol`` weight the error test; ``dt_min``, the
+    smallest usable width, ends every chain of rejections.  Every field
+    rejects NaN, and the tolerances reject infinity.
     """
 
     atol: float = 1e-6
     rtol: float = 1e-6
     dt_min: float = 1e-14
-    max_rejections: int = 100
 
     def __post_init__(self):
         if not (0.0 <= self.atol < math.inf and 0.0 <= self.rtol < math.inf
@@ -42,8 +40,6 @@ class ControllerParams:
             raise ValueError("tolerances must be finite nonnegative numbers, not both zero")
         if not self.dt_min > 0.0:
             raise ValueError("dt_min must be positive")
-        if not self.max_rejections >= 1:
-            raise ValueError("max_rejections must be at least 1")
 
 
 class StepResult(namedtuple("StepResult", ["accepted", "t", "dt", "error_ratio"])):
@@ -97,13 +93,13 @@ class ControlledStepper:
         self._fixed_algebra = getattr(stepper, "_fixed_algebra", None) if algebra is None else algebra
         self._scratch = None
         self._dxdt = None  # the scratch buffer holding f(x, t), when valid
-        self._rejections = 0
+        self._rejected = False
         self.last_stage_record = None
 
     def reset(self):
-        """Drop the cached derivative and rejection history."""
+        """Drop the cached derivative and the rejection flag."""
         self._dxdt = None
-        self._rejections = 0
+        self._rejected = False
         self.last_stage_record = None
 
     def try_step(self, system, x, t, dt):
@@ -115,15 +111,18 @@ class ControlledStepper:
         step; on rejection ``x`` and the time are unchanged and
         ``result.dt`` carries the reduced width to retry with.  An
         accepted step never raises.  A rejection raises
-        :class:`StepSizeUnderflowError` once a step has been rejected
-        more than ``max_rejections`` times in a row or the width falls
-        below ``dt_min``, and :class:`SolverError` at once when the
-        error ratio and the derivative at ``(x, t)`` are not finite.
-        A non-finite ``t`` or ``dt``, or ``dt == 0``, raises
-        :class:`ValueError` before any evaluation.
+        :class:`StepSizeUnderflowError` once the width falls below
+        ``dt_min``, and :class:`SolverError` at once when the error
+        ratio and the derivative at ``(x, t)`` are not finite.  A
+        non-finite ``t`` or ``dt``, or ``dt == 0``, raises
+        :class:`ValueError`, and a width too small to move ``t``
+        (``t + dt == t``) raises :class:`StepSizeUnderflowError`, both
+        before any evaluation.
         """
         if not (math.isfinite(t) and math.isfinite(dt)) or dt == 0.0:
             raise ValueError("time and step width must be finite, the width nonzero")
+        if t + dt == t:
+            raise StepSizeUnderflowError(dt, t)
         _, (xtrial, xerr, dxdt, _, _), copy, ratio = scratch(self, x, 5, Algebra._error_kernel)
         params = self.params
         stepper = self.stepper
@@ -147,8 +146,8 @@ class ControlledStepper:
                 copy(dxdt, record.new_derivative)
             else:
                 self._dxdt = None
-            dt_next = next_step_size(dt, err, stepper.error_order, self._rejections > 0)
-            self._rejections = 0
+            dt_next = next_step_size(dt, err, stepper.error_order, self._rejected)
+            self._rejected = False
             return StepResult(True, t + dt, dt_next, err)
 
         # Rejected: x and t stay untouched, the cached derivative is
@@ -156,9 +155,7 @@ class ControlledStepper:
         # smaller width can help.
         if not math.isfinite(err) and not math.isfinite(ratio(dxdt, x, dxdt, 1.0, 0.0, 0.0)):
             raise SolverError(f"the derivative at t={t!r} is not finite")
-        self._rejections += 1
-        if self._rejections > params.max_rejections:
-            raise StepSizeUnderflowError(dt, t, err)
+        self._rejected = True
         dt_next = next_step_size(dt, err, stepper.error_order, True)
         if abs(dt_next) < params.dt_min:
             raise StepSizeUnderflowError(dt_next, t, err)

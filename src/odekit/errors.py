@@ -18,7 +18,8 @@ class SolverError(RuntimeError):
 
 
 class StepSizeUnderflowError(SolverError):
-    """Adaptive step size fell below the permitted minimum.
+    """Adaptive step size fell below the permitted minimum, or too low
+    to move the time.
 
     Carries the time and step size at the point of failure.  The
     message names the last error estimate ``err`` when it is not finite.

@@ -121,6 +121,27 @@ def test_order_fits_the_scheme_under_every_stepper(name, capsys):
     assert abs(float(value) - getattr(stepper, "stepper", stepper).order) <= 0.3
 
 
+def test_order_fits_two_levels(capsys):
+    assert run_cli(["order", "--system", "expdecay", "--stepper", "rk4", "--levels", "2"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert len(rows) == 4 and rows[-1].startswith("slope,")
+    assert 3.8 <= float(rows[-1].split(",")[1]) <= 4.4
+
+
+@pytest.mark.parametrize("name", ["dopri5", "dopri5_dense"])
+def test_integrate_that_cannot_move_t_exits_2(name):
+    # Near 1e16 floats are 2 apart: once the controller settles on a
+    # width below 1, t stops moving and the run must end.
+    proc = subprocess.run(
+        [sys.executable, "-m", "odekit", "integrate", "--system", "lorenz", "--stepper", name,
+         "--t0", "1e16", "--t1", "1.0000000000000064e16", "--dt", "16"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [proc.stderr.strip()]
+    assert "step size underflow at t=1e+16" in proc.stderr
+
+
 def test_order_rejects_system_without_exact(capsys):
     code = run_cli(["order", "--system", "lorenz", "--stepper", "rk4"])
     assert code == 1
@@ -171,8 +192,12 @@ SHARED = ["--system", "expdecay", "--stepper", "rk4"]
         (["bench", *SHARED, "--t1", "1", "--dt", "0.1", "--rtol", "-1"], "tolerances"),
         (["order", *SHARED, "--dt", "0.3", "--levels", "3"], "does not divide"),
         (["order", *SHARED, "--t0", "2"], "end time must exceed start time"),
-        (["order", *SHARED, "--levels", "2"], "at least three"),
+        (["order", *SHARED, "--levels", "40"], "steps, more than 1000000"),
+        (["order", *SHARED, "--dt", "0"], "step widths must be positive"),
         (["integrate", *SHARED, "--t1", "inf", "--dt", "0.1"], "not a finite number"),
+        (["integrate", *SHARED, "--t1", "abc", "--dt", "0.1"], "not a finite number"),
+        (["bench", "--system", "expdecay", "--stepper", ",", "--t1", "1", "--dt", "0.1"],
+         "no stepper names given"),
         (["integrate", "--system", "harmonic"], "required"),
         (["order", *SHARED, "--atol", "1e-3"], "unrecognized arguments: --atol"),
         (["integrate", *SHARED, "--t1", "1", "--dt", "0.5", "--out", "/no/such/dir/f.csv"],

@@ -9,6 +9,7 @@ from odekit import (
     CashKarp54,
     ControlledStepper,
     ControllerParams,
+    DenseOutputDopri5,
     DormandPrince5,
     EvaluationCounter,
     ExplicitEuler,
@@ -38,7 +39,7 @@ def zero_rhs(x, dxdt, t):
 def test_params_defaults():
     p = ControllerParams()
     assert p.atol == 1e-6 and p.rtol == 1e-6
-    assert p.dt_min == 1e-14 and p.max_rejections == 100
+    assert p.dt_min == 1e-14
 
 
 def test_params_validation():
@@ -48,8 +49,6 @@ def test_params_validation():
         ControllerParams(atol=-1e-6)
     with pytest.raises(ValueError):
         ControllerParams(dt_min=0.0)
-    with pytest.raises(ValueError):
-        ControllerParams(max_rejections=0)
 
 
 @pytest.mark.parametrize(
@@ -63,10 +62,8 @@ def test_params_reject_nan(field, value):
         ControllerParams(**{field: value})
 
 
-def test_params_are_the_four_settable_fields():
-    assert list(ControllerParams.__dataclass_fields__) == [
-        "atol", "rtol", "dt_min", "max_rejections"
-    ]
+def test_params_are_the_three_settable_fields():
+    assert list(ControllerParams.__dataclass_fields__) == ["atol", "rtol", "dt_min"]
 
 
 # --- error ratio (the algebra's error_ratio_max, as try_step calls it) -------
@@ -160,6 +157,20 @@ def test_zero_dt_rejected():
     ctl = ControlledStepper(CashKarp54())
     with pytest.raises(ValueError):
         ctl.try_step(expgrow, [1.0], 0.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: ControlledStepper(DormandPrince5()), DenseOutputDopri5],
+    ids=["controlled", "dense"],
+)
+@pytest.mark.parametrize("t, dt", [(1e16, 0.5), (1e16, -1.0), (1.0, 1e-17)])
+def test_width_that_cannot_move_t_raises_before_any_call(make, t, dt):
+    calls = []
+    x = [1.0]
+    with pytest.raises(StepSizeUnderflowError) as info:
+        make().try_step(lambda x, d, t: calls.append(t), x, t, dt)
+    assert (info.value.t, info.value.dt) == (t, dt)
+    assert calls == [] and x == [1.0]
 
 
 @pytest.mark.parametrize("base", [CashKarp54, DormandPrince5], ids=lambda c: c.__name__)

@@ -15,9 +15,10 @@ from odekit import (
     DormandPrince5,
     EvaluationCounter,
     ExplicitEuler,
+    RK4_CLASSIC,
     RungeKutta4,
 )
-from odekit.explicit import StageRecord
+from odekit.explicit import EmbeddedRungeKutta, StageRecord
 
 
 def expgrow(x, dxdt, t):
@@ -166,6 +167,11 @@ def test_dp5_without_reuse_costs_seven():
     counter = EvaluationCounter(expgrow)
     DormandPrince5().do_step_with_error(counter, [1.0], 0.0, 0.1)
     assert counter.count == 7
+
+
+def test_embedded_pair_needs_embedded_weights():
+    with pytest.raises(ValueError, match="rk4: embedded weights required"):
+        EmbeddedRungeKutta(RK4_CLASSIC)
 
 
 def test_dp5_order_info():

@@ -25,6 +25,8 @@ from odekit import (
     DormandPrince5,
     EvaluationCounter,
     ExplicitEuler,
+    ImplicitEuler,
+    JacobianSystem,
     PairState,
     RungeKutta4,
     SeparableHamiltonian,
@@ -211,6 +213,73 @@ def test_next_step_size_stays_in_its_window(dt, errs, error_order):
         assert widths[0] == (dt if was_rejected else 5.0 * dt)
         if was_rejected:
             assert max(widths) <= dt
+
+
+# --- power-of-two time rescaling ----------------------------------------------
+
+
+def rescaled_ring(scale):
+    """``ring`` on the time axis stretched by ``scale``, a power of two:
+    the derivative shrinks by ``scale``, with its Jacobian."""
+
+    def rhs(x, dxdt, t):
+        ring(x, dxdt, t / scale)
+        for i in range(len(x)):
+            dxdt[i] = dxdt[i] / scale
+
+    def jacobian(x, jac, t):
+        n = len(x)
+        jac[:] = 0.0
+        for i in range(n):
+            jac[i, (i + 1) % n] += 1.0 / scale
+            jac[i, i] -= 3.0 * x[i] * x[i] / scale
+
+    return JacobianSystem(rhs, jacobian)
+
+
+def rescaled_run(case, scale, x0, t0, t1, dt, tol):
+    params = ControllerParams(atol=tol, rtol=tol, dt_min=1e-14 * scale)
+    driver = integrate_adaptive if case in PAIRS else integrate_const
+    stepper = {
+        "ck54": lambda: ControlledStepper(CashKarp54(), params),
+        "dopri5": lambda: ControlledStepper(DormandPrince5(), params),
+        "dense": lambda: DenseOutputDopri5(params),
+        "rk4": RungeKutta4,
+        "implicit": ImplicitEuler,
+    }[case]()
+    seen = []
+    report = driver(stepper, rescaled_ring(scale), list(x0), t0 * scale, t1 * scale, dt * scale,
+                    lambda x, t: seen.append(hexes([t / scale, *x])))
+    counters = (report.steps_accepted, report.steps_rejected, report.system_evaluations)
+    return seen, hexes([report.final_time / scale, *report.final_state]), counters
+
+
+def clear_of_subnormals(bound):
+    # 0, or at least 1e-3 in magnitude: times and derivatives divided
+    # by 2**60 stay normal numbers.
+    return st.just(0.0) | st.floats(1e-3, bound).flatmap(lambda v: st.sampled_from([v, -v]))
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(
+    m=st.integers(-60, 60),
+    x0=st.lists(clear_of_subnormals(1.5), min_size=1, max_size=3),
+    t0=clear_of_subnormals(2.0),
+    span=st.floats(0.05, 1.5),
+    dt=st.floats(0.01, 0.4),
+    tol=st.floats(1e-9, 1e-3),
+    case=st.sampled_from(["ck54", "dopri5", "dense", "rk4", "implicit"]),
+)
+@example(m=-60, x0=[0.3, -0.7], t0=0.0, span=1.0, dt=0.1, tol=1e-6, case="dopri5")
+@example(m=-40, x0=[0.3, -0.7], t0=0.0, span=1.0, dt=0.1, tol=1e-6, case="dense")
+@example(m=30, x0=[0.3, -0.7], t0=0.0, span=1.0, dt=0.1, tol=1e-6, case="implicit")
+def test_power_of_two_time_rescaling_is_bit_exact(m, x0, t0, span, dt, tol, case):
+    # Stretching time by 2**m scales every width, node and derivative
+    # by the same power of two, so each rounding is the same: no rule
+    # of the solvers may depend on absolute time.
+    assert rescaled_run(case, 2.0**m, x0, t0, t0 + span, dt, tol) == rescaled_run(
+        case, 1.0, x0, t0, t0 + span, dt, tol
+    )
 
 
 # --- generated step code against a stage loop ---------------------------------

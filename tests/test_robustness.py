@@ -89,11 +89,43 @@ def test_non_finite_error_named_in_underflow():
 
 
 def test_finite_underflow_does_not_blame_non_finite():
-    params = ControllerParams(max_rejections=1)
+    # A first trial 1000 wide on x' = -x misses the tolerance by far:
+    # its error is finite, and the width it proposes is below 500.
+    params = ControllerParams(dt_min=500.0)
     with pytest.raises(StepSizeUnderflowError) as info:
         integrate_adaptive(ControlledStepper(DormandPrince5(), params), decay,
                            [1.0], 0.0, 1000.0, 1000.0)
     assert "finite" not in str(info.value)
+    assert info.value.partial_report.steps_attempted == 0
+
+
+def bounded(kind, calls, inner, limit=1000):
+    # A run that makes no progress fails here instead of hanging.
+    def call(*args):
+        calls[kind] += 1
+        assert calls[kind] <= limit, f"{kind} called {limit} times"
+        return inner(*args)
+
+    return call
+
+
+@pytest.mark.parametrize("drive", [integrate_adaptive, integrate_const], ids=["adaptive", "const"])
+@pytest.mark.parametrize(
+    "make", [lambda: ControlledStepper(DormandPrince5()), DenseOutputDopri5],
+    ids=["controlled", "dense"],
+)
+def test_a_width_that_cannot_move_t_ends_the_run(drive, make):
+    # Floats near 1e16 are 2 apart: a width of 0.01 passes the error
+    # test, yet t + dt == t, so accepted steps would never reach t1.
+    calls = {"rhs": 0, "observer": 0}
+    rhs = bounded("rhs", calls, HARMONIC)
+    observer = bounded("observer", calls, lambda x, t: None)
+    with pytest.raises(StepSizeUnderflowError, match="at t=1e[+]16: dt=0.01") as info:
+        drive(make(), rhs, [1.0, 0.0], 1e16, 1e16 + 64.0, 0.01, observer)
+    report = info.value.partial_report
+    assert report.final_time == 1e16 and report.final_state == [1.0, 0.0]
+    assert report.system_evaluations == calls["rhs"] == 0
+    assert report.steps_attempted == 0
 
 
 def test_integrate_const_controlled_failure_carries_partial_report():

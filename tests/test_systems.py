@@ -1,6 +1,7 @@
 """Named benchmark systems, exact solutions, convergence order studies."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from odekit import (
     make_lorenz,
     order_study,
 )
+from odekit.systems import MAX_STUDY_STEPS
 
 
 def rhs_of(system, x, t=0.0):
@@ -182,6 +184,17 @@ def test_fit_order_nan_when_starved(errors):
     assert len(study.excluded) == 3
 
 
+@pytest.mark.parametrize("dts", [[0.1, 0.1, 0.1], [0.1], []], ids=["equal", "one", "none"])
+def test_fit_order_nan_without_two_distinct_widths(dts):
+    # A line through a single abscissa is degenerate: no slope, and no
+    # RankWarning from the fit.
+    errors = [1e-3 * (k + 1) for k in range(len(dts))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        study = fit_order(dts, errors)
+    assert math.isnan(study.slope) and study.excluded == ()
+
+
 def test_fit_order_length_mismatch():
     with pytest.raises(ValueError):
         fit_order([0.1, 0.05], [1e-3])
@@ -223,14 +236,33 @@ def test_order_study_flags_exact_integration():
     assert len(study.excluded) == 3
 
 
-def test_order_study_rejects_non_geometric_widths():
-    with pytest.raises(ValueError):
-        order_study(RungeKutta4(), EXPDECAY, None, 0.0, 1.0, [0.1, 0.05, 0.03])
+@pytest.mark.parametrize("dts", [[0.1, 0.05], [0.04, 0.1, 0.05, 0.025]], ids=["two", "unordered"])
+def test_order_study_fits_any_widths(dts):
+    # Neither a geometric ladder nor a third width is needed for a line.
+    study = order_study(RungeKutta4(), EXPDECAY, None, 0.0, 1.0, dts)
+    assert study.dts == tuple(dts) and study.excluded == ()
+    assert study.slope == pytest.approx(4.0, abs=0.2)
 
 
-def test_order_study_rejects_too_few_widths():
-    with pytest.raises(ValueError):
-        order_study(RungeKutta4(), EXPDECAY, None, 0.0, 1.0, [0.1, 0.05])
+@pytest.mark.parametrize(
+    "dts, reason",
+    [
+        ([0.1, 0.0], "must be positive"),
+        ([0.1, -0.05], "must be positive"),
+        ([math.nan], "must be positive"),
+        ([1.0 / MAX_STUDY_STEPS, 0.5 / MAX_STUDY_STEPS], f"more than {MAX_STUDY_STEPS}"),
+        ([0.2 * 0.5**k for k in range(40)], "5.5e[+]12 steps"),
+    ],
+    ids=["zero", "negative", "nan", "over-cap", "forty-levels"],
+)
+def test_order_study_refuses_widths_before_any_call(dts, reason):
+    calls = []
+    system = NamedSystem(
+        name="probe", dimension=1, rhs=lambda x, d, t: calls.append(t), exact=EXPDECAY.exact
+    )
+    with pytest.raises(ValueError, match=reason):
+        order_study(RungeKutta4(), system, [1.0], 0.0, 1.0, dts)
+    assert calls == []
 
 
 def test_order_study_rejects_non_dividing_width():

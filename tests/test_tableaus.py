@@ -106,6 +106,22 @@ def test_constructor_rejects_row_sum_mismatch():
         )
 
 
+@pytest.mark.parametrize(
+    "fields, reason",
+    [
+        (dict(a=((1.0,),), b=(0.5, 0.5), c=(0.0,), order=2), "inconsistent tableau dimensions"),
+        (dict(a=((1.0,), (0.5,)), b=(0.5, 0.25, 0.25), c=(0.0, 1.0, 0.5), order=2),
+         "row 2 must hold 2 entries"),
+        (dict(a=((1.0,),), b=(0.5, 0.5), c=(0.0, 1.0), order=2, error_order=1),
+         "error_order given without embedded weights"),
+    ],
+    ids=["dimensions", "row-length", "error-order-alone"],
+)
+def test_constructor_rejects_malformed_shape(fields, reason):
+    with pytest.raises(ValueError, match=reason):
+        ButcherTableau(name="bad", **fields)
+
+
 def test_constructor_rejects_weight_sum():
     with pytest.raises(ValueError):
         ButcherTableau(name="bad", a=(), b=(0.9,), c=(0.0,), order=1)
