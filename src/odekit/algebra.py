@@ -17,9 +17,9 @@ The sequence backend's code is generated per state length, and one
 function, :func:`_update_lines`, writes every update in it: one
 statement per element up to ``UNROLL`` elements, one loop beyond.  A
 stepper binding a sequence state gets the kernels, the copy and the
-error ratio for its length, and the explicit and symplectic steppers
-write their updates inline; numpy states and any replaced method keep
-their kernel calls.
+error ratio for its length, the explicit and symplectic steppers
+write their updates inline, and the controller its whole trial; numpy
+states and any replaced method keep their kernel calls.
 """
 
 from __future__ import annotations
@@ -148,12 +148,22 @@ def _update_lines(n, out, coeffs, terms):
     evaluated once, first) and the term names ``terms``: with ``n``
     None a call of the kernel ``K<k>`` of the k terms, else inline for
     states of length ``n`` (see :func:`_each`).  Every generated update
-    is written here, so every one has the same bits."""
+    is written here, so every one has the same bits.  Inline, a first
+    coefficient ``1.0`` followed by other terms is left out: that
+    product is exact.  An ``out`` that is a function ``out(i, value)``
+    instead of a name gives the statement that uses element ``i``'s
+    value in place of storing it, on every element of ``x``."""
     if n is None:
         return [f"K{len(terms)}({out}, ({', '.join(coeffs)},), ({', '.join(terms)},))"]
     c = [f"c{j}" for j in range(len(coeffs))]
-    row = lambda i: f"{out}[{i}] = " + " + ".join(f"{cj} * {t}[{i}]" for cj, t in zip(c, terms))
-    return [f"{', '.join(c)}, = {', '.join(coeffs)},", *_each(n, f"len({out})", row)]
+    skip = int(len(coeffs) > 1 and coeffs[0] == "1.0")
+    value = lambda i: " + ".join([f"{terms[0]}[{i}]"] * skip + [
+        f"{cj} * {t}[{i}]" for cj, t in zip(c[skip:], terms[skip:])])
+    if callable(out):
+        row, length = (lambda i: out(i, value(i))), "len(x)"
+    else:
+        row, length = (lambda i: f"{out}[{i}] = {value(i)}"), f"len({out})"
+    return [f"{', '.join(c[skip:])}, = {', '.join(coeffs[skip:])},", *_each(n, length, row)]
 
 
 def _define(name, args, lines):
@@ -197,13 +207,21 @@ def _sequence_copy(n):
     return _define("copy", "out, src", [*_update_lines(n, "out", ["1.0"], ["src"]), "return out"])
 
 
+def _ratio_row(dxdt):
+    """``row(i, e)``: the statement folding element ``i``, with error
+    ``e``, into ``worst``, the error ratio so far (``adt`` is
+    ``abs(dt)``), NaN propagated; ``dxdt`` names the derivative at ``x``."""
+    return lambda i, e: (f"r = abs({e}) / (atol + rtol * (abs(x[{i}]) + adt * abs({dxdt}[{i}])));"
+                         " worst = r if r > worst or r != r else worst")
+
+
 @lru_cache(maxsize=None)
 def _sequence_ratio(n):
     """Unchecked error ratio on sequences of length ``n``, NaN propagated."""
-    row = lambda i: (f"r = abs(xerr[{i}]) / (atol + rtol * (abs(x[{i}]) + adt * abs(dxdt[{i}])));"
-                     " worst = r if r > worst or r != r else worst")
-    return _define("ratio", "xerr, x, dxdt, atol, rtol, dt",
-                   ["adt, worst = abs(dt), 0.0", *_each(n, "len(x)", row), "return float(worst)"])
+    row = _ratio_row("dxdt")
+    return _define("ratio", "xerr, x, dxdt, atol, rtol, dt", [
+        "adt, worst = abs(dt), 0.0", *_each(n, "len(x)", lambda i: row(i, f"xerr[{i}]")),
+        "return float(worst)"])
 
 
 def _numpy_error_ratio(w, v):
@@ -300,9 +318,24 @@ def _kernel_table(algebra, buffers):
     return [algebra._kernel(k) for k in range(MAX_TERMS + 1)] if n is None else _sequence_kernels(n)
 
 
+class Scratched:
+    """Base of every stepper :func:`scratch` binds.  The buffers and
+    generated code it caches, and the attributes named in ``_caches``,
+    are left out when the stepper is pickled or copied: generated code
+    has no importable name, and a copy sharing it would write into the
+    original's buffers.  The copy binds again at its first step."""
+
+    _scratch = None
+    _caches = ("_scratch",)
+
+    def __getstate__(self):
+        return {**self.__dict__, **dict.fromkeys(self._caches)}
+
+
 def scratch(owner, x, count, bind=_kernel_table):
-    """Backend for ``x``, ``count`` zero states shaped like it, the copy,
-    and ``bind(algebra, buffers)``, by default the kernels by term count.
+    """Backend for ``x``, ``count`` zero states shaped like it (or
+    ``count(algebra, x)``), the copy, and ``bind(algebra, buffers)``,
+    by default the kernels by term count.
 
     The backend is :func:`algebra_of` ``owner``.  ``owner._scratch``
     caches ``(tag, result)``: a call whose tag, ``type(x)`` and
@@ -321,6 +354,8 @@ def scratch(owner, x, count, bind=_kernel_table):
         return cached[1]
     _refuse_empty(x, "an empty state cannot be stepped")
     algebra = algebra_of(owner, x)
+    if callable(count):
+        count = count(algebra, x)
     buffers = [algebra.clone_shape(x) for _ in range(count)]
     algebra._check_shapes(x, *buffers)
     n = algebra._fused_length(x)

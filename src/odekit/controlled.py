@@ -12,9 +12,11 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass
+from functools import partial
 
-from .algebra import Algebra, scratch
+from .algebra import Scratched, _sequence_ratio, algebra_of, scratch
 from .errors import SolverError, StepSizeUnderflowError
+from .explicit import EmbeddedRungeKutta, _trial_code
 
 SAFETY = 0.9
 FAC_MIN = 0.2
@@ -48,6 +50,11 @@ class StepResult(namedtuple("StepResult", ["accepted", "t", "dt", "error_ratio"]
     trial's error ratio."""
 
 
+# A StepResult from a tuple of its fields, as ``StepResult._make``
+# builds it, without the constructor's Python frame.
+_step_result = partial(tuple.__new__, StepResult)
+
+
 def next_step_size(dt, err, error_order, was_rejected=False):
     """Integral controller for the following step width.
 
@@ -66,24 +73,36 @@ def next_step_size(dt, err, error_order, was_rejected=False):
     return dt * factor
 
 
-class ControlledStepper:
+class ControlledStepper(Scratched):
     """Accept/reject wrapper around an embedded-error stepper.
 
     ``try_step`` writes the new state into ``x`` only on acceptance; a
     rejected trial leaves ``x`` and ``t`` untouched and only shrinks
     the step width.  The derivative at the current state, needed for
-    the error scale, is cached between trials and handed to the stepper
-    as its first stage.  For steppers with a first-same-as-last stage
-    it is refreshed from the last stage on acceptance, so a smooth run
-    costs one extra system evaluation in total.  The state backend is
-    ``algebra`` when given, else the stepper's.
+    the error scale, is cached between trials and read as the first
+    stage.  For steppers with a first-same-as-last stage it is the last
+    stage of the accepted trial, so a smooth run costs one extra system
+    evaluation in total.  The state backend is ``algebra`` when given,
+    else the stepper's.
 
-    Instances carry five scratch states, among them the derivative
-    cache and two states the error ratio is computed in, and the
-    rejection history; do not share one instance between concurrent
-    integrations.  Call ``reset`` after modifying the state externally;
-    the drivers call it at the start of every run.
+    A shipped embedded pair (an ``EmbeddedRungeKutta`` that keeps its
+    ``do_step_with_error``) on an unreplaced sequence backend runs each
+    trial as code generated once per tableau and state length: stages,
+    solution, last stage, error ratio and, on acceptance, the copy into
+    ``x`` in one call, into the controller's own stage states, with no
+    error estimate stored; the last stage is handed over by swapping
+    two buffers.  Other steppers,
+    numpy states and algebras that replace ``scale_sum``, ``copy`` or
+    ``error_ratio_max`` go through ``do_step_with_error`` and the
+    algebra's error ratio, with the same bits.
+
+    Instances carry scratch states (the derivative cache among them)
+    and the rejection history; do not share one instance between
+    concurrent integrations.  Call ``reset`` after modifying the state
+    externally; the drivers call it at the start of every run.
     """
+
+    _caches = ("_scratch", "_dxdt", "_stages")
 
     def __init__(self, stepper, params=None, algebra=None):
         if getattr(stepper, "error_order", None) is None:
@@ -91,16 +110,41 @@ class ControlledStepper:
         self.stepper = stepper
         self.params = ControllerParams() if params is None else params
         self._fixed_algebra = getattr(stepper, "_fixed_algebra", None) if algebra is None else algebra
-        self._scratch = None
-        self._dxdt = None  # the scratch buffer holding f(x, t), when valid
-        self._rejected = False
-        self.last_stage_record = None
+        self.reset()
+
+    @property
+    def stepper(self):
+        """The embedded-error stepper; another one assigned binds anew."""
+        return self._stepper
+
+    @stepper.setter
+    def stepper(self, stepper):
+        self._stepper, self._scratch = stepper, None
 
     def reset(self):
         """Drop the cached derivative and the rejection flag."""
-        self._dxdt = None
+        self._dxdt = None  # the scratch buffer holding f(x, t), when valid
+        self._stages = None  # the stage derivatives of the last accepted trial
         self._rejected = False
-        self.last_stage_record = None
+
+    def _trial_length(self, algebra, x):
+        # The length the trial on x is generated for; None: the general path.
+        stepper, n = self._stepper, algebra._fused_length(x)
+        plain = getattr(type(stepper), "do_step_with_error", None) is EmbeddedRungeKutta.do_step_with_error
+        if plain and not (algebra._replaced("copy") or algebra._replaced("error_ratio_max")):
+            return n if algebra_of(stepper, x)._fused_length(x) == n else None
+
+    def _count(self, algebra, x):
+        # The generated trial's stage states and solution, else the
+        # trial state, the error, the derivative and two ratio states.
+        return 5 if self._trial_length(algebra, x) is None else self._stepper.stage_count + 1
+
+    def _bind(self, algebra, buffers):
+        # (trial, ratio): the generated trial, None for the general path.
+        n = self._trial_length(algebra, buffers[0])
+        if n is None:
+            return None, algebra._error_kernel(buffers)
+        return _trial_code(self._stepper.tableau, n), _sequence_ratio(n)
 
     def try_step(self, system, x, t, dt):
         """Attempt one step of width ``dt`` from ``(x, t)``.
@@ -123,40 +167,65 @@ class ControlledStepper:
             raise ValueError("time and step width must be finite, the width nonzero")
         if t + dt == t:
             raise StepSizeUnderflowError(dt, t)
-        _, (xtrial, xerr, dxdt, _, _), copy, ratio = scratch(self, x, 5, Algebra._error_kernel)
+        # scratch()'s cache test for a sequence state, inline: it opens
+        # every trial.  Any other state takes the call.
+        cached = self._scratch
+        if cached is None or cached[0] != (type(x), len(x)):
+            scratch(self, x, self._count, self._bind)
+            cached = self._scratch
+        _, k, copy, (trial, ratio) = cached[1]
+        if trial is None:
+            return self._general_step(system, x, t, dt, k, copy, ratio)
+        dxdt = k[0]
+        if self._dxdt is not dxdt:
+            if self._dxdt is k[-2]:
+                # The last accepted trial's last stage belongs to x:
+                # swap it in as the first stage.
+                k[0], k[-2] = k[-2], dxdt
+                dxdt = k[0]
+            else:
+                system(x, dxdt, t)
+            self._dxdt = dxdt
         params = self.params
-        stepper = self.stepper
+        err = trial(system, x, t, dt, params.atol, params.rtol, k)
+        if err <= 1.0:
+            self._stages = k
+            self._dxdt = k[-2] if self._stepper.fsal else None
+            dt_next = next_step_size(dt, err, self._stepper.error_order, self._rejected)
+            self._rejected = False
+            return _step_result((True, t + dt, dt_next, err))
+        return self._reject(x, t, dt, err, dxdt, ratio)
 
+    def _general_step(self, system, x, t, dt, buffers, copy, ratio):
+        xtrial, xerr, dxdt = buffers[:3]
+        stepper = self._stepper
         if self._dxdt is not dxdt:
             system(x, dxdt, t)
             self._dxdt = dxdt
-
-        trial = stepper.do_step_with_error(
-            system, x, t, dt, out=xtrial, xerr=xerr, dxdt_in=dxdt
-        )
-        record = self.last_stage_record = trial[2] if stepper.fsal else None
-
-        err = ratio(xerr, x, dxdt, params.atol, params.rtol, dt)
-
+        trial = stepper.do_step_with_error(system, x, t, dt, out=xtrial, xerr=xerr, dxdt_in=dxdt)
+        err = ratio(xerr, x, dxdt, self.params.atol, self.params.rtol, dt)
         if err <= 1.0:
             copy(x, xtrial)
-            if record is not None:
+            if stepper.fsal:
                 # The last stage derivative belongs to the state just
                 # accepted; keep it as the next trial's first stage.
-                copy(dxdt, record.new_derivative)
+                copy(dxdt, trial[2].new_derivative)
+                self._stages = trial[2].derivatives
             else:
                 self._dxdt = None
             dt_next = next_step_size(dt, err, stepper.error_order, self._rejected)
             self._rejected = False
             return StepResult(True, t + dt, dt_next, err)
+        return self._reject(x, t, dt, err, dxdt, ratio)
 
-        # Rejected: x and t stay untouched, the cached derivative is
-        # still the derivative at (x, t).  When it is not finite, no
-        # smaller width can help.
+    def _reject(self, x, t, dt, err, dxdt, ratio):
+        # x and t stay untouched, the cached derivative is still the
+        # derivative at (x, t).  When it is not finite, no smaller
+        # width can help.
         if not math.isfinite(err) and not math.isfinite(ratio(dxdt, x, dxdt, 1.0, 0.0, 0.0)):
             raise SolverError(f"the derivative at t={t!r} is not finite")
         self._rejected = True
-        dt_next = next_step_size(dt, err, stepper.error_order, True)
-        if abs(dt_next) < params.dt_min:
+        dt_next = next_step_size(dt, err, self._stepper.error_order, True)
+        if abs(dt_next) < self.params.dt_min:
             raise StepSizeUnderflowError(dt_next, t, err)
         return StepResult(False, t, dt_next, err)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 
-from .algebra import _initial_copy, scratch
+from .algebra import Scratched, _initial_copy, scratch
 from .controlled import ControlledStepper
 from .explicit import DormandPrince5
 
@@ -27,7 +27,7 @@ _D6 = -1453857185.0 / 822651844.0
 _D7 = 69997945.0 / 29380423.0
 
 
-class DenseOutputDopri5:
+class DenseOutputDopri5(Scratched):
     """Adaptive Dormand-Prince stepping with free interpolation.
 
     Either call ``try_step`` on your own state, as with any controlled
@@ -39,6 +39,11 @@ class DenseOutputDopri5:
     to rounding accuracy.  Any new trial discards it, so
     ``calc_state`` raises until the next acceptance.
 
+    Each trial is the ``controller``'s, generated whole on the shipped
+    sequence backend (see :class:`ControlledStepper`).  The state is
+    copied before each trial, and the fit reads the accepted trial's
+    stage derivatives where the trial left them.
+
     Parameters
     ----------
     params : ControllerParams, optional
@@ -48,9 +53,10 @@ class DenseOutputDopri5:
         State backend; defaults to the container of the state stepped.
     """
 
+    _caches = ("_scratch", "_span")
+
     def __init__(self, params=None, algebra=None):
         self._fixed_algebra = algebra
-        self._scratch = None  # x_prev and the four interpolant coefficients
         self.stepper = DormandPrince5(algebra)
         self.controller = ControlledStepper(self.stepper, params)
         self._algebra = self._x = self._t = self._dt = None
@@ -112,7 +118,7 @@ class DenseOutputDopri5:
         if not result.accepted:
             return result
 
-        k = self.controller.last_stage_record.derivatives
+        k = self.controller._stages
         # Interpolation coefficients, Horner-ready:
         #   x(t_prev + theta*h) = x_prev + theta*ydiff
         #     + theta*(1-theta)*bspl + theta^2*(1-theta)*c4

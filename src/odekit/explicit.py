@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache
 
-from .algebra import MAX_TERMS, _define, _update_lines, scratch
+from .algebra import MAX_TERMS, Scratched, _define, _ratio_row, _update_lines, scratch
 from .tableaus import CASH_KARP_54, DORMAND_PRINCE_54, EULER, RK4_CLASSIC
 
 class StageRecord(namedtuple("StageRecord", ["derivatives"])):
@@ -29,7 +29,7 @@ class StageRecord(namedtuple("StageRecord", ["derivatives"])):
         return self.derivatives[-1]
 
 
-class ExplicitRungeKutta:
+class ExplicitRungeKutta(Scratched):
     """Fixed-step explicit Runge-Kutta scheme over a Butcher tableau.
 
     Scratch buffers are sized lazily on first use and reused, so a step
@@ -52,7 +52,6 @@ class ExplicitRungeKutta:
         self.stage_count = tableau.stage_count
         self.fsal = tableau.is_fsal
         self._fixed_algebra = algebra
-        self._scratch = None
 
     def _bind(self, algebra, k):
         # Once per buffer set (k: the stage derivatives, then the stage
@@ -74,6 +73,32 @@ class ExplicitRungeKutta:
         return advance(system, x, t, dt, x if out is None else out)
 
 
+def _update(tableau, n, out, weights, lead):
+    """The update of ``out`` by ``weights`` on the stages ``k<j>``,
+    after ``x`` when ``lead`` is 1, and its term count (see
+    :func:`_step_code`)."""
+    idx = [j for j, w in enumerate(weights) if w != 0.0]
+    k = len(idx) + lead
+    if not 1 <= k <= MAX_TERMS:
+        raise ValueError(f"{tableau.name}: {k} terms in one update;"
+                         f" the algebra takes 1..{MAX_TERMS}")
+    coeffs = ["1.0"] * lead + [f"dt * {float(weights[j])!r}" for j in idx]
+    terms = ["x"] * lead + [f"k{j}" for j in idx]
+    return k, _update_lines(n, out, coeffs, terms)
+
+
+def _stages(tableau, update):
+    """Lines running the stages after the first, each update made by
+    ``update(out, weights, lead)``.  A first-same-as-last stage state
+    is the new state itself, and its derivative has zero weight, so
+    its row is left out."""
+    lines = []
+    for i, row in enumerate(tableau.a[:-1] if tableau.is_fsal else tableau.a, start=1):
+        lines += update("u", row, 1)
+        lines.append(f"system(u, k{i}, t + {float(tableau.c[i])!r} * dt)")
+    return lines
+
+
 @lru_cache(maxsize=64)
 def _step_code(tableau, n=None):
     """Straight-line step code for ``tableau``, generated once per
@@ -89,31 +114,45 @@ def _step_code(tableau, n=None):
     counts = set()
 
     def update(out, weights, lead):
-        idx = [j for j, w in enumerate(weights) if w != 0.0]
-        k = len(idx) + lead
-        if not 1 <= k <= MAX_TERMS:
-            raise ValueError(f"{tableau.name}: {k} terms in one update;"
-                             f" the algebra takes 1..{MAX_TERMS}")
+        k, lines = _update(tableau, n, out, weights, lead)
         counts.add(k)
-        coeffs = ["1.0"] * lead + [f"dt * {float(weights[j])!r}" for j in idx]
-        terms = ["x"] * lead + [f"k{j}" for j in idx]
-        return [f"    {line}" for line in _update_lines(n, out, coeffs, terms)]
+        return lines
 
-    # A first-same-as-last stage state is the new state itself, and
-    # its derivative has zero weight, so its row is left out.
-    rows = tableau.a[:-1] if tableau.is_fsal else tableau.a
-    body = ["def advance(system, x, t, dt, target):"]
-    for i, row in enumerate(rows, start=1):
-        body += update("u", row, 1)
-        body.append(f"    system(u, k{i}, t + {float(tableau.c[i])!r} * dt)")
-    body += update("target", tableau.b, 1) + ["    return target"]
+    def define(head, lines):
+        return [head, *(f"    {line}" for line in lines)]
+
+    body = define("def advance(system, x, t, dt, target):",
+                  _stages(tableau, update) + update("target", tableau.b, 1) + ["return target"])
     ew = tableau.error_weights
-    body += ["error = None"] if ew is None else [
-        "def error(dt, xerr):", *update("xerr", ew, 0), "    return xerr"]
+    body += ["error = None"] if ew is None else define(
+        "def error(dt, xerr):", update("xerr", ew, 0) + ["return xerr"])
     head = [f"{''.join(f'k{j}, ' for j in range(tableau.stage_count))}u = k"]
     if n is None:
         head += [f"K{k} = kernel({k})" for k in sorted(counts)]
     return _define("make", "kernel, k", head + body + ["return advance, error"])
+
+
+@lru_cache(maxsize=64)
+def _trial_code(tableau, n):
+    """One controlled trial of an embedded pair on sequence states of
+    length ``n``, generated once per tableau value and length:
+    ``trial(system, x, t, dt, atol, rtol, k)`` reads ``f(x, t)`` from
+    ``k[0]``, writes the other stages into ``k[1:-1]`` and the
+    solution into ``k[-1]``, evaluates a first-same-as-last stage at
+    it, copies it into ``x`` when the error ratio is at most one, and
+    returns the ratio.  The ratio of each element is taken from its
+    error update's value, which is not stored, so the trial runs
+    :func:`_step_code`'s stage, solution and error updates and the
+    ratio of ``_sequence_ratio``, bit for bit."""
+    s = tableau.stage_count
+    update = lambda out, weights, lead: _update(tableau, n, out, weights, lead)[1]
+    return _define("trial", "system, x, t, dt, atol, rtol, k", [
+        f"{''.join(f'k{j}, ' for j in range(s))}u = k",
+        *_stages(tableau, update), *update("u", tableau.b, 1),
+        *([f"system(u, k{s - 1}, t + dt)"] if tableau.is_fsal else []),
+        "adt, worst = abs(dt), 0.0", *update(_ratio_row("k0"), tableau.error_weights, 0),
+        "if worst <= 1.0:", *(f"    {line}" for line in _update_lines(n, "x", ["1.0"], ["u"])),
+        "return float(worst)"])
 
 
 class EmbeddedRungeKutta(ExplicitRungeKutta):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import scratch
+from .algebra import Scratched, scratch
 from .errors import ConvergenceError, SingularMatrixError
 
 NEWTON_TOL = 1e-12
@@ -40,7 +40,7 @@ class JacobianSystem:
         return self.system(x, dxdt, t)
 
 
-class ImplicitEuler:
+class ImplicitEuler(Scratched):
     """First order implicit Euler for stiff problems.
 
     Newton stops when an update, or the residual after at least one
@@ -56,7 +56,6 @@ class ImplicitEuler:
 
     def __init__(self, algebra=None):
         self._fixed_algebra = algebra
-        self._scratch = None
         self.last_iteration_count = 0
 
     def do_step(self, system, x, t, dt, out=None):

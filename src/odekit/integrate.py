@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import _initial_copy
-from .errors import SolverError
+from .errors import SolverError, StepSizeUnderflowError
 
 # Grid times within this fraction of a width of the interval end are
 # treated as the end itself.
@@ -114,6 +114,8 @@ def _controlled_walk(stepper, system, x, t0, targets, dt, observer, observe_step
     t = t0
     try:
         for target in targets:
+            if target <= t:  # a grid point that rounds onto the time reached
+                raise StepSizeUnderflowError(dt, t)
             while t < target:
                 clamped = dt >= target - t
                 result = stepper.try_step(counter, x, t, target - t if clamped else dt)
@@ -172,7 +174,9 @@ def integrate_const(stepper, system, x0, t0, t1, dt, observer=None):
     interval are interpolated after each accepted step; the observer
     sees ``t1`` with the stepped state.
 
-    A :class:`SolverError` carries the counters so far, and the last
+    A fixed step or a grid point that would not move the time raises
+    :class:`StepSizeUnderflowError` before it is taken.  A
+    :class:`SolverError` carries the counters so far, and the last
     time reached, in ``partial_report``.
     """
     controlled = hasattr(stepper, "try_step")
@@ -193,8 +197,11 @@ def integrate_const(stepper, system, x0, t0, t1, dt, observer=None):
     t = t0
     try:
         for k in range(1, steps + 1):
+            t_next = t_last if k == steps else t0 + k * dt
+            if t_next <= t:  # a width too small to move t
+                raise StepSizeUnderflowError(dt, t)
             stepper.do_step(counter, x, t, dt_last if k == steps else dt)
-            t = t_last if k == steps else t0 + k * dt
+            t = t_next
             if observer is not None:
                 observer(_readonly(x), t)
     except SolverError as exc:

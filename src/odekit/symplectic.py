@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .algebra import _define, _update_lines, scratch
+from .algebra import Scratched, _define, _update_lines, scratch
 from .errors import DimensionError
 
 
@@ -50,7 +50,7 @@ class SeparableHamiltonian:
     dpdt: object
 
 
-class SymplecticEuler:
+class SymplecticEuler(Scratched):
     """First order symplectic Euler, momentum update first.
 
     ``p_new = p + dt * dpdt(q)`` followed by
@@ -63,7 +63,6 @@ class SymplecticEuler:
 
     def __init__(self, algebra=None):
         self._fixed_algebra = algebra
-        self._scratch = None
 
     def do_step(self, system, state, t, dt, out=None):
         """Advance a :class:`PairState` from ``t`` by ``dt``.

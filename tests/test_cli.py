@@ -128,18 +128,22 @@ def test_order_fits_two_levels(capsys):
     assert 3.8 <= float(rows[-1].split(",")[1]) <= 4.4
 
 
-@pytest.mark.parametrize("name", ["dopri5", "dopri5_dense"])
+@pytest.mark.parametrize("name", ["dopri5", "dopri5_dense", "rk4"])
 def test_integrate_that_cannot_move_t_exits_2(name):
     # Near 1e16 floats are 2 apart: once the controller settles on a
-    # width below 1, t stops moving and the run must end.
+    # width below 1, t stops moving and the run must end; a fixed
+    # width of 0.01 never moves it, so only the start is written.
+    system, dt = ("harmonic", "0.01") if name == "rk4" else ("lorenz", "16")
     proc = subprocess.run(
-        [sys.executable, "-m", "odekit", "integrate", "--system", "lorenz", "--stepper", name,
-         "--t0", "1e16", "--t1", "1.0000000000000064e16", "--dt", "16"],
+        [sys.executable, "-m", "odekit", "integrate", "--system", system, "--stepper", name,
+         "--t0", "1e16", "--t1", "1.0000000000000064e16", "--dt", dt],
         capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 2
     assert proc.stderr.splitlines() == [proc.stderr.strip()]
     assert "step size underflow at t=1e+16" in proc.stderr
+    if name == "rk4":
+        assert proc.stdout.splitlines() == ["t,x0,x1", "10000000000000000,1,0"]
 
 
 def test_order_rejects_system_without_exact(capsys):

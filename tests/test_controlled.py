@@ -304,6 +304,18 @@ def test_fsal_cache_survives_rejection():
     assert counter.count - first == 6
 
 
+@pytest.mark.parametrize("box", [list, np.array], ids=["list", "numpy"])
+def test_a_replaced_stepper_runs_its_own_tableau(box):
+    controller = ControlledStepper(DormandPrince5())
+    controller.try_step(HARMONIC, box([1.0, 0.5]), 0.0, 0.1)
+    controller.stepper = CashKarp54()
+    controller.reset()
+    x, fresh = box([1.0, 0.5]), box([1.0, 0.5])
+    got = controller.try_step(HARMONIC, x, 0.0, 0.1)
+    assert got == ControlledStepper(CashKarp54()).try_step(HARMONIC, fresh, 0.0, 0.1)
+    assert list(x) == list(fresh)
+
+
 def test_reset_clears_cached_derivative():
     counter = EvaluationCounter(expgrow)
     ctl = ControlledStepper(DormandPrince5())

@@ -405,13 +405,13 @@ def test_generated_step_matches_the_stage_loop(tableau, x0, t, dt, box):
 
 
 def controlled_trials(algebra, box, x0, t, dt, tol):
-    """State, error estimate and error ratio of three chained trials."""
+    """State and error ratio of three chained trials (the generated
+    trial stores no error estimate; its ratio is compared instead)."""
     controller = ControlledStepper(DormandPrince5(algebra), ControllerParams(atol=tol, rtol=tol))
     x, seen = box(x0), []
     for _ in range(3):
         result = controller.try_step(ring, x, t, dt)
-        xerr = controller._scratch[1][1][1]
-        seen.append((hexes(x), hexes(xerr), result.error_ratio.hex()))
+        seen.append((hexes(x), result.error_ratio.hex()))
         t, dt = result.t, result.dt
     return seen
 
@@ -458,6 +458,51 @@ def test_fused_sequence_path_matches_numpy_and_the_general_path(x0, t, dt, tol, 
     as_list = run(None, list, x0, t, dt, tol)
     assert run(None, np.array, x0, t, dt, tol) == as_list
     assert run(GeneralAlgebra(), list, x0, t, dt, tol) == as_list
+
+
+# Every driver path of a generated trial: the drivers, and dense output
+# on both of them.
+TRIAL_RUNS = {
+    "adaptive": (integrate_adaptive, False),
+    "const": (integrate_const, False),
+    "dense-adaptive": (integrate_adaptive, True),
+    "dense-const": (integrate_const, True),
+}
+
+
+def hex_run(driver, make, x0, t1, dt0):
+    seen = []
+    report = driver(make(), ring, x0, 0.0, t1, dt0, lambda x, t: seen.append((t.hex(), hexes(x))))
+    counters = (report.steps_accepted, report.steps_rejected, report.system_evaluations)
+    return seen, hexes(report.final_state), report.final_time.hex(), counters
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(
+    x0=STATES,
+    t1=st.floats(0.5, 2.0),
+    dt0=st.floats(0.5, 4.0),
+    tol=st.floats(1e-9, 1e-4),
+    pair=st.sampled_from(sorted(PAIRS)),
+    path=st.sampled_from(sorted(TRIAL_RUNS)),
+)
+@example(x0=[1.0, -0.5, 0.25], t1=2.0, dt0=4.0, tol=1e-8, pair="ck54", path="const")
+def test_generated_trial_matches_its_numpy_twin(x0, t1, dt0, tol, pair, path):
+    # Lists run the trial generated for their length (one loop past
+    # UNROLL), numpy the general path; wide first widths are rejected.
+    # On a grid the first width is the grid's, three to the interval.
+    driver, dense = TRIAL_RUNS[path]
+    if driver is integrate_const:
+        dt0 = t1 / 3
+    params = ControllerParams(atol=tol, rtol=tol)
+    if dense:
+        make = lambda: DenseOutputDopri5(params)  # noqa: E731
+    else:
+        make = lambda: ControlledStepper(PAIRS[pair](), params)  # noqa: E731
+    as_list = hex_run(driver, make, list(x0), t1, dt0)
+    assert as_list == hex_run(driver, make, np.array(x0), t1, dt0)
+    if x0 == [1.0, -0.5, 0.25]:
+        assert as_list[3][1] > 0  # the explicit example rejects trials
 
 
 # --- the controller's error ratio -------------------------------------------

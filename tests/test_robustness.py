@@ -1,8 +1,10 @@
 """Clean state per run, accepted steps that never raise, named failure
 causes, partial reports from every controlled run, integer states,
 initial states checked at every run entry, empty states and bounds
-checked at the manual stepping entry points, and errors that survive pickling."""
+checked at the manual stepping entry points, and errors and used
+steppers that survive pickling."""
 
+import copy
 import math
 import pickle
 
@@ -17,6 +19,7 @@ from odekit import (
     DenseOutputDopri5,
     DimensionError,
     DormandPrince5,
+    ExplicitEuler,
     HARMONIC,
     ImplicitEuler,
     IntegrationReport,
@@ -29,6 +32,7 @@ from odekit import (
     SolverError,
     StepSizeUnderflowError,
     SymplecticEuler,
+    harmonic_separable,
     integrate_adaptive,
     integrate_const,
 )
@@ -109,14 +113,22 @@ def bounded(kind, calls, inner, limit=1000):
     return call
 
 
-@pytest.mark.parametrize("drive", [integrate_adaptive, integrate_const], ids=["adaptive", "const"])
-@pytest.mark.parametrize(
-    "make", [lambda: ControlledStepper(DormandPrince5()), DenseOutputDopri5],
-    ids=["controlled", "dense"],
-)
+def controlled():
+    return ControlledStepper(DormandPrince5())
+
+
+@pytest.mark.parametrize("make, drive", [
+    pytest.param(make, drive, id=f"{name}-{drive.__name__.split('_')[1]}")
+    for name, make in (("controlled", controlled), ("dense", DenseOutputDopri5),
+                       ("rk4", RungeKutta4), ("euler", ExplicitEuler))
+    for drive in (integrate_adaptive, integrate_const)
+    if drive is integrate_const or name in ("controlled", "dense")
+])
 def test_a_width_that_cannot_move_t_ends_the_run(drive, make):
     # Floats near 1e16 are 2 apart: a width of 0.01 passes the error
-    # test, yet t + dt == t, so accepted steps would never reach t1.
+    # test, yet t + dt == t, so accepted steps would never reach t1,
+    # and grid points 0.01 apart all round onto t0: the observer sees
+    # t0 alone.
     calls = {"rhs": 0, "observer": 0}
     rhs = bounded("rhs", calls, HARMONIC)
     observer = bounded("observer", calls, lambda x, t: None)
@@ -126,6 +138,27 @@ def test_a_width_that_cannot_move_t_ends_the_run(drive, make):
     assert report.final_time == 1e16 and report.final_state == [1.0, 0.0]
     assert report.system_evaluations == calls["rhs"] == 0
     assert report.steps_attempted == 0
+    assert calls["observer"] == 1
+
+
+def test_fixed_steps_end_where_t_stops_moving():
+    # Floats are 1 apart below 2**53 and 2 apart above: widths of 0.75
+    # move t at first, then a grid point rounds onto the one before.
+    t0, calls = 2.0**53 - 8.0, []
+    seen = []
+
+    def rhs(x, dxdt, t):
+        calls.append(t)
+        HARMONIC(x, dxdt, t)
+
+    with pytest.raises(StepSizeUnderflowError) as info:
+        integrate_const(RungeKutta4(), rhs, [1.0, 0.0], t0, t0 + 64.0, 0.75,
+                        lambda x, t: seen.append(t))
+    report = info.value.partial_report
+    assert seen == sorted(set(seen)) and len(seen) > 2
+    assert report.final_time == seen[-1] == info.value.t
+    assert report.steps_accepted == len(seen) - 1
+    assert report.system_evaluations == len(calls) == 4 * report.steps_accepted
 
 
 def test_integrate_const_controlled_failure_carries_partial_report():
@@ -326,3 +359,75 @@ def test_solver_errors_survive_pickling(error, attributes):
 def test_pickling_test_covers_every_solver_error():
     covered = {SolverError, SingularMatrixError, StepSizeUnderflowError, ConvergenceError}
     assert set(SolverError.__subclasses__()) | {SolverError} == covered
+
+
+# --- pickling and copying used steppers ---------------------------------------
+
+
+def hexes(values):
+    return [float(v).hex() for v in values]
+
+
+def run_fixed(stepper, box):
+    report = integrate_const(stepper, HARMONIC, box([1.0, 0.5]), 0.0, 1.0, 0.125)
+    return hexes(report.final_state), report.steps_attempted, report.system_evaluations
+
+
+def run_adaptive(stepper, box):
+    seen, rhs = [], bounded("rhs", {"rhs": 0}, LORENZ, limit=5000)  # a broken copy may crawl
+    report = integrate_adaptive(stepper, rhs, box([10.0, 10.0, 10.0]), 0.0, 0.5, 0.05,
+                                lambda x, t: seen.append((hexes(x), t.hex())))
+    counters = (report.steps_accepted, report.steps_rejected, report.system_evaluations)
+    return seen, hexes(report.final_state), counters
+
+
+def run_symplectic(stepper, box):
+    state = PairState(box([1.0, 0.5]), box([0.0, -0.25]))
+    for k in range(8):
+        stepper.do_step(harmonic_separable(), state, 0.125 * k, 0.125)
+    return hexes(state.q) + hexes(state.p)
+
+
+USED_STEPPERS = {
+    "euler": (ExplicitEuler, run_fixed),
+    "rk4": (RungeKutta4, run_fixed),
+    "dopri5": (DormandPrince5, run_fixed),
+    "implicit": (ImplicitEuler, run_fixed),
+    "controlled-ck54": (lambda: ControlledStepper(CashKarp54(), tight()), run_adaptive),
+    "controlled-dopri5": (lambda: ControlledStepper(DormandPrince5(), tight()), run_adaptive),
+    "dense": (lambda: DenseOutputDopri5(tight()), run_adaptive),
+    "symplectic": (SymplecticEuler, run_symplectic),
+}
+
+
+@pytest.mark.parametrize("box", [list, np.array], ids=["list", "numpy"])
+@pytest.mark.parametrize("kind", sorted(USED_STEPPERS))
+def test_used_steppers_pickle_and_copy(kind, box):
+    # A stepper's scratch and generated code are left out of a pickle
+    # or a copy; the copy binds its own and runs as the original does
+    # after reset(), bit for bit, and leaves the original untouched.
+    make, run = USED_STEPPERS[kind]
+    stepper = make()
+    run(stepper, box)
+    copies = [pickle.loads(pickle.dumps(stepper)), copy.deepcopy(stepper)]
+    getattr(stepper, "reset", lambda: None)()
+    expected = run(stepper, box)
+    for twin in copies:
+        assert run(twin, box) == expected
+    assert run(stepper, box) == expected
+
+
+@pytest.mark.parametrize("box", [list, np.array], ids=["list", "numpy"])
+def test_dense_stepping_resumes_from_a_pickle(box):
+    dense = DenseOutputDopri5(tight())
+    dense.initialize(box([10.0, 10.0, 10.0]), 0.0, 0.05)
+    for _ in range(3):
+        dense.do_step(LORENZ)
+    resumed = pickle.loads(pickle.dumps(dense))
+    dense.reset()
+    runs = []
+    for stepper in (dense, resumed):
+        intervals = [stepper.do_step(LORENZ) for _ in range(3)]
+        mid = sum(stepper.interval) / 2
+        runs.append((intervals, hexes(stepper.current_state), hexes(stepper.calc_state(mid))))
+    assert runs[0] == runs[1]

@@ -31,7 +31,7 @@ from odekit import (
     integrate_const,
 )
 from odekit.algebra import MAX_TERMS, NUMPY_ALGEBRA, UNROLL, NumpyAlgebra, SequenceAlgebra
-from odekit.explicit import ExplicitRungeKutta, _step_code
+from odekit.explicit import ExplicitRungeKutta, _step_code, _trial_code
 from odekit.tableaus import ButcherTableau
 
 X0 = [10.0, 10.0, 10.0]
@@ -259,7 +259,8 @@ def test_step_code_is_generated_once_per_tableau():
             dense = DenseOutputDopri5()
             dense.initialize(box(X0), 0.0, 0.01)
             dense.do_step(LORENZ)
-            advances.append((DormandPrince5, box, dense.stepper._scratch[1][3][0]))
+            if box is np.array:  # on lists the controller's generated trial runs instead
+                advances.append((DormandPrince5, box, dense.stepper._scratch[1][3][0]))
     info = _step_code.cache_info()
     assert (info.misses, info.currsize) == (4, 4)
     # Every stepper of a tableau runs one compiled step per length.
@@ -274,6 +275,36 @@ def test_step_code_is_generated_once_per_tableau():
         for make in (DormandPrince5, RungeKutta4):
             make().do_step(decay_rows, [1.0] * n, 0.0, 0.01)
     info = _step_code.cache_info()
+    assert info.misses == info.currsize == 2 * (UNROLL + 1) <= info.maxsize
+
+
+def test_trial_code_is_generated_once_per_tableau_and_length():
+    # The controller's generated trial is keyed on (tableau, length),
+    # shared by every controller and dense stepper; numpy states take
+    # the general path and generate none.
+    _trial_code.cache_clear()
+    trials = []
+    for box in (list, np.array):
+        for _ in range(25):
+            for make in (DormandPrince5, CashKarp54):
+                controller = ControlledStepper(make())
+                controller.try_step(LORENZ, box(X0), 0.0, 0.01)
+                trials.append((make, box, controller._scratch[1][3][0]))
+            dense = DenseOutputDopri5()
+            dense.initialize(box(X0), 0.0, 0.01)
+            dense.do_step(LORENZ)
+            trials.append((DormandPrince5, box, dense.controller._scratch[1][3][0]))
+    info = _trial_code.cache_info()
+    assert (info.misses, info.currsize) == (2, 2)
+    for make in (DormandPrince5, CashKarp54):
+        assert len({id(trial) for owner, b, trial in trials if (owner, b) == (make, list)}) == 1
+        assert {trial for owner, b, trial in trials if (owner, b) == (make, np.array)} == {None}
+    # Lengths past UNROLL share one looped trial.
+    _trial_code.cache_clear()
+    for n in range(1, 41):
+        for make in (DormandPrince5, CashKarp54):
+            ControlledStepper(make()).try_step(decay_rows, [1.0] * n, 0.0, 0.01)
+    info = _trial_code.cache_info()
     assert info.misses == info.currsize == 2 * (UNROLL + 1) <= info.maxsize
 
 
@@ -481,7 +512,7 @@ def test_controlled_trial_ratio_allocates_no_state_sized_array():
     x = np.vstack([rng.uniform(-10, 10, 10_000) for _ in range(3)])
     controller = ControlledStepper(DormandPrince5())
     controller.try_step(LORENZ, x, 0.0, 1e-3)  # warm-up binds the scratch
-    _, (_, xerr, dxdt, *_), _, ratio = controller._scratch[1]
+    _, (_, xerr, dxdt, *_), _, (_, ratio) = controller._scratch[1]
     ratio(xerr, x, dxdt, 1e-6, 1e-6, 1e-3)
     peaks = []
     for call in (ratio, NUMPY_ALGEBRA.error_ratio_max):
