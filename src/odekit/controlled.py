@@ -17,6 +17,7 @@ from functools import partial
 from .algebra import Scratched, _sequence_ratio, algebra_of, scratch
 from .errors import SolverError, StepSizeUnderflowError
 from .explicit import EmbeddedRungeKutta, _trial_code
+from .integrate import EvaluationCounter, _counting
 
 SAFETY = 0.9
 FAC_MIN = 0.2
@@ -96,9 +97,10 @@ class ControlledStepper(Scratched):
     ``error_ratio_max`` go through ``do_step_with_error`` and the
     algebra's error ratio, with the same bits.
 
-    Instances carry scratch states (the derivative cache among them)
-    and the rejection history; do not share one instance between
-    concurrent integrations.  Call ``reset`` after modifying the state
+    Instances carry scratch states (the derivative cache among them),
+    the rejection history and the count of system evaluations since
+    the last ``reset``; do not share one instance between concurrent
+    integrations.  Call ``reset`` after modifying the state
     externally; the drivers call it at the start of every run.
     """
 
@@ -122,17 +124,23 @@ class ControlledStepper(Scratched):
         self._stepper, self._scratch = stepper, None
 
     def reset(self):
-        """Drop the cached derivative and the rejection flag."""
+        """Drop the cached derivative and the rejection flag, and zero
+        the evaluation count."""
         self._dxdt = None  # the scratch buffer holding f(x, t), when valid
         self._stages = None  # the stage derivatives of the last accepted trial
         self._rejected = False
+        self._evaluations = 0
+
+    def _plain(self):
+        # Whether the stepper's trial is EmbeddedRungeKutta's, which
+        # evaluates every stage but the first, the derivative at (x, t).
+        return getattr(type(self._stepper), "do_step_with_error", None) is EmbeddedRungeKutta.do_step_with_error
 
     def _trial_length(self, algebra, x):
         # The length the trial on x is generated for; None: the general path.
-        stepper, n = self._stepper, algebra._fused_length(x)
-        plain = getattr(type(stepper), "do_step_with_error", None) is EmbeddedRungeKutta.do_step_with_error
-        if plain and not (algebra._replaced("copy") or algebra._replaced("error_ratio_max")):
-            return n if algebra_of(stepper, x)._fused_length(x) == n else None
+        n = algebra._fused_length(x)
+        if self._plain() and not (algebra._replaced("copy") or algebra._replaced("error_ratio_max")):
+            return n if algebra_of(self._stepper, x)._fused_length(x) == n else None
 
     def _count(self, algebra, x):
         # The generated trial's stage states and solution, else the
@@ -146,6 +154,7 @@ class ControlledStepper(Scratched):
             return None, algebra._error_kernel(buffers)
         return _trial_code(self._stepper.tableau, n), _sequence_ratio(n)
 
+    @_counting
     def try_step(self, system, x, t, dt):
         """Attempt one step of width ``dt`` from ``(x, t)``.
 
@@ -184,9 +193,11 @@ class ControlledStepper(Scratched):
                 k[0], k[-2] = k[-2], dxdt
                 dxdt = k[0]
             else:
+                self._evaluations += 1
                 system(x, dxdt, t)
             self._dxdt = dxdt
         params = self.params
+        self._evaluations += self._stepper.stage_count - 1
         err = trial(system, x, t, dt, params.atol, params.rtol, k)
         if err <= 1.0:
             self._stages = k
@@ -200,9 +211,13 @@ class ControlledStepper(Scratched):
         xtrial, xerr, dxdt = buffers[:3]
         stepper = self._stepper
         if self._dxdt is not dxdt:
+            self._evaluations += 1
             system(x, dxdt, t)
             self._dxdt = dxdt
-        trial = stepper.do_step_with_error(system, x, t, dt, out=xtrial, xerr=xerr, dxdt_in=dxdt)
+        # A trial of the user's is counted by a wrapper.
+        counter = None if self._plain() else EvaluationCounter(system)
+        trial = stepper.do_step_with_error(counter or system, x, t, dt, out=xtrial, xerr=xerr, dxdt_in=dxdt)
+        self._evaluations += stepper.stage_count - 1 if counter is None else counter.count
         err = ratio(xerr, x, dxdt, self.params.atol, self.params.rtol, dt)
         if err <= 1.0:
             copy(x, xtrial)

@@ -16,6 +16,7 @@ import math
 from .algebra import Scratched, _initial_copy, scratch
 from .controlled import ControlledStepper
 from .explicit import DormandPrince5
+from .integrate import _counting
 
 # Interpolation weights of the quartic term, from the continuous
 # extension published for the Dormand-Prince 5(4) pair.
@@ -79,6 +80,11 @@ class DenseOutputDopri5(Scratched):
         self.reset()
 
     @property
+    def _evaluations(self):
+        # Every evaluation is the controller's.
+        return self.controller._evaluations
+
+    @property
     def current_time(self):
         return self._t
 
@@ -104,6 +110,7 @@ class DenseOutputDopri5(Scratched):
         if self._span is None:
             raise RuntimeError("no accepted step since the last trial")
 
+    @_counting
     def try_step(self, system, x, t, dt):
         """Attempt one step of width ``dt`` from ``(x, t)``.
 

@@ -14,6 +14,7 @@ from collections import namedtuple
 from functools import lru_cache
 
 from .algebra import MAX_TERMS, Scratched, _define, _ratio_row, _update_lines, scratch
+from .integrate import _counting
 from .tableaus import CASH_KARP_54, DORMAND_PRINCE_54, EULER, RK4_CLASSIC
 
 class StageRecord(namedtuple("StageRecord", ["derivatives"])):
@@ -34,7 +35,8 @@ class ExplicitRungeKutta(Scratched):
 
     Scratch buffers are sized lazily on first use and reused, so a step
     allocates no state-sized memory.  Instances keep per-call scratch
-    and must not be shared between concurrent integrations.
+    and a count of the system evaluations they made, and must not be
+    shared between concurrent integrations.
 
     Parameters
     ----------
@@ -44,6 +46,8 @@ class ExplicitRungeKutta(Scratched):
         State backend.  Defaults to whatever matches the state passed
         to the first call.
     """
+
+    _evaluations = 0  # system evaluations made by the stepping methods
 
     def __init__(self, tableau, algebra=None):
         self.tableau = tableau
@@ -59,6 +63,7 @@ class ExplicitRungeKutta(Scratched):
         # length on the sequence backend, else bound to the kernels.
         return _step_code(self.tableau, algebra._fused_length(k[0]))(algebra._kernel, k)
 
+    @_counting
     def do_step(self, system, x, t, dt, out=None):
         """Advance ``x`` from ``t`` by ``dt``.
 
@@ -69,6 +74,8 @@ class ExplicitRungeKutta(Scratched):
         algebra, k, _, (advance, _) = scratch(self, x, self.stage_count + 1, self._bind)
         if out is not None:
             algebra._check_shapes(x, out)
+        # Every stage but a first-same-as-last one, which is left out.
+        self._evaluations += self.stage_count - self.fsal
         system(x, k[0], t)
         return advance(system, x, t, dt, x if out is None else out)
 
@@ -181,6 +188,8 @@ class EmbeddedRungeKutta(ExplicitRungeKutta):
         s = self.stage_count
         algebra, k, copy, (advance, error) = scratch(self, x, s + 1, self._bind)
         algebra._check_shapes(x, out, xerr, dxdt_in)
+        # Every stage, the first one only when not given.
+        self._evaluations += s - (dxdt_in is not None)
         if dxdt_in is None:
             system(x, k[0], t)
         else:

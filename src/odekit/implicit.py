@@ -19,6 +19,7 @@ import numpy as np
 
 from .algebra import Scratched, scratch
 from .errors import ConvergenceError, SingularMatrixError
+from .integrate import _counting
 
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 50
@@ -49,15 +50,18 @@ class ImplicitEuler(Scratched):
     update therefore suffices.  ``NEWTON_TOL`` is floored at 8 units of
     roundoff of the state's float type, which float64 never reaches.
     The update count of the latest step is kept in
-    ``last_iteration_count``.
+    ``last_iteration_count``; each Newton pass evaluates the system
+    once.
     """
 
     order = 1
+    _evaluations = 0  # system evaluations made by do_step
 
     def __init__(self, algebra=None):
         self._fixed_algebra = algebra
         self.last_iteration_count = 0
 
+    @_counting
     def do_step(self, system, x, t, dt, out=None):
         """Advance ``x`` from ``t`` by ``dt > 0``.
 
@@ -85,6 +89,7 @@ class ImplicitEuler(Scratched):
         copy(u, x)
         applied = 0
         while True:
+            self._evaluations += 1
             system(u, f, t_new)
             kernels[3](g, (1.0, -1.0, -dt), (u, x, f))
             if applied and float(np.abs(g).max()) <= tol:

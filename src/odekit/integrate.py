@@ -6,6 +6,12 @@ rejected trial.  Controlled and dense-output steppers run on one
 adaptive loop, ``_controlled_walk``.  Every run returns an
 :class:`IntegrationReport` with the final state and the step and
 evaluation counters.
+
+The drivers call the user's system directly: every shipped stepping
+method counts the evaluations it makes, and the drivers report that
+count.  :class:`EvaluationCounter` is a tool for users; a driver
+wraps the system in one only for a stepper that keeps no count of its
+own, one of the user's or a subclass overriding the stepping method.
 """
 
 from __future__ import annotations
@@ -41,8 +47,10 @@ class IntegrationReport:
 class EvaluationCounter:
     """Counts calls to a wrapped ``(x, dxdt, t)`` system callable.
 
-    The wrapped system's ``jacobian``, if any, is carried along
-    uncounted, so steppers that need it find it on the counter.
+    A tool for users: the drivers read the shipped steppers' own
+    counts and wrap the system in a counter only for a stepper that
+    keeps none.  The wrapped system's ``jacobian``, if any, is carried
+    along uncounted, so steppers that need it find it on the counter.
     """
 
     def __init__(self, system):
@@ -56,6 +64,26 @@ class EvaluationCounter:
 
     def reset(self):
         self.count = 0
+
+
+def _counting(method):
+    """Mark a shipped stepping method that adds the system evaluations
+    it makes to its stepper's ``_evaluations``.  An override is not
+    marked, so it is counted by :func:`_counted`'s wrapper."""
+    method._counts_evaluations = True
+    return method
+
+
+def _counted(stepper, method, system):
+    """``system`` as ``stepper.<method>`` is to get it, and a reader of
+    the evaluations made through it from now on: a marked method
+    counts its own and gets ``system`` itself, any other an
+    :class:`EvaluationCounter` around it."""
+    if getattr(getattr(stepper, method), "_counts_evaluations", False):
+        start = stepper._evaluations
+        return system, lambda: stepper._evaluations - start
+    counter = EvaluationCounter(system)
+    return counter, lambda: counter.count
 
 
 def _readonly(x, fresh=False):
@@ -108,8 +136,8 @@ def _controlled_walk(stepper, system, x, t0, targets, dt, observer, observe_step
     :class:`SolverError` leaves with the counters so far in
     ``partial_report``.
     """
-    counter = EvaluationCounter(system)
     stepper.reset()
+    system, evaluations = _counted(stepper, "try_step", system)
     accepted = rejected = 0
     t = t0
     try:
@@ -118,7 +146,7 @@ def _controlled_walk(stepper, system, x, t0, targets, dt, observer, observe_step
                 raise StepSizeUnderflowError(dt, t)
             while t < target:
                 clamped = dt >= target - t
-                result = stepper.try_step(counter, x, t, target - t if clamped else dt)
+                result = stepper.try_step(system, x, t, target - t if clamped else dt)
                 if result.accepted:
                     accepted += 1
                     t = target if clamped else result.t
@@ -131,9 +159,9 @@ def _controlled_walk(stepper, system, x, t0, targets, dt, observer, observe_step
             if not observe_steps and observer is not None:
                 observer(_readonly(x), t)
     except SolverError as exc:
-        exc.partial_report = IntegrationReport(x, t, accepted, rejected, counter.count)
+        exc.partial_report = IntegrationReport(x, t, accepted, rejected, evaluations())
         raise
-    return IntegrationReport(x, t, accepted, rejected, counter.count)
+    return IntegrationReport(x, t, accepted, rejected, evaluations())
 
 
 def _interpolating(dense_stepper, observer, t0, t1, dt):
@@ -191,7 +219,7 @@ def integrate_const(stepper, system, x0, t0, t1, dt, observer=None):
         targets = (t_last if k == steps else t0 + k * dt for k in range(1, steps + 1))
         return _controlled_walk(stepper, system, x, t0, targets, dt, observer, False)
 
-    counter = EvaluationCounter(system)
+    system, evaluations = _counted(stepper, "do_step", system)
     # A last grid point snapped onto t1 ends the last step there.
     dt_last = dt if t_last == t0 + steps * dt else t_last - (t0 + (steps - 1) * dt)
     t = t0
@@ -200,14 +228,14 @@ def integrate_const(stepper, system, x0, t0, t1, dt, observer=None):
             t_next = t_last if k == steps else t0 + k * dt
             if t_next <= t:  # a width too small to move t
                 raise StepSizeUnderflowError(dt, t)
-            stepper.do_step(counter, x, t, dt_last if k == steps else dt)
+            stepper.do_step(system, x, t, dt_last if k == steps else dt)
             t = t_next
             if observer is not None:
                 observer(_readonly(x), t)
     except SolverError as exc:
-        exc.partial_report = IntegrationReport(x, t, k - 1, 0, counter.count)
+        exc.partial_report = IntegrationReport(x, t, k - 1, 0, evaluations())
         raise
-    return IntegrationReport(x, t_last, steps, 0, counter.count)
+    return IntegrationReport(x, t_last, steps, 0, evaluations())
 
 
 def integrate_adaptive(stepper, system, x0, t0, t1, dt0, observer=None):

@@ -6,8 +6,9 @@ inside its growth window; the generated step code of any explicit
 tableau matches a stage loop on the checked ``scale_sum`` bit for
 bit, unrolled or looped; a controlled trial, a dense state and a
 symplectic step have the same bits on lists, numpy and the general
-path; the controller's in-place error ratio equals the checked one,
-the textbook formula and the list backend bit for bit."""
+path; every driver reports the evaluations a counting closure sees;
+the controller's in-place error ratio equals the checked one, the
+textbook formula and the list backend bit for bit."""
 
 import array
 import math
@@ -30,6 +31,7 @@ from odekit import (
     PairState,
     RungeKutta4,
     SeparableHamiltonian,
+    SolverError,
     SymplecticEuler,
     integrate_adaptive,
     integrate_const,
@@ -39,6 +41,7 @@ from odekit.algebra import NUMPY_ALGEBRA, SEQUENCE_ALGEBRA, UNROLL, SequenceAlge
 from odekit.explicit import EmbeddedRungeKutta, ExplicitRungeKutta
 from odekit.integrate import GRID_SNAP
 from odekit.tableaus import ButcherTableau
+from test_integrate import DuckEuler
 
 
 def ring(x, dxdt, t):
@@ -503,6 +506,78 @@ def test_generated_trial_matches_its_numpy_twin(x0, t1, dt0, tol, pair, path):
     assert as_list == hex_run(driver, make, np.array(x0), t1, dt0)
     if x0 == [1.0, -0.5, 0.25]:
         assert as_list[3][1] > 0  # the explicit example rejects trials
+
+
+# --- evaluation counts ----------------------------------------------------
+
+
+class FreshStartDP5(DormandPrince5):
+    """Ignores the derivative it is handed, so each trial evaluates all
+    seven stages: a count from the tableau would miss one per trial."""
+
+    def do_step_with_error(self, system, x, t, dt, out=None, xerr=None, dxdt_in=None):
+        return super().do_step_with_error(system, x, t, dt, out, xerr)
+
+
+# Steppers by the drivers that run them.  The shipped ones count their
+# own evaluations; the duck-typed one and the controller around an
+# overridden trial are counted through an EvaluationCounter.
+FIXED = {
+    "euler": lambda params: ExplicitEuler(),
+    "rk4": lambda params: RungeKutta4(),
+    "ck54": lambda params: CashKarp54(),
+    "dopri5": lambda params: DormandPrince5(),
+    "implicit": lambda params: ImplicitEuler(),
+    "duck": lambda params: DuckEuler(),
+}
+TRYING = {
+    "controlled-ck54": lambda params: ControlledStepper(CashKarp54(), params),
+    "controlled-dopri5": lambda params: ControlledStepper(DormandPrince5(), params),
+    "dense": DenseOutputDopri5,
+    "controlled-duck": lambda params: ControlledStepper(DuckEuler(), params),
+    "controlled-fresh-start": lambda params: ControlledStepper(FreshStartDP5(), params),
+}
+COUNTED_RUNS = sorted([(name, "const") for name in FIXED]
+                      + [(name, drive) for name in TRYING for drive in ("const", "adaptive")])
+
+
+@settings(max_examples=120, deadline=None, database=None)
+@given(
+    x0=st.lists(st.floats(-1.5, 1.5), min_size=1, max_size=UNROLL + 2),
+    t1=st.floats(0.05, 2.0),
+    dt=st.floats(0.01, 4.0),
+    tol=st.floats(1e-9, 1e-3),
+    case=st.sampled_from(COUNTED_RUNS),
+    as_numpy=st.booleans(),
+)
+@example(x0=[1.0, -0.5, 0.25], t1=2.0, dt=4.0, tol=1e-8, case=("controlled-dopri5", "adaptive"),
+         as_numpy=False)
+@example(x0=[1.0, -0.5, 0.25], t1=2.0, dt=0.5, tol=1e-8, case=("controlled-fresh-start", "const"),
+         as_numpy=True)
+@example(x0=[0.5], t1=1.0, dt=0.1, tol=1e-6, case=("implicit", "const"), as_numpy=False)
+def test_reported_evaluations_equal_a_counting_closure(x0, t1, dt, tol, case, as_numpy):
+    # Rejected trials, and failing runs' partial reports, included.  A
+    # grid keeps at least one point past t0.
+    name, drive = case
+    if drive == "const":
+        dt = min(dt, t1)
+    calls = []
+
+    def rhs(x, dxdt, t):
+        calls.append(t)
+        ring(x, dxdt, t)
+
+    params = ControllerParams(atol=tol, rtol=tol)
+    stepper = (FIXED.get(name) or TRYING[name])(params)
+    system = JacobianSystem(rhs, rescaled_ring(1.0).jacobian) if name == "implicit" else rhs
+    driver = integrate_adaptive if drive == "adaptive" else integrate_const
+    try:
+        report = driver(stepper, system, np.array(x0) if as_numpy else list(x0), 0.0, t1, dt)
+    except SolverError as exc:
+        report = exc.partial_report
+    assert report.system_evaluations == len(calls)
+    if x0 == [1.0, -0.5, 0.25]:
+        assert report.steps_rejected > 0  # the explicit examples reject trials
 
 
 # --- the controller's error ratio -------------------------------------------

@@ -162,15 +162,18 @@ def test_fixed_steps_end_where_t_stops_moving():
 
 
 def test_integrate_const_controlled_failure_carries_partial_report():
-    steps = []
+    steps, calls = [], {"rhs": 0}
+    rhs = bounded("rhs", calls, nan_after_start)
     with pytest.raises(StepSizeUnderflowError) as info:
-        integrate_const(ControlledStepper(DormandPrince5()), nan_after_start, [1.0], 0.0, 1.0, 0.1,
+        integrate_const(ControlledStepper(DormandPrince5()), rhs, [1.0], 0.0, 1.0, 0.1,
                         lambda x, t: steps.append(t))
     report = info.value.partial_report
     assert report is not None
     assert report.final_time == 0.0 and report.final_state == [1.0]
     assert report.steps_attempted == report.steps_rejected > 0
-    assert report.system_evaluations > 0
+    # The cached derivative, then six stages per rejected trial and
+    # the raising one.
+    assert report.system_evaluations == calls["rhs"] == 1 + 6 * (report.steps_rejected + 1)
     assert steps == [0.0]
 
 

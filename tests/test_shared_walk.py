@@ -55,15 +55,21 @@ def test_dense_driver_final_state_is_the_stepped_state():
 
 
 def test_dense_failure_carries_partial_report():
-    seen = []
+    seen, calls = [], []
+
+    def rhs(x, dxdt, t):
+        calls.append(t)
+        nan_after_start(x, dxdt, t)
+
     with pytest.raises(StepSizeUnderflowError) as info:
-        integrate_const(DenseOutputDopri5(), nan_after_start, [1.0], 0.0, 1.0, 0.1,
+        integrate_const(DenseOutputDopri5(), rhs, [1.0], 0.0, 1.0, 0.1,
                         lambda x, t: seen.append(t))
     report = info.value.partial_report
     assert report is not None
     assert report.final_time == 0.0 and report.final_state == [1.0]
     assert report.steps_accepted == 0
     assert report.steps_attempted == report.steps_rejected > 0
+    assert report.system_evaluations == len(calls) == 1 + 6 * (report.steps_rejected + 1)
     assert seen == [0.0]
 
 
@@ -132,7 +138,10 @@ def test_scratch_follows_numpy_dtype():
 
 
 def test_integrate_const_fixed_failure_carries_partial_report():
+    calls = []
+
     def rhs(x, dxdt, t):
+        calls.append(t)
         dxdt[0] = -x[0]
 
     def jac(x, out, t):
@@ -150,5 +159,6 @@ def test_integrate_const_fixed_failure_carries_partial_report():
     assert report.final_time == seen[-1] == pytest.approx(0.2)
     assert report.steps_attempted == report.steps_accepted == len(seen) - 1
     assert report.steps_rejected == 0
-    assert report.system_evaluations > 0
+    # Every Newton pass evaluates once, the stalled step's 51 passes too.
+    assert report.system_evaluations == len(calls) > 51
     assert report.final_state[0] == pytest.approx(1.0 / 1.1 ** 2)
