@@ -393,15 +393,15 @@ def test_generated_step_matches_the_stage_loop(tableau, x0, t, dt, box):
     assert hexes(x) == hexes(x0)
     assert hexes(stepper.do_step(counter, x, t, dt)) == hexes(new)
     fsal_stage = err is not None and tableau.is_fsal
-    assert counter.count == 2 * (reference.count - fsal_stage)
+    assert counter.count == 2 * (reference.count - fsal_stage) == stepper._evaluations
     if err is None:
         return
     pair = EmbeddedRungeKutta(tableau, chosen)
     for dxdt_in in (None, k[0]):
-        x, counter = box(x0), EvaluationCounter(ring)
+        x, counter, before = box(x0), EvaluationCounter(ring), pair._evaluations
         got = pair.do_step_with_error(counter, x, t, dt, dxdt_in=dxdt_in)
         assert (hexes(got[0]), hexes(got[1])) == (hexes(new), hexes(err))
-        assert counter.count == reference.count - (dxdt_in is not None)
+        assert counter.count == reference.count - (dxdt_in is not None) == pair._evaluations - before
         if tableau.is_fsal:
             record = got[2].derivatives
             assert [hexes(d) for d in record] == [hexes(d) for d in k]
