@@ -152,7 +152,7 @@ def _update_lines(n, out, coeffs, terms):
     coefficient ``1.0`` followed by other terms is left out: that
     product is exact.  An ``out`` that is a function ``out(i, value)``
     instead of a name gives the statement that uses element ``i``'s
-    value in place of storing it, on every element of ``x``."""
+    value in place of storing it, on every element of the first term."""
     if n is None:
         return [f"K{len(terms)}({out}, ({', '.join(coeffs)},), ({', '.join(terms)},))"]
     c = [f"c{j}" for j in range(len(coeffs))]
@@ -160,7 +160,7 @@ def _update_lines(n, out, coeffs, terms):
     value = lambda i: " + ".join([f"{terms[0]}[{i}]"] * skip + [
         f"{cj} * {t}[{i}]" for cj, t in zip(c[skip:], terms[skip:])])
     if callable(out):
-        row, length = (lambda i: out(i, value(i))), "len(x)"
+        row, length = (lambda i: out(i, value(i))), f"len({terms[0]})"
     else:
         row, length = (lambda i: f"{out}[{i}] = {value(i)}"), f"len({out})"
     return [f"{', '.join(c[skip:])}, = {', '.join(coeffs[skip:])},", *_each(n, length, row)]

@@ -6,26 +6,83 @@ accepted trial also fits the quartic continuous extension of the
 Dormand-Prince pair over the step just taken.  ``calc_state`` then
 evaluates the trajectory at any time inside that step without further
 system evaluations.  The drivers run it on the same controlled walk as
-any other controlled stepper.
+any other controlled stepper; on a grid, :func:`integrate_const` hands
+each accepted step to a sampler generated with the fit and the
+interpolant, which observes every grid point inside the step at once.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache, partial
 
-from .algebra import Scratched, _initial_copy, scratch
+from .algebra import UNROLL, Scratched, _define, _initial_copy, _update_lines, scratch
 from .controlled import ControlledStepper
 from .explicit import DormandPrince5
-from .integrate import _counting
+from .integrate import _counting, _readonly
 
-# Interpolation weights of the quartic term, from the continuous
-# extension published for the Dormand-Prince 5(4) pair.
-_D1 = -12715105075.0 / 11282082432.0
-_D3 = 87487479700.0 / 32700410799.0
-_D4 = -10690763975.0 / 1880347072.0
-_D5 = 701980252875.0 / 199316789632.0
-_D6 = -1453857185.0 / 822651844.0
-_D7 = 69997945.0 / 29380423.0
+# Quartic-term weights by stage, from the continuous extension
+# published for the Dormand-Prince 5(4) pair.
+_D = {0: -12715105075.0 / 11282082432.0, 2: 87487479700.0 / 32700410799.0,
+      3: -10690763975.0 / 1880347072.0, 4: 701980252875.0 / 199316789632.0,
+      5: -1453857185.0 / 822651844.0, 6: 69997945.0 / 29380423.0}
+# The interpolant at theta = (t - t_prev) / h, with omt = 1 - theta,
+# from the state p0 at t_prev and the fitted p1..p4, Horner-ready.
+_ROW = (["1.0", "theta", "theta * omt", "theta * theta * omt", "theta * theta * omt * omt"],
+        ["p0", "p1", "p2", "p3", "p4"])
+
+
+@lru_cache(maxsize=None)  # n is None or at most UNROLL + 1
+def _dense_code(n):
+    """The interpolation, generated once per length ``n`` as the
+    explicit steppers' step is: ``make(kernel, clone, readonly, p)``
+    binds the buffers ``p``, ``p[0]`` the state at the step's start,
+    and returns ``fit(x, k, dt)``, fitting ``p[1:]`` from the new state
+    and the stage derivatives, ``at(theta, out)``, and
+    ``sample(observer, lo, hi, h, t0, dt, j, t_end, limit)``, which
+    observes each grid point ``t0 + j*dt`` (``j`` counting up) below
+    ``t_end`` and up to ``limit``, interpolated on the step
+    ``[lo, hi]`` of width ``h`` at that time or ``hi`` if earlier, and
+    returns the next ``j``.  A snapshot is a tuple built inline, or a
+    fresh copy filled by the 5-term kernel and made read-only."""
+    update = partial(_update_lines, n)
+    indent = lambda lines, depth=1: [" " * 4 * depth + line for line in lines]  # noqa: E731
+    if n is None:
+        snap = ["s = clone(p0)", *update("s", *_ROW), "s = readonly(s, True)"]
+    elif n <= UNROLL:
+        snap = [*update(lambda i, v: f"s{i} = {v}", *_ROW), f"s = {''.join(f's{i}, ' for i in range(n))}"]
+    else:
+        snap = ["s = []", *update(lambda i, v: f"s.append({v})", *_ROW), "s = tuple(s)"]
+    head = ["K2, K3, K5, K6 = kernel(2), kernel(3), kernel(5), kernel(6)"] if n is None else []
+    return _define("make", "kernel, clone, readonly, p", [
+        *head,
+        "p0, p1, p2, p3, p4 = p",
+        "def fit(x, k, dt):",
+        "    k0, _, k2, k3, k4, k5, k6 = k[:7]",
+        *indent(update("p1", ["1.0", "-1.0"], ["x", "p0"])),
+        *indent(update("p2", ["dt", "-1.0"], ["k0", "p1"])),
+        *indent(update("p3", ["1.0", "-dt", "-1.0"], ["p1", "k6", "p2"])),
+        *indent(update("p4", [f"dt * {w!r}" for w in _D.values()], [f"k{j}" for j in _D])),
+        "def at(theta, out):",
+        "    omt = 1.0 - theta",
+        *indent(update("out", *_ROW)),
+        "    return out",
+        "def sample(observer, lo, hi, h, t0, dt, j, t_end, limit):",
+        "    t = t0 + j * dt",
+        "    while t < t_end and t <= limit:",
+        "        theta = ((hi if hi < t else t) - lo) / h",
+        "        omt = 1.0 - theta",
+        *indent(snap, 2),
+        "        observer(s, t)",
+        "        j += 1",
+        "        t = t0 + j * dt",
+        "    return j",
+        "return fit, at, sample"])
+
+
+def _bind(algebra, p):
+    # The interpolation code for the state's length, bound to p.
+    return _dense_code(algebra._fused_length(p[0]))(algebra._kernel, algebra.clone_shape, _readonly, p)
 
 
 class DenseOutputDopri5(Scratched):
@@ -43,7 +100,11 @@ class DenseOutputDopri5(Scratched):
     Each trial is the ``controller``'s, generated whole on the shipped
     sequence backend (see :class:`ControlledStepper`).  The state is
     copied before each trial, and the fit reads the accepted trial's
-    stage derivatives where the trial left them.
+    stage derivatives where the trial left them.  The fit,
+    ``calc_state`` and the grid sampler :func:`integrate_const` calls
+    once per accepted step run code generated for the state's length
+    (see :func:`_dense_code`), with every update a kernel call on numpy
+    and wherever ``scale_sum`` is replaced.
 
     Parameters
     ----------
@@ -66,7 +127,7 @@ class DenseOutputDopri5(Scratched):
     def reset(self):
         """Drop the interpolant and the controller's caches."""
         self.controller.reset()
-        # (t_prev, t_cur, width, algebra, kernels, buffers) of the interpolant
+        # (t_prev, t_cur, width, at, sample) of the interpolant
         self._span = None
 
     def initialize(self, x0, t0, dt0):
@@ -117,28 +178,13 @@ class DenseOutputDopri5(Scratched):
         Same contract as :meth:`ControlledStepper.try_step`; on
         acceptance the interpolant covers ``[t, result.t]``.
         """
-        algebra, buffers, copy, kernels = scratch(self, x, 5)
-        x_prev, ydiff, bspl, c4, c5 = buffers
+        _, (x_prev, *_), copy, (fit, at, sample) = scratch(self, x, 5, _bind)
         self._span = None
         copy(x_prev, x)
         result = self.controller.try_step(system, x, t, dt)
-        if not result.accepted:
-            return result
-
-        k = self.controller._stages
-        # Interpolation coefficients, Horner-ready:
-        #   x(t_prev + theta*h) = x_prev + theta*ydiff
-        #     + theta*(1-theta)*bspl + theta^2*(1-theta)*c4
-        #     + theta^2*(1-theta)^2*c5
-        kernels[2](ydiff, (1.0, -1.0), (x, x_prev))
-        kernels[2](bspl, (dt, -1.0), (k[0], ydiff))
-        kernels[3](c4, (1.0, -dt, -1.0), (ydiff, k[6], bspl))
-        kernels[6](
-            c5,
-            (dt * _D1, dt * _D3, dt * _D4, dt * _D5, dt * _D6, dt * _D7),
-            (k[0], k[2], k[3], k[4], k[5], k[6]),
-        )
-        self._span = (t, result.t, dt, algebra, kernels, buffers)
+        if result.accepted:
+            fit(x, self.controller._stages, dt)
+            self._span = (t, result.t, dt, at, sample)
         return result
 
     def do_step(self, system):
@@ -159,20 +205,20 @@ class DenseOutputDopri5(Scratched):
         no extrapolation.  Performs no system evaluations.
         """
         self._require_interval()
-        lo, hi, h, algebra, kernels, (x_prev, ydiff, bspl, c4, c5) = self._span
+        lo, hi, h, at, _ = self._span
         if not (min(lo, hi) <= t <= max(lo, hi)):
             raise ValueError(
                 f"time {t!r} lies outside the last step interval [{lo!r}, {hi!r}]"
             )
+        algebra, (x_prev, *_), _, _ = self._scratch[1]
         if out is None:
             out = algebra.clone_shape(x_prev)
         else:
             algebra._check_shapes(x_prev, out)
-        theta = (t - lo) / h
-        omt = 1.0 - theta
-        kernels[5](
-            out,
-            (1.0, theta, theta * omt, theta * theta * omt, theta * theta * omt * omt),
-            (x_prev, ydiff, bspl, c4, c5),
-        )
-        return out
+        return at((t - lo) / h, out)
+
+    def _sample(self, observer, t0, dt, j, t_end, limit):
+        # Observe the grid points t0 + j*dt, t0 + (j+1)*dt, ... below
+        # t_end and up to limit on the last accepted step; the next j.
+        lo, hi, h, _, sample = self._span
+        return sample(observer, lo, hi, h, t0, dt, j, t_end, limit)

@@ -127,17 +127,19 @@ def _start(stepper, x0, t0, t1, dt, observer):
     return x
 
 
-def _controlled_walk(stepper, system, x, t0, targets, dt, observer, observe_steps):
+def _controlled_walk(stepper, system, x, t0, targets, dt, observer, observe_steps, sample=None):
     """Adapt freely from ``t0`` and land exactly on each of ``targets``.
 
     The observer sees every accepted step when ``observe_steps`` is
-    set, otherwise each target once it is reached.  The stepper is
-    reset first, so no cache from an earlier run leaks in.  Any
-    :class:`SolverError` leaves with the counters so far in
+    set, otherwise each target once it is reached; ``sample(t)``, when
+    given, runs after every accepted step, which ends at ``t``.  The
+    stepper is reset first, so no cache from an earlier run leaks in.
+    Any :class:`SolverError` leaves with the counters so far in
     ``partial_report``.
     """
     stepper.reset()
     system, evaluations = _counted(stepper, "try_step", system)
+    step_observer = observer if observe_steps else None
     accepted = rejected = 0
     t = t0
     try:
@@ -150,8 +152,10 @@ def _controlled_walk(stepper, system, x, t0, targets, dt, observer, observe_step
                 if result.accepted:
                     accepted += 1
                     t = target if clamped else result.t
-                    if observe_steps and observer is not None:
-                        observer(_readonly(x), t)
+                    if step_observer is not None:
+                        step_observer(_readonly(x), t)
+                    elif sample is not None:
+                        sample(t)
                 else:
                     rejected += 1
                 dt = result.dt
@@ -165,24 +169,18 @@ def _controlled_walk(stepper, system, x, t0, targets, dt, observer, observe_step
 
 
 def _interpolating(dense_stepper, observer, t0, t1, dt):
-    """Step observer that hands ``observer`` the grid points
-    ``t0 + k*dt`` inside each accepted step, interpolated, and ``t1``
-    with the stepped state."""
-    t_end = t1 - GRID_SNAP * dt
+    """``sample(t)``, run after each accepted step, which ends at
+    ``t``: the dense stepper hands ``observer`` the grid points
+    ``t0 + k*dt`` strictly inside the interval that the step reached,
+    interpolated."""
+    t_end, snap = t1 - GRID_SNAP * dt, GRID_SNAP * dt
     k = 1
 
-    def observe_step(x_step, t):
+    def sample(t):
         nonlocal k
-        hi = dense_stepper.interval[1]
-        t_k = t0 + k * dt
-        while t_k < t_end and t_k <= t + GRID_SNAP * dt:
-            observer(_readonly(dense_stepper.calc_state(min(t_k, hi)), fresh=True), t_k)
-            k += 1
-            t_k = t0 + k * dt
-        if t == t1:
-            observer(x_step, t1)
+        k = dense_stepper._sample(observer, t0, dt, k, t_end, t + snap)
 
-    return observe_step
+    return sample
 
 
 def integrate_const(stepper, system, x0, t0, t1, dt, observer=None):
@@ -195,12 +193,14 @@ def integrate_const(stepper, system, x0, t0, t1, dt, observer=None):
     grid interval but land exactly on the grid points.  The run ends
     at the last grid point inside the interval.
 
-    Dense-output steppers pick their own widths on the walk that
+    :class:`DenseOutputDopri5` picks its own widths on the walk that
     :func:`integrate_adaptive` uses, so the grid does not constrain
     the step sequence, and the run ends at ``t1`` with no right-hand
-    side evaluation past it.  The grid points strictly inside the
-    interval are interpolated after each accepted step; the observer
-    sees ``t1`` with the stepped state.
+    side evaluation past it.  Its grid sampler interpolates the grid
+    points strictly inside the interval after each accepted step; the
+    observer sees ``t1`` with the stepped state.  A dense-output
+    stepper of your own, which has no such sampler, is run as a
+    controlled one.
 
     A fixed step or a grid point that would not move the time raises
     :class:`StepSizeUnderflowError` before it is taken.  A
@@ -211,9 +211,9 @@ def integrate_const(stepper, system, x0, t0, t1, dt, observer=None):
     if not (controlled or hasattr(stepper, "do_step")):
         raise TypeError(f"{type(stepper).__name__} is not a stepper")
     x = _start(stepper, x0, t0, t1, dt, observer)
-    if hasattr(stepper, "calc_state"):
-        observe = None if observer is None else _interpolating(stepper, observer, t0, t1, dt)
-        return _controlled_walk(stepper, system, x, t0, (t1,), dt, observe, True)
+    if hasattr(stepper, "_sample"):
+        sample = None if observer is None else _interpolating(stepper, observer, t0, t1, dt)
+        return _controlled_walk(stepper, system, x, t0, (t1,), dt, observer, False, sample)
     steps, t_last = _grid(t0, t1, dt)
     if controlled:
         targets = (t_last if k == steps else t0 + k * dt for k in range(1, steps + 1))

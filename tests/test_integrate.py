@@ -385,6 +385,39 @@ def test_integrate_const_dispatches_dense_stepper():
     assert report.final_state[0] == pytest.approx(math.e, rel=1e-5)
 
 
+class OwnDense:
+    """A dense-output stepper of the user's: the shipped one behind
+    ``try_step``, ``calc_state`` and ``interval``, no grid sampler."""
+
+    def __init__(self):
+        self.inner = DenseOutputDopri5(ControllerParams(atol=1e-8, rtol=1e-8))
+
+    def reset(self):
+        self.inner.reset()
+
+    def try_step(self, system, x, t, dt):
+        return self.inner.try_step(system, x, t, dt)
+
+    def calc_state(self, t, out=None):
+        return self.inner.calc_state(t, out)
+
+    @property
+    def interval(self):
+        return self.inner.interval
+
+
+def test_a_dense_stepper_of_your_own_lands_on_the_grid():
+    # Without the shipped grid sampler it runs as a controlled stepper.
+    runs = []
+    for stepper in (OwnDense(), ControlledStepper(DormandPrince5(), ControllerParams(atol=1e-8, rtol=1e-8))):
+        seen = []
+        report = integrate_const(stepper, LORENZ, [10.0, 10.0, 10.0], 0.0, 0.1, 0.01,
+                                 lambda x, t: seen.append((t, x)))
+        runs.append((seen, report.final_state, report.steps_accepted, report.system_evaluations))
+    assert runs[0] == runs[1]
+    assert [t for t, _ in runs[0][0]] == pytest.approx([0.01 * k for k in range(11)])
+
+
 # --- agreement with a tight reference ---------------------------------------
 
 

@@ -491,19 +491,23 @@ def hex_run(driver, make, x0, t1, dt0):
 )
 @example(x0=[1.0, -0.5, 0.25], t1=2.0, dt0=4.0, tol=1e-8, pair="ck54", path="const")
 def test_generated_trial_matches_its_numpy_twin(x0, t1, dt0, tol, pair, path):
-    # Lists run the trial generated for their length (one loop past
-    # UNROLL), numpy the general path; wide first widths are rejected.
-    # On a grid the first width is the grid's, three to the interval.
+    # Lists run the trial and the dense sampler generated for their
+    # length (one loop past UNROLL), numpy the general path, and a
+    # replaced scale_sum receives every update; wide first widths are
+    # rejected.  On a grid the first width is the grid's: three to the
+    # interval, and forty for dense output, so several grid points
+    # fall inside one step.
     driver, dense = TRIAL_RUNS[path]
     if driver is integrate_const:
-        dt0 = t1 / 3
+        dt0 = t1 / 40 if dense else t1 / 3
     params = ControllerParams(atol=tol, rtol=tol)
     if dense:
-        make = lambda: DenseOutputDopri5(params)  # noqa: E731
+        make = lambda algebra=None: DenseOutputDopri5(params, algebra)  # noqa: E731
     else:
-        make = lambda: ControlledStepper(PAIRS[pair](), params)  # noqa: E731
+        make = lambda algebra=None: ControlledStepper(PAIRS[pair](algebra), params)  # noqa: E731
     as_list = hex_run(driver, make, list(x0), t1, dt0)
     assert as_list == hex_run(driver, make, np.array(x0), t1, dt0)
+    assert as_list == hex_run(driver, lambda: make(GeneralAlgebra()), list(x0), t1, dt0)
     if x0 == [1.0, -0.5, 0.25]:
         assert as_list[3][1] > 0  # the explicit example rejects trials
 

@@ -384,6 +384,15 @@ def run_adaptive(stepper, box):
     return seen, hexes(report.final_state), counters
 
 
+def run_grid(stepper, box):
+    # Dense output observed on a grid finer than its steps.
+    seen, rhs = [], bounded("rhs", {"rhs": 0}, LORENZ, limit=5000)
+    report = integrate_const(stepper, rhs, box([10.0, 10.0, 10.0]), 0.0, 0.1, 0.001,
+                             lambda x, t: seen.append((hexes(x), t.hex())))
+    counters = (report.steps_accepted, report.steps_rejected, report.system_evaluations)
+    return seen, hexes(report.final_state), counters
+
+
 def run_symplectic(stepper, box):
     state = PairState(box([1.0, 0.5]), box([0.0, -0.25]))
     for k in range(8):
@@ -399,6 +408,7 @@ USED_STEPPERS = {
     "controlled-ck54": (lambda: ControlledStepper(CashKarp54(), tight()), run_adaptive),
     "controlled-dopri5": (lambda: ControlledStepper(DormandPrince5(), tight()), run_adaptive),
     "dense": (lambda: DenseOutputDopri5(tight()), run_adaptive),
+    "dense-const": (lambda: DenseOutputDopri5(tight()), run_grid),
     "symplectic": (SymplecticEuler, run_symplectic),
 }
 

@@ -200,8 +200,17 @@ def run_dense(algebra):
     return mid + dense.current_state
 
 
-# Recorded with the general path, before the stage kernels existed:
-# every scale_sum and copy the steppers make, with its term count.
+def run_dense_grid(algebra):
+    # A grid finer than the steps: up to five points inside one step.
+    seen = []
+    dense = DenseOutputDopri5(ControllerParams(atol=1e-8, rtol=1e-8), algebra)
+    integrate_const(dense, LORENZ, list(X0), 0.0, 0.01, 0.001, lambda x, t: seen.extend(x))
+    return seen
+
+
+# Recorded with the general path, before the stage kernels existed
+# (run_dense_grid before the generated grid sampler): every scale_sum
+# and copy the steppers make, with its term count.
 GENERAL_PATH = {
     run_controlled: (
         "c s1 s2 s3 s4 s5 s6 s6 s6 c s1 s2 s3 s4 s5 s6 s6 s6 "
@@ -223,6 +232,22 @@ GENERAL_PATH = {
         "s5 c s1",
         [10.065174305983417, 11.488077404262361, 10.717802352991256,
          10.114160429565636, 11.969595398675146, 10.984707083930815],
+    ),
+    run_dense_grid: (
+        "c s1 c s1 c s1 s2 s3 s4 s5 s6 s6 s6 c s1 c s1 s2 s2 s3 s6 s5 "
+        "c s1 c s1 s2 s3 s4 s5 s6 s6 s6 c s1 c s1 s2 s2 s3 s6 s5 s5 s5 s5 s5 "
+        "c s1 c s1 s2 s3 s4 s5 s6 s6 s6 c s1 c s1 s2 s2 s3 s6 s5 s5 s5",
+        [10.0, 10.0, 10.0,
+         10.000845678706051, 10.16955103898345, 10.074086246107935,
+         10.003365562359026, 10.338214680787644, 10.14968131953614,
+         10.007534247235373, 10.506006027511932, 10.226790289557595,
+         10.01332672505298, 10.672939263721576, 10.305418906903503,
+         10.020718360907612, 10.839027659858164, 10.385573568181096,
+         10.029684893272918, 11.00428357223964, 10.467261315873643,
+         10.040202426615448, 11.168718428257352, 10.550489805542576,
+         10.052247417415417, 11.33234270626768, 10.635267254650447,
+         10.06579665021156, 11.495165947559633, 10.72160241605043,
+         10.080827226890827, 11.657196752243935, 10.809504553410669],
     ),
 }
 
