@@ -16,10 +16,11 @@ evaluation; one override rule (class or instance) for ``scale_sum``,
 The sequence backend's code is generated per state length, and one
 function, :func:`_update_lines`, writes every update in it: one
 statement per element up to ``UNROLL`` elements, one loop beyond.  A
-stepper binding a sequence state gets the kernels, the copy and the
-error ratio for its length, the explicit and symplectic steppers
-write their updates inline, and the controller its whole trial; numpy
-states and any replaced method keep their kernel calls.
+stepper binding a sequence state gets the copy and the error ratio
+generated for its length and writes its updates inline, the
+controller its whole trial; on numpy states, and wherever any of the
+three methods is replaced, the same generated code calls the kernels
+(see ``Algebra._fused_length``).
 """
 
 from __future__ import annotations
@@ -52,12 +53,13 @@ class Algebra:
     stepper's caller hands in, before any evaluation.  A ``scale_sum``,
     ``copy`` or ``error_ratio_max`` replaced on the class or on the
     instance receives every such call, the others run as unchecked
-    kernels or, on the sequence backend, as code written inline; a
-    stepper fixes that choice when it binds its scratch.
+    kernels or, on a sequence backend that replaces none of the three,
+    as code written inline; a stepper fixes that choice when it binds
+    its scratch.
     """
 
-    # Unchecked scale_sum bodies by term count, on a backend whose
-    # scale_sum is the argument check followed by ``_kernels[k]``.
+    # ``_kernels(k)``: the unchecked scale_sum body of k terms, on a
+    # backend whose scale_sum is the argument check followed by it.
     _kernels = None
     # ``_ratio(w, v)``: the unchecked error ratio computing in states w
     # and v, on a backend whose error_ratio_max checks, then runs it.
@@ -73,13 +75,14 @@ class Algebra:
         if not 1 <= k <= MAX_TERMS:
             raise ValueError(f"scale_sum supports 1..{MAX_TERMS} terms, got {k}")
         self._check_shapes(out, *terms)
-        return self._kernels[k](out, coeffs, terms)
+        return self._kernels(k)(out, coeffs, terms)
 
     def _fused_length(self, x):
         """The length the updates on ``x`` are generated for, every
         length past ``UNROLL`` as ``UNROLL + 1`` (one loop); None where
         they are kernel calls: on every backend but the sequence one,
-        and wherever ``scale_sum`` is replaced."""
+        and wherever ``scale_sum``, ``copy`` or ``error_ratio_max`` is
+        replaced."""
         return None
 
     def _replaced(self, name):
@@ -90,7 +93,18 @@ class Algebra:
         """Unchecked ``scale_sum`` of ``k`` terms, unless absent or replaced."""
         if self._kernels is None or self._replaced("scale_sum"):
             return self.scale_sum
-        return self._kernels[k]
+        return self._kernels(k)
+
+    def _copy_kernel(self, x):
+        """Unchecked copy on states like ``x``, unless replaced: inline
+        for the length generated, else a one-term kernel call."""
+        n = self._fused_length(x)
+        if n is not None:
+            return _sequence_copy(n)
+        if self._replaced("copy"):
+            return self.copy
+        one = self._kernel(1)
+        return lambda out, src: one(out, (1.0,), (src,))
 
     def _error_kernel(self, buffers):
         """Unchecked error ratio in the last two of ``buffers``, unless absent or replaced."""
@@ -166,6 +180,11 @@ def _update_lines(n, out, coeffs, terms):
     return [f"{', '.join(c[skip:])}, = {', '.join(coeffs[skip:])},", *_each(n, length, row)]
 
 
+# The line binding ``K<k>``, the kernel of k terms, in generated code
+# whose updates are kernel calls (``n`` None).
+_KERNELS = f"{', '.join(f'K{k}' for k in range(1, MAX_TERMS + 1))} = map(kernel, range(1, {MAX_TERMS + 1}))"
+
+
 def _define(name, args, lines):
     """The function ``def name(args)`` with the body ``lines``."""
     namespace = {}
@@ -173,32 +192,15 @@ def _define(name, args, lines):
     return namespace[name]
 
 
-def _sequence_scale_sum(k, n):
-    # Unchecked scale_sum of k terms on sequences of length n.
+# The generated sequence code is cached per term count k <= MAX_TERMS
+# or length n <= UNROLL + 1, so these caches stay bounded.
+@lru_cache(maxsize=None)
+def _sequence_scale_sum(k):
+    """Unchecked scale_sum of ``k`` terms on sequences of any length: one loop."""
     t = [f"t{j}" for j in range(k)]
     coeffs = [f"coeffs[{j}]" for j in range(k)]
     return _define("scale_sum", "out, coeffs, terms",
-                   [f"{', '.join(t)}, = terms", *_update_lines(n, "out", coeffs, t), "return out"])
-
-
-class _Kernels(dict):
-    """Kernels by term count, each made by ``make(k)`` on first use."""
-
-    def __init__(self, make):
-        super().__init__()
-        self._make = make
-
-    def __missing__(self, k):
-        self[k] = kernel = self._make(k)
-        return kernel
-
-
-# The generated sequence code is cached per length n <= UNROLL + 1
-# (and term count), so these caches stay bounded.
-@lru_cache(maxsize=None)
-def _sequence_kernels(n):
-    """The sequence kernels for states of length ``n``, by term count."""
-    return _Kernels(lambda k: _sequence_scale_sum(k, n))
+                   [f"{', '.join(t)}, = terms", *_update_lines(UNROLL + 1, "out", coeffs, t), "return out"])
 
 
 @lru_cache(maxsize=None)
@@ -239,7 +241,7 @@ def _numpy_error_ratio(w, v):
 class NumpyAlgebra(Algebra):
     """Vectorized backend for ``numpy.ndarray`` states."""
 
-    _kernels = (None,) + (_numpy_scale_sum,) * MAX_TERMS
+    _kernels = staticmethod(lambda k: _numpy_scale_sum)
     _ratio = staticmethod(_numpy_error_ratio)
     _shape = staticmethod(lambda state: getattr(state, "shape", None) or np.shape(state))
 
@@ -256,11 +258,13 @@ class SequenceAlgebra(Algebra):
     constructed from an iterable of floats.
     """
 
-    _kernels = _sequence_kernels(UNROLL + 1)
+    _kernels = staticmethod(_sequence_scale_sum)
     _ratio = staticmethod(lambda w, v: _sequence_ratio(min(len(w), UNROLL + 1)))
 
     def _fused_length(self, x):
-        return None if self._replaced("scale_sum") else min(len(x), UNROLL + 1)
+        if any(map(self._replaced, ("scale_sum", "copy", "error_ratio_max"))):
+            return None
+        return min(len(x), UNROLL + 1)
 
     def clone_shape(self, src):
         if isinstance(src, list):
@@ -313,11 +317,6 @@ def _initial_copy(owner, x0):
     return algebra, x
 
 
-def _kernel_table(algebra, buffers):
-    n = algebra._fused_length(buffers[0])
-    return [algebra._kernel(k) for k in range(MAX_TERMS + 1)] if n is None else _sequence_kernels(n)
-
-
 class Scratched:
     """Base of every stepper :func:`scratch` binds.  The buffers and
     generated code it caches, and the attributes named in ``_caches``,
@@ -332,21 +331,20 @@ class Scratched:
         return {**self.__dict__, **dict.fromkeys(self._caches)}
 
 
-def scratch(owner, x, count, bind=_kernel_table):
+def scratch(owner, x, count, bind):
     """Backend for ``x``, ``count`` zero states shaped like it (or
-    ``count(algebra, x)``), the copy, and ``bind(algebra, buffers)``,
-    by default the kernels by term count.
+    ``count(algebra, x)``), the copy, and ``bind(algebra, buffers)``.
 
     The backend is :func:`algebra_of` ``owner``.  ``owner._scratch``
     caches ``(tag, result)``: a call whose tag, ``type(x)`` and
     ``len(x)`` (shape and dtype for numpy states), matches returns the
     cached result at once.  Any other state is refused when empty,
     else gets new buffers, checked and bound again, so a stepper
-    answers it as a fresh one would, and a step allocates no
-    state-sized memory.  On the sequence backend the kernels, the copy
-    and the error ratio bound are generated for the length of ``x``
-    (see ``Algebra._fused_length``).  Returns
-    ``(algebra, buffers, copy, bound)``.
+    answers it as a fresh one would.  A step makes no buffers of its
+    own, but on numpy each kernel update of k terms still allocates
+    k - 1 state-sized temporaries.  The copy is
+    ``Algebra._copy_kernel``'s.  Returns ``(algebra, buffers, copy,
+    bound)``.
     """
     tag = (x.shape, x.dtype) if isinstance(x, np.ndarray) else (type(x), len(x))
     cached = owner._scratch
@@ -358,13 +356,5 @@ def scratch(owner, x, count, bind=_kernel_table):
         count = count(algebra, x)
     buffers = [algebra.clone_shape(x) for _ in range(count)]
     algebra._check_shapes(x, *buffers)
-    n = algebra._fused_length(x)
-    if algebra._replaced("copy"):
-        copy = algebra.copy
-    elif n is not None:
-        copy = _sequence_copy(n)
-    else:
-        one = algebra._kernel(1)  # the copy is a one-term update, unless replaced
-        copy = lambda out, src: one(out, (1.0,), (src,))
-    owner._scratch = (tag, (algebra, buffers, copy, bind(algebra, buffers)))
+    owner._scratch = (tag, (algebra, buffers, algebra._copy_kernel(x), bind(algebra, buffers)))
     return owner._scratch[1]

@@ -14,7 +14,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 from functools import partial
 
-from .algebra import Scratched, _sequence_ratio, algebra_of, scratch
+from .algebra import Scratched, algebra_of, scratch
 from .errors import SolverError, StepSizeUnderflowError
 from .explicit import EmbeddedRungeKutta, _trial_code
 from .integrate import EvaluationCounter, _counting
@@ -87,15 +87,17 @@ class ControlledStepper(Scratched):
     else the stepper's.
 
     A shipped embedded pair (an ``EmbeddedRungeKutta`` that keeps its
-    ``do_step_with_error``) on an unreplaced sequence backend runs each
-    trial as code generated once per tableau and state length: stages,
-    solution, last stage, error ratio and, on acceptance, the copy into
-    ``x`` in one call, into the controller's own stage states, with no
-    error estimate stored; the last stage is handed over by swapping
-    two buffers.  Other steppers,
-    numpy states and algebras that replace ``scale_sum``, ``copy`` or
-    ``error_ratio_max`` go through ``do_step_with_error`` and the
-    algebra's error ratio, with the same bits.
+    ``do_step_with_error``) runs each trial as code generated once per
+    tableau and state length, on every backend: stages, solution, last
+    stage, error ratio and, on acceptance, the copy into ``x`` in one
+    call, into the controller's own stage states; the last stage is
+    handed over by swapping two buffers.  On an unreplaced sequence
+    backend every update is inline and no error estimate is stored;
+    on numpy, and wherever ``scale_sum``, ``copy`` or
+    ``error_ratio_max`` is replaced, the updates are the stepper
+    backend's kernel calls and the error ratio and the copy are the
+    controller's, with the same bits.  Any other stepper's trial goes
+    through its ``do_step_with_error``, counted by a wrapper.
 
     Instances carry scratch states (the derivative cache among them),
     the rejection history and the count of system evaluations since
@@ -133,26 +135,32 @@ class ControlledStepper(Scratched):
 
     def _plain(self):
         # Whether the stepper's trial is EmbeddedRungeKutta's, which
-        # evaluates every stage but the first, the derivative at (x, t).
+        # the generated trial runs from the stepper's tableau.
         return getattr(type(self._stepper), "do_step_with_error", None) is EmbeddedRungeKutta.do_step_with_error
 
     def _trial_length(self, algebra, x):
-        # The length the trial on x is generated for; None: the general path.
+        # The length the trial on x is generated for, where the
+        # stepper's backend agrees; None: kernel calls.
         n = algebra._fused_length(x)
-        if self._plain() and not (algebra._replaced("copy") or algebra._replaced("error_ratio_max")):
-            return n if algebra_of(self._stepper, x)._fused_length(x) == n else None
+        return n if algebra_of(self._stepper, x)._fused_length(x) == n else None
 
     def _count(self, algebra, x):
-        # The generated trial's stage states and solution, else the
-        # trial state, the error, the derivative and two ratio states.
-        return 5 if self._trial_length(algebra, x) is None else self._stepper.stage_count + 1
+        # The general path's trial state, error, derivative and two ratio
+        # states; else the stages, the solution and, for kernel calls,
+        # an error state and two ratio states.
+        if not self._plain():
+            return 5
+        return self._stepper.stage_count + (4 if self._trial_length(algebra, x) is None else 1)
 
     def _bind(self, algebra, buffers):
-        # (trial, ratio): the generated trial, None for the general path.
-        n = self._trial_length(algebra, buffers[0])
-        if n is None:
-            return None, algebra._error_kernel(buffers)
-        return _trial_code(self._stepper.tableau, n), _sequence_ratio(n)
+        # (trial, ratio, index of the last stage); no trial: the general
+        # path.  The stepper's backend runs the trial's updates.
+        ratio, stepper, x = algebra._error_kernel(buffers), self._stepper, buffers[0]
+        if not self._plain():
+            return None, ratio, None
+        make = _trial_code(stepper.tableau, self._trial_length(algebra, x))
+        trial = make(algebra_of(stepper, x)._kernel, ratio, algebra._copy_kernel(x))
+        return trial, ratio, stepper.stage_count - 1
 
     @_counting
     def try_step(self, system, x, t, dt):
@@ -182,26 +190,26 @@ class ControlledStepper(Scratched):
         if cached is None or cached[0] != (type(x), len(x)):
             scratch(self, x, self._count, self._bind)
             cached = self._scratch
-        _, k, copy, (trial, ratio) = cached[1]
+        _, k, copy, (trial, ratio, last) = cached[1]
         if trial is None:
             return self._general_step(system, x, t, dt, k, copy, ratio)
         dxdt = k[0]
         if self._dxdt is not dxdt:
-            if self._dxdt is k[-2]:
+            if self._dxdt is k[last]:
                 # The last accepted trial's last stage belongs to x:
                 # swap it in as the first stage.
-                k[0], k[-2] = k[-2], dxdt
+                k[0], k[last] = k[last], dxdt
                 dxdt = k[0]
             else:
                 self._evaluations += 1
                 system(x, dxdt, t)
             self._dxdt = dxdt
         params = self.params
-        self._evaluations += self._stepper.stage_count - 1
+        self._evaluations += last
         err = trial(system, x, t, dt, params.atol, params.rtol, k)
         if err <= 1.0:
             self._stages = k
-            self._dxdt = k[-2] if self._stepper.fsal else None
+            self._dxdt = k[last] if self._stepper.fsal else None
             dt_next = next_step_size(dt, err, self._stepper.error_order, self._rejected)
             self._rejected = False
             return _step_result((True, t + dt, dt_next, err))
@@ -214,10 +222,10 @@ class ControlledStepper(Scratched):
             self._evaluations += 1
             system(x, dxdt, t)
             self._dxdt = dxdt
-        # A trial of the user's is counted by a wrapper.
-        counter = None if self._plain() else EvaluationCounter(system)
-        trial = stepper.do_step_with_error(counter or system, x, t, dt, out=xtrial, xerr=xerr, dxdt_in=dxdt)
-        self._evaluations += stepper.stage_count - 1 if counter is None else counter.count
+        # The trial is the user's: a wrapper counts it.
+        counter = EvaluationCounter(system)
+        trial = stepper.do_step_with_error(counter, x, t, dt, out=xtrial, xerr=xerr, dxdt_in=dxdt)
+        self._evaluations += counter.count
         err = ratio(xerr, x, dxdt, self.params.atol, self.params.rtol, dt)
         if err <= 1.0:
             copy(x, xtrial)

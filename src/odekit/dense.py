@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache, partial
 
-from .algebra import UNROLL, Scratched, _define, _initial_copy, _update_lines, scratch
+from .algebra import _KERNELS, UNROLL, Scratched, _define, _initial_copy, _update_lines, scratch
 from .controlled import ControlledStepper
 from .explicit import DormandPrince5
 from .integrate import _counting, _readonly
@@ -53,7 +53,7 @@ def _dense_code(n):
         snap = [*update(lambda i, v: f"s{i} = {v}", *_ROW), f"s = {''.join(f's{i}, ' for i in range(n))}"]
     else:
         snap = ["s = []", *update(lambda i, v: f"s.append({v})", *_ROW), "s = tuple(s)"]
-    head = ["K2, K3, K5, K6 = kernel(2), kernel(3), kernel(5), kernel(6)"] if n is None else []
+    head = [_KERNELS] if n is None else []
     return _define("make", "kernel, clone, readonly, p", [
         *head,
         "p0, p1, p2, p3, p4 = p",
@@ -97,14 +97,14 @@ class DenseOutputDopri5(Scratched):
     to rounding accuracy.  Any new trial discards it, so
     ``calc_state`` raises until the next acceptance.
 
-    Each trial is the ``controller``'s, generated whole on the shipped
-    sequence backend (see :class:`ControlledStepper`).  The state is
-    copied before each trial, and the fit reads the accepted trial's
-    stage derivatives where the trial left them.  The fit,
-    ``calc_state`` and the grid sampler :func:`integrate_const` calls
-    once per accepted step run code generated for the state's length
-    (see :func:`_dense_code`), with every update a kernel call on numpy
-    and wherever ``scale_sum`` is replaced.
+    Each trial is the ``controller``'s, generated whole on every
+    backend (see :class:`ControlledStepper`).  The state is copied
+    before each trial, and the fit reads the accepted trial's stage
+    derivatives where the trial left them.  The fit, ``calc_state``
+    and the grid sampler :func:`integrate_const` calls once per
+    accepted step run code generated for the state's length (see
+    :func:`_dense_code`), with every update a kernel call on numpy and
+    wherever ``scale_sum``, ``copy`` or ``error_ratio_max`` is replaced.
 
     Parameters
     ----------

@@ -11,9 +11,9 @@ unrepaired.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import lru_cache
+from functools import lru_cache, partial
 
-from .algebra import MAX_TERMS, Scratched, _define, _ratio_row, _update_lines, scratch
+from .algebra import _KERNELS, MAX_TERMS, Scratched, _define, _ratio_row, _update_lines, scratch
 from .integrate import _counting
 from .tableaus import CASH_KARP_54, DORMAND_PRINCE_54, EULER, RK4_CLASSIC
 
@@ -33,10 +33,11 @@ class StageRecord(namedtuple("StageRecord", ["derivatives"])):
 class ExplicitRungeKutta(Scratched):
     """Fixed-step explicit Runge-Kutta scheme over a Butcher tableau.
 
-    Scratch buffers are sized lazily on first use and reused, so a step
-    allocates no state-sized memory.  Instances keep per-call scratch
-    and a count of the system evaluations they made, and must not be
-    shared between concurrent integrations.
+    Scratch buffers are sized lazily on first use and reused; on numpy
+    an update of k terms still allocates k - 1 state-sized temporaries.
+    Instances keep per-call scratch and a count of the system
+    evaluations they made, and must not be shared between concurrent
+    integrations.
 
     Parameters
     ----------
@@ -82,8 +83,7 @@ class ExplicitRungeKutta(Scratched):
 
 def _update(tableau, n, out, weights, lead):
     """The update of ``out`` by ``weights`` on the stages ``k<j>``,
-    after ``x`` when ``lead`` is 1, and its term count (see
-    :func:`_step_code`)."""
+    after ``x`` when ``lead`` is 1 (see :func:`_step_code`)."""
     idx = [j for j, w in enumerate(weights) if w != 0.0]
     k = len(idx) + lead
     if not 1 <= k <= MAX_TERMS:
@@ -91,7 +91,7 @@ def _update(tableau, n, out, weights, lead):
                          f" the algebra takes 1..{MAX_TERMS}")
     coeffs = ["1.0"] * lead + [f"dt * {float(weights[j])!r}" for j in idx]
     terms = ["x"] * lead + [f"k{j}" for j in idx]
-    return k, _update_lines(n, out, coeffs, terms)
+    return _update_lines(n, out, coeffs, terms)
 
 
 def _stages(tableau, update):
@@ -118,12 +118,7 @@ def _step_code(tableau, n=None):
     written inline.  Zero weights are left out and the others are
     exact float literals, so every update is the stage loop's, term
     for term and bit for bit."""
-    counts = set()
-
-    def update(out, weights, lead):
-        k, lines = _update(tableau, n, out, weights, lead)
-        counts.add(k)
-        return lines
+    update = partial(_update, tableau, n)
 
     def define(head, lines):
         return [head, *(f"    {line}" for line in lines)]
@@ -134,32 +129,38 @@ def _step_code(tableau, n=None):
     body += ["error = None"] if ew is None else define(
         "def error(dt, xerr):", update("xerr", ew, 0) + ["return xerr"])
     head = [f"{''.join(f'k{j}, ' for j in range(tableau.stage_count))}u = k"]
-    if n is None:
-        head += [f"K{k} = kernel({k})" for k in sorted(counts)]
+    head += [_KERNELS] if n is None else []
     return _define("make", "kernel, k", head + body + ["return advance, error"])
 
 
 @lru_cache(maxsize=64)
 def _trial_code(tableau, n):
-    """One controlled trial of an embedded pair on sequence states of
-    length ``n``, generated once per tableau value and length:
-    ``trial(system, x, t, dt, atol, rtol, k)`` reads ``f(x, t)`` from
-    ``k[0]``, writes the other stages into ``k[1:-1]`` and the
-    solution into ``k[-1]``, evaluates a first-same-as-last stage at
-    it, copies it into ``x`` when the error ratio is at most one, and
-    returns the ratio.  The ratio of each element is taken from its
-    error update's value, which is not stored, so the trial runs
-    :func:`_step_code`'s stage, solution and error updates and the
-    ratio of ``_sequence_ratio``, bit for bit."""
-    s = tableau.stage_count
-    update = lambda out, weights, lead: _update(tableau, n, out, weights, lead)[1]
-    return _define("trial", "system, x, t, dt, atol, rtol, k", [
-        f"{''.join(f'k{j}, ' for j in range(s))}u = k",
-        *_stages(tableau, update), *update("u", tableau.b, 1),
-        *([f"system(u, k{s - 1}, t + dt)"] if tableau.is_fsal else []),
-        "adt, worst = abs(dt), 0.0", *update(_ratio_row("k0"), tableau.error_weights, 0),
-        "if worst <= 1.0:", *(f"    {line}" for line in _update_lines(n, "x", ["1.0"], ["u"])),
-        "return float(worst)"])
+    """One controlled trial of an embedded pair, generated once per
+    tableau value and length ``n`` as :func:`_step_code`'s step is:
+    ``make(kernel, ratio, copy)`` returns ``trial(system, x, t, dt,
+    atol, rtol, k)``, which reads ``f(x, t)`` from ``k[0]``, writes the
+    other stages into ``k[1:s]`` and the solution into ``k[s]``,
+    evaluates a first-same-as-last stage at it, copies it into ``x``
+    when the error ratio is at most one, and returns the ratio.  With
+    ``n`` None the updates are kernel calls, the error goes into
+    ``k[s + 1]`` and ``ratio`` and ``copy`` run; inline, the ratio of
+    each element is taken from its error update's value, which is not
+    stored, bit for bit with ``_sequence_ratio``, and so is the copy."""
+    s, update = tableau.stage_count, partial(_update, tableau, n)
+    body = [*_stages(tableau, update), *update("u", tableau.b, 1),
+            *([f"system(u, k{s - 1}, t + dt)"] if tableau.is_fsal else [])]
+    unpack = "u, e, *_" if n is None else "u"  # the error state after the solution
+    if n is None:
+        body += [*update("e", tableau.error_weights, 0), "worst = ratio(e, x, k0, atol, rtol, dt)",
+                 "if worst <= 1.0:", "    copy(x, u)", "return worst"]
+    else:
+        body += ["adt, worst = abs(dt), 0.0", *update(_ratio_row("k0"), tableau.error_weights, 0),
+                 "if worst <= 1.0:", *(f"    {line}" for line in _update_lines(n, "x", ["1.0"], ["u"])),
+                 "return float(worst)"]
+    return _define("make", "kernel, ratio, copy", [
+        *([_KERNELS] if n is None else []), "def trial(system, x, t, dt, atol, rtol, k):",
+        f"    {''.join(f'k{j}, ' for j in range(s))}{unpack} = k",
+        *(f"    {line}" for line in body), "return trial"])
 
 
 class EmbeddedRungeKutta(ExplicitRungeKutta):

@@ -79,7 +79,8 @@ class ImplicitEuler(Scratched):
         jac_f = getattr(system, "jacobian", None)
         if jac_f is None:
             raise ValueError("implicit Euler needs a system that carries a jacobian")
-        algebra, (u, f, g), copy, kernels = scratch(self, x, 3)
+        # Newton's residual and update are kernel calls on every backend.
+        algebra, (u, f, g), copy, (k2, k3) = scratch(self, x, 3, lambda a, _: (a._kernel(2), a._kernel(3)))
         algebra._check_shapes(x, out)
         n = len(x)
         t_new = t + dt
@@ -91,7 +92,7 @@ class ImplicitEuler(Scratched):
         while True:
             self._evaluations += 1
             system(u, f, t_new)
-            kernels[3](g, (1.0, -1.0, -dt), (u, x, f))
+            k3(g, (1.0, -1.0, -dt), (u, x, f))
             if applied and float(np.abs(g).max()) <= tol:
                 break
             if applied >= NEWTON_MAX_ITER:
@@ -107,7 +108,7 @@ class ImplicitEuler(Scratched):
                 raise SingularMatrixError(f"singular Newton matrix at t={t_new!r}") from None
             if not isinstance(g, np.ndarray):
                 delta = delta.tolist()  # a sequence state keeps Python floats
-            kernels[2](u, (1.0, -1.0), (u, delta))
+            k2(u, (1.0, -1.0), (u, delta))
             applied += 1
             if float(np.abs(delta).max()) <= tol:
                 break

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .algebra import Scratched, _define, _update_lines, scratch
+from .algebra import _KERNELS, Scratched, _define, _update_lines, scratch
 from .errors import DimensionError
 
 
@@ -91,7 +91,7 @@ def _kick_drift(n):
     ``step(system, state, dt, target)``."""
     kick = _update_lines(n, "pn", ["1.0", "dt"], ["p", "buf"])
     drift = _update_lines(n, "qn", ["1.0", "dt"], ["q", "buf"])
-    head = ["K2 = kernel(2)"] if n is None else []
+    head = [_KERNELS] if n is None else []
     return _define("make", "kernel, buf", [
         *head,
         "def step(system, state, dt, target):",

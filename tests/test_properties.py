@@ -6,7 +6,8 @@ inside its growth window; the generated step code of any explicit
 tableau matches a stage loop on the checked ``scale_sum`` bit for
 bit, unrolled or looped; a controlled trial, a dense state and a
 symplectic step have the same bits on lists, numpy and the general
-path; every driver reports the evaluations a counting closure sees;
+path, and a controlled run with a pair's own ``do_step_with_error``
+has them too; every driver reports the evaluations a counting closure sees;
 the controller's in-place error ratio equals the checked one, the
 textbook formula and the list backend bit for bit."""
 
@@ -473,11 +474,27 @@ TRIAL_RUNS = {
 }
 
 
-def hex_run(driver, make, x0, t1, dt0):
+def hex_run(driver, stepper, x0, t1, dt0):
     seen = []
-    report = driver(make(), ring, x0, 0.0, t1, dt0, lambda x, t: seen.append((t.hex(), hexes(x))))
+    report = driver(stepper, ring, x0, 0.0, t1, dt0, lambda x, t: seen.append((t.hex(), hexes(x))))
     counters = (report.steps_accepted, report.steps_rejected, report.system_evaluations)
     return seen, hexes(report.final_state), report.final_time.hex(), counters
+
+
+def delegating(pair):
+    """``pair`` with a ``do_step_with_error`` of the user's, one that
+    only delegates to ``super()``: the controller runs it as it is."""
+
+    class Delegating(pair):
+        def do_step_with_error(self, *args, **kwargs):
+            return super().do_step_with_error(*args, **kwargs)
+
+    return Delegating
+
+
+def pair_of(stepper):
+    """The embedded pair a controller or a dense stepper steps with."""
+    return getattr(stepper, "controller", stepper).stepper
 
 
 @settings(max_examples=80, deadline=None, database=None)
@@ -492,24 +509,37 @@ def hex_run(driver, make, x0, t1, dt0):
 @example(x0=[1.0, -0.5, 0.25], t1=2.0, dt0=4.0, tol=1e-8, pair="ck54", path="const")
 def test_generated_trial_matches_its_numpy_twin(x0, t1, dt0, tol, pair, path):
     # Lists run the trial and the dense sampler generated for their
-    # length (one loop past UNROLL), numpy the general path, and a
-    # replaced scale_sum receives every update; wide first widths are
-    # rejected.  On a grid the first width is the grid's: three to the
-    # interval, and forty for dense output, so several grid points
-    # fall inside one step.
+    # length (one loop past UNROLL), numpy their kernel calls, and a
+    # replaced scale_sum receives every update; none of them calls the
+    # pair's do_step_with_error, which would bind the pair's scratch.
+    # A pair whose do_step_with_error is the user's runs through it
+    # and gives the same bits.  Wide first widths are rejected.  On a
+    # grid the first width is the grid's: three to the interval, and
+    # forty for dense output, so several grid points fall inside one
+    # step.
     driver, dense = TRIAL_RUNS[path]
     if driver is integrate_const:
         dt0 = t1 / 40 if dense else t1 / 3
     params = ControllerParams(atol=tol, rtol=tol)
-    if dense:
-        make = lambda algebra=None: DenseOutputDopri5(params, algebra)  # noqa: E731
-    else:
-        make = lambda algebra=None: ControlledStepper(PAIRS[pair](algebra), params)  # noqa: E731
-    as_list = hex_run(driver, make, list(x0), t1, dt0)
-    assert as_list == hex_run(driver, make, np.array(x0), t1, dt0)
-    assert as_list == hex_run(driver, lambda: make(GeneralAlgebra()), list(x0), t1, dt0)
+
+    def make(algebra=None, foreign=False):
+        made = DenseOutputDopri5(params, algebra) if dense else ControlledStepper(PAIRS[pair](algebra), params)
+        if foreign:
+            controller = getattr(made, "controller", made)
+            controller.stepper = delegating(type(controller.stepper))(algebra)
+        return made
+
+    runs = []
+    for box, algebra in ((list, None), (np.array, None), (list, GeneralAlgebra())):
+        stepper = make(algebra)
+        runs.append(hex_run(driver, stepper, box(x0), t1, dt0))
+        assert pair_of(stepper)._scratch is None
+    foreign = make(foreign=True)
+    runs.append(hex_run(driver, foreign, list(x0), t1, dt0))
+    assert pair_of(foreign)._scratch is not None
+    assert runs[1:] == runs[:1] * 3
     if x0 == [1.0, -0.5, 0.25]:
-        assert as_list[3][1] > 0  # the explicit example rejects trials
+        assert runs[0][3][1] > 0  # the explicit example rejects trials
 
 
 # --- evaluation counts ----------------------------------------------------

@@ -1,6 +1,6 @@
 """Stage kernels: shapes checked once per buffer set and at entry on
 caller-supplied buffers, custom algebras (replaced on the class or on
-the instance) kept on the general path, and the controller's error
+the instance) receiving every update, and the controller's error
 ratio computed in place on its own scratch."""
 
 import array
@@ -210,11 +210,14 @@ def run_dense_grid(algebra):
 
 # Recorded with the general path, before the stage kernels existed
 # (run_dense_grid before the generated grid sampler): every scale_sum
-# and copy the steppers make, with its term count.
+# and copy the steppers make, with its term count.  The controlled
+# logs are the generated trial's, which copies neither the cached
+# derivative into the stepper nor the last stage back; the states are
+# the first recording's.
 GENERAL_PATH = {
     run_controlled: (
-        "c s1 s2 s3 s4 s5 s6 s6 s6 c s1 s2 s3 s4 s5 s6 s6 s6 "
-        "c s1 s2 s3 s4 s5 s6 s6 s6 c s1 c s1",
+        "s2 s3 s4 s5 s6 s6 s6 s2 s3 s4 s5 s6 s6 s6 "
+        "s2 s3 s4 s5 s6 s6 s6 c s1",
         [10.029402025965702, 10.999487677366988, 10.464863175985172],
     ),
     run_rk4: (
@@ -227,16 +230,16 @@ GENERAL_PATH = {
         [0.99, 0.52, -0.1, 0.2, 0.9701, 0.5348, -0.199, 0.14800000000000002],
     ),
     run_dense: (
-        "c s1 c s1 c s1 s2 s3 s4 s5 s6 s6 s6 c s1 c s1 s2 s3 s4 s5 s6 s6 s6 c s1 "
-        "c s1 s2 s2 s3 s6 c s1 c s1 s2 s3 s4 s5 s6 s6 s6 c s1 c s1 s2 s2 s3 s6 "
+        "c s1 c s1 s2 s3 s4 s5 s6 s6 s6 c s1 s2 s3 s4 s5 s6 s6 s6 "
+        "c s1 s2 s2 s3 s6 c s1 s2 s3 s4 s5 s6 s6 s6 c s1 s2 s2 s3 s6 "
         "s5 c s1",
         [10.065174305983417, 11.488077404262361, 10.717802352991256,
          10.114160429565636, 11.969595398675146, 10.984707083930815],
     ),
     run_dense_grid: (
-        "c s1 c s1 c s1 s2 s3 s4 s5 s6 s6 s6 c s1 c s1 s2 s2 s3 s6 s5 "
-        "c s1 c s1 s2 s3 s4 s5 s6 s6 s6 c s1 c s1 s2 s2 s3 s6 s5 s5 s5 s5 s5 "
-        "c s1 c s1 s2 s3 s4 s5 s6 s6 s6 c s1 c s1 s2 s2 s3 s6 s5 s5 s5",
+        "c s1 c s1 s2 s3 s4 s5 s6 s6 s6 c s1 s2 s2 s3 s6 s5 "
+        "c s1 s2 s3 s4 s5 s6 s6 s6 c s1 s2 s2 s3 s6 s5 s5 s5 s5 s5 "
+        "c s1 s2 s3 s4 s5 s6 s6 s6 c s1 s2 s2 s3 s6 s5 s5 s5",
         [10.0, 10.0, 10.0,
          10.000845678706051, 10.16955103898345, 10.074086246107935,
          10.003365562359026, 10.338214680787644, 10.14968131953614,
@@ -273,6 +276,8 @@ def test_custom_algebra_keeps_the_general_path(run, make):
 def test_step_code_is_generated_once_per_tableau():
     # The cache key is (tableau, generated length): None for numpy,
     # which keeps its kernel calls, and the length of a sequence state.
+    # Dense output runs the controller's generated trial instead, on
+    # either container, and never binds its stepper.
     _step_code.cache_clear()
     advances = []
     for box in (list, np.array):
@@ -284,8 +289,7 @@ def test_step_code_is_generated_once_per_tableau():
             dense = DenseOutputDopri5()
             dense.initialize(box(X0), 0.0, 0.01)
             dense.do_step(LORENZ)
-            if box is np.array:  # on lists the controller's generated trial runs instead
-                advances.append((DormandPrince5, box, dense.stepper._scratch[1][3][0]))
+            assert dense.stepper._scratch is None
     info = _step_code.cache_info()
     assert (info.misses, info.currsize) == (4, 4)
     # Every stepper of a tableau runs one compiled step per length.
@@ -305,8 +309,8 @@ def test_step_code_is_generated_once_per_tableau():
 
 def test_trial_code_is_generated_once_per_tableau_and_length():
     # The controller's generated trial is keyed on (tableau, length),
-    # shared by every controller and dense stepper; numpy states take
-    # the general path and generate none.
+    # None for numpy, which calls its kernels, and shared by every
+    # controller and dense stepper.
     _trial_code.cache_clear()
     trials = []
     for box in (list, np.array):
@@ -320,10 +324,10 @@ def test_trial_code_is_generated_once_per_tableau_and_length():
             dense.do_step(LORENZ)
             trials.append((DormandPrince5, box, dense.controller._scratch[1][3][0]))
     info = _trial_code.cache_info()
-    assert (info.misses, info.currsize) == (2, 2)
+    assert (info.misses, info.currsize) == (4, 4)
     for make in (DormandPrince5, CashKarp54):
-        assert len({id(trial) for owner, b, trial in trials if (owner, b) == (make, list)}) == 1
-        assert {trial for owner, b, trial in trials if (owner, b) == (make, np.array)} == {None}
+        for box in (list, np.array):
+            assert len({id(trial.__code__) for owner, b, trial in trials if (owner, b) == (make, box)}) == 1
     # Lengths past UNROLL share one looped trial.
     _trial_code.cache_clear()
     for n in range(1, 41):
@@ -448,11 +452,17 @@ DRIVERS = {
 }
 
 
+def pair_scratch(stepper):
+    """The scratch of the pair a controller or a dense stepper steps
+    with: None while the pair's own ``do_step_with_error`` never ran."""
+    return getattr(stepper, "controller", stepper).stepper._scratch
+
+
 @pytest.mark.parametrize("run", DRIVERS)
 def test_every_driver_runs_on_the_steppers_algebra(run):
     # The stepper's backend makes the run's working copy and every
     # buffer of the stack, the controller's included; the array run is
-    # the list run, bit for bit.
+    # the list run, bit for bit, and a controller runs its own trial.
     runs = []
     for algebra, box in ((ArrayAlgebra(), lambda v: array.array("d", v)), (None, list)):
         drive, stepper = DRIVERS[run](algebra)
@@ -460,6 +470,7 @@ def test_every_driver_runs_on_the_steppers_algebra(run):
         report = drive(stepper, LORENZ, box(X0), 0.0, 0.5, 0.05, lambda x, t: seen.append((t, x)))
         runs.append((type(report.final_state), array.array("d", report.final_state).tobytes(),
                      seen, report.steps_accepted, report.steps_rejected, report.system_evaluations))
+        assert run == "const-rk4" or pair_scratch(stepper) is None
     assert (runs[0][0], runs[1][0]) == (array.array, list)
     assert runs[0][1:] == runs[1][1:]
 
@@ -519,6 +530,7 @@ def test_custom_error_ratio_receives_one_call_per_trial(kind, box, on_instance):
             t, dt = result.t, result.dt
             ratios.append(result.error_ratio)
         runs.append((list(x), ratios))
+        assert pair_scratch(stepper) is None  # the controller's own trial ran
     assert algebra.calls == 6
     assert runs[0] == runs[1]  # the custom path computes the same bits
 
@@ -537,7 +549,8 @@ def test_controlled_trial_ratio_allocates_no_state_sized_array():
     x = np.vstack([rng.uniform(-10, 10, 10_000) for _ in range(3)])
     controller = ControlledStepper(DormandPrince5())
     controller.try_step(LORENZ, x, 0.0, 1e-3)  # warm-up binds the scratch
-    _, (_, xerr, dxdt, *_), _, (_, ratio) = controller._scratch[1]
+    # The stages, the solution, the error and the two ratio states.
+    _, (dxdt, *_, xerr, _, _), _, (_, ratio, _) = controller._scratch[1]
     ratio(xerr, x, dxdt, 1e-6, 1e-6, 1e-3)
     peaks = []
     for call in (ratio, NUMPY_ALGEBRA.error_ratio_max):
