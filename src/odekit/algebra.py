@@ -20,7 +20,7 @@ stepper binding a sequence state gets the copy and the error ratio
 generated for its length and writes its updates inline, the
 controller its whole trial; on numpy states, and wherever any of the
 three methods is replaced, the same generated code calls the kernels
-(see ``Algebra._fused_length``).
+(see ``Algebra._fused_length``), each on one scaffold, :func:`_make`.
 """
 
 from __future__ import annotations
@@ -180,16 +180,23 @@ def _update_lines(n, out, coeffs, terms):
     return [f"{', '.join(c[skip:])}, = {', '.join(coeffs[skip:])},", *_each(n, length, row)]
 
 
-# The line binding ``K<k>``, the kernel of k terms, in generated code
-# whose updates are kernel calls (``n`` None).
-_KERNELS = f"{', '.join(f'K{k}' for k in range(1, MAX_TERMS + 1))} = map(kernel, range(1, {MAX_TERMS + 1}))"
+def _define(name, args, lines, **names):
+    """The function ``def name(args)``, body ``lines``, globals ``names``."""
+    exec(f"def {name}({args}):\n" + "".join(f"    {line}\n" for line in lines), names)
+    return names[name]
 
 
-def _define(name, args, lines):
-    """The function ``def name(args)`` with the body ``lines``."""
-    namespace = {}
-    exec(f"def {name}({args}):\n" + "".join(f"    {line}\n" for line in lines), namespace)
-    return namespace[name]
+def _indent(lines, depth=1):
+    return [" " * 4 * depth + line for line in lines]
+
+
+def _make(kernels, args, lines, returns, **names):
+    """Every generator's ``make(kernel, <args>)``: it binds ``K<k>``, the
+    kernel of k terms, when ``kernels`` is set (``n`` None), runs
+    ``lines`` and returns ``returns``; ``names`` are its globals."""
+    terms = range(1, MAX_TERMS + 1)
+    head = [f"{', '.join(f'K{k}' for k in terms)} = map(kernel, {terms!r})"] if kernels else []
+    return _define("make", f"kernel, {args}", [*head, *lines, f"return {returns}"], **names)
 
 
 # The generated sequence code is cached per term count k <= MAX_TERMS
@@ -307,7 +314,9 @@ def _refuse_empty(x, message):
 
 
 def _initial_copy(owner, x0):
-    """``owner``'s backend and its copy of a run's initial state, refused if empty or non-finite."""
+    """``owner``'s backend and its copy of a run's initial state, refused if 0-d, empty or non-finite."""
+    if getattr(x0, "ndim", None) == 0:
+        raise DimensionError("the initial state is a 0-d array, with no length; give it 1 element")
     algebra = algebra_of(owner, x0)
     x = algebra.clone_shape(x0)
     algebra.copy(x, x0)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache
 
 from .algebra import Scratched, algebra_of, scratch
 from .errors import SolverError, StepSizeUnderflowError
@@ -51,11 +51,6 @@ class StepResult(namedtuple("StepResult", ["accepted", "t", "dt", "error_ratio"]
     trial's error ratio."""
 
 
-# A StepResult from a tuple of its fields, as ``StepResult._make``
-# builds it, without the constructor's Python frame.
-_step_result = partial(tuple.__new__, StepResult)
-
-
 def next_step_size(dt, err, error_order, was_rejected=False):
     """Integral controller for the following step width.
 
@@ -88,16 +83,13 @@ class ControlledStepper(Scratched):
 
     A shipped embedded pair (an ``EmbeddedRungeKutta`` that keeps its
     ``do_step_with_error``) runs each trial as code generated once per
-    tableau and state length, on every backend: stages, solution, last
-    stage, error ratio and, on acceptance, the copy into ``x`` in one
-    call, into the controller's own stage states; the last stage is
-    handed over by swapping two buffers.  On an unreplaced sequence
-    backend every update is inline and no error estimate is stored;
-    on numpy, and wherever ``scale_sum``, ``copy`` or
-    ``error_ratio_max`` is replaced, the updates are the stepper
-    backend's kernel calls and the error ratio and the copy are the
-    controller's, with the same bits.  Any other stepper's trial goes
-    through its ``do_step_with_error``, counted by a wrapper.
+    tableau and state length, into the controller's own stage states:
+    inline on an unreplaced sequence backend, else the stepper
+    backend's kernel calls, with the same bits; the last stage is
+    handed over by swapping two buffers.  The drivers' walk runs that
+    trial and the step size control inline, without ``try_step``,
+    which is the manual path and the reference.  Any other stepper's
+    trial goes through its ``do_step_with_error``, counted by a wrapper.
 
     Instances carry scratch states (the derivative cache among them),
     the rejection history and the count of system evaluations since
@@ -153,14 +145,17 @@ class ControlledStepper(Scratched):
         return self._stepper.stage_count + (4 if self._trial_length(algebra, x) is None else 1)
 
     def _bind(self, algebra, buffers):
-        # (trial, ratio, index of the last stage); no trial: the general
-        # path.  The stepper's backend runs the trial's updates.
+        # (trial, ratio, index of the last stage, (walk's trial, its
+        # make's arguments)); no trial: the general path.  The
+        # stepper's backend runs the updates.
         ratio, stepper, x = algebra._error_kernel(buffers), self._stepper, buffers[0]
         if not self._plain():
-            return None, ratio, None
-        make = _trial_code(stepper.tableau, self._trial_length(algebra, x))
-        trial = make(algebra_of(stepper, x)._kernel, ratio, algebra._copy_kernel(x))
-        return trial, ratio, stepper.stage_count - 1
+            return None, ratio, None, (None, (None,))
+        n, last = self._trial_length(algebra, x), stepper.stage_count - 1
+        make, lines = _trial_code(stepper.tableau, n)
+        args = (algebra_of(stepper, x)._kernel, ratio, algebra._copy_kernel(x))
+        walk = _walk_trial(n is None, lines, last, stepper.fsal, stepper.error_order)
+        return make(*args), ratio, last, (walk, (*args, buffers))
 
     @_counting
     def try_step(self, system, x, t, dt):
@@ -184,45 +179,52 @@ class ControlledStepper(Scratched):
             raise ValueError("time and step width must be finite, the width nonzero")
         if t + dt == t:
             raise StepSizeUnderflowError(dt, t)
-        # scratch()'s cache test for a sequence state, inline: it opens
-        # every trial.  Any other state takes the call.
-        cached = self._scratch
-        if cached is None or cached[0] != (type(x), len(x)):
-            scratch(self, x, self._count, self._bind)
-            cached = self._scratch
-        _, k, copy, (trial, ratio, last) = cached[1]
+        _, k, copy, (trial, ratio, last, _) = scratch(self, x, self._count, self._bind)
         if trial is None:
-            return self._general_step(system, x, t, dt, k, copy, ratio)
-        dxdt = k[0]
-        if self._dxdt is not dxdt:
-            if self._dxdt is k[last]:
-                # The last accepted trial's last stage belongs to x:
-                # swap it in as the first stage.
-                k[0], k[last] = k[last], dxdt
-                dxdt = k[0]
-            else:
-                self._evaluations += 1
-                system(x, dxdt, t)
-            self._dxdt = dxdt
-        params = self.params
-        self._evaluations += last
-        err = trial(system, x, t, dt, params.atol, params.rtol, k)
+            err, dxdt = self._general_step(system, x, t, dt, k, copy, ratio)
+        else:
+            dxdt = k[0]
+            if self._dxdt is not dxdt:
+                if self._dxdt is k[last]:
+                    # The last accepted trial's last stage belongs to x:
+                    # swap it in as the first stage.
+                    k[0], k[last] = k[last], dxdt
+                    dxdt = k[0]
+                else:
+                    self._evaluations += 1
+                    system(x, dxdt, t)
+                self._dxdt = dxdt
+            self._evaluations += last
+            err = trial(system, x, t, dt, self.params.atol, self.params.rtol, k)
+            if err <= 1.0:
+                self._stages, self._dxdt = k, k[last] if self._stepper.fsal else None
         if err <= 1.0:
-            self._stages = k
-            self._dxdt = k[last] if self._stepper.fsal else None
             dt_next = next_step_size(dt, err, self._stepper.error_order, self._rejected)
             self._rejected = False
-            return _step_result((True, t + dt, dt_next, err))
-        return self._reject(x, t, dt, err, dxdt, ratio)
+            return StepResult(True, t + dt, dt_next, err)
+        # x and t stay untouched, the cached derivative is still the
+        # derivative at (x, t).  When it is not finite, no smaller
+        # width can help.
+        if not math.isfinite(err) and not math.isfinite(ratio(dxdt, x, dxdt, 1.0, 0.0, 0.0)):
+            raise SolverError(f"the derivative at t={t!r} is not finite")
+        self._rejected = True
+        dt_next = next_step_size(dt, err, self._stepper.error_order, True)
+        if abs(dt_next) < self.params.dt_min:
+            raise StepSizeUnderflowError(dt_next, t, err)
+        return StepResult(False, t, dt_next, err)
+
+    # The walk's inline trial on x and its make's arguments; none on an override.
+    try_step._inline = lambda self, x: scratch(self, x, self._count, self._bind)[3][3]
 
     def _general_step(self, system, x, t, dt, buffers, copy, ratio):
+        # A trial of the user's, through do_step_with_error and counted
+        # by a wrapper: its error ratio, and the buffer holding f(x, t).
         xtrial, xerr, dxdt = buffers[:3]
         stepper = self._stepper
         if self._dxdt is not dxdt:
             self._evaluations += 1
             system(x, dxdt, t)
             self._dxdt = dxdt
-        # The trial is the user's: a wrapper counts it.
         counter = EvaluationCounter(system)
         trial = stepper.do_step_with_error(counter, x, t, dt, out=xtrial, xerr=xerr, dxdt_in=dxdt)
         self._evaluations += counter.count
@@ -236,19 +238,33 @@ class ControlledStepper(Scratched):
                 self._stages = trial[2].derivatives
             else:
                 self._dxdt = None
-            dt_next = next_step_size(dt, err, stepper.error_order, self._rejected)
-            self._rejected = False
-            return StepResult(True, t + dt, dt_next, err)
-        return self._reject(x, t, dt, err, dxdt, ratio)
+        return err, dxdt
 
-    def _reject(self, x, t, dt, err, dxdt, ratio):
-        # x and t stay untouched, the cached derivative is still the
-        # derivative at (x, t).  When it is not finite, no smaller
-        # width can help.
-        if not math.isfinite(err) and not math.isfinite(ratio(dxdt, x, dxdt, 1.0, 0.0, 0.0)):
-            raise SolverError(f"the derivative at t={t!r} is not finite")
-        self._rejected = True
-        dt_next = next_step_size(dt, err, self._stepper.error_order, True)
-        if abs(dt_next) < self.params.dt_min:
-            raise StepSizeUnderflowError(dt_next, t, err)
-        return StepResult(False, t, dt_next, err)
+
+@lru_cache(maxsize=64)
+def _walk_trial(kernels, lines, last, fsal, error_order):
+    """The trial ``integrate._walk_code`` runs inline: ``try_step`` around
+    the ``lines`` of :func:`_trial_code`, constants as literals.  Only
+    ``FAC_MAX`` bounds an accepted ratio's factor (the ratio is at most
+    one), only ``FAC_MIN`` a rejected one's (above one or NaN)."""
+    unpack, body, accept = lines
+    kl, power = f"k{last}", f"{SAFETY!r} * worst ** {-1.0 / (error_order + 1)!r}"
+    head = [unpack, "params = stepper.params", "atol, rtol, dt_min = params.atol, params.rtol, params.dt_min",
+            "dxdt, again, evaluations = stepper._dxdt, stepper._rejected, 0"]
+    step = ["if t + dt == t:", "    raise StepSizeUnderflowError(dt, t)",
+            "if dxdt is not k0:", f"    if dxdt is {kl}:", f"        k0, {kl} = {kl}, k0",
+            "    else:", "        evaluations += 1", "        system(x, k0, t)", "    dxdt = k0",
+            f"evaluations += {last}", *body]
+    accept = [*accept, f"factor = {FAC_MAX!r} if worst == 0.0 else {power}",
+              f"if factor > {FAC_MAX!r}:", f"    factor = {FAC_MAX!r}",
+              "if again and factor > 1.0:", "    factor = 1.0",
+              f"dt_next, again, dxdt = dt * factor, False, {kl if fsal else None}"]
+    reject = ["if not isfinite(worst) and not isfinite(ratio(k0, x, k0, 1.0, 0.0, 0.0)):",
+              "    raise SolverError(f'the derivative at t={t!r} is not finite')",
+              f"again, factor = True, {power}",
+              f"dt_next = dt * (factor if factor > {FAC_MIN!r} else {FAC_MIN!r})",
+              "if abs(dt_next) < dt_min:", "    raise StepSizeUnderflowError(dt_next, t, worst)"]
+    tail = [f"k[0], k[{last}] = k0, {kl}",
+            "stepper._dxdt, stepper._rejected = dxdt, again", "stepper._evaluations += evaluations",
+            "if accepted:", "    stepper._stages = k"]
+    return kernels, tuple(head), tuple(step), tuple(accept), tuple(reject), tuple(tail)

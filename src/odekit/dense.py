@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache, partial
 
-from .algebra import _KERNELS, UNROLL, Scratched, _define, _initial_copy, _update_lines, scratch
+from .algebra import UNROLL, Scratched, _indent, _initial_copy, _make, _update_lines, scratch
 from .controlled import ControlledStepper
 from .explicit import DormandPrince5
 from .integrate import _counting, _readonly
@@ -46,38 +46,35 @@ def _dense_code(n):
     returns the next ``j``.  A snapshot is a tuple built inline, or a
     fresh copy filled by the 5-term kernel and made read-only."""
     update = partial(_update_lines, n)
-    indent = lambda lines, depth=1: [" " * 4 * depth + line for line in lines]  # noqa: E731
     if n is None:
         snap = ["s = clone(p0)", *update("s", *_ROW), "s = readonly(s, True)"]
     elif n <= UNROLL:
         snap = [*update(lambda i, v: f"s{i} = {v}", *_ROW), f"s = {''.join(f's{i}, ' for i in range(n))}"]
     else:
         snap = ["s = []", *update(lambda i, v: f"s.append({v})", *_ROW), "s = tuple(s)"]
-    head = [_KERNELS] if n is None else []
-    return _define("make", "kernel, clone, readonly, p", [
-        *head,
+    return _make(n is None, "clone, readonly, p", [
         "p0, p1, p2, p3, p4 = p",
         "def fit(x, k, dt):",
         "    k0, _, k2, k3, k4, k5, k6 = k[:7]",
-        *indent(update("p1", ["1.0", "-1.0"], ["x", "p0"])),
-        *indent(update("p2", ["dt", "-1.0"], ["k0", "p1"])),
-        *indent(update("p3", ["1.0", "-dt", "-1.0"], ["p1", "k6", "p2"])),
-        *indent(update("p4", [f"dt * {w!r}" for w in _D.values()], [f"k{j}" for j in _D])),
+        *_indent(update("p1", ["1.0", "-1.0"], ["x", "p0"])),
+        *_indent(update("p2", ["dt", "-1.0"], ["k0", "p1"])),
+        *_indent(update("p3", ["1.0", "-dt", "-1.0"], ["p1", "k6", "p2"])),
+        *_indent(update("p4", [f"dt * {w!r}" for w in _D.values()], [f"k{j}" for j in _D])),
         "def at(theta, out):",
         "    omt = 1.0 - theta",
-        *indent(update("out", *_ROW)),
+        *_indent(update("out", *_ROW)),
         "    return out",
         "def sample(observer, lo, hi, h, t0, dt, j, t_end, limit):",
         "    t = t0 + j * dt",
         "    while t < t_end and t <= limit:",
         "        theta = ((hi if hi < t else t) - lo) / h",
         "        omt = 1.0 - theta",
-        *indent(snap, 2),
+        *_indent(snap, 2),
         "        observer(s, t)",
         "        j += 1",
         "        t = t0 + j * dt",
         "    return j",
-        "return fit, at, sample"])
+    ], "fit, at, sample")
 
 
 def _bind(algebra, p):
@@ -97,14 +94,12 @@ class DenseOutputDopri5(Scratched):
     to rounding accuracy.  Any new trial discards it, so
     ``calc_state`` raises until the next acceptance.
 
-    Each trial is the ``controller``'s, generated whole on every
-    backend (see :class:`ControlledStepper`).  The state is copied
+    Each trial is the ``controller``'s (see :class:`ControlledStepper`),
+    and the drivers' walk calls ``try_step``.  The state is copied
     before each trial, and the fit reads the accepted trial's stage
-    derivatives where the trial left them.  The fit, ``calc_state``
-    and the grid sampler :func:`integrate_const` calls once per
-    accepted step run code generated for the state's length (see
-    :func:`_dense_code`), with every update a kernel call on numpy and
-    wherever ``scale_sum``, ``copy`` or ``error_ratio_max`` is replaced.
+    derivatives where the trial left them.  The fit, ``calc_state`` and
+    the grid sampler run code generated for the state's length (see
+    :func:`_dense_code`).
 
     Parameters
     ----------
@@ -136,8 +131,7 @@ class DenseOutputDopri5(Scratched):
         if not (math.isfinite(t0) and 0.0 < dt0 < math.inf):
             raise ValueError("need a finite start time and a finite positive width proposal")
         self._algebra, self._x = _initial_copy(self, x0)
-        self._t = t0
-        self._dt = dt0
+        self._t, self._dt = float(t0), float(dt0)
         self.reset()
 
     @property

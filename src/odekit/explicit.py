@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache, partial
 
-from .algebra import _KERNELS, MAX_TERMS, Scratched, _define, _ratio_row, _update_lines, scratch
+from .algebra import MAX_TERMS, Scratched, _indent, _make, _ratio_row, _update_lines, scratch
 from .integrate import _counting
 from .tableaus import CASH_KARP_54, DORMAND_PRINCE_54, EULER, RK4_CLASSIC
 
@@ -119,48 +119,44 @@ def _step_code(tableau, n=None):
     exact float literals, so every update is the stage loop's, term
     for term and bit for bit."""
     update = partial(_update, tableau, n)
-
-    def define(head, lines):
-        return [head, *(f"    {line}" for line in lines)]
-
-    body = define("def advance(system, x, t, dt, target):",
-                  _stages(tableau, update) + update("target", tableau.b, 1) + ["return target"])
+    body = ["def advance(system, x, t, dt, target):",
+            *_indent(_stages(tableau, update) + update("target", tableau.b, 1) + ["return target"])]
     ew = tableau.error_weights
-    body += ["error = None"] if ew is None else define(
-        "def error(dt, xerr):", update("xerr", ew, 0) + ["return xerr"])
-    head = [f"{''.join(f'k{j}, ' for j in range(tableau.stage_count))}u = k"]
-    head += [_KERNELS] if n is None else []
-    return _define("make", "kernel, k", head + body + ["return advance, error"])
+    body += ["error = None"] if ew is None else [
+        "def error(dt, xerr):", *_indent(update("xerr", ew, 0) + ["return xerr"])]
+    head = f"{''.join(f'k{j}, ' for j in range(tableau.stage_count))}u = k"
+    return _make(n is None, "k", [head, *body], "advance, error")
 
 
 @lru_cache(maxsize=64)
 def _trial_code(tableau, n):
     """One controlled trial of an embedded pair, generated once per
     tableau value and length ``n`` as :func:`_step_code`'s step is:
+    ``(make, (unpack, body, accept))``.  ``unpack`` names the buffers
+    ``k``: the stages ``k0..``, then the solution ``u``.  ``body``
+    reads ``f(x, t)`` from ``k0``, writes the other stages and the
+    solution, evaluates a first-same-as-last stage at it and leaves
+    the error ratio in ``worst``; ``accept`` copies ``u`` into ``x``.
     ``make(kernel, ratio, copy)`` returns ``trial(system, x, t, dt,
-    atol, rtol, k)``, which reads ``f(x, t)`` from ``k[0]``, writes the
-    other stages into ``k[1:s]`` and the solution into ``k[s]``,
-    evaluates a first-same-as-last stage at it, copies it into ``x``
-    when the error ratio is at most one, and returns the ratio.  With
-    ``n`` None the updates are kernel calls, the error goes into
-    ``k[s + 1]`` and ``ratio`` and ``copy`` run; inline, the ratio of
-    each element is taken from its error update's value, which is not
-    stored, bit for bit with ``_sequence_ratio``, and so is the copy."""
+    atol, rtol, k)``, running them and returning the ratio.  With
+    ``n`` None the error goes into the buffer after ``u`` and
+    ``ratio`` and ``copy`` run; inline, the ratio of each element is
+    taken from its error update's value, which is not stored, bit for
+    bit with ``_sequence_ratio``, and so is the copy."""
     s, update = tableau.stage_count, partial(_update, tableau, n)
     body = [*_stages(tableau, update), *update("u", tableau.b, 1),
             *([f"system(u, k{s - 1}, t + dt)"] if tableau.is_fsal else [])]
-    unpack = "u, e, *_" if n is None else "u"  # the error state after the solution
+    unpack = f"{''.join(f'k{j}, ' for j in range(s))}{'u, e, *_' if n is None else 'u'} = k"
     if n is None:
-        body += [*update("e", tableau.error_weights, 0), "worst = ratio(e, x, k0, atol, rtol, dt)",
-                 "if worst <= 1.0:", "    copy(x, u)", "return worst"]
+        body += [*update("e", tableau.error_weights, 0), "worst = ratio(e, x, k0, atol, rtol, dt)"]
+        accept = ["copy(x, u)"]
     else:
         body += ["adt, worst = abs(dt), 0.0", *update(_ratio_row("k0"), tableau.error_weights, 0),
-                 "if worst <= 1.0:", *(f"    {line}" for line in _update_lines(n, "x", ["1.0"], ["u"])),
-                 "return float(worst)"]
-    return _define("make", "kernel, ratio, copy", [
-        *([_KERNELS] if n is None else []), "def trial(system, x, t, dt, atol, rtol, k):",
-        f"    {''.join(f'k{j}, ' for j in range(s))}{unpack} = k",
-        *(f"    {line}" for line in body), "return trial"])
+                 "worst = float(worst)"]
+        accept = _update_lines(n, "x", ["1.0"], ["u"])
+    trial = ["def trial(system, x, t, dt, atol, rtol, k):",
+             *_indent([unpack, *body, "if worst <= 1.0:", *_indent(accept), "return worst"])]
+    return _make(n is None, "ratio, copy", trial, "trial"), (unpack, tuple(body), tuple(accept))
 
 
 class EmbeddedRungeKutta(ExplicitRungeKutta):

@@ -3,9 +3,10 @@
 Drivers copy the initial state, dispatch on what the stepper can do,
 and call the observer with read-only snapshots; observers never see a
 rejected trial.  Controlled and dense-output steppers run on one
-adaptive loop, ``_controlled_walk``.  Every run returns an
-:class:`IntegrationReport` with the final state and the step and
-evaluation counters.
+generated walk, with a shipped controller's trial and step size
+control inline and any other stepper's ``try_step`` called.  Every
+run returns an :class:`IntegrationReport` with the final state and the
+step and evaluation counters.
 
 The drivers call the user's system directly: every shipped stepping
 method counts the evaluations it makes, and the drivers report that
@@ -18,10 +19,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .algebra import _initial_copy
+from .algebra import _indent, _initial_copy, _make
 from .errors import SolverError, StepSizeUnderflowError
 
 # Grid times within this fraction of a width of the interval end are
@@ -110,13 +112,14 @@ def _grid(t0, t1, dt):
 def _start(stepper, x0, t0, t1, dt, observer):
     """Check the run's bounds, then return a floating working copy of
     the initial state, made by the stepper's backend, checked before
-    any evaluation, and observed at ``t0``."""
+    any evaluation, and observed at ``t0``, and the bounds as floats."""
     try:
-        finite = math.isfinite(t0) and math.isfinite(t1) and math.isfinite(dt)
+        finite = all(map(math.isfinite, (t0, t1, dt))) and math.isfinite(float(t1) - float(t0))
     except OverflowError:  # an int beyond the float range
         finite = False
     if not finite:
-        raise ValueError("start time, end time and width must be finite")
+        raise ValueError("start time, end time, their distance and the width must be finite")
+    t0, t1, dt = float(t0), float(t1), float(dt)
     if t1 <= t0:
         raise ValueError("end time must exceed start time")
     if dt <= 0.0:
@@ -124,63 +127,66 @@ def _start(stepper, x0, t0, t1, dt, observer):
     x = _initial_copy(stepper, x0)[1]
     if observer is not None:
         observer(_readonly(x), t0)
-    return x
+    return x, t0, t1, dt
 
 
 def _controlled_walk(stepper, system, x, t0, targets, dt, observer, observe_steps, sample=None):
     """Adapt freely from ``t0`` and land exactly on each of ``targets``.
 
     The observer sees every accepted step when ``observe_steps`` is
-    set, otherwise each target once it is reached; ``sample(t)``, when
-    given, runs after every accepted step, which ends at ``t``.  The
-    stepper is reset first, so no cache from an earlier run leaks in.
+    set, otherwise each target once it is reached.  A ``sample`` is
+    ``(sample, t0, dt, t_end, reach)``: after each accepted step, which
+    ends at ``t``, ``j = sample(observer, t0, dt, j, t_end, t + reach)``
+    observes grid points from ``t0 + j*dt`` on, ``j`` first 1.  The
+    stepper is reset first, so no cache of an earlier run leaks in.
     Any :class:`SolverError` leaves with the counters so far in
     ``partial_report``.
     """
     stepper.reset()
-    system, evaluations = _counted(stepper, "try_step", system)
-    step_observer = observer if observe_steps else None
-    accepted = rejected = 0
-    t = t0
-    try:
-        for target in targets:
-            if target <= t:  # a grid point that rounds onto the time reached
-                raise StepSizeUnderflowError(dt, t)
-            while t < target:
-                clamped = dt >= target - t
-                result = stepper.try_step(system, x, t, target - t if clamped else dt)
-                if result.accepted:
-                    accepted += 1
-                    t = target if clamped else result.t
-                    if step_observer is not None:
-                        step_observer(_readonly(x), t)
-                    elif sample is not None:
-                        sample(t)
-                else:
-                    rejected += 1
-                dt = result.dt
-            t = target
-            if not observe_steps and observer is not None:
-                observer(_readonly(x), t)
-    except SolverError as exc:
-        exc.partial_report = IntegrationReport(x, t, accepted, rejected, evaluations())
-        raise
-    return IntegrationReport(x, t, accepted, rejected, evaluations())
+    inline = getattr(stepper.try_step, "_inline", None)
+    trial, bound = inline(stepper, x) if inline else (None, (None,))
+    observe = None if observer is None else "steps" if observe_steps else "samples" if sample else "targets"
+    walk = _walk_code(trial, observe)(*bound)
+    return walk(stepper, system, x, t0, targets, dt, observer, sample,
+                _readonly if isinstance(x, np.ndarray) else tuple)
 
 
-def _interpolating(dense_stepper, observer, t0, t1, dt):
-    """``sample(t)``, run after each accepted step, which ends at
-    ``t``: the dense stepper hands ``observer`` the grid points
-    ``t0 + k*dt`` strictly inside the interval that the step reached,
-    interpolated."""
-    t_end, snap = t1 - GRID_SNAP * dt, GRID_SNAP * dt
-    k = 1
-
-    def sample(t):
-        nonlocal k
-        k = dense_stepper._sample(observer, t0, dt, k, t_end, t + snap)
-
-    return sample
+@lru_cache(maxsize=64)
+def _walk_code(trial, observe):
+    """:func:`_controlled_walk`'s loop, generated per trial and observe
+    mode: ``make(kernel, ...)`` returns ``walk(stepper, system, x, t,
+    targets, dt_next, observer, sample, snap)``.  A ``trial`` None calls
+    ``try_step``; an inline one is ``(kernels, head, step, accept,
+    reject, tail)``, bound by ``make(kernel, ratio, copy, k)``: ``step``
+    leaves a trial's error ratio in ``worst``, ``accept`` or ``reject``
+    sets ``dt_next``, and ``evaluations`` counts."""
+    seen = ["observer(snap(x), t)"]
+    on_step = {"steps": seen, "samples": ["j = sample(observer, t0, h, j, t_end, t + reach)"]}.get(observe, [])
+    on_target = seen if observe in ("targets", "samples") else []
+    sampler = ["(sample, t0, h, t_end, reach), j = sample, 1"] if observe == "samples" else []
+    if trial is None:
+        kernels, args, accept, reject, tail, after, count = False, "", [], [], [], "result.t", "evaluations()"
+        head = ["try_step = stepper.try_step", "system, evaluations = _counted(stepper, 'try_step', system)"]
+        step = ["result = try_step(system, x, t, target - t if clamped else dt_next)",
+                "dt_next = result.dt", "if result.accepted:"]
+    else:
+        (kernels, head, step, accept, reject, tail), args = trial, "ratio, copy, k"
+        after, count = "t + dt", "evaluations"
+        step = ["dt = target - t if clamped else dt_next", *step, "if worst <= 1.0:"]
+    report = f"IntegrationReport(x, t, accepted, rejected, {count})"
+    return _make(kernels, args, [
+        "def walk(stepper, system, x, t, targets, dt_next, observer, sample, snap):",
+        *_indent([*sampler, *head, "accepted = rejected = 0"]), "    try:", "        for target in targets:",
+        "            if target <= t:  # a grid point that rounds onto the time reached",
+        "                raise StepSizeUnderflowError(dt_next, t)",
+        "            while t < target:", "                clamped = dt_next >= target - t", *_indent(step, 4),
+        *_indent([*accept, "accepted += 1", f"t = target if clamped else {after}", *on_step], 5),
+        "                else:", *_indent([*reject, "rejected += 1"], 5),
+        "            t = target", *_indent(on_target, 3),
+        "    except SolverError as exc:", f"        exc.partial_report = {report}", "        raise",
+        *(["    finally:", *_indent(tail, 2)] if tail else []), f"    return {report}",
+    ], "walk", IntegrationReport=IntegrationReport, SolverError=SolverError,
+        StepSizeUnderflowError=StepSizeUnderflowError, _counted=_counted, isfinite=math.isfinite)
 
 
 def integrate_const(stepper, system, x0, t0, t1, dt, observer=None):
@@ -210,9 +216,11 @@ def integrate_const(stepper, system, x0, t0, t1, dt, observer=None):
     controlled = hasattr(stepper, "try_step")
     if not (controlled or hasattr(stepper, "do_step")):
         raise TypeError(f"{type(stepper).__name__} is not a stepper")
-    x = _start(stepper, x0, t0, t1, dt, observer)
+    x, t0, t1, dt = _start(stepper, x0, t0, t1, dt, observer)
     if hasattr(stepper, "_sample"):
-        sample = None if observer is None else _interpolating(stepper, observer, t0, t1, dt)
+        # After each accepted step the dense stepper observes the grid
+        # points strictly inside the interval that the step reached.
+        sample = None if observer is None else (stepper._sample, t0, dt, t1 - GRID_SNAP * dt, GRID_SNAP * dt)
         return _controlled_walk(stepper, system, x, t0, (t1,), dt, observer, False, sample)
     steps, t_last = _grid(t0, t1, dt)
     if controlled:
@@ -248,5 +256,5 @@ def integrate_adaptive(stepper, system, x0, t0, t1, dt0, observer=None):
     """
     if not hasattr(stepper, "try_step"):
         raise TypeError("integrate_adaptive needs a stepper with try_step")
-    x = _start(stepper, x0, t0, t1, dt0, observer)
+    x, t0, t1, dt0 = _start(stepper, x0, t0, t1, dt0, observer)
     return _controlled_walk(stepper, system, x, t0, (t1,), dt0, observer, True)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .algebra import _KERNELS, Scratched, _define, _update_lines, scratch
+from .algebra import Scratched, _indent, _make, _update_lines, scratch
 from .errors import DimensionError
 
 
@@ -91,13 +91,10 @@ def _kick_drift(n):
     ``step(system, state, dt, target)``."""
     kick = _update_lines(n, "pn", ["1.0", "dt"], ["p", "buf"])
     drift = _update_lines(n, "qn", ["1.0", "dt"], ["q", "buf"])
-    head = [_KERNELS] if n is None else []
-    return _define("make", "kernel, buf", [
-        *head,
+    return _make(n is None, "buf", [
         "def step(system, state, dt, target):",
         "    q, p, qn, pn = state.q, state.p, target.q, target.p",
-        "    system.dpdt(q, buf)", *(f"    {line}" for line in kick),
-        "    system.dqdt(pn, buf)", *(f"    {line}" for line in drift),
+        "    system.dpdt(q, buf)", *_indent(kick),
+        "    system.dqdt(pn, buf)", *_indent(drift),
         "    return target",
-        "return step",
-    ])
+    ], "step")

@@ -227,6 +227,16 @@ def test_non_finite_bounds_rejected_before_any_call(run, bound, value):
     assert seen == []
 
 
+@pytest.mark.parametrize("run", RUNS.values(), ids=RUNS.keys())
+def test_interval_beyond_the_float_range_rejected_before_any_call(run):
+    # t1 - t0 overflows: a trial clamped to t1 would be infinitely wide,
+    # and a grid would have no step count.
+    counter, seen = EvaluationCounter(expgrow), []
+    with pytest.raises(ValueError, match="distance"):
+        run(counter, [1.0], -1e308, 1e308, 1e307, lambda x, t: seen.append(t))
+    assert counter.count == 0 and seen == []
+
+
 def test_zero_step_run_ends_at_t0():
     # No whole width fits into [0, 1e-12]: plain and controlled runs
     # both report the untouched state at t0.

@@ -7,9 +7,12 @@ tableau matches a stage loop on the checked ``scale_sum`` bit for
 bit, unrolled or looped; a controlled trial, a dense state and a
 symplectic step have the same bits on lists, numpy and the general
 path, and a controlled run with a pair's own ``do_step_with_error``
-has them too; every driver reports the evaluations a counting closure sees;
-the controller's in-place error ratio equals the checked one, the
-textbook formula and the list backend bit for bit."""
+has them too; the generated walk runs the trials, observations,
+failures and controller state of a loop over the public ``try_step``
+and ``next_step_size``, bit for bit; every driver reports the
+evaluations a counting closure sees; the controller's in-place error
+ratio equals the checked one, the textbook formula and the list
+backend bit for bit."""
 
 import array
 import math
@@ -28,11 +31,13 @@ from odekit import (
     EvaluationCounter,
     ExplicitEuler,
     ImplicitEuler,
+    IntegrationReport,
     JacobianSystem,
     PairState,
     RungeKutta4,
     SeparableHamiltonian,
     SolverError,
+    StepSizeUnderflowError,
     SymplecticEuler,
     integrate_adaptive,
     integrate_const,
@@ -540,6 +545,170 @@ def test_generated_trial_matches_its_numpy_twin(x0, t1, dt0, tol, pair, path):
     assert runs[1:] == runs[:1] * 3
     if x0 == [1.0, -0.5, 0.25]:
         assert runs[0][3][1] > 0  # the explicit example rejects trials
+
+
+# --- the generated walk against the public try_step -----------------------
+
+
+def walk_system(kind):
+    """``ring`` with NaN in the first element after t = 0.5 (a run of
+    rejections that ends below ``dt_min``), past |x[0]| = 1.2 (the
+    derivative at an accepted state may be the one not finite), at
+    t = 0 (a non-finite derivative at once) or never; and the log of
+    the time and the state of every call."""
+    calls = []
+
+    def rhs(x, dxdt, t):
+        calls.append((t.hex(), hexes(x)))
+        ring(x, dxdt, t)
+        if {"after": t > 0.5, "beyond": abs(x[0]) > 1.2, "start": t == 0.0}.get(kind, False):
+            dxdt[0] = math.nan
+
+    return rhs, calls
+
+
+def recording_controller(pair, params):
+    """A controller whose ``try_step`` is overridden on the class: the
+    walk calls it, and it records each trial's (t, dt, accepted)."""
+
+    class Recording(ControlledStepper):
+        def try_step(self, system, x, t, dt):
+            result = super().try_step(system, x, t, dt)
+            self.trials.append((t.hex(), dt.hex(), result.accepted))
+            return result
+
+    made = Recording(pair, params)
+    made.trials = []
+    return made
+
+
+def patched_controller(pair, params):
+    """A controller whose ``try_step`` is replaced on the instance, recording as above."""
+    made = ControlledStepper(pair, params)
+    inner, made.trials = made.try_step, []
+
+    def try_step(system, x, t, dt):
+        result = inner(system, x, t, dt)
+        made.trials.append((t.hex(), dt.hex(), result.accepted))
+        return result
+
+    made.try_step = try_step
+    return made
+
+
+WALK_FORMS = {
+    "inline-ck54": lambda algebra, params: ControlledStepper(CashKarp54(algebra), params),
+    "inline-dopri5": lambda algebra, params: ControlledStepper(DormandPrince5(algebra), params),
+    "override": lambda algebra, params: recording_controller(DormandPrince5(algebra), params),
+    "patched": lambda algebra, params: patched_controller(CashKarp54(algebra), params),
+    "dense": lambda algebra, params: DenseOutputDopri5(params, algebra),
+}
+WALK_BOXES = {"list": (list, None), "numpy": (np.array, None), "general": (list, GeneralAlgebra())}
+
+
+def public_walk(stepper, rhs, x, t1, dt, targets, observe, observe_steps):
+    """The drivers' walk from t = 0 as a loop over the public
+    ``try_step``, each width taken from ``next_step_size`` and checked
+    against the one ``try_step`` proposed: the trials and the outcome."""
+    order, trials, t, accepted, rejected, again = pair_of(stepper).error_order, [], 0.0, 0, 0, False
+    observe(x, t)
+    try:
+        for target in targets:
+            if target <= t:
+                raise StepSizeUnderflowError(dt, t)
+            while t < target:
+                clamped = dt >= target - t
+                width = target - t if clamped else dt
+                result = stepper.try_step(rhs, x, t, width)
+                trials.append((t.hex(), width.hex(), result.accepted))
+                dt = next_step_size(width, result.error_ratio, order, again)
+                assert dt.hex() == result.dt.hex()
+                again = not result.accepted
+                if result.accepted:
+                    accepted += 1
+                    t = target if clamped else result.t
+                    if observe_steps:
+                        observe(x, t)
+                else:
+                    rejected += 1
+            t = target
+            if not observe_steps:
+                observe(x, t)
+    except SolverError as exc:
+        return trials, (type(exc), str(exc)), IntegrationReport(x, t, accepted, rejected, None)
+    return trials, None, IntegrationReport(x, t, accepted, rejected, None)
+
+
+def controller_state(stepper):
+    """What a run leaves on the controller: its count, its rejection
+    flag, which buffer holds the cached derivative, whether the stage
+    record is the buffers, and the buffers' bits."""
+    controller = getattr(stepper, "controller", stepper)
+    k = controller._scratch[1][1]
+    where = next((i for i, b in enumerate(k) if b is controller._dxdt), controller._dxdt)
+    stages = None if controller._stages is None else controller._stages is k
+    return controller._evaluations, controller._rejected, where, stages, [hexes(b) for b in k]
+
+
+def outcome(report, evaluations):
+    return hexes(report.final_state), report.final_time.hex(), report.steps_accepted, \
+        report.steps_rejected, evaluations
+
+
+@settings(max_examples=250, deadline=None, database=None)
+@given(
+    x0=STATES,
+    t1=st.floats(0.3, 2.0),
+    dt0=st.floats(0.01, 4.0),
+    tol=st.floats(1e-9, 1e-3),
+    form=st.sampled_from(sorted(WALK_FORMS)),
+    box=st.sampled_from(sorted(WALK_BOXES)),
+    grid=st.booleans(),
+    kind=st.sampled_from(["after", "beyond", "start", "none"]),
+)
+@example(x0=[1.0, -0.5, 0.25], t1=2.0, dt0=4.0, tol=1e-8, form="inline-dopri5", box="list",
+         grid=False, kind="none")
+@example(x0=[1.0, -0.5, 0.25], t1=2.0, dt0=0.5, tol=1e-8, form="inline-ck54", box="numpy",
+         grid=True, kind="after")
+@example(x0=[1.0, -0.5, 0.25], t1=2.0, dt0=0.5, tol=1e-8, form="inline-dopri5", box="general",
+         grid=False, kind="after")
+@example(x0=[1.0, -0.5, 0.25], t1=2.0, dt0=0.5, tol=1e-8, form="override", box="general",
+         grid=True, kind="start")
+def test_generated_walk_matches_a_loop_over_the_public_try_step(x0, t1, dt0, tol, form, box, grid, kind):
+    # The system sees the time and the state of every stage of every
+    # trial, rejected ones included, so equal call logs mean equal
+    # trials; the calling forms' (t, dt, accepted) are recorded too.
+    # Failing runs compare their errors and partial reports, and every
+    # run what it leaves on the controller.  Dense output is walked
+    # without a grid, which it samples instead of landing on.
+    box, algebra = WALK_BOXES[box]
+    grid = grid and form != "dense"
+    if grid:
+        dt0 = min(dt0, t1)
+    params = ControllerParams(atol=tol, rtol=tol, dt_min=1e-6)
+    targets = expected_grid(0.0, t1, dt0)[1:] if grid else [t1]
+
+    rhs, calls = walk_system(kind)
+    walked, seen = WALK_FORMS[form](algebra, params), []
+    try:
+        report, failure = (integrate_const if grid else integrate_adaptive)(
+            walked, rhs, box(x0), 0.0, t1, dt0, lambda x, t: seen.append((t.hex(), hexes(x)))), None
+    except SolverError as exc:
+        report, failure = exc.partial_report, (type(exc), str(exc))
+
+    ref_rhs, ref_calls = walk_system(kind)
+    reference, ref_seen = WALK_FORMS[form](algebra, params), []
+    trials, ref_failure, ref_report = public_walk(
+        reference, ref_rhs, box(x0), t1, dt0, targets,
+        lambda x, t: ref_seen.append((t.hex(), hexes(x))), not grid)
+
+    assert calls == ref_calls and seen == ref_seen and failure == ref_failure
+    assert outcome(report, report.system_evaluations) == outcome(ref_report, len(ref_calls))
+    assert controller_state(walked) == controller_state(reference)
+    if form in ("override", "patched"):
+        assert walked.trials == trials
+    if x0 == [1.0, -0.5, 0.25] and kind == "none":
+        assert not all(accepted for _, _, accepted in trials)  # the explicit example rejects
 
 
 # --- evaluation counts ----------------------------------------------------

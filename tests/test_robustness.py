@@ -1,6 +1,7 @@
 """Clean state per run, accepted steps that never raise, named failure
 causes, partial reports from every controlled run, integer states,
-initial states checked at every run entry, empty states and bounds
+initial states checked at every run entry (0-d arrays included),
+numpy scalar bounds run as Python floats, empty states and bounds
 checked at the manual stepping entry points, and errors and used
 steppers that survive pickling."""
 
@@ -241,9 +242,9 @@ def _start_dense(stepper, system, x0, t0, t1, dt, observer):
     stepper.initialize(x0, t0, dt)
 
 
-@pytest.mark.parametrize("container", [list, np.array], ids=["list", "numpy"])
-@pytest.mark.parametrize("x0, error", BAD_INITIAL_STATES, ids=["empty", "nan", "inf"])
-@pytest.mark.parametrize(
+# Every run entry: the drivers with each kind of stepper, and dense
+# output's initialize.
+RUN_ENTRIES = pytest.mark.parametrize(
     "drive, make",
     [(integrate_const, RungeKutta4),
      (integrate_const, ImplicitEuler),
@@ -255,10 +256,11 @@ def _start_dense(stepper, system, x0, t0, t1, dt, observer):
     ids=["const-rk4", "const-implicit", "const-controlled", "const-dense",
          "adaptive-controlled", "adaptive-dense", "initialize"],
 )
-def test_bad_initial_state_is_refused_before_any_call(drive, make, x0, error, container):
-    # An empty state has no error ratio and a non-finite one no
-    # trajectory: every run entry refuses both before the rhs or the
-    # observer sees anything, for lists and numpy alike.
+
+
+def refused_entry(drive, make, x0, error):
+    """Run ``drive`` from ``x0``, expecting ``error`` about the initial
+    state before the rhs or the observer sees anything."""
     calls, seen = [], []
 
     def rhs(x, dxdt, t):
@@ -271,9 +273,27 @@ def test_bad_initial_state_is_refused_before_any_call(drive, make, x0, error, co
 
     system = JacobianSystem(rhs, jacobian)
     with pytest.raises(error, match="initial state") as info:
-        drive(make(), system, container(x0), 0.0, 1.0, 0.1, lambda x, t: seen.append(t))
+        drive(make(), system, x0, 0.0, 1.0, 0.1, lambda x, t: seen.append(t))
     assert isinstance(info.value, DimensionError) == (error is DimensionError)
     assert calls == [] and seen == []
+    return info.value
+
+
+@pytest.mark.parametrize("container", [list, np.array], ids=["list", "numpy"])
+@pytest.mark.parametrize("x0, error", BAD_INITIAL_STATES, ids=["empty", "nan", "inf"])
+@RUN_ENTRIES
+def test_bad_initial_state_is_refused_before_any_call(drive, make, x0, error, container):
+    # An empty state has no error ratio and a non-finite one no
+    # trajectory: every run entry refuses both before the rhs or the
+    # observer sees anything, for lists and numpy alike.
+    refused_entry(drive, make, container(x0), error)
+
+
+@RUN_ENTRIES
+def test_zero_dimensional_state_is_refused_before_any_call(drive, make):
+    # np.array(1.0) is neither empty nor non-finite, but it has no
+    # length: the stepper would fail on it with a TypeError.
+    assert "0-d array" in str(refused_entry(drive, make, np.array(1.0), DimensionError))
 
 
 MANUAL_STEPS = {
@@ -444,3 +464,46 @@ def test_dense_stepping_resumes_from_a_pickle(box):
         mid = sum(stepper.interval) / 2
         runs.append((intervals, hexes(stepper.current_state), hexes(stepper.calc_state(mid))))
     assert runs[0] == runs[1]
+
+
+def harmonic_params():
+    return ControllerParams(atol=1e-10, rtol=1e-10)
+
+
+# Every driver with each kind of stepper, on the harmonic oscillator.
+BOUNDED_RUNS = {
+    "const-rk4": (integrate_const, RungeKutta4),
+    "const-implicit": (integrate_const, ImplicitEuler),
+    "const-controlled": (integrate_const, lambda: ControlledStepper(DormandPrince5(), harmonic_params())),
+    "const-dense": (integrate_const, lambda: DenseOutputDopri5(harmonic_params())),
+    "adaptive-controlled": (integrate_adaptive, lambda: ControlledStepper(DormandPrince5(), harmonic_params())),
+    "adaptive-dense": (integrate_adaptive, lambda: DenseOutputDopri5(harmonic_params())),
+}
+
+
+def typed_hexes(values):
+    return [(type(v), float(v).hex()) for v in values]
+
+
+@pytest.mark.parametrize("scalar", [np.float32, np.float64])
+@pytest.mark.parametrize("box", [list, np.array], ids=["list", "numpy"])
+@pytest.mark.parametrize("name", sorted(BOUNDED_RUNS))
+def test_numpy_scalar_bounds_run_as_python_floats(name, box, scalar):
+    # Under NumPy 2's promotion rules a float32 time or width kept every
+    # time and stage coefficient in float32: the list state's elements,
+    # the observed times and the final time came back as float32, and
+    # the adaptive error was 8e-7, not 3e-10.  The bounds are taken as
+    # the Python floats of their values, bit for bit.
+    drive, make = BOUNDED_RUNS[name]
+
+    def run(t0, t1, dt):
+        seen = []
+        report = drive(make(), HARMONIC, box([1.0, 0.0]), t0, t1, dt,
+                       lambda x, t: seen.append(typed_hexes([t, *x])))
+        return seen, typed_hexes([report.final_time, *report.final_state]), report.steps_attempted
+
+    bounds = (scalar(0.0), scalar(10.0), scalar(0.1))
+    got = run(*bounds)
+    assert got == run(*map(float, bounds))
+    final_time, *state = got[1]
+    assert final_time[0] is float and (box is np.array or {kind for kind, _ in state} == {float})

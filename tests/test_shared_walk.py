@@ -1,6 +1,7 @@
 """Dense output as a controlled stepper on the shared walk, one trial
 call form for every embedded pair, scratch keyed on shape and dtype,
-and partial reports from the fixed-step driver."""
+partial reports from the fixed-step driver, and a shipped controller
+walked with no call of its try_step or of next_step_size."""
 
 import math
 
@@ -12,6 +13,7 @@ from odekit import (
     ControlledStepper,
     ConvergenceError,
     DenseOutputDopri5,
+    DormandPrince5,
     EvaluationCounter,
     ImplicitEuler,
     JacobianSystem,
@@ -162,3 +164,20 @@ def test_integrate_const_fixed_failure_carries_partial_report():
     # Every Newton pass evaluates once, the stalled step's 51 passes too.
     assert report.system_evaluations == len(calls) > 51
     assert report.final_state[0] == pytest.approx(1.0 / 1.1 ** 2)
+
+
+def test_shipped_controller_walks_with_no_try_step_or_controller_call(monkeypatch):
+    # The generated walk runs the trial and the step size control of a
+    # shipped pair inline; manual stepping still calls the controller.
+    import odekit.controlled as controlled
+
+    calls = []
+    real = controlled.next_step_size
+    monkeypatch.setattr(controlled, "next_step_size", lambda *args: calls.append(args) or real(*args))
+    for box in (list, np.array):
+        for pair in (CashKarp54, DormandPrince5):
+            report = integrate_adaptive(ControlledStepper(pair()), expgrow, box([1.0]), 0.0, 1.0, 0.1)
+            assert report.steps_accepted > 0
+    assert calls == []
+    ControlledStepper(DormandPrince5()).try_step(expgrow, [1.0], 0.0, 0.1)
+    assert len(calls) == 1

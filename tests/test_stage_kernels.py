@@ -550,7 +550,7 @@ def test_controlled_trial_ratio_allocates_no_state_sized_array():
     controller = ControlledStepper(DormandPrince5())
     controller.try_step(LORENZ, x, 0.0, 1e-3)  # warm-up binds the scratch
     # The stages, the solution, the error and the two ratio states.
-    _, (dxdt, *_, xerr, _, _), _, (_, ratio, _) = controller._scratch[1]
+    _, (dxdt, *_, xerr, _, _), _, (_, ratio, *_) = controller._scratch[1]
     ratio(xerr, x, dxdt, 1e-6, 1e-6, 1e-3)
     peaks = []
     for call in (ratio, NUMPY_ALGEBRA.error_ratio_max):
