@@ -216,21 +216,26 @@ def _sequence_copy(n):
     return _define("copy", "out, src", [*_update_lines(n, "out", ["1.0"], ["src"]), "return out"])
 
 
-def _ratio_row(dxdt):
-    """``row(i, e)``: the statement folding element ``i``, with error
-    ``e``, into ``worst``, the error ratio so far (``adt`` is
-    ``abs(dt)``), NaN propagated; ``dxdt`` names the derivative at ``x``."""
-    return lambda i, e: (f"r = abs({e}) / (atol + rtol * (abs(x[{i}]) + adt * abs({dxdt}[{i}])));"
-                         " worst = r if r > worst or r != r else worst")
+def _ratio_lines(rows, dxdt):
+    """Lines leaving the error ratio in ``worst``, NaN propagated:
+    ``rows(row)`` runs ``row(i, e)``, the statement folding element
+    ``i`` with error ``e``, on every element; ``dxdt`` names the
+    derivative at ``x``.  A zero scale divides as numpy does, NaN for
+    a zero error and inf for any other, on a second pass that only a
+    ``ZeroDivisionError`` starts."""
+    scale = lambda i: f"(atol + rtol * (abs(x[{i}]) + adt * abs({dxdt}[{i}])))"
+    fold = "worst = r if r > worst or r != r else worst"
+    fast = rows(lambda i, e: f"r = abs({e}) / {scale(i)}; {fold}")
+    zero = rows(lambda i, e: f"r, s = abs({e}), {scale(i)}; r = r / s if s else r * float('inf'); {fold}")
+    return ["adt, worst = abs(dt), 0.0", "try:", *_indent(fast), "except ZeroDivisionError:",
+            *_indent(["worst = 0.0", *zero]), "worst = float(worst)"]
 
 
 @lru_cache(maxsize=None)
 def _sequence_ratio(n):
-    """Unchecked error ratio on sequences of length ``n``, NaN propagated."""
-    row = _ratio_row("dxdt")
-    return _define("ratio", "xerr, x, dxdt, atol, rtol, dt", [
-        "adt, worst = abs(dt), 0.0", *_each(n, "len(x)", lambda i: row(i, f"xerr[{i}]")),
-        "return float(worst)"])
+    """Unchecked error ratio on sequences of length ``n`` (see :func:`_ratio_lines`)."""
+    rows = lambda row: _each(n, "len(x)", lambda i: row(i, f"xerr[{i}]"))
+    return _define("ratio", "xerr, x, dxdt, atol, rtol, dt", [*_ratio_lines(rows, "dxdt"), "return worst"])
 
 
 def _numpy_error_ratio(w, v):

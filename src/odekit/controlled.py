@@ -4,7 +4,8 @@ A trial step is accepted when its scaled error ratio is at most one;
 otherwise the state and time stay untouched and the step width shrinks.
 The next width follows the standard integral controller
 ``dt * SAFETY * ratio**(-1/(error_order+1))``, clamped to the growth
-window ``[FAC_MIN, FAC_MAX]``.
+window ``[FAC_MIN, FAC_MAX]``.  A shipped pair's trial, in ``try_step``
+and inline in the drivers' walk, comes from one generator here.
 """
 
 from __future__ import annotations
@@ -12,11 +13,11 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
-from .algebra import Scratched, algebra_of, scratch
+from .algebra import Scratched, _indent, _make, _ratio_lines, _update_lines, scratch
 from .errors import SolverError, StepSizeUnderflowError
-from .explicit import EmbeddedRungeKutta, _trial_code
+from .explicit import EmbeddedRungeKutta, _stages, _update
 from .integrate import EvaluationCounter, _counting
 
 SAFETY = 0.9
@@ -77,19 +78,19 @@ class ControlledStepper(Scratched):
     the step width.  The derivative at the current state, needed for
     the error scale, is cached between trials and read as the first
     stage.  For steppers with a first-same-as-last stage it is the last
-    stage of the accepted trial, so a smooth run costs one extra system
-    evaluation in total.  The state backend is ``algebra`` when given,
-    else the stepper's.
+    stage of the accepted trial, handed over by swapping two buffers,
+    so a smooth run costs one extra system evaluation in total.  The
+    state backend is ``algebra`` when given, else the stepper's, and
+    it runs the whole trial.
 
     A shipped embedded pair (an ``EmbeddedRungeKutta`` that keeps its
     ``do_step_with_error``) runs each trial as code generated once per
     tableau and state length, into the controller's own stage states:
-    inline on an unreplaced sequence backend, else the stepper
-    backend's kernel calls, with the same bits; the last stage is
-    handed over by swapping two buffers.  The drivers' walk runs that
-    trial and the step size control inline, without ``try_step``,
-    which is the manual path and the reference.  Any other stepper's
-    trial goes through its ``do_step_with_error``, counted by a wrapper.
+    inline on an unreplaced sequence backend, else the backend's kernel
+    calls, with the same bits.  The drivers' walk runs that trial and
+    the step size control inline, without ``try_step``, which is the
+    manual path and the reference.  Any other stepper's trial goes
+    through its ``do_step_with_error``, counted by a wrapper.
 
     Instances carry scratch states (the derivative cache among them),
     the rejection history and the count of system evaluations since
@@ -130,32 +131,25 @@ class ControlledStepper(Scratched):
         # the generated trial runs from the stepper's tableau.
         return getattr(type(self._stepper), "do_step_with_error", None) is EmbeddedRungeKutta.do_step_with_error
 
-    def _trial_length(self, algebra, x):
-        # The length the trial on x is generated for, where the
-        # stepper's backend agrees; None: kernel calls.
-        n = algebra._fused_length(x)
-        return n if algebra_of(self._stepper, x)._fused_length(x) == n else None
-
     def _count(self, algebra, x):
-        # The general path's trial state, error, derivative and two ratio
-        # states; else the stages, the solution and, for kernel calls,
-        # an error state and two ratio states.
+        # The general path's derivative, trial state, error and two
+        # ratio states; else the stages, the solution and, for kernel
+        # calls, an error state and two ratio states.
         if not self._plain():
             return 5
-        return self._stepper.stage_count + (4 if self._trial_length(algebra, x) is None else 1)
+        return self._stepper.stage_count + (4 if algebra._fused_length(x) is None else 1)
 
     def _bind(self, algebra, buffers):
         # (trial, ratio, index of the last stage, (walk's trial, its
-        # make's arguments)); no trial: the general path.  The
-        # stepper's backend runs the updates.
-        ratio, stepper, x = algebra._error_kernel(buffers), self._stepper, buffers[0]
+        # make's arguments)); no trial, and the first buffer as the
+        # last stage: the general path.  One backend runs it all.
+        ratio, x = algebra._error_kernel(buffers), buffers[0]
         if not self._plain():
-            return None, ratio, None, (None, (None,))
-        n, last = self._trial_length(algebra, x), stepper.stage_count - 1
-        make, lines = _trial_code(stepper.tableau, n)
-        args = (algebra_of(stepper, x)._kernel, ratio, algebra._copy_kernel(x))
-        walk = _walk_trial(n is None, lines, last, stepper.fsal, stepper.error_order)
-        return make(*args), ratio, last, (walk, (*args, buffers))
+            return None, ratio, 0, (None, (None,))
+        tableau = self._stepper.tableau
+        make, walk = _trial_code(tableau, algebra._fused_length(x))
+        args = (algebra._kernel, ratio, algebra._copy_kernel(x))
+        return make(*args), ratio, tableau.stage_count - 1, (walk, (*args, buffers))
 
     @_counting
     def try_step(self, system, x, t, dt):
@@ -180,20 +174,20 @@ class ControlledStepper(Scratched):
         if t + dt == t:
             raise StepSizeUnderflowError(dt, t)
         _, k, copy, (trial, ratio, last, _) = scratch(self, x, self._count, self._bind)
+        dxdt = k[0]
+        if self._dxdt is not dxdt:
+            if self._dxdt is k[last]:
+                # The last accepted trial's last stage belongs to x:
+                # swap it in as the first stage.
+                k[0], k[last] = k[last], dxdt
+                dxdt = k[0]
+            else:
+                self._evaluations += 1
+                system(x, dxdt, t)
+            self._dxdt = dxdt
         if trial is None:
-            err, dxdt = self._general_step(system, x, t, dt, k, copy, ratio)
+            err = self._general_step(system, x, t, dt, k, copy, ratio)
         else:
-            dxdt = k[0]
-            if self._dxdt is not dxdt:
-                if self._dxdt is k[last]:
-                    # The last accepted trial's last stage belongs to x:
-                    # swap it in as the first stage.
-                    k[0], k[last] = k[last], dxdt
-                    dxdt = k[0]
-                else:
-                    self._evaluations += 1
-                    system(x, dxdt, t)
-                self._dxdt = dxdt
             self._evaluations += last
             err = trial(system, x, t, dt, self.params.atol, self.params.rtol, k)
             if err <= 1.0:
@@ -217,14 +211,11 @@ class ControlledStepper(Scratched):
     try_step._inline = lambda self, x: scratch(self, x, self._count, self._bind)[3][3]
 
     def _general_step(self, system, x, t, dt, buffers, copy, ratio):
-        # A trial of the user's, through do_step_with_error and counted
-        # by a wrapper: its error ratio, and the buffer holding f(x, t).
-        xtrial, xerr, dxdt = buffers[:3]
+        # A trial of the user's from f(x, t) in the first buffer,
+        # through do_step_with_error and counted by a wrapper: its
+        # error ratio.
+        dxdt, xtrial, xerr = buffers[:3]
         stepper = self._stepper
-        if self._dxdt is not dxdt:
-            self._evaluations += 1
-            system(x, dxdt, t)
-            self._dxdt = dxdt
         counter = EvaluationCounter(system)
         trial = stepper.do_step_with_error(counter, x, t, dt, out=xtrial, xerr=xerr, dxdt_in=dxdt)
         self._evaluations += counter.count
@@ -238,33 +229,57 @@ class ControlledStepper(Scratched):
                 self._stages = trial[2].derivatives
             else:
                 self._dxdt = None
-        return err, dxdt
+        return err
 
 
 @lru_cache(maxsize=64)
-def _walk_trial(kernels, lines, last, fsal, error_order):
-    """The trial ``integrate._walk_code`` runs inline: ``try_step`` around
-    the ``lines`` of :func:`_trial_code`, constants as literals.  Only
-    ``FAC_MAX`` bounds an accepted ratio's factor (the ratio is at most
-    one), only ``FAC_MIN`` a rejected one's (above one or NaN)."""
-    unpack, body, accept = lines
-    kl, power = f"k{last}", f"{SAFETY!r} * worst ** {-1.0 / (error_order + 1)!r}"
+def _trial_code(tableau, n):
+    """One controlled trial of an embedded pair, generated once per
+    tableau value and length ``n`` as ``explicit._step_code``'s step
+    is: ``(make, walk)``.  ``make(kernel, ratio, copy)`` returns the
+    manual trial ``trial(system, x, t, dt, atol, rtol, k)``: from
+    ``f(x, t)`` in ``k0`` it writes the other stages, the solution
+    ``u`` and a first-same-as-last stage at it, copies ``u`` into
+    ``x`` when the error ratio is at most one, and returns the ratio.
+    ``walk``, ``(kernels, head, step, accept, reject, tail)``, is
+    ``try_step`` around the same lines for ``integrate._walk_code`` to
+    run inline: the first-stage hand-over, the evaluation count and
+    ``next_step_size`` with its constants as literals; only ``FAC_MAX``
+    bounds an accepted ratio's factor (at most one), only ``FAC_MIN``
+    a rejected one's.  With ``n`` None the error goes into the buffer
+    after ``u`` and ``ratio`` and ``copy`` run; inline, each element's
+    ratio is taken from its error update's value, unstored, bit for
+    bit with ``_sequence_ratio``, and so is the copy."""
+    s, update = tableau.stage_count, partial(_update, tableau, n)
+    kl, power = f"k{s - 1}", f"{SAFETY!r} * worst ** {-1.0 / (tableau.error_order + 1)!r}"
+    body = [*_stages(tableau, update), *update("u", tableau.b, 1),
+            *([f"system(u, {kl}, t + dt)"] if tableau.is_fsal else [])]
+    unpack = f"{''.join(f'k{j}, ' for j in range(s))}{'u, e, *_' if n is None else 'u'} = k"
+    if n is None:
+        body += [*update("e", tableau.error_weights, 0), "worst = ratio(e, x, k0, atol, rtol, dt)"]
+        accept = ["copy(x, u)"]
+    else:
+        body += _ratio_lines(lambda row: update(row, tableau.error_weights, 0), "k0")
+        accept = _update_lines(n, "x", ["1.0"], ["u"])
+    trial = ["def trial(system, x, t, dt, atol, rtol, k):",
+             *_indent([unpack, *body, "if worst <= 1.0:", *_indent(accept), "return worst"])]
     head = [unpack, "params = stepper.params", "atol, rtol, dt_min = params.atol, params.rtol, params.dt_min",
             "dxdt, again, evaluations = stepper._dxdt, stepper._rejected, 0"]
     step = ["if t + dt == t:", "    raise StepSizeUnderflowError(dt, t)",
             "if dxdt is not k0:", f"    if dxdt is {kl}:", f"        k0, {kl} = {kl}, k0",
             "    else:", "        evaluations += 1", "        system(x, k0, t)", "    dxdt = k0",
-            f"evaluations += {last}", *body]
+            f"evaluations += {s - 1}", *body]
     accept = [*accept, f"factor = {FAC_MAX!r} if worst == 0.0 else {power}",
               f"if factor > {FAC_MAX!r}:", f"    factor = {FAC_MAX!r}",
               "if again and factor > 1.0:", "    factor = 1.0",
-              f"dt_next, again, dxdt = dt * factor, False, {kl if fsal else None}"]
+              f"dt_next, again, dxdt = dt * factor, False, {kl if tableau.is_fsal else None}"]
     reject = ["if not isfinite(worst) and not isfinite(ratio(k0, x, k0, 1.0, 0.0, 0.0)):",
               "    raise SolverError(f'the derivative at t={t!r} is not finite')",
               f"again, factor = True, {power}",
               f"dt_next = dt * (factor if factor > {FAC_MIN!r} else {FAC_MIN!r})",
               "if abs(dt_next) < dt_min:", "    raise StepSizeUnderflowError(dt_next, t, worst)"]
-    tail = [f"k[0], k[{last}] = k0, {kl}",
+    tail = [f"k[0], k[{s - 1}] = k0, {kl}",
             "stepper._dxdt, stepper._rejected = dxdt, again", "stepper._evaluations += evaluations",
             "if accepted:", "    stepper._stages = k"]
-    return kernels, tuple(head), tuple(step), tuple(accept), tuple(reject), tuple(tail)
+    walk = (n is None, tuple(head), tuple(step), tuple(accept), tuple(reject), tuple(tail))
+    return _make(n is None, "ratio, copy", trial, "trial"), walk

@@ -5,7 +5,8 @@ All steppers share one calling convention: the system is a callable
 ``do_step`` advances in place when no output state is given and leaves
 ``x`` untouched when one is; both paths perform the identical sequence
 of floating point operations.  NaNs produced by the system propagate
-unrepaired.
+unrepaired.  Steps run generated code, whose stage rows also build
+the trials of ``controlled``, where the error test lives.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache, partial
 
-from .algebra import MAX_TERMS, Scratched, _indent, _make, _ratio_row, _update_lines, scratch
+from .algebra import MAX_TERMS, Scratched, _indent, _make, _update_lines, scratch
 from .integrate import _counting
 from .tableaus import CASH_KARP_54, DORMAND_PRINCE_54, EULER, RK4_CLASSIC
 
@@ -126,37 +127,6 @@ def _step_code(tableau, n=None):
         "def error(dt, xerr):", *_indent(update("xerr", ew, 0) + ["return xerr"])]
     head = f"{''.join(f'k{j}, ' for j in range(tableau.stage_count))}u = k"
     return _make(n is None, "k", [head, *body], "advance, error")
-
-
-@lru_cache(maxsize=64)
-def _trial_code(tableau, n):
-    """One controlled trial of an embedded pair, generated once per
-    tableau value and length ``n`` as :func:`_step_code`'s step is:
-    ``(make, (unpack, body, accept))``.  ``unpack`` names the buffers
-    ``k``: the stages ``k0..``, then the solution ``u``.  ``body``
-    reads ``f(x, t)`` from ``k0``, writes the other stages and the
-    solution, evaluates a first-same-as-last stage at it and leaves
-    the error ratio in ``worst``; ``accept`` copies ``u`` into ``x``.
-    ``make(kernel, ratio, copy)`` returns ``trial(system, x, t, dt,
-    atol, rtol, k)``, running them and returning the ratio.  With
-    ``n`` None the error goes into the buffer after ``u`` and
-    ``ratio`` and ``copy`` run; inline, the ratio of each element is
-    taken from its error update's value, which is not stored, bit for
-    bit with ``_sequence_ratio``, and so is the copy."""
-    s, update = tableau.stage_count, partial(_update, tableau, n)
-    body = [*_stages(tableau, update), *update("u", tableau.b, 1),
-            *([f"system(u, k{s - 1}, t + dt)"] if tableau.is_fsal else [])]
-    unpack = f"{''.join(f'k{j}, ' for j in range(s))}{'u, e, *_' if n is None else 'u'} = k"
-    if n is None:
-        body += [*update("e", tableau.error_weights, 0), "worst = ratio(e, x, k0, atol, rtol, dt)"]
-        accept = ["copy(x, u)"]
-    else:
-        body += ["adt, worst = abs(dt), 0.0", *update(_ratio_row("k0"), tableau.error_weights, 0),
-                 "worst = float(worst)"]
-        accept = _update_lines(n, "x", ["1.0"], ["u"])
-    trial = ["def trial(system, x, t, dt, atol, rtol, k):",
-             *_indent([unpack, *body, "if worst <= 1.0:", *_indent(accept), "return worst"])]
-    return _make(n is None, "ratio, copy", trial, "trial"), (unpack, tuple(body), tuple(accept))
 
 
 class EmbeddedRungeKutta(ExplicitRungeKutta):

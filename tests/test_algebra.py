@@ -139,6 +139,24 @@ def test_error_ratio_max_nan_propagates(algebra):
     assert got != got
 
 
+@pytest.mark.filterwarnings("ignore:(invalid value|divide by zero) encountered:RuntimeWarning")
+@pytest.mark.parametrize("x, xerr, expected", [
+    ([0.0, 1.0], [0.0, 1e-7], "nan"),
+    ([0.0, 1.0], [1e-7, 1e-7], "inf"),
+    ([1.0, 0.0], [1e-7, 1e-7], "inf"),
+    ([1.0, 0.0], [1e-7, 0.0], "nan"),
+    ([0.0, 0.0], [1e-7, 0.0], "nan"),
+])
+def test_error_ratio_max_zero_scale_divides_as_numpy(x, xerr, expected):
+    # With atol 0, an element that is 0 with a 0 derivative has scale
+    # 0: its ratio is NaN for a zero error and inf for any other, and
+    # NaN wins the maximum, on both backends.
+    got = [algebra.error_ratio_max(make_state(algebra, xerr), make_state(algebra, x),
+                                   make_state(algebra, [0.0, 0.0]), 0.0, 1e-6, 0.1)
+           for algebra in ALGEBRAS]
+    assert list(map(repr, got)) == [expected, expected]
+
+
 def test_numpy_checked_calls_compare_shapes():
     # A (3, 1) operand used to broadcast silently into (3, 4), and a
     # (3, 5) one raised numpy's ValueError.

@@ -62,6 +62,11 @@ def test_calc_state_before_initialize():
         DenseOutputDopri5().calc_state(0.0)
 
 
+def test_current_state_before_initialize():
+    with pytest.raises(RuntimeError):
+        _ = DenseOutputDopri5().current_state
+
+
 def test_reinitialize_discards_previous_interval():
     d = DenseOutputDopri5()
     d.initialize(np.array([1.0]), 0.0, 0.1)

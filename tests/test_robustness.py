@@ -2,8 +2,8 @@
 causes, partial reports from every controlled run, integer states,
 initial states checked at every run entry (0-d arrays included),
 numpy scalar bounds run as Python floats, empty states and bounds
-checked at the manual stepping entry points, and errors and used
-steppers that survive pickling."""
+checked at the manual stepping entry points, zero error scales that
+fail as on numpy, and errors and used steppers that survive pickling."""
 
 import copy
 import math
@@ -37,6 +37,7 @@ from odekit import (
     integrate_adaptive,
     integrate_const,
 )
+from odekit.algebra import SequenceAlgebra
 
 
 def decay(x, dxdt, t):
@@ -102,6 +103,57 @@ def test_finite_underflow_does_not_blame_non_finite():
                            [1.0], 0.0, 1000.0, 1000.0)
     assert "finite" not in str(info.value)
     assert info.value.partial_report.steps_attempted == 0
+
+
+def zero_scale(x, dxdt, t):
+    # x[0] stays exactly 0 with a zero derivative: with atol 0 its
+    # error scale is 0.
+    dxdt[0] = 0.0
+    dxdt[1] = -x[1]
+
+
+class OwnPair(DormandPrince5):
+    """A pair of the user's: the controller takes the general path."""
+
+    def do_step_with_error(self, system, x, t, dt, out=None, xerr=None, dxdt_in=None):
+        return super().do_step_with_error(system, x, t, dt, out, xerr, dxdt_in)
+
+
+class CopyingAlgebra(SequenceAlgebra):
+    """A sequence backend that replaces ``copy``: the trial calls kernels."""
+
+    def copy(self, out, src):
+        return super().copy(out, src)
+
+
+ZERO_SCALE_RUNS = {
+    "inline": (list, lambda params: ControlledStepper(DormandPrince5(), params)),
+    "kernels": (list, lambda params: ControlledStepper(DormandPrince5(), params, CopyingAlgebra())),
+    "general": (list, lambda params: ControlledStepper(OwnPair(), params)),
+    "numpy": (np.array, lambda params: ControlledStepper(DormandPrince5(), params)),
+}
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("path", ["inline", "kernels", "general"])
+def test_a_zero_error_scale_divides_as_numpy_does(path):
+    # 0/0 in the error ratio is NaN on every path, as on numpy: the
+    # trials are rejected down to dt_min, and the run fails with a
+    # partial report, not a bare ZeroDivisionError.
+    params = ControllerParams(atol=0.0, rtol=1e-6)
+    outcomes = []
+    for box, make in (ZERO_SCALE_RUNS[path], ZERO_SCALE_RUNS["numpy"]):
+        result = make(params).try_step(zero_scale, box([0.0, 1.0]), 0.0, 0.1)
+        with pytest.raises(StepSizeUnderflowError) as info:
+            integrate_adaptive(make(params), zero_scale, box([0.0, 1.0]), 0.0, 1.0, 0.1)
+        report = info.value.partial_report
+        outcomes.append((
+            result.accepted, result.dt.hex(), repr(result.error_ratio), type(info.value), str(info.value),
+            report.final_time.hex(), [float(v).hex() for v in report.final_state],
+            report.steps_accepted, report.steps_rejected, report.system_evaluations,
+        ))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][2] == "nan" and "nan, not finite" in outcomes[0][4]
 
 
 def bounded(kind, calls, inner, limit=1000):

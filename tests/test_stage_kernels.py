@@ -31,7 +31,8 @@ from odekit import (
     integrate_const,
 )
 from odekit.algebra import MAX_TERMS, NUMPY_ALGEBRA, UNROLL, NumpyAlgebra, SequenceAlgebra
-from odekit.explicit import ExplicitRungeKutta, _step_code, _trial_code
+from odekit.controlled import _trial_code
+from odekit.explicit import ExplicitRungeKutta, _step_code
 from odekit.tableaus import ButcherTableau
 
 X0 = [10.0, 10.0, 10.0]
@@ -165,9 +166,9 @@ def logging_instance():
     return algebra
 
 
-def run_controlled(algebra):
+def run_controlled(algebra, pair=None):
     params = ControllerParams(atol=1e-8, rtol=1e-8)
-    stepper = ControlledStepper(DormandPrince5(algebra), params, algebra)
+    stepper = ControlledStepper(DormandPrince5(algebra) if pair is None else pair, params, algebra)
     x, t, dt = list(X0), 0.0, 0.05  # the first trial is rejected
     for _ in range(3):
         result = stepper.try_step(LORENZ, x, t, dt)
@@ -270,6 +271,18 @@ def test_custom_algebra_keeps_the_general_path(run, make):
     assert run(None) == expected_states
 
 
+@pytest.mark.parametrize("make", [LoggingAlgebra, logging_instance], ids=["class", "instance"])
+def test_the_controller_algebra_runs_the_whole_trial(make):
+    # One backend per controller: an algebra given to the controller
+    # over a pair on the default backend receives the stage updates,
+    # not only the copies.
+    algebra = make()
+    states = run_controlled(algebra, DormandPrince5())
+    log, expected_states = GENERAL_PATH[run_controlled]
+    assert " ".join(algebra.log) == log
+    assert states == expected_states
+
+
 # --- generated step code and scratch rebinding -------------------------------
 
 
@@ -328,6 +341,13 @@ def test_trial_code_is_generated_once_per_tableau_and_length():
     for make in (DormandPrince5, CashKarp54):
         for box in (list, np.array):
             assert len({id(trial.__code__) for owner, b, trial in trials if (owner, b) == (make, box)}) == 1
+    # The walk runs the inline trial of the same cached entry.
+    for make in (DormandPrince5, CashKarp54):
+        for box, n in ((list, len(X0)), (np.array, None)):
+            controller, x = ControlledStepper(make()), box(X0)
+            walk, _ = controller.try_step._inline(controller, x)
+            assert walk is _trial_code(controller.stepper.tableau, n)[1]
+    assert _trial_code.cache_info().misses == 4
     # Lengths past UNROLL share one looped trial.
     _trial_code.cache_clear()
     for n in range(1, 41):
