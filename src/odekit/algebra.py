@@ -221,14 +221,11 @@ def _ratio_lines(rows, dxdt):
     ``rows(row)`` runs ``row(i, e)``, the statement folding element
     ``i`` with error ``e``, on every element; ``dxdt`` names the
     derivative at ``x``.  A zero scale divides as numpy does, NaN for
-    a zero error and inf for any other, on a second pass that only a
-    ``ZeroDivisionError`` starts."""
+    a zero error and inf for any other."""
     scale = lambda i: f"(atol + rtol * (abs(x[{i}]) + adt * abs({dxdt}[{i}])))"
     fold = "worst = r if r > worst or r != r else worst"
-    fast = rows(lambda i, e: f"r = abs({e}) / {scale(i)}; {fold}")
-    zero = rows(lambda i, e: f"r, s = abs({e}), {scale(i)}; r = r / s if s else r * float('inf'); {fold}")
-    return ["adt, worst = abs(dt), 0.0", "try:", *_indent(fast), "except ZeroDivisionError:",
-            *_indent(["worst = 0.0", *zero]), "worst = float(worst)"]
+    return ["adt, worst = abs(dt), 0.0", *rows(lambda i, e: (
+        f"r, s = abs({e}), {scale(i)}; r = r / s if s else r * float('inf'); {fold}")), "worst = float(worst)"]
 
 
 @lru_cache(maxsize=None)

@@ -106,8 +106,13 @@ class ControlledStepper(Scratched):
             raise TypeError(f"{type(stepper).__name__} provides no embedded error estimate")
         self.stepper = stepper
         self.params = ControllerParams() if params is None else params
-        self._fixed_algebra = getattr(stepper, "_fixed_algebra", None) if algebra is None else algebra
+        self._algebra = algebra
         self.reset()
+
+    @property
+    def _fixed_algebra(self):
+        # The given backend, else the current stepper's.
+        return getattr(self._stepper, "_fixed_algebra", None) if self._algebra is None else self._algebra
 
     @property
     def stepper(self):

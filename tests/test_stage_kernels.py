@@ -168,7 +168,10 @@ def logging_instance():
 
 def run_controlled(algebra, pair=None):
     params = ControllerParams(atol=1e-8, rtol=1e-8)
-    stepper = ControlledStepper(DormandPrince5(algebra) if pair is None else pair, params, algebra)
+    return walk_controlled(ControlledStepper(DormandPrince5(algebra) if pair is None else pair, params, algebra))
+
+
+def walk_controlled(stepper):
     x, t, dt = list(X0), 0.0, 0.05  # the first trial is rejected
     for _ in range(3):
         result = stepper.try_step(LORENZ, x, t, dt)
@@ -278,6 +281,21 @@ def test_the_controller_algebra_runs_the_whole_trial(make):
     # not only the copies.
     algebra = make()
     states = run_controlled(algebra, DormandPrince5())
+    log, expected_states = GENERAL_PATH[run_controlled]
+    assert " ".join(algebra.log) == log
+    assert states == expected_states
+
+
+@pytest.mark.parametrize("make", [LoggingAlgebra, logging_instance], ids=["class", "instance"])
+def test_a_pair_assigned_later_brings_its_algebra(make):
+    # A controller given no algebra runs on its current pair's: a pair
+    # assigned after a trial on the default backend binds anew, and
+    # its algebra receives the stage updates.
+    controller = ControlledStepper(DormandPrince5(), ControllerParams(atol=1e-8, rtol=1e-8))
+    assert controller.try_step(LORENZ, list(X0), 0.0, 0.001).accepted
+    algebra = make()
+    controller.stepper = DormandPrince5(algebra)
+    states = walk_controlled(controller)
     log, expected_states = GENERAL_PATH[run_controlled]
     assert " ".join(algebra.log) == log
     assert states == expected_states
