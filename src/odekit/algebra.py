@@ -236,12 +236,15 @@ def _sequence_ratio(n):
 
 
 def _numpy_error_ratio(w, v):
-    # The formula's operations and operands, in place: same bits, no temporary.
+    # The formula's operations and operands, in place: same bits, no
+    # temporary.  A zero scale's NaN or inf quotient is silent, as in
+    # the sequence code.
     def ratio(xerr, x, dxdt, atol, rtol, dt):
         np.multiply(np.abs(dxdt, out=w), abs(dt), out=w)
         np.add(np.abs(x, out=v), w, out=w)
         np.add(np.multiply(w, rtol, out=w), atol, out=w)
-        np.divide(np.abs(xerr, out=v), w, out=v)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(np.abs(xerr, out=v), w, out=v)
         return float(v.max())
 
     return ratio

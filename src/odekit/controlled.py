@@ -93,13 +93,14 @@ class ControlledStepper(Scratched):
     through its ``do_step_with_error``, counted by a wrapper.
 
     Instances carry scratch states (the derivative cache among them),
-    the rejection history and the count of system evaluations since
-    the last ``reset``; do not share one instance between concurrent
-    integrations.  Call ``reset`` after modifying the state
-    externally; the drivers call it at the start of every run.
+    the rejection history, the last step when it was accepted and the
+    count of system evaluations since the last ``reset``; do not share
+    one instance between concurrent integrations.  Call ``reset`` after
+    modifying the state externally; the drivers call it at the start of
+    every run.
     """
 
-    _caches = ("_scratch", "_dxdt", "_stages")
+    _caches = ("_scratch", "_dxdt", "_span")
 
     def __init__(self, stepper, params=None, algebra=None):
         if getattr(stepper, "error_order", None) is None:
@@ -121,13 +122,13 @@ class ControlledStepper(Scratched):
 
     @stepper.setter
     def stepper(self, stepper):
-        self._stepper, self._scratch = stepper, None
+        self._stepper, self._scratch, self._span = stepper, None, None
 
     def reset(self):
-        """Drop the cached derivative and the rejection flag, and zero
-        the evaluation count."""
+        """Drop the cached derivative, the last step and the rejection
+        flag, and zero the evaluation count."""
         self._dxdt = None  # the scratch buffer holding f(x, t), when valid
-        self._stages = None  # the stage derivatives of the last accepted trial
+        self._span = None  # (t, t + dt, dt) of the last trial, if accepted
         self._rejected = False
         self._evaluations = 0
 
@@ -144,17 +145,20 @@ class ControlledStepper(Scratched):
             return 5
         return self._stepper.stage_count + (4 if algebra._fused_length(x) is None else 1)
 
-    def _bind(self, algebra, buffers):
+    def _bind(self, algebra, buffers, fit_code=((), ()), fit=None):
         # (trial, ratio, index of the last stage, (walk's trial, its
-        # make's arguments)); no trial, and the first buffer as the
-        # last stage: the general path.  One backend runs it all.
-        ratio, x = algebra._error_kernel(buffers), buffers[0]
+        # make's arguments but the states)); the general path's trial is
+        # _general_step, with the first buffer as the last stage.  Dense
+        # output hands in its fit as code for the generated trial and as
+        # a function for the general path.  One backend runs it all.
+        x = buffers[0]
+        ratio, copy = algebra._error_kernel(buffers), algebra._copy_kernel(x)
         if not self._plain():
-            return None, ratio, 0, (None, (None,))
+            return partial(self._general_step, copy, ratio, fit), ratio, 0, (None, ())
         tableau = self._stepper.tableau
-        make, walk = _trial_code(tableau, algebra._fused_length(x))
-        args = (algebra._kernel, ratio, algebra._copy_kernel(x))
-        return make(*args), ratio, tableau.stage_count - 1, (walk, (*args, buffers))
+        make, walk = _trial_code(tableau, algebra._fused_length(x), fit_code)
+        args = (algebra._kernel, ratio, copy)
+        return make(*args), ratio, tableau.stage_count - 1, (walk, args)
 
     @_counting
     def try_step(self, system, x, t, dt):
@@ -174,11 +178,12 @@ class ControlledStepper(Scratched):
         (``t + dt == t``) raises :class:`StepSizeUnderflowError`, both
         before any evaluation.
         """
+        self._span = None
         if not (math.isfinite(t) and math.isfinite(dt)) or dt == 0.0:
             raise ValueError("time and step width must be finite, the width nonzero")
         if t + dt == t:
             raise StepSizeUnderflowError(dt, t)
-        _, k, copy, (trial, ratio, last, _) = scratch(self, x, self._count, self._bind)
+        _, k, _, (trial, ratio, last, *_) = scratch(self, x, self._count, self._bind)
         dxdt = k[0]
         if self._dxdt is not dxdt:
             if self._dxdt is k[last]:
@@ -190,14 +195,11 @@ class ControlledStepper(Scratched):
                 self._evaluations += 1
                 system(x, dxdt, t)
             self._dxdt = dxdt
-        if trial is None:
-            err = self._general_step(system, x, t, dt, k, copy, ratio)
-        else:
-            self._evaluations += last
-            err = trial(system, x, t, dt, self.params.atol, self.params.rtol, k)
-            if err <= 1.0:
-                self._stages, self._dxdt = k, k[last] if self._stepper.fsal else None
+        self._evaluations += last
+        err = trial(system, x, t, dt, self.params.atol, self.params.rtol, k)
         if err <= 1.0:
+            self._dxdt = k[last] if self._stepper.fsal else None
+            self._span = t, t + dt, dt
             dt_next = next_step_size(dt, err, self._stepper.error_order, self._rejected)
             self._rejected = False
             return StepResult(True, t + dt, dt_next, err)
@@ -212,69 +214,79 @@ class ControlledStepper(Scratched):
             raise StepSizeUnderflowError(dt_next, t, err)
         return StepResult(False, t, dt_next, err)
 
-    # The walk's inline trial on x and its make's arguments; none on an override.
-    try_step._inline = lambda self, x: scratch(self, x, self._count, self._bind)[3][3]
+    def _inline(self, x):
+        # The walk's inline trial on x and its make's arguments, the
+        # scratch states last; none on a user's pair or an override.
+        _, k, _, (_, _, _, (walk, args), *_) = scratch(self, x, self._count, self._bind)
+        return (walk, (*args, k)) if walk else (None, (None,))
 
-    def _general_step(self, system, x, t, dt, buffers, copy, ratio):
+    try_step._inline = _inline
+
+    def _general_step(self, copy, ratio, fit, system, x, t, dt, atol, rtol, buffers):
         # A trial of the user's from f(x, t) in the first buffer,
         # through do_step_with_error and counted by a wrapper: its
-        # error ratio.
+        # error ratio.  A dense stepper's fit reads the stage record.
         dxdt, xtrial, xerr = buffers[:3]
         stepper = self._stepper
         counter = EvaluationCounter(system)
         trial = stepper.do_step_with_error(counter, x, t, dt, out=xtrial, xerr=xerr, dxdt_in=dxdt)
         self._evaluations += counter.count
-        err = ratio(xerr, x, dxdt, self.params.atol, self.params.rtol, dt)
+        err = ratio(xerr, x, dxdt, atol, rtol, dt)
         if err <= 1.0:
+            if fit is not None:
+                fit(x, xtrial, trial[2].derivatives, dt)
             copy(x, xtrial)
             if stepper.fsal:
                 # The last stage derivative belongs to the state just
                 # accepted; keep it as the next trial's first stage.
                 copy(dxdt, trial[2].new_derivative)
-                self._stages = trial[2].derivatives
-            else:
-                self._dxdt = None
         return err
 
 
 @lru_cache(maxsize=64)
-def _trial_code(tableau, n):
+def _trial_code(tableau, n, fit=((), ())):
     """One controlled trial of an embedded pair, generated once per
-    tableau value and length ``n`` as ``explicit._step_code``'s step
-    is: ``(make, walk)``.  ``make(kernel, ratio, copy)`` returns the
-    manual trial ``trial(system, x, t, dt, atol, rtol, k)``: from
+    tableau value, length ``n`` and fit as ``explicit._step_code``'s
+    step is: ``(make, walk)``.  ``make(kernel, ratio, copy)`` returns
+    the manual trial ``trial(system, x, t, dt, atol, rtol, k)``: from
     ``f(x, t)`` in ``k0`` it writes the other stages, the solution
     ``u`` and a first-same-as-last stage at it, copies ``u`` into
     ``x`` when the error ratio is at most one, and returns the ratio.
+    A dense stepper's ``fit``, ``(states, lines)`` (see
+    ``dense._dense_code``), names the states after the trial's own in
+    ``k`` and the lines run on acceptance before ``x`` takes ``u``.
     ``walk``, ``(kernels, head, step, accept, reject, tail)``, is
     ``try_step`` around the same lines for ``integrate._walk_code`` to
-    run inline: the first-stage hand-over, the evaluation count and
-    ``next_step_size`` with its constants as literals; only ``FAC_MAX``
-    bounds an accepted ratio's factor (at most one), only ``FAC_MIN``
-    a rejected one's.  With ``n`` None the error goes into the buffer
-    after ``u`` and ``ratio`` and ``copy`` run; inline, each element's
-    ratio is taken from its error update's value, unstored, bit for
-    bit with ``_sequence_ratio``, and so is the copy."""
+    run inline: the first-stage hand-over, the evaluation count, the
+    accepted step and ``next_step_size`` with its constants as
+    literals; only ``FAC_MAX`` bounds an accepted ratio's factor (at
+    most one), only ``FAC_MIN`` a rejected one's.  With ``n`` None the
+    error goes into the buffer after ``u`` and ``ratio`` and ``copy``
+    run; inline, each element's ratio is taken from its error update's
+    value, unstored, bit for bit with ``_sequence_ratio``, and so is
+    each copy."""
     s, update = tableau.stage_count, partial(_update, tableau, n)
     kl, power = f"k{s - 1}", f"{SAFETY!r} * worst ** {-1.0 / (tableau.error_order + 1)!r}"
     body = [*_stages(tableau, update), *update("u", tableau.b, 1),
             *([f"system(u, {kl}, t + dt)"] if tableau.is_fsal else [])]
-    unpack = f"{''.join(f'k{j}, ' for j in range(s))}{'u, e, *_' if n is None else 'u'} = k"
+    states, fit = fit
+    names = [*(f"k{j}" for j in range(s)), "u", *(["e", "_", "_"] if n is None else []), *states]
+    unpack = f"{', '.join(names)} = k"
     if n is None:
         body += [*update("e", tableau.error_weights, 0), "worst = ratio(e, x, k0, atol, rtol, dt)"]
-        accept = ["copy(x, u)"]
     else:
         body += _ratio_lines(lambda row: update(row, tableau.error_weights, 0), "k0")
-        accept = _update_lines(n, "x", ["1.0"], ["u"])
+    accept = [*fit, *(["copy(x, u)"] if n is None else _update_lines(n, "x", ["1.0"], ["u"]))]
     trial = ["def trial(system, x, t, dt, atol, rtol, k):",
              *_indent([unpack, *body, "if worst <= 1.0:", *_indent(accept), "return worst"])]
     head = [unpack, "params = stepper.params", "atol, rtol, dt_min = params.atol, params.rtol, params.dt_min",
             "dxdt, again, evaluations = stepper._dxdt, stepper._rejected, 0"]
-    step = ["if t + dt == t:", "    raise StepSizeUnderflowError(dt, t)",
+    step = ["stepper._span = None", "if t + dt == t:", "    raise StepSizeUnderflowError(dt, t)",
             "if dxdt is not k0:", f"    if dxdt is {kl}:", f"        k0, {kl} = {kl}, k0",
             "    else:", "        evaluations += 1", "        system(x, k0, t)", "    dxdt = k0",
             f"evaluations += {s - 1}", *body]
-    accept = [*accept, f"factor = {FAC_MAX!r} if worst == 0.0 else {power}",
+    accept = [*accept, "stepper._span = t, t + dt, dt",
+              f"factor = {FAC_MAX!r} if worst == 0.0 else {power}",
               f"if factor > {FAC_MAX!r}:", f"    factor = {FAC_MAX!r}",
               "if again and factor > 1.0:", "    factor = 1.0",
               f"dt_next, again, dxdt = dt * factor, False, {kl if tableau.is_fsal else None}"]
@@ -284,7 +296,6 @@ def _trial_code(tableau, n):
               f"dt_next = dt * (factor if factor > {FAC_MIN!r} else {FAC_MIN!r})",
               "if abs(dt_next) < dt_min:", "    raise StepSizeUnderflowError(dt_next, t, worst)"]
     tail = [f"k[0], k[{s - 1}] = k0, {kl}",
-            "stepper._dxdt, stepper._rejected = dxdt, again", "stepper._evaluations += evaluations",
-            "if accepted:", "    stepper._stages = k"]
+            "stepper._dxdt, stepper._rejected = dxdt, again", "stepper._evaluations += evaluations"]
     walk = (n is None, tuple(head), tuple(step), tuple(accept), tuple(reject), tuple(tail))
     return _make(n is None, "ratio, copy", trial, "trial"), walk

@@ -1,14 +1,12 @@
 """Dense output stepping: adapt freely, interpolate anywhere.
 
-``DenseOutputDopri5`` is a controlled stepper: ``try_step`` has the
-accept/reject contract of :class:`ControlledStepper`, and every
-accepted trial also fits the quartic continuous extension of the
-Dormand-Prince pair over the step just taken.  ``calc_state`` then
-evaluates the trajectory at any time inside that step without further
-system evaluations.  The drivers run it on the same controlled walk as
-any other controlled stepper; on a grid, :func:`integrate_const` hands
-each accepted step to a sampler generated with the fit and the
-interpolant, which observes every grid point inside the step at once.
+``DenseOutputDopri5`` is a :class:`ControlledStepper` over the
+Dormand-Prince pair whose trial, on acceptance, also fits the quartic
+continuous extension over the step just taken, so ``calc_state``
+evaluates the trajectory inside that step at no system evaluations
+and the drivers walk it inline as any shipped controller.  On a grid,
+:func:`integrate_const` hands each accepted step to a generated
+sampler, which observes every grid point inside it at once.
 """
 
 from __future__ import annotations
@@ -16,50 +14,58 @@ from __future__ import annotations
 import math
 from functools import lru_cache, partial
 
-from .algebra import UNROLL, Scratched, _indent, _initial_copy, _make, _update_lines, scratch
+from .algebra import UNROLL, _indent, _initial_copy, _make, _update_lines, algebra_of
 from .controlled import ControlledStepper
 from .explicit import DormandPrince5
-from .integrate import _counting, _readonly
+from .integrate import _readonly
+from .tableaus import DORMAND_PRINCE_54
 
 # Quartic-term weights by stage, from the continuous extension
 # published for the Dormand-Prince 5(4) pair.
 _D = {0: -12715105075.0 / 11282082432.0, 2: 87487479700.0 / 32700410799.0,
       3: -10690763975.0 / 1880347072.0, 4: 701980252875.0 / 199316789632.0,
       5: -1453857185.0 / 822651844.0, 6: 69997945.0 / 29380423.0}
+# The interpolant's states, after the controller's own in its scratch.
+_P = ("p0", "p1", "p2", "p3", "p4")
 # The interpolant at theta = (t - t_prev) / h, with omt = 1 - theta,
 # from the state p0 at t_prev and the fitted p1..p4, Horner-ready.
-_ROW = (["1.0", "theta", "theta * omt", "theta * theta * omt", "theta * theta * omt * omt"],
-        ["p0", "p1", "p2", "p3", "p4"])
+_ROW = (["1.0", "theta", "theta * omt", "theta * theta * omt", "theta * theta * omt * omt"], _P)
 
 
 @lru_cache(maxsize=None)  # n is None or at most UNROLL + 1
 def _dense_code(n):
     """The interpolation, generated once per length ``n`` as the
-    explicit steppers' step is: ``make(kernel, clone, readonly, p)``
-    binds the buffers ``p``, ``p[0]`` the state at the step's start,
-    and returns ``fit(x, k, dt)``, fitting ``p[1:]`` from the new state
-    and the stage derivatives, ``at(theta, out)``, and
-    ``sample(observer, lo, hi, h, t0, dt, j, t_end, limit)``, which
+    explicit steppers' step is: ``(fit, make)``.  ``fit`` is ``(_P,
+    lines)``: the lines copy the state ``x`` at the step's start into
+    ``p0`` and fit ``p1``..``p4`` from it, the new state ``u``, the
+    stage derivatives ``k0``..``k6`` and the width ``dt``; the
+    controller's generated trial runs them on acceptance.
+    ``make(kernel, copy, clone, readonly, p)`` binds the states ``p``
+    and returns ``fit(x, u, k, dt)``, which runs them for the general
+    path, ``at(theta, out)``,
+    and ``sample(observer, lo, hi, h, t0, dt, j, t_end, limit)``, which
     observes each grid point ``t0 + j*dt`` (``j`` counting up) below
-    ``t_end`` and up to ``limit``, interpolated on the step
-    ``[lo, hi]`` of width ``h`` at that time or ``hi`` if earlier, and
-    returns the next ``j``.  A snapshot is a tuple built inline, or a
-    fresh copy filled by the 5-term kernel and made read-only."""
+    ``t_end`` and up to ``limit``, interpolated on the step ``[lo, hi]``
+    of width ``h`` at that time or ``hi`` if earlier, and returns the
+    next ``j``.  A snapshot is a tuple built inline, or a fresh copy
+    filled by the 5-term kernel and made read-only."""
     update = partial(_update_lines, n)
+    fit = (*(["copy(p0, x)"] if n is None else update("p0", ["1.0"], ["x"])),
+           *update("p1", ["1.0", "-1.0"], ["u", "p0"]),
+           *update("p2", ["dt", "-1.0"], ["k0", "p1"]),
+           *update("p3", ["1.0", "-dt", "-1.0"], ["p1", "k6", "p2"]),
+           *update("p4", [f"dt * {w!r}" for w in _D.values()], [f"k{j}" for j in _D]))
     if n is None:
         snap = ["s = clone(p0)", *update("s", *_ROW), "s = readonly(s, True)"]
     elif n <= UNROLL:
         snap = [*update(lambda i, v: f"s{i} = {v}", *_ROW), f"s = {''.join(f's{i}, ' for i in range(n))}"]
     else:
         snap = ["s = []", *update(lambda i, v: f"s.append({v})", *_ROW), "s = tuple(s)"]
-    return _make(n is None, "clone, readonly, p", [
-        "p0, p1, p2, p3, p4 = p",
-        "def fit(x, k, dt):",
+    return (_P, fit), _make(n is None, "copy, clone, readonly, p", [
+        f"{', '.join(_P)} = p",
+        "def fit(x, u, k, dt):",
         "    k0, _, k2, k3, k4, k5, k6 = k[:7]",
-        *_indent(update("p1", ["1.0", "-1.0"], ["x", "p0"])),
-        *_indent(update("p2", ["dt", "-1.0"], ["k0", "p1"])),
-        *_indent(update("p3", ["1.0", "-dt", "-1.0"], ["p1", "k6", "p2"])),
-        *_indent(update("p4", [f"dt * {w!r}" for w in _D.values()], [f"k{j}" for j in _D])),
+        *_indent(fit),
         "def at(theta, out):",
         "    omt = 1.0 - theta",
         *_indent(update("out", *_ROW)),
@@ -77,12 +83,7 @@ def _dense_code(n):
     ], "fit, at, sample")
 
 
-def _bind(algebra, p):
-    # The interpolation code for the state's length, bound to p.
-    return _dense_code(algebra._fused_length(p[0]))(algebra._kernel, algebra.clone_shape, _readonly, p)
-
-
-class DenseOutputDopri5(Scratched):
+class DenseOutputDopri5(ControlledStepper):
     """Adaptive Dormand-Prince stepping with free interpolation.
 
     Either call ``try_step`` on your own state, as with any controlled
@@ -94,50 +95,48 @@ class DenseOutputDopri5(Scratched):
     to rounding accuracy.  Any new trial discards it, so
     ``calc_state`` raises until the next acceptance.
 
-    Each trial is the ``controller``'s (see :class:`ControlledStepper`),
-    and the drivers' walk calls ``try_step``.  The state is copied
-    before each trial, and the fit reads the accepted trial's stage
-    derivatives where the trial left them.  The fit, ``calc_state`` and
-    the grid sampler run code generated for the state's length (see
-    :func:`_dense_code`).
+    Each trial is :class:`ControlledStepper`'s with the fit run inside
+    it on acceptance (see :func:`_dense_code`).  ``stepper`` takes only
+    a Dormand-Prince pair, whose stages the interpolant is fitted to.
 
     Parameters
     ----------
     params : ControllerParams, optional
-        Tolerances and limits of the internal error control, kept
-        by ``controller`` alone.
+        Tolerances and limits of the error control, in ``params``.
     algebra : Algebra, optional
         State backend; defaults to the container of the state stepped.
     """
 
-    _caches = ("_scratch", "_span")
-
     def __init__(self, params=None, algebra=None):
-        self._fixed_algebra = algebra
-        self.stepper = DormandPrince5(algebra)
-        self.controller = ControlledStepper(self.stepper, params)
-        self._algebra = self._x = self._t = self._dt = None
-        self.reset()
+        super().__init__(DormandPrince5(algebra), params)
+        self._x = self._t = self._dt = None
 
-    def reset(self):
-        """Drop the interpolant and the controller's caches."""
-        self.controller.reset()
-        # (t_prev, t_cur, width, at, sample) of the interpolant
-        self._span = None
+    @ControlledStepper.stepper.setter
+    def stepper(self, stepper):
+        if getattr(stepper, "tableau", None) != DORMAND_PRINCE_54:
+            raise TypeError(f"dense output needs the Dormand-Prince 5(4) pair, not {type(stepper).__name__}")
+        ControlledStepper.stepper.fset(self, stepper)
+
+    def _count(self, algebra, x):
+        # The controller's states, then the interpolant's.
+        return super()._count(algebra, x) + len(_P)
+
+    def _bind(self, algebra, buffers):
+        # The controller's binding on its states, with the fit, then
+        # the interpolation code on the interpolant's: (fit, at, sample).
+        x, own = buffers[0], len(buffers) - len(_P)
+        fit, make = _dense_code(algebra._fused_length(x))
+        code = make(algebra._kernel, algebra._copy_kernel(x), algebra.clone_shape, _readonly, buffers[own:])
+        return (*super()._bind(algebra, buffers[:own], fit, code[0]), code)
 
     def initialize(self, x0, t0, dt0):
         """Set the start state, start time, and first width proposal:
         all finite, the state non-empty, the width positive."""
         if not (math.isfinite(t0) and 0.0 < dt0 < math.inf):
             raise ValueError("need a finite start time and a finite positive width proposal")
-        self._algebra, self._x = _initial_copy(self, x0)
+        self._x = _initial_copy(self, x0)[1]
         self._t, self._dt = float(t0), float(dt0)
         self.reset()
-
-    @property
-    def _evaluations(self):
-        # Every evaluation is the controller's.
-        return self.controller._evaluations
 
     @property
     def current_time(self):
@@ -147,8 +146,9 @@ class DenseOutputDopri5(Scratched):
     def current_state(self):
         """Copy of the state at ``current_time``."""
         self._require_initialized()
-        out = self._algebra.clone_shape(self._x)
-        self._algebra.copy(out, self._x)
+        algebra = algebra_of(self, self._x)
+        out = algebra.clone_shape(self._x)
+        algebra.copy(out, self._x)
         return out
 
     @property
@@ -158,28 +158,12 @@ class DenseOutputDopri5(Scratched):
         return self._span[:2]
 
     def _require_initialized(self):
-        if self._x is None or self._t is None:
+        if self._x is None:
             raise RuntimeError("initialize() must be called first")
 
     def _require_interval(self):
         if self._span is None:
             raise RuntimeError("no accepted step since the last trial")
-
-    @_counting
-    def try_step(self, system, x, t, dt):
-        """Attempt one step of width ``dt`` from ``(x, t)``.
-
-        Same contract as :meth:`ControlledStepper.try_step`; on
-        acceptance the interpolant covers ``[t, result.t]``.
-        """
-        _, (x_prev, *_), copy, (fit, at, sample) = scratch(self, x, 5, _bind)
-        self._span = None
-        copy(x_prev, x)
-        result = self.controller.try_step(system, x, t, dt)
-        if result.accepted:
-            fit(x, self.controller._stages, dt)
-            self._span = (t, result.t, dt, at, sample)
-        return result
 
     def do_step(self, system):
         """Advance the state set by ``initialize`` by one accepted step
@@ -199,20 +183,20 @@ class DenseOutputDopri5(Scratched):
         no extrapolation.  Performs no system evaluations.
         """
         self._require_interval()
-        lo, hi, h, at, _ = self._span
+        lo, hi, h = self._span
         if not (min(lo, hi) <= t <= max(lo, hi)):
             raise ValueError(
                 f"time {t!r} lies outside the last step interval [{lo!r}, {hi!r}]"
             )
-        algebra, (x_prev, *_), _, _ = self._scratch[1]
+        algebra, (x, *_), _, (*_, (_, at, _)) = self._scratch[1]
         if out is None:
-            out = algebra.clone_shape(x_prev)
+            out = algebra.clone_shape(x)
         else:
-            algebra._check_shapes(x_prev, out)
+            algebra._check_shapes(x, out)
         return at((t - lo) / h, out)
 
     def _sample(self, observer, t0, dt, j, t_end, limit):
         # Observe the grid points t0 + j*dt, t0 + (j+1)*dt, ... below
         # t_end and up to limit on the last accepted step; the next j.
-        lo, hi, h, _, sample = self._span
-        return sample(observer, lo, hi, h, t0, dt, j, t_end, limit)
+        fit, at, sample = self._scratch[1][3][-1]
+        return sample(observer, *self._span, t0, dt, j, t_end, limit)

@@ -3,8 +3,9 @@
 Drivers copy the initial state, dispatch on what the stepper can do,
 and call the observer with read-only snapshots; observers never see a
 rejected trial.  Controlled and dense-output steppers run on one
-generated walk, with a shipped controller's trial and step size
-control inline and any other stepper's ``try_step`` called.  Every
+generated walk, with a shipped controller's trial, dense output's fit
+among them, and its step size control inline, and any other
+stepper's ``try_step`` called.  Every
 run returns an :class:`IntegrationReport` with the final state and the
 step and evaluation counters.
 

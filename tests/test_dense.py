@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from odekit import (
+    CashKarp54,
     ControllerParams,
     DenseOutputDopri5,
+    DormandPrince5,
     EvaluationCounter,
     HARMONIC,
     integrate_adaptive,
@@ -32,12 +34,26 @@ def test_initialize_sets_time():
 
 
 def test_tolerances_live_in_the_controller_only():
-    # One copy of each controller fact: no dense-side params to drift.
+    # The dense stepper is the controller: one params, no inner one.
     params = ControllerParams(atol=1e-12)
     d = DenseOutputDopri5(params)
-    assert d.controller.params is params
-    assert not hasattr(d, "params")
-    assert DenseOutputDopri5().controller.params == ControllerParams()
+    assert d.params is params
+    assert not hasattr(d, "controller")
+    assert DenseOutputDopri5().params == ControllerParams()
+
+
+def test_only_the_dormand_prince_pair_is_assigned():
+    # The interpolant fits the Dormand-Prince stages: another pair is
+    # refused at assignment, before any trial, and the old one stays.
+    d = DenseOutputDopri5()
+    pair = d.stepper
+    with pytest.raises(TypeError, match="Dormand-Prince"):
+        d.stepper = CashKarp54()
+    assert d.stepper is pair
+    d.stepper = DormandPrince5()
+    d.initialize([1.0], 0.0, 0.1)
+    lo, hi = d.do_step(expgrow)
+    assert d.calc_state(hi)[0] == d.current_state[0]
 
 
 def test_initialize_rejects_bad_dt0():

@@ -7,7 +7,8 @@ tableau matches a stage loop on the checked ``scale_sum`` bit for
 bit, unrolled or looped; a controlled trial, a dense state and a
 symplectic step have the same bits on lists, numpy and the general
 path, and a controlled run with a pair's own ``do_step_with_error``
-has them too; the generated walk runs the trials, observations,
+has them too; the generated walk runs the trials, observations (a
+dense stepper's grid samples as its public ``calc_state`` gives them),
 failures and controller state of a loop over the public ``try_step``
 and ``next_step_size``, bit for bit; every driver reports the
 evaluations a counting closure sees; the controller's in-place error
@@ -497,11 +498,6 @@ def delegating(pair):
     return Delegating
 
 
-def pair_of(stepper):
-    """The embedded pair a controller or a dense stepper steps with."""
-    return getattr(stepper, "controller", stepper).stepper
-
-
 @settings(max_examples=80, deadline=None, database=None)
 @given(
     x0=STATES,
@@ -530,18 +526,17 @@ def test_generated_trial_matches_its_numpy_twin(x0, t1, dt0, tol, pair, path):
     def make(algebra=None, foreign=False):
         made = DenseOutputDopri5(params, algebra) if dense else ControlledStepper(PAIRS[pair](algebra), params)
         if foreign:
-            controller = getattr(made, "controller", made)
-            controller.stepper = delegating(type(controller.stepper))(algebra)
+            made.stepper = delegating(type(made.stepper))(algebra)
         return made
 
     runs = []
     for box, algebra in ((list, None), (np.array, None), (list, GeneralAlgebra())):
         stepper = make(algebra)
         runs.append(hex_run(driver, stepper, box(x0), t1, dt0))
-        assert pair_of(stepper)._scratch is None
+        assert stepper.stepper._scratch is None
     foreign = make(foreign=True)
     runs.append(hex_run(driver, foreign, list(x0), t1, dt0))
-    assert pair_of(foreign)._scratch is not None
+    assert foreign.stepper._scratch is not None
     assert runs[1:] == runs[:1] * 3
     if x0 == [1.0, -0.5, 0.25]:
         assert runs[0][3][1] > 0  # the explicit example rejects trials
@@ -606,11 +601,25 @@ WALK_FORMS = {
 WALK_BOXES = {"list": (list, None), "numpy": (np.array, None), "general": (list, GeneralAlgebra())}
 
 
-def public_walk(stepper, rhs, x, t1, dt, targets, observe, observe_steps):
+def public_samples(stepper, observe, j, h, t_end, limit):
+    """The grid points ``j*h``, ``j`` counting up, below ``t_end`` and
+    up to ``limit``, observed through the public ``calc_state`` at that
+    time or the end of the step if earlier: the next ``j``."""
+    hi = stepper.interval[1]
+    while j * h < t_end and j * h <= limit:
+        observe(stepper.calc_state(min(j * h, hi)), j * h)
+        j += 1
+    return j
+
+
+def public_walk(stepper, rhs, x, t1, dt, targets, observe, observe_steps, sampled=False):
     """The drivers' walk from t = 0 as a loop over the public
     ``try_step``, each width taken from ``next_step_size`` and checked
-    against the one ``try_step`` proposed: the trials and the outcome."""
-    order, trials, t, accepted, rejected, again = pair_of(stepper).error_order, [], 0.0, 0, 0, False
+    against the one ``try_step`` proposed, and, ``sampled``, the grid
+    of the first width observed after each accepted step as
+    ``integrate_const`` samples it: the trials and the outcome."""
+    order, trials, t, accepted, rejected, again = stepper.stepper.error_order, [], 0.0, 0, 0, False
+    h, j = dt, 1
     observe(x, t)
     try:
         for target in targets:
@@ -629,6 +638,8 @@ def public_walk(stepper, rhs, x, t1, dt, targets, observe, observe_steps):
                     t = target if clamped else result.t
                     if observe_steps:
                         observe(x, t)
+                    elif sampled:
+                        j = public_samples(stepper, observe, j, h, t1 - GRID_SNAP * h, t + GRID_SNAP * h)
                 else:
                     rejected += 1
             t = target
@@ -641,13 +652,23 @@ def public_walk(stepper, rhs, x, t1, dt, targets, observe, observe_steps):
 
 def controller_state(stepper):
     """What a run leaves on the controller: its count, its rejection
-    flag, which buffer holds the cached derivative, whether the stage
-    record is the buffers, and the buffers' bits."""
-    controller = getattr(stepper, "controller", stepper)
-    k = controller._scratch[1][1]
-    where = next((i for i, b in enumerate(k) if b is controller._dxdt), controller._dxdt)
-    stages = None if controller._stages is None else controller._stages is k
-    return controller._evaluations, controller._rejected, where, stages, [hexes(b) for b in k]
+    flag, which buffer holds the cached derivative, its last step if
+    accepted, and the buffers' bits (a dense stepper's interpolant
+    among them)."""
+    k = stepper._scratch[1][1]
+    where = next((i for i, b in enumerate(k) if b is stepper._dxdt), stepper._dxdt)
+    span = stepper._span and [t.hex() for t in stepper._span]
+    return stepper._evaluations, stepper._rejected, where, span, [hexes(b) for b in k]
+
+
+def interpolant(stepper):
+    """A dense stepper's last step and its states at the midpoint and
+    the end, or the error that says there is none."""
+    try:
+        lo, hi = stepper.interval
+    except RuntimeError as exc:
+        return str(exc)
+    return lo.hex(), hi.hex(), hexes(stepper.calc_state(lo + 0.5 * (hi - lo))), hexes(stepper.calc_state(hi))
 
 
 def outcome(report, evaluations):
@@ -674,19 +695,25 @@ def outcome(report, evaluations):
          grid=False, kind="after")
 @example(x0=[1.0, -0.5, 0.25], t1=2.0, dt0=0.5, tol=1e-8, form="override", box="general",
          grid=True, kind="start")
+@example(x0=[1.0, -0.5, 0.25], t1=2.0, dt0=0.05, tol=1e-8, form="dense", box="list",
+         grid=True, kind="none")
+@example(x0=[1.0, -0.5, 0.25], t1=2.0, dt0=0.05, tol=1e-8, form="dense", box="numpy",
+         grid=True, kind="after")
 def test_generated_walk_matches_a_loop_over_the_public_try_step(x0, t1, dt0, tol, form, box, grid, kind):
     # The system sees the time and the state of every stage of every
     # trial, rejected ones included, so equal call logs mean equal
     # trials; the calling forms' (t, dt, accepted) are recorded too.
     # Failing runs compare their errors and partial reports, and every
-    # run what it leaves on the controller.  Dense output is walked
-    # without a grid, which it samples instead of landing on.
+    # run what it leaves on the controller.  Dense output samples a
+    # grid instead of landing on it: the reference observes the grid
+    # points through calc_state after each accepted step, and the
+    # interpolant left after the run is compared too.
     box, algebra = WALK_BOXES[box]
-    grid = grid and form != "dense"
+    sampled = grid and form == "dense"
     if grid:
         dt0 = min(dt0, t1)
     params = ControllerParams(atol=tol, rtol=tol, dt_min=1e-6)
-    targets = expected_grid(0.0, t1, dt0)[1:] if grid else [t1]
+    targets = expected_grid(0.0, t1, dt0)[1:] if grid and not sampled else [t1]
 
     rhs, calls = walk_system(kind)
     walked, seen = WALK_FORMS[form](algebra, params), []
@@ -700,13 +727,15 @@ def test_generated_walk_matches_a_loop_over_the_public_try_step(x0, t1, dt0, tol
     reference, ref_seen = WALK_FORMS[form](algebra, params), []
     trials, ref_failure, ref_report = public_walk(
         reference, ref_rhs, box(x0), t1, dt0, targets,
-        lambda x, t: ref_seen.append((t.hex(), hexes(x))), not grid)
+        lambda x, t: ref_seen.append((t.hex(), hexes(x))), not grid, sampled)
 
     assert calls == ref_calls and seen == ref_seen and failure == ref_failure
     assert outcome(report, report.system_evaluations) == outcome(ref_report, len(ref_calls))
     assert controller_state(walked) == controller_state(reference)
     if form in ("override", "patched"):
         assert walked.trials == trials
+    if form == "dense":
+        assert interpolant(walked) == interpolant(reference)
     if x0 == [1.0, -0.5, 0.25] and kind == "none":
         assert not all(accepted for _, _, accepted in trials)  # the explicit example rejects
 

@@ -134,7 +134,7 @@ ZERO_SCALE_RUNS = {
 }
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("path", ["inline", "kernels", "general"])
 def test_a_zero_error_scale_divides_as_numpy_does(path):
     # 0/0 in the error ratio is NaN on every path, as on numpy: the

@@ -1,8 +1,10 @@
 """Dense output as a controlled stepper on the shared walk, one trial
 call form for every embedded pair, scratch keyed on shape and dtype,
-partial reports from the fixed-step driver, and a shipped controller
-walked with no call of its try_step or of next_step_size."""
+partial reports from the fixed-step driver, and a shipped controller,
+dense output included, walked with no call of its try_step or of
+next_step_size."""
 
+import functools
 import math
 
 import numpy as np
@@ -168,16 +170,31 @@ def test_integrate_const_fixed_failure_carries_partial_report():
 
 def test_shipped_controller_walks_with_no_try_step_or_controller_call(monkeypatch):
     # The generated walk runs the trial and the step size control of a
-    # shipped pair inline; manual stepping still calls the controller.
+    # shipped pair inline, the dense stepper's fit and grid samples
+    # included; manual stepping still calls the controller.
     import odekit.controlled as controlled
 
-    calls = []
+    calls, trials = [], []
     real = controlled.next_step_size
     monkeypatch.setattr(controlled, "next_step_size", lambda *args: calls.append(args) or real(*args))
+    real_try = ControlledStepper.try_step
+
+    @functools.wraps(real_try)  # keeps the marks the drivers read
+    def try_step(self, *args):
+        trials.append(args)
+        return real_try(self, *args)
+
+    monkeypatch.setattr(ControlledStepper, "try_step", try_step)
     for box in (list, np.array):
         for pair in (CashKarp54, DormandPrince5):
             report = integrate_adaptive(ControlledStepper(pair()), expgrow, box([1.0]), 0.0, 1.0, 0.1)
             assert report.steps_accepted > 0
-    assert calls == []
+        for driver in (integrate_adaptive, integrate_const):
+            seen = []
+            report = driver(DenseOutputDopri5(), expgrow, box([1.0]), 0.0, 1.0, 0.01,
+                            lambda x, t: seen.append(t))
+            assert report.steps_accepted > 0 and len(seen) > report.steps_accepted
+    assert calls == [] and trials == []
     ControlledStepper(DormandPrince5()).try_step(expgrow, [1.0], 0.0, 0.1)
-    assert len(calls) == 1
+    DenseOutputDopri5().try_step(expgrow, [1.0], 0.0, 0.1)
+    assert len(calls) == len(trials) == 2

@@ -216,7 +216,9 @@ def run_dense_grid(algebra):
 # (run_dense_grid before the generated grid sampler): every scale_sum
 # and copy the steppers make, with its term count.  The controlled
 # logs are the generated trial's, which copies neither the cached
-# derivative into the stepper nor the last stage back; the states are
+# derivative into the stepper nor the last stage back, and the dense
+# ones copy only on acceptance: the state into the interpolant's start
+# before the fit, then the solution into the state.  The states are
 # the first recording's.
 GENERAL_PATH = {
     run_controlled: (
@@ -234,16 +236,16 @@ GENERAL_PATH = {
         [0.99, 0.52, -0.1, 0.2, 0.9701, 0.5348, -0.199, 0.14800000000000002],
     ),
     run_dense: (
-        "c s1 c s1 s2 s3 s4 s5 s6 s6 s6 c s1 s2 s3 s4 s5 s6 s6 s6 "
-        "c s1 s2 s2 s3 s6 c s1 s2 s3 s4 s5 s6 s6 s6 c s1 s2 s2 s3 s6 "
+        "c s1 s2 s3 s4 s5 s6 s6 s6 s2 s3 s4 s5 s6 s6 s6 c s1 s2 s2 s3 s6 c s1 "
+        "s2 s3 s4 s5 s6 s6 s6 c s1 s2 s2 s3 s6 c s1 "
         "s5 c s1",
         [10.065174305983417, 11.488077404262361, 10.717802352991256,
          10.114160429565636, 11.969595398675146, 10.984707083930815],
     ),
     run_dense_grid: (
-        "c s1 c s1 s2 s3 s4 s5 s6 s6 s6 c s1 s2 s2 s3 s6 s5 "
-        "c s1 s2 s3 s4 s5 s6 s6 s6 c s1 s2 s2 s3 s6 s5 s5 s5 s5 s5 "
-        "c s1 s2 s3 s4 s5 s6 s6 s6 c s1 s2 s2 s3 s6 s5 s5 s5",
+        "c s1 s2 s3 s4 s5 s6 s6 s6 c s1 s2 s2 s3 s6 c s1 s5 "
+        "s2 s3 s4 s5 s6 s6 s6 c s1 s2 s2 s3 s6 c s1 s5 s5 s5 s5 s5 "
+        "s2 s3 s4 s5 s6 s6 s6 c s1 s2 s2 s3 s6 c s1 s5 s5 s5",
         [10.0, 10.0, 10.0,
          10.000845678706051, 10.16955103898345, 10.074086246107935,
          10.003365562359026, 10.338214680787644, 10.14968131953614,
@@ -339,9 +341,10 @@ def test_step_code_is_generated_once_per_tableau():
 
 
 def test_trial_code_is_generated_once_per_tableau_and_length():
-    # The controller's generated trial is keyed on (tableau, length),
-    # None for numpy, which calls its kernels, and shared by every
-    # controller and dense stepper.
+    # The controller's generated trial is keyed on (tableau, length,
+    # fit): the length None for numpy, which calls its kernels, and the
+    # fit a dense stepper's, so a dense stepper adds one entry per
+    # length, shared by every dense stepper.
     _trial_code.cache_clear()
     trials = []
     for box in (list, np.array):
@@ -353,10 +356,10 @@ def test_trial_code_is_generated_once_per_tableau_and_length():
             dense = DenseOutputDopri5()
             dense.initialize(box(X0), 0.0, 0.01)
             dense.do_step(LORENZ)
-            trials.append((DormandPrince5, box, dense.controller._scratch[1][3][0]))
+            trials.append((DenseOutputDopri5, box, dense._scratch[1][3][0]))
     info = _trial_code.cache_info()
-    assert (info.misses, info.currsize) == (4, 4)
-    for make in (DormandPrince5, CashKarp54):
+    assert (info.misses, info.currsize) == (6, 6)
+    for make in (DormandPrince5, CashKarp54, DenseOutputDopri5):
         for box in (list, np.array):
             assert len({id(trial.__code__) for owner, b, trial in trials if (owner, b) == (make, box)}) == 1
     # The walk runs the inline trial of the same cached entry.
@@ -364,8 +367,8 @@ def test_trial_code_is_generated_once_per_tableau_and_length():
         for box, n in ((list, len(X0)), (np.array, None)):
             controller, x = ControlledStepper(make()), box(X0)
             walk, _ = controller.try_step._inline(controller, x)
-            assert walk is _trial_code(controller.stepper.tableau, n)[1]
-    assert _trial_code.cache_info().misses == 4
+            assert walk is _trial_code(controller.stepper.tableau, n, ((), ()))[1]
+    assert _trial_code.cache_info().misses == 6
     # Lengths past UNROLL share one looped trial.
     _trial_code.cache_clear()
     for n in range(1, 41):
@@ -373,6 +376,20 @@ def test_trial_code_is_generated_once_per_tableau_and_length():
             ControlledStepper(make()).try_step(decay_rows, [1.0] * n, 0.0, 0.01)
     info = _trial_code.cache_info()
     assert info.misses == info.currsize == 2 * (UNROLL + 1) <= info.maxsize
+
+
+@pytest.mark.parametrize("make", [LoggingAlgebra, logging_instance], ids=["class", "instance"])
+def test_a_rejected_dense_trial_makes_no_copy(make):
+    # The state is copied on acceptance only: into the interpolant's
+    # start before the fit, then from the solution.
+    algebra = make()
+    dense, x = DenseOutputDopri5(ControllerParams(atol=1e-8, rtol=1e-8), algebra), list(X0)
+    rejected = dense.try_step(LORENZ, x, 0.0, 0.05)
+    assert not rejected.accepted and x == list(X0)
+    assert " ".join(algebra.log) == "s2 s3 s4 s5 s6 s6 s6"
+    algebra.log.clear()
+    assert dense.try_step(LORENZ, x, 0.0, 0.001).accepted
+    assert " ".join(algebra.log) == "s2 s3 s4 s5 s6 s6 s6 c s1 s2 s2 s3 s6 c s1"
 
 
 def decay_rows(x, dxdt, t):
