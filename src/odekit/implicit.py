@@ -1,10 +1,11 @@
 """Implicit Euler stepping for stiff systems.
 
 Each step solves ``u = x + dt * f(u, t + dt)`` by Newton iteration on
-the residual ``G(u) = u - x - dt * f(u, t + dt)``, refreshing the
-dense Newton matrix ``I - dt * J(u)`` every iteration and solving it
-with LAPACK through ``numpy.linalg``.  The user supplies the
-Jacobian analytically; matrices are dense and desk-scale.
+the residual ``G(u) = u - x - dt * f(u, t + dt)`` with the dense
+Newton matrix ``I - dt * J(u)`` and LAPACK through ``numpy.linalg``;
+a linear system at a fixed width inverts that matrix once per run.
+The user supplies the Jacobian analytically; matrices are dense and
+desk-scale.
 
 Newton's stop is scaled to the step's start state (see
 :class:`ImplicitEuler`); its limits are the two constants below.
@@ -51,11 +52,18 @@ class ImplicitEuler(Scratched):
     roundoff of the state's float type, which float64 never reaches.
     The update count of the latest step is kept in
     ``last_iteration_count``; each Newton pass evaluates the system
-    once.
+    once, and each update the Jacobian once, into a zeroed array.  A
+    step's first update is ``inverse @ G`` refined once; the inverse is
+    held while ``dt`` and the Jacobian's bytes are unchanged and, held
+    or new, gives the same bits.  Later updates, which only a nonlinear
+    system needs, solve.  The README gives the cost.
     """
 
     order = 1
     _evaluations = 0  # system evaluations made by do_step
+    _factorizations = 0  # Newton matrices LU-factored by do_step: inversions and solves
+    _newton = None  # (key, inverse, matrix) of the latest first update
+    _caches = ("_scratch", "_newton")
 
     def __init__(self, algebra=None):
         self._fixed_algebra = algebra
@@ -86,7 +94,6 @@ class ImplicitEuler(Scratched):
         t_new = t + dt
         eps = float(np.finfo(getattr(u, "dtype", float)).eps)
         tol = max(NEWTON_TOL, 8.0 * eps) * max(1.0, float(np.abs(x).max()))
-        jac = np.empty((n, n))
         copy(u, x)
         applied = 0
         while True:
@@ -99,11 +106,21 @@ class ImplicitEuler(Scratched):
                 raise ConvergenceError(
                     applied, f"Newton stalled after {applied} updates at t={t_new!r}"
                 )
+            jac = np.zeros((n, n))  # a jacobian may write only its nonzero entries
             jac_f(u, jac, t_new)
-            m = np.multiply(jac, -dt)
-            m.flat[:: n + 1] += 1.0  # I - dt*J
             try:
-                delta = np.linalg.solve(m, g)
+                if applied:  # u has moved, and with it a nonlinear system's Jacobian
+                    self._factorizations += 1
+                    delta = np.linalg.solve(np.eye(n) - dt * jac, g)
+                else:
+                    key = (dt, jac.tobytes())
+                    if self._newton is None or self._newton[0] != key:
+                        self._factorizations += 1
+                        m = np.eye(n) - dt * jac
+                        self._newton = (key, np.linalg.inv(m), m)
+                    _, inv, m = self._newton
+                    delta = inv.dot(g)
+                    delta += inv.dot(g - m.dot(delta))  # recovers what inv @ g loses to cancellation
             except np.linalg.LinAlgError:
                 raise SingularMatrixError(f"singular Newton matrix at t={t_new!r}") from None
             if not isinstance(g, np.ndarray):

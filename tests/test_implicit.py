@@ -1,4 +1,4 @@
-"""Implicit Euler: Newton on the scaled stop, LAPACK solves, list states."""
+"""Implicit Euler: Newton on the scaled stop, the held Newton inverse, list states."""
 
 import math
 
@@ -295,3 +295,102 @@ def test_large_states_converge(system, x0):
     assert np.all(np.isfinite(array.final_state))
     assert np.array(listed.final_state).tobytes() == array.final_state.tobytes()
     assert listed.system_evaluations == array.system_evaluations
+
+
+# --- the held Newton matrix --------------------------------------------------
+
+
+def linear_system(a):
+    def rhs(x, dxdt, t):
+        np.matmul(a, x, out=dxdt)
+
+    def jac(x, out, t):
+        np.copyto(out, a)
+
+    return JacobianSystem(rhs, jac)
+
+
+def _scaled_decay(x, dxdt, t):
+    for i in range(len(x)):
+        dxdt[i] = -(i + 1.0) * x[i]
+
+
+def _scaled_decay_jac(x, out, t):
+    for i in range(len(x)):
+        out[i, i] = -(i + 1.0)
+
+
+def test_jacobian_buffer_is_zeroed_on_every_evaluation():
+    # A Jacobian that writes only its nonzero entries must not read the
+    # memory of a freed array in the others.
+    def rhs(x, dxdt, t):
+        dxdt[0] = -1e3 * x[0]
+        dxdt[1] = -x[1]
+
+    def jac(x, j, t):
+        assert not j.any()
+        j[0, 0] = -1e3
+        j[1, 1] = -1.0
+
+    np.full((2, 2), 7.0)  # freed at once
+    report = integrate_const(ImplicitEuler(), JacobianSystem(rhs, jac), [1.0, 1.0], 0.0, 1.0, 0.1)
+    assert report.steps_accepted == 10
+    assert report.system_evaluations == 20
+
+
+def test_a_linear_run_inverts_its_newton_matrix_once():
+    rng = np.random.default_rng(5)
+    q, _ = np.linalg.qr(rng.standard_normal((32, 32)))
+    system = linear_system((q * -np.logspace(0.0, 6.0, 32)) @ q.T)
+    calls = []
+    counted = JacobianSystem(system, lambda x, j, t: calls.append(system.jacobian(x, j, t)))
+    stepper = ImplicitEuler()
+    x = q.sum(axis=1)
+    for i in range(100):
+        stepper.do_step(counted, x, 0.01 * i, 0.01)
+        assert stepper.last_iteration_count == 1
+    assert (len(calls), stepper._factorizations) == (100, 1)
+
+
+def test_a_new_width_or_dt_inverts_again():
+    system = JacobianSystem(_scaled_decay, _scaled_decay_jac)
+    stepper = ImplicitEuler()
+    counts = []
+    for x0, dt in (([1.0, 1.0], 0.1), ([1.0, 1.0], 0.1), ([1.0, 1.0, 1.0], 0.1),
+                   ([1.0, 1.0, 1.0], 0.2), ([1.0, 1.0], 0.1)):
+        stepper.do_step(system, np.array(x0), 0.0, dt)
+        counts.append(stepper._factorizations)
+    assert counts == [1, 1, 2, 3, 4]
+
+
+def test_a_jacobian_mutated_in_place_inverts_again():
+    a = np.array([[-2.0, 1.0], [0.0, -3.0]])
+    system = linear_system(a)
+    stepper = ImplicitEuler()
+    stepper.do_step(system, np.array([1.0, 1.0]), 0.0, 0.1)
+    a[0, 1] = 50.0
+    got = stepper.do_step(system, np.array([1.0, 1.0]), 0.1, 0.1)
+    assert stepper._factorizations == 2
+    fresh = ImplicitEuler().do_step(system, np.array([1.0, 1.0]), 0.1, 0.1)
+    assert got.tobytes() == fresh.tobytes()
+    np.testing.assert_allclose(got, np.linalg.solve(np.eye(2) - 0.1 * a, [1.0, 1.0]), rtol=1e-14)
+
+
+def test_a_nonlinear_step_inverts_once_and_solves_its_later_updates(monkeypatch):
+    # Only a step's first update reads the held inverse; a later one
+    # has a moved Jacobian, which no earlier step's inverse would fit.
+    calls = {"inv": 0, "solve": 0}
+    for name in calls:
+        def counted(*args, _name=name, _real=getattr(np.linalg, name)):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(np.linalg, name, counted)
+    system = JacobianSystem(_cubic, _cubic_jac)
+    stepper = ImplicitEuler()
+    x, updates = np.array([1.0]), 0
+    for i in range(5):
+        stepper.do_step(system, x, 0.5 * i, 0.5)
+        updates += stepper.last_iteration_count
+    assert updates > 5
+    assert calls == {"inv": 5, "solve": updates - 5}
+    assert stepper._factorizations == updates

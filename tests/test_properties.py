@@ -13,7 +13,8 @@ failures and controller state of a loop over the public ``try_step``
 and ``next_step_size``, bit for bit; every driver reports the
 evaluations a counting closure sees; the controller's in-place error
 ratio equals the checked one, the textbook formula and the list
-backend bit for bit."""
+backend bit for bit; a warm implicit Euler steps as a fresh one does,
+bit for bit."""
 
 import array
 import math
@@ -852,3 +853,64 @@ def test_bound_error_ratio_matches_every_other_form(args):
         assert same_ratio(SEQUENCE_ALGEBRA.error_ratio_max(*lists, atol, rtol, dt), got)
         list_work = [SEQUENCE_ALGEBRA.clone_shape(lists[1]) for _ in range(2)]
         assert same_ratio(SEQUENCE_ALGEBRA._error_kernel(list_work)(*lists, atol, rtol, dt), got)
+
+
+# --- implicit Euler's held Newton matrix -------------------------------------
+
+
+def linear_system(a):
+    # Elementwise, so list states keep Python floats; the Jacobian reads
+    # ``a`` through the closure, so mutating it in place changes both.
+    def rhs(x, dxdt, t):
+        for i in range(len(x)):
+            dxdt[i] = sum(float(a[i, k]) * x[k] for k in range(len(x)))
+
+    def jacobian(x, jac, t):
+        np.copyto(jac, a)
+
+    return JacobianSystem(rhs, jacobian)
+
+
+HELD_DTS = [0.01, 0.1, 0.5]
+HELD_BOXES = {
+    "list": list,
+    "float64": lambda v: np.array(v, dtype=np.float64),
+    "float32": lambda v: np.array(v, dtype=np.float32),
+}
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    steps=st.lists(
+        st.tuples(
+            st.sampled_from(["linear", "mutated", "cubic"]),
+            st.sampled_from(HELD_DTS),
+            st.sampled_from(sorted(HELD_BOXES)),
+            st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3),
+            st.sampled_from([-30.0, -3.0, -3e4]),
+        ),
+        min_size=1,
+        max_size=12,
+    )
+)
+def test_a_warm_implicit_euler_steps_as_a_fresh_one(steps):
+    # The held inverse is keyed on dt and the Jacobian's bytes: keying
+    # on the system or on dt alone would answer a warm stepper with
+    # another matrix's inverse, and a fresh one would differ.
+    a = np.array([[-2.0, 1.0, 0.0], [0.5, -30.0, 2.0], [0.0, 1.0, -400.0]])
+    mutable = a.copy()
+    systems = {"linear": linear_system(a), "mutated": linear_system(mutable),
+               "cubic": rescaled_ring(1.0)}
+    warm = ImplicitEuler()
+    for i, (kind, dt, box, x0, entry) in enumerate(steps):
+        if kind == "mutated":
+            mutable[1, 1] = entry
+        answers = []
+        for stepper in (warm, ImplicitEuler()):
+            x = HELD_BOXES[box](x0)
+            try:
+                stepper.do_step(systems[kind], x, 0.1 * i, dt)
+                answers.append((hexes(x), stepper.last_iteration_count))
+            except SolverError as exc:
+                answers.append((type(exc), str(exc)))
+        assert answers[0] == answers[1]
