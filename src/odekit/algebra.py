@@ -193,10 +193,10 @@ def _indent(lines, depth=1):
 def _make(kernels, args, lines, returns, **names):
     """Every generator's ``make(kernel, <args>)``: it binds ``K<k>``, the
     kernel of k terms, when ``kernels`` is set (``n`` None), runs
-    ``lines`` and returns ``returns``; ``names`` are its globals."""
+    ``lines`` and returns ``returns``; ``names`` and :func:`_enter` are its globals."""
     terms = range(1, MAX_TERMS + 1)
     head = [f"{', '.join(f'K{k}' for k in terms)} = map(kernel, {terms!r})"] if kernels else []
-    return _define("make", f"kernel, {args}", [*head, *lines, f"return {returns}"], **names)
+    return _define("make", f"kernel, {args}", [*head, *lines, f"return {returns}"], _enter=_enter, **names)
 
 
 # The generated sequence code is cached per term count k <= MAX_TERMS
@@ -333,26 +333,49 @@ def _initial_copy(owner, x0):
 
 class Scratched:
     """Base of every stepper :func:`scratch` binds.  The buffers and
-    generated code it caches, and the attributes named in ``_caches``,
-    are left out when the stepper is pickled or copied: generated code
-    has no importable name, and a copy sharing it would write into the
-    original's buffers.  The copy binds again at its first step."""
+    generated code it caches, the attributes named in ``_caches`` and
+    its :func:`_enter` entry are left out when the stepper is pickled
+    or copied: generated code has no importable name, and a copy
+    sharing it would write into the original's buffers.  The copy
+    binds again, its own entry too, at its first step."""
 
     _scratch = None
     _caches = ("_scratch",)
 
     def __getstate__(self):
-        return {**self.__dict__, **dict.fromkeys(self._caches)}
+        state = {**self.__dict__, **dict.fromkeys(self._caches)}
+        return {k: v for k, v in state.items() if not (k == "do_step" and hasattr(v, "_fallback"))}
+
+
+def _entry_lines(n, args, head, guard, lines):
+    """Lines handing :func:`_enter` ``entry(args)`` (None for ``n`` None): ``lines``
+    where ``guard`` holds after ``head``, else the shipped ``fallback`` on ``owner``."""
+    if n is None:
+        return ["_enter(owner, None, fallback)"]
+    return ["def entry(" + args + "):", *_indent(head), f"    if {guard}:", *_indent(lines, 2),
+            f"    return fallback(owner, {args.replace('=None', '')})", "_enter(owner, entry, fallback)"]
+
+
+def _enter(owner, entry, shipped):
+    """Make ``entry`` (None: none) ``owner.do_step`` unless its class overrides ``shipped``,
+    the method it falls back to.  A ``do_step`` not made here is never replaced."""
+    current = vars(owner).get("do_step")
+    if current is None or hasattr(current, "_fallback"):
+        vars(owner).pop("do_step", None)
+        if entry is not None and type(owner).do_step is shipped:
+            entry._fallback, entry._counts_evaluations = shipped, getattr(shipped, "_counts_evaluations", False)
+            owner.do_step = entry
 
 
 def scratch(owner, x, count, bind):
     """Backend for ``x``, ``count`` zero states shaped like it (or
-    ``count(algebra, x)``), the copy, and ``bind(algebra, buffers)``.
+    ``count(algebra, x)``), the copy, and ``bind(algebra, buffers, x)``.
 
     The backend is :func:`algebra_of` ``owner``.  ``owner._scratch``
     caches ``(tag, result)``: a call whose tag, ``type(x)`` and
     ``len(x)`` (shape and dtype for numpy states), matches returns the
-    cached result at once.  Any other state is refused when empty,
+    cached result at once; a fixed step through its :func:`_enter`
+    entry skips even that.  Any other state is refused when empty,
     else gets new buffers, checked and bound again, so a stepper
     answers it as a fresh one would.  A step makes no buffers of its
     own, but on numpy each kernel update of k terms still allocates
@@ -370,5 +393,5 @@ def scratch(owner, x, count, bind):
         count = count(algebra, x)
     buffers = [algebra.clone_shape(x) for _ in range(count)]
     algebra._check_shapes(x, *buffers)
-    owner._scratch = (tag, (algebra, buffers, algebra._copy_kernel(x), bind(algebra, buffers)))
+    owner._scratch = (tag, (algebra, buffers, algebra._copy_kernel(x), bind(algebra, buffers, x)))
     return owner._scratch[1]

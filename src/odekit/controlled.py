@@ -145,13 +145,12 @@ class ControlledStepper(Scratched):
             return 5
         return self._stepper.stage_count + (4 if algebra._fused_length(x) is None else 1)
 
-    def _bind(self, algebra, buffers, fit_code=((), ()), fit=None):
+    def _bind(self, algebra, buffers, x, fit_code=((), ()), fit=None):
         # (trial, ratio, index of the last stage, (walk's trial, its
         # make's arguments but the states)); the general path's trial is
         # _general_step, with the first buffer as the last stage.  Dense
         # output hands in its fit as code for the generated trial and as
         # a function for the general path.  One backend runs it all.
-        x = buffers[0]
         ratio, copy = algebra._error_kernel(buffers), algebra._copy_kernel(x)
         if not self._plain():
             return partial(self._general_step, copy, ratio, fit), ratio, 0, (None, ())

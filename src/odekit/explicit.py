@@ -6,7 +6,8 @@ All steppers share one calling convention: the system is a callable
 ``x`` untouched when one is; both paths perform the identical sequence
 of floating point operations.  NaNs produced by the system propagate
 unrepaired.  Steps run generated code, whose stage rows also build
-the trials of ``controlled``, where the error test lives.
+the trials of ``controlled``, where the error test lives; on a
+sequence state, behind one guard, as the instance's own ``do_step``.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache, partial
 
-from .algebra import MAX_TERMS, Scratched, _indent, _make, _update_lines, scratch
+from .algebra import MAX_TERMS, Scratched, _entry_lines, _indent, _make, _update_lines, scratch
 from .integrate import _counting
 from .tableaus import CASH_KARP_54, DORMAND_PRINCE_54, EULER, RK4_CLASSIC
 
@@ -59,11 +60,11 @@ class ExplicitRungeKutta(Scratched):
         self.fsal = tableau.is_fsal
         self._fixed_algebra = algebra
 
-    def _bind(self, algebra, k):
+    def _bind(self, algebra, k, x):
         # Once per buffer set (k: the stage derivatives, then the stage
         # state): the tableau's generated step, inline for the state's
-        # length on the sequence backend, else bound to the kernels.
-        return _step_code(self.tableau, algebra._fused_length(k[0]))(algebra._kernel, k)
+        # length on the sequence backend (with the do_step entry), else on kernels.
+        return _step_code(self.tableau, algebra._fused_length(x))(algebra._kernel, k, self, type(x), len(x))
 
     @_counting
     def do_step(self, system, x, t, dt, out=None):
@@ -110,23 +111,27 @@ def _stages(tableau, update):
 @lru_cache(maxsize=64)
 def _step_code(tableau, n=None):
     """Straight-line step code for ``tableau``, generated once per
-    tableau value and length ``n``: ``make(kernel, k)`` binds the
-    kernels by term count and the buffers, and returns
+    tableau value and length ``n``: ``make(kernel, k, owner, T, N)``
+    binds the kernels by term count and the buffers, and returns
     ``advance(system, x, t, dt, target)``, which runs the stages after
     the first and writes the solution, and ``error(dt, xerr)`` (None
     without embedded weights).  With ``n`` None every update is a
     kernel call; with a length (see ``Algebra._fused_length``) it is
-    written inline.  Zero weights are left out and the others are
-    exact float literals, so every update is the stage loop's, term
-    for term and bit for bit."""
+    written inline, and ``owner`` gets its ``do_step`` entry for a
+    ``T`` of length ``N`` (``algebra._enter``).  Zero weights are left
+    out, the others are exact floats: the stage loop's bits."""
     update = partial(_update, tableau, n)
-    body = ["def advance(system, x, t, dt, target):",
-            *_indent(_stages(tableau, update) + update("target", tableau.b, 1) + ["return target"])]
+    step = _stages(tableau, update) + update("target", tableau.b, 1) + ["return target"]
+    body = ["def advance(system, x, t, dt, target):", *_indent(step)]
     ew = tableau.error_weights
     body += ["error = None"] if ew is None else [
         "def error(dt, xerr):", *_indent(update("xerr", ew, 0) + ["return xerr"])]
+    count = f"owner._evaluations += {tableau.stage_count - tableau.is_fsal}"
+    body += _entry_lines(n, "system, x, t, dt, out=None", ["target = x if out is None else out"],
+                         "type(x) is T and len(x) == len(target) == N", [count, "system(x, k0, t)", *step])
     head = f"{''.join(f'k{j}, ' for j in range(tableau.stage_count))}u = k"
-    return _make(n is None, "k", [head, *body], "advance, error")
+    return _make(n is None, "k, owner, T, N", [head, *body], "advance, error",
+                 fallback=ExplicitRungeKutta.do_step)
 
 
 class EmbeddedRungeKutta(ExplicitRungeKutta):

@@ -88,7 +88,7 @@ class ImplicitEuler(Scratched):
         if jac_f is None:
             raise ValueError("implicit Euler needs a system that carries a jacobian")
         # Newton's residual and update are kernel calls on every backend.
-        algebra, (u, f, g), copy, (k2, k3) = scratch(self, x, 3, lambda a, _: (a._kernel(2), a._kernel(3)))
+        algebra, (u, f, g), copy, (k2, k3) = scratch(self, x, 3, lambda a, *_: (a._kernel(2), a._kernel(3)))
         algebra._check_shapes(x, out)
         n = len(x)
         t_new = t + dt

@@ -4,7 +4,8 @@ The state is a coordinate/momentum pair and the system supplies the
 two halves of Hamilton's equations separately.  One step kicks the
 momenta with the old coordinates, then drifts the coordinates with the
 already-updated momenta; that ordering is what preserves the symplectic
-form and keeps long-run energy drift bounded.
+form and keeps long-run energy drift bounded.  On sequence pairs the
+instance's own ``do_step`` runs it behind one guard, as in ``explicit``.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .algebra import Scratched, _indent, _make, _update_lines, scratch
+from .algebra import Scratched, _entry_lines, _indent, _make, _update_lines, scratch
 from .errors import DimensionError
 
 
@@ -72,29 +73,27 @@ class SymplecticEuler(Scratched):
         time argument is carried for signature uniformity; separable
         systems here are autonomous.
         """
-        algebra, (buf,), _, step = scratch(self, state.q, 1, _bind)
+        algebra, (buf,), _, step = scratch(self, state.q, 1, self._bind)
         target = state if out is None else out
-        shape = algebra._shape
-        if not shape(state.p) == shape(target.q) == shape(target.p) == shape(buf):
-            raise DimensionError("output pair shape does not match state")
+        algebra._check_shapes(buf, state.p, target.q, target.p)
         return step(system, state, dt, target)
 
-
-def _bind(algebra, buffers):
-    return _kick_drift(algebra._fused_length(buffers[0]))(algebra._kernel, buffers[0])
+    def _bind(self, algebra, buffers, q):
+        # The generated step; inline, the instance's do_step entry too.
+        return _kick_drift(algebra._fused_length(q))(algebra._kernel, buffers[0], self, type(q), len(q))
 
 
 @lru_cache(maxsize=None)  # n is None or at most UNROLL + 1
 def _kick_drift(n):
     """Symplectic Euler's step, generated once per length ``n`` as the
-    explicit steppers' is: ``make(kernel, buf)`` returns
-    ``step(system, state, dt, target)``."""
-    kick = _update_lines(n, "pn", ["1.0", "dt"], ["p", "buf"])
-    drift = _update_lines(n, "qn", ["1.0", "dt"], ["q", "buf"])
-    return _make(n is None, "buf", [
-        "def step(system, state, dt, target):",
-        "    q, p, qn, pn = state.q, state.p, target.q, target.p",
-        "    system.dpdt(q, buf)", *_indent(kick),
-        "    system.dqdt(pn, buf)", *_indent(drift),
-        "    return target",
-    ], "step")
+    explicit steppers' is: ``make(kernel, buf, owner, T, N)`` returns
+    ``step(system, state, dt, target)``, and inline gives ``owner`` a
+    ``do_step`` entry for pairs of ``T`` of length ``N``."""
+    unpack = ["q, p, qn, pn = state.q, state.p, target.q, target.p"]
+    step = ["system.dpdt(q, buf)", *_update_lines(n, "pn", ["1.0", "dt"], ["p", "buf"]),
+            "system.dqdt(pn, buf)", *_update_lines(n, "qn", ["1.0", "dt"], ["q", "buf"]), "return target"]
+    return _make(n is None, "buf, owner, T, N", [
+        "def step(system, state, dt, target):", *_indent(unpack + step),
+        *_entry_lines(n, "system, state, t, dt, out=None", ["target = state if out is None else out", *unpack],
+                      "type(q) is T and len(q) == len(p) == len(qn) == len(pn) == N", step),
+    ], "step", fallback=SymplecticEuler.do_step)

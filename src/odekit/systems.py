@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -16,25 +17,27 @@ UNDERFLOW = 1e-13
 MAX_STUDY_STEPS = 10**6
 
 
-@dataclass
-class NamedSystem:
+class NamedSystem(partial):
     """A right-hand side bundled with its metadata.
 
-    The instance is itself callable with the ``(x, dxdt, t)`` stepping
-    convention.  ``exact``, when present, maps ``(x0, t0, t)`` to the
-    closed-form state as a list.  ``jacobian`` fills a dense ``(n, n)``
-    array in place, so implicit steppers take the instance as it is.
+    The instance is itself the ``(x, dxdt, t)`` callable, a frameless
+    :func:`functools.partial` of ``rhs``.  ``exact``, when present, maps
+    ``(x0, t0, t)`` to the closed-form state as a list.  ``jacobian``
+    fills a dense ``(n, n)`` array in place, so implicit steppers take
+    the instance as it is.
     """
 
-    name: str
-    dimension: int
-    rhs: object
-    jacobian: object = None
-    exact: object = None
-    default_state: tuple = ()
+    def __new__(cls, name, dimension, rhs, jacobian=None, exact=None, default_state=()):
+        self = super().__new__(cls, rhs)
+        vars(self).update(name=name, dimension=dimension, rhs=rhs, jacobian=jacobian, exact=exact,
+                          default_state=default_state)
+        return self
 
-    def __call__(self, x, dxdt, t):
-        return self.rhs(x, dxdt, t)
+    def __reduce__(self):
+        return type(self), (self.name, self.dimension, self.rhs, self.jacobian, self.exact, self.default_state)
+
+    def __repr__(self):
+        return f"NamedSystem(name={self.name!r}, dimension={self.dimension})"
 
 
 def make_lorenz(sigma=10.0, rho=28.0, beta=8.0 / 3.0):
@@ -166,12 +169,12 @@ def harmonic_separable():
     """The unit oscillator split for symplectic stepping."""
 
     def dqdt(p, out):
-        for i in range(len(p)):
-            out[i] = p[i]
+        for i, v in enumerate(p):
+            out[i] = v
 
     def dpdt(q, out):
-        for i in range(len(q)):
-            out[i] = -q[i]
+        for i, v in enumerate(q):
+            out[i] = -v
 
     return SeparableHamiltonian(dqdt=dqdt, dpdt=dpdt)
 
