@@ -4,8 +4,11 @@ A trial step is accepted when its scaled error ratio is at most one;
 otherwise the state and time stay untouched and the step width shrinks.
 The next width follows the standard integral controller
 ``dt * SAFETY * ratio**(-1/(error_order+1))``, clamped to the growth
-window ``[FAC_MIN, FAC_MAX]``.  A shipped pair's trial, in ``try_step``
-and inline in the drivers' walk, comes from one generator here.
+window ``[FAC_MIN, FAC_MAX]``; :func:`next_step_size` is its public
+reference.  The controller around a trial is written once, by one
+generator here: ``try_step`` runs it as a walk of one trial, the
+drivers' walk inline.  ``algebra``'s module docstring says which code
+a trial's updates run as.
 """
 
 from __future__ import annotations
@@ -53,7 +56,9 @@ class StepResult(namedtuple("StepResult", ["accepted", "t", "dt", "error_ratio"]
 
 
 def next_step_size(dt, err, error_order, was_rejected=False):
-    """Integral controller for the following step width.
+    """Integral controller for the following step width: the public
+    reference for the controller that ``try_step`` and the drivers'
+    walk run as generated code, which does not call it.
 
     Returns ``dt`` times a factor in ``[FAC_MIN, FAC_MAX]``: a zero
     error ratio grows the width by ``FAC_MAX`` outright, a NaN ratio
@@ -84,13 +89,13 @@ class ControlledStepper(Scratched):
     it runs the whole trial.
 
     A shipped embedded pair (an ``EmbeddedRungeKutta`` that keeps its
-    ``do_step_with_error``) runs each trial as code generated once per
-    tableau and state length, into the controller's own stage states:
-    inline on an unreplaced sequence backend, else the backend's kernel
-    calls, with the same bits.  The drivers' walk runs that trial and
-    the step size control inline, without ``try_step``, which is the
-    manual path and the reference.  Any other stepper's trial goes
-    through its ``do_step_with_error``, counted by a wrapper.
+    ``do_step_with_error``) runs each trial as code generated from its
+    tableau into the controller's own stage states (see ``algebra``'s
+    module docstring); any other pair's trial is its
+    ``do_step_with_error``, counted by a wrapper.  Around either, the
+    hand-over, the count and the step size control are generated once:
+    ``try_step`` runs them for one trial, the drivers' walk inline for
+    every trial.
 
     Instances carry scratch states (the derivative cache among them),
     the rejection history, the last step when it was accepted and the
@@ -146,18 +151,21 @@ class ControlledStepper(Scratched):
         return self._stepper.stage_count + (4 if algebra._fused_length(x) is None else 1)
 
     def _bind(self, algebra, buffers, x, fit_code=((), ()), fit=None):
-        # (trial, ratio, index of the last stage, (walk's trial, its
-        # make's arguments but the states)); the general path's trial is
-        # _general_step, with the first buffer as the last stage.  Dense
-        # output hands in its fit as code for the generated trial and as
-        # a function for the general path.  One backend runs it all.
-        ratio, copy = algebra._error_kernel(buffers), algebra._copy_kernel(x)
-        if not self._plain():
-            return partial(self._general_step, copy, ratio, fit), ratio, 0, (None, ())
-        tableau = self._stepper.tableau
-        make, walk = _trial_code(tableau, algebra._fused_length(x), fit_code)
-        args = (algebra._kernel, ratio, copy)
-        return make(*args), ratio, tableau.stage_count - 1, (walk, args)
+        # (try_step's walk of one trial, the trial's pieces, their make's
+        # arguments).  A user's pair's trial is _general_step, with the
+        # first buffer as the last stage.  Dense output hands in its fit
+        # as code for the generated trial and as a function for the
+        # general path; its states follow the controller's, the last two
+        # of which the ratio runs in.  One backend runs it all.
+        ratio = algebra._error_kernel(buffers[:len(buffers) - len(fit_code[0])])
+        copy, stepper = algebra._copy_kernel(x), self._stepper
+        if self._plain():
+            key, general = (stepper.tableau, algebra._fused_length(x), fit_code), None
+        else:
+            key, general = (), partial(self._general_step, copy, ratio, fit)
+        pieces = _trial_code(stepper.fsal, stepper.error_order, *key)
+        args = (algebra._kernel, ratio, copy, general, buffers)
+        return _one_code(pieces)(*args), pieces, args
 
     @_counting
     def try_step(self, system, x, t, dt):
@@ -177,59 +185,25 @@ class ControlledStepper(Scratched):
         (``t + dt == t``) raises :class:`StepSizeUnderflowError`, both
         before any evaluation.
         """
-        self._span = None
         if not (math.isfinite(t) and math.isfinite(dt)) or dt == 0.0:
             raise ValueError("time and step width must be finite, the width nonzero")
-        if t + dt == t:
-            raise StepSizeUnderflowError(dt, t)
-        _, k, _, (trial, ratio, last, *_) = scratch(self, x, self._count, self._bind)
-        dxdt = k[0]
-        if self._dxdt is not dxdt:
-            if self._dxdt is k[last]:
-                # The last accepted trial's last stage belongs to x:
-                # swap it in as the first stage.
-                k[0], k[last] = k[last], dxdt
-                dxdt = k[0]
-            else:
-                self._evaluations += 1
-                system(x, dxdt, t)
-            self._dxdt = dxdt
-        self._evaluations += last
-        err = trial(system, x, t, dt, self.params.atol, self.params.rtol, k)
-        if err <= 1.0:
-            self._dxdt = k[last] if self._stepper.fsal else None
-            self._span = t, t + dt, dt
-            dt_next = next_step_size(dt, err, self._stepper.error_order, self._rejected)
-            self._rejected = False
-            return StepResult(True, t + dt, dt_next, err)
-        # x and t stay untouched, the cached derivative is still the
-        # derivative at (x, t).  When it is not finite, no smaller
-        # width can help.
-        if not math.isfinite(err) and not math.isfinite(ratio(dxdt, x, dxdt, 1.0, 0.0, 0.0)):
-            raise SolverError(f"the derivative at t={t!r} is not finite")
-        self._rejected = True
-        dt_next = next_step_size(dt, err, self._stepper.error_order, True)
-        if abs(dt_next) < self.params.dt_min:
-            raise StepSizeUnderflowError(dt_next, t, err)
-        return StepResult(False, t, dt_next, err)
+        return scratch(self, x, self._count, self._bind)[3][0](self, system, x, t, dt)
 
     def _inline(self, x):
-        # The walk's inline trial on x and its make's arguments, the
-        # scratch states last; none on a user's pair or an override.
-        _, k, _, (_, _, _, (walk, args), *_) = scratch(self, x, self._count, self._bind)
-        return (walk, (*args, k)) if walk else (None, (None,))
+        # The walk's trial on x, as pieces, and its make's arguments.
+        return scratch(self, x, self._count, self._bind)[3][1:3]
 
     try_step._inline = _inline
 
     def _general_step(self, copy, ratio, fit, system, x, t, dt, atol, rtol, buffers):
         # A trial of the user's from f(x, t) in the first buffer,
         # through do_step_with_error and counted by a wrapper: its
-        # error ratio.  A dense stepper's fit reads the stage record.
+        # error ratio and the evaluations it made.  A dense stepper's
+        # fit reads the stage record.
         dxdt, xtrial, xerr = buffers[:3]
         stepper = self._stepper
         counter = EvaluationCounter(system)
         trial = stepper.do_step_with_error(counter, x, t, dt, out=xtrial, xerr=xerr, dxdt_in=dxdt)
-        self._evaluations += counter.count
         err = ratio(xerr, x, dxdt, atol, rtol, dt)
         if err <= 1.0:
             if fit is not None:
@@ -239,56 +213,59 @@ class ControlledStepper(Scratched):
                 # The last stage derivative belongs to the state just
                 # accepted; keep it as the next trial's first stage.
                 copy(dxdt, trial[2].new_derivative)
-        return err
+        return err, counter.count
 
 
 @lru_cache(maxsize=64)
-def _trial_code(tableau, n, fit=((), ())):
-    """One controlled trial of an embedded pair, generated once per
-    tableau value, length ``n`` and fit as ``explicit._step_code``'s
-    step is: ``(make, walk)``.  ``make(kernel, ratio, copy)`` returns
-    the manual trial ``trial(system, x, t, dt, atol, rtol, k)``: from
-    ``f(x, t)`` in ``k0`` it writes the other stages, the solution
-    ``u`` and a first-same-as-last stage at it, copies ``u`` into
-    ``x`` when the error ratio is at most one, and returns the ratio.
-    A dense stepper's ``fit``, ``(states, lines)`` (see
-    ``dense._dense_code``), names the states after the trial's own in
-    ``k`` and the lines run on acceptance before ``x`` takes ``u``.
-    ``walk``, ``(kernels, head, step, accept, reject, tail)``, is
-    ``try_step`` around the same lines for ``integrate._walk_code`` to
-    run inline: the first-stage hand-over, the evaluation count, the
-    accepted step and ``next_step_size`` with its constants as
-    literals; only ``FAC_MAX`` bounds an accepted ratio's factor (at
-    most one), only ``FAC_MIN`` a rejected one's.  With ``n`` None the
-    error goes into the buffer after ``u`` and ``ratio`` and ``copy``
-    run; inline, each element's ratio is taken from its error update's
-    value, unstored, bit for bit with ``_sequence_ratio``, and so is
-    each copy."""
-    s, update = tableau.stage_count, partial(_update, tableau, n)
-    kl, power = f"k{s - 1}", f"{SAFETY!r} * worst ** {-1.0 / (tableau.error_order + 1)!r}"
-    body = [*_stages(tableau, update), *update("u", tableau.b, 1),
-            *([f"system(u, {kl}, t + dt)"] if tableau.is_fsal else [])]
-    states, fit = fit
-    names = [*(f"k{j}" for j in range(s)), "u", *(["e", "_", "_"] if n is None else []), *states]
-    unpack = f"{', '.join(names)} = k"
-    if n is None:
-        body += [*update("e", tableau.error_weights, 0), "worst = ratio(e, x, k0, atol, rtol, dt)"]
+def _trial_code(fsal, error_order, tableau=None, n=None, fit=((), ())):
+    """One controlled trial, generated once per pair as
+    ``explicit._step_code``'s step is: ``(kernels, head, step, accept,
+    reject, tail)``, the pieces :func:`_one_code` and
+    ``integrate._walk_code`` run, bound by ``make(kernel, ratio, copy,
+    general, k)``.  ``head`` reads the controller; ``step`` hands
+    ``f(x, t)`` over into ``k0``, counts the evaluations and leaves the
+    trial's error ratio in ``worst``; ``accept`` (ratio at most one) or
+    ``reject`` sets ``dt_next`` as ``next_step_size`` would, with its
+    constants as literals: only ``FAC_MAX`` bounds an accepted ratio's
+    factor, only ``FAC_MIN`` a rejected one's; ``tail`` writes the
+    controller back.  A shipped pair's trial is generated from its
+    ``tableau`` for length ``n``, the code ``algebra``'s module
+    docstring describes: the other stages, the solution ``u``, a
+    first-same-as-last stage at it, the error ratio and, on acceptance,
+    the copy of ``u`` into ``x``.  A dense stepper's ``fit``, ``(states,
+    lines)`` (see ``dense._dense_code``), names the states after the
+    trial's own in ``k`` and the lines run before ``x`` takes ``u``.
+    With no ``tableau`` the trial is the one call ``general(system, x,
+    t, dt, atol, rtol, k)`` (``_general_step``), ``k0`` its only stage:
+    pairs of the user's share one entry per ``fsal`` and
+    ``error_order``."""
+    power = f"{SAFETY!r} * worst ** {-1.0 / (error_order + 1)!r}"
+    if tableau is None:
+        s, kernels, unpack, accept = 1, False, "k0 = k[0]", []
+        body = ["worst, used = general(system, x, t, dt, atol, rtol, k)", "evaluations += used"]
     else:
-        body += _ratio_lines(lambda row: update(row, tableau.error_weights, 0), "k0")
-    accept = [*fit, *(["copy(x, u)"] if n is None else _update_lines(n, "x", ["1.0"], ["u"]))]
-    trial = ["def trial(system, x, t, dt, atol, rtol, k):",
-             *_indent([unpack, *body, "if worst <= 1.0:", *_indent(accept), "return worst"])]
+        s, kernels, update = tableau.stage_count, n is None, partial(_update, tableau, n)
+        body = [f"evaluations += {s - 1}", *_stages(tableau, update), *update("u", tableau.b, 1),
+                *([f"system(u, k{s - 1}, t + dt)"] if tableau.is_fsal else [])]
+        states, fit = fit
+        names = [*(f"k{j}" for j in range(s)), "u", *(["e", "_", "_"] if n is None else []), *states]
+        unpack = f"{', '.join(names)} = k"
+        if n is None:
+            body += [*update("e", tableau.error_weights, 0), "worst = ratio(e, x, k0, atol, rtol, dt)"]
+        else:
+            body += _ratio_lines(lambda row: update(row, tableau.error_weights, 0), "k0")
+        accept = [*fit, *(["copy(x, u)"] if n is None else _update_lines(n, "x", ["1.0"], ["u"]))]
+    kl = f"k{s - 1}"
     head = [unpack, "params = stepper.params", "atol, rtol, dt_min = params.atol, params.rtol, params.dt_min",
             "dxdt, again, evaluations = stepper._dxdt, stepper._rejected, 0"]
     step = ["stepper._span = None", "if t + dt == t:", "    raise StepSizeUnderflowError(dt, t)",
             "if dxdt is not k0:", f"    if dxdt is {kl}:", f"        k0, {kl} = {kl}, k0",
-            "    else:", "        evaluations += 1", "        system(x, k0, t)", "    dxdt = k0",
-            f"evaluations += {s - 1}", *body]
+            "    else:", "        evaluations += 1", "        system(x, k0, t)", "    dxdt = k0", *body]
     accept = [*accept, "stepper._span = t, t + dt, dt",
               f"factor = {FAC_MAX!r} if worst == 0.0 else {power}",
               f"if factor > {FAC_MAX!r}:", f"    factor = {FAC_MAX!r}",
               "if again and factor > 1.0:", "    factor = 1.0",
-              f"dt_next, again, dxdt = dt * factor, False, {kl if tableau.is_fsal else None}"]
+              f"dt_next, again, dxdt = dt * factor, False, {kl if fsal else None}"]
     reject = ["if not isfinite(worst) and not isfinite(ratio(k0, x, k0, 1.0, 0.0, 0.0)):",
               "    raise SolverError(f'the derivative at t={t!r} is not finite')",
               f"again, factor = True, {power}",
@@ -296,5 +273,19 @@ def _trial_code(tableau, n, fit=((), ())):
               "if abs(dt_next) < dt_min:", "    raise StepSizeUnderflowError(dt_next, t, worst)"]
     tail = [f"k[0], k[{s - 1}] = k0, {kl}",
             "stepper._dxdt, stepper._rejected = dxdt, again", "stepper._evaluations += evaluations"]
-    walk = (n is None, tuple(head), tuple(step), tuple(accept), tuple(reject), tuple(tail))
-    return _make(n is None, "ratio, copy", trial, "trial"), walk
+    return kernels, tuple(head), tuple(step), tuple(accept), tuple(reject), tuple(tail)
+
+
+@lru_cache(maxsize=64)
+def _one_code(trial):
+    """``try_step``'s walk of one trial from the pieces ``trial`` of
+    :func:`_trial_code`: ``make(kernel, ratio, copy, general, k)``
+    returns ``one(stepper, system, x, t, dt)``, which runs them and
+    returns the :class:`StepResult`."""
+    kernels, head, step, accept, reject, tail = trial
+    return _make(kernels, "ratio, copy, general, k", [
+        "def one(stepper, system, x, t, dt):", *_indent([*head, "try:", *_indent([
+            *step, "if worst <= 1.0:", *_indent([*accept, "return StepResult(True, t + dt, dt_next, worst)"]),
+            *reject, "return StepResult(False, t, dt_next, worst)"]), "finally:", *_indent(tail)]),
+    ], "one", StepResult=StepResult, SolverError=SolverError,
+        StepSizeUnderflowError=StepSizeUnderflowError, isfinite=math.isfinite)

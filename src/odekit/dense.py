@@ -122,12 +122,13 @@ class DenseOutputDopri5(ControlledStepper):
         return super()._count(algebra, x) + len(_P)
 
     def _bind(self, algebra, buffers, x):
-        # The controller's binding on its states, with the fit, then
-        # the interpolation code on the interpolant's: (fit, at, sample).
+        # The controller's binding, with the fit, on all the states
+        # (the interpolant's follow its own), then the interpolation
+        # code on the interpolant's: (fit, at, sample).
         own = len(buffers) - len(_P)
         fit, make = _dense_code(algebra._fused_length(x))
         code = make(algebra._kernel, algebra._copy_kernel(x), algebra.clone_shape, _readonly, buffers[own:])
-        return (*super()._bind(algebra, buffers[:own], x, fit, code[0]), code)
+        return (*super()._bind(algebra, buffers, x, fit, code[0]), code)
 
     def initialize(self, x0, t0, dt0):
         """Set the start state, start time, and first width proposal:

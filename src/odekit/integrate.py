@@ -3,11 +3,12 @@
 Drivers copy the initial state, dispatch on what the stepper can do,
 and call the observer with read-only snapshots; observers never see a
 rejected trial.  Controlled and dense-output steppers run on one
-generated walk, with a shipped controller's trial, dense output's fit
-among them, and its step size control inline, and any other
-stepper's ``try_step`` called.  Every
-run returns an :class:`IntegrationReport` with the final state and the
-step and evaluation counters.
+generated walk: every :class:`ControlledStepper`'s trial and step
+size control inline, dense output's fit among them, and any other
+stepper's ``try_step`` called (see ``algebra``'s module docstring for
+which code the trials' updates run as).  Every run returns an
+:class:`IntegrationReport` with the final state and the step and
+evaluation counters.
 
 The drivers call the user's system directly: every shipped stepping
 method counts the evaluations it makes, and the drivers report that
@@ -157,10 +158,10 @@ def _walk_code(trial, observe):
     """:func:`_controlled_walk`'s loop, generated per trial and observe
     mode: ``make(kernel, ...)`` returns ``walk(stepper, system, x, t,
     targets, dt_next, observer, sample, snap)``.  A ``trial`` None calls
-    ``try_step``; an inline one is ``(kernels, head, step, accept,
-    reject, tail)``, bound by ``make(kernel, ratio, copy, k)``: ``step``
-    leaves a trial's error ratio in ``worst``, ``accept`` or ``reject``
-    sets ``dt_next``, and ``evaluations`` counts."""
+    ``try_step``; an inline one is ``controlled._trial_code``'s pieces,
+    bound by ``make(kernel, ratio, copy, general, k)``: ``step`` leaves
+    a trial's error ratio in ``worst``, ``accept`` or ``reject`` sets
+    ``dt_next``, and ``evaluations`` counts."""
     seen = ["observer(snap(x), t)"]
     on_step = {"steps": seen, "samples": ["j = sample(observer, t0, h, j, t_end, t + reach)"]}.get(observe, [])
     on_target = seen if observe in ("targets", "samples") else []
@@ -171,7 +172,7 @@ def _walk_code(trial, observe):
         step = ["result = try_step(system, x, t, target - t if clamped else dt_next)",
                 "dt_next = result.dt", "if result.accepted:"]
     else:
-        (kernels, head, step, accept, reject, tail), args = trial, "ratio, copy, k"
+        (kernels, head, step, accept, reject, tail), args = trial, "ratio, copy, general, k"
         after, count = "t + dt", "evaluations"
         step = ["dt = target - t if clamped else dt_next", *step, "if worst <= 1.0:"]
     report = f"IntegrationReport(x, t, accepted, rejected, {count})"

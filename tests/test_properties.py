@@ -10,7 +10,9 @@ path, and a controlled run with a pair's own ``do_step_with_error``
 has them too; the generated walk runs the trials, observations (a
 dense stepper's grid samples as its public ``calc_state`` gives them),
 failures and controller state of a loop over the public ``try_step``
-and ``next_step_size``, bit for bit; every driver reports the
+and ``next_step_size``, bit for bit, and both drivers and ``try_step``
+those of a loop over the pair's ``do_step_with_error``, the algebra's
+``error_ratio_max`` and ``next_step_size``; every driver reports the
 evaluations a counting closure sees; the controller's in-place error
 ratio equals the checked one, the textbook formula and the list
 backend bit for bit; a warm implicit Euler steps as a fresh one does,
@@ -46,6 +48,7 @@ from odekit import (
     next_step_size,
 )
 from odekit.algebra import NUMPY_ALGEBRA, SEQUENCE_ALGEBRA, UNROLL, SequenceAlgebra
+from odekit.controlled import StepResult
 from odekit.explicit import EmbeddedRungeKutta, ExplicitRungeKutta
 from odekit.integrate import GRID_SNAP
 from odekit.tableaus import ButcherTableau
@@ -592,12 +595,21 @@ def patched_controller(pair, params):
     return made
 
 
+def dense_around_users_pair(algebra, params):
+    """Dense output whose pair's ``do_step_with_error`` is the user's."""
+    made = DenseOutputDopri5(params, algebra)
+    made.stepper = delegating(DormandPrince5)(algebra)
+    return made
+
+
 WALK_FORMS = {
     "inline-ck54": lambda algebra, params: ControlledStepper(CashKarp54(algebra), params),
     "inline-dopri5": lambda algebra, params: ControlledStepper(DormandPrince5(algebra), params),
     "override": lambda algebra, params: recording_controller(DormandPrince5(algebra), params),
     "patched": lambda algebra, params: patched_controller(CashKarp54(algebra), params),
     "dense": lambda algebra, params: DenseOutputDopri5(params, algebra),
+    "user-pair": lambda algebra, params: ControlledStepper(delegating(DormandPrince5)(algebra), params),
+    "dense-user-pair": lambda algebra, params: dense_around_users_pair(algebra, params),
 }
 WALK_BOXES = {"list": (list, None), "numpy": (np.array, None), "general": (list, GeneralAlgebra())}
 
@@ -700,6 +712,12 @@ def outcome(report, evaluations):
          grid=True, kind="none")
 @example(x0=[1.0, -0.5, 0.25], t1=2.0, dt0=0.05, tol=1e-8, form="dense", box="numpy",
          grid=True, kind="after")
+@example(x0=[1.0, -0.5, 0.25], t1=2.0, dt0=4.0, tol=1e-8, form="user-pair", box="list",
+         grid=False, kind="none")
+@example(x0=[1.0, -0.5, 0.25], t1=2.0, dt0=0.5, tol=1e-8, form="user-pair", box="numpy",
+         grid=True, kind="after")
+@example(x0=[1.0, -0.5, 0.25], t1=2.0, dt0=0.05, tol=1e-8, form="dense-user-pair", box="general",
+         grid=True, kind="beyond")
 def test_generated_walk_matches_a_loop_over_the_public_try_step(x0, t1, dt0, tol, form, box, grid, kind):
     # The system sees the time and the state of every stage of every
     # trial, rejected ones included, so equal call logs mean equal
@@ -710,7 +728,7 @@ def test_generated_walk_matches_a_loop_over_the_public_try_step(x0, t1, dt0, tol
     # points through calc_state after each accepted step, and the
     # interpolant left after the run is compared too.
     box, algebra = WALK_BOXES[box]
-    sampled = grid and form == "dense"
+    sampled = grid and form.startswith("dense")
     if grid:
         dt0 = min(dt0, t1)
     params = ControllerParams(atol=tol, rtol=tol, dt_min=1e-6)
@@ -735,8 +753,108 @@ def test_generated_walk_matches_a_loop_over_the_public_try_step(x0, t1, dt0, tol
     assert controller_state(walked) == controller_state(reference)
     if form in ("override", "patched"):
         assert walked.trials == trials
-    if form == "dense":
+    if form.startswith("dense"):
         assert interpolant(walked) == interpolant(reference)
+    if x0 == [1.0, -0.5, 0.25] and kind == "none":
+        assert not all(accepted for _, _, accepted in trials)  # the explicit example rejects
+
+
+# --- the controller against a loop over the public pieces -----------------
+
+
+class ReferenceController:
+    """A controller written over the public pieces only, with no
+    generated controller code: the pair's ``do_step_with_error``, the
+    algebra's ``error_ratio_max`` and ``next_step_size``.  It keeps
+    ``f(x, t)`` through a rejection, hands over a first-same-as-last
+    pair's ``new_derivative`` on acceptance and counts every
+    evaluation in ``evaluations``."""
+
+    def __init__(self, pair, algebra, params):
+        self.stepper, self.algebra, self.params = pair, algebra, params
+        self.dxdt, self.again, self.evaluations = None, False, 0
+
+    def try_step(self, system, x, t, dt):
+        if t + dt == t:
+            raise StepSizeUnderflowError(dt, t)
+        pair, algebra, counter = self.stepper, self.algebra, EvaluationCounter(system)
+        if self.dxdt is None:
+            self.dxdt = algebra.clone_shape(x)
+            counter(x, self.dxdt, t)
+        out, xerr = algebra.clone_shape(x), algebra.clone_shape(x)
+        made = pair.do_step_with_error(counter, x, t, dt, out=out, xerr=xerr, dxdt_in=self.dxdt)
+        self.evaluations += counter.count
+        err = algebra.error_ratio_max(xerr, x, self.dxdt, self.params.atol, self.params.rtol, dt)
+        if err <= 1.0:
+            algebra.copy(x, out)
+            dt_next = next_step_size(dt, err, pair.error_order, self.again)
+            self.dxdt, self.again = None, False
+            if pair.fsal:
+                self.dxdt = algebra.clone_shape(x)
+                algebra.copy(self.dxdt, made[2].new_derivative)
+            return StepResult(True, t + dt, dt_next, err)
+        if not math.isfinite(err) and not np.isfinite(np.asarray(self.dxdt, dtype=float)).all():
+            raise SolverError(f"the derivative at t={t!r} is not finite")
+        self.again = True
+        dt_next = next_step_size(dt, err, pair.error_order, True)
+        if abs(dt_next) < self.params.dt_min:
+            raise StepSizeUnderflowError(dt_next, t, err)
+        return StepResult(False, t, dt_next, err)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(
+    x0=STATES,
+    t1=st.floats(0.3, 2.0),
+    dt0=st.floats(0.01, 4.0),
+    tol=st.floats(1e-9, 1e-3),
+    pair=st.sampled_from(sorted(PAIRS)),
+    box=st.sampled_from(sorted(WALK_BOXES)),
+    grid=st.booleans(),
+    kind=st.sampled_from(["after", "beyond", "start", "none"]),
+)
+@example(x0=[1.0, -0.5, 0.25], t1=2.0, dt0=4.0, tol=1e-8, pair="dopri5", box="list", grid=False,
+         kind="none")
+@example(x0=[1.0, -0.5, 0.25], t1=2.0, dt0=0.5, tol=1e-8, pair="ck54", box="numpy", grid=True,
+         kind="after")
+@example(x0=[1.0, -0.5, 0.25], t1=2.0, dt0=0.5, tol=1e-8, pair="dopri5", box="general", grid=True,
+         kind="start")
+def test_controller_matches_a_loop_over_the_public_pair_ratio_and_controller(
+        x0, t1, dt0, tol, pair, box, grid, kind):
+    # try_step and the drivers' walk are generated from the same
+    # pieces; the reference shares none of them.  Both drivers and a
+    # loop of try_step calls give the reference's call log (every
+    # stage of every trial), observations, trials, error, final or
+    # partial report and evaluation count, bit for bit.
+    box, algebra = WALK_BOXES[box]
+    if grid:
+        dt0 = min(dt0, t1)
+    params = ControllerParams(atol=tol, rtol=tol, dt_min=1e-6)
+    targets = expected_grid(0.0, t1, dt0)[1:] if grid else [t1]
+    backend = algebra or (NUMPY_ALGEBRA if box is np.array else SEQUENCE_ALGEBRA)
+
+    def looped(stepper, evaluations):
+        rhs, calls = walk_system(kind)
+        seen = []
+        trials, failure, report = public_walk(stepper, rhs, box(x0), t1, dt0, targets,
+                                              lambda x, t: seen.append((t.hex(), hexes(x))), not grid)
+        return trials, (calls, seen, failure, outcome(report, evaluations(stepper)))
+
+    reference = ReferenceController(PAIRS[pair](algebra), backend, params)
+    trials, expected = looped(reference, lambda stepper: stepper.evaluations)
+    assert expected[3][-1] == len(expected[0])
+    assert looped(ControlledStepper(PAIRS[pair](algebra), params), lambda stepper: stepper._evaluations) \
+        == (trials, expected)
+
+    rhs, calls = walk_system(kind)
+    seen = []
+    try:
+        report, failure = (integrate_const if grid else integrate_adaptive)(
+            ControlledStepper(PAIRS[pair](algebra), params), rhs, box(x0), 0.0, t1, dt0,
+            lambda x, t: seen.append((t.hex(), hexes(x)))), None
+    except SolverError as exc:
+        report, failure = exc.partial_report, (type(exc), str(exc))
+    assert (calls, seen, failure, outcome(report, report.system_evaluations)) == expected
     if x0 == [1.0, -0.5, 0.25] and kind == "none":
         assert not all(accepted for _, _, accepted in trials)  # the explicit example rejects
 

@@ -1,11 +1,13 @@
 """Dense output as a controlled stepper on the shared walk, one trial
 call form for every embedded pair, scratch keyed on shape and dtype,
-partial reports from the fixed-step driver, and a shipped controller,
-dense output included, walked with no call of its try_step or of
-next_step_size."""
+partial reports from the fixed-step driver, and every controller,
+dense output and a pair of the user's included, walked with no call
+of its try_step, and no call of next_step_size in the library."""
 
+import ast
 import functools
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from odekit import (
     integrate_adaptive,
     integrate_const,
 )
+from test_properties import delegating
 
 
 def expgrow(x, dxdt, t):
@@ -169,9 +172,11 @@ def test_integrate_const_fixed_failure_carries_partial_report():
 
 
 def test_shipped_controller_walks_with_no_try_step_or_controller_call(monkeypatch):
-    # The generated walk runs the trial and the step size control of a
-    # shipped pair inline, the dense stepper's fit and grid samples
-    # included; manual stepping still calls the controller.
+    # The generated walk runs the trial and the step size control of
+    # every controller inline, around a shipped pair or one whose
+    # do_step_with_error is the user's, the dense stepper's fit and
+    # grid samples included.  Manual stepping calls try_step, and
+    # nothing in the library calls next_step_size, the reference.
     import odekit.controlled as controlled
 
     calls, trials = [], []
@@ -186,7 +191,7 @@ def test_shipped_controller_walks_with_no_try_step_or_controller_call(monkeypatc
 
     monkeypatch.setattr(ControlledStepper, "try_step", try_step)
     for box in (list, np.array):
-        for pair in (CashKarp54, DormandPrince5):
+        for pair in (CashKarp54, DormandPrince5, delegating(DormandPrince5)):
             report = integrate_adaptive(ControlledStepper(pair()), expgrow, box([1.0]), 0.0, 1.0, 0.1)
             assert report.steps_accepted > 0
         for driver in (integrate_adaptive, integrate_const):
@@ -195,6 +200,12 @@ def test_shipped_controller_walks_with_no_try_step_or_controller_call(monkeypatc
                             lambda x, t: seen.append(t))
             assert report.steps_accepted > 0 and len(seen) > report.steps_accepted
     assert calls == [] and trials == []
-    ControlledStepper(DormandPrince5()).try_step(expgrow, [1.0], 0.0, 0.1)
-    DenseOutputDopri5().try_step(expgrow, [1.0], 0.0, 0.1)
-    assert len(calls) == len(trials) == 2
+    for stepper in (ControlledStepper(DormandPrince5()), ControlledStepper(delegating(CashKarp54)()),
+                    DenseOutputDopri5()):
+        stepper.try_step(expgrow, [1.0], 0.0, 0.1)
+    assert len(trials) == 3 and calls == []
+    source = pathlib.Path(controlled.__file__).parent
+    callers = [path.name for path in source.glob("*.py") for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.Call) and "next_step_size" in (getattr(node.func, "id", None),
+                                                                       getattr(node.func, "attr", None))]
+    assert callers == []

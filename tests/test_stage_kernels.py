@@ -34,6 +34,7 @@ from odekit.algebra import MAX_TERMS, NUMPY_ALGEBRA, UNROLL, NumpyAlgebra, Seque
 from odekit.controlled import _trial_code
 from odekit.explicit import ExplicitRungeKutta, _step_code
 from odekit.tableaus import ButcherTableau
+from test_properties import delegating
 
 X0 = [10.0, 10.0, 10.0]
 
@@ -344,7 +345,8 @@ def test_trial_code_is_generated_once_per_tableau_and_length():
     # The controller's generated trial is keyed on (tableau, length,
     # fit): the length None for numpy, which calls its kernels, and the
     # fit a dense stepper's, so a dense stepper adds one entry per
-    # length, shared by every dense stepper.
+    # length, shared by every dense stepper.  try_step runs one code
+    # object per entry, the walk the entry's pieces.
     _trial_code.cache_clear()
     trials = []
     for box in (list, np.array):
@@ -362,12 +364,12 @@ def test_trial_code_is_generated_once_per_tableau_and_length():
     for make in (DormandPrince5, CashKarp54, DenseOutputDopri5):
         for box in (list, np.array):
             assert len({id(trial.__code__) for owner, b, trial in trials if (owner, b) == (make, box)}) == 1
-    # The walk runs the inline trial of the same cached entry.
     for make in (DormandPrince5, CashKarp54):
         for box, n in ((list, len(X0)), (np.array, None)):
             controller, x = ControlledStepper(make()), box(X0)
-            walk, _ = controller.try_step._inline(controller, x)
-            assert walk is _trial_code(controller.stepper.tableau, n, ((), ()))[1]
+            pieces, _ = controller.try_step._inline(controller, x)
+            pair = controller.stepper
+            assert pieces is _trial_code(pair.fsal, pair.error_order, pair.tableau, n, ((), ()))
     assert _trial_code.cache_info().misses == 6
     # Lengths past UNROLL share one looped trial.
     _trial_code.cache_clear()
@@ -376,6 +378,20 @@ def test_trial_code_is_generated_once_per_tableau_and_length():
             ControlledStepper(make()).try_step(decay_rows, [1.0] * n, 0.0, 0.01)
     info = _trial_code.cache_info()
     assert info.misses == info.currsize == 2 * (UNROLL + 1) <= info.maxsize
+    # Pairs whose do_step_with_error is the user's, dense output's
+    # among them, share one entry per (fsal, error_order), whatever
+    # the state.
+    _trial_code.cache_clear()
+    for n in range(1, 13):
+        for box in (list, np.array):
+            for make in (DormandPrince5, CashKarp54):
+                ControlledStepper(delegating(make)()).try_step(decay_rows, box([1.0] * n), 0.0, 0.01)
+            dense = DenseOutputDopri5()
+            dense.stepper = delegating(DormandPrince5)()
+            dense.try_step(decay_rows, box([1.0] * n), 0.0, 0.01)
+            assert dense.try_step._inline(dense, box([1.0] * n))[0] is _trial_code(True, 4)
+    info = _trial_code.cache_info()
+    assert info.misses == info.currsize == 2
 
 
 @pytest.mark.parametrize("make", [LoggingAlgebra, logging_instance], ids=["class", "instance"])
@@ -605,7 +621,7 @@ def test_controlled_trial_ratio_allocates_no_state_sized_array():
     controller = ControlledStepper(DormandPrince5())
     controller.try_step(LORENZ, x, 0.0, 1e-3)  # warm-up binds the scratch
     # The stages, the solution, the error and the two ratio states.
-    _, (dxdt, *_, xerr, _, _), _, (_, ratio, *_) = controller._scratch[1]
+    _, (dxdt, *_, xerr, _, _), _, (_, _, (_, ratio, *_)) = controller._scratch[1]
     ratio(xerr, x, dxdt, 1e-6, 1e-6, 1e-3)
     peaks = []
     for call in (ratio, NUMPY_ALGEBRA.error_ratio_max):
