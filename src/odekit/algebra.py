@@ -21,6 +21,9 @@ generated for its length and writes its updates inline, the
 controller its whole trial; on numpy states, and wherever any of the
 three methods is replaced, the same generated code calls the kernels
 (see ``Algebra._fused_length``), each on one scaffold, :func:`_make`.
+On a sequence state a fixed-step stepper's whole step is also its
+instance's own ``do_step``, behind one guard on the state's type and
+length (:func:`_enter`); any other call runs the class's method.
 """
 
 from __future__ import annotations

@@ -91,11 +91,13 @@ class ControlledStepper(Scratched):
     A shipped embedded pair (an ``EmbeddedRungeKutta`` that keeps its
     ``do_step_with_error``) runs each trial as code generated from its
     tableau into the controller's own stage states (see ``algebra``'s
-    module docstring); any other pair's trial is its
-    ``do_step_with_error``, counted by a wrapper.  Around either, the
-    hand-over, the count and the step size control are generated once:
-    ``try_step`` runs them for one trial, the drivers' walk inline for
-    every trial.
+    module docstring).  Any other pair, which must have
+    ``do_step_with_error``, ``error_order`` and ``fsal`` (see the
+    README), runs each trial as one call of its ``do_step_with_error``
+    with the system in an :class:`EvaluationCounter`.  Around either,
+    the hand-over, the count, the acceptance and the step size control
+    are generated once: ``try_step`` runs them for one trial, the
+    drivers' walk inline for every trial.
 
     Instances carry scratch states (the derivative cache among them),
     the rejection history, the last step when it was accepted and the
@@ -108,8 +110,6 @@ class ControlledStepper(Scratched):
     _caches = ("_scratch", "_dxdt", "_span")
 
     def __init__(self, stepper, params=None, algebra=None):
-        if getattr(stepper, "error_order", None) is None:
-            raise TypeError(f"{type(stepper).__name__} provides no embedded error estimate")
         self.stepper = stepper
         self.params = ControllerParams() if params is None else params
         self._algebra = algebra
@@ -127,6 +127,10 @@ class ControlledStepper(Scratched):
 
     @stepper.setter
     def stepper(self, stepper):
+        missing = [name for name in ("do_step_with_error", "error_order", "fsal")
+                   if getattr(stepper, name, None) is None]
+        if missing:
+            raise TypeError(f"{type(stepper).__name__} is no embedded error stepper: it has no {', '.join(missing)}")
         self._stepper, self._scratch, self._span = stepper, None, None
 
     def reset(self):
@@ -143,28 +147,22 @@ class ControlledStepper(Scratched):
         return getattr(type(self._stepper), "do_step_with_error", None) is EmbeddedRungeKutta.do_step_with_error
 
     def _count(self, algebra, x):
-        # The general path's derivative, trial state, error and two
-        # ratio states; else the stages, the solution and, for kernel
-        # calls, an error state and two ratio states.
+        # A user's pair's first stage, trial state, error and two ratio
+        # states; else the stages, the solution and, for kernel calls,
+        # an error state and two ratio states.
         if not self._plain():
             return 5
         return self._stepper.stage_count + (4 if algebra._fused_length(x) is None else 1)
 
-    def _bind(self, algebra, buffers, x, fit_code=((), ()), fit=None):
+    def _bind(self, algebra, buffers, x, fit=((), ())):
         # (try_step's walk of one trial, the trial's pieces, their make's
-        # arguments).  A user's pair's trial is _general_step, with the
-        # first buffer as the last stage.  Dense output hands in its fit
-        # as code for the generated trial and as a function for the
-        # general path; its states follow the controller's, the last two
-        # of which the ratio runs in.  One backend runs it all.
-        ratio = algebra._error_kernel(buffers[:len(buffers) - len(fit_code[0])])
-        copy, stepper = algebra._copy_kernel(x), self._stepper
-        if self._plain():
-            key, general = (stepper.tableau, algebra._fused_length(x), fit_code), None
-        else:
-            key, general = (), partial(self._general_step, copy, ratio, fit)
-        pieces = _trial_code(stepper.fsal, stepper.error_order, *key)
-        args = (algebra._kernel, ratio, copy, general, buffers)
+        # arguments).  Dense output hands in its fit; its states follow
+        # the controller's, the last two of which the ratio runs in.
+        # One backend runs it all.
+        ratio, stepper = algebra._error_kernel(buffers[:len(buffers) - len(fit[0])]), self._stepper
+        pieces = _trial_code(stepper.fsal, stepper.error_order, stepper.tableau if self._plain() else None,
+                             algebra._fused_length(x), fit)
+        args = (algebra._kernel, ratio, algebra._copy_kernel(x), buffers)
         return _one_code(pieces)(*args), pieces, args
 
     @_counting
@@ -195,73 +193,54 @@ class ControlledStepper(Scratched):
 
     try_step._inline = _inline
 
-    def _general_step(self, copy, ratio, fit, system, x, t, dt, atol, rtol, buffers):
-        # A trial of the user's from f(x, t) in the first buffer,
-        # through do_step_with_error and counted by a wrapper: its
-        # error ratio and the evaluations it made.  A dense stepper's
-        # fit reads the stage record.
-        dxdt, xtrial, xerr = buffers[:3]
-        stepper = self._stepper
-        counter = EvaluationCounter(system)
-        trial = stepper.do_step_with_error(counter, x, t, dt, out=xtrial, xerr=xerr, dxdt_in=dxdt)
-        err = ratio(xerr, x, dxdt, atol, rtol, dt)
-        if err <= 1.0:
-            if fit is not None:
-                fit(x, xtrial, trial[2].derivatives, dt)
-            copy(x, xtrial)
-            if stepper.fsal:
-                # The last stage derivative belongs to the state just
-                # accepted; keep it as the next trial's first stage.
-                copy(dxdt, trial[2].new_derivative)
-        return err, counter.count
-
 
 @lru_cache(maxsize=64)
-def _trial_code(fsal, error_order, tableau=None, n=None, fit=((), ())):
-    """One controlled trial, generated once per pair as
-    ``explicit._step_code``'s step is: ``(kernels, head, step, accept,
-    reject, tail)``, the pieces :func:`_one_code` and
+def _trial_code(fsal, error_order, tableau, n, fit=((), ())):
+    """One controlled trial, generated once per pair and length ``n``
+    as ``explicit._step_code``'s step is: ``(kernels, head, step,
+    accept, reject, tail)``, the pieces :func:`_one_code` and
     ``integrate._walk_code`` run, bound by ``make(kernel, ratio, copy,
-    general, k)``.  ``head`` reads the controller; ``step`` hands
-    ``f(x, t)`` over into ``k0``, counts the evaluations and leaves the
-    trial's error ratio in ``worst``; ``accept`` (ratio at most one) or
+    k)``.  ``head`` reads the controller; ``step`` hands ``f(x, t)``
+    over into ``k0``, counts the evaluations and leaves the trial's
+    error ratio in ``worst``; ``accept`` (ratio at most one) or
     ``reject`` sets ``dt_next`` as ``next_step_size`` would, with its
     constants as literals: only ``FAC_MAX`` bounds an accepted ratio's
     factor, only ``FAC_MIN`` a rejected one's; ``tail`` writes the
     controller back.  A shipped pair's trial is generated from its
-    ``tableau`` for length ``n``, the code ``algebra``'s module
-    docstring describes: the other stages, the solution ``u``, a
-    first-same-as-last stage at it, the error ratio and, on acceptance,
-    the copy of ``u`` into ``x``.  A dense stepper's ``fit``, ``(states,
-    lines)`` (see ``dense._dense_code``), names the states after the
-    trial's own in ``k`` and the lines run before ``x`` takes ``u``.
-    With no ``tableau`` the trial is the one call ``general(system, x,
-    t, dt, atol, rtol, k)`` (``_general_step``), ``k0`` its only stage:
-    pairs of the user's share one entry per ``fsal`` and
-    ``error_order``."""
+    ``tableau``, the code ``algebra``'s module docstring describes: the
+    other stages, the solution ``u``, a first-same-as-last stage at it
+    and the error ratio.  With no ``tableau`` it is ``trial =`` one
+    call of the user's pair's ``do_step_with_error`` from ``k0`` into
+    ``u`` and ``e``, its evaluations counted even when it raises.  Then
+    ``accept`` runs a dense stepper's ``fit``, ``(states, lines)`` (see
+    ``dense._dense_code``), whose states follow the trial's own in
+    ``k``, copies ``u`` into ``x`` and, after a user's
+    first-same-as-last pair, ``trial[2].new_derivative`` into ``k0``."""
     power = f"{SAFETY!r} * worst ** {-1.0 / (error_order + 1)!r}"
+    states, fit = fit
+    called = tableau is None or n is None  # the error ratio is a call on the state e
     if tableau is None:
-        s, kernels, unpack, accept = 1, False, "k0 = k[0]", []
-        body = ["worst, used = general(system, x, t, dt, atol, rtol, k)", "evaluations += used"]
+        s, pair = 1, ["pair, counter = stepper._stepper.do_step_with_error, EvaluationCounter(system)"]
+        body = ["try:", "    trial = pair(counter, x, t, dt, out=u, xerr=e, dxdt_in=k0)",
+                "finally:", "    evaluations += counter.count", "    counter.count = 0"]
     else:
-        s, kernels, update = tableau.stage_count, n is None, partial(_update, tableau, n)
+        s, pair, update = tableau.stage_count, [], partial(_update, tableau, n)
         body = [f"evaluations += {s - 1}", *_stages(tableau, update), *update("u", tableau.b, 1),
-                *([f"system(u, k{s - 1}, t + dt)"] if tableau.is_fsal else [])]
-        states, fit = fit
-        names = [*(f"k{j}" for j in range(s)), "u", *(["e", "_", "_"] if n is None else []), *states]
-        unpack = f"{', '.join(names)} = k"
-        if n is None:
-            body += [*update("e", tableau.error_weights, 0), "worst = ratio(e, x, k0, atol, rtol, dt)"]
-        else:
-            body += _ratio_lines(lambda row: update(row, tableau.error_weights, 0), "k0")
-        accept = [*fit, *(["copy(x, u)"] if n is None else _update_lines(n, "x", ["1.0"], ["u"]))]
+                *([f"system(u, k{s - 1}, t + dt)"] if tableau.is_fsal else []),
+                *(update("e", tableau.error_weights, 0) if n is None
+                  else _ratio_lines(lambda row: update(row, tableau.error_weights, 0), "k0"))]
+    names = [*(f"k{j}" for j in range(s)), "u", *(["e", "_", "_"] if called else []), *states]
     kl = f"k{s - 1}"
-    head = [unpack, "params = stepper.params", "atol, rtol, dt_min = params.atol, params.rtol, params.dt_min",
+    head = [f"{', '.join(names)} = k", *pair, "params = stepper.params",
+            "atol, rtol, dt_min = params.atol, params.rtol, params.dt_min",
             "dxdt, again, evaluations = stepper._dxdt, stepper._rejected, 0"]
     step = ["stepper._span = None", "if t + dt == t:", "    raise StepSizeUnderflowError(dt, t)",
             "if dxdt is not k0:", f"    if dxdt is {kl}:", f"        k0, {kl} = {kl}, k0",
-            "    else:", "        evaluations += 1", "        system(x, k0, t)", "    dxdt = k0", *body]
-    accept = [*accept, "stepper._span = t, t + dt, dt",
+            "    else:", "        evaluations += 1", "        system(x, k0, t)", "    dxdt = k0", *body,
+            *(["worst = ratio(e, x, k0, atol, rtol, dt)"] if called else [])]
+    accept = [*fit, *(["copy(x, u)"] if n is None else _update_lines(n, "x", ["1.0"], ["u"])),
+              *(["copy(k0, trial[2].new_derivative)"] if fsal and tableau is None else []),
+              "stepper._span = t, t + dt, dt",
               f"factor = {FAC_MAX!r} if worst == 0.0 else {power}",
               f"if factor > {FAC_MAX!r}:", f"    factor = {FAC_MAX!r}",
               "if again and factor > 1.0:", "    factor = 1.0",
@@ -273,19 +252,19 @@ def _trial_code(fsal, error_order, tableau=None, n=None, fit=((), ())):
               "if abs(dt_next) < dt_min:", "    raise StepSizeUnderflowError(dt_next, t, worst)"]
     tail = [f"k[0], k[{s - 1}] = k0, {kl}",
             "stepper._dxdt, stepper._rejected = dxdt, again", "stepper._evaluations += evaluations"]
-    return kernels, tuple(head), tuple(step), tuple(accept), tuple(reject), tuple(tail)
+    return n is None, tuple(head), tuple(step), tuple(accept), tuple(reject), tuple(tail)
 
 
 @lru_cache(maxsize=64)
 def _one_code(trial):
     """``try_step``'s walk of one trial from the pieces ``trial`` of
-    :func:`_trial_code`: ``make(kernel, ratio, copy, general, k)``
-    returns ``one(stepper, system, x, t, dt)``, which runs them and
-    returns the :class:`StepResult`."""
+    :func:`_trial_code`: ``make(kernel, ratio, copy, k)`` returns
+    ``one(stepper, system, x, t, dt)``, which runs them and returns the
+    :class:`StepResult`."""
     kernels, head, step, accept, reject, tail = trial
-    return _make(kernels, "ratio, copy, general, k", [
+    return _make(kernels, "ratio, copy, k", [
         "def one(stepper, system, x, t, dt):", *_indent([*head, "try:", *_indent([
             *step, "if worst <= 1.0:", *_indent([*accept, "return StepResult(True, t + dt, dt_next, worst)"]),
             *reject, "return StepResult(False, t, dt_next, worst)"]), "finally:", *_indent(tail)]),
-    ], "one", StepResult=StepResult, SolverError=SolverError,
-        StepSizeUnderflowError=StepSizeUnderflowError, isfinite=math.isfinite)
+    ], "one", StepResult=StepResult, SolverError=SolverError, StepSizeUnderflowError=StepSizeUnderflowError,
+        isfinite=math.isfinite, EvaluationCounter=EvaluationCounter)

@@ -3,10 +3,11 @@
 ``DenseOutputDopri5`` is a :class:`ControlledStepper` over the
 Dormand-Prince pair whose trial, on acceptance, also fits the quartic
 continuous extension over the step just taken, so ``calc_state``
-evaluates the trajectory inside that step at no system evaluations
-and the drivers walk it inline as any shipped controller.  On a grid,
-:func:`integrate_const` hands each accepted step to a generated
-sampler, which observes every grid point inside it at once.
+evaluates the trajectory inside that step at no system evaluations.
+On a grid, :func:`integrate_const` hands each accepted step to a
+sampler, which observes every grid point inside it at once.  The fit,
+the interpolant and the sampler are generated code (see ``algebra``'s
+module docstring).
 """
 
 from __future__ import annotations
@@ -40,15 +41,14 @@ def _dense_code(n):
     ``p0`` and fit ``p1``..``p4`` from it, the new state ``u``, the
     stage derivatives ``k0``..``k6`` and the width ``dt``; the
     controller's generated trial runs them on acceptance.
-    ``make(kernel, copy, clone, readonly, p)`` binds the states ``p``
-    and returns ``fit(x, u, k, dt)``, which runs them for the general
-    path, ``at(theta, out)``,
-    and ``sample(observer, lo, hi, h, t0, dt, j, t_end, limit)``, which
-    observes each grid point ``t0 + j*dt`` (``j`` counting up) below
-    ``t_end`` and up to ``limit``, interpolated on the step ``[lo, hi]``
-    of width ``h`` at that time or ``hi`` if earlier, and returns the
-    next ``j``.  A snapshot is a tuple built inline, or a fresh copy
-    filled by the 5-term kernel and made read-only."""
+    ``make(kernel, clone, readonly, p)`` binds the states ``p`` and
+    returns ``at(theta, out)`` and ``sample(observer, lo, hi, h, t0,
+    dt, j, t_end, limit)``, which observes each grid point ``t0 +
+    j*dt`` (``j`` counting up) below ``t_end`` and up to ``limit``,
+    interpolated on the step ``[lo, hi]`` of width ``h`` at that time
+    or ``hi`` if earlier, and returns the next ``j``.  A snapshot is a
+    tuple built inline, or a fresh copy filled by the 5-term kernel
+    and made read-only."""
     update = partial(_update_lines, n)
     fit = (*(["copy(p0, x)"] if n is None else update("p0", ["1.0"], ["x"])),
            *update("p1", ["1.0", "-1.0"], ["u", "p0"]),
@@ -61,11 +61,8 @@ def _dense_code(n):
         snap = [*update(lambda i, v: f"s{i} = {v}", *_ROW), f"s = {''.join(f's{i}, ' for i in range(n))}"]
     else:
         snap = ["s = []", *update(lambda i, v: f"s.append({v})", *_ROW), "s = tuple(s)"]
-    return (_P, fit), _make(n is None, "copy, clone, readonly, p", [
+    return (_P, fit), _make(n is None, "clone, readonly, p", [
         f"{', '.join(_P)} = p",
-        "def fit(x, u, k, dt):",
-        "    k0, _, k2, k3, k4, k5, k6 = k[:7]",
-        *_indent(fit),
         "def at(theta, out):",
         "    omt = 1.0 - theta",
         *_indent(update("out", *_ROW)),
@@ -80,7 +77,7 @@ def _dense_code(n):
         "        j += 1",
         "        t = t0 + j * dt",
         "    return j",
-    ], "fit, at, sample")
+    ], "at, sample")
 
 
 class DenseOutputDopri5(ControlledStepper):
@@ -97,7 +94,9 @@ class DenseOutputDopri5(ControlledStepper):
 
     Each trial is :class:`ControlledStepper`'s with the fit run inside
     it on acceptance (see :func:`_dense_code`).  ``stepper`` takes only
-    a Dormand-Prince pair, whose stages the interpolant is fitted to.
+    a pair with the Dormand-Prince tableau, whose stages the
+    interpolant is fitted to: a pair of the user's hands over the
+    stages after the first in its :class:`StageRecord`.
 
     Parameters
     ----------
@@ -124,11 +123,13 @@ class DenseOutputDopri5(ControlledStepper):
     def _bind(self, algebra, buffers, x):
         # The controller's binding, with the fit, on all the states
         # (the interpolant's follow its own), then the interpolation
-        # code on the interpolant's: (fit, at, sample).
+        # code on the interpolant's: (at, sample).  Around a user's
+        # pair the fit reads the stages after the first from its record.
         own = len(buffers) - len(_P)
-        fit, make = _dense_code(algebra._fused_length(x))
-        code = make(algebra._kernel, algebra._copy_kernel(x), algebra.clone_shape, _readonly, buffers[own:])
-        return (*super()._bind(algebra, buffers, x, fit, code[0]), code)
+        (states, fit), make = _dense_code(algebra._fused_length(x))
+        record = () if self._plain() else ("_, k1, k2, k3, k4, k5, k6 = trial[2].derivatives",)
+        code = make(algebra._kernel, algebra.clone_shape, _readonly, buffers[own:])
+        return (*super()._bind(algebra, buffers, x, (states, record + fit)), code)
 
     def initialize(self, x0, t0, dt0):
         """Set the start state, start time, and first width proposal:
@@ -189,7 +190,7 @@ class DenseOutputDopri5(ControlledStepper):
             raise ValueError(
                 f"time {t!r} lies outside the last step interval [{lo!r}, {hi!r}]"
             )
-        algebra, (x, *_), _, (*_, (_, at, _)) = self._scratch[1]
+        algebra, (x, *_), _, (*_, (at, _)) = self._scratch[1]
         if out is None:
             out = algebra.clone_shape(x)
         else:
@@ -199,5 +200,5 @@ class DenseOutputDopri5(ControlledStepper):
     def _sample(self, observer, t0, dt, j, t_end, limit):
         # Observe the grid points t0 + j*dt, t0 + (j+1)*dt, ... below
         # t_end and up to limit on the last accepted step; the next j.
-        fit, at, sample = self._scratch[1][3][-1]
+        at, sample = self._scratch[1][3][-1]
         return sample(observer, *self._span, t0, dt, j, t_end, limit)

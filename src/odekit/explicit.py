@@ -5,9 +5,9 @@ All steppers share one calling convention: the system is a callable
 ``do_step`` advances in place when no output state is given and leaves
 ``x`` untouched when one is; both paths perform the identical sequence
 of floating point operations.  NaNs produced by the system propagate
-unrepaired.  Steps run generated code, whose stage rows also build
-the trials of ``controlled``, where the error test lives; on a
-sequence state, behind one guard, as the instance's own ``do_step``.
+unrepaired.  Steps run generated code (see ``algebra``'s module
+docstring), whose stage rows also build the trials of ``controlled``,
+where the error test lives.
 """
 
 from __future__ import annotations

@@ -159,7 +159,7 @@ def _walk_code(trial, observe):
     mode: ``make(kernel, ...)`` returns ``walk(stepper, system, x, t,
     targets, dt_next, observer, sample, snap)``.  A ``trial`` None calls
     ``try_step``; an inline one is ``controlled._trial_code``'s pieces,
-    bound by ``make(kernel, ratio, copy, general, k)``: ``step`` leaves
+    bound by ``make(kernel, ratio, copy, k)``: ``step`` leaves
     a trial's error ratio in ``worst``, ``accept`` or ``reject`` sets
     ``dt_next``, and ``evaluations`` counts."""
     seen = ["observer(snap(x), t)"]
@@ -172,7 +172,7 @@ def _walk_code(trial, observe):
         step = ["result = try_step(system, x, t, target - t if clamped else dt_next)",
                 "dt_next = result.dt", "if result.accepted:"]
     else:
-        (kernels, head, step, accept, reject, tail), args = trial, "ratio, copy, general, k"
+        (kernels, head, step, accept, reject, tail), args = trial, "ratio, copy, k"
         after, count = "t + dt", "evaluations"
         step = ["dt = target - t if clamped else dt_next", *step, "if worst <= 1.0:"]
     report = f"IntegrationReport(x, t, accepted, rejected, {count})"
@@ -188,7 +188,8 @@ def _walk_code(trial, observe):
         "    except SolverError as exc:", f"        exc.partial_report = {report}", "        raise",
         *(["    finally:", *_indent(tail, 2)] if tail else []), f"    return {report}",
     ], "walk", IntegrationReport=IntegrationReport, SolverError=SolverError,
-        StepSizeUnderflowError=StepSizeUnderflowError, _counted=_counted, isfinite=math.isfinite)
+        StepSizeUnderflowError=StepSizeUnderflowError, _counted=_counted, isfinite=math.isfinite,
+        EvaluationCounter=EvaluationCounter)
 
 
 def integrate_const(stepper, system, x0, t0, t1, dt, observer=None):

@@ -4,8 +4,8 @@ The state is a coordinate/momentum pair and the system supplies the
 two halves of Hamilton's equations separately.  One step kicks the
 momenta with the old coordinates, then drifts the coordinates with the
 already-updated momenta; that ordering is what preserves the symplectic
-form and keeps long-run energy drift bounded.  On sequence pairs the
-instance's own ``do_step`` runs it behind one guard, as in ``explicit``.
+form and keeps long-run energy drift bounded.  The step is generated
+code (see ``algebra``'s module docstring).
 """
 
 from __future__ import annotations

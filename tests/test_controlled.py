@@ -153,6 +153,29 @@ def test_requires_error_stepper():
             ControlledStepper(cls())
 
 
+class NoFsalPair:
+    """A duck-typed pair that does not say whether it is first-same-as-last."""
+
+    error_order = 4
+
+    def do_step_with_error(self, system, x, t, dt, out=None, xerr=None, dxdt_in=None):
+        raise AssertionError("never called")
+
+
+def test_an_assigned_stepper_is_checked_as_a_given_one():
+    # Assignment refuses what construction refuses, before any trial,
+    # naming what is missing, and leaves the stepper in place.
+    controller = ControlledStepper(DormandPrince5())
+    kept = controller.stepper
+    for bad, missing in ((RungeKutta4(), "error_order"), (NoFsalPair(), "fsal")):
+        with pytest.raises(TypeError, match=missing):
+            controller.stepper = bad
+        with pytest.raises(TypeError, match=missing):
+            ControlledStepper(bad)
+    assert controller.stepper is kept
+    assert controller.try_step(expgrow, [1.0], 0.0, 0.01).accepted
+
+
 def test_zero_dt_rejected():
     ctl = ControlledStepper(CashKarp54())
     with pytest.raises(ValueError):

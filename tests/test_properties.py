@@ -870,6 +870,36 @@ class FreshStartDP5(DormandPrince5):
         return super().do_step_with_error(system, x, t, dt, out, xerr)
 
 
+class GivingUpDP5(DormandPrince5):
+    """Evaluates the system twice on its third trial, then raises: the
+    evaluations made before the failure are counted too."""
+
+    trials = 0
+
+    def do_step_with_error(self, system, x, t, dt, out=None, xerr=None, dxdt_in=None):
+        self.trials += 1
+        if self.trials == 3:
+            system(x, out, t)
+            system(x, out, t)
+            raise SolverError("the pair gives up")
+        return super().do_step_with_error(system, x, t, dt, out, xerr, dxdt_in)
+
+
+def stepped(stepper, system, x, t0, t1, dt):
+    """A run of manual ``try_step`` calls, each width clamped to ``t1``,
+    up to the end or the first failure: the counters in an
+    :class:`IntegrationReport` whose count is the stepper's own."""
+    t, accepted, rejected = t0, 0, 0
+    try:
+        while t < t1:
+            result = stepper.try_step(system, x, t, min(dt, t1 - t))
+            t, dt = result.t, result.dt
+            accepted, rejected = accepted + result.accepted, rejected + (not result.accepted)
+    except SolverError:
+        pass
+    return IntegrationReport(x, t, accepted, rejected, stepper._evaluations)
+
+
 # Steppers by the drivers that run them.  The shipped ones count their
 # own evaluations; the duck-typed one and the controller around an
 # overridden trial are counted through an EvaluationCounter.
@@ -887,9 +917,10 @@ TRYING = {
     "dense": DenseOutputDopri5,
     "controlled-duck": lambda params: ControlledStepper(DuckEuler(), params),
     "controlled-fresh-start": lambda params: ControlledStepper(FreshStartDP5(), params),
+    "controlled-giving-up": lambda params: ControlledStepper(GivingUpDP5(), params),
 }
 COUNTED_RUNS = sorted([(name, "const") for name in FIXED]
-                      + [(name, drive) for name in TRYING for drive in ("const", "adaptive")])
+                      + [(name, drive) for name in TRYING for drive in ("const", "adaptive", "manual")])
 
 
 @settings(max_examples=120, deadline=None, database=None)
@@ -906,9 +937,14 @@ COUNTED_RUNS = sorted([(name, "const") for name in FIXED]
 @example(x0=[1.0, -0.5, 0.25], t1=2.0, dt=0.5, tol=1e-8, case=("controlled-fresh-start", "const"),
          as_numpy=True)
 @example(x0=[0.5], t1=1.0, dt=0.1, tol=1e-6, case=("implicit", "const"), as_numpy=False)
+@example(x0=[0.5, 0.25], t1=2.0, dt=0.5, tol=1e-6, case=("controlled-giving-up", "adaptive"), as_numpy=False)
+@example(x0=[0.5, 0.25], t1=2.0, dt=0.5, tol=1e-6, case=("controlled-giving-up", "const"), as_numpy=True)
+@example(x0=[0.5, 0.25], t1=2.0, dt=0.5, tol=1e-6, case=("controlled-giving-up", "manual"), as_numpy=False)
+@example(x0=[0.5, 0.25], t1=2.0, dt=0.5, tol=1e-6, case=("controlled-giving-up", "manual"), as_numpy=True)
 def test_reported_evaluations_equal_a_counting_closure(x0, t1, dt, tol, case, as_numpy):
-    # Rejected trials, and failing runs' partial reports, included.  A
-    # grid keeps at least one point past t0.
+    # Rejected trials, failing runs' partial reports and a manual run's
+    # count on the stepper included.  A grid keeps at least one point
+    # past t0.
     name, drive = case
     if drive == "const":
         dt = min(dt, t1)
@@ -921,12 +957,14 @@ def test_reported_evaluations_equal_a_counting_closure(x0, t1, dt, tol, case, as
     params = ControllerParams(atol=tol, rtol=tol)
     stepper = (FIXED.get(name) or TRYING[name])(params)
     system = JacobianSystem(rhs, rescaled_ring(1.0).jacobian) if name == "implicit" else rhs
-    driver = integrate_adaptive if drive == "adaptive" else integrate_const
+    driver = {"adaptive": integrate_adaptive, "const": integrate_const, "manual": stepped}[drive]
     try:
         report = driver(stepper, system, np.array(x0) if as_numpy else list(x0), 0.0, t1, dt)
     except SolverError as exc:
         report = exc.partial_report
     assert report.system_evaluations == len(calls)
+    if name == "controlled-giving-up" and x0 == [0.5, 0.25]:
+        assert stepper.stepper.trials >= 3  # the explicit examples give up
     if x0 == [1.0, -0.5, 0.25]:
         assert report.steps_rejected > 0  # the explicit examples reject trials
 

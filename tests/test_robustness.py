@@ -113,7 +113,7 @@ def zero_scale(x, dxdt, t):
 
 
 class OwnPair(DormandPrince5):
-    """A pair of the user's: the controller takes the general path."""
+    """A pair of the user's: the controller's trial calls its do_step_with_error."""
 
     def do_step_with_error(self, system, x, t, dt, out=None, xerr=None, dxdt_in=None):
         return super().do_step_with_error(system, x, t, dt, out, xerr, dxdt_in)

@@ -378,20 +378,29 @@ def test_trial_code_is_generated_once_per_tableau_and_length():
             ControlledStepper(make()).try_step(decay_rows, [1.0] * n, 0.0, 0.01)
     info = _trial_code.cache_info()
     assert info.misses == info.currsize == 2 * (UNROLL + 1) <= info.maxsize
-    # Pairs whose do_step_with_error is the user's, dense output's
-    # among them, share one entry per (fsal, error_order), whatever
-    # the state.
+    # Pairs whose do_step_with_error is the user's are keyed on
+    # (fsal, error_order, length, fit) with no tableau: DP5, CK54 and
+    # dense output around DP5 make one entry each per generated length,
+    # UNROLL + 1 of them on lists and None on numpy, whatever the pair's
+    # class.
     _trial_code.cache_clear()
     for n in range(1, 13):
-        for box in (list, np.array):
+        for box, length in ((list, min(n, UNROLL + 1)), (np.array, None)):
             for make in (DormandPrince5, CashKarp54):
-                ControlledStepper(delegating(make)()).try_step(decay_rows, box([1.0] * n), 0.0, 0.01)
-            dense = DenseOutputDopri5()
-            dense.stepper = delegating(DormandPrince5)()
-            dense.try_step(decay_rows, box([1.0] * n), 0.0, 0.01)
-            assert dense.try_step._inline(dense, box([1.0] * n))[0] is _trial_code(True, 4)
+                controller, x = ControlledStepper(delegating(make)()), box([1.0] * n)
+                controller.try_step(decay_rows, x, 0.0, 0.01)
+                pair = controller.stepper
+                assert controller.try_step._inline(controller, x)[0] is \
+                    _trial_code(pair.fsal, pair.error_order, None, length, ((), ()))
+            pieces = []
+            for _ in range(2):
+                dense = DenseOutputDopri5()
+                dense.stepper = delegating(DormandPrince5)()
+                dense.try_step(decay_rows, box([1.0] * n), 0.0, 0.01)
+                pieces.append(dense.try_step._inline(dense, box([1.0] * n))[0])
+            assert pieces[0] is pieces[1]
     info = _trial_code.cache_info()
-    assert info.misses == info.currsize == 2
+    assert info.misses == info.currsize == 3 * (UNROLL + 2) <= info.maxsize
 
 
 @pytest.mark.parametrize("make", [LoggingAlgebra, logging_instance], ids=["class", "instance"])
