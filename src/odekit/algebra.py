@@ -24,6 +24,8 @@ three methods is replaced, the same generated code calls the kernels
 On a sequence state a fixed-step stepper's whole step is also its
 instance's own ``do_step``, behind one guard on the state's type and
 length (:func:`_enter`); any other call runs the class's method.
+``integrate_const`` runs neither: its generated loop runs a shipped
+explicit stepper's step inline, on every backend.
 """
 
 from __future__ import annotations
@@ -159,7 +161,7 @@ def _each(n, length, row):
     return [f"for i in range({length}):", f"    {row('i')}"]
 
 
-def _update_lines(n, out, coeffs, terms):
+def _update_lines(n, out, coeffs, terms, at="{}[{}]".format):
     """Lines writing ``out[i] = c0 * t0[i] + c1 * t1[i] + ...``, added
     left to right, for the coefficient expressions ``coeffs`` (each
     evaluated once, first) and the term names ``terms``: with ``n``
@@ -167,15 +169,15 @@ def _update_lines(n, out, coeffs, terms):
     states of length ``n`` (see :func:`_each`).  Every generated update
     is written here, so every one has the same bits.  Inline, a first
     coefficient ``1.0`` followed by other terms is left out: that
-    product is exact.  An ``out`` that is a function ``out(i, value)``
-    instead of a name gives the statement that uses element ``i``'s
-    value in place of storing it, on every element of the first term."""
+    product is exact.  ``at(term, i)`` names element ``i`` of a term.  An
+    ``out`` ``out(i, value)`` instead of a name gives the statement that
+    uses element ``i``'s value, on every element of the first term."""
     if n is None:
         return [f"K{len(terms)}({out}, ({', '.join(coeffs)},), ({', '.join(terms)},))"]
     c = [f"c{j}" for j in range(len(coeffs))]
     skip = int(len(coeffs) > 1 and coeffs[0] == "1.0")
-    value = lambda i: " + ".join([f"{terms[0]}[{i}]"] * skip + [
-        f"{cj} * {t}[{i}]" for cj, t in zip(c[skip:], terms[skip:])])
+    value = lambda i: " + ".join([at(terms[0], i)] * skip + [
+        f"{cj} * {at(t, i)}" for cj, t in zip(c[skip:], terms[skip:])])
     if callable(out):
         row, length = (lambda i: out(i, value(i))), f"len({terms[0]})"
     else:
@@ -366,7 +368,7 @@ def _enter(owner, entry, shipped):
     if current is None or hasattr(current, "_fallback"):
         vars(owner).pop("do_step", None)
         if entry is not None and type(owner).do_step is shipped:
-            entry._fallback, entry._counts_evaluations = shipped, getattr(shipped, "_counts_evaluations", False)
+            vars(entry).update(vars(shipped), _fallback=shipped)  # shipped's marks, for the drivers
             owner.do_step = entry
 
 

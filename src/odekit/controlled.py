@@ -187,11 +187,8 @@ class ControlledStepper(Scratched):
             raise ValueError("time and step width must be finite, the width nonzero")
         return scratch(self, x, self._count, self._bind)[3][0](self, system, x, t, dt)
 
-    def _inline(self, x):
-        # The walk's trial on x, as pieces, and its make's arguments.
-        return scratch(self, x, self._count, self._bind)[3][1:3]
-
-    try_step._inline = _inline
+    # The walk's trial on x, as pieces, and its make's arguments.
+    try_step._inline = lambda self, x: scratch(self, x, self._count, self._bind)[3][1:3]
 
 
 @lru_cache(maxsize=64)

@@ -61,10 +61,10 @@ class ExplicitRungeKutta(Scratched):
         self._fixed_algebra = algebra
 
     def _bind(self, algebra, k, x):
-        # Once per buffer set (k: the stage derivatives, then the stage
-        # state): the tableau's generated step, inline for the state's
-        # length on the sequence backend (with the do_step entry), else on kernels.
-        return _step_code(self.tableau, algebra._fused_length(x))(algebra._kernel, k, self, type(x), len(x))
+        # Once per buffer set (k: stage derivatives, then stage state): the generated step, inline
+        # for the length on the sequence backend (with the do_step entry), else on kernels; its pieces.
+        pieces, make = _step_code(self.tableau, algebra._fused_length(x))
+        return (*make(algebra._kernel, k, self, type(x), len(x)), pieces, (algebra._kernel, k))
 
     @_counting
     def do_step(self, system, x, t, dt, out=None):
@@ -74,13 +74,16 @@ class ExplicitRungeKutta(Scratched):
         state into ``out`` and leaves ``x`` unchanged.  Returns the
         updated state.
         """
-        algebra, k, _, (advance, _) = scratch(self, x, self.stage_count + 1, self._bind)
+        algebra, k, _, (advance, *_) = scratch(self, x, self.stage_count + 1, self._bind)
         if out is not None:
             algebra._check_shapes(x, out)
         # Every stage but a first-same-as-last one, which is left out.
         self._evaluations += self.stage_count - self.fsal
         system(x, k[0], t)
         return advance(system, x, t, dt, x if out is None else out)
+
+    # The fixed-step loop's step on x, as pieces, and its make's arguments.
+    do_step._inline = lambda self, x: scratch(self, x, self.stage_count + 1, self._bind)[3][2:]
 
 
 def _update(tableau, n, out, weights, lead):
@@ -111,27 +114,30 @@ def _stages(tableau, update):
 @lru_cache(maxsize=64)
 def _step_code(tableau, n=None):
     """Straight-line step code for ``tableau``, generated once per
-    tableau value and length ``n``: ``make(kernel, k, owner, T, N)``
-    binds the kernels by term count and the buffers, and returns
-    ``advance(system, x, t, dt, target)``, which runs the stages after
-    the first and writes the solution, and ``error(dt, xerr)`` (None
-    without embedded weights).  With ``n`` None every update is a
-    kernel call; with a length (see ``Algebra._fused_length``) it is
-    written inline, and ``owner`` gets its ``do_step`` entry for a
-    ``T`` of length ``N`` (``algebra._enter``).  Zero weights are left
-    out, the others are exact floats: the stage loop's bits."""
+    tableau value and length ``n``: ``(pieces, make)``.  ``make(kernel,
+    k, owner, T, N)`` binds the kernels by term count and the buffers,
+    and returns ``advance(system, x, t, dt, target)``, which runs the
+    stages after the first and writes the solution, and ``error(dt,
+    xerr)`` (None without embedded weights).  With ``n`` None every
+    update is a kernel call; with a length (see ``Algebra._fused_length``)
+    it is written inline, and ``owner`` gets its ``do_step`` entry for
+    a ``T`` of length ``N`` (``algebra._enter``); ``pieces`` are the
+    entry's whole step for ``integrate._fixed_code``.  Zero weights are
+    left out, the others are exact floats: the stage loop's bits."""
     update = partial(_update, tableau, n)
-    step = _stages(tableau, update) + update("target", tableau.b, 1) + ["return target"]
-    body = ["def advance(system, x, t, dt, target):", *_indent(step)]
+    step = _stages(tableau, update) + update("target", tableau.b, 1)
+    body = ["def advance(system, x, t, dt, target):", *_indent(step + ["return target"])]
     ew = tableau.error_weights
     body += ["error = None"] if ew is None else [
         "def error(dt, xerr):", *_indent(update("xerr", ew, 0) + ["return xerr"])]
-    count = f"owner._evaluations += {tableau.stage_count - tableau.is_fsal}"
+    count = tableau.stage_count - tableau.is_fsal
     body += _entry_lines(n, "system, x, t, dt, out=None", ["target = x if out is None else out"],
-                         "type(x) is T and len(x) == len(target) == N", [count, "system(x, k0, t)", *step])
+                         "type(x) is T and len(x) == len(target) == N",
+                         [f"owner._evaluations += {count}", "system(x, k0, t)", *step, "return target"])
     head = f"{''.join(f'k{j}, ' for j in range(tableau.stage_count))}u = k"
-    return _make(n is None, "k, owner, T, N", [head, *body], "advance, error",
-                 fallback=ExplicitRungeKutta.do_step)
+    pieces = (n is None, (head, "target, evaluations = x, 0"), (f"evaluations += {count}", "system(x, k0, t)", *step))
+    return pieces, _make(n is None, "k, owner, T, N", [head, *body], "advance, error",
+                         fallback=ExplicitRungeKutta.do_step)
 
 
 class EmbeddedRungeKutta(ExplicitRungeKutta):
@@ -158,7 +164,7 @@ class EmbeddedRungeKutta(ExplicitRungeKutta):
         :class:`StageRecord` for a first-same-as-last pair.
         """
         s = self.stage_count
-        algebra, k, copy, (advance, error) = scratch(self, x, s + 1, self._bind)
+        algebra, k, copy, (advance, error, *_) = scratch(self, x, s + 1, self._bind)
         algebra._check_shapes(x, out, xerr, dxdt_in)
         # Every stage, the first one only when not given.
         self._evaluations += s - (dxdt_in is not None)

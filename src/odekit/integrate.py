@@ -5,16 +5,16 @@ and call the observer with read-only snapshots; observers never see a
 rejected trial.  Controlled and dense-output steppers run on one
 generated walk: every :class:`ControlledStepper`'s trial and step
 size control inline, dense output's fit among them, and any other
-stepper's ``try_step`` called (see ``algebra``'s module docstring for
-which code the trials' updates run as).  Every run returns an
-:class:`IntegrationReport` with the final state and the step and
-evaluation counters.
+stepper's ``try_step`` called; fixed steps on one generated loop, a
+shipped explicit stepper's step inline and any other's ``do_step``
+called (see ``algebra``'s module docstring for which code runs).  Every
+run returns an :class:`IntegrationReport` with the final state and the
+step and evaluation counters.
 
-The drivers call the user's system directly: every shipped stepping
-method counts the evaluations it makes, and the drivers report that
-count.  :class:`EvaluationCounter` is a tool for users; a driver
-wraps the system in one only for a stepper that keeps no count of its
-own, one of the user's or a subclass overriding the stepping method.
+The drivers call the user's system directly and report the count that
+the shipped steppers' code keeps, inline or in their methods; they wrap
+it in an :class:`EvaluationCounter` only for a stepper that keeps none,
+one of the user's or a subclass overriding the stepping method.
 """
 
 from __future__ import annotations
@@ -192,15 +192,42 @@ def _walk_code(trial, observe):
         EvaluationCounter=EvaluationCounter)
 
 
+@lru_cache(maxsize=64)
+def _fixed_code(step, observed):
+    """:func:`integrate_const`'s fixed-step loop, generated as
+    :func:`_walk_code`'s walk is: ``make(kernel, k)`` returns
+    ``loop(stepper, system, x, t, steps, width, t_last, dt_last,
+    observer, snap)``.  A ``step`` None calls ``do_step``; an inline one
+    is ``explicit._step_code``'s pieces, and ``evaluations`` counts."""
+    count, tail = ("evaluations()", []) if step is None else ("evaluations", ["stepper._evaluations += evaluations"])
+    kernels, head, step = step or (False, ["system, evaluations = _counted(stepper, 'do_step', system)"],
+                                   ["stepper.do_step(system, x, t, dt)"])
+    return _make(kernels, "k", [
+        "def loop(stepper, system, x, t, steps, width, t_last, dt_last, observer, snap):",
+        *_indent([*head, "t0, dt = t, width"]), "    try:", "        for j in range(1, steps + 1):",
+        "            if j == steps:", "                t_next, dt = t_last, dt_last",
+        "            else:", "                t_next = t0 + j * width",
+        "            if t_next <= t:  # a width too small to move t",
+        "                raise StepSizeUnderflowError(width, t)",
+        *_indent([*step, "t = t_next", *(["observer(snap(x), t)"] if observed else [])], 3),
+        "    except SolverError as exc:",
+        f"        exc.partial_report = IntegrationReport(x, t, j - 1, 0, {count})", "        raise",
+        *(["    finally:", *_indent(tail, 2)] if tail else []),
+        f"    return IntegrationReport(x, t_last, steps, 0, {count})",
+    ], "loop", IntegrationReport=IntegrationReport, SolverError=SolverError,
+        StepSizeUnderflowError=StepSizeUnderflowError, _counted=_counted)
+
+
 def integrate_const(stepper, system, x0, t0, t1, dt, observer=None):
     """Integrate over ``[t0, t1]`` observing on the grid ``t0 + k*dt``.
 
     The observer fires at ``t0`` first.  Plain steppers advance with
-    fixed width ``dt``, except that a last grid point snapped onto
-    ``t1`` (within ``GRID_SNAP`` widths) sizes the last step to end on
-    it; controlled steppers adapt freely inside each
-    grid interval but land exactly on the grid points.  The run ends
-    at the last grid point inside the interval.
+    fixed width ``dt`` on the generated loop (see the module docstring),
+    except that a last grid point snapped onto ``t1`` (within
+    ``GRID_SNAP`` widths) sizes the last step to end on it; controlled
+    steppers adapt freely inside each grid interval but land exactly on
+    the grid points.  The run ends at the last grid point inside the
+    interval.
 
     :class:`DenseOutputDopri5` picks its own widths on the walk that
     :func:`integrate_adaptive` uses, so the grid does not constrain
@@ -230,23 +257,13 @@ def integrate_const(stepper, system, x0, t0, t1, dt, observer=None):
         targets = (t_last if k == steps else t0 + k * dt for k in range(1, steps + 1))
         return _controlled_walk(stepper, system, x, t0, targets, dt, observer, False)
 
-    system, evaluations = _counted(stepper, "do_step", system)
+    inline = getattr(stepper.do_step, "_inline", None)
+    step, bound = inline(stepper, x) if inline else (None, (None, None))
     # A last grid point snapped onto t1 ends the last step there.
     dt_last = dt if t_last == t0 + steps * dt else t_last - (t0 + (steps - 1) * dt)
-    t = t0
-    try:
-        for k in range(1, steps + 1):
-            t_next = t_last if k == steps else t0 + k * dt
-            if t_next <= t:  # a width too small to move t
-                raise StepSizeUnderflowError(dt, t)
-            stepper.do_step(system, x, t, dt_last if k == steps else dt)
-            t = t_next
-            if observer is not None:
-                observer(_readonly(x), t)
-    except SolverError as exc:
-        exc.partial_report = IntegrationReport(x, t, k - 1, 0, evaluations())
-        raise
-    return IntegrationReport(x, t_last, steps, 0, evaluations())
+    loop = _fixed_code(step, observer is not None)(*bound)
+    return loop(stepper, system, x, t0, steps, dt, t_last, dt_last, observer,
+                _readonly if isinstance(x, np.ndarray) else tuple)
 
 
 def integrate_adaptive(stepper, system, x0, t0, t1, dt0, observer=None):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from odekit import (
+    CashKarp54,
     ControlledStepper,
     ControllerParams,
     DenseOutputDopri5,
@@ -14,12 +15,16 @@ from odekit import (
     EvaluationCounter,
     ExplicitEuler,
     HARMONIC,
+    ImplicitEuler,
+    JacobianSystem,
     LORENZ,
     RungeKutta4,
+    SolverError,
     StepSizeUnderflowError,
     integrate_adaptive,
     integrate_const,
 )
+from odekit.algebra import SequenceAlgebra
 
 
 def expgrow(x, dxdt, t):
@@ -263,6 +268,132 @@ def test_recording_observer():
     assert times == [0.0, 0.25, 0.5, 0.75, 1.0]
     assert [len(s) for s in states] == [1] * 5
     assert states[-1][0] == pytest.approx(math.e, rel=1e-4)
+
+
+# --- integrate_const, the generated fixed-step loop -------------------------
+
+
+class OverridingRK4(RungeKutta4):
+    """Overrides ``do_step``: the loop calls it, through a counter."""
+
+    def do_step(self, system, x, t, dt, out=None):
+        self.seen.append(system)
+        return super().do_step(system, x, t, dt, out)
+
+
+def rk4_with_own_do_step():
+    """An RK4 whose instance carries a ``do_step`` set by the user."""
+    stepper = RungeKutta4()
+
+    def do_step(system, x, t, dt, out=None):
+        stepper.seen.append(system)
+        return RungeKutta4.do_step(stepper, system, x, t, dt, out)
+
+    stepper.do_step = do_step
+    return stepper
+
+
+FIXED_KINDS = {"euler": ExplicitEuler, "rk4": RungeKutta4, "implicit": ImplicitEuler,
+               "override": OverridingRK4, "own": rk4_with_own_do_step}
+
+
+def make_fixed(kind):
+    stepper = FIXED_KINDS[kind]()
+    stepper.seen = []
+    return stepper
+
+
+def failing_harmonic(at):
+    """HARMONIC, with its Jacobian, raising :class:`SolverError` on
+    call number ``at`` (never for 0), and the times of its calls."""
+    calls = []
+
+    def rhs(x, dxdt, t):
+        calls.append(t)
+        if len(calls) == at:
+            raise SolverError("the rhs gives up")
+        HARMONIC(x, dxdt, t)
+
+    return JacobianSystem(rhs, HARMONIC.jacobian), calls
+
+
+@pytest.mark.parametrize("box", [list, np.array], ids=["list", "numpy"])
+@pytest.mark.parametrize("kind", sorted(FIXED_KINDS))
+def test_a_failing_rhs_leaves_the_report_of_the_steps_before(kind, box):
+    # The rhs fails on the second call of the third step (Euler's
+    # first): the state and time after two steps, two steps and the
+    # evaluations so far.  A shipped explicit step counts its stages
+    # before its first call, the others count each call made.
+    system, calls = failing_harmonic(0)
+    clean = integrate_const(make_fixed(kind), system, box([1.0, 0.5]), 0.0, 0.25, 0.125)
+    per_step = len(calls) // 2
+    system, calls = failing_harmonic(2 * per_step + min(2, per_step))
+    with pytest.raises(SolverError, match="the rhs gives up") as info:
+        integrate_const(make_fixed(kind), system, box([1.0, 0.5]), 0.0, 1.0, 0.125)
+    report = info.value.partial_report
+    assert [v.hex() for v in report.final_state] == [v.hex() for v in clean.final_state]
+    assert (report.final_time, report.steps_accepted, report.steps_rejected) == (0.25, 2, 0)
+    assert report.system_evaluations == (3 * per_step if kind in ("euler", "rk4") else len(calls))
+
+
+@pytest.mark.parametrize("box", [list, np.array], ids=["list", "numpy"])
+@pytest.mark.parametrize("kind", sorted(FIXED_KINDS))
+def test_a_fixed_width_that_cannot_move_t_raises_before_any_call(kind, box):
+    system, calls = failing_harmonic(0)
+    stepper = make_fixed(kind)
+    with pytest.raises(StepSizeUnderflowError, match="at t=1e[+]16: dt=0.01") as info:
+        integrate_const(stepper, system, box([1.0, 0.0]), 1e16, 1e16 + 64.0, 0.01)
+    report = info.value.partial_report
+    assert calls == [] and stepper.seen == []
+    assert (report.final_time, list(report.final_state)) == (1e16, [1.0, 0.0])
+    assert report.steps_attempted == report.system_evaluations == 0
+
+
+@pytest.mark.parametrize("kind", ["override", "own"])
+def test_a_do_step_of_the_users_is_called_once_per_step_through_a_counter(kind):
+    stepper = make_fixed(kind)
+    report = integrate_const(stepper, HARMONIC, [1.0, 0.0], 0.0, 1.0, 0.125)
+    counter = stepper.seen[0]
+    assert isinstance(counter, EvaluationCounter) and all(s is counter for s in stepper.seen)
+    assert len(stepper.seen) == report.steps_accepted == 8
+    assert report.system_evaluations == counter.count == 32
+
+
+@pytest.mark.parametrize("box", [list, np.array], ids=["list", "numpy"])
+def test_implicit_euler_keeps_its_counts_on_the_loop(box):
+    # As a loop over its public do_step: the same bits, steps and
+    # evaluations, each counted by the stepper itself.
+    system, calls = failing_harmonic(0)
+    stepper, reference = ImplicitEuler(), ImplicitEuler()
+    report = integrate_const(stepper, system, box([1.0, 0.5]), 0.0, 1.0, 0.125)
+    driven = len(calls)
+    x = box([1.0, 0.5])
+    for k in range(8):
+        reference.do_step(system, x, 0.125 * k, 0.125)
+    assert [v.hex() for v in report.final_state] == [v.hex() for v in x]
+    assert report.steps_accepted == 8 and report.steps_rejected == 0
+    assert report.system_evaluations == driven == len(calls) - driven == reference._evaluations
+
+
+def test_the_loop_runs_a_shipped_explicit_step_inline_and_calls_any_other(monkeypatch):
+    import odekit.integrate as integrate
+
+    class Checked(SequenceAlgebra):
+        def scale_sum(self, out, coeffs, terms):
+            return super().scale_sum(out, coeffs, terms)
+
+    forms, real = [], integrate._fixed_code
+    monkeypatch.setattr(integrate, "_fixed_code", lambda step, observed: forms.append(step is not None)
+                        or real(step, observed))
+    warm = RungeKutta4()
+    warm.do_step(HARMONIC, [1.0, 0.0], 0.0, 0.1)  # its do_step entry is installed
+    runs = [(stepper, box, True) for stepper in (warm, ExplicitEuler(), CashKarp54(), DormandPrince5())
+            for box in (list, np.array)] + [(RungeKutta4(Checked()), list, True)]
+    runs += [(stepper, box, False) for stepper in [make_fixed(kind) for kind in ("implicit", "override", "own")]
+             + [DuckEuler()] for box in (list, np.array)]
+    for stepper, box, _ in runs:
+        integrate_const(stepper, HARMONIC, box([1.0, 0.0]), 0.0, 0.5, 0.125)
+    assert forms == [inline for _, _, inline in runs]
 
 
 # --- integrate_const with a controlled stepper ------------------------------

@@ -4,7 +4,8 @@ grid, stop on it, and never evaluate past t1; the dense interpolant
 reproduces both ends of its interval; the step size controller stays
 inside its growth window; the generated step code of any explicit
 tableau matches a stage loop on the checked ``scale_sum`` bit for
-bit, unrolled or looped; a controlled trial, a dense state and a
+bit, unrolled or looped, and the generated fixed-step loop a loop
+over the class ``do_step``; a controlled trial, a dense state and a
 symplectic step have the same bits on lists, numpy and the general
 path, and a controlled run with a pair's own ``do_step_with_error``
 has them too; the generated walk runs the trials, observations (a
@@ -416,6 +417,77 @@ def test_generated_step_matches_the_stage_loop(tableau, x0, t, dt, box):
         if tableau.is_fsal:
             record = got[2].derivatives
             assert [hexes(d) for d in record] == [hexes(d) for d in k]
+
+
+# The shipped explicit steppers as fixed steppers, and the containers
+# the generated fixed-step loop runs them on: inline, on numpy kernels
+# and on a replaced scale_sum.
+FIXED_STEPPERS = {"euler": ExplicitEuler, "rk4": RungeKutta4, "ck54": CashKarp54, "dopri5": DormandPrince5}
+FIXED_BOXES = {"list": (list, None), "numpy": (np.array, None), "general": (list, GeneralAlgebra())}
+# Where t1 lies: on a grid point, within GRID_SNAP widths of one (the
+# last grid point is snapped onto it), or between two.
+ENDS = {"whole": 0.0, "snapped-below": -0.3 * GRID_SNAP, "snapped-above": 0.3 * GRID_SNAP, "between": 0.5}
+
+
+def class_do_step_loop(stepper, system, x, t0, t1, dt, observer):
+    """``integrate_const``'s fixed steps as a loop over the class
+    ``ExplicitRungeKutta.do_step``, called unbound, which the generated
+    loop does not call: its counters in an :class:`IntegrationReport`."""
+    steps = int(math.floor((t1 - t0) / dt + GRID_SNAP))
+    t_last = t0 + steps * dt
+    if steps and abs(t_last - t1) <= GRID_SNAP * dt:
+        t_last = t1
+    dt_last = dt if t_last == t0 + steps * dt else t_last - (t0 + (steps - 1) * dt)
+    t = t0
+    observer(x, t)
+    for k in range(1, steps + 1):
+        ExplicitRungeKutta.do_step(stepper, system, x, t, dt_last if k == steps else dt)
+        t = t_last if k == steps else t0 + k * dt
+        observer(x, t)
+    return IntegrationReport(x, t_last, steps, 0, stepper._evaluations)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(
+    x0=STATES,
+    t0=st.floats(-2.0, 2.0),
+    steps=st.integers(1, 20),
+    dt=st.floats(0.001, 0.2),
+    end=st.sampled_from(sorted(ENDS)),
+    stepper=st.sampled_from(sorted(FIXED_STEPPERS)),
+    box=st.sampled_from(sorted(FIXED_BOXES)),
+    observed=st.booleans(),
+)
+@example(x0=[0.3, -0.7, 1.1], t0=0.0, steps=3, dt=0.1, end="snapped-below", stepper="rk4", box="list",
+         observed=True)
+@example(x0=[0.3] * (UNROLL + 2), t0=1.0, steps=4, dt=0.125, end="snapped-above", stepper="dopri5",
+         box="general", observed=False)
+def test_generated_fixed_loop_matches_a_loop_over_the_class_do_step(x0, t0, steps, dt, end, stepper, box,
+                                                                    observed):
+    # The final state, every observation and the counters, bit for bit;
+    # the reference observes always, and unobserved runs compare the
+    # final state alone.
+    t1 = t0 + steps * dt + ENDS[end] * dt
+    container, algebra = FIXED_BOXES[box]
+    runs = []
+    for drive in (integrate_const, class_do_step_loop):
+        calls, seen = [], []
+
+        def rhs(x, dxdt, t):
+            calls.append(t.hex())
+            ring(x, dxdt, t)
+
+        observer = lambda x, t: seen.append((hexes(x), t.hex()))  # noqa: E731
+        if drive is integrate_const and not observed:
+            observer = None
+        report = drive(FIXED_STEPPERS[stepper](algebra), rhs, container(x0), t0, t1, dt, observer)
+        counters = (report.final_time.hex(), report.steps_accepted, report.steps_rejected,
+                    report.system_evaluations)
+        runs.append((hexes(report.final_state), counters, calls, seen if observed else []))
+    assert runs[0] == runs[1]
+    assert runs[0][1][3] == len(runs[0][2]) and runs[0][1][1] >= 1
+    if end.startswith("snapped"):
+        assert report.final_time == t1
 
 
 def controlled_trials(algebra, box, x0, t, dt, tol):
