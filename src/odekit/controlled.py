@@ -20,8 +20,8 @@ from functools import lru_cache, partial
 
 from .algebra import Scratched, _indent, _make, _ratio_lines, _update_lines, scratch
 from .errors import SolverError, StepSizeUnderflowError
-from .explicit import EmbeddedRungeKutta, _stages, _update
-from .integrate import EvaluationCounter, _counting
+from .explicit import EmbeddedRungeKutta, _count_calls, _stages, _update
+from .integrate import EvaluationCounter
 
 SAFETY = 0.9
 FAC_MIN = 0.2
@@ -95,16 +95,17 @@ class ControlledStepper(Scratched):
     ``do_step_with_error``, ``error_order`` and ``fsal`` (see the
     README), runs each trial as one call of its ``do_step_with_error``
     with the system in an :class:`EvaluationCounter`.  Around either,
-    the hand-over, the count, the acceptance and the step size control
-    are generated once: ``try_step`` runs them for one trial, the
-    drivers' walk inline for every trial.
+    the hand-over, the acceptance and the step size control are
+    generated once: ``try_step`` runs them for one trial, the drivers'
+    walk inline for every trial, where the run counts the system
+    evaluations.  ``try_step`` keeps no count: wrap the system in an
+    :class:`EvaluationCounter` to count a manual run's.
 
     Instances carry scratch states (the derivative cache among them),
-    the rejection history, the last step when it was accepted and the
-    count of system evaluations since the last ``reset``; do not share
-    one instance between concurrent integrations.  Call ``reset`` after
-    modifying the state externally; the drivers call it at the start of
-    every run.
+    the rejection history and the last step when it was accepted; do
+    not share one instance between concurrent integrations.  Call
+    ``reset`` after modifying the state externally; the drivers call it
+    at the start of every run.
     """
 
     _caches = ("_scratch", "_dxdt", "_span")
@@ -135,11 +136,10 @@ class ControlledStepper(Scratched):
 
     def reset(self):
         """Drop the cached derivative, the last step and the rejection
-        flag, and zero the evaluation count."""
+        flag."""
         self._dxdt = None  # the scratch buffer holding f(x, t), when valid
         self._span = None  # (t, t + dt, dt) of the last trial, if accepted
         self._rejected = False
-        self._evaluations = 0
 
     def _plain(self):
         # Whether the stepper's trial is EmbeddedRungeKutta's, which
@@ -165,7 +165,6 @@ class ControlledStepper(Scratched):
         args = (algebra._kernel, ratio, algebra._copy_kernel(x), buffers)
         return _one_code(pieces)(*args), pieces, args
 
-    @_counting
     def try_step(self, system, x, t, dt):
         """Attempt one step of width ``dt`` from ``(x, t)``.
 
@@ -198,12 +197,12 @@ def _trial_code(fsal, error_order, tableau, n, fit=((), ())):
     accept, reject, tail)``, the pieces :func:`_one_code` and
     ``integrate._walk_code`` run, bound by ``make(kernel, ratio, copy,
     k)``.  ``head`` reads the controller; ``step`` hands ``f(x, t)``
-    over into ``k0``, counts the evaluations and leaves the trial's
-    error ratio in ``worst``; ``accept`` (ratio at most one) or
-    ``reject`` sets ``dt_next`` as ``next_step_size`` would, with its
-    constants as literals: only ``FAC_MAX`` bounds an accepted ratio's
-    factor, only ``FAC_MIN`` a rejected one's; ``tail`` writes the
-    controller back.  A shipped pair's trial is generated from its
+    over into ``k0``, counts each evaluation in ``evaluations`` before
+    it is made and leaves the trial's error ratio in ``worst``;
+    ``accept`` (ratio at most one) or ``reject`` sets ``dt_next`` as
+    ``next_step_size`` would, with its constants as literals: only
+    ``FAC_MAX`` bounds an accepted ratio's factor, only ``FAC_MIN`` a
+    rejected one's; ``tail`` writes the controller back.  A shipped pair's trial is generated from its
     ``tableau``, the code ``algebra``'s module docstring describes: the
     other stages, the solution ``u``, a first-same-as-last stage at it
     and the error ratio.  With no ``tableau`` it is ``trial =`` one
@@ -222,8 +221,8 @@ def _trial_code(fsal, error_order, tableau, n, fit=((), ())):
                 "finally:", "    evaluations += counter.count", "    counter.count = 0"]
     else:
         s, pair, update = tableau.stage_count, [], partial(_update, tableau, n)
-        body = [f"evaluations += {s - 1}", *_stages(tableau, update), *update("u", tableau.b, 1),
-                *([f"system(u, k{s - 1}, t + dt)"] if tableau.is_fsal else []),
+        body = [*_count_calls([*_stages(tableau, update), *update("u", tableau.b, 1),
+                               *([f"system(u, k{s - 1}, t + dt)"] if tableau.is_fsal else [])]),
                 *(update("e", tableau.error_weights, 0) if n is None
                   else _ratio_lines(lambda row: update(row, tableau.error_weights, 0), "k0"))]
     names = [*(f"k{j}" for j in range(s)), "u", *(["e", "_", "_"] if called else []), *states]
@@ -247,8 +246,7 @@ def _trial_code(fsal, error_order, tableau, n, fit=((), ())):
               f"again, factor = True, {power}",
               f"dt_next = dt * (factor if factor > {FAC_MIN!r} else {FAC_MIN!r})",
               "if abs(dt_next) < dt_min:", "    raise StepSizeUnderflowError(dt_next, t, worst)"]
-    tail = [f"k[0], k[{s - 1}] = k0, {kl}",
-            "stepper._dxdt, stepper._rejected = dxdt, again", "stepper._evaluations += evaluations"]
+    tail = [f"k[0], k[{s - 1}] = k0, {kl}", "stepper._dxdt, stepper._rejected = dxdt, again"]
     return n is None, tuple(head), tuple(step), tuple(accept), tuple(reject), tuple(tail)
 
 

@@ -16,7 +16,6 @@ from collections import namedtuple
 from functools import lru_cache, partial
 
 from .algebra import MAX_TERMS, Scratched, _entry_lines, _indent, _make, _update_lines, scratch
-from .integrate import _counting
 from .tableaus import CASH_KARP_54, DORMAND_PRINCE_54, EULER, RK4_CLASSIC
 
 class StageRecord(namedtuple("StageRecord", ["derivatives"])):
@@ -37,9 +36,8 @@ class ExplicitRungeKutta(Scratched):
 
     Scratch buffers are sized lazily on first use and reused; on numpy
     an update of k terms still allocates k - 1 state-sized temporaries.
-    Instances keep per-call scratch and a count of the system
-    evaluations they made, and must not be shared between concurrent
-    integrations.
+    Instances keep per-call scratch and must not be shared between
+    concurrent integrations.
 
     Parameters
     ----------
@@ -49,8 +47,6 @@ class ExplicitRungeKutta(Scratched):
         State backend.  Defaults to whatever matches the state passed
         to the first call.
     """
-
-    _evaluations = 0  # system evaluations made by the stepping methods
 
     def __init__(self, tableau, algebra=None):
         self.tableau = tableau
@@ -66,7 +62,6 @@ class ExplicitRungeKutta(Scratched):
         pieces, make = _step_code(self.tableau, algebra._fused_length(x))
         return (*make(algebra._kernel, k, self, type(x), len(x)), pieces, (algebra._kernel, k))
 
-    @_counting
     def do_step(self, system, x, t, dt, out=None):
         """Advance ``x`` from ``t`` by ``dt``.
 
@@ -77,8 +72,6 @@ class ExplicitRungeKutta(Scratched):
         algebra, k, _, (advance, *_) = scratch(self, x, self.stage_count + 1, self._bind)
         if out is not None:
             algebra._check_shapes(x, out)
-        # Every stage but a first-same-as-last one, which is left out.
-        self._evaluations += self.stage_count - self.fsal
         system(x, k[0], t)
         return advance(system, x, t, dt, x if out is None else out)
 
@@ -111,6 +104,12 @@ def _stages(tableau, update):
     return lines
 
 
+def _count_calls(lines):
+    """``lines`` with each system call counted in ``evaluations`` in
+    the line before it, so that a call that raises is counted too."""
+    return [out for line in lines for out in (("evaluations += 1", line) if line.startswith("system(") else (line,))]
+
+
 @lru_cache(maxsize=64)
 def _step_code(tableau, n=None):
     """Straight-line step code for ``tableau``, generated once per
@@ -122,20 +121,19 @@ def _step_code(tableau, n=None):
     update is a kernel call; with a length (see ``Algebra._fused_length``)
     it is written inline, and ``owner`` gets its ``do_step`` entry for
     a ``T`` of length ``N`` (``algebra._enter``); ``pieces`` are the
-    entry's whole step for ``integrate._fixed_code``.  Zero weights are
-    left out, the others are exact floats: the stage loop's bits."""
+    entry's whole step for ``integrate._fixed_code``, counting the
+    calls in ``evaluations``.  Zero weights are left out, the others
+    are exact floats: the stage loop's bits."""
     update = partial(_update, tableau, n)
     step = _stages(tableau, update) + update("target", tableau.b, 1)
     body = ["def advance(system, x, t, dt, target):", *_indent(step + ["return target"])]
     ew = tableau.error_weights
     body += ["error = None"] if ew is None else [
         "def error(dt, xerr):", *_indent(update("xerr", ew, 0) + ["return xerr"])]
-    count = tableau.stage_count - tableau.is_fsal
     body += _entry_lines(n, "system, x, t, dt, out=None", ["target = x if out is None else out"],
-                         "type(x) is T and len(x) == len(target) == N",
-                         [f"owner._evaluations += {count}", "system(x, k0, t)", *step, "return target"])
+                         "type(x) is T and len(x) == len(target) == N", ["system(x, k0, t)", *step, "return target"])
     head = f"{''.join(f'k{j}, ' for j in range(tableau.stage_count))}u = k"
-    pieces = (n is None, (head, "target, evaluations = x, 0"), (f"evaluations += {count}", "system(x, k0, t)", *step))
+    pieces = (n is None, (head, "target, evaluations = x, 0"), tuple(_count_calls(["system(x, k0, t)", *step])))
     return pieces, _make(n is None, "k, owner, T, N", [head, *body], "advance, error",
                          fallback=ExplicitRungeKutta.do_step)
 
@@ -166,8 +164,6 @@ class EmbeddedRungeKutta(ExplicitRungeKutta):
         s = self.stage_count
         algebra, k, copy, (advance, error, *_) = scratch(self, x, s + 1, self._bind)
         algebra._check_shapes(x, out, xerr, dxdt_in)
-        # Every stage, the first one only when not given.
-        self._evaluations += s - (dxdt_in is not None)
         if dxdt_in is None:
             system(x, k[0], t)
         else:

@@ -20,7 +20,6 @@ import numpy as np
 
 from .algebra import Scratched, scratch
 from .errors import ConvergenceError, SingularMatrixError
-from .integrate import _counting
 
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 50
@@ -60,7 +59,6 @@ class ImplicitEuler(Scratched):
     """
 
     order = 1
-    _evaluations = 0  # system evaluations made by do_step
     _factorizations = 0  # Newton matrices LU-factored by do_step: inversions and solves
     _newton = None  # (key, inverse, matrix) of the latest first update
     _caches = ("_scratch", "_newton")
@@ -69,7 +67,6 @@ class ImplicitEuler(Scratched):
         self._fixed_algebra = algebra
         self.last_iteration_count = 0
 
-    @_counting
     def do_step(self, system, x, t, dt, out=None):
         """Advance ``x`` from ``t`` by ``dt > 0``.
 
@@ -97,7 +94,6 @@ class ImplicitEuler(Scratched):
         copy(u, x)
         applied = 0
         while True:
-            self._evaluations += 1
             system(u, f, t_new)
             k3(g, (1.0, -1.0, -dt), (u, x, f))
             if applied and float(np.abs(g).max()) <= tol:

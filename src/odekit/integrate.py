@@ -11,10 +11,10 @@ called (see ``algebra``'s module docstring for which code runs).  Every
 run returns an :class:`IntegrationReport` with the final state and the
 step and evaluation counters.
 
-The drivers call the user's system directly and report the count that
-the shipped steppers' code keeps, inline or in their methods; they wrap
-it in an :class:`EvaluationCounter` only for a stepper that keeps none,
-one of the user's or a subclass overriding the stepping method.
+The run counts the system evaluations, each in the line before the
+call, so a call that raises is counted too: the inline code in a local,
+the calling forms through an :class:`EvaluationCounter` around the
+system.  Steppers keep no count.
 """
 
 from __future__ import annotations
@@ -51,10 +51,11 @@ class IntegrationReport:
 class EvaluationCounter:
     """Counts calls to a wrapped ``(x, dxdt, t)`` system callable.
 
-    A tool for users: the drivers read the shipped steppers' own
-    counts and wrap the system in a counter only for a stepper that
-    keeps none.  The wrapped system's ``jacobian``, if any, is carried
-    along uncounted, so steppers that need it find it on the counter.
+    The drivers wrap the system in one wherever they call a stepping
+    method; wrap yours to count the calls of manual ``do_step`` or
+    ``try_step`` steps, which keep no count.  The wrapped system's
+    ``jacobian``, if any, is carried along uncounted, so steppers that
+    need it find it on the counter.
     """
 
     def __init__(self, system):
@@ -68,26 +69,6 @@ class EvaluationCounter:
 
     def reset(self):
         self.count = 0
-
-
-def _counting(method):
-    """Mark a shipped stepping method that adds the system evaluations
-    it makes to its stepper's ``_evaluations``.  An override is not
-    marked, so it is counted by :func:`_counted`'s wrapper."""
-    method._counts_evaluations = True
-    return method
-
-
-def _counted(stepper, method, system):
-    """``system`` as ``stepper.<method>`` is to get it, and a reader of
-    the evaluations made through it from now on: a marked method
-    counts its own and gets ``system`` itself, any other an
-    :class:`EvaluationCounter` around it."""
-    if getattr(getattr(stepper, method), "_counts_evaluations", False):
-        start = stepper._evaluations
-        return system, lambda: stepper._evaluations - start
-    counter = EvaluationCounter(system)
-    return counter, lambda: counter.count
 
 
 def _readonly(x, fresh=False):
@@ -158,17 +139,18 @@ def _walk_code(trial, observe):
     """:func:`_controlled_walk`'s loop, generated per trial and observe
     mode: ``make(kernel, ...)`` returns ``walk(stepper, system, x, t,
     targets, dt_next, observer, sample, snap)``.  A ``trial`` None calls
-    ``try_step``; an inline one is ``controlled._trial_code``'s pieces,
-    bound by ``make(kernel, ratio, copy, k)``: ``step`` leaves
-    a trial's error ratio in ``worst``, ``accept`` or ``reject`` sets
-    ``dt_next``, and ``evaluations`` counts."""
+    ``try_step`` on the system in an :class:`EvaluationCounter`; an
+    inline one is ``controlled._trial_code``'s pieces, bound by
+    ``make(kernel, ratio, copy, k)``: ``step`` leaves a trial's error
+    ratio in ``worst``, ``accept`` or ``reject`` sets ``dt_next``, and
+    ``evaluations`` counts."""
     seen = ["observer(snap(x), t)"]
     on_step = {"steps": seen, "samples": ["j = sample(observer, t0, h, j, t_end, t + reach)"]}.get(observe, [])
     on_target = seen if observe in ("targets", "samples") else []
     sampler = ["(sample, t0, h, t_end, reach), j = sample, 1"] if observe == "samples" else []
     if trial is None:
-        kernels, args, accept, reject, tail, after, count = False, "", [], [], [], "result.t", "evaluations()"
-        head = ["try_step = stepper.try_step", "system, evaluations = _counted(stepper, 'try_step', system)"]
+        kernels, args, accept, reject, tail, after, count = False, "", [], [], [], "result.t", "system.count"
+        head = ["try_step, system = stepper.try_step, EvaluationCounter(system)"]
         step = ["result = try_step(system, x, t, target - t if clamped else dt_next)",
                 "dt_next = result.dt", "if result.accepted:"]
     else:
@@ -188,8 +170,7 @@ def _walk_code(trial, observe):
         "    except SolverError as exc:", f"        exc.partial_report = {report}", "        raise",
         *(["    finally:", *_indent(tail, 2)] if tail else []), f"    return {report}",
     ], "walk", IntegrationReport=IntegrationReport, SolverError=SolverError,
-        StepSizeUnderflowError=StepSizeUnderflowError, _counted=_counted, isfinite=math.isfinite,
-        EvaluationCounter=EvaluationCounter)
+        StepSizeUnderflowError=StepSizeUnderflowError, isfinite=math.isfinite, EvaluationCounter=EvaluationCounter)
 
 
 @lru_cache(maxsize=64)
@@ -197,11 +178,11 @@ def _fixed_code(step, observed):
     """:func:`integrate_const`'s fixed-step loop, generated as
     :func:`_walk_code`'s walk is: ``make(kernel, k)`` returns
     ``loop(stepper, system, x, t, steps, width, t_last, dt_last,
-    observer, snap)``.  A ``step`` None calls ``do_step``; an inline one
-    is ``explicit._step_code``'s pieces, and ``evaluations`` counts."""
-    count, tail = ("evaluations()", []) if step is None else ("evaluations", ["stepper._evaluations += evaluations"])
-    kernels, head, step = step or (False, ["system, evaluations = _counted(stepper, 'do_step', system)"],
-                                   ["stepper.do_step(system, x, t, dt)"])
+    observer, snap)``.  A ``step`` None calls ``do_step`` on the system in
+    an :class:`EvaluationCounter`; an inline one is
+    ``explicit._step_code``'s pieces, and ``evaluations`` counts."""
+    count = "system.count" if step is None else "evaluations"
+    kernels, head, step = step or (False, ["system = EvaluationCounter(system)"], ["stepper.do_step(system, x, t, dt)"])
     return _make(kernels, "k", [
         "def loop(stepper, system, x, t, steps, width, t_last, dt_last, observer, snap):",
         *_indent([*head, "t0, dt = t, width"]), "    try:", "        for j in range(1, steps + 1):",
@@ -212,10 +193,9 @@ def _fixed_code(step, observed):
         *_indent([*step, "t = t_next", *(["observer(snap(x), t)"] if observed else [])], 3),
         "    except SolverError as exc:",
         f"        exc.partial_report = IntegrationReport(x, t, j - 1, 0, {count})", "        raise",
-        *(["    finally:", *_indent(tail, 2)] if tail else []),
         f"    return IntegrationReport(x, t_last, steps, 0, {count})",
     ], "loop", IntegrationReport=IntegrationReport, SolverError=SolverError,
-        StepSizeUnderflowError=StepSizeUnderflowError, _counted=_counted)
+        StepSizeUnderflowError=StepSizeUnderflowError, EvaluationCounter=EvaluationCounter)
 
 
 def integrate_const(stepper, system, x0, t0, t1, dt, observer=None):

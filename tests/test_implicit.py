@@ -157,6 +157,45 @@ def test_singular_newton_matrix_raises():
             ImplicitEuler().do_step(JacobianSystem(rhs, jac), x0, 0.0, 1.0)
 
 
+def failing_at_the_third_step(kind):
+    """Decay, x' = -x, whose Newton fails at t = 0.75, the end of the
+    third step of width 0.25: ``singular`` makes I - dt*J zero, and
+    ``stalled`` claims J = 0 for x' = 4x + 1, whose residual never
+    moves; and the times of its calls."""
+    calls = []
+
+    def rhs(x, dxdt, t):
+        calls.append(t)
+        for i in range(len(x)):
+            dxdt[i] = 4.0 * x[i] + 1.0 if kind == "stalled" and t == 0.75 else -x[i]
+
+    def jac(x, out, t):
+        if t != 0.75:
+            np.fill_diagonal(out, -1.0)
+        elif kind == "singular":
+            np.fill_diagonal(out, 4.0)
+
+    return JacobianSystem(rhs, jac), calls
+
+
+@pytest.mark.parametrize("box", [list, np.array], ids=["list", "numpy"])
+@pytest.mark.parametrize("kind, error, made", [("singular", SingularMatrixError, 5),
+                                               ("stalled", ConvergenceError, 4 + NEWTON_MAX_ITER + 1)])
+def test_a_newton_failure_mid_run_carries_an_exact_partial_report(kind, error, made, box):
+    # Two steps of one update and one residual pass each, then the
+    # failing step's passes: the report counts every call made and
+    # holds the bits and the time of the last grid point reached.
+    system, calls = failing_at_the_third_step(kind)
+    clean = integrate_const(ImplicitEuler(), system, box([1.0, 0.5]), 0.0, 0.5, 0.25)
+    calls.clear()
+    with pytest.raises(error) as info:
+        integrate_const(ImplicitEuler(), system, box([1.0, 0.5]), 0.0, 1.0, 0.25)
+    report = info.value.partial_report
+    assert report.system_evaluations == len(calls) == made
+    assert (report.final_time, report.steps_accepted, report.steps_rejected) == (0.5, 2, 0)
+    assert [v.hex() for v in report.final_state] == [v.hex() for v in clean.final_state]
+
+
 @pytest.mark.parametrize(
     "t, dt", [(0.0, math.inf), (0.0, math.nan), (math.nan, 0.1), (math.inf, 0.1)]
 )

@@ -322,8 +322,7 @@ def failing_harmonic(at):
 def test_a_failing_rhs_leaves_the_report_of_the_steps_before(kind, box):
     # The rhs fails on the second call of the third step (Euler's
     # first): the state and time after two steps, two steps and the
-    # evaluations so far.  A shipped explicit step counts its stages
-    # before its first call, the others count each call made.
+    # evaluations so far, the failing call included.
     system, calls = failing_harmonic(0)
     clean = integrate_const(make_fixed(kind), system, box([1.0, 0.5]), 0.0, 0.25, 0.125)
     per_step = len(calls) // 2
@@ -333,7 +332,7 @@ def test_a_failing_rhs_leaves_the_report_of_the_steps_before(kind, box):
     report = info.value.partial_report
     assert [v.hex() for v in report.final_state] == [v.hex() for v in clean.final_state]
     assert (report.final_time, report.steps_accepted, report.steps_rejected) == (0.25, 2, 0)
-    assert report.system_evaluations == (3 * per_step if kind in ("euler", "rk4") else len(calls))
+    assert report.system_evaluations == len(calls)
 
 
 @pytest.mark.parametrize("box", [list, np.array], ids=["list", "numpy"])
@@ -362,17 +361,17 @@ def test_a_do_step_of_the_users_is_called_once_per_step_through_a_counter(kind):
 @pytest.mark.parametrize("box", [list, np.array], ids=["list", "numpy"])
 def test_implicit_euler_keeps_its_counts_on_the_loop(box):
     # As a loop over its public do_step: the same bits, steps and
-    # evaluations, each counted by the stepper itself.
+    # evaluations, the loop's counted by a counter around the system.
     system, calls = failing_harmonic(0)
     stepper, reference = ImplicitEuler(), ImplicitEuler()
     report = integrate_const(stepper, system, box([1.0, 0.5]), 0.0, 1.0, 0.125)
-    driven = len(calls)
+    driven, counter = len(calls), EvaluationCounter(system)
     x = box([1.0, 0.5])
     for k in range(8):
-        reference.do_step(system, x, 0.125 * k, 0.125)
+        reference.do_step(counter, x, 0.125 * k, 0.125)
     assert [v.hex() for v in report.final_state] == [v.hex() for v in x]
     assert report.steps_accepted == 8 and report.steps_rejected == 0
-    assert report.system_evaluations == driven == len(calls) - driven == reference._evaluations
+    assert report.system_evaluations == driven == len(calls) - driven == counter.count
 
 
 def test_the_loop_runs_a_shipped_explicit_step_inline_and_calls_any_other(monkeypatch):

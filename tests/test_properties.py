@@ -405,15 +405,15 @@ def test_generated_step_matches_the_stage_loop(tableau, x0, t, dt, box):
     assert hexes(x) == hexes(x0)
     assert hexes(stepper.do_step(counter, x, t, dt)) == hexes(new)
     fsal_stage = err is not None and tableau.is_fsal
-    assert counter.count == 2 * (reference.count - fsal_stage) == stepper._evaluations
+    assert counter.count == 2 * (reference.count - fsal_stage)
     if err is None:
         return
     pair = EmbeddedRungeKutta(tableau, chosen)
     for dxdt_in in (None, k[0]):
-        x, counter, before = box(x0), EvaluationCounter(ring), pair._evaluations
+        x, counter = box(x0), EvaluationCounter(ring)
         got = pair.do_step_with_error(counter, x, t, dt, dxdt_in=dxdt_in)
         assert (hexes(got[0]), hexes(got[1])) == (hexes(new), hexes(err))
-        assert counter.count == reference.count - (dxdt_in is not None) == pair._evaluations - before
+        assert counter.count == reference.count - (dxdt_in is not None)
         if tableau.is_fsal:
             record = got[2].derivatives
             assert [hexes(d) for d in record] == [hexes(d) for d in k]
@@ -432,7 +432,9 @@ ENDS = {"whole": 0.0, "snapped-below": -0.3 * GRID_SNAP, "snapped-above": 0.3 * 
 def class_do_step_loop(stepper, system, x, t0, t1, dt, observer):
     """``integrate_const``'s fixed steps as a loop over the class
     ``ExplicitRungeKutta.do_step``, called unbound, which the generated
-    loop does not call: its counters in an :class:`IntegrationReport`."""
+    loop does not call: its counters in an :class:`IntegrationReport`,
+    the evaluations counted by an :class:`EvaluationCounter`."""
+    counter = EvaluationCounter(system)
     steps = int(math.floor((t1 - t0) / dt + GRID_SNAP))
     t_last = t0 + steps * dt
     if steps and abs(t_last - t1) <= GRID_SNAP * dt:
@@ -441,10 +443,10 @@ def class_do_step_loop(stepper, system, x, t0, t1, dt, observer):
     t = t0
     observer(x, t)
     for k in range(1, steps + 1):
-        ExplicitRungeKutta.do_step(stepper, system, x, t, dt_last if k == steps else dt)
+        ExplicitRungeKutta.do_step(stepper, counter, x, t, dt_last if k == steps else dt)
         t = t_last if k == steps else t0 + k * dt
         observer(x, t)
-    return IntegrationReport(x, t_last, steps, 0, stepper._evaluations)
+    return IntegrationReport(x, t_last, steps, 0, counter.count)
 
 
 @settings(max_examples=150, deadline=None, database=None)
@@ -625,12 +627,15 @@ def walk_system(kind):
     """``ring`` with NaN in the first element after t = 0.5 (a run of
     rejections that ends below ``dt_min``), past |x[0]| = 1.2 (the
     derivative at an accepted state may be the one not finite), at
-    t = 0 (a non-finite derivative at once) or never; and the log of
-    the time and the state of every call."""
+    t = 0 (a non-finite derivative at once) or never, or raising
+    :class:`SolverError` on its tenth call, inside a trial; and the
+    log of the time and the state of every call."""
     calls = []
 
     def rhs(x, dxdt, t):
         calls.append((t.hex(), hexes(x)))
+        if kind == "raises" and len(calls) == 10:
+            raise SolverError("the rhs gives up")
         ring(x, dxdt, t)
         if {"after": t > 0.5, "beyond": abs(x[0]) > 1.2, "start": t == 0.0}.get(kind, False):
             dxdt[0] = math.nan
@@ -736,14 +741,13 @@ def public_walk(stepper, rhs, x, t1, dt, targets, observe, observe_steps, sample
 
 
 def controller_state(stepper):
-    """What a run leaves on the controller: its count, its rejection
-    flag, which buffer holds the cached derivative, its last step if
-    accepted, and the buffers' bits (a dense stepper's interpolant
-    among them)."""
+    """What a run leaves on the controller: its rejection flag, which
+    buffer holds the cached derivative, its last step if accepted, and
+    the buffers' bits (a dense stepper's interpolant among them)."""
     k = stepper._scratch[1][1]
     where = next((i for i, b in enumerate(k) if b is stepper._dxdt), stepper._dxdt)
     span = stepper._span and [t.hex() for t in stepper._span]
-    return stepper._evaluations, stepper._rejected, where, span, [hexes(b) for b in k]
+    return stepper._rejected, where, span, [hexes(b) for b in k]
 
 
 def interpolant(stepper):
@@ -770,7 +774,7 @@ def outcome(report, evaluations):
     form=st.sampled_from(sorted(WALK_FORMS)),
     box=st.sampled_from(sorted(WALK_BOXES)),
     grid=st.booleans(),
-    kind=st.sampled_from(["after", "beyond", "start", "none"]),
+    kind=st.sampled_from(["after", "beyond", "start", "none", "raises"]),
 )
 @example(x0=[1.0, -0.5, 0.25], t1=2.0, dt0=4.0, tol=1e-8, form="inline-dopri5", box="list",
          grid=False, kind="none")
@@ -790,6 +794,10 @@ def outcome(report, evaluations):
          grid=True, kind="after")
 @example(x0=[1.0, -0.5, 0.25], t1=2.0, dt0=0.05, tol=1e-8, form="dense-user-pair", box="general",
          grid=True, kind="beyond")
+@example(x0=[1.0, -0.5, 0.25], t1=2.0, dt0=0.5, tol=1e-8, form="inline-dopri5", box="list",
+         grid=False, kind="raises")
+@example(x0=[1.0, -0.5, 0.25], t1=2.0, dt0=0.05, tol=1e-8, form="dense", box="numpy",
+         grid=True, kind="raises")
 def test_generated_walk_matches_a_loop_over_the_public_try_step(x0, t1, dt0, tol, form, box, grid, kind):
     # The system sees the time and the state of every stage of every
     # trial, rejected ones included, so equal call logs mean equal
@@ -838,24 +846,22 @@ class ReferenceController:
     """A controller written over the public pieces only, with no
     generated controller code: the pair's ``do_step_with_error``, the
     algebra's ``error_ratio_max`` and ``next_step_size``.  It keeps
-    ``f(x, t)`` through a rejection, hands over a first-same-as-last
-    pair's ``new_derivative`` on acceptance and counts every
-    evaluation in ``evaluations``."""
+    ``f(x, t)`` through a rejection and hands over a
+    first-same-as-last pair's ``new_derivative`` on acceptance."""
 
     def __init__(self, pair, algebra, params):
         self.stepper, self.algebra, self.params = pair, algebra, params
-        self.dxdt, self.again, self.evaluations = None, False, 0
+        self.dxdt, self.again = None, False
 
     def try_step(self, system, x, t, dt):
         if t + dt == t:
             raise StepSizeUnderflowError(dt, t)
-        pair, algebra, counter = self.stepper, self.algebra, EvaluationCounter(system)
+        pair, algebra = self.stepper, self.algebra
         if self.dxdt is None:
             self.dxdt = algebra.clone_shape(x)
-            counter(x, self.dxdt, t)
+            system(x, self.dxdt, t)
         out, xerr = algebra.clone_shape(x), algebra.clone_shape(x)
-        made = pair.do_step_with_error(counter, x, t, dt, out=out, xerr=xerr, dxdt_in=self.dxdt)
-        self.evaluations += counter.count
+        made = pair.do_step_with_error(system, x, t, dt, out=out, xerr=xerr, dxdt_in=self.dxdt)
         err = algebra.error_ratio_max(xerr, x, self.dxdt, self.params.atol, self.params.rtol, dt)
         if err <= 1.0:
             algebra.copy(x, out)
@@ -883,7 +889,7 @@ class ReferenceController:
     pair=st.sampled_from(sorted(PAIRS)),
     box=st.sampled_from(sorted(WALK_BOXES)),
     grid=st.booleans(),
-    kind=st.sampled_from(["after", "beyond", "start", "none"]),
+    kind=st.sampled_from(["after", "beyond", "start", "none", "raises"]),
 )
 @example(x0=[1.0, -0.5, 0.25], t1=2.0, dt0=4.0, tol=1e-8, pair="dopri5", box="list", grid=False,
          kind="none")
@@ -891,13 +897,16 @@ class ReferenceController:
          kind="after")
 @example(x0=[1.0, -0.5, 0.25], t1=2.0, dt0=0.5, tol=1e-8, pair="dopri5", box="general", grid=True,
          kind="start")
+@example(x0=[1.0, -0.5, 0.25], t1=2.0, dt0=0.5, tol=1e-8, pair="ck54", box="list", grid=False,
+         kind="raises")
 def test_controller_matches_a_loop_over_the_public_pair_ratio_and_controller(
         x0, t1, dt0, tol, pair, box, grid, kind):
     # try_step and the drivers' walk are generated from the same
     # pieces; the reference shares none of them.  Both drivers and a
     # loop of try_step calls give the reference's call log (every
-    # stage of every trial), observations, trials, error, final or
-    # partial report and evaluation count, bit for bit.
+    # stage of every trial), observations, trials, error and final or
+    # partial report, bit for bit; the drivers report as many
+    # evaluations as the reference made calls.
     box, algebra = WALK_BOXES[box]
     if grid:
         dt0 = min(dt0, t1)
@@ -905,18 +914,16 @@ def test_controller_matches_a_loop_over_the_public_pair_ratio_and_controller(
     targets = expected_grid(0.0, t1, dt0)[1:] if grid else [t1]
     backend = algebra or (NUMPY_ALGEBRA if box is np.array else SEQUENCE_ALGEBRA)
 
-    def looped(stepper, evaluations):
+    def looped(stepper):
         rhs, calls = walk_system(kind)
         seen = []
         trials, failure, report = public_walk(stepper, rhs, box(x0), t1, dt0, targets,
                                               lambda x, t: seen.append((t.hex(), hexes(x))), not grid)
-        return trials, (calls, seen, failure, outcome(report, evaluations(stepper)))
+        return trials, (calls, seen, failure, outcome(report, len(calls)))
 
     reference = ReferenceController(PAIRS[pair](algebra), backend, params)
-    trials, expected = looped(reference, lambda stepper: stepper.evaluations)
-    assert expected[3][-1] == len(expected[0])
-    assert looped(ControlledStepper(PAIRS[pair](algebra), params), lambda stepper: stepper._evaluations) \
-        == (trials, expected)
+    trials, expected = looped(reference)
+    assert looped(ControlledStepper(PAIRS[pair](algebra), params)) == (trials, expected)
 
     rhs, calls = walk_system(kind)
     seen = []
@@ -957,24 +964,8 @@ class GivingUpDP5(DormandPrince5):
         return super().do_step_with_error(system, x, t, dt, out, xerr, dxdt_in)
 
 
-def stepped(stepper, system, x, t0, t1, dt):
-    """A run of manual ``try_step`` calls, each width clamped to ``t1``,
-    up to the end or the first failure: the counters in an
-    :class:`IntegrationReport` whose count is the stepper's own."""
-    t, accepted, rejected = t0, 0, 0
-    try:
-        while t < t1:
-            result = stepper.try_step(system, x, t, min(dt, t1 - t))
-            t, dt = result.t, result.dt
-            accepted, rejected = accepted + result.accepted, rejected + (not result.accepted)
-    except SolverError:
-        pass
-    return IntegrationReport(x, t, accepted, rejected, stepper._evaluations)
-
-
-# Steppers by the drivers that run them.  The shipped ones count their
-# own evaluations; the duck-typed one and the controller around an
-# overridden trial are counted through an EvaluationCounter.
+# Steppers by the drivers that run them: inline, or called with the
+# system in an EvaluationCounter.
 FIXED = {
     "euler": lambda params: ExplicitEuler(),
     "rk4": lambda params: RungeKutta4(),
@@ -992,7 +983,7 @@ TRYING = {
     "controlled-giving-up": lambda params: ControlledStepper(GivingUpDP5(), params),
 }
 COUNTED_RUNS = sorted([(name, "const") for name in FIXED]
-                      + [(name, drive) for name in TRYING for drive in ("const", "adaptive", "manual")])
+                      + [(name, drive) for name in TRYING for drive in ("const", "adaptive")])
 
 
 @settings(max_examples=120, deadline=None, database=None)
@@ -1011,12 +1002,9 @@ COUNTED_RUNS = sorted([(name, "const") for name in FIXED]
 @example(x0=[0.5], t1=1.0, dt=0.1, tol=1e-6, case=("implicit", "const"), as_numpy=False)
 @example(x0=[0.5, 0.25], t1=2.0, dt=0.5, tol=1e-6, case=("controlled-giving-up", "adaptive"), as_numpy=False)
 @example(x0=[0.5, 0.25], t1=2.0, dt=0.5, tol=1e-6, case=("controlled-giving-up", "const"), as_numpy=True)
-@example(x0=[0.5, 0.25], t1=2.0, dt=0.5, tol=1e-6, case=("controlled-giving-up", "manual"), as_numpy=False)
-@example(x0=[0.5, 0.25], t1=2.0, dt=0.5, tol=1e-6, case=("controlled-giving-up", "manual"), as_numpy=True)
 def test_reported_evaluations_equal_a_counting_closure(x0, t1, dt, tol, case, as_numpy):
-    # Rejected trials, failing runs' partial reports and a manual run's
-    # count on the stepper included.  A grid keeps at least one point
-    # past t0.
+    # Rejected trials and failing runs' partial reports included.  A
+    # grid keeps at least one point past t0.
     name, drive = case
     if drive == "const":
         dt = min(dt, t1)
@@ -1029,7 +1017,7 @@ def test_reported_evaluations_equal_a_counting_closure(x0, t1, dt, tol, case, as
     params = ControllerParams(atol=tol, rtol=tol)
     stepper = (FIXED.get(name) or TRYING[name])(params)
     system = JacobianSystem(rhs, rescaled_ring(1.0).jacobian) if name == "implicit" else rhs
-    driver = {"adaptive": integrate_adaptive, "const": integrate_const, "manual": stepped}[drive]
+    driver = {"adaptive": integrate_adaptive, "const": integrate_const}[drive]
     try:
         report = driver(stepper, system, np.array(x0) if as_numpy else list(x0), 0.0, t1, dt)
     except SolverError as exc:
