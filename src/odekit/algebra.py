@@ -323,6 +323,17 @@ def _refuse_empty(x, message):
         raise DimensionError(message)
 
 
+def _readonly(x, fresh=False):
+    """Read-only snapshot of ``x``: a tuple, or a read-only numpy copy;
+    a ``fresh`` numpy state, one no other code holds, is not copied."""
+    if not isinstance(x, np.ndarray):
+        return tuple(x)
+    if not fresh:
+        x = x.copy()
+    x.flags.writeable = False
+    return x
+
+
 def _initial_copy(owner, x0):
     """``owner``'s backend and its copy of a run's initial state, refused if 0-d, empty or non-finite."""
     if getattr(x0, "ndim", None) == 0:

@@ -20,8 +20,7 @@ from functools import lru_cache, partial
 
 from .algebra import Scratched, _indent, _make, _ratio_lines, _update_lines, scratch
 from .errors import SolverError, StepSizeUnderflowError
-from .explicit import EmbeddedRungeKutta, _count_calls, _stages, _update
-from .integrate import EvaluationCounter
+from .explicit import EmbeddedRungeKutta, _stages, _update
 
 SAFETY = 0.9
 FAC_MIN = 0.2
@@ -94,12 +93,12 @@ class ControlledStepper(Scratched):
     module docstring).  Any other pair, which must have
     ``do_step_with_error``, ``error_order`` and ``fsal`` (see the
     README), runs each trial as one call of its ``do_step_with_error``
-    with the system in an :class:`EvaluationCounter`.  Around either,
-    the hand-over, the acceptance and the step size control are
-    generated once: ``try_step`` runs them for one trial, the drivers'
-    walk inline for every trial, where the run counts the system
-    evaluations.  ``try_step`` keeps no count: wrap the system in an
-    :class:`EvaluationCounter` to count a manual run's.
+    on the system ``try_step`` is given, or the drivers' counter.
+    Around either, the hand-over, the acceptance and the step size
+    control are generated once: ``try_step`` runs them for one trial,
+    the drivers' walk inline for every trial, where the run counts the
+    system evaluations.  ``try_step`` keeps no count: wrap the system
+    in an :class:`EvaluationCounter` to count a manual run's.
 
     Instances carry scratch states (the derivative cache among them),
     the rejection history and the last step when it was accepted; do
@@ -160,10 +159,10 @@ class ControlledStepper(Scratched):
         # the controller's, the last two of which the ratio runs in.
         # One backend runs it all.
         ratio, stepper = algebra._error_kernel(buffers[:len(buffers) - len(fit[0])]), self._stepper
-        pieces = _trial_code(stepper.fsal, stepper.error_order, stepper.tableau if self._plain() else None,
-                             algebra._fused_length(x), fit)
+        pieces, make = _trial_code(stepper.fsal, stepper.error_order, stepper.tableau if self._plain() else None,
+                                   algebra._fused_length(x), fit)
         args = (algebra._kernel, ratio, algebra._copy_kernel(x), buffers)
-        return _one_code(pieces)(*args), pieces, args
+        return make(*args), pieces, args
 
     def try_step(self, system, x, t, dt):
         """Attempt one step of width ``dt`` from ``(x, t)``.
@@ -193,22 +192,24 @@ class ControlledStepper(Scratched):
 @lru_cache(maxsize=64)
 def _trial_code(fsal, error_order, tableau, n, fit=((), ())):
     """One controlled trial, generated once per pair and length ``n``
-    as ``explicit._step_code``'s step is: ``(kernels, head, step,
-    accept, reject, tail)``, the pieces :func:`_one_code` and
-    ``integrate._walk_code`` run, bound by ``make(kernel, ratio, copy,
-    k)``.  ``head`` reads the controller; ``step`` hands ``f(x, t)``
-    over into ``k0``, counts each evaluation in ``evaluations`` before
-    it is made and leaves the trial's error ratio in ``worst``;
-    ``accept`` (ratio at most one) or ``reject`` sets ``dt_next`` as
-    ``next_step_size`` would, with its constants as literals: only
-    ``FAC_MAX`` bounds an accepted ratio's factor, only ``FAC_MIN`` a
-    rejected one's; ``tail`` writes the controller back.  A shipped pair's trial is generated from its
-    ``tableau``, the code ``algebra``'s module docstring describes: the
-    other stages, the solution ``u``, a first-same-as-last stage at it
-    and the error ratio.  With no ``tableau`` it is ``trial =`` one
-    call of the user's pair's ``do_step_with_error`` from ``k0`` into
-    ``u`` and ``e``, its evaluations counted even when it raises.  Then
-    ``accept`` runs a dense stepper's ``fit``, ``(states, lines)`` (see
+    as ``explicit._step_code``'s step is: ``(pieces, make)``.  The
+    plain pieces ``(kernels, head, step, accept, reject, tail)`` run in
+    ``integrate._walk_code``, which counts; ``make(kernel, ratio, copy,
+    k)`` binds them into ``try_step``'s walk of one trial,
+    ``one(stepper, system, x, t, dt)``, returning the
+    :class:`StepResult`.  ``head`` reads the controller; ``step`` hands
+    ``f(x, t)`` over into ``k0`` and leaves the trial's error ratio in
+    ``worst``; ``accept`` (ratio at most one) or ``reject`` sets
+    ``dt_next`` as ``next_step_size`` would, with its constants as
+    literals: only ``FAC_MAX`` bounds an accepted ratio's factor, only
+    ``FAC_MIN`` a rejected one's; ``tail`` writes the controller back.
+    A shipped pair's trial is generated from its ``tableau``, the code
+    ``algebra``'s module docstring describes: the other stages, the
+    solution ``u``, a first-same-as-last stage at it and the error
+    ratio.  With no ``tableau`` it is ``trial =`` one call of the
+    user's pair's ``do_step_with_error`` on ``counted`` (``one``'s
+    system itself) from ``k0`` into ``u`` and ``e``.  Then ``accept``
+    runs a dense stepper's ``fit``, ``(states, lines)`` (see
     ``dense._dense_code``), whose states follow the trial's own in
     ``k``, copies ``u`` into ``x`` and, after a user's
     first-same-as-last pair, ``trial[2].new_derivative`` into ``k0``."""
@@ -216,23 +217,22 @@ def _trial_code(fsal, error_order, tableau, n, fit=((), ())):
     states, fit = fit
     called = tableau is None or n is None  # the error ratio is a call on the state e
     if tableau is None:
-        s, pair = 1, ["pair, counter = stepper._stepper.do_step_with_error, EvaluationCounter(system)"]
-        body = ["try:", "    trial = pair(counter, x, t, dt, out=u, xerr=e, dxdt_in=k0)",
-                "finally:", "    evaluations += counter.count", "    counter.count = 0"]
+        s, pair = 1, ["pair = stepper._stepper.do_step_with_error"]
+        body = ["trial = pair(counted, x, t, dt, out=u, xerr=e, dxdt_in=k0)"]
     else:
         s, pair, update = tableau.stage_count, [], partial(_update, tableau, n)
-        body = [*_count_calls([*_stages(tableau, update), *update("u", tableau.b, 1),
-                               *([f"system(u, k{s - 1}, t + dt)"] if tableau.is_fsal else [])]),
+        body = [*_stages(tableau, update), *update("u", tableau.b, 1),
+                *([f"system(u, k{s - 1}, t + dt)"] if tableau.is_fsal else []),
                 *(update("e", tableau.error_weights, 0) if n is None
                   else _ratio_lines(lambda row: update(row, tableau.error_weights, 0), "k0"))]
     names = [*(f"k{j}" for j in range(s)), "u", *(["e", "_", "_"] if called else []), *states]
     kl = f"k{s - 1}"
     head = [f"{', '.join(names)} = k", *pair, "params = stepper.params",
             "atol, rtol, dt_min = params.atol, params.rtol, params.dt_min",
-            "dxdt, again, evaluations = stepper._dxdt, stepper._rejected, 0"]
+            "dxdt, again = stepper._dxdt, stepper._rejected"]
     step = ["stepper._span = None", "if t + dt == t:", "    raise StepSizeUnderflowError(dt, t)",
             "if dxdt is not k0:", f"    if dxdt is {kl}:", f"        k0, {kl} = {kl}, k0",
-            "    else:", "        evaluations += 1", "        system(x, k0, t)", "    dxdt = k0", *body,
+            "    else:", "        system(x, k0, t)", "    dxdt = k0", *body,
             *(["worst = ratio(e, x, k0, atol, rtol, dt)"] if called else [])]
     accept = [*fit, *(["copy(x, u)"] if n is None else _update_lines(n, "x", ["1.0"], ["u"])),
               *(["copy(k0, trial[2].new_derivative)"] if fsal and tableau is None else []),
@@ -247,19 +247,9 @@ def _trial_code(fsal, error_order, tableau, n, fit=((), ())):
               f"dt_next = dt * (factor if factor > {FAC_MIN!r} else {FAC_MIN!r})",
               "if abs(dt_next) < dt_min:", "    raise StepSizeUnderflowError(dt_next, t, worst)"]
     tail = [f"k[0], k[{s - 1}] = k0, {kl}", "stepper._dxdt, stepper._rejected = dxdt, again"]
-    return n is None, tuple(head), tuple(step), tuple(accept), tuple(reject), tuple(tail)
-
-
-@lru_cache(maxsize=64)
-def _one_code(trial):
-    """``try_step``'s walk of one trial from the pieces ``trial`` of
-    :func:`_trial_code`: ``make(kernel, ratio, copy, k)`` returns
-    ``one(stepper, system, x, t, dt)``, which runs them and returns the
-    :class:`StepResult`."""
-    kernels, head, step, accept, reject, tail = trial
-    return _make(kernels, "ratio, copy, k", [
-        "def one(stepper, system, x, t, dt):", *_indent([*head, "try:", *_indent([
+    return (n is None, *map(tuple, (head, step, accept, reject, tail))), _make(n is None, "ratio, copy, k", [
+        "def one(stepper, system, x, t, dt):", *_indent(["counted = system", *head, "try:", *_indent([
             *step, "if worst <= 1.0:", *_indent([*accept, "return StepResult(True, t + dt, dt_next, worst)"]),
             *reject, "return StepResult(False, t, dt_next, worst)"]), "finally:", *_indent(tail)]),
     ], "one", StepResult=StepResult, SolverError=SolverError, StepSizeUnderflowError=StepSizeUnderflowError,
-        isfinite=math.isfinite, EvaluationCounter=EvaluationCounter)
+        isfinite=math.isfinite)

@@ -15,10 +15,9 @@ from __future__ import annotations
 import math
 from functools import lru_cache, partial
 
-from .algebra import UNROLL, _indent, _initial_copy, _make, _update_lines, algebra_of
+from .algebra import UNROLL, _indent, _initial_copy, _make, _readonly, _update_lines, algebra_of
 from .controlled import ControlledStepper
 from .explicit import DormandPrince5
-from .integrate import _readonly
 from .tableaus import DORMAND_PRINCE_54
 
 # Quartic-term weights by stage, from the continuous extension
@@ -47,22 +46,19 @@ def _dense_code(n):
     j*dt`` (``j`` counting up) below ``t_end`` and up to ``limit``,
     interpolated on the step ``[lo, hi]`` of width ``h`` at that time
     or ``hi`` if earlier, and returns the next ``j``.  A snapshot is a
-    tuple built inline (from locals up to ``UNROLL`` elements), or a
-    fresh copy filled by the 5-term kernel and made read-only."""
+    tuple built inline from locals up to ``UNROLL`` elements, else
+    ``at``'s fresh state made read-only."""
     update = partial(_update_lines, n)
     fit = (*(["copy(p0, x)"] if n is None else update("p0", ["1.0"], ["x"])),
            *update("p1", ["1.0", "-1.0"], ["u", "p0"]),
            *update("p2", ["dt", "-1.0"], ["k0", "p1"]),
            *update("p3", ["1.0", "-dt", "-1.0"], ["p1", "k6", "p2"]),
            *update("p4", [f"dt * {w!r}" for w in _D.values()], [f"k{j}" for j in _D]))
-    unpack = [f"{''.join(f'{p}_{i}, ' for i in range(n))}= {p}" for p in _P] if n and n <= UNROLL else []
-    if n is None:
-        snap = ["s = clone(p0)", *update("s", *_ROW), "s = readonly(s, True)"]
-    elif n <= UNROLL:
-        snap = [*update(lambda i, v: f"s{i} = {v}", *_ROW, at="{}_{}".format),
+    unpack, snap = [], ["s = readonly(at(theta, clone(p0)), True)"]
+    if n and n <= UNROLL:
+        unpack = [f"{''.join(f'{p}_{i}, ' for i in range(n))}= {p}" for p in _P]
+        snap = ["omt = 1.0 - theta", *update(lambda i, v: f"s{i} = {v}", *_ROW, at="{}_{}".format),
                 f"s = {''.join(f's{i}, ' for i in range(n))}"]
-    else:
-        snap = ["s = []", *update(lambda i, v: f"s.append({v})", *_ROW), "s = tuple(s)"]
     return (_P, fit), _make(n is None, "clone, readonly, p", [
         f"{', '.join(_P)} = p",
         "def at(theta, out):",
@@ -74,7 +70,6 @@ def _dense_code(n):
         "    t = t0 + j * dt",
         "    while t < t_end and t <= limit:",
         "        theta = ((hi if hi < t else t) - lo) / h",
-        "        omt = 1.0 - theta",
         *_indent(snap, 2),
         "        observer(s, t)",
         "        j += 1",

@@ -104,12 +104,6 @@ def _stages(tableau, update):
     return lines
 
 
-def _count_calls(lines):
-    """``lines`` with each system call counted in ``evaluations`` in
-    the line before it, so that a call that raises is counted too."""
-    return [out for line in lines for out in (("evaluations += 1", line) if line.startswith("system(") else (line,))]
-
-
 @lru_cache(maxsize=64)
 def _step_code(tableau, n=None):
     """Straight-line step code for ``tableau``, generated once per
@@ -121,9 +115,9 @@ def _step_code(tableau, n=None):
     update is a kernel call; with a length (see ``Algebra._fused_length``)
     it is written inline, and ``owner`` gets its ``do_step`` entry for
     a ``T`` of length ``N`` (``algebra._enter``); ``pieces`` are the
-    entry's whole step for ``integrate._fixed_code``, counting the
-    calls in ``evaluations``.  Zero weights are left out, the others
-    are exact floats: the stage loop's bits."""
+    entry's whole step, plain code that ``integrate._fixed_code`` runs
+    and counts.  Zero weights are left out, the others are exact
+    floats: the stage loop's bits."""
     update = partial(_update, tableau, n)
     step = _stages(tableau, update) + update("target", tableau.b, 1)
     body = ["def advance(system, x, t, dt, target):", *_indent(step + ["return target"])]
@@ -133,7 +127,7 @@ def _step_code(tableau, n=None):
     body += _entry_lines(n, "system, x, t, dt, out=None", ["target = x if out is None else out"],
                          "type(x) is T and len(x) == len(target) == N", ["system(x, k0, t)", *step, "return target"])
     head = f"{''.join(f'k{j}, ' for j in range(tableau.stage_count))}u = k"
-    pieces = (n is None, (head, "target, evaluations = x, 0"), tuple(_count_calls(["system(x, k0, t)", *step])))
+    pieces = (n is None, (head, "target = x"), ("system(x, k0, t)", *step))
     return pieces, _make(n is None, "k, owner, T, N", [head, *body], "advance, error",
                          fallback=ExplicitRungeKutta.do_step)
 

@@ -11,21 +11,22 @@ called (see ``algebra``'s module docstring for which code runs).  Every
 run returns an :class:`IntegrationReport` with the final state and the
 step and evaluation counters.
 
-The run counts the system evaluations, each in the line before the
-call, so a call that raises is counted too: the inline code in a local,
-the calling forms through an :class:`EvaluationCounter` around the
-system.  Steppers keep no count.
+The drivers write every count line; steppers generate plain code and
+keep no count.  A run counts each system call it inlines in the line
+before the call, so a call that raises is counted too, and hands any
+opaque callee ``counted``, the system in an :class:`EvaluationCounter`.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .algebra import _indent, _initial_copy, _make
+from .algebra import _indent, _initial_copy, _make, _readonly
 from .errors import SolverError, StepSizeUnderflowError
 
 # Grid times within this fraction of a width of the interval end are
@@ -69,17 +70,6 @@ class EvaluationCounter:
 
     def reset(self):
         self.count = 0
-
-
-def _readonly(x, fresh=False):
-    """Read-only snapshot of ``x``: a tuple, or a read-only numpy copy;
-    a ``fresh`` numpy state, one no other code holds, is not copied."""
-    if not isinstance(x, np.ndarray):
-        return tuple(x)
-    if not fresh:
-        x = x.copy()
-    x.flags.writeable = False
-    return x
 
 
 def _grid(t0, t1, dt):
@@ -134,43 +124,58 @@ def _controlled_walk(stepper, system, x, t0, targets, dt, observer, observe_step
                 _readonly if isinstance(x, np.ndarray) else tuple)
 
 
+def _count_calls(lines):
+    """``lines`` with each system call counted in ``evaluations`` in
+    the line before it, at its indentation, so that a call that raises
+    is counted too."""
+    return re.sub(r"^( *)system\(", r"\1evaluations += 1\n\g<0>", "\n".join(lines), flags=re.M).split("\n")
+
+
+def _run_code(kernels, args, signature, head, loop, partial, final, tail=()):
+    """Both drivers' generated run, ``make(kernel, <args>)`` returning
+    ``signature``: it counts in ``evaluations`` and ``counted``, runs
+    ``head`` and ``loop`` (then ``tail``), and reports ``final`` or, in
+    a :class:`SolverError`'s ``partial_report``, ``partial``."""
+    report = "IntegrationReport({}, evaluations + counted.count)".format
+    return _make(kernels, args, [
+        f"def {signature}:", "    evaluations, counted = 0, EvaluationCounter(system)", *_indent(head),
+        "    try:", *_indent(loop, 2),
+        "    except SolverError as exc:", f"        exc.partial_report = {report(partial)}", "        raise",
+        *(["    finally:", *_indent(tail, 2)] if tail else []), f"    return {report(final)}",
+    ], signature[:signature.index("(")], IntegrationReport=IntegrationReport, SolverError=SolverError,
+        StepSizeUnderflowError=StepSizeUnderflowError, isfinite=math.isfinite, EvaluationCounter=EvaluationCounter)
+
+
 @lru_cache(maxsize=64)
 def _walk_code(trial, observe):
     """:func:`_controlled_walk`'s loop, generated per trial and observe
-    mode: ``make(kernel, ...)`` returns ``walk(stepper, system, x, t,
-    targets, dt_next, observer, sample, snap)``.  A ``trial`` None calls
-    ``try_step`` on the system in an :class:`EvaluationCounter`; an
+    mode on :func:`_run_code`: ``make(kernel, ...)`` returns
+    ``walk(stepper, system, x, t, targets, dt_next, observer, sample,
+    snap)``.  A ``trial`` None calls ``try_step`` on ``counted``; an
     inline one is ``controlled._trial_code``'s pieces, bound by
-    ``make(kernel, ratio, copy, k)``: ``step`` leaves a trial's error
-    ratio in ``worst``, ``accept`` or ``reject`` sets ``dt_next``, and
-    ``evaluations`` counts."""
+    ``make(kernel, ratio, copy, k)``, with the system calls of their
+    ``step`` counted here: ``step`` leaves a trial's error ratio in
+    ``worst``, and ``accept`` or ``reject`` sets ``dt_next``."""
     seen = ["observer(snap(x), t)"]
     on_step = {"steps": seen, "samples": ["j = sample(observer, t0, h, j, t_end, t + reach)"]}.get(observe, [])
     on_target = seen if observe in ("targets", "samples") else []
     sampler = ["(sample, t0, h, t_end, reach), j = sample, 1"] if observe == "samples" else []
     if trial is None:
-        kernels, args, accept, reject, tail, after, count = False, "", [], [], [], "result.t", "system.count"
-        head = ["try_step, system = stepper.try_step, EvaluationCounter(system)"]
-        step = ["result = try_step(system, x, t, target - t if clamped else dt_next)",
+        kernels, args, accept, reject, tail, after = False, "", [], [], (), "result.t"
+        head = ["try_step = stepper.try_step"]
+        step = ["result = try_step(counted, x, t, target - t if clamped else dt_next)",
                 "dt_next = result.dt", "if result.accepted:"]
     else:
-        (kernels, head, step, accept, reject, tail), args = trial, "ratio, copy, k"
-        after, count = "t + dt", "evaluations"
-        step = ["dt = target - t if clamped else dt_next", *step, "if worst <= 1.0:"]
-    report = f"IntegrationReport(x, t, accepted, rejected, {count})"
-    return _make(kernels, args, [
-        "def walk(stepper, system, x, t, targets, dt_next, observer, sample, snap):",
-        *_indent([*sampler, *head, "accepted = rejected = 0"]), "    try:", "        for target in targets:",
-        "            if target <= t:  # a grid point that rounds onto the time reached",
-        "                raise StepSizeUnderflowError(dt_next, t)",
-        "            while t < target:", "                clamped = dt_next >= target - t", *_indent(step, 4),
-        *_indent([*accept, "accepted += 1", f"t = target if clamped else {after}", *on_step], 5),
-        "                else:", *_indent([*reject, "rejected += 1"], 5),
-        "            t = target", *_indent(on_target, 3),
-        "    except SolverError as exc:", f"        exc.partial_report = {report}", "        raise",
-        *(["    finally:", *_indent(tail, 2)] if tail else []), f"    return {report}",
-    ], "walk", IntegrationReport=IntegrationReport, SolverError=SolverError,
-        StepSizeUnderflowError=StepSizeUnderflowError, isfinite=math.isfinite, EvaluationCounter=EvaluationCounter)
+        (kernels, head, step, accept, reject, tail), args, after = trial, "ratio, copy, k", "t + dt"
+        step = ["dt = target - t if clamped else dt_next", *_count_calls(step), "if worst <= 1.0:"]
+    return _run_code(kernels, args, "walk(stepper, system, x, t, targets, dt_next, observer, sample, snap)",
+                     [*sampler, *head, "accepted = rejected = 0"], [
+        "for target in targets:", "    if target <= t:  # a grid point that rounds onto the time reached",
+        "        raise StepSizeUnderflowError(dt_next, t)", "    while t < target:",
+        "        clamped = dt_next >= target - t", *_indent(step, 2),
+        *_indent([*accept, "accepted += 1", f"t = target if clamped else {after}", *on_step], 3),
+        "        else:", *_indent([*reject, "rejected += 1"], 3), "    t = target", *_indent(on_target),
+    ], "x, t, accepted, rejected", "x, t, accepted, rejected", tail)
 
 
 @lru_cache(maxsize=64)
@@ -178,24 +183,17 @@ def _fixed_code(step, observed):
     """:func:`integrate_const`'s fixed-step loop, generated as
     :func:`_walk_code`'s walk is: ``make(kernel, k)`` returns
     ``loop(stepper, system, x, t, steps, width, t_last, dt_last,
-    observer, snap)``.  A ``step`` None calls ``do_step`` on the system in
-    an :class:`EvaluationCounter`; an inline one is
-    ``explicit._step_code``'s pieces, and ``evaluations`` counts."""
-    count = "system.count" if step is None else "evaluations"
-    kernels, head, step = step or (False, ["system = EvaluationCounter(system)"], ["stepper.do_step(system, x, t, dt)"])
-    return _make(kernels, "k", [
-        "def loop(stepper, system, x, t, steps, width, t_last, dt_last, observer, snap):",
-        *_indent([*head, "t0, dt = t, width"]), "    try:", "        for j in range(1, steps + 1):",
-        "            if j == steps:", "                t_next, dt = t_last, dt_last",
-        "            else:", "                t_next = t0 + j * width",
-        "            if t_next <= t:  # a width too small to move t",
-        "                raise StepSizeUnderflowError(width, t)",
-        *_indent([*step, "t = t_next", *(["observer(snap(x), t)"] if observed else [])], 3),
-        "    except SolverError as exc:",
-        f"        exc.partial_report = IntegrationReport(x, t, j - 1, 0, {count})", "        raise",
-        f"    return IntegrationReport(x, t_last, steps, 0, {count})",
-    ], "loop", IntegrationReport=IntegrationReport, SolverError=SolverError,
-        StepSizeUnderflowError=StepSizeUnderflowError, EvaluationCounter=EvaluationCounter)
+    observer, snap)``.  A ``step`` None calls ``do_step`` on
+    ``counted``; an inline one is ``explicit._step_code``'s pieces,
+    with the system calls of their step counted here."""
+    kernels, head, step = step or (False, [], ["stepper.do_step(counted, x, t, dt)"])
+    return _run_code(kernels, "k", "loop(stepper, system, x, t, steps, width, t_last, dt_last, observer, snap)",
+                     [*head, "t0, dt = t, width"], [
+        "for j in range(1, steps + 1):", "    if j == steps:", "        t_next, dt = t_last, dt_last",
+        "    else:", "        t_next = t0 + j * width", "    if t_next <= t:  # a width too small to move t",
+        "        raise StepSizeUnderflowError(width, t)",
+        *_indent([*_count_calls(step), "t = t_next", *(["observer(snap(x), t)"] if observed else [])]),
+    ], "x, t, j - 1, 0", "x, t_last, steps, 0")
 
 
 def integrate_const(stepper, system, x0, t0, t1, dt, observer=None):

@@ -24,3 +24,22 @@ def test_every_imported_name_is_exported():
     ]
     assert imported
     assert [name for name in imported if name not in odekit.__all__] == []
+
+
+def test_no_stepper_module_imports_the_drivers():
+    # Steppers generate plain code; the drivers own the run and its
+    # counts, so the dependency runs one way only.
+    source = Path(odekit.__file__).parent
+    importers = []
+    for name in ("algebra", "explicit", "controlled", "dense", "symplectic", "implicit"):
+        for node in ast.walk(ast.parse((source / f"{name}.py").read_text())):
+            if isinstance(node, ast.ImportFrom):
+                modules = [f"{'.' * node.level}{node.module or ''}"]
+                modules += [f"{modules[0].rstrip('.')}.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            else:
+                continue
+            if any(module in (".integrate", "odekit.integrate") for module in modules):
+                importers.append(name)
+    assert importers == []

@@ -2,7 +2,9 @@
 call form for every embedded pair, scratch keyed on shape and dtype,
 partial reports from the fixed-step driver, and every controller,
 dense output and a pair of the user's included, walked with no call
-of its try_step, and no call of next_step_size in the library."""
+of its try_step, and no call of next_step_size in the library; a
+pair of the user's handed the system of a manual try_step, and the
+run's one counter on the walk."""
 
 import ast
 import functools
@@ -20,12 +22,15 @@ from odekit import (
     DormandPrince5,
     EvaluationCounter,
     ImplicitEuler,
+    HARMONIC,
     JacobianSystem,
     RungeKutta4,
+    SolverError,
     StepSizeUnderflowError,
     integrate_adaptive,
     integrate_const,
 )
+from test_integrate import failing_harmonic
 from test_properties import delegating
 
 
@@ -209,3 +214,45 @@ def test_shipped_controller_walks_with_no_try_step_or_controller_call(monkeypatc
                if isinstance(node, ast.Call) and "next_step_size" in (getattr(node.func, "id", None),
                                                                        getattr(node.func, "attr", None))]
     assert callers == []
+
+
+def spying_pair(seen):
+    """The ``delegating`` DP5, a pair of the user's, appending the
+    system each of its calls receives to ``seen``."""
+
+    class Spying(delegating(DormandPrince5)):
+        def do_step_with_error(self, system, *args, **kwargs):
+            seen.append(system)
+            return super().do_step_with_error(system, *args, **kwargs)
+
+    return Spying()
+
+
+@pytest.mark.parametrize("box", [list, np.array], ids=["list", "numpy"])
+def test_a_manual_try_step_hands_a_users_pair_the_system_given(box):
+    # try_step keeps no count, so it wraps nothing: the pair receives
+    # the very object passed in, under a controller and dense output.
+    seen = []
+    dense = DenseOutputDopri5()
+    dense.stepper = spying_pair(seen)
+    for stepper in (ControlledStepper(spying_pair(seen)), dense):
+        x = box([1.0, 0.5])
+        for _ in range(2):
+            stepper.try_step(HARMONIC, x, 0.0, 0.125)
+    assert len(seen) == 4 and all(system is HARMONIC for system in seen)
+
+
+@pytest.mark.parametrize("box", [list, np.array], ids=["list", "numpy"])
+@pytest.mark.parametrize("drive", [integrate_adaptive, integrate_const])
+def test_a_users_pair_is_counted_exactly_when_the_rhs_raises(drive, box):
+    # The rhs fails on its 10th call, inside the pair's second trial:
+    # the run counts the derivative refresh inline and the pair's nine
+    # calls on the one counter it hands every trial.
+    system, calls = failing_harmonic(10)
+    seen = []
+    with pytest.raises(SolverError, match="the rhs gives up") as info:
+        drive(ControlledStepper(spying_pair(seen)), system, box([1.0, 0.5]), 0.0, 1.0, 0.125)
+    assert info.value.partial_report.system_evaluations == len(calls) == 10
+    counter = seen[0]
+    assert len(seen) == 2 and isinstance(counter, EvaluationCounter) and seen[1] is counter
+    assert counter.system is system and counter.count == 9

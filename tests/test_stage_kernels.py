@@ -345,8 +345,9 @@ def test_trial_code_is_generated_once_per_tableau_and_length():
     # The controller's generated trial is keyed on (tableau, length,
     # fit): the length None for numpy, which calls its kernels, and the
     # fit a dense stepper's, so a dense stepper adds one entry per
-    # length, shared by every dense stepper.  try_step runs one code
-    # object per entry, the walk the entry's pieces.
+    # length, shared by every dense stepper.  Each entry is (pieces,
+    # make): try_step runs one code object per entry, the walk the
+    # entry's pieces.
     _trial_code.cache_clear()
     trials = []
     for box in (list, np.array):
@@ -369,7 +370,7 @@ def test_trial_code_is_generated_once_per_tableau_and_length():
             controller, x = ControlledStepper(make()), box(X0)
             pieces, _ = controller.try_step._inline(controller, x)
             pair = controller.stepper
-            assert pieces is _trial_code(pair.fsal, pair.error_order, pair.tableau, n, ((), ()))
+            assert pieces is _trial_code(pair.fsal, pair.error_order, pair.tableau, n, ((), ()))[0]
     assert _trial_code.cache_info().misses == 6
     # Lengths past UNROLL share one looped trial.
     _trial_code.cache_clear()
@@ -391,7 +392,7 @@ def test_trial_code_is_generated_once_per_tableau_and_length():
                 controller.try_step(decay_rows, x, 0.0, 0.01)
                 pair = controller.stepper
                 assert controller.try_step._inline(controller, x)[0] is \
-                    _trial_code(pair.fsal, pair.error_order, None, length, ((), ()))
+                    _trial_code(pair.fsal, pair.error_order, None, length, ((), ()))[0]
             pieces = []
             for _ in range(2):
                 dense = DenseOutputDopri5()
