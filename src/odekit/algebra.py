@@ -15,12 +15,15 @@ evaluation; one override rule (class or instance) for ``scale_sum``,
 
 The sequence backend's code is generated per state length, and one
 function, :func:`_update_lines`, writes every update in it: one
-statement per element up to ``UNROLL`` elements, one loop beyond.  A
-stepper binding a sequence state gets the copy and the error ratio
-generated for its length and writes its updates inline, the
-controller its whole trial; on numpy states, and wherever any of the
-three methods is replaced, the same generated code calls the kernels
-(see ``Algebra._fused_length``), each on one scaffold, :func:`_make`.
+statement per element up to ``UNROLL`` elements, where an element
+that more than one update reads is read once, into a local
+(:func:`_held`), and one loop beyond.  A stepper binding a sequence
+state gets the copy and the error ratio generated for its length and
+writes its updates inline, the controller its whole trial; on numpy
+states, and wherever any of the three methods is replaced, the same
+generated code calls the kernels (see ``Algebra._fused_length``), each
+on one scaffold, :func:`_make`, under a file name of its own
+(:func:`_define`).
 On a sequence state a fixed-step stepper's whole step is also its
 instance's own ``do_step``, behind one guard on the state's type and
 length (:func:`_enter`); any other call runs the class's method.
@@ -30,6 +33,7 @@ explicit stepper's step inline, on every backend.
 
 from __future__ import annotations
 
+import linecache
 from functools import lru_cache
 
 import numpy as np
@@ -185,9 +189,26 @@ def _update_lines(n, out, coeffs, terms, at="{}[{}]".format):
     return [f"{', '.join(c[skip:])}, = {', '.join(coeffs[skip:])},", *_each(n, length, row)]
 
 
-def _define(name, args, lines, **names):
-    """The function ``def name(args)``, body ``lines``, globals ``names``."""
-    exec(f"def {name}({args}):\n" + "".join(f"    {line}\n" for line in lines), names)
+def _held(n, code):
+    """``code(at, unpack)`` with each state it unpacks and reads twice or more held in locals ``<state>_<i>``
+    (``at(state, i)``), read by ``unpack(state)``'s line where ``state`` was written, up to ``UNROLL`` elements."""
+    reads, offered = [], set()
+    code(lambda state, i: reads.append(state) or f"{state}[{i}]", lambda state: offered.add(state) or [])
+    held = {state for state in offered if reads.count(state) > n} if n and n <= UNROLL else ()
+    return code(lambda state, i: f"{state}_{i}" if state in held else f"{state}[{i}]",
+                lambda state: [f"{''.join(f'{state}_{i}, ' for i in range(n))}= {state}"] if state in held else [])
+
+
+def _define(name, args, lines, key, **names):
+    """The function ``def name(args)``, body ``lines``, globals ``names``,
+    compiled as the file ``<odekit key>``, made unique per source, whose
+    lines ``linecache`` holds (with no mtime, so ``checkcache`` keeps
+    them) for tracebacks, ``inspect`` and profilers."""
+    source = f"def {name}({args}):\n" + "".join(f"    {line}\n" for line in lines)
+    text, filename, count = source.splitlines(True), f"<odekit {key}>", 1
+    while linecache.cache.setdefault(filename, (len(source), None, text, filename))[2] != text:
+        filename, count = f"<odekit {key} #{count}>", count + 1
+    exec(compile(source, filename, "exec"), names)
     return names[name]
 
 
@@ -195,13 +216,14 @@ def _indent(lines, depth=1):
     return [" " * 4 * depth + line for line in lines]
 
 
-def _make(kernels, args, lines, returns, **names):
-    """Every generator's ``make(kernel, <args>)``: it binds ``K<k>``, the
-    kernel of k terms, when ``kernels`` is set (``n`` None), runs
-    ``lines`` and returns ``returns``; ``names`` and :func:`_enter` are its globals."""
+def _make(kernels, args, lines, returns, key, **names):
+    """Every generator's ``make(kernel, <args>)``, named by ``key`` (see
+    :func:`_define`): it binds ``K<k>``, the kernel of k terms, when
+    ``kernels`` is set (``n`` None), runs ``lines`` and returns
+    ``returns``; ``names`` and :func:`_enter` are its globals."""
     terms = range(1, MAX_TERMS + 1)
     head = [f"{', '.join(f'K{k}' for k in terms)} = map(kernel, {terms!r})"] if kernels else []
-    return _define("make", f"kernel, {args}", [*head, *lines, f"return {returns}"], _enter=_enter, **names)
+    return _define("make", f"kernel, {args}", [*head, *lines, f"return {returns}"], key, _enter=_enter, **names)
 
 
 # The generated sequence code is cached per term count k <= MAX_TERMS
@@ -212,22 +234,23 @@ def _sequence_scale_sum(k):
     t = [f"t{j}" for j in range(k)]
     coeffs = [f"coeffs[{j}]" for j in range(k)]
     return _define("scale_sum", "out, coeffs, terms",
-                   [f"{', '.join(t)}, = terms", *_update_lines(UNROLL + 1, "out", coeffs, t), "return out"])
+                   [f"{', '.join(t)}, = terms", *_update_lines(UNROLL + 1, "out", coeffs, t), "return out"],
+                   f"scale_sum k={k}")
 
 
 @lru_cache(maxsize=None)
 def _sequence_copy(n):
     """Unchecked copy on sequences of length ``n``: a one-term update."""
-    return _define("copy", "out, src", [*_update_lines(n, "out", ["1.0"], ["src"]), "return out"])
+    return _define("copy", "out, src", [*_update_lines(n, "out", ["1.0"], ["src"]), "return out"], f"copy n={n}")
 
 
-def _ratio_lines(rows, dxdt):
+def _ratio_lines(rows, dxdt, at="{}[{}]".format):
     """Lines leaving the error ratio in ``worst``, NaN propagated:
     ``rows(row)`` runs ``row(i, e)``, the statement folding element
     ``i`` with error ``e``, on every element; ``dxdt`` names the
-    derivative at ``x``.  A zero scale divides as numpy does, NaN for
-    a zero error and inf for any other."""
-    scale = lambda i: f"(atol + rtol * (abs(x[{i}]) + adt * abs({dxdt}[{i}])))"
+    derivative at ``x``, ``at`` elements.  A zero scale divides as
+    numpy does, NaN for a zero error and inf for any other."""
+    scale = lambda i: f"(atol + rtol * (abs({at('x', i)}) + adt * abs({at(dxdt, i)})))"
     fold = "worst = r if r > worst or r != r else worst"
     return ["adt, worst = abs(dt), 0.0", *rows(lambda i, e: (
         f"r, s = abs({e}), {scale(i)}; r = r / s if s else r * float('inf'); {fold}")), "worst = float(worst)"]
@@ -237,7 +260,8 @@ def _ratio_lines(rows, dxdt):
 def _sequence_ratio(n):
     """Unchecked error ratio on sequences of length ``n`` (see :func:`_ratio_lines`)."""
     rows = lambda row: _each(n, "len(x)", lambda i: row(i, f"xerr[{i}]"))
-    return _define("ratio", "xerr, x, dxdt, atol, rtol, dt", [*_ratio_lines(rows, "dxdt"), "return worst"])
+    return _define("ratio", "xerr, x, dxdt, atol, rtol, dt", [*_ratio_lines(rows, "dxdt"), "return worst"],
+                   f"ratio n={n}")
 
 
 def _numpy_error_ratio(w, v):

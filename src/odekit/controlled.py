@@ -18,7 +18,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
-from .algebra import Scratched, _indent, _make, _ratio_lines, _update_lines, scratch
+from .algebra import Scratched, _each, _held, _indent, _make, _ratio_lines, _update_lines, scratch
 from .errors import SolverError, StepSizeUnderflowError
 from .explicit import EmbeddedRungeKutta, _stages, _update
 
@@ -193,7 +193,8 @@ class ControlledStepper(Scratched):
 def _trial_code(fsal, error_order, tableau, n, fit=((), ())):
     """One controlled trial, generated once per pair and length ``n``
     as ``explicit._step_code``'s step is: ``(pieces, make)``.  The
-    plain pieces ``(kernels, head, step, accept, reject, tail)`` run in
+    plain pieces ``(key, kernels, head, step, accept, reject, tail)``
+    (``key`` names the code, see ``algebra._define``) run in
     ``integrate._walk_code``, which counts; ``make(kernel, ratio, copy,
     k)`` binds them into ``try_step``'s walk of one trial,
     ``one(stepper, system, x, t, dt)``, returning the
@@ -206,25 +207,28 @@ def _trial_code(fsal, error_order, tableau, n, fit=((), ())):
     A shipped pair's trial is generated from its ``tableau``, the code
     ``algebra``'s module docstring describes: the other stages, the
     solution ``u``, a first-same-as-last stage at it and the error
-    ratio.  With no ``tableau`` it is ``trial =`` one call of the
-    user's pair's ``do_step_with_error`` on ``counted`` (``one``'s
-    system itself) from ``k0`` into ``u`` and ``e``.  Then ``accept``
-    runs a dense stepper's ``fit``, ``(states, lines)`` (see
-    ``dense._dense_code``), whose states follow the trial's own in
-    ``k``, copies ``u`` into ``x`` and, after a user's
+    ratio, read from ``algebra._held``'s locals.  With no ``tableau`` it
+    is ``trial =`` one call of the user's pair's ``do_step_with_error``
+    on ``counted`` (``one``'s system itself) from ``k0`` into ``u`` and
+    ``e``.  Then ``accept`` runs a dense stepper's ``fit``, ``(states,
+    fit)`` (see ``dense._dense_code``), whose states follow the trial's
+    own in ``k``, copies ``u`` into ``x`` and, after a user's
     first-same-as-last pair, ``trial[2].new_derivative`` into ``k0``."""
     power = f"{SAFETY!r} * worst ** {-1.0 / (error_order + 1)!r}"
     states, fit = fit
     called = tableau is None or n is None  # the error ratio is a call on the state e
-    if tableau is None:
-        s, pair = 1, ["pair = stepper._stepper.do_step_with_error"]
-        body = ["trial = pair(counted, x, t, dt, out=u, xerr=e, dxdt_in=k0)"]
-    else:
-        s, pair, update = tableau.stage_count, [], partial(_update, tableau, n)
-        body = [*_stages(tableau, update), *update("u", tableau.b, 1),
-                *([f"system(u, k{s - 1}, t + dt)"] if tableau.is_fsal else []),
-                *(update("e", tableau.error_weights, 0) if n is None
-                  else _ratio_lines(lambda row: update(row, tableau.error_weights, 0), "k0"))]
+    s, pair = (1, ["pair = stepper._stepper.do_step_with_error"]) if tableau is None else (tableau.stage_count, [])
+    def code(at, unpack):  # the trial, then, on acceptance, the fit and the copy into x
+        update = partial(_update, tableau, n, at=at)
+        copy = ["copy(x, u)"] if n is None else _update_lines(n, "x", ["1.0"], ["u"]) if tableau is None \
+            else _each(n, "len(x)", lambda i: f"x[{i}] = {at('u', i)}")  # a shipped pair's floats as they are
+        return ["trial = pair(counted, x, t, dt, out=u, xerr=e, dxdt_in=k0)"] if tableau is None else [
+            *unpack("x"), *unpack("k0"), *_stages(tableau, update, unpack), *update("u", tableau.b, 1), *unpack("u"),
+            *([f"system(u, k{s - 1}, t + dt)", *unpack(f"k{s - 1}")] if tableau.is_fsal else []),
+            *(update("e", tableau.error_weights, 0) if n is None
+              else _ratio_lines(lambda row: update(row, tableau.error_weights, 0), "k0", at)),
+        ], [*(fit(at) if fit else ()), *copy]
+    body, copied = _held(n if tableau else None, code)
     names = [*(f"k{j}" for j in range(s)), "u", *(["e", "_", "_"] if called else []), *states]
     kl = f"k{s - 1}"
     head = [f"{', '.join(names)} = k", *pair, "params = stepper.params",
@@ -234,7 +238,7 @@ def _trial_code(fsal, error_order, tableau, n, fit=((), ())):
             "if dxdt is not k0:", f"    if dxdt is {kl}:", f"        k0, {kl} = {kl}, k0",
             "    else:", "        system(x, k0, t)", "    dxdt = k0", *body,
             *(["worst = ratio(e, x, k0, atol, rtol, dt)"] if called else [])]
-    accept = [*fit, *(["copy(x, u)"] if n is None else _update_lines(n, "x", ["1.0"], ["u"])),
+    accept = [*copied,
               *(["copy(k0, trial[2].new_derivative)"] if fsal and tableau is None else []),
               "stepper._span = t, t + dt, dt",
               f"factor = {FAC_MAX!r} if worst == 0.0 else {power}",
@@ -247,9 +251,10 @@ def _trial_code(fsal, error_order, tableau, n, fit=((), ())):
               f"dt_next = dt * (factor if factor > {FAC_MIN!r} else {FAC_MIN!r})",
               "if abs(dt_next) < dt_min:", "    raise StepSizeUnderflowError(dt_next, t, worst)"]
     tail = [f"k[0], k[{s - 1}] = k0, {kl}", "stepper._dxdt, stepper._rejected = dxdt, again"]
-    return (n is None, *map(tuple, (head, step, accept, reject, tail))), _make(n is None, "ratio, copy, k", [
+    key = f"{tableau.name if tableau else 'pair'}{' dense' if fit else ''} n={n}"
+    return (key, n is None, *map(tuple, (head, step, accept, reject, tail))), _make(n is None, "ratio, copy, k", [
         "def one(stepper, system, x, t, dt):", *_indent(["counted = system", *head, "try:", *_indent([
             *step, "if worst <= 1.0:", *_indent([*accept, "return StepResult(True, t + dt, dt_next, worst)"]),
             *reject, "return StepResult(False, t, dt_next, worst)"]), "finally:", *_indent(tail)]),
-    ], "one", StepResult=StepResult, SolverError=SolverError, StepSizeUnderflowError=StepSizeUnderflowError,
-        isfinite=math.isfinite)
+    ], "one", f"trial {key}", StepResult=StepResult, SolverError=SolverError,
+        StepSizeUnderflowError=StepSizeUnderflowError, isfinite=math.isfinite)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache, partial
 
-from .algebra import UNROLL, _indent, _initial_copy, _make, _readonly, _update_lines, algebra_of
+from .algebra import UNROLL, _indent, _initial_copy, _make, _readonly, _update_lines, algebra_of, scratch
 from .controlled import ControlledStepper
 from .explicit import DormandPrince5
 from .tableaus import DORMAND_PRINCE_54
@@ -33,13 +33,13 @@ _ROW = (["1.0", "theta", "theta * omt", "theta * theta * omt", "theta * theta * 
 
 
 @lru_cache(maxsize=None)  # n is None or at most UNROLL + 1
-def _dense_code(n):
+def _dense_code(n, paired=False):
     """The interpolation, generated once per length ``n`` as the
-    explicit steppers' step is: ``(fit, make)``.  ``fit`` is ``(_P,
-    lines)``: the lines copy the state ``x`` at the step's start into
-    ``p0`` and fit ``p1``..``p4`` from it, the new state ``u``, the
-    stage derivatives ``k0``..``k6`` and the width ``dt``; the
-    controller's generated trial runs them on acceptance.
+    explicit steppers' step is: ``((_P, fit), make)``.  ``fit(at)``'s
+    lines copy the state ``x`` at the step's start into ``p0`` and fit
+    ``p1``..``p4`` from it, the new state ``u``, the stage derivatives
+    ``k0``..``k6`` (a ``paired`` user's pair's from its record) and the
+    width ``dt``; the controller's generated trial runs them on acceptance.
     ``make(kernel, clone, readonly, p)`` binds the states ``p`` and
     returns ``at(theta, out)`` and ``sample(observer, lo, hi, h, t0,
     dt, j, t_end, limit)``, which observes each grid point ``t0 +
@@ -49,11 +49,12 @@ def _dense_code(n):
     tuple built inline from locals up to ``UNROLL`` elements, else
     ``at``'s fresh state made read-only."""
     update = partial(_update_lines, n)
-    fit = (*(["copy(p0, x)"] if n is None else update("p0", ["1.0"], ["x"])),
-           *update("p1", ["1.0", "-1.0"], ["u", "p0"]),
-           *update("p2", ["dt", "-1.0"], ["k0", "p1"]),
-           *update("p3", ["1.0", "-dt", "-1.0"], ["p1", "k6", "p2"]),
-           *update("p4", [f"dt * {w!r}" for w in _D.values()], [f"k{j}" for j in _D]))
+    fit = lambda at: (*(["_, k1, k2, k3, k4, k5, k6 = trial[2].derivatives"] if paired else []),
+                      *(["copy(p0, x)"] if n is None else update("p0", ["1.0"], ["x"], at)),
+                      *update("p1", ["1.0", "-1.0"], ["u", "p0"], at),
+                      *update("p2", ["dt", "-1.0"], ["k0", "p1"], at),
+                      *update("p3", ["1.0", "-dt", "-1.0"], ["p1", "k6", "p2"], at),
+                      *update("p4", [f"dt * {w!r}" for w in _D.values()], [f"k{j}" for j in _D], at))
     unpack, snap = [], ["s = readonly(at(theta, clone(p0)), True)"]
     if n and n <= UNROLL:
         unpack = [f"{''.join(f'{p}_{i}, ' for i in range(n))}= {p}" for p in _P]
@@ -75,7 +76,7 @@ def _dense_code(n):
         "        j += 1",
         "        t = t0 + j * dt",
         "    return j",
-    ], "at, sample")
+    ], "at, sample", f"dense n={n}")
 
 
 class DenseOutputDopri5(ControlledStepper):
@@ -123,11 +124,9 @@ class DenseOutputDopri5(ControlledStepper):
         # (the interpolant's follow its own), then the interpolation
         # code on the interpolant's: (at, sample).  Around a user's
         # pair the fit reads the stages after the first from its record.
-        own = len(buffers) - len(_P)
-        (states, fit), make = _dense_code(algebra._fused_length(x))
-        record = () if self._plain() else ("_, k1, k2, k3, k4, k5, k6 = trial[2].derivatives",)
-        code = make(algebra._kernel, algebra.clone_shape, _readonly, buffers[own:])
-        return (*super()._bind(algebra, buffers, x, (states, record + fit)), code)
+        fit, make = _dense_code(algebra._fused_length(x), not self._plain())
+        code = make(algebra._kernel, algebra.clone_shape, _readonly, buffers[len(buffers) - len(_P):])
+        return (*super()._bind(algebra, buffers, x, fit), code)
 
     def initialize(self, x0, t0, dt0):
         """Set the start state, start time, and first width proposal:
@@ -195,8 +194,7 @@ class DenseOutputDopri5(ControlledStepper):
             algebra._check_shapes(x, out)
         return at((t - lo) / h, out)
 
-    def _sample(self, observer, t0, dt, j, t_end, limit):
-        # Observe the grid points t0 + j*dt, t0 + (j+1)*dt, ... below
-        # t_end and up to limit on the last accepted step; the next j.
-        at, sample = self._scratch[1][3][-1]
-        return sample(observer, *self._span, t0, dt, j, t_end, limit)
+    def _sampler(self, x):
+        # The generated grid sampler on states like x, which the walk
+        # calls after each accepted step (see _dense_code).
+        return scratch(self, x, self._count, self._bind)[3][-1][1]

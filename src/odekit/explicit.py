@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache, partial
 
-from .algebra import MAX_TERMS, Scratched, _entry_lines, _indent, _make, _update_lines, scratch
+from .algebra import MAX_TERMS, Scratched, _entry_lines, _held, _indent, _make, _update_lines, scratch
 from .tableaus import CASH_KARP_54, DORMAND_PRINCE_54, EULER, RK4_CLASSIC
 
 class StageRecord(namedtuple("StageRecord", ["derivatives"])):
@@ -79,9 +79,9 @@ class ExplicitRungeKutta(Scratched):
     do_step._inline = lambda self, x: scratch(self, x, self.stage_count + 1, self._bind)[3][2:]
 
 
-def _update(tableau, n, out, weights, lead):
+def _update(tableau, n, out, weights, lead, at="{}[{}]".format):
     """The update of ``out`` by ``weights`` on the stages ``k<j>``,
-    after ``x`` when ``lead`` is 1 (see :func:`_step_code`)."""
+    after ``x`` when ``lead`` is 1, elements named by ``at``."""
     idx = [j for j, w in enumerate(weights) if w != 0.0]
     k = len(idx) + lead
     if not 1 <= k <= MAX_TERMS:
@@ -89,18 +89,17 @@ def _update(tableau, n, out, weights, lead):
                          f" the algebra takes 1..{MAX_TERMS}")
     coeffs = ["1.0"] * lead + [f"dt * {float(weights[j])!r}" for j in idx]
     terms = ["x"] * lead + [f"k{j}" for j in idx]
-    return _update_lines(n, out, coeffs, terms)
+    return _update_lines(n, out, coeffs, terms, at)
 
 
-def _stages(tableau, update):
+def _stages(tableau, update, unpack):
     """Lines running the stages after the first, each update made by
-    ``update(out, weights, lead)``.  A first-same-as-last stage state
-    is the new state itself, and its derivative has zero weight, so
-    its row is left out."""
+    ``update(out, weights, lead)`` and each stage's ``unpack`` lines
+    after its call.  A first-same-as-last stage state is the new state
+    itself, and its derivative has zero weight, so its row is left out."""
     lines = []
     for i, row in enumerate(tableau.a[:-1] if tableau.is_fsal else tableau.a, start=1):
-        lines += update("u", row, 1)
-        lines.append(f"system(u, k{i}, t + {float(tableau.c[i])!r} * dt)")
+        lines += [*update("u", row, 1), f"system(u, k{i}, t + {float(tableau.c[i])!r} * dt)", *unpack(f"k{i}")]
     return lines
 
 
@@ -117,9 +116,10 @@ def _step_code(tableau, n=None):
     a ``T`` of length ``N`` (``algebra._enter``); ``pieces`` are the
     entry's whole step, plain code that ``integrate._fixed_code`` runs
     and counts.  Zero weights are left out, the others are exact
-    floats: the stage loop's bits."""
+    floats: the stage loop's bits, read from ``algebra._held``'s locals."""
     update = partial(_update, tableau, n)
-    step = _stages(tableau, update) + update("target", tableau.b, 1)
+    step = _held(n, lambda at, unpack: [*unpack("x"), *unpack("k0"), *_stages(
+        tableau, partial(update, at=at), unpack), *update("target", tableau.b, 1, at)])
     body = ["def advance(system, x, t, dt, target):", *_indent(step + ["return target"])]
     ew = tableau.error_weights
     body += ["error = None"] if ew is None else [
@@ -127,8 +127,9 @@ def _step_code(tableau, n=None):
     body += _entry_lines(n, "system, x, t, dt, out=None", ["target = x if out is None else out"],
                          "type(x) is T and len(x) == len(target) == N", ["system(x, k0, t)", *step, "return target"])
     head = f"{''.join(f'k{j}, ' for j in range(tableau.stage_count))}u = k"
-    pieces = (n is None, (head, "target = x"), ("system(x, k0, t)", *step))
-    return pieces, _make(n is None, "k, owner, T, N", [head, *body], "advance, error",
+    key = f"{tableau.name} n={n}"
+    pieces = (key, n is None, (head, "target = x"), ("system(x, k0, t)", *step))
+    return pieces, _make(n is None, "k, owner, T, N", [head, *body], "advance, error", f"step {key}",
                          fallback=ExplicitRungeKutta.do_step)
 
 

@@ -108,9 +108,10 @@ def _controlled_walk(stepper, system, x, t0, targets, dt, observer, observe_step
 
     The observer sees every accepted step when ``observe_steps`` is
     set, otherwise each target once it is reached.  A ``sample`` is
-    ``(sample, t0, dt, t_end, reach)``: after each accepted step, which
-    ends at ``t``, ``j = sample(observer, t0, dt, j, t_end, t + reach)``
-    observes grid points from ``t0 + j*dt`` on, ``j`` first 1.  The
+    ``(sample, t0, dt, t_end, reach)``, a dense stepper's generated
+    sampler first: after each accepted step of width ``w`` from ``lo``
+    to ``t``, ``j = sample(observer, lo, lo + w, w, t0, dt, j, t_end, t +
+    reach)`` observes grid points from ``t0 + j*dt`` on, ``j`` first 1.  The
     stepper is reset first, so no cache of an earlier run leaks in.
     Any :class:`SolverError` leaves with the counters so far in
     ``partial_report``.
@@ -131,18 +132,19 @@ def _count_calls(lines):
     return re.sub(r"^( *)system\(", r"\1evaluations += 1\n\g<0>", "\n".join(lines), flags=re.M).split("\n")
 
 
-def _run_code(kernels, args, signature, head, loop, partial, final, tail=()):
-    """Both drivers' generated run, ``make(kernel, <args>)`` returning
-    ``signature``: it counts in ``evaluations`` and ``counted``, runs
-    ``head`` and ``loop`` (then ``tail``), and reports ``final`` or, in
-    a :class:`SolverError`'s ``partial_report``, ``partial``."""
+def _run_code(kernels, args, signature, head, loop, partial, final, key, tail=()):
+    """Both drivers' generated run, ``make(kernel, <args>)`` named by
+    ``key`` (see ``algebra._define``) returning ``signature``: it counts
+    in ``evaluations`` and ``counted``, runs ``head`` and ``loop`` (then
+    ``tail``), and reports ``final`` or, in a :class:`SolverError`'s
+    ``partial_report``, ``partial``."""
     report = "IntegrationReport({}, evaluations + counted.count)".format
     return _make(kernels, args, [
         f"def {signature}:", "    evaluations, counted = 0, EvaluationCounter(system)", *_indent(head),
         "    try:", *_indent(loop, 2),
         "    except SolverError as exc:", f"        exc.partial_report = {report(partial)}", "        raise",
         *(["    finally:", *_indent(tail, 2)] if tail else []), f"    return {report(final)}",
-    ], signature[:signature.index("(")], IntegrationReport=IntegrationReport, SolverError=SolverError,
+    ], signature[:signature.index("(")], key, IntegrationReport=IntegrationReport, SolverError=SolverError,
         StepSizeUnderflowError=StepSizeUnderflowError, isfinite=math.isfinite, EvaluationCounter=EvaluationCounter)
 
 
@@ -157,25 +159,25 @@ def _walk_code(trial, observe):
     ``step`` counted here: ``step`` leaves a trial's error ratio in
     ``worst``, and ``accept`` or ``reject`` sets ``dt_next``."""
     seen = ["observer(snap(x), t)"]
-    on_step = {"steps": seen, "samples": ["j = sample(observer, t0, h, j, t_end, t + reach)"]}.get(observe, [])
+    on_step = {"steps": seen, "samples": ["j = sample(observer, lo, lo + dt, dt, t0, h, j, t_end, t + reach)"]}
+    on_step = on_step.get(observe, [])
     on_target = seen if observe in ("targets", "samples") else []
     sampler = ["(sample, t0, h, t_end, reach), j = sample, 1"] if observe == "samples" else []
     if trial is None:
-        kernels, args, accept, reject, tail, after = False, "", [], [], (), "result.t"
+        kernels, args, accept, reject, tail, after, key = False, "", [], [], (), "result.t", "try_step"
         head = ["try_step = stepper.try_step"]
-        step = ["result = try_step(counted, x, t, target - t if clamped else dt_next)",
-                "dt_next = result.dt", "if result.accepted:"]
+        step = ["result = try_step(counted, x, t, dt)", "dt_next = result.dt", "if result.accepted:"]
     else:
-        (kernels, head, step, accept, reject, tail), args, after = trial, "ratio, copy, k", "t + dt"
-        step = ["dt = target - t if clamped else dt_next", *_count_calls(step), "if worst <= 1.0:"]
+        (key, kernels, head, step, accept, reject, tail), args, after = trial, "ratio, copy, k", "t + dt"
+        step = [*_count_calls(step), "if worst <= 1.0:"]
     return _run_code(kernels, args, "walk(stepper, system, x, t, targets, dt_next, observer, sample, snap)",
                      [*sampler, *head, "accepted = rejected = 0"], [
         "for target in targets:", "    if target <= t:  # a grid point that rounds onto the time reached",
         "        raise StepSizeUnderflowError(dt_next, t)", "    while t < target:",
-        "        clamped = dt_next >= target - t", *_indent(step, 2),
-        *_indent([*accept, "accepted += 1", f"t = target if clamped else {after}", *on_step], 3),
+        "        clamped = dt_next >= target - t", "        dt = target - t if clamped else dt_next", *_indent(step, 2),
+        *_indent([*accept, "accepted += 1", f"lo, t = t, target if clamped else {after}", *on_step], 3),
         "        else:", *_indent([*reject, "rejected += 1"], 3), "    t = target", *_indent(on_target),
-    ], "x, t, accepted, rejected", "x, t, accepted, rejected", tail)
+    ], "x, t, accepted, rejected", "x, t, accepted, rejected", f"walk {key} {observe or 'unobserved'}", tail)
 
 
 @lru_cache(maxsize=64)
@@ -186,14 +188,14 @@ def _fixed_code(step, observed):
     observer, snap)``.  A ``step`` None calls ``do_step`` on
     ``counted``; an inline one is ``explicit._step_code``'s pieces,
     with the system calls of their step counted here."""
-    kernels, head, step = step or (False, [], ["stepper.do_step(counted, x, t, dt)"])
+    key, kernels, head, step = step or ("do_step", False, [], ["stepper.do_step(counted, x, t, dt)"])
     return _run_code(kernels, "k", "loop(stepper, system, x, t, steps, width, t_last, dt_last, observer, snap)",
                      [*head, "t0, dt = t, width"], [
         "for j in range(1, steps + 1):", "    if j == steps:", "        t_next, dt = t_last, dt_last",
         "    else:", "        t_next = t0 + j * width", "    if t_next <= t:  # a width too small to move t",
         "        raise StepSizeUnderflowError(width, t)",
         *_indent([*_count_calls(step), "t = t_next", *(["observer(snap(x), t)"] if observed else [])]),
-    ], "x, t, j - 1, 0", "x, t_last, steps, 0")
+    ], "x, t, j - 1, 0", "x, t_last, steps, 0", f"loop {key} {'observed' if observed else 'unobserved'}")
 
 
 def integrate_const(stepper, system, x0, t0, t1, dt, observer=None):
@@ -225,10 +227,10 @@ def integrate_const(stepper, system, x0, t0, t1, dt, observer=None):
     if not (controlled or hasattr(stepper, "do_step")):
         raise TypeError(f"{type(stepper).__name__} is not a stepper")
     x, t0, t1, dt = _start(stepper, x0, t0, t1, dt, observer)
-    if hasattr(stepper, "_sample"):
-        # After each accepted step the dense stepper observes the grid
-        # points strictly inside the interval that the step reached.
-        sample = None if observer is None else (stepper._sample, t0, dt, t1 - GRID_SNAP * dt, GRID_SNAP * dt)
+    if hasattr(stepper, "_sampler"):
+        # After each accepted step the dense stepper's sampler observes
+        # the grid points strictly inside the interval the step reached.
+        sample = None if observer is None else (stepper._sampler(x), t0, dt, t1 - GRID_SNAP * dt, GRID_SNAP * dt)
         return _controlled_walk(stepper, system, x, t0, (t1,), dt, observer, False, sample)
     steps, t_last = _grid(t0, t1, dt)
     if controlled:

@@ -96,4 +96,4 @@ def _kick_drift(n):
         "def step(system, state, dt, target):", *_indent(unpack + step),
         *_entry_lines(n, "system, state, t, dt, out=None", ["target = state if out is None else out", *unpack],
                       "type(q) is T and len(q) == len(p) == len(qn) == len(pn) == N", step),
-    ], "step", fallback=SymplecticEuler.do_step)
+    ], "step", f"kick_drift n={n}", fallback=SymplecticEuler.do_step)
