@@ -148,11 +148,19 @@ class Algebra:
 
 
 def _numpy_scale_sum(out, coeffs, terms):
-    # Accumulate strictly left to right; same rounding sequence as the
-    # sequence backend.
-    np.multiply(terms[0], coeffs[0], out=out)
+    # Accumulate strictly left to right, as the sequence backend does.
+    # An exact 1.0 or -1.0 is no multiply (1.0 * t is t, a + -1.0 * t is
+    # a - t); a first term is copied only from out's dtype, as int64 into
+    # float32 rounds once where the multiply rounds twice.
+    if coeffs[0] != 1.0 or getattr(terms[0], "dtype", None) is not out.dtype:
+        np.multiply(terms[0], coeffs[0], out=out)
+    elif terms[0] is not out:
+        np.copyto(out, terms[0])
     for c, term in zip(coeffs[1:], terms[1:]):
-        out += np.multiply(term, c)
+        if c == 1.0 or c == -1.0:
+            (np.add if c == 1.0 else np.subtract)(out, term, out=out)
+        else:
+            out += np.multiply(term, c)
     return out
 
 
@@ -171,22 +179,24 @@ def _update_lines(n, out, coeffs, terms, at="{}[{}]".format):
     evaluated once, first) and the term names ``terms``: with ``n``
     None a call of the kernel ``K<k>`` of the k terms, else inline for
     states of length ``n`` (see :func:`_each`).  Every generated update
-    is written here, so every one has the same bits.  Inline, a first
-    coefficient ``1.0`` followed by other terms is left out: that
-    product is exact.  ``at(term, i)`` names element ``i`` of a term.  An
+    is written here, so every one has the same bits.  Inline, as in the
+    numpy kernel, a first ``1.0`` followed by other terms is left out and
+    a later ``1.0`` or ``-1.0`` adds or subtracts its term: both exact.
+    ``at(term, i)`` names element ``i`` of a term.  An
     ``out`` ``out(i, value)`` instead of a name gives the statement that
     uses element ``i``'s value, on every element of the first term."""
     if n is None:
         return [f"K{len(terms)}({out}, ({', '.join(coeffs)},), ({', '.join(terms)},))"]
-    c = [f"c{j}" for j in range(len(coeffs))]
-    skip = int(len(coeffs) > 1 and coeffs[0] == "1.0")
-    value = lambda i: " + ".join([at(terms[0], i)] * skip + [
-        f"{cj} * {at(t, i)}" for cj, t in zip(c[skip:], terms[skip:])])
+    bare = [len(coeffs) > 1 and coeffs[0] == "1.0", *(cj in ("1.0", "-1.0") for cj in coeffs[1:])]
+    c = [j for j in range(len(coeffs)) if not bare[j]]
+    sign = lambda j: ("- " if coeffs[j] == "-1.0" else "+ ") if j else ""
+    value = lambda i: " ".join(sign(j) + (at(t, i) if bare[j] else f"c{j} * {at(t, i)}") for j, t in enumerate(terms))
     if callable(out):
         row, length = (lambda i: out(i, value(i))), f"len({terms[0]})"
     else:
         row, length = (lambda i: f"{out}[{i}] = {value(i)}"), f"len({out})"
-    return [f"{', '.join(c[skip:])}, = {', '.join(coeffs[skip:])},", *_each(n, length, row)]
+    bind = [f"{', '.join(f'c{j}' for j in c)}, = {', '.join(coeffs[j] for j in c)},"] if c else []
+    return [*bind, *_each(n, length, row)]
 
 
 def _held(n, code):
@@ -418,8 +428,8 @@ def scratch(owner, x, count, bind):
     entry skips even that.  Any other state is refused when empty,
     else gets new buffers, checked and bound again, so a stepper
     answers it as a fresh one would.  A step makes no buffers of its
-    own, but on numpy each kernel update of k terms still allocates
-    k - 1 state-sized temporaries.  The copy is
+    own, but on numpy an update's later terms not weighted 1.0 or -1.0
+    each still allocate a state-sized temporary.  The copy is
     ``Algebra._copy_kernel``'s.  Returns ``(algebra, buffers, copy,
     bound)``.
     """

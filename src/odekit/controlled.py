@@ -245,7 +245,7 @@ def _trial_code(fsal, error_order, tableau, n, fit=((), ())):
               f"if factor > {FAC_MAX!r}:", f"    factor = {FAC_MAX!r}",
               "if again and factor > 1.0:", "    factor = 1.0",
               f"dt_next, again, dxdt = dt * factor, False, {kl if fsal else None}"]
-    reject = ["if not isfinite(worst) and not isfinite(ratio(k0, x, k0, 1.0, 0.0, 0.0)):",
+    reject = ["if not isfinite(worst) and not isfinite(ratio(k0, k0, k0, 1.0, 0.0, 0.0)):",
               "    raise SolverError(f'the derivative at t={t!r} is not finite')",
               f"again, factor = True, {power}",
               f"dt_next = dt * (factor if factor > {FAC_MIN!r} else {FAC_MIN!r})",

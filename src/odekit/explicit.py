@@ -35,7 +35,7 @@ class ExplicitRungeKutta(Scratched):
     """Fixed-step explicit Runge-Kutta scheme over a Butcher tableau.
 
     Scratch buffers are sized lazily on first use and reused; on numpy
-    an update of k terms still allocates k - 1 state-sized temporaries.
+    an update's later terms not weighted 1.0 or -1.0 make a temporary each.
     Instances keep per-call scratch and must not be shared between
     concurrent integrations.
 

@@ -41,6 +41,12 @@ class JacobianSystem:
         return self.system(x, dxdt, t)
 
 
+def _bind(algebra, buffers, x):
+    # Newton's residual and update kernels, on every backend, and its stop's floor for the state's dtype.
+    eps = float(np.finfo(getattr(buffers[0], "dtype", float)).eps)
+    return algebra._kernel(2), algebra._kernel(3), max(NEWTON_TOL, 8.0 * eps)
+
+
 class ImplicitEuler(Scratched):
     """First order implicit Euler for stiff problems.
 
@@ -76,21 +82,20 @@ class ImplicitEuler(Scratched):
         ``t`` or ``dt``, raises :class:`ValueError` before any
         evaluation.  In place when ``out`` is None.  Raises
         :class:`ConvergenceError` when Newton does not converge within
-        ``NEWTON_MAX_ITER`` updates and :class:`SingularMatrixError`
-        when the Newton matrix is singular.
+        ``NEWTON_MAX_ITER`` updates or an update is not finite, and
+        :class:`SingularMatrixError` when the Newton matrix is singular.
         """
         if not (math.isfinite(t) and 0.0 < dt < math.inf):
             raise ValueError("implicit Euler needs a finite t and a finite positive dt")
         jac_f = getattr(system, "jacobian", None)
         if jac_f is None:
             raise ValueError("implicit Euler needs a system that carries a jacobian")
-        # Newton's residual and update are kernel calls on every backend.
-        algebra, (u, f, g), copy, (k2, k3) = scratch(self, x, 3, lambda a, *_: (a._kernel(2), a._kernel(3)))
-        algebra._check_shapes(x, out)
+        algebra, (u, f, g), copy, (k2, k3, floor) = scratch(self, x, 3, _bind)
+        if out is not None:
+            algebra._check_shapes(x, out)
         n = len(x)
         t_new = t + dt
-        eps = float(np.finfo(getattr(u, "dtype", float)).eps)
-        tol = max(NEWTON_TOL, 8.0 * eps) * max(1.0, float(np.abs(x).max()))
+        tol = floor * max(1.0, float(np.abs(x).max()))
         copy(u, x)
         applied = 0
         while True:
@@ -123,8 +128,11 @@ class ImplicitEuler(Scratched):
                 delta = delta.tolist()  # a sequence state keeps Python floats
             k2(u, (1.0, -1.0), (u, delta))
             applied += 1
-            if float(np.abs(delta).max()) <= tol:
+            size = float(np.abs(delta).max())
+            if size <= tol:
                 break
+            if not math.isfinite(size):
+                raise ConvergenceError(applied, f"Newton update {applied} is not finite at t={t_new!r}")
         self.last_iteration_count = applied
         target = x if out is None else out
         copy(target, u)

@@ -144,6 +144,23 @@ def test_float32_state_converges(system, x0):
     np.testing.assert_allclose(x32, x64, rtol=1e-5, atol=1e-6)
 
 
+def test_a_warm_stepper_floors_newton_by_each_states_dtype():
+    # The stop's floor is bound with the scratch, which a new dtype
+    # binds again: a warm stepper moving from float64 to float32 and
+    # back answers each step as a fresh one, and float32, whose floor
+    # is 8 of its roundoffs, stops an update sooner.
+    system, warm, counts = JacobianSystem(_cubic, _cubic_jac), ImplicitEuler(), []
+    for dtype in (np.float64, np.float32, np.float64):
+        answers = []
+        for stepper in (warm, ImplicitEuler()):
+            x = np.array([1.0], dtype=dtype)
+            stepper.do_step(system, x, 0.0, 0.1)
+            answers.append((x.dtype, x.tobytes(), stepper.last_iteration_count))
+        assert answers[0] == answers[1]
+        counts.append(answers[0][2])
+    assert counts == [3, 2, 3]
+
+
 def test_singular_newton_matrix_raises():
     # f = x + 1 with its true J = 1 and dt = 1: I - dt*J is exactly zero.
     def rhs(x, dxdt, t):
@@ -193,6 +210,36 @@ def test_a_newton_failure_mid_run_carries_an_exact_partial_report(kind, error, m
     report = info.value.partial_report
     assert report.system_evaluations == len(calls) == made
     assert (report.final_time, report.steps_accepted, report.steps_rejected) == (0.5, 2, 0)
+    assert [v.hex() for v in report.final_state] == [v.hex() for v in clean.final_state]
+
+
+@pytest.mark.parametrize("box", [list, np.array], ids=["list", "numpy"])
+def test_a_non_finite_newton_update_raises_at_once(box):
+    # From t = 0.25 on the derivative is NaN, so the third step's first
+    # update is too: Newton stops there, after one update and its one
+    # held inverse, not after NEWTON_MAX_ITER updates and as many
+    # factorizations.  Two steps of two passes each, then one.
+    calls = []
+
+    def rhs(x, dxdt, t):
+        calls.append(t)
+        for i in range(len(x)):
+            dxdt[i] = math.nan if t >= 0.25 else -x[i]
+
+    def jac(x, out, t):
+        np.fill_diagonal(out, -1.0)
+
+    system = JacobianSystem(rhs, jac)
+    clean = integrate_const(ImplicitEuler(), system, box([1.0, 1.0]), 0.0, 0.2, 0.1)
+    calls.clear()
+    stepper = ImplicitEuler()
+    with pytest.raises(ConvergenceError) as info:
+        integrate_const(stepper, system, box([1.0, 1.0]), 0.0, 1.0, 0.1)
+    assert str(info.value) == "Newton update 1 is not finite at t=0.30000000000000004"
+    assert info.value.iterations == stepper._factorizations == 1
+    report = info.value.partial_report
+    assert report.system_evaluations == len(calls) == 5
+    assert (report.final_time, report.steps_accepted, report.steps_rejected) == (0.2, 2, 0)
     assert [v.hex() for v in report.final_state] == [v.hex() for v in clean.final_state]
 
 

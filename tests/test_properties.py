@@ -16,8 +16,9 @@ those of a loop over the pair's ``do_step_with_error``, the algebra's
 ``error_ratio_max`` and ``next_step_size``; every driver reports the
 evaluations a counting closure sees; the controller's in-place error
 ratio equals the checked one, the textbook formula and the list
-backend bit for bit; a warm implicit Euler steps as a fresh one does,
-bit for bit."""
+backend bit for bit; the numpy kernel's exact ±1 coefficients give
+the bits of a product per term and of the sequence kernel; a warm
+implicit Euler steps as a fresh one does, bit for bit."""
 
 import array
 import math
@@ -48,7 +49,15 @@ from odekit import (
     integrate_const,
     next_step_size,
 )
-from odekit.algebra import NUMPY_ALGEBRA, SEQUENCE_ALGEBRA, UNROLL, SequenceAlgebra
+from odekit.algebra import (
+    MAX_TERMS,
+    NUMPY_ALGEBRA,
+    SEQUENCE_ALGEBRA,
+    UNROLL,
+    SequenceAlgebra,
+    _numpy_scale_sum,
+    _sequence_scale_sum,
+)
 from odekit.controlled import StepResult
 from odekit.explicit import EmbeddedRungeKutta, ExplicitRungeKutta
 from odekit.integrate import GRID_SNAP
@@ -1027,6 +1036,64 @@ def test_reported_evaluations_equal_a_counting_closure(x0, t1, dt, tol, case, as
         assert stepper.stepper.trials >= 3  # the explicit examples give up
     if x0 == [1.0, -0.5, 0.25]:
         assert report.steps_rejected > 0  # the explicit examples reject trials
+
+
+# --- the numpy kernel's exact ±1 coefficients --------------------------------
+
+
+def multiply_then_add(out, coeffs, terms):
+    """The numpy kernel with every coefficient multiplied: one product
+    per term, added left to right."""
+    np.multiply(terms[0], coeffs[0], out=out)
+    for c, term in zip(coeffs[1:], terms[1:]):
+        out += np.multiply(term, c)
+    return out
+
+
+TERM_VALUES = {
+    "float64": st.one_of(st.sampled_from([-0.0, math.inf, -math.inf, math.nan]), st.floats()),
+    "float32": st.one_of(st.sampled_from([-0.0, math.inf, math.nan]), st.floats(width=32)),
+    "int64": st.integers(-2**63, 2**63 - 1),
+}
+
+
+@st.composite
+def scale_sum_inputs(draw):
+    # 1..MAX_TERMS terms, each coefficient 1.0, -1.0 or any other float
+    # at any position; each term float64, float32 or int64 elements.
+    k, n = draw(st.integers(1, MAX_TERMS)), draw(st.sampled_from([1, 3]))
+    coeffs = tuple(draw(st.one_of(st.just(1.0), st.just(-1.0), st.floats())) for _ in range(k))
+    kinds = [draw(st.sampled_from(sorted(TERM_VALUES))) for _ in range(k)]
+    terms = [draw(st.lists(TERM_VALUES[kind], min_size=n, max_size=n)) for kind in kinds]
+    return coeffs, kinds, terms, draw(st.sampled_from([np.float64, np.float32])), draw(st.booleans())
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(case=scale_sum_inputs())
+@example(case=((1.0,), ["int64"], [[2**60 + 2**36 + 1]], np.float32, False))
+@example(case=((1.0, -1.0, 1.0), ["float64"] * 3, [[-0.0], [0.0], [-0.0]], np.float64, True))
+def test_the_numpy_kernel_skips_exact_unit_products_bit_for_bit(case):
+    # An exact 1.0 or -1.0 is a copy, an add or a subtract instead of a
+    # product: the same bits as multiplying every term, and on float64
+    # as the sequence kernel, signed zeros, inf, NaN and ints included,
+    # with out aliasing the first term or not.
+    coeffs, kinds, terms, dtype, alias = case
+    got = []
+    for kernel in (_numpy_scale_sum, multiply_then_add):
+        arrays_ = [np.array(term, dtype=kind) for kind, term in zip(kinds, terms)]
+        out = np.full(len(terms[0]), np.nan, dtype)
+        with np.errstate(all="ignore"):
+            if alias:
+                out[...] = arrays_[0]
+                arrays_[0] = out
+            got.append(hexes(kernel(out, coeffs, arrays_)))
+    assert got[0] == got[1]
+    if dtype is np.float64 and "float32" not in kinds:
+        lists = [list(term) for term in terms]
+        out = [0.0] * len(terms[0])
+        if alias:
+            out = lists[0] = [float(v) for v in terms[0]]
+        assert hexes(_sequence_scale_sum(len(coeffs))(out, coeffs, lists)) == got[0]
 
 
 # --- the controller's error ratio -------------------------------------------

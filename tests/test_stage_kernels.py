@@ -418,6 +418,19 @@ def test_a_rejected_dense_trial_makes_no_copy(make):
     assert " ".join(algebra.log) == "s2 s3 s4 s5 s6 s6 s6 c s1 s2 s2 s3 s6 c s1"
 
 
+@pytest.mark.parametrize("make", [LoggingAlgebra, logging_instance], ids=["class", "instance"])
+def test_implicit_euler_hands_a_replaced_scale_sum_every_newton_update(make):
+    # A linear step: the copy in, the residual of three terms, the
+    # update of two, the residual again, which stops Newton, and the
+    # copy out, a replaced copy running a one-term scale_sum; with the
+    # bits of the shipped kernels.
+    algebra, system = make(), JacobianSystem(decay_rows, decay_rows_jacobian)
+    x, plain = [1.0, -2.0, 3.0], [1.0, -2.0, 3.0]
+    ImplicitEuler(algebra).do_step(system, x, 0.0, 0.1)
+    assert " ".join(algebra.log) == "c s1 s3 s2 s3 c s1"
+    assert x == ImplicitEuler().do_step(system, plain, 0.0, 0.1)
+
+
 def decay_rows(x, dxdt, t):
     for i in range(len(x)):
         dxdt[i] = -(i + 1.0) * x[i] + 0.25 * t
