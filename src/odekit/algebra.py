@@ -28,7 +28,8 @@ On a sequence state a fixed-step stepper's whole step is also its
 instance's own ``do_step``, behind one guard on the state's type and
 length (:func:`_enter`); any other call runs the class's method.
 ``integrate_const`` runs neither: its generated loop runs a shipped
-explicit stepper's step inline, on every backend.
+explicit stepper's step, or implicit Euler's Newton step, inline, on
+every backend.
 """
 
 from __future__ import annotations
@@ -106,14 +107,14 @@ class Algebra:
 
     def _copy_kernel(self, x):
         """Unchecked copy on states like ``x``, unless replaced: inline
-        for the length generated, else a one-term kernel call."""
+        for the length generated, numpy's own, else a one-term kernel call."""
         n = self._fused_length(x)
         if n is not None:
             return _sequence_copy(n)
         if self._replaced("copy"):
             return self.copy
         one = self._kernel(1)
-        return lambda out, src: one(out, (1.0,), (src,))
+        return _numpy_copy if one is _numpy_scale_sum else lambda out, src: one(out, (1.0,), (src,))
 
     def _error_kernel(self, buffers):
         """Unchecked error ratio in the last two of ``buffers``, unless absent or replaced."""
@@ -148,19 +149,28 @@ class Algebra:
 
 
 def _numpy_scale_sum(out, coeffs, terms):
-    # Accumulate strictly left to right, as the sequence backend does.
-    # An exact 1.0 or -1.0 is no multiply (1.0 * t is t, a + -1.0 * t is
-    # a - t); a first term is copied only from out's dtype, as int64 into
-    # float32 rounds once where the multiply rounds twice.
-    if coeffs[0] != 1.0 or getattr(terms[0], "dtype", None) is not out.dtype:
-        np.multiply(terms[0], coeffs[0], out=out)
-    elif terms[0] is not out:
-        np.copyto(out, terms[0])
+    # Accumulate strictly left to right, as the sequence backend does. An exact
+    # 1.0 or -1.0 is no multiply (1.0 * t is t, a + -1.0 * t is a - t); a first
+    # term is copied only from out's dtype (int64 into float32 rounds once where
+    # the multiply rounds twice), into out by the first add or subtract if any.
+    acc = terms[0]
+    if coeffs[0] != 1.0 or getattr(acc, "dtype", None) is not out.dtype:
+        acc = np.multiply(acc, coeffs[0], out=out)
     for c, term in zip(coeffs[1:], terms[1:]):
         if c == 1.0 or c == -1.0:
-            (np.add if c == 1.0 else np.subtract)(out, term, out=out)
+            acc = (np.add if c == 1.0 else np.subtract)(acc, term, out=out)
         else:
-            out += np.multiply(term, c)
+            acc = np.add(acc, np.multiply(term, c), out=out)
+    if acc is not out:
+        out[...] = acc
+    return out
+
+
+def _numpy_copy(out, src):
+    # The one-term update 1.0 * src, as _numpy_scale_sum writes it.
+    if getattr(src, "dtype", None) is not out.dtype:
+        return np.multiply(src, 1.0, out=out)
+    out[...] = src
     return out
 
 

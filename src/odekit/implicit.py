@@ -5,7 +5,8 @@ the residual ``G(u) = u - x - dt * f(u, t + dt)`` with the dense
 Newton matrix ``I - dt * J(u)`` and LAPACK through ``numpy.linalg``;
 a linear system at a fixed width inverts that matrix once per run.
 The user supplies the Jacobian analytically; matrices are dense and
-desk-scale.
+desk-scale.  ``do_step`` calls the generated step that
+``integrate_const``'s fixed-step loop runs inline (:func:`_newton_code`).
 
 Newton's stop is scaled to the step's start state (see
 :class:`ImplicitEuler`); its limits are the two constants below.
@@ -15,10 +16,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .algebra import Scratched, scratch
+from .algebra import Scratched, _indent, _make, scratch
 from .errors import ConvergenceError, SingularMatrixError
 
 NEWTON_TOL = 1e-12
@@ -42,9 +44,50 @@ class JacobianSystem:
 
 
 def _bind(algebra, buffers, x):
-    # Newton's residual and update kernels, on every backend, and its stop's floor for the state's dtype.
-    eps = float(np.finfo(getattr(buffers[0], "dtype", float)).eps)
-    return algebra._kernel(2), algebra._kernel(3), max(NEWTON_TOL, 8.0 * eps)
+    # The generated Newton step on states like x, its pieces and their make's arguments: the buffers, the
+    # copy, the stop's floor for the state's dtype, the identity, the Newton matrix's shape and the step's names.
+    eps, n = float(np.finfo(getattr(buffers[0], "dtype", float)).eps), len(x)
+    k = (*buffers, algebra._copy_kernel(x), max(NEWTON_TOL, 8.0 * eps), np.eye(n), (n, n), (np.maximum.reduce,
+         np.abs, np.zeros, np.linalg, np.linalg.LinAlgError, math.isfinite, ConvergenceError, SingularMatrixError))
+    pieces, make = _newton_code(not isinstance(buffers[0], np.ndarray))
+    return make(algebra._kernel, k), pieces, (algebra._kernel, k)
+
+
+@lru_cache(maxsize=None)
+def _newton_code(sequence):
+    """The Newton step, generated once for numpy states and once for any
+    other (``sequence``) as ``explicit._step_code``'s is: ``(pieces,
+    make)``, ``make(kernel, k)`` returning ``step(stepper, system, x, t,
+    dt, target)`` and ``pieces`` that step on ``target = x``."""
+    head = ["u, f, g, copy, floor, eye, square, (norm, absolute, zeros, linalg, LinAlgError, isfinite,"
+            " ConvergenceError, SingularMatrixError) = k"]
+    check = ["jac_f = getattr(system, 'jacobian', None)", "if jac_f is None:",
+             "    raise ValueError('implicit Euler needs a system that carries a jacobian')"]
+    stop = "        raise ConvergenceError(applied, f'Newton {} at t={{t_new!r}}')".format
+    step = [
+        "t_new = t + dt", "tol = floor * max(1.0, float(norm(absolute(x), None)))", "copy(u, x)", "applied = 0",
+        "while True:", "    system(u, f, t_new)", "    K3(g, (1.0, -1.0, -dt), (u, x, f))",
+        "    if applied and float(norm(absolute(g), None)) <= tol:", "        break",
+        f"    if applied >= {NEWTON_MAX_ITER}:", stop("stalled after {applied} updates"),
+        "    jac = zeros(square)  # a jacobian may write only its nonzero entries", "    jac_f(u, jac, t_new)",
+        "    try:", "        if applied:  # u has moved, and with it a nonlinear system's Jacobian",
+        "            stepper._factorizations += 1", "            delta = linalg.solve(eye - dt * jac, g)",
+        "        else:", "            key, held = (dt, jac.tobytes()), stepper._newton",
+        "            if held is None or held[0] != key:", "                stepper._factorizations += 1",
+        "                m = eye - dt * jac", "                held = stepper._newton = key, linalg.inv(m), m",
+        "            _, inv, m = held", "            delta = inv.dot(g)",
+        "            delta += inv.dot(g - m.dot(delta))  # recovers what inv @ g loses to cancellation",
+        "    except LinAlgError:",
+        "        raise SingularMatrixError(f'singular Newton matrix at t={t_new!r}') from None",
+        *(["    delta = delta.tolist()  # a sequence state keeps Python floats"] if sequence else []),
+        "    K2(u, (1.0, -1.0), (u, delta))", "    applied += 1", "    size = float(norm(absolute(delta), None))",
+        "    if size <= tol:", "        break", "    if not isfinite(size):", stop("update {applied} is not finite"),
+        "stepper.last_iteration_count = applied", "copy(target, u)",
+    ]
+    key = f"implicit_euler {'sequence' if sequence else 'numpy'}"
+    pieces = (key, True, (*head, *check, "target = x"), tuple(step))
+    return pieces, _make(True, "k", [*head, "def step(stepper, system, x, t, dt, target):",
+                                     *_indent([*check, *step, "return target"])], "step", f"step {key}")
 
 
 class ImplicitEuler(Scratched):
@@ -65,7 +108,7 @@ class ImplicitEuler(Scratched):
     """
 
     order = 1
-    _factorizations = 0  # Newton matrices LU-factored by do_step: inversions and solves
+    _factorizations = 0  # Newton matrices LU-factored by its steps: inversions and solves
     _newton = None  # (key, inverse, matrix) of the latest first update
     _caches = ("_scratch", "_newton")
 
@@ -87,53 +130,10 @@ class ImplicitEuler(Scratched):
         """
         if not (math.isfinite(t) and 0.0 < dt < math.inf):
             raise ValueError("implicit Euler needs a finite t and a finite positive dt")
-        jac_f = getattr(system, "jacobian", None)
-        if jac_f is None:
-            raise ValueError("implicit Euler needs a system that carries a jacobian")
-        algebra, (u, f, g), copy, (k2, k3, floor) = scratch(self, x, 3, _bind)
+        algebra, _, _, (step, *_) = scratch(self, x, 3, _bind)
         if out is not None:
             algebra._check_shapes(x, out)
-        n = len(x)
-        t_new = t + dt
-        tol = floor * max(1.0, float(np.abs(x).max()))
-        copy(u, x)
-        applied = 0
-        while True:
-            system(u, f, t_new)
-            k3(g, (1.0, -1.0, -dt), (u, x, f))
-            if applied and float(np.abs(g).max()) <= tol:
-                break
-            if applied >= NEWTON_MAX_ITER:
-                raise ConvergenceError(
-                    applied, f"Newton stalled after {applied} updates at t={t_new!r}"
-                )
-            jac = np.zeros((n, n))  # a jacobian may write only its nonzero entries
-            jac_f(u, jac, t_new)
-            try:
-                if applied:  # u has moved, and with it a nonlinear system's Jacobian
-                    self._factorizations += 1
-                    delta = np.linalg.solve(np.eye(n) - dt * jac, g)
-                else:
-                    key = (dt, jac.tobytes())
-                    if self._newton is None or self._newton[0] != key:
-                        self._factorizations += 1
-                        m = np.eye(n) - dt * jac
-                        self._newton = (key, np.linalg.inv(m), m)
-                    _, inv, m = self._newton
-                    delta = inv.dot(g)
-                    delta += inv.dot(g - m.dot(delta))  # recovers what inv @ g loses to cancellation
-            except np.linalg.LinAlgError:
-                raise SingularMatrixError(f"singular Newton matrix at t={t_new!r}") from None
-            if not isinstance(g, np.ndarray):
-                delta = delta.tolist()  # a sequence state keeps Python floats
-            k2(u, (1.0, -1.0), (u, delta))
-            applied += 1
-            size = float(np.abs(delta).max())
-            if size <= tol:
-                break
-            if not math.isfinite(size):
-                raise ConvergenceError(applied, f"Newton update {applied} is not finite at t={t_new!r}")
-        self.last_iteration_count = applied
-        target = x if out is None else out
-        copy(target, u)
-        return target
+        return step(self, system, x, t, dt, x if out is None else out)
+
+    # The fixed-step loop's step on x, as pieces, and its make's arguments.
+    do_step._inline = lambda self, x: scratch(self, x, 3, _bind)[3][1:]

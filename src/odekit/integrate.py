@@ -6,8 +6,9 @@ rejected trial.  Controlled and dense-output steppers run on one
 generated walk: every :class:`ControlledStepper`'s trial and step
 size control inline, dense output's fit among them, and any other
 stepper's ``try_step`` called; fixed steps on one generated loop, a
-shipped explicit stepper's step inline and any other's ``do_step``
-called (see ``algebra``'s module docstring for which code runs).  Every
+shipped explicit stepper's step or implicit Euler's Newton step inline
+and any other's ``do_step`` called (see ``algebra``'s module docstring
+for which code runs).  Every
 run returns an :class:`IntegrationReport` with the final state and the
 step and evaluation counters.
 
@@ -110,7 +111,7 @@ def _controlled_walk(stepper, system, x, t0, targets, dt, observer, observe_step
     set, otherwise each target once it is reached.  A ``sample`` is
     ``(sample, t0, dt, t_end, reach)``, a dense stepper's generated
     sampler first: after each accepted step of width ``w`` from ``lo``
-    to ``t``, ``j = sample(observer, lo, lo + w, w, t0, dt, j, t_end, t +
+    to ``t``, ``j = sample(observer, lo, t, w, t0, dt, j, t_end, t +
     reach)`` observes grid points from ``t0 + j*dt`` on, ``j`` first 1.  The
     stepper is reset first, so no cache of an earlier run leaks in.
     Any :class:`SolverError` leaves with the counters so far in
@@ -145,7 +146,8 @@ def _run_code(kernels, args, signature, head, loop, partial, final, key, tail=()
         "    except SolverError as exc:", f"        exc.partial_report = {report(partial)}", "        raise",
         *(["    finally:", *_indent(tail, 2)] if tail else []), f"    return {report(final)}",
     ], signature[:signature.index("(")], key, IntegrationReport=IntegrationReport, SolverError=SolverError,
-        StepSizeUnderflowError=StepSizeUnderflowError, isfinite=math.isfinite, EvaluationCounter=EvaluationCounter)
+        StepSizeUnderflowError=StepSizeUnderflowError, isfinite=math.isfinite, nextafter=math.nextafter,
+        EvaluationCounter=EvaluationCounter)
 
 
 @lru_cache(maxsize=64)
@@ -159,7 +161,7 @@ def _walk_code(trial, observe):
     ``step`` counted here: ``step`` leaves a trial's error ratio in
     ``worst``, and ``accept`` or ``reject`` sets ``dt_next``."""
     seen = ["observer(snap(x), t)"]
-    on_step = {"steps": seen, "samples": ["j = sample(observer, lo, lo + dt, dt, t0, h, j, t_end, t + reach)"]}
+    on_step = {"steps": seen, "samples": ["j = sample(observer, lo, t, dt, t0, h, j, t_end, t + reach)"]}
     on_step = on_step.get(observe, [])
     on_target = seen if observe in ("targets", "samples") else []
     sampler = ["(sample, t0, h, t_end, reach), j = sample, 1"] if observe == "samples" else []
@@ -174,8 +176,12 @@ def _walk_code(trial, observe):
                      [*sampler, *head, "accepted = rejected = 0"], [
         "for target in targets:", "    if target <= t:  # a grid point that rounds onto the time reached",
         "        raise StepSizeUnderflowError(dt_next, t)", "    while t < target:",
-        "        clamped = dt_next >= target - t", "        dt = target - t if clamped else dt_next", *_indent(step, 2),
-        *_indent([*accept, "accepted += 1", f"lo, t = t, target if clamped else {after}", *on_step], 3),
+        "        clamped = dt_next >= target - t", "        dt = target - t if clamped else dt_next",
+        "        if clamped and t + dt > target:  # the largest width that ends on or before target",
+        "            dt = nextafter(dt, 0.0)", *_indent(step, 2),
+        *_indent([*accept, "accepted += 1", f"lo, t = t, target if clamped else {after}",
+                  *(["if clamped:  # the step covers [lo, target]", "    stepper._span = lo, t, dt"] if trial else []),
+                  *on_step], 3),
         "        else:", *_indent([*reject, "rejected += 1"], 3), "    t = target", *_indent(on_target),
     ], "x, t, accepted, rejected", "x, t, accepted, rejected", f"walk {key} {observe or 'unobserved'}", tail)
 
@@ -186,8 +192,9 @@ def _fixed_code(step, observed):
     :func:`_walk_code`'s walk is: ``make(kernel, k)`` returns
     ``loop(stepper, system, x, t, steps, width, t_last, dt_last,
     observer, snap)``.  A ``step`` None calls ``do_step`` on
-    ``counted``; an inline one is ``explicit._step_code``'s pieces,
-    with the system calls of their step counted here."""
+    ``counted``; an inline one is ``explicit._step_code``'s or
+    ``implicit._newton_code``'s pieces, with the system calls of their
+    step counted here."""
     key, kernels, head, step = step or ("do_step", False, [], ["stepper.do_step(counted, x, t, dt)"])
     return _run_code(kernels, "k", "loop(stepper, system, x, t, steps, width, t_last, dt_last, observer, snap)",
                      [*head, "t0, dt = t, width"], [
@@ -250,9 +257,10 @@ def integrate_adaptive(stepper, system, x0, t0, t1, dt0, observer=None):
     """Integrate with free step choice, observing every accepted step.
 
     ``stepper`` must have ``try_step``: a controlled or a dense-output
-    stepper.  The final step is clamped so the run ends exactly at
-    ``t1``.  On failure the raised :class:`SolverError` carries the
-    counters gathered so far in ``partial_report``.
+    stepper.  The last step is the widest ending at or before ``t1``,
+    so no evaluation lies past it, and the run ends exactly at ``t1``.
+    On failure the raised :class:`SolverError` carries the counters
+    gathered so far in ``partial_report``.
     """
     if not hasattr(stepper, "try_step"):
         raise TypeError("integrate_adaptive needs a stepper with try_step")

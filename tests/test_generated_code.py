@@ -22,6 +22,9 @@ from odekit import (
     DenseOutputDopri5,
     DormandPrince5,
     ExplicitEuler,
+    ImplicitEuler,
+    JacobianSystem,
+    LORENZ,
     RungeKutta4,
     SolverError,
     integrate_adaptive,
@@ -94,6 +97,12 @@ RAISING_RUNS = {
                       "<odekit step rk4 n=3>", "entry", "system(u, k1, t + 0.5 * dt)"),
     "sampler": (lambda: integrate_const(DenseOutputDopri5(), lorenz, list(X3), 0.0, 1.0, 0.01, observer_raising),
                 "<odekit dense n=3>", "sample", "observer(s, t)"),
+    "newton-loop": (lambda: integrate_const(ImplicitEuler(), JacobianSystem(raising_on(3), LORENZ.jacobian),
+                                            np.array(X3), 0.0, 1.0, 0.01),
+                    "<odekit loop implicit_euler numpy unobserved>", "loop", "system(u, f, t_new)"),
+    "newton-do_step": (lambda: ImplicitEuler().do_step(JacobianSystem(raising_on(2), LORENZ.jacobian), list(X3), 0.0,
+                                                       0.01),
+                       "<odekit step implicit_euler sequence>", "step", "system(u, f, t_new)"),
 }
 
 
@@ -123,6 +132,11 @@ def test_inspect_finds_the_source_of_generated_functions():
     assert inspect.getsource(entry).lstrip().startswith("def entry(system, x, t, dt, out=None):")
     step, bound = ExplicitEuler.do_step._inline(stepper, x)
     assert "target[2] = x[2] + c1 * k0[2]" in inspect.getsource(_fixed_code(step, False)(*bound))
+
+    implicit = ImplicitEuler()
+    step, bound = implicit.do_step._inline(implicit, np.ones(32))
+    source = inspect.getsource(_fixed_code(step, True)(*bound))
+    assert "        K3(g, (1.0, -1.0, -dt), (u, x, f))\n" in source and "evaluations += 1" in source
 
 
 def test_two_sources_under_one_key_get_two_file_names():

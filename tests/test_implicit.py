@@ -1,4 +1,5 @@
-"""Implicit Euler: Newton on the scaled stop, the held Newton inverse, list states."""
+"""Implicit Euler: Newton on the scaled stop, the held Newton inverse, list states, and its
+generated step run inline in the fixed-step loop as the class ``do_step`` runs it."""
 
 import math
 
@@ -9,14 +10,19 @@ from odekit import (
     ConvergenceError,
     EXPDECAY,
     LORENZ,
+    EvaluationCounter,
     ImplicitEuler,
     JacobianSystem,
     NamedSystem,
     STIFF2,
     SingularMatrixError,
+    SolverError,
     integrate_const,
 )
 from odekit.implicit import NEWTON_MAX_ITER
+from odekit.integrate import GRID_SNAP
+from test_properties import hexes
+from test_stage_kernels import LoggingAlgebra, decay_rows, decay_rows_jacobian, logging_instance
 
 
 # --- implicit Euler ---------------------------------------------------------
@@ -480,3 +486,129 @@ def test_a_nonlinear_step_inverts_once_and_solves_its_later_updates(monkeypatch)
     assert updates > 5
     assert calls == {"inv": 5, "solve": updates - 5}
     assert stepper._factorizations == updates
+
+
+# --- the generated Newton step in the fixed-step loop ------------------------
+
+
+def _cubic_ring(x, dxdt, t):
+    for i in range(len(x)):
+        dxdt[i] = -x[i] ** 3 - 0.5 * x[i - 1]
+
+
+def _cubic_ring_jac(x, out, t):
+    for i in range(len(x)):
+        out[i, i] = -3.0 * x[i] ** 2
+        out[i, i - 1] = -0.5
+
+
+CUBIC32 = JacobianSystem(_cubic_ring, _cubic_ring_jac)
+INLINE_SYSTEMS = {
+    "expdecay": (EXPDECAY, [1.0]),
+    "stiff2": (STIFF2, [1.0, 0.5]),
+    "cubic32": (CUBIC32, [math.cos(i) for i in range(32)]),
+    "lorenz": (LORENZ, [1.0, -0.5, 20.0]),
+}
+INLINE_BOXES = {
+    "list": list,
+    "float64": np.array,
+    "float32": lambda x0: np.array(x0, dtype=np.float32),
+}
+
+
+def loop_over_do_step(system, x0, t0, t1, dt, seen):
+    """``integrate_const``'s steps on a float copy of ``x0`` as a loop
+    over the class ``do_step`` on a counter, each state after a step
+    handed to ``seen``: the stepper, the state and the counter."""
+    stepper, counter = ImplicitEuler(), EvaluationCounter(system)
+    x = np.array(x0, dtype=np.result_type(x0, 0.0)) if isinstance(x0, np.ndarray) else [float(v) for v in x0]
+    steps = int(np.floor((t1 - t0) / dt + GRID_SNAP))
+    t_last = t1 if abs(t0 + steps * dt - t1) <= GRID_SNAP * dt else t0 + steps * dt
+    seen(x, t0)
+    for j in range(1, steps + 1):
+        t = t0 + (j - 1) * dt
+        width = dt if j < steps or t_last == t0 + steps * dt else t_last - t
+        ImplicitEuler.do_step(stepper, counter, x, t, width)
+        seen(x, t_last if j == steps else t0 + j * dt)
+    return stepper, x, counter
+
+
+@pytest.mark.parametrize("observed", [True, False], ids=["observed", "unobserved"])
+@pytest.mark.parametrize("box", sorted(INLINE_BOXES))
+@pytest.mark.parametrize("name", sorted(INLINE_SYSTEMS))
+def test_the_inline_newton_step_is_the_class_do_step(name, box, observed):
+    # The same bits, observations, updates, factorizations and
+    # evaluations as a loop over the class do_step; on a grid whose
+    # last point is snapped onto t1, so the last step is narrower.
+    system, x0 = INLINE_SYSTEMS[name]
+    make = INLINE_BOXES[box]
+    driven, looped = [], []
+    stepper = ImplicitEuler()
+    report = integrate_const(stepper, system, make(x0), 0.0, 0.3, 0.1,
+                             (lambda x, t: driven.append((t.hex(), hexes(x)))) if observed else None)
+    reference, x, counter = loop_over_do_step(system, make(x0), 0.0, 0.3, 0.1,
+                                              lambda x, t: looped.append((t.hex(), hexes(x))))
+    assert hexes(report.final_state) == hexes(x) and type(report.final_state) is type(x)
+    assert getattr(report.final_state, "dtype", None) == getattr(x, "dtype", None)
+    assert driven == (looped if observed else [])
+    assert (report.final_time, report.steps_accepted, report.system_evaluations) == (0.3, 3, counter.count)
+    assert (stepper._factorizations, stepper.last_iteration_count) == \
+        (reference._factorizations, reference.last_iteration_count)
+    if name in ("cubic32", "lorenz"):
+        assert stepper._factorizations > 3  # later updates solve
+
+
+@pytest.mark.parametrize("call", range(1, 8))
+@pytest.mark.parametrize("box", ["list", "float64"])
+def test_an_rhs_raising_in_the_inline_newton_step_is_counted(call, box):
+    # The call that raises is counted, and the report holds the last
+    # grid point reached: the start until the first step's passes end.
+    first = EvaluationCounter(JacobianSystem(_cubic_ring, _cubic_ring_jac))
+    ImplicitEuler().do_step(first, [1.0, -0.5], 0.0, 0.1)
+    calls = []
+
+    def rhs(x, dxdt, t):
+        calls.append(t)
+        if len(calls) == call:
+            raise SolverError("the rhs gives up")
+        _cubic_ring(x, dxdt, t)
+
+    x0 = INLINE_BOXES[box]([1.0, -0.5])
+    with pytest.raises(SolverError, match="gives up") as info:
+        integrate_const(ImplicitEuler(), JacobianSystem(rhs, _cubic_ring_jac), x0, 0.0, 0.3, 0.1)
+    report = info.value.partial_report
+    assert report.system_evaluations == len(calls) == call
+    assert first.count == 4 and report.steps_accepted == (0 if call <= first.count else 1)
+
+
+@pytest.mark.parametrize("observed", [True, False], ids=["observed", "unobserved"])
+@pytest.mark.parametrize("box", sorted(INLINE_BOXES))
+def test_the_inline_newton_step_refuses_a_system_without_jacobian(box, observed):
+    calls, seen = [], []
+
+    def rhs(x, dxdt, t):
+        calls.append(t)
+        dxdt[0] = -x[0]
+
+    for system in (NamedSystem(name="bare", dimension=1, rhs=rhs), rhs, JacobianSystem(rhs, None)):
+        with pytest.raises(ValueError, match="jacobian"):
+            integrate_const(ImplicitEuler(), system, INLINE_BOXES[box]([1.0]), 0.0, 1.0, 0.1,
+                            (lambda x, t: seen.append(t)) if observed else None)
+    assert calls == [] and seen == ([0.0] * 3 if observed else [])
+
+
+@pytest.mark.parametrize("make", [LoggingAlgebra, logging_instance], ids=["class", "instance"])
+def test_a_replaced_scale_sum_sees_the_inline_newton_step_as_do_step(make):
+    # The driver's own copy of the initial state, then per linear step
+    # the copy in, the residual, the update, the residual that stops
+    # Newton and the copy out: as the class do_step hands them over.
+    system = JacobianSystem(decay_rows, decay_rows_jacobian)
+    driven, looped = make(), make()
+    report = integrate_const(ImplicitEuler(driven), system, [1.0, -2.0, 3.0], 0.0, 0.375, 0.125)
+    loop = ImplicitEuler(looped)
+    x = [1.0, -2.0, 3.0]
+    for j in range(3):
+        loop.do_step(system, x, 0.125 * j, 0.125)
+    assert " ".join(looped.log) == " ".join(["c s1 s3 s2 s3 c s1"] * 3)
+    assert driven.log == ["c", "s1", *looped.log]
+    assert hexes(report.final_state) == hexes(x)

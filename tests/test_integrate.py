@@ -122,6 +122,29 @@ def test_final_time_clamped_to_t1():
     assert len(times) == 8
 
 
+@pytest.mark.parametrize("make", [CashKarp54, DormandPrince5, "dense"])
+def test_a_clamped_last_step_evaluates_nothing_past_t1(make):
+    # From t = -0.1023..., t1 - t rounds up, and t plus it passes t1
+    # by 2 ulps: the last width is the widest that ends on or before
+    # t1, the run still ends at t1, and a dense stepper's last step
+    # covers t1, so calc_state(t1) interpolates there.
+    tol, seen = 0.00024040634050784984, []
+    params = ControllerParams(atol=tol, rtol=tol)
+    stepper = DenseOutputDopri5(params) if make == "dense" else ControlledStepper(make(), params)
+
+    def ring(x, dxdt, t):
+        seen.append(t)
+        for i in range(2):
+            dxdt[i] = x[(i + 1) % 2] - x[i] * x[i] * x[i] + 0.5 * t
+
+    report = integrate_adaptive(stepper, ring, [0.3, -0.7], -0.15625, 0.03125, 0.05389669397121018)
+    assert report.final_time == 0.03125 and max(seen) <= 0.03125
+    lo, hi, _ = stepper._span
+    assert lo + (0.03125 - lo) > 0.03125 and hi == 0.03125
+    if make == "dense":
+        assert stepper.interval[1] == 0.03125 and stepper.calc_state(0.03125)
+
+
 def test_fixed_step_run_ends_on_snapped_t1():
     # The grid point 0.3 lies 1e-12 above t1, within GRID_SNAP widths,
     # so it is snapped onto t1 and the last step is shortened to end there.
@@ -374,7 +397,7 @@ def test_implicit_euler_keeps_its_counts_on_the_loop(box):
     assert report.system_evaluations == driven == len(calls) - driven == counter.count
 
 
-def test_the_loop_runs_a_shipped_explicit_step_inline_and_calls_any_other(monkeypatch):
+def test_the_loop_runs_a_shipped_step_inline_and_calls_any_other(monkeypatch):
     import odekit.integrate as integrate
 
     class Checked(SequenceAlgebra):
@@ -386,9 +409,10 @@ def test_the_loop_runs_a_shipped_explicit_step_inline_and_calls_any_other(monkey
                         or real(step, observed))
     warm = RungeKutta4()
     warm.do_step(HARMONIC, [1.0, 0.0], 0.0, 0.1)  # its do_step entry is installed
-    runs = [(stepper, box, True) for stepper in (warm, ExplicitEuler(), CashKarp54(), DormandPrince5())
-            for box in (list, np.array)] + [(RungeKutta4(Checked()), list, True)]
-    runs += [(stepper, box, False) for stepper in [make_fixed(kind) for kind in ("implicit", "override", "own")]
+    shipped = (warm, ExplicitEuler(), CashKarp54(), DormandPrince5(), ImplicitEuler())
+    runs = [(stepper, box, True) for stepper in shipped for box in (list, np.array)]
+    runs += [(RungeKutta4(Checked()), list, True), (ImplicitEuler(Checked()), list, True)]
+    runs += [(stepper, box, False) for stepper in [make_fixed(kind) for kind in ("override", "own")]
              + [DuckEuler()] for box in (list, np.array)]
     for stepper, box, _ in runs:
         integrate_const(stepper, HARMONIC, box([1.0, 0.0]), 0.0, 0.5, 0.125)
