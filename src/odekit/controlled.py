@@ -183,7 +183,7 @@ class ControlledStepper(Scratched):
         """
         if not (math.isfinite(t) and math.isfinite(dt)) or dt == 0.0:
             raise ValueError("time and step width must be finite, the width nonzero")
-        return scratch(self, x, self._count, self._bind)[3][0](self, system, x, t, dt)
+        return scratch(self, x, self._count, self._bind)[3][0](self, system, x, float(t), float(dt))
 
     # The walk's trial on x, as pieces, and its make's arguments.
     try_step._inline = lambda self, x: scratch(self, x, self._count, self._bind)[3][1:3]

@@ -182,7 +182,7 @@ class DenseOutputDopri5(ControlledStepper):
         no extrapolation.  Performs no system evaluations.
         """
         self._require_interval()
-        lo, hi, h = self._span
+        t, (lo, hi, h) = float(t), self._span
         if not (min(lo, hi) <= t <= max(lo, hi)):
             raise ValueError(
                 f"time {t!r} lies outside the last step interval [{lo!r}, {hi!r}]"

@@ -156,7 +156,7 @@ class EmbeddedRungeKutta(ExplicitRungeKutta):
         externally.  Returns ``(new_state, xerr)``, plus the
         :class:`StageRecord` for a first-same-as-last pair.
         """
-        s = self.stage_count
+        s, t, dt = self.stage_count, float(t), float(dt)
         algebra, k, copy, (advance, error, *_) = scratch(self, x, s + 1, self._bind)
         algebra._check_shapes(x, out, xerr, dxdt_in)
         if dxdt_in is None:

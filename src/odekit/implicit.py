@@ -15,8 +15,7 @@ Newton's stop is scaled to the step's start state (see
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -27,20 +26,25 @@ NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 50
 
 
-@dataclass(frozen=True)
-class JacobianSystem:
+class JacobianSystem(partial):
     """A system callable paired with its analytic Jacobian.
 
     Calling the pair runs ``system(x, dxdt, t)``, which writes the
-    derivative; ``jacobian(x, jac, t)`` fills the dense ``(n, n)`` array
-    ``jac`` with ``d f_i / d x_j``.
+    derivative: the instance is a frameless :func:`functools.partial`
+    of ``system``, as a named system is.  ``jacobian(x, jac, t)`` fills
+    the dense ``(n, n)`` array ``jac`` with ``d f_i / d x_j``.
     """
 
-    system: object
-    jacobian: object
+    def __new__(cls, system, jacobian):
+        self = super().__new__(cls, system)
+        vars(self).update(system=system, jacobian=jacobian)
+        return self
 
-    def __call__(self, x, dxdt, t):
-        return self.system(x, dxdt, t)
+    def __reduce__(self):
+        return type(self), (self.system, self.jacobian)
+
+    def __repr__(self):
+        return f"JacobianSystem(system={self.system!r}, jacobian={self.jacobian!r})"
 
 
 def _bind(algebra, buffers, x):
@@ -133,7 +137,7 @@ class ImplicitEuler(Scratched):
         algebra, _, _, (step, *_) = scratch(self, x, 3, _bind)
         if out is not None:
             algebra._check_shapes(x, out)
-        return step(self, system, x, t, dt, x if out is None else out)
+        return step(self, system, x, float(t), float(dt), x if out is None else out)
 
     # The fixed-step loop's step on x, as pieces, and its make's arguments.
     do_step._inline = lambda self, x: scratch(self, x, 3, _bind)[3][1:]

@@ -1,7 +1,11 @@
 """Implicit Euler: Newton on the scaled stop, the held Newton inverse, list states, and its
 generated step run inline in the fixed-step loop as the class ``do_step`` runs it."""
 
+import copy
+import functools
 import math
+import pickle
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -612,3 +616,44 @@ def test_a_replaced_scale_sum_sees_the_inline_newton_step_as_do_step(make):
     assert " ".join(looped.log) == " ".join(["c s1 s3 s2 s3 c s1"] * 3)
     assert driven.log == ["c", "s1", *looped.log]
     assert hexes(report.final_state) == hexes(x)
+
+
+# --- JacobianSystem, a frameless partial of its rhs ---------------------------
+
+
+@dataclass(frozen=True)
+class FramedPairing:
+    """``JacobianSystem`` as a frozen dataclass whose ``__call__`` forwards."""
+
+    system: object
+    jacobian: object
+
+    def __call__(self, x, dxdt, t):
+        return self.system(x, dxdt, t)
+
+
+def test_jacobian_system_keeps_its_attributes_repr_and_pickle():
+    system = JacobianSystem(_cubic_ring, jacobian=_cubic_ring_jac)
+    assert isinstance(system, functools.partial) and system.func is _cubic_ring
+    assert (system.system, system.jacobian) == (_cubic_ring, _cubic_ring_jac)
+    assert repr(system) == f"JacobianSystem(system={_cubic_ring!r}, jacobian={_cubic_ring_jac!r})"
+    dxdt = [0.0, 0.0]
+    assert system(x=[1.0, 2.0], dxdt=dxdt, t=0.0) is None and dxdt == [-2.0, -8.5]
+    for twin in (pickle.loads(pickle.dumps(system)), copy.deepcopy(system)):
+        assert type(twin) is JacobianSystem and twin is not system
+        assert (twin.system, twin.jacobian) == (_cubic_ring, _cubic_ring_jac)
+    # Compared by identity and not frozen, as a named system is.
+    assert system != JacobianSystem(_cubic_ring, _cubic_ring_jac)
+
+
+@pytest.mark.parametrize("box", [list, np.array])
+@pytest.mark.parametrize("name", ["stiff2", "cubic32"])
+def test_jacobian_system_runs_as_the_framed_pairing_did(name, box):
+    rhs, jac, x0 = {"stiff2": (STIFF2.rhs, STIFF2.jacobian, [1.0, 0.5]),
+                    "cubic32": (_cubic_ring, _cubic_ring_jac, [math.cos(i) for i in range(32)])}[name]
+    new, old = (integrate_const(ImplicitEuler(), pairing(rhs, jac), box(x0), 0.0, 1.0, 0.01)
+                for pairing in (JacobianSystem, FramedPairing))
+    assert hexes(new.final_state) == hexes(old.final_state)
+    assert (new.system_evaluations, new.steps_accepted) == (old.system_evaluations, old.steps_accepted)
+    if name == "stiff2":
+        assert hexes(new.final_state) == ["0x1.7a959377ab542p-3", "0x0.0p+0"]

@@ -1,9 +1,10 @@
 """Clean state per run, accepted steps that never raise, named failure
 causes, partial reports from every controlled run, integer states,
 initial states checked at every run entry (0-d arrays included),
-numpy scalar bounds run as Python floats, empty states and bounds
-checked at the manual stepping entry points, zero error scales that
-fail as on numpy, and errors and used steppers that survive pickling."""
+numpy scalar bounds and manual step times run as Python floats, empty
+states and bounds checked at the manual stepping entry points, zero
+error scales that fail as on numpy, and errors and used steppers that
+survive pickling."""
 
 import copy
 import math
@@ -559,3 +560,41 @@ def test_numpy_scalar_bounds_run_as_python_floats(name, box, scalar):
     assert got == run(*map(float, bounds))
     final_time, *state = got[1]
     assert final_time[0] is float and (box is np.array or {kind for kind, _ in state} == {float})
+
+
+def driven(x, dxdt, t):
+    # A harmonic oscillator forced by t, so the stage times show.
+    dxdt[0] = x[1] + t
+    dxdt[1] = -x[0]
+
+
+DRIVEN = JacobianSystem(driven, HARMONIC.jacobian)
+
+
+def dense_at(x, t, dt):
+    dense = DenseOutputDopri5()
+    dense.initialize(x, 0.0, dt)
+    dense.do_step(DRIVEN)
+    return dense.calc_state(t)
+
+
+MANUAL_ENTRIES = {
+    "try_step": lambda x, t, dt: [*ControlledStepper(DormandPrince5()).try_step(DRIVEN, x, t, dt)[1:], *x],
+    "do_step_with_error": lambda x, t, dt: [v for part in DormandPrince5().do_step_with_error(DRIVEN, x, t, dt)[:2]
+                                            for v in part],
+    "calc_state": dense_at,
+    "implicit_do_step": lambda x, t, dt: ImplicitEuler().do_step(DRIVEN, x, t, dt),
+}
+
+
+@pytest.mark.parametrize("scalar", [np.float32, np.float64])
+@pytest.mark.parametrize("name", sorted(MANUAL_ENTRIES))
+def test_manual_entries_take_numpy_scalars_as_python_floats(name, scalar):
+    # A float32 time or width kept a manual step on a list in single
+    # precision, as it kept the drivers (above): try_step wrote float32
+    # elements into the list, and calc_state interpolated in float32.
+    entry, t, dt = MANUAL_ENTRIES[name], scalar(0.05), scalar(0.1)
+    got = typed_hexes(entry([1.0, 0.0], t, dt))
+    assert {kind for kind, _ in got} == {float}
+    assert got == typed_hexes(entry([1.0, 0.0], float(t), float(dt)))
+    assert [value for _, value in got] == [float(v).hex() for v in entry(np.array([1.0, 0.0]), t, dt)]
