@@ -29,13 +29,14 @@ instance's own ``do_step``, behind one guard on the state's type and
 length (:func:`_enter`); any other call runs the class's method.
 ``integrate_const`` runs neither: its generated loop runs a shipped
 explicit stepper's step, or implicit Euler's Newton step, inline, on
-every backend.
+every backend.  Code that only a manual call runs, such as ``try_step``'s
+trial, is compiled on first call (:func:`_lazy_make`, :func:`_bound`).
 """
 
 from __future__ import annotations
 
 import linecache
-from functools import lru_cache
+from functools import cache, lru_cache, partial
 
 import numpy as np
 
@@ -246,6 +247,16 @@ def _make(kernels, args, lines, returns, key, **names):
     return _define("make", f"kernel, {args}", [*head, *lines, f"return {returns}"], key, _enter=_enter, **names)
 
 
+def _lazy_make(*make, **names):
+    """``lazy()``, which compiles ``_make(*make, **names)`` on its first call and then returns it."""
+    return cache(partial(_make, *make, **names))
+
+
+def _bound(lazy, *args):
+    """``entry()``, which returns ``lazy()(*args)``, made on its first call: ``entry()(...)`` runs no extra frame."""
+    return cache(lambda: lazy()(*args))
+
+
 # The generated sequence code is cached per term count k <= MAX_TERMS
 # or length n <= UNROLL + 1, so these caches stay bounded.
 @lru_cache(maxsize=None)
@@ -384,8 +395,9 @@ def _initial_copy(owner, x0):
         raise DimensionError("the initial state is a 0-d array, with no length; give it 1 element")
     algebra = algebra_of(owner, x0)
     x = algebra.clone_shape(x0)
-    algebra.copy(x, x0)
     _refuse_empty(x, "the initial state is empty")
+    algebra._check_shapes(x, x0)
+    algebra._copy_kernel(x)(x, x0)  # the copy a stepper binds: a replaced copy or scale_sum still runs
     if not np.isfinite(x).all():
         raise ValueError("the initial state is not finite")
     return algebra, x

@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass
 from functools import lru_cache, partial
 
-from .algebra import Scratched, _each, _held, _indent, _make, _ratio_lines, _update_lines, scratch
+from .algebra import Scratched, _bound, _each, _held, _indent, _lazy_make, _ratio_lines, _update_lines, scratch
 from .errors import SolverError, StepSizeUnderflowError
 from .explicit import EmbeddedRungeKutta, _stages, _update
 
@@ -27,25 +26,25 @@ FAC_MIN = 0.2
 FAC_MAX = 5.0
 
 
-@dataclass(frozen=True)
-class ControllerParams:
-    """Tolerances and the width floor of adaptive stepping.
+class ControllerParams(namedtuple("ControllerParams", "atol rtol dt_min")):
+    """Tolerances and the width floor of adaptive stepping, a frozen record.
 
     ``atol`` and ``rtol`` weight the error test; ``dt_min``, the
     smallest usable width, ends every chain of rejections.  Every field
     rejects NaN, and the tolerances reject infinity.
     """
 
-    atol: float = 1e-6
-    rtol: float = 1e-6
-    dt_min: float = 1e-14
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (0.0 <= self.atol < math.inf and 0.0 <= self.rtol < math.inf
-                and self.atol + self.rtol > 0.0):
+    def __new__(cls, atol=1e-6, rtol=1e-6, dt_min=1e-14):
+        if not (0.0 <= atol < math.inf and 0.0 <= rtol < math.inf and atol + rtol > 0.0):
             raise ValueError("tolerances must be finite nonnegative numbers, not both zero")
-        if not self.dt_min > 0.0:
+        if not dt_min > 0.0:
             raise ValueError("dt_min must be positive")
+        return super().__new__(cls, atol, rtol, dt_min)
+
+    # _replace builds through _make: both check, as the constructor does.
+    _make = classmethod(lambda cls, fields: cls(*super(ControllerParams, cls)._make(fields)))
 
 
 class StepResult(namedtuple("StepResult", ["accepted", "t", "dt", "error_ratio"])):
@@ -154,15 +153,15 @@ class ControlledStepper(Scratched):
         return self._stepper.stage_count + (4 if algebra._fused_length(x) is None else 1)
 
     def _bind(self, algebra, buffers, x, fit=((), ())):
-        # (try_step's walk of one trial, the trial's pieces, their make's
-        # arguments).  Dense output hands in its fit; its states follow
-        # the controller's, the last two of which the ratio runs in.
-        # One backend runs it all.
+        # (try_step's walk of one trial, compiled on its first call, the
+        # trial's pieces, their make's arguments).  Dense output hands in
+        # its fit; its states follow the controller's, the last two of
+        # which the ratio runs in.  One backend runs it all.
         ratio, stepper = algebra._error_kernel(buffers[:len(buffers) - len(fit[0])]), self._stepper
         pieces, make = _trial_code(stepper.fsal, stepper.error_order, stepper.tableau if self._plain() else None,
                                    algebra._fused_length(x), fit)
         args = (algebra._kernel, ratio, algebra._copy_kernel(x), buffers)
-        return make(*args), pieces, args
+        return _bound(make, *args), pieces, args
 
     def try_step(self, system, x, t, dt):
         """Attempt one step of width ``dt`` from ``(x, t)``.
@@ -183,7 +182,7 @@ class ControlledStepper(Scratched):
         """
         if not (math.isfinite(t) and math.isfinite(dt)) or dt == 0.0:
             raise ValueError("time and step width must be finite, the width nonzero")
-        return scratch(self, x, self._count, self._bind)[3][0](self, system, x, float(t), float(dt))
+        return scratch(self, x, self._count, self._bind)[3][0]()(self, system, x, float(t), float(dt))
 
     # The walk's trial on x, as pieces, and its make's arguments.
     try_step._inline = lambda self, x: scratch(self, x, self._count, self._bind)[3][1:3]
@@ -195,11 +194,11 @@ def _trial_code(fsal, error_order, tableau, n, fit=((), ())):
     as ``explicit._step_code``'s step is: ``(pieces, make)``.  The
     plain pieces ``(key, kernels, head, step, accept, reject, tail)``
     (``key`` names the code, see ``algebra._define``) run in
-    ``integrate._walk_code``, which counts; ``make(kernel, ratio, copy,
-    k)`` binds them into ``try_step``'s walk of one trial,
-    ``one(stepper, system, x, t, dt)``, returning the
-    :class:`StepResult`.  ``head`` reads the controller; ``step`` hands
-    ``f(x, t)`` over into ``k0`` and leaves the trial's error ratio in
+    ``integrate._walk_code``, which counts.  ``make()(kernel, ratio,
+    copy, k)``, compiled on the first ``make()``, binds them into
+    ``try_step``'s walk of one trial, ``one(stepper, system, x, t,
+    dt)``, returning the :class:`StepResult`; no driver runs it.
+    ``head`` reads the controller; ``step`` hands ``f(x, t)`` over into ``k0`` and leaves the trial's error ratio in
     ``worst``; ``accept`` (ratio at most one) or ``reject`` sets
     ``dt_next`` as ``next_step_size`` would, with its constants as
     literals: only ``FAC_MAX`` bounds an accepted ratio's factor, only
@@ -252,7 +251,8 @@ def _trial_code(fsal, error_order, tableau, n, fit=((), ())):
               "if abs(dt_next) < dt_min:", "    raise StepSizeUnderflowError(dt_next, t, worst)"]
     tail = [f"k[0], k[{s - 1}] = k0, {kl}", "stepper._dxdt, stepper._rejected = dxdt, again"]
     key = f"{tableau.name if tableau else 'pair'}{' dense' if fit else ''} n={n}"
-    return (key, n is None, *map(tuple, (head, step, accept, reject, tail))), _make(n is None, "ratio, copy, k", [
+    pieces = (key, n is None, *map(tuple, (head, step, accept, reject, tail)))
+    return pieces, _lazy_make(n is None, "ratio, copy, k", [
         "def one(stepper, system, x, t, dt):", *_indent(["counted = system", *head, "try:", *_indent([
             *step, "if worst <= 1.0:", *_indent([*accept, "return StepResult(True, t + dt, dt_next, worst)"]),
             *reject, "return StepResult(False, t, dt_next, worst)"]), "finally:", *_indent(tail)]),

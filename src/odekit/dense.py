@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache, partial
 
-from .algebra import UNROLL, _indent, _initial_copy, _make, _readonly, _update_lines, algebra_of, scratch
+from .algebra import UNROLL, _bound, _indent, _initial_copy, _lazy_make, _readonly, _update_lines, algebra_of, scratch
 from .controlled import ControlledStepper
 from .explicit import DormandPrince5
 from .tableaus import DORMAND_PRINCE_54
@@ -35,19 +35,20 @@ _ROW = (["1.0", "theta", "theta * omt", "theta * theta * omt", "theta * theta * 
 @lru_cache(maxsize=None)  # n is None or at most UNROLL + 1
 def _dense_code(n, paired=False):
     """The interpolation, generated once per length ``n`` as the
-    explicit steppers' step is: ``((_P, fit), make)``.  ``fit(at)``'s
+    explicit steppers' step is: ``((_P, fit), at, sample)``.  ``fit(at)``'s
     lines copy the state ``x`` at the step's start into ``p0`` and fit
     ``p1``..``p4`` from it, the new state ``u``, the stage derivatives
     ``k0``..``k6`` (a ``paired`` user's pair's from its record) and the
     width ``dt``; the controller's generated trial runs them on acceptance.
-    ``make(kernel, clone, readonly, p)`` binds the states ``p`` and
-    returns ``at(theta, out)`` and ``sample(observer, lo, hi, h, t0,
-    dt, j, t_end, limit)``, which observes each grid point ``t0 +
-    j*dt`` (``j`` counting up) below ``t_end`` and up to ``limit``,
-    interpolated on the step ``[lo, hi]`` of width ``h`` at that time
-    or ``hi`` if earlier, and returns the next ``j``.  A snapshot is a
-    tuple built inline from locals up to ``UNROLL`` elements, else
-    ``at``'s fresh state made read-only."""
+    ``at()`` and ``sample()`` compile, on their first call only, two
+    makes binding the states ``p``: ``at()(kernel, p)`` returns
+    ``at(theta, out)``, and ``sample()(kernel, clone, readonly, p)``
+    returns ``sample(observer, lo, hi, h, t0, dt, j, t_end, limit)``,
+    which observes each grid point ``t0 + j*dt`` (``j`` counting up)
+    below ``t_end`` and up to ``limit``, interpolated on the step ``[lo,
+    hi]`` of width ``h`` at that time or ``hi`` if earlier, and returns
+    the next ``j``.  A snapshot is a tuple built inline from locals up
+    to ``UNROLL`` elements, else ``at``'s fresh state made read-only."""
     update = partial(_update_lines, n)
     fit = lambda at: (*(["_, k1, k2, k3, k4, k5, k6 = trial[2].derivatives"] if paired else []),
                       *(["copy(p0, x)"] if n is None else update("p0", ["1.0"], ["x"], at)),
@@ -55,17 +56,17 @@ def _dense_code(n, paired=False):
                       *update("p2", ["dt", "-1.0"], ["k0", "p1"], at),
                       *update("p3", ["1.0", "-dt", "-1.0"], ["p1", "k6", "p2"], at),
                       *update("p4", [f"dt * {w!r}" for w in _D.values()], [f"k{j}" for j in _D], at))
-    unpack, snap = [], ["s = readonly(at(theta, clone(p0)), True)"]
+    interpolant = ["def at(theta, out):", "    omt = 1.0 - theta", *_indent(update("out", *_ROW)), "    return out"]
+    head, unpack, snap = interpolant, [], ["s = readonly(at(theta, clone(p0)), True)"]
     if n and n <= UNROLL:
-        unpack = [f"{''.join(f'{p}_{i}, ' for i in range(n))}= {p}" for p in _P]
+        head, unpack = [], [f"{''.join(f'{p}_{i}, ' for i in range(n))}= {p}" for p in _P]
         snap = ["omt = 1.0 - theta", *update(lambda i, v: f"s{i} = {v}", *_ROW, at="{}_{}".format),
                 f"s = {''.join(f's{i}, ' for i in range(n))}"]
-    return (_P, fit), _make(n is None, "clone, readonly, p", [
-        f"{', '.join(_P)} = p",
-        "def at(theta, out):",
-        "    omt = 1.0 - theta",
-        *_indent(update("out", *_ROW)),
-        "    return out",
+    states = f"{', '.join(_P)} = p"
+    at = _lazy_make(n is None, "p", [states, *interpolant], "at", f"dense at n={n}")
+    return (_P, fit), at, _lazy_make(n is None, "clone, readonly, p", [
+        states,
+        *head,
         "def sample(observer, lo, hi, h, t0, dt, j, t_end, limit):",
         *_indent(unpack),
         "    t = t0 + j * dt",
@@ -76,7 +77,7 @@ def _dense_code(n, paired=False):
         "        j += 1",
         "        t = t0 + j * dt",
         "    return j",
-    ], "at, sample", f"dense n={n}")
+    ], "sample", f"dense n={n}")
 
 
 class DenseOutputDopri5(ControlledStepper):
@@ -120,13 +121,13 @@ class DenseOutputDopri5(ControlledStepper):
         return super()._count(algebra, x) + len(_P)
 
     def _bind(self, algebra, buffers, x):
-        # The controller's binding, with the fit, on all the states
-        # (the interpolant's follow its own), then the interpolation
-        # code on the interpolant's: (at, sample).  Around a user's
-        # pair the fit reads the stages after the first from its record.
-        fit, make = _dense_code(algebra._fused_length(x), not self._plain())
-        code = make(algebra._kernel, algebra.clone_shape, _readonly, buffers[len(buffers) - len(_P):])
-        return (*super()._bind(algebra, buffers, x, fit), code)
+        # The controller's binding, with the fit, on all the states (the interpolant's follow its own), then
+        # calc_state's at and the grid sampler on the interpolant's, each compiled on its first call.  Around
+        # a user's pair the fit reads the stages after the first from its record.
+        fit, at, sample = _dense_code(algebra._fused_length(x), not self._plain())
+        p = buffers[len(buffers) - len(_P):]
+        return (*super()._bind(algebra, buffers, x, fit), _bound(at, algebra._kernel, p),
+                _bound(sample, algebra._kernel, algebra.clone_shape, _readonly, p))
 
     def initialize(self, x0, t0, dt0):
         """Set the start state, start time, and first width proposal:
@@ -187,14 +188,14 @@ class DenseOutputDopri5(ControlledStepper):
             raise ValueError(
                 f"time {t!r} lies outside the last step interval [{lo!r}, {hi!r}]"
             )
-        algebra, (x, *_), _, (*_, (at, _)) = self._scratch[1]
+        algebra, (x, *_), _, (*_, at, _) = self._scratch[1]
         if out is None:
             out = algebra.clone_shape(x)
         else:
             algebra._check_shapes(x, out)
-        return at((t - lo) / h, out)
+        return at()((t - lo) / h, out)
 
     def _sampler(self, x):
         # The generated grid sampler on states like x, which the walk
         # calls after each accepted step (see _dense_code).
-        return scratch(self, x, self._count, self._bind)[3][-1][1]
+        return scratch(self, x, self._count, self._bind)[3][-1]()

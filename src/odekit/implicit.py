@@ -19,7 +19,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .algebra import Scratched, _indent, _make, scratch
+from .algebra import Scratched, _bound, _indent, _lazy_make, scratch
 from .errors import ConvergenceError, SingularMatrixError
 
 NEWTON_TOL = 1e-12
@@ -48,21 +48,22 @@ class JacobianSystem(partial):
 
 
 def _bind(algebra, buffers, x):
-    # The generated Newton step on states like x, its pieces and their make's arguments: the buffers, the
-    # copy, the stop's floor for the state's dtype, the identity, the Newton matrix's shape and the step's names.
+    # The generated Newton step on states like x (compiled on its first call), its pieces and their make's arguments:
+    # the buffers, the copy, the stop's floor for the state's dtype, the identity, the Newton matrix's shape and names.
     eps, n = float(np.finfo(getattr(buffers[0], "dtype", float)).eps), len(x)
     k = (*buffers, algebra._copy_kernel(x), max(NEWTON_TOL, 8.0 * eps), np.eye(n), (n, n), (np.maximum.reduce,
          np.abs, np.zeros, np.linalg, np.linalg.LinAlgError, math.isfinite, ConvergenceError, SingularMatrixError))
     pieces, make = _newton_code(not isinstance(buffers[0], np.ndarray))
-    return make(algebra._kernel, k), pieces, (algebra._kernel, k)
+    return _bound(make, algebra._kernel, k), pieces, (algebra._kernel, k)
 
 
 @lru_cache(maxsize=None)
 def _newton_code(sequence):
     """The Newton step, generated once for numpy states and once for any
     other (``sequence``) as ``explicit._step_code``'s is: ``(pieces,
-    make)``, ``make(kernel, k)`` returning ``step(stepper, system, x, t,
-    dt, target)`` and ``pieces`` that step on ``target = x``."""
+    make)``, ``pieces`` that step on ``target = x`` and ``make()(kernel,
+    k)``, compiled on the first ``make()``, returning ``do_step``'s
+    ``step(stepper, system, x, t, dt, target)``."""
     head = ["u, f, g, copy, floor, eye, square, (norm, absolute, zeros, linalg, LinAlgError, isfinite,"
             " ConvergenceError, SingularMatrixError) = k"]
     check = ["jac_f = getattr(system, 'jacobian', None)", "if jac_f is None:",
@@ -90,8 +91,8 @@ def _newton_code(sequence):
     ]
     key = f"implicit_euler {'sequence' if sequence else 'numpy'}"
     pieces = (key, True, (*head, *check, "target = x"), tuple(step))
-    return pieces, _make(True, "k", [*head, "def step(stepper, system, x, t, dt, target):",
-                                     *_indent([*check, *step, "return target"])], "step", f"step {key}")
+    return pieces, _lazy_make(True, "k", [*head, "def step(stepper, system, x, t, dt, target):",
+                                          *_indent([*check, *step, "return target"])], "step", f"step {key}")
 
 
 class ImplicitEuler(Scratched):
@@ -137,7 +138,7 @@ class ImplicitEuler(Scratched):
         algebra, _, _, (step, *_) = scratch(self, x, 3, _bind)
         if out is not None:
             algebra._check_shapes(x, out)
-        return step(self, system, x, float(t), float(dt), x if out is None else out)
+        return step()(self, system, x, float(t), float(dt), x if out is None else out)
 
     # The fixed-step loop's step on x, as pieces, and its make's arguments.
     do_step._inline = lambda self, x: scratch(self, x, 3, _bind)[3][1:]

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 import numpy as np
@@ -35,15 +35,11 @@ from .errors import SolverError, StepSizeUnderflowError
 GRID_SNAP = 1e-10
 
 
-@dataclass
-class IntegrationReport:
-    """Counters and final values of one driver run."""
+class IntegrationReport(namedtuple("IntegrationReport",
+                                   "final_state final_time steps_accepted steps_rejected system_evaluations")):
+    """Counters and final values of one driver run: a frozen record."""
 
-    final_state: object
-    final_time: float
-    steps_accepted: int
-    steps_rejected: int
-    system_evaluations: int
+    __slots__ = ()
 
     @property
     def steps_attempted(self):

@@ -10,7 +10,7 @@ code (see ``algebra``'s module docstring).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .algebra import Scratched, _entry_lines, _indent, _make, _update_lines, scratch
@@ -38,17 +38,16 @@ class PairState:
         return f"PairState(q={self.q!r}, p={self.p!r})"
 
 
-@dataclass(frozen=True)
-class SeparableHamiltonian:
-    """The two halves of Hamilton's equations for H(q, p) = T(p) + V(q).
+class SeparableHamiltonian(namedtuple("SeparableHamiltonian", "dqdt dpdt")):
+    """The two halves of Hamilton's equations for H(q, p) = T(p) + V(q),
+    as a frozen record.
 
     ``dqdt(p, out)`` writes the coordinate velocity (dH/dp);
     ``dpdt(q, out)`` writes the momentum rate (-dH/dq).  Neither half
     depends on time.
     """
 
-    dqdt: object
-    dpdt: object
+    __slots__ = ()
 
 
 class SymplecticEuler(Scratched):

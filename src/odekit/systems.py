@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import partial
 
 import numpy as np
@@ -187,9 +187,9 @@ def harmonic_energy(q, p):
     return 0.5 * total
 
 
-@dataclass(frozen=True)
-class OrderStudy:
-    """Least-squares fit of log(error) against log(dt).
+class OrderStudy(namedtuple("OrderStudy", "slope dts errors excluded", defaults=((),))):
+    """Least-squares fit of log(error) against log(dt), as a frozen
+    record.
 
     ``slope`` is NaN when fewer than two points with distinct widths
     survive the cut;
@@ -197,10 +197,7 @@ class OrderStudy:
     because their error was at most ``UNDERFLOW`` or not finite.
     """
 
-    slope: float
-    dts: tuple
-    errors: tuple
-    excluded: tuple = field(default_factory=tuple)
+    __slots__ = ()
 
 
 def fit_order(dts, errors):

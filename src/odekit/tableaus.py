@@ -10,14 +10,14 @@ transcription.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 CONSISTENCY_TOL = 1e-14
 
 
-@dataclass(frozen=True)
-class ButcherTableau:
-    """Coefficients of an explicit Runge-Kutta scheme.
+class ButcherTableau(namedtuple("ButcherTableau", "name a b c order b_embedded error_order")):
+    """Coefficients of an explicit Runge-Kutta scheme: a frozen record,
+    stored as tuples, so a tableau is hashable and keys its step code.
 
     Parameters
     ----------
@@ -38,46 +38,38 @@ class ButcherTableau:
         Order of the embedded solution; must be below ``order``.
     """
 
-    name: str
-    a: tuple
-    b: tuple
-    c: tuple
-    order: int
-    b_embedded: tuple = None
-    error_order: int = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        # Stored as tuples: a tableau is hashable and keys its step code.
-        fields = {"a": tuple(map(tuple, self.a)), "b": tuple(self.b), "c": tuple(self.c)}
-        if self.b_embedded is not None:
-            fields["b_embedded"] = tuple(self.b_embedded)
-        for name, value in fields.items():
-            object.__setattr__(self, name, value)
-        s = len(self.b)
-        if len(self.c) != s or len(self.a) != s - 1:
-            raise ValueError(f"{self.name}: inconsistent tableau dimensions")
-        if self.c[0] != 0.0:
-            raise ValueError(f"{self.name}: first node must be 0")
-        for i, row in enumerate(self.a, start=1):
+    def __new__(cls, name, a, b, c, order, b_embedded=None, error_order=None):
+        a, b, c = tuple(map(tuple, a)), tuple(b), tuple(c)
+        if b_embedded is not None:
+            b_embedded = tuple(b_embedded)
+        s = len(b)
+        if len(c) != s or len(a) != s - 1:
+            raise ValueError(f"{name}: inconsistent tableau dimensions")
+        if c[0] != 0.0:
+            raise ValueError(f"{name}: first node must be 0")
+        for i, row in enumerate(a, start=1):
             if len(row) != i:
-                raise ValueError(f"{self.name}: row {i} must hold {i} entries")
+                raise ValueError(f"{name}: row {i} must hold {i} entries")
             # A finite node also rules out infinite entries in the row.
-            if not (math.isfinite(self.c[i]) and math.isclose(
-                    sum(row), self.c[i], rel_tol=0.0, abs_tol=CONSISTENCY_TOL)):
-                raise ValueError(
-                    f"{self.name}: node c[{i}]={self.c[i]} does not match row sum {sum(row)}"
-                )
-        if not abs(sum(self.b) - 1.0) <= CONSISTENCY_TOL:  # NaN fails too
-            raise ValueError(f"{self.name}: solution weights sum to {sum(self.b)}, not 1")
-        if self.b_embedded is not None:
-            if len(self.b_embedded) != s:
-                raise ValueError(f"{self.name}: embedded weights length mismatch")
-            if not abs(sum(self.b_embedded) - 1.0) <= CONSISTENCY_TOL:
-                raise ValueError(f"{self.name}: embedded weights do not sum to 1")
-            if self.error_order is None or not self.error_order < self.order:
-                raise ValueError(f"{self.name}: embedded order must be below {self.order}")
-        elif self.error_order is not None:
-            raise ValueError(f"{self.name}: error_order given without embedded weights")
+            if not (math.isfinite(c[i]) and math.isclose(sum(row), c[i], rel_tol=0.0, abs_tol=CONSISTENCY_TOL)):
+                raise ValueError(f"{name}: node c[{i}]={c[i]} does not match row sum {sum(row)}")
+        if not abs(sum(b) - 1.0) <= CONSISTENCY_TOL:  # NaN fails too
+            raise ValueError(f"{name}: solution weights sum to {sum(b)}, not 1")
+        if b_embedded is not None:
+            if len(b_embedded) != s:
+                raise ValueError(f"{name}: embedded weights length mismatch")
+            if not abs(sum(b_embedded) - 1.0) <= CONSISTENCY_TOL:
+                raise ValueError(f"{name}: embedded weights do not sum to 1")
+            if error_order is None or not error_order < order:
+                raise ValueError(f"{name}: embedded order must be below {order}")
+        elif error_order is not None:
+            raise ValueError(f"{name}: error_order given without embedded weights")
+        return super().__new__(cls, name, a, b, c, order, b_embedded, error_order)
+
+    # _replace builds through _make: both check and store tuples, as the constructor does.
+    _make = classmethod(lambda cls, fields: cls(*super(ButcherTableau, cls)._make(fields)))
 
     @property
     def stage_count(self):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from odekit import DimensionError, algebra_for
-from odekit.algebra import MAX_TERMS, NUMPY_ALGEBRA, SEQUENCE_ALGEBRA
+from odekit.algebra import MAX_TERMS, NUMPY_ALGEBRA, SEQUENCE_ALGEBRA, NumpyAlgebra, SequenceAlgebra, _initial_copy
 
 ALGEBRAS = [NUMPY_ALGEBRA, SEQUENCE_ALGEBRA]
 
@@ -116,6 +116,28 @@ def test_copy(algebra):
     dst = make_state(algebra, [0.0, 0.0])
     algebra.copy(dst, src)
     assert list(dst) == [4.0, 5.0]
+
+
+@pytest.mark.parametrize("replaced", [None, "copy", "scale_sum"])
+@pytest.mark.parametrize("values", [[1, -2, 3], [0.1, 1 / 3, -2.5e-300]])
+@pytest.mark.parametrize("shipped", ALGEBRAS)
+def test_a_runs_initial_copy_is_the_copy_a_stepper_binds(shipped, values, replaced):
+    # The checked copy's bits, a one-term 1.0 * update (ints become
+    # floats), through a replaced copy or scale_sum where one is.
+    base, calls = type(shipped), []
+
+    class Replacing(base):
+        pass
+
+    if replaced:
+        setattr(Replacing, replaced, lambda self, *args: calls.append(replaced) or getattr(base, replaced)(self, *args))
+    x0 = make_state(shipped, values) if shipped is SEQUENCE_ALGEBRA else np.array(values)
+    expected = shipped.clone_shape(x0)
+    shipped.copy(expected, x0)
+    algebra, x = _initial_copy(type("Owner", (), {"_fixed_algebra": Replacing()}), x0)
+    assert type(algebra) is Replacing and calls == ([replaced] if replaced else [])
+    assert type(x) is type(expected) and [float(v).hex() for v in x] == [float(v).hex() for v in expected]
+    assert all(type(v) is float for v in x) if base is SequenceAlgebra else x.dtype == np.float64
 
 
 @pytest.mark.parametrize("algebra", ALGEBRAS)

@@ -63,7 +63,7 @@ def test_params_reject_nan(field, value):
 
 
 def test_params_are_the_three_settable_fields():
-    assert list(ControllerParams.__dataclass_fields__) == ["atol", "rtol", "dt_min"]
+    assert ControllerParams._fields == ("atol", "rtol", "dt_min")
 
 
 # --- error ratio (the algebra's error_ratio_max, as try_step calls it) -------

@@ -7,14 +7,20 @@ still turns a user's ints into floats."""
 
 import cProfile
 import inspect
+import json
 import linecache
 import math
+import os
 import re
+import subprocess
+import sys
 import traceback
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import odekit
 from odekit import (
     CashKarp54,
     ControlledStepper,
@@ -147,14 +153,102 @@ def test_two_sources_under_one_key_get_two_file_names():
     for pair in (DormandPrince5, CashKarp54):
         stepper = ControlledStepper(delegating(pair)())
         stepper.try_step(lorenz, list(X3), 0.0, 0.01)
-        one = stepper._scratch[1][3][0]
+        one = stepper._scratch[1][3][0]()  # the entry, compiled on the first try_step
         names.append(one.__code__.co_filename)
         assert ("new_derivative" in inspect.getsource(one)) == (pair is DormandPrince5)
     assert names[0] != names[1]
     assert all(re.fullmatch(r"<odekit trial pair n=3( #\d+)?>", name) for name in names)
     dense = DenseOutputDopri5()
     dense.try_step(lorenz, list(X3), 0.0, 0.01)
-    assert dense._scratch[1][3][0].__code__.co_filename == "<odekit trial dormand_prince_54 dense n=3>"
+    assert dense._scratch[1][3][0]().__code__.co_filename == "<odekit trial dormand_prince_54 dense n=3>"
+
+
+# A driver's run in a fresh interpreter, then a manual call of the entry
+# it never ran, on an rhs that raises on its second call: (run, manual
+# call, file name, function, line shown).
+LAZY_RUNS = {
+    "dp5-adaptive": ("integrate_adaptive(ControlledStepper(DormandPrince5()), LORENZ, [1.0, 2.0, 20.0], 0.0, 0.5, 0.01)",
+                     "ControlledStepper(DormandPrince5()).try_step(raising(LORENZ), [1.0, 2.0, 20.0], 0.0, 0.01)",
+                     "<odekit trial dormand_prince_54 n=3>", "one", "system(u, k1, t + 0.2 * dt)"),
+    "dense-const": ("integrate_const(DenseOutputDopri5(), LORENZ, [1.0, 2.0, 20.0], 0.0, 0.5, 0.01, lambda x, t: None)",
+                    "DenseOutputDopri5().try_step(raising(LORENZ), [1.0, 2.0, 20.0], 0.0, 0.01)",
+                    "<odekit trial dormand_prince_54 dense n=3>", "one", "system(u, k1, t + 0.2 * dt)"),
+    "implicit-const": ("integrate_const(ImplicitEuler(), STIFF2, np.array([1.0, 0.5]), 0.0, 0.5, 0.01)",
+                       "ImplicitEuler().do_step(JacobianSystem(raising(STIFF2), STIFF2.jacobian), np.ones(2), 0.0, 0.1)",
+                       "<odekit step implicit_euler numpy>", "step", "system(u, f, t_new)"),
+}
+LAZY_PROBE = """
+import json, linecache, sys, traceback
+import numpy as np
+from odekit import *
+def raising(system):
+    calls = []
+    def rhs(x, dxdt, t):
+        calls.append(t)
+        if len(calls) == 2:
+            raise ValueError("the rhs gives up")
+        system(x, dxdt, t)
+    return rhs
+keys = lambda: sorted(key for key in linecache.cache if key.startswith("<odekit "))
+{run}
+after_run, dataclasses = keys(), "dataclasses" in sys.modules
+try:
+    {manual}
+except ValueError as exc:
+    frame = [f for f in traceback.extract_tb(exc.__traceback__) if f.filename.startswith("<odekit ")][-1]
+    shown = linecache.getline(frame.filename, frame.lineno).strip()
+print(json.dumps([after_run, dataclasses, keys(), [frame.filename, frame.name, frame.line, shown]]))
+"""
+
+
+def fresh(code):
+    """The JSON that ``code`` prints last, run in a fresh interpreter on this package."""
+    paths = [str(Path(odekit.__file__).parent.parent), *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("name", sorted(LAZY_RUNS))
+def test_a_driver_run_compiles_no_manual_entry(name):
+    # The drivers run the trial's and the Newton step's pieces in code of
+    # their own, so a run compiles neither manual entry and builds no
+    # dataclass; the first manual call compiles its entry under the same
+    # file name, and a traceback through it shows the generated line.
+    run, manual, filename, function, line = LAZY_RUNS[name]
+    after_run, dataclasses, after_manual, frame = fresh(LAZY_PROBE.format(run=run, manual=manual))
+    entries = [key for key in after_run
+               if key.startswith(("<odekit trial ", "<odekit step implicit_euler ", "<odekit dense at "))]
+    assert after_run and not entries and not dataclasses
+    # The initial copy is the copy bound for the state, no scale_sum.
+    assert "<odekit scale_sum k=1>" not in after_run
+    assert set(after_manual) - set(after_run) == {filename}
+    assert frame == [filename, function, line, line]
+
+
+DENSE_PROBE = """
+import json, linecache
+from odekit import *
+keys = lambda: sorted(key for key in linecache.cache if key.startswith("<odekit "))
+integrate_const(DenseOutputDopri5(), LORENZ, [1.0, 2.0, 20.0], 0.0, 0.5, 0.01{observer})
+after_run = keys()
+dense = DenseOutputDopri5()
+dense.initialize([1.0, 2.0, 20.0], 0.0, 0.01)
+lo, hi = dense.do_step(LORENZ)
+dense.calc_state(0.5 * (lo + hi))
+print(json.dumps([after_run, keys()]))
+"""
+
+
+@pytest.mark.parametrize("observer", ["", ", lambda x, t: None"], ids=["unobserved", "observed"])
+def test_a_dense_run_compiles_the_sampler_only_when_observed(observer):
+    # calc_state's interpolant is compiled on its first call, apart from
+    # the grid sampler, which only an observed run compiles.
+    after_run, after_manual = fresh(DENSE_PROBE.format(observer=observer))
+    assert ("<odekit dense n=3>" in after_run) == bool(observer)
+    assert not [key for key in after_run if key.startswith(("<odekit dense at ", "<odekit trial "))]
+    manual = {"<odekit trial dormand_prince_54 dense n=3>", "<odekit dense at n=3>"}
+    assert set(after_manual) - set(after_run) == manual
 
 
 def test_two_tableaus_give_two_profile_rows():

@@ -346,8 +346,9 @@ def test_trial_code_is_generated_once_per_tableau_and_length():
     # fit): the length None for numpy, which calls its kernels, and the
     # fit a dense stepper's, so a dense stepper adds one entry per
     # length, shared by every dense stepper.  Each entry is (pieces,
-    # make): try_step runs one code object per entry, the walk the
-    # entry's pieces.
+    # make): try_step runs one code object per entry, which make()
+    # compiles on the first try_step and a bind's entry keeps, the walk
+    # the entry's pieces.
     _trial_code.cache_clear()
     trials = []
     for box in (list, np.array):
@@ -355,11 +356,11 @@ def test_trial_code_is_generated_once_per_tableau_and_length():
             for make in (DormandPrince5, CashKarp54):
                 controller = ControlledStepper(make())
                 controller.try_step(LORENZ, box(X0), 0.0, 0.01)
-                trials.append((make, box, controller._scratch[1][3][0]))
+                trials.append((make, box, controller._scratch[1][3][0]()))
             dense = DenseOutputDopri5()
             dense.initialize(box(X0), 0.0, 0.01)
             dense.do_step(LORENZ)
-            trials.append((DenseOutputDopri5, box, dense._scratch[1][3][0]))
+            trials.append((DenseOutputDopri5, box, dense._scratch[1][3][0]()))
     info = _trial_code.cache_info()
     assert (info.misses, info.currsize) == (6, 6)
     for make in (DormandPrince5, CashKarp54, DenseOutputDopri5):
