@@ -27,15 +27,17 @@ on one scaffold, :func:`_make`, under a file name of its own
 On a sequence state a fixed-step stepper's whole step is also its
 instance's own ``do_step``, behind one guard on the state's type and
 length (:func:`_enter`); any other call runs the class's method.
-``integrate_const`` runs neither: its generated loop runs a shipped
-explicit stepper's step, or implicit Euler's Newton step, inline, on
-every backend.  Code that only a manual call runs, such as ``try_step``'s
-trial, is compiled on first call (:func:`_lazy_make`, :func:`_bound`).
+Each stepper binds a state type once (:func:`scratch`), into one
+:class:`Bound` that the drivers read (``Scratched._record``) for the
+``pieces`` they run inline on every backend (see ``integrate``).
+Code that only a manual call runs, such as ``try_step``'s trial, is
+compiled on first call (:func:`_lazy_make`, :func:`_bound`).
 """
 
 from __future__ import annotations
 
 import linecache
+from collections import namedtuple
 from functools import cache, lru_cache, partial
 
 import numpy as np
@@ -47,6 +49,8 @@ MAX_TERMS = 7
 # Generated sequence code writes one statement per element for states
 # up to this length, and one loop for longer ones.
 UNROLL = 8
+# A stepper's binding for one state type: manual step, inline pieces and their make's args, error, at and sample.
+Bound = namedtuple("Bound", "step pieces args error at sample", defaults=(None,) * 5)
 
 
 class Algebra:
@@ -413,6 +417,7 @@ class Scratched:
 
     _scratch = None
     _caches = ("_scratch",)
+    _record = lambda self, x: scratch(self, x)[3]  # the Bound for states like x, which the drivers read
 
     def __getstate__(self):
         state = {**self.__dict__, **dict.fromkeys(self._caches)}
@@ -439,9 +444,10 @@ def _enter(owner, entry, shipped):
             owner.do_step = entry
 
 
-def scratch(owner, x, count, bind):
-    """Backend for ``x``, ``count`` zero states shaped like it (or
-    ``count(algebra, x)``), the copy, and ``bind(algebra, buffers, x)``.
+def scratch(owner, x):
+    """Backend for ``x``, ``owner._count`` zero states shaped like it
+    (or ``owner._count(algebra, x)``), the copy, and the :class:`Bound`
+    ``owner._bind(algebra, buffers, x)``.
 
     The backend is :func:`algebra_of` ``owner``.  ``owner._scratch``
     caches ``(tag, result)``: a call whose tag, ``type(x)`` and
@@ -449,9 +455,7 @@ def scratch(owner, x, count, bind):
     cached result at once; a fixed step through its :func:`_enter`
     entry skips even that.  Any other state is refused when empty,
     else gets new buffers, checked and bound again, so a stepper
-    answers it as a fresh one would.  A step makes no buffers of its
-    own, but on numpy an update's later terms not weighted 1.0 or -1.0
-    each still allocate a state-sized temporary.  The copy is
+    answers it as a fresh one would.  The copy is
     ``Algebra._copy_kernel``'s.  Returns ``(algebra, buffers, copy,
     bound)``.
     """
@@ -460,10 +464,10 @@ def scratch(owner, x, count, bind):
     if cached is not None and cached[0] == tag:
         return cached[1]
     _refuse_empty(x, "an empty state cannot be stepped")
-    algebra = algebra_of(owner, x)
+    algebra, count = algebra_of(owner, x), owner._count
     if callable(count):
         count = count(algebra, x)
     buffers = [algebra.clone_shape(x) for _ in range(count)]
     algebra._check_shapes(x, *buffers)
-    owner._scratch = (tag, (algebra, buffers, algebra._copy_kernel(x), bind(algebra, buffers, x)))
+    owner._scratch = (tag, (algebra, buffers, algebra._copy_kernel(x), owner._bind(algebra, buffers, x)))
     return owner._scratch[1]

@@ -17,7 +17,7 @@ import math
 from collections import namedtuple
 from functools import lru_cache, partial
 
-from .algebra import Scratched, _bound, _each, _held, _indent, _lazy_make, _ratio_lines, _update_lines, scratch
+from .algebra import Bound, Scratched, _bound, _each, _held, _indent, _lazy_make, _ratio_lines, _update_lines, scratch
 from .errors import SolverError, StepSizeUnderflowError
 from .explicit import EmbeddedRungeKutta, _stages, _update
 
@@ -153,15 +153,15 @@ class ControlledStepper(Scratched):
         return self._stepper.stage_count + (4 if algebra._fused_length(x) is None else 1)
 
     def _bind(self, algebra, buffers, x, fit=((), ())):
-        # (try_step's walk of one trial, compiled on its first call, the
-        # trial's pieces, their make's arguments).  Dense output hands in
-        # its fit; its states follow the controller's, the last two of
-        # which the ratio runs in.  One backend runs it all.
-        ratio, stepper = algebra._error_kernel(buffers[:len(buffers) - len(fit[0])]), self._stepper
-        pieces, make = _trial_code(stepper.fsal, stepper.error_order, stepper.tableau if self._plain() else None,
-                                   algebra._fused_length(x), fit)
+        # try_step's walk of one trial, compiled on first call, the trial's pieces and their make's args.  Dense
+        # output hands in its fit; its states follow the controller's, the last two of which the ratio runs in.
+        # One backend runs it all.  An inline trial calls the ratio only on a non-finite error: compiled then.
+        states, n = buffers[:len(buffers) - len(fit[0])], algebra._fused_length(x)
+        tableau = self._stepper.tableau if self._plain() else None
+        ratio = (lambda *a: algebra._error_kernel(states)(*a)) if n and tableau else algebra._error_kernel(states)
+        pieces, make = _trial_code(self._stepper.fsal, self._stepper.error_order, tableau, n, fit)
         args = (algebra._kernel, ratio, algebra._copy_kernel(x), buffers)
-        return _bound(make, *args), pieces, args
+        return Bound(_bound(make, *args), pieces, args)
 
     def try_step(self, system, x, t, dt):
         """Attempt one step of width ``dt`` from ``(x, t)``.
@@ -182,10 +182,9 @@ class ControlledStepper(Scratched):
         """
         if not (math.isfinite(t) and math.isfinite(dt)) or dt == 0.0:
             raise ValueError("time and step width must be finite, the width nonzero")
-        return scratch(self, x, self._count, self._bind)[3][0]()(self, system, x, float(t), float(dt))
+        return self._record(x).step()(self, system, x, float(t), float(dt))
 
-    # The walk's trial on x, as pieces, and its make's arguments.
-    try_step._inline = lambda self, x: scratch(self, x, self._count, self._bind)[3][1:3]
+    try_step._shipped = True  # the drivers' walk runs its Bound's pieces inline
 
 
 @lru_cache(maxsize=64)

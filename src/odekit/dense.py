@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache, partial
 
-from .algebra import UNROLL, _bound, _indent, _initial_copy, _lazy_make, _readonly, _update_lines, algebra_of, scratch
+from .algebra import UNROLL, _bound, _indent, _initial_copy, _lazy_make, _readonly, _update_lines, algebra_of
 from .controlled import ControlledStepper
 from .explicit import DormandPrince5
 from .tableaus import DORMAND_PRINCE_54
@@ -121,13 +121,12 @@ class DenseOutputDopri5(ControlledStepper):
         return super()._count(algebra, x) + len(_P)
 
     def _bind(self, algebra, buffers, x):
-        # The controller's binding, with the fit, on all the states (the interpolant's follow its own), then
-        # calc_state's at and the grid sampler on the interpolant's, each compiled on its first call.  Around
-        # a user's pair the fit reads the stages after the first from its record.
+        # The controller's Bound with the fit, on all the states (the interpolant's last), and calc_state's at and
+        # the grid sampler on the interpolant's, each compiled on first call.  A user's pair's fit reads its record.
         fit, at, sample = _dense_code(algebra._fused_length(x), not self._plain())
-        p = buffers[len(buffers) - len(_P):]
-        return (*super()._bind(algebra, buffers, x, fit), _bound(at, algebra._kernel, p),
-                _bound(sample, algebra._kernel, algebra.clone_shape, _readonly, p))
+        kernel, p = algebra._kernel, buffers[len(buffers) - len(_P):]
+        return super()._bind(algebra, buffers, x, fit)._replace(
+            at=_bound(at, kernel, p), sample=_bound(sample, kernel, algebra.clone_shape, _readonly, p))
 
     def initialize(self, x0, t0, dt0):
         """Set the start state, start time, and first width proposal:
@@ -148,7 +147,7 @@ class DenseOutputDopri5(ControlledStepper):
         self._require_initialized()
         algebra = algebra_of(self, self._x)
         out = algebra.clone_shape(self._x)
-        algebra.copy(out, self._x)
+        algebra._copy_kernel(out)(out, self._x)  # the copy a stepper binds: a replaced copy or scale_sum still runs
         return out
 
     @property
@@ -188,14 +187,9 @@ class DenseOutputDopri5(ControlledStepper):
             raise ValueError(
                 f"time {t!r} lies outside the last step interval [{lo!r}, {hi!r}]"
             )
-        algebra, (x, *_), _, (*_, at, _) = self._scratch[1]
+        algebra, (x, *_), _, bound = self._scratch[1]
         if out is None:
             out = algebra.clone_shape(x)
         else:
             algebra._check_shapes(x, out)
-        return at()((t - lo) / h, out)
-
-    def _sampler(self, x):
-        # The generated grid sampler on states like x, which the walk
-        # calls after each accepted step (see _dense_code).
-        return scratch(self, x, self._count, self._bind)[3][-1]()
+        return bound.at()((t - lo) / h, out)

@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache, partial
 
-from .algebra import MAX_TERMS, Scratched, _entry_lines, _held, _indent, _make, _update_lines, scratch
+from .algebra import MAX_TERMS, Bound, Scratched, _entry_lines, _held, _indent, _make, _update_lines, scratch
 from .tableaus import CASH_KARP_54, DORMAND_PRINCE_54, EULER, RK4_CLASSIC
 
 class StageRecord(namedtuple("StageRecord", ["derivatives"])):
@@ -56,11 +56,14 @@ class ExplicitRungeKutta(Scratched):
         self.fsal = tableau.is_fsal
         self._fixed_algebra = algebra
 
+    _count = property(lambda self: self.stage_count + 1)  # stage derivatives, then the stage state
+
     def _bind(self, algebra, k, x):
-        # Once per buffer set (k: stage derivatives, then stage state): the generated step, inline
-        # for the length on the sequence backend (with the do_step entry), else on kernels; its pieces.
+        # Once per buffer set: the generated step and error, inline for the length on the sequence
+        # backend (with the do_step entry), else on kernels; the step's pieces.
         pieces, make = _step_code(self.tableau, algebra._fused_length(x))
-        return (*make(algebra._kernel, k, self, type(x), len(x)), pieces, (algebra._kernel, k))
+        advance, error = make(algebra._kernel, k, self, type(x), len(x))
+        return Bound(advance, pieces, (algebra._kernel, k), error)
 
     def do_step(self, system, x, t, dt, out=None):
         """Advance ``x`` from ``t`` by ``dt``.
@@ -69,14 +72,13 @@ class ExplicitRungeKutta(Scratched):
         state into ``out`` and leaves ``x`` unchanged.  Returns the
         updated state.
         """
-        algebra, k, _, (advance, *_) = scratch(self, x, self.stage_count + 1, self._bind)
+        algebra, k, _, bound = scratch(self, x)
         if out is not None:
             algebra._check_shapes(x, out)
         system(x, k[0], t)
-        return advance(system, x, t, dt, x if out is None else out)
+        return bound.step(system, x, t, dt, x if out is None else out)
 
-    # The fixed-step loop's step on x, as pieces, and its make's arguments.
-    do_step._inline = lambda self, x: scratch(self, x, self.stage_count + 1, self._bind)[3][2:]
+    do_step._shipped = True  # the fixed-step loop runs its Bound's pieces inline
 
 
 def _update(tableau, n, out, weights, lead, at="{}[{}]".format):
@@ -157,19 +159,19 @@ class EmbeddedRungeKutta(ExplicitRungeKutta):
         :class:`StageRecord` for a first-same-as-last pair.
         """
         s, t, dt = self.stage_count, float(t), float(dt)
-        algebra, k, copy, (advance, error, *_) = scratch(self, x, s + 1, self._bind)
+        algebra, k, copy, bound = scratch(self, x)
         algebra._check_shapes(x, out, xerr, dxdt_in)
         if dxdt_in is None:
             system(x, k[0], t)
         else:
             copy(k[0], dxdt_in)
-        target = advance(system, x, t, dt, x if out is None else out)
+        target = bound.step(system, x, t, dt, x if out is None else out)
         # A first-same-as-last stage is evaluated at the new state.
         if self.fsal:
             system(target, k[s - 1], t + dt)
         if xerr is None:
             xerr = algebra.clone_shape(k[0])
-        error(dt, xerr)
+        bound.error(dt, xerr)
         if self.fsal:
             return target, xerr, StageRecord(tuple(k[:s]))
         return target, xerr

@@ -19,7 +19,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .algebra import Scratched, _bound, _indent, _lazy_make, scratch
+from .algebra import Bound, Scratched, _bound, _indent, _lazy_make, scratch
 from .errors import ConvergenceError, SingularMatrixError
 
 NEWTON_TOL = 1e-12
@@ -45,16 +45,6 @@ class JacobianSystem(partial):
 
     def __repr__(self):
         return f"JacobianSystem(system={self.system!r}, jacobian={self.jacobian!r})"
-
-
-def _bind(algebra, buffers, x):
-    # The generated Newton step on states like x (compiled on its first call), its pieces and their make's arguments:
-    # the buffers, the copy, the stop's floor for the state's dtype, the identity, the Newton matrix's shape and names.
-    eps, n = float(np.finfo(getattr(buffers[0], "dtype", float)).eps), len(x)
-    k = (*buffers, algebra._copy_kernel(x), max(NEWTON_TOL, 8.0 * eps), np.eye(n), (n, n), (np.maximum.reduce,
-         np.abs, np.zeros, np.linalg, np.linalg.LinAlgError, math.isfinite, ConvergenceError, SingularMatrixError))
-    pieces, make = _newton_code(not isinstance(buffers[0], np.ndarray))
-    return _bound(make, algebra._kernel, k), pieces, (algebra._kernel, k)
 
 
 @lru_cache(maxsize=None)
@@ -116,10 +106,20 @@ class ImplicitEuler(Scratched):
     _factorizations = 0  # Newton matrices LU-factored by its steps: inversions and solves
     _newton = None  # (key, inverse, matrix) of the latest first update
     _caches = ("_scratch", "_newton")
+    _count = 3  # the Newton iterate, its derivative and its residual
 
     def __init__(self, algebra=None):
         self._fixed_algebra = algebra
         self.last_iteration_count = 0
+
+    def _bind(self, algebra, buffers, x):
+        # The generated Newton step on states like x (compiled on first call), its pieces and their make's args:
+        # the buffers, the copy, the stop's floor for the dtype, the identity, the Newton matrix's shape and names.
+        eps, n = float(np.finfo(getattr(buffers[0], "dtype", float)).eps), len(x)
+        k = (*buffers, algebra._copy_kernel(x), max(NEWTON_TOL, 8.0 * eps), np.eye(n), (n, n), (np.maximum.reduce,
+             np.abs, np.zeros, np.linalg, np.linalg.LinAlgError, math.isfinite, ConvergenceError, SingularMatrixError))
+        pieces, make = _newton_code(not isinstance(buffers[0], np.ndarray))
+        return Bound(_bound(make, algebra._kernel, k), pieces, (algebra._kernel, k))
 
     def do_step(self, system, x, t, dt, out=None):
         """Advance ``x`` from ``t`` by ``dt > 0``.
@@ -135,10 +135,9 @@ class ImplicitEuler(Scratched):
         """
         if not (math.isfinite(t) and 0.0 < dt < math.inf):
             raise ValueError("implicit Euler needs a finite t and a finite positive dt")
-        algebra, _, _, (step, *_) = scratch(self, x, 3, _bind)
+        algebra, _, _, bound = scratch(self, x)
         if out is not None:
             algebra._check_shapes(x, out)
-        return step()(self, system, x, float(t), float(dt), x if out is None else out)
+        return bound.step()(self, system, x, float(t), float(dt), x if out is None else out)
 
-    # The fixed-step loop's step on x, as pieces, and its make's arguments.
-    do_step._inline = lambda self, x: scratch(self, x, 3, _bind)[3][1:]
+    do_step._shipped = True  # the fixed-step loop runs its Bound's pieces inline

@@ -3,14 +3,15 @@
 Drivers copy the initial state, dispatch on what the stepper can do,
 and call the observer with read-only snapshots; observers never see a
 rejected trial.  Controlled and dense-output steppers run on one
-generated walk: every :class:`ControlledStepper`'s trial and step
-size control inline, dense output's fit among them, and any other
-stepper's ``try_step`` called; fixed steps on one generated loop, a
-shipped explicit stepper's step or implicit Euler's Newton step inline
-and any other's ``do_step`` called (see ``algebra``'s module docstring
-for which code runs).  Every
-run returns an :class:`IntegrationReport` with the final state and the
-step and evaluation counters.
+generated walk, fixed steps on one generated loop.  Each runs inline
+the ``pieces`` of the stepper's ``algebra.Bound`` for the state, read
+through ``_record``, where its ``try_step`` or ``do_step`` is the
+shipped method (marked ``_shipped``): every :class:`ControlledStepper`'s
+trial and step size control, dense output's fit among them, an
+explicit stepper's step or implicit Euler's Newton step; any other
+method, a proxy's too, is called.  A dense stepper's grid sampler is
+its record's ``sample``.  Every run returns an :class:`IntegrationReport`
+with the final state and the step and evaluation counters.
 
 The drivers write every count line; steppers generate plain code and
 keep no count.  A run counts each system call it inlines in the line
@@ -27,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import _indent, _initial_copy, _make, _readonly
+from .algebra import Bound, _indent, _initial_copy, _make, _readonly
 from .errors import SolverError, StepSizeUnderflowError
 
 # Grid times within this fraction of a width of the interval end are
@@ -114,10 +115,9 @@ def _controlled_walk(stepper, system, x, t0, targets, dt, observer, observe_step
     ``partial_report``.
     """
     stepper.reset()
-    inline = getattr(stepper.try_step, "_inline", None)
-    trial, bound = inline(stepper, x) if inline else (None, (None,))
+    bound = stepper._record(x) if getattr(stepper.try_step, "_shipped", False) else Bound(None, None, (None,))
     observe = None if observer is None else "steps" if observe_steps else "samples" if sample else "targets"
-    walk = _walk_code(trial, observe)(*bound)
+    walk = _walk_code(bound.pieces, observe)(*bound.args)
     return walk(stepper, system, x, t0, targets, dt, observer, sample,
                 _readonly if isinstance(x, np.ndarray) else tuple)
 
@@ -210,7 +210,8 @@ def integrate_const(stepper, system, x0, t0, t1, dt, observer=None):
     ``GRID_SNAP`` widths) sizes the last step to end on it; controlled
     steppers adapt freely inside each grid interval but land exactly on
     the grid points.  The run ends at the last grid point inside the
-    interval.
+    interval.  A fixed step evaluates stage ``c`` at ``t + c*dt``, as ``do_step``
+    does, so a ``c = 1`` stage may lie one ulp from the grid time reported.
 
     :class:`DenseOutputDopri5` picks its own widths on the walk that
     :func:`integrate_adaptive` uses, so the grid does not constrain
@@ -230,21 +231,21 @@ def integrate_const(stepper, system, x0, t0, t1, dt, observer=None):
     if not (controlled or hasattr(stepper, "do_step")):
         raise TypeError(f"{type(stepper).__name__} is not a stepper")
     x, t0, t1, dt = _start(stepper, x0, t0, t1, dt, observer)
-    if hasattr(stepper, "_sampler"):
+    sample = controlled and getattr(stepper, "_record", None) and stepper._record(x).sample
+    if sample:
         # After each accepted step the dense stepper's sampler observes
         # the grid points strictly inside the interval the step reached.
-        sample = None if observer is None else (stepper._sampler(x), t0, dt, t1 - GRID_SNAP * dt, GRID_SNAP * dt)
+        sample = None if observer is None else (sample(), t0, dt, t1 - GRID_SNAP * dt, GRID_SNAP * dt)
         return _controlled_walk(stepper, system, x, t0, (t1,), dt, observer, False, sample)
     steps, t_last = _grid(t0, t1, dt)
     if controlled:
         targets = (t_last if k == steps else t0 + k * dt for k in range(1, steps + 1))
         return _controlled_walk(stepper, system, x, t0, targets, dt, observer, False)
 
-    inline = getattr(stepper.do_step, "_inline", None)
-    step, bound = inline(stepper, x) if inline else (None, (None, None))
+    bound = stepper._record(x) if getattr(stepper.do_step, "_shipped", False) else Bound(None, None, (None, None))
     # A last grid point snapped onto t1 ends the last step there.
     dt_last = dt if t_last == t0 + steps * dt else t_last - (t0 + (steps - 1) * dt)
-    loop = _fixed_code(step, observer is not None)(*bound)
+    loop = _fixed_code(bound.pieces, observer is not None)(*bound.args)
     return loop(stepper, system, x, t0, steps, dt, t_last, dt_last, observer,
                 _readonly if isinstance(x, np.ndarray) else tuple)
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache
 
-from .algebra import Scratched, _entry_lines, _indent, _make, _update_lines, scratch
+from .algebra import Bound, Scratched, _entry_lines, _indent, _make, _update_lines, scratch
 from .errors import DimensionError
 
 
@@ -60,6 +60,7 @@ class SymplecticEuler(Scratched):
     """
 
     order = 1
+    _count = 1
 
     def __init__(self, algebra=None):
         self._fixed_algebra = algebra
@@ -72,14 +73,14 @@ class SymplecticEuler(Scratched):
         time argument is carried for signature uniformity; separable
         systems here are autonomous.
         """
-        algebra, (buf,), _, step = scratch(self, state.q, 1, self._bind)
+        algebra, (buf,), _, bound = scratch(self, state.q)
         target = state if out is None else out
         algebra._check_shapes(buf, state.p, target.q, target.p)
-        return step(system, state, dt, target)
+        return bound.step(system, state, dt, target)
 
     def _bind(self, algebra, buffers, q):
         # The generated step; inline, the instance's do_step entry too.
-        return _kick_drift(algebra._fused_length(q))(algebra._kernel, buffers[0], self, type(q), len(q))
+        return Bound(_kick_drift(algebra._fused_length(q))(algebra._kernel, buffers[0], self, type(q), len(q)))
 
 
 @lru_cache(maxsize=None)  # n is None or at most UNROLL + 1

@@ -15,6 +15,7 @@ from odekit import (
     HARMONIC,
     integrate_adaptive,
 )
+from odekit.algebra import NumpyAlgebra, SequenceAlgebra
 
 
 def expgrow(x, dxdt, t):
@@ -76,6 +77,35 @@ def test_no_interval_before_first_step():
 def test_calc_state_before_initialize():
     with pytest.raises(RuntimeError):
         DenseOutputDopri5().calc_state(0.0)
+
+
+def test_current_state_copies_through_the_steppers_copy_kernel(monkeypatch):
+    # On a list the generated copy for the length runs: no one-term
+    # scale_sum is asked for, so none is compiled.
+    import odekit.algebra as algebra
+
+    asked, kernel = [], algebra.Algebra._kernel
+    monkeypatch.setattr(algebra.Algebra, "_kernel", lambda self, k: asked.append(k) or kernel(self, k))
+    d = DenseOutputDopri5()
+    d.initialize([1.0, 2.0, 3.0], 0.0, 0.1)
+    asked.clear()
+    state = d.current_state
+    assert state == [1.0, 2.0, 3.0] and state is not d._x and asked == []
+
+
+@pytest.mark.parametrize("base", [SequenceAlgebra, NumpyAlgebra], ids=["list", "numpy"])
+def test_a_replaced_copy_receives_current_states_copy(base):
+    calls = []
+
+    class Copying(base):
+        def copy(self, out, src):
+            calls.append(list(src))
+            return super().copy(out, src)
+
+    d = DenseOutputDopri5(algebra=Copying())
+    d.initialize(np.array([1.0, 2.0]) if base is NumpyAlgebra else [1.0, 2.0], 0.0, 0.1)
+    calls.clear()
+    assert list(d.current_state) == [1.0, 2.0] and calls == [[1.0, 2.0]]
 
 
 def test_current_state_before_initialize():

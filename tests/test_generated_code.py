@@ -125,8 +125,8 @@ def test_a_traceback_names_the_generator_and_shows_the_generated_line(name):
 
 def test_inspect_finds_the_source_of_generated_functions():
     controller, x = ControlledStepper(DormandPrince5()), list(X3)
-    pieces, bound = controller.try_step._inline(controller, x)
-    walk = _walk_code(pieces, "steps")(*bound)
+    bound = controller._record(x)
+    walk = _walk_code(bound.pieces, "steps")(*bound.args)
     source = inspect.getsource(walk)
     assert source.lstrip().startswith("def walk(stepper, system, x, t, targets, dt_next, observer, sample, snap):")
     assert "system(u, k6, t + dt)" in source
@@ -136,12 +136,12 @@ def test_inspect_finds_the_source_of_generated_functions():
     stepper.do_step(lorenz, x, 0.0, 0.01)
     entry = stepper.do_step
     assert inspect.getsource(entry).lstrip().startswith("def entry(system, x, t, dt, out=None):")
-    step, bound = ExplicitEuler.do_step._inline(stepper, x)
-    assert "target[2] = x[2] + c1 * k0[2]" in inspect.getsource(_fixed_code(step, False)(*bound))
+    bound = stepper._record(x)
+    assert "target[2] = x[2] + c1 * k0[2]" in inspect.getsource(_fixed_code(bound.pieces, False)(*bound.args))
 
     implicit = ImplicitEuler()
-    step, bound = implicit.do_step._inline(implicit, np.ones(32))
-    source = inspect.getsource(_fixed_code(step, True)(*bound))
+    bound = implicit._record(np.ones(32))
+    source = inspect.getsource(_fixed_code(bound.pieces, True)(*bound.args))
     assert "        K3(g, (1.0, -1.0, -dt), (u, x, f))\n" in source and "evaluations += 1" in source
 
 
@@ -153,14 +153,14 @@ def test_two_sources_under_one_key_get_two_file_names():
     for pair in (DormandPrince5, CashKarp54):
         stepper = ControlledStepper(delegating(pair)())
         stepper.try_step(lorenz, list(X3), 0.0, 0.01)
-        one = stepper._scratch[1][3][0]()  # the entry, compiled on the first try_step
+        one = stepper._record(list(X3)).step()  # the entry, compiled on the first try_step
         names.append(one.__code__.co_filename)
         assert ("new_derivative" in inspect.getsource(one)) == (pair is DormandPrince5)
     assert names[0] != names[1]
     assert all(re.fullmatch(r"<odekit trial pair n=3( #\d+)?>", name) for name in names)
     dense = DenseOutputDopri5()
     dense.try_step(lorenz, list(X3), 0.0, 0.01)
-    assert dense._scratch[1][3][0]().__code__.co_filename == "<odekit trial dormand_prince_54 dense n=3>"
+    assert dense._record(list(X3)).step().__code__.co_filename == "<odekit trial dormand_prince_54 dense n=3>"
 
 
 # A driver's run in a fresh interpreter, then a manual call of the entry
@@ -224,6 +224,31 @@ def test_a_driver_run_compiles_no_manual_entry(name):
     assert "<odekit scale_sum k=1>" not in after_run
     assert set(after_manual) - set(after_run) == {filename}
     assert frame == [filename, function, line, line]
+
+
+RATIO_PROBE = """
+import json, linecache, math
+from odekit import *
+keys = lambda: sorted(key for key in linecache.cache if key.startswith("<odekit ratio "))
+def poisoned(x, dxdt, t):
+    LORENZ(x, dxdt, t)
+    dxdt[0] = math.nan
+integrate_adaptive(ControlledStepper(DormandPrince5()), LORENZ, [1.0, 2.0, 20.0], 0.0, 0.5, 0.01)
+after_run = keys()
+try:
+    integrate_adaptive(ControlledStepper(DormandPrince5()), poisoned, [1.0, 2.0, 20.0], 0.0, 0.5, 0.01)
+except SolverError as exc:
+    message = str(exc)
+print(json.dumps([after_run, keys(), message]))
+"""
+
+
+def test_a_list_trial_compiles_the_error_ratio_on_its_first_call():
+    # A list trial written inline folds its own error ratio, and calls the
+    # algebra's only to test the derivative once its own is not finite.
+    after_run, after_failure, message = fresh(RATIO_PROBE)
+    assert after_run == [] and after_failure == ["<odekit ratio n=3>"]
+    assert message == "the derivative at t=0.0 is not finite"
 
 
 DENSE_PROBE = """

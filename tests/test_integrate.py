@@ -1,5 +1,6 @@
 """Integration drivers: observation grids, counters, capability dispatch."""
 
+import inspect
 import math
 from collections import UserList
 
@@ -417,6 +418,64 @@ def test_the_loop_runs_a_shipped_step_inline_and_calls_any_other(monkeypatch):
     for stepper, box, _ in runs:
         integrate_const(stepper, HARMONIC, box([1.0, 0.0]), 0.0, 0.5, 0.125)
     assert forms == [inline for _, _, inline in runs]
+
+
+class Forwarding:
+    """A proxy shaped like a tracing one: each public method of the
+    target's class is wrapped as an instance attribute, every other
+    read is forwarded to the target, and every write lands here."""
+
+    def __init__(self, target):
+        self._target = target
+        for name, _ in inspect.getmembers(type(target), inspect.isfunction):
+            if not name.startswith("_"):
+                setattr(self, name, self._wrap(getattr(target, name)))
+
+    @staticmethod
+    def _wrap(method):
+        return lambda *args, **kwargs: method(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self._target, name)
+
+
+PROXIED = {
+    "rk4": RungeKutta4,
+    "implicit": ImplicitEuler,
+    "controlled": lambda: ControlledStepper(DormandPrince5(), ControllerParams(atol=1e-8, rtol=1e-8)),
+    "dense": lambda: DenseOutputDopri5(ControllerParams(atol=1e-8, rtol=1e-8)),
+}
+
+
+@pytest.mark.parametrize("box", [list, np.array], ids=["list", "numpy"])
+@pytest.mark.parametrize("kind", PROXIED)
+def test_a_forwarding_proxy_takes_the_calling_form_with_the_same_bits(kind, box, monkeypatch):
+    # An inline step on the proxy would keep the controller's state on
+    # the proxy, where the target's reset never clears it, so the proxy
+    # calls the target's stepping method: twice, each run as the bare
+    # stepper's.  A dense proxy still samples the grid with the target's
+    # sampler, on the states the target's trials fill.
+    import odekit.integrate as integrate
+
+    forms, walk, fixed = [], integrate._walk_code, integrate._fixed_code
+    monkeypatch.setattr(integrate, "_walk_code", lambda trial, observe: forms.append((trial is not None, observe))
+                        or walk(trial, observe))
+    monkeypatch.setattr(integrate, "_fixed_code", lambda step, observed: forms.append((step is not None, observed))
+                        or fixed(step, observed))
+    for drive in (integrate_const, integrate_adaptive)[:1 if kind in ("rk4", "implicit") else 2]:
+        runs, forms[:] = [], []
+        for wrap in (lambda stepper: stepper, Forwarding):
+            stepper = wrap(PROXIED[kind]())
+            for _ in range(2):
+                seen = []
+                report = drive(stepper, HARMONIC, box([1.0, 0.5]), 0.0, 1.0, 0.125,
+                               lambda x, t: seen.append((t.hex(), [float(v).hex() for v in x])))
+                runs.append((seen, [float(v).hex() for v in report.final_state], report.final_time.hex(),
+                             report.steps_accepted, report.steps_rejected, report.system_evaluations))
+        assert runs[1:] == runs[:1] * 3
+        assert [inline for inline, _ in forms] == [True, True, False, False]
+        if kind == "dense" and drive is integrate_const:
+            assert [observe for _, observe in forms] == ["samples"] * 4
 
 
 # --- integrate_const with a controlled stepper ------------------------------

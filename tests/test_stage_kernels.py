@@ -317,9 +317,9 @@ def test_step_code_is_generated_once_per_tableau():
     for box in (list, np.array):
         for _ in range(25):
             for make in (DormandPrince5, RungeKutta4):
-                stepper = make()
-                stepper.do_step(LORENZ, box(X0), 0.0, 0.01)
-                advances.append((make, box, stepper._scratch[1][3][0]))
+                stepper, x = make(), box(X0)
+                stepper.do_step(LORENZ, x, 0.0, 0.01)
+                advances.append((make, box, stepper._record(x).step))
             dense = DenseOutputDopri5()
             dense.initialize(box(X0), 0.0, 0.01)
             dense.do_step(LORENZ)
@@ -354,13 +354,13 @@ def test_trial_code_is_generated_once_per_tableau_and_length():
     for box in (list, np.array):
         for _ in range(25):
             for make in (DormandPrince5, CashKarp54):
-                controller = ControlledStepper(make())
-                controller.try_step(LORENZ, box(X0), 0.0, 0.01)
-                trials.append((make, box, controller._scratch[1][3][0]()))
+                controller, x = ControlledStepper(make()), box(X0)
+                controller.try_step(LORENZ, x, 0.0, 0.01)
+                trials.append((make, box, controller._record(x).step()))
             dense = DenseOutputDopri5()
             dense.initialize(box(X0), 0.0, 0.01)
             dense.do_step(LORENZ)
-            trials.append((DenseOutputDopri5, box, dense._scratch[1][3][0]()))
+            trials.append((DenseOutputDopri5, box, dense._record(box(X0)).step()))
     info = _trial_code.cache_info()
     assert (info.misses, info.currsize) == (6, 6)
     for make in (DormandPrince5, CashKarp54, DenseOutputDopri5):
@@ -369,9 +369,9 @@ def test_trial_code_is_generated_once_per_tableau_and_length():
     for make in (DormandPrince5, CashKarp54):
         for box, n in ((list, len(X0)), (np.array, None)):
             controller, x = ControlledStepper(make()), box(X0)
-            pieces, _ = controller.try_step._inline(controller, x)
             pair = controller.stepper
-            assert pieces is _trial_code(pair.fsal, pair.error_order, pair.tableau, n, ((), ()))[0]
+            assert controller._record(x).pieces is \
+                _trial_code(pair.fsal, pair.error_order, pair.tableau, n, ((), ()))[0]
     assert _trial_code.cache_info().misses == 6
     # Lengths past UNROLL share one looped trial.
     _trial_code.cache_clear()
@@ -392,14 +392,14 @@ def test_trial_code_is_generated_once_per_tableau_and_length():
                 controller, x = ControlledStepper(delegating(make)()), box([1.0] * n)
                 controller.try_step(decay_rows, x, 0.0, 0.01)
                 pair = controller.stepper
-                assert controller.try_step._inline(controller, x)[0] is \
+                assert controller._record(x).pieces is \
                     _trial_code(pair.fsal, pair.error_order, None, length, ((), ()))[0]
             pieces = []
             for _ in range(2):
                 dense = DenseOutputDopri5()
                 dense.stepper = delegating(DormandPrince5)()
                 dense.try_step(decay_rows, box([1.0] * n), 0.0, 0.01)
-                pieces.append(dense.try_step._inline(dense, box([1.0] * n))[0])
+                pieces.append(dense._record(box([1.0] * n)).pieces)
             assert pieces[0] is pieces[1]
     info = _trial_code.cache_info()
     assert info.misses == info.currsize == 3 * (UNROLL + 2) <= info.maxsize
@@ -645,7 +645,8 @@ def test_controlled_trial_ratio_allocates_no_state_sized_array():
     controller = ControlledStepper(DormandPrince5())
     controller.try_step(LORENZ, x, 0.0, 1e-3)  # warm-up binds the scratch
     # The stages, the solution, the error and the two ratio states.
-    _, (dxdt, *_, xerr, _, _), _, (_, _, (_, ratio, *_)) = controller._scratch[1]
+    _, (dxdt, *_, xerr, _, _), _, bound = controller._scratch[1]
+    _, ratio, _, _ = bound.args  # the trial's make(kernel, ratio, copy, k)
     ratio(xerr, x, dxdt, 1e-6, 1e-6, 1e-3)
     peaks = []
     for call in (ratio, NUMPY_ALGEBRA.error_ratio_max):
