@@ -7,6 +7,10 @@ a linear system at a fixed width inverts that matrix once per run.
 The user supplies the Jacobian analytically; matrices are dense and
 desk-scale.  ``do_step`` calls the generated step that
 ``integrate_const``'s fixed-step loop runs inline (:func:`_newton_code`).
+On a numpy backend that replaces neither ``scale_sum`` nor ``copy`` its
+residual, update and copies are the ufunc calls numpy's kernels make,
+bit for bit; elsewhere they are kernel calls, so a replaced method
+receives each.
 
 Newton's stop is scaled to the step's start state (see
 :class:`ImplicitEuler`); its limits are the two constants below.
@@ -19,7 +23,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .algebra import Bound, Scratched, _bound, _indent, _lazy_make, scratch
+from .algebra import Bound, Scratched, _bound, _indent, _lazy_make, _numpy_copy, scratch
 from .errors import ConvergenceError, SingularMatrixError
 
 NEWTON_TOL = 1e-12
@@ -48,20 +52,23 @@ class JacobianSystem(partial):
 
 
 @lru_cache(maxsize=None)
-def _newton_code(sequence):
-    """The Newton step, generated once for numpy states and once for any
-    other (``sequence``) as ``explicit._step_code``'s is: ``(pieces,
-    make)``, ``pieces`` that step on ``target = x`` and ``make()(kernel,
-    k)``, compiled on the first ``make()``, returning ``do_step``'s
-    ``step(stepper, system, x, t, dt, target)``."""
-    head = ["u, f, g, copy, floor, eye, square, (norm, absolute, zeros, linalg, LinAlgError, isfinite,"
-            " ConvergenceError, SingularMatrixError) = k"]
+def _newton_code(form):
+    """The Newton step, generated once per ``form`` as ``explicit._step_code``'s is: ``(pieces, make)``,
+    ``pieces`` that step on ``target = x`` and ``make()(kernel, k)``, compiled on the first ``make()``,
+    returning ``do_step``'s ``step(stepper, system, x, t, dt, target)``.  The form ``numpy`` writes the
+    residual, the update and the copies as the ufunc calls numpy's own kernels make on these operands;
+    ``numpy kernels`` and ``sequence`` call the kernels, ``sequence`` on Python floats."""
+    inline = form == "numpy"
+    head = [f"u, f, g, {'(copy, subtract, add, multiply)' if inline else 'copy'}, floor, eye, square, (norm, absolute,"
+            " zeros, linalg, LinAlgError, isfinite, ConvergenceError, SingularMatrixError) = k"]
     check = ["jac_f = getattr(system, 'jacobian', None)", "if jac_f is None:",
              "    raise ValueError('implicit Euler needs a system that carries a jacobian')"]
     stop = "        raise ConvergenceError(applied, f'Newton {} at t={{t_new!r}}')".format
     step = [
         "t_new = t + dt", "tol = floor * max(1.0, float(norm(absolute(x), None)))", "copy(u, x)", "applied = 0",
-        "while True:", "    system(u, f, t_new)", "    K3(g, (1.0, -1.0, -dt), (u, x, f))",
+        "while True:", "    system(u, f, t_new)",
+        *(["    subtract(u, x, out=g)", "    add(g, multiply(f, -dt), out=g)"] if inline else
+          ["    K3(g, (1.0, -1.0, -dt), (u, x, f))"]),
         "    if applied and float(norm(absolute(g), None)) <= tol:", "        break",
         f"    if applied >= {NEWTON_MAX_ITER}:", stop("stalled after {applied} updates"),
         "    jac = zeros(square)  # a jacobian may write only its nonzero entries", "    jac_f(u, jac, t_new)",
@@ -74,15 +81,16 @@ def _newton_code(sequence):
         "            delta += inv.dot(g - m.dot(delta))  # recovers what inv @ g loses to cancellation",
         "    except LinAlgError:",
         "        raise SingularMatrixError(f'singular Newton matrix at t={t_new!r}') from None",
-        *(["    delta = delta.tolist()  # a sequence state keeps Python floats"] if sequence else []),
-        "    K2(u, (1.0, -1.0), (u, delta))", "    applied += 1", "    size = float(norm(absolute(delta), None))",
+        *(["    delta = delta.tolist()  # a sequence state keeps Python floats"] if form == "sequence" else []),
+        "    subtract(u, delta, out=u)" if inline else "    K2(u, (1.0, -1.0), (u, delta))", "    applied += 1",
+        "    size = float(norm(absolute(delta), None))",
         "    if size <= tol:", "        break", "    if not isfinite(size):", stop("update {applied} is not finite"),
         "stepper.last_iteration_count = applied", "copy(target, u)",
     ]
-    key = f"implicit_euler {'sequence' if sequence else 'numpy'}"
-    pieces = (key, True, (*head, *check, "target = x"), tuple(step))
-    return pieces, _lazy_make(True, "k", [*head, "def step(stepper, system, x, t, dt, target):",
-                                          *_indent([*check, *step, "return target"])], "step", f"step {key}")
+    key = f"implicit_euler {form}"
+    pieces = (key, not inline, (*head, *check, "target = x"), tuple(step))
+    return pieces, _lazy_make(not inline, "k", [*head, "def step(stepper, system, x, t, dt, target):",
+                                                *_indent([*check, *step, "return target"])], "step", f"step {key}")
 
 
 class ImplicitEuler(Scratched):
@@ -114,11 +122,14 @@ class ImplicitEuler(Scratched):
 
     def _bind(self, algebra, buffers, x):
         # The generated Newton step on states like x (compiled on first call), its pieces and their make's args:
-        # the buffers, the copy, the stop's floor for the dtype, the identity, the Newton matrix's shape and names.
-        eps, n = float(np.finfo(getattr(buffers[0], "dtype", float)).eps), len(x)
-        k = (*buffers, algebra._copy_kernel(x), max(NEWTON_TOL, 8.0 * eps), np.eye(n), (n, n), (np.maximum.reduce,
-             np.abs, np.zeros, np.linalg, np.linalg.LinAlgError, math.isfinite, ConvergenceError, SingularMatrixError))
-        pieces, make = _newton_code(not isinstance(buffers[0], np.ndarray))
+        # the buffers, the copy (numpy's own kernels: copyto and the ufuncs they call), the stop's floor for the
+        # dtype, the identity, the Newton matrix's shape and names.
+        eps, n, copy = float(np.finfo(getattr(buffers[0], "dtype", float)).eps), len(x), algebra._copy_kernel(x)
+        form = "numpy" if copy is _numpy_copy else "numpy kernels" if isinstance(buffers[0], np.ndarray) else "sequence"
+        k = (*buffers, (np.copyto, np.subtract, np.add, np.multiply) if form == "numpy" else copy,
+             max(NEWTON_TOL, 8.0 * eps), np.eye(n), (n, n), (np.maximum.reduce, np.abs, np.zeros, np.linalg,
+             np.linalg.LinAlgError, math.isfinite, ConvergenceError, SingularMatrixError))
+        pieces, make = _newton_code(form)
         return Bound(_bound(make, algebra._kernel, k), pieces, (algebra._kernel, k))
 
     def do_step(self, system, x, t, dt, out=None):

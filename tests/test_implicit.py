@@ -25,7 +25,7 @@ from odekit import (
 )
 from odekit.implicit import NEWTON_MAX_ITER
 from odekit.integrate import GRID_SNAP
-from test_properties import hexes
+from test_properties import DelegatingNumpy, hexes
 from test_stage_kernels import LoggingAlgebra, decay_rows, decay_rows_jacobian, logging_instance
 
 
@@ -122,6 +122,25 @@ def test_inplace_matches_out_of_place():
     stepper.do_step(EXPDECAY, a, 0.0, 0.1, out=a)
     b = stepper.do_step(EXPDECAY, np.array([1.0]), 0.0, 0.1)
     assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("algebra", [None, DelegatingNumpy()], ids=["ufuncs", "kernels"])
+def test_a_manual_step_casts_into_its_target_as_numpy_same_kind_does(algebra):
+    # The step computes in floats; an integer target is refused and
+    # left as it was, a float target of another width gets the float64
+    # step's bits, rounded once.
+    system = JacobianSystem(decay_rows, decay_rows_jacobian)
+    for x, out in ((np.array([1, -2, 3]), None), (np.array([1, -2, 3]), np.array([7, 7, 7])),
+                   (np.array([1.0, -2.0, 3.0]), np.array([7, 7, 7]))):
+        target = x if out is None else out
+        before = target.copy()
+        with pytest.raises(TypeError):
+            ImplicitEuler(algebra).do_step(system, x, 0.0, 0.1, out)
+        assert target.dtype == before.dtype and target.tolist() == before.tolist()
+    reference = ImplicitEuler().do_step(system, np.array([1.0, -2.0, 3.0]), 0.0, 0.1)
+    for x, out in ((np.array([1, -2, 3]), np.zeros(3)), (np.array([1.0, -2.0, 3.0]), np.zeros(3, np.float32))):
+        assert ImplicitEuler(algebra).do_step(system, x, 0.0, 0.1, out) is out
+        assert hexes(out) == hexes(reference.astype(out.dtype)) and x.tolist() == [1, -2, 3]
 
 
 def test_nonconvergence_carries_iteration_count():

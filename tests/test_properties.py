@@ -54,6 +54,7 @@ from odekit.algebra import (
     NUMPY_ALGEBRA,
     SEQUENCE_ALGEBRA,
     UNROLL,
+    NumpyAlgebra,
     SequenceAlgebra,
     _numpy_copy,
     _numpy_scale_sum,
@@ -1212,3 +1213,73 @@ def test_a_warm_implicit_euler_steps_as_a_fresh_one(steps):
             except SolverError as exc:
                 answers.append((type(exc), str(exc)))
         assert answers[0] == answers[1]
+
+
+class DelegatingNumpy(NumpyAlgebra):
+    """numpy's own kernels behind a replaced ``scale_sum`` and ``copy``,
+    which a stepper calls as it calls any replaced method."""
+
+    def scale_sum(self, out, coeffs, terms):
+        return super().scale_sum(out, coeffs, terms)
+
+    def copy(self, out, src):
+        return super().copy(out, src)
+
+
+def coupled_decay(cubic):
+    """``dx_i/dt = -(i + 1) x_i + 0.5 x_{i+1}``, indices modulo the
+    length, minus ``x_i**3`` when ``cubic``, with its Jacobian:
+    elementwise, so a list state keeps Python floats."""
+
+    def rhs(x, dxdt, t):
+        n = len(x)
+        for i in range(n):
+            dxdt[i] = -(i + 1.0) * x[i] + 0.5 * x[(i + 1) % n]
+            if cubic:
+                dxdt[i] = dxdt[i] - x[i] * x[i] * x[i]
+
+    def jacobian(x, jac, t):
+        n = len(x)
+        for i in range(n):
+            jac[i, i] += -(i + 1.0) - (3.0 * x[i] * x[i] if cubic else 0.0)
+            jac[i, (i + 1) % n] += 0.5
+
+    return JacobianSystem(rhs, jacobian)
+
+
+@settings(max_examples=120, deadline=None, database=None)
+@given(
+    x0=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=40),
+    dtype=st.sampled_from(["float64", "float32"]),
+    cubic=st.booleans(),
+    dt=st.sampled_from([0.01, 0.1, 0.5, 1.0]),
+    call=st.sampled_from(["in place", "into out", "const", "const observed"]),
+)
+def test_the_numpy_newton_step_matches_its_kernel_form_and_a_list(x0, dtype, cubic, dt, call):
+    # The default numpy backend's Newton step calls numpy's ufuncs; with
+    # scale_sum and copy replaced it calls the kernels, and a list state
+    # runs the sequence step (float64 only).  A dt of 1.0 makes the
+    # residual's -dt a kernel's exact -1.0.
+    system = coupled_decay(cubic)
+    runs = [(None, np.array(x0, dtype=dtype)), (DelegatingNumpy(), np.array(x0, dtype=dtype))]
+    if dtype == "float64":
+        runs.append((None, list(x0)))
+    answers = []
+    for algebra, x in runs:
+        stepper, seen = ImplicitEuler(algebra), []
+        try:
+            if call == "in place":
+                answer = hexes(stepper.do_step(system, x, 0.0, dt))
+            elif call == "into out":
+                out = stepper.do_step(system, x, 0.0, dt, [7.0] * len(x) if isinstance(x, list) else x * 0 + 7)
+                answer = (hexes(x), hexes(out))
+            else:
+                observer = (lambda v, t: seen.append((t.hex(), hexes(v)))) if call == "const observed" else None
+                report = integrate_const(stepper, system, x, 0.0, 3 * dt, dt, observer)
+                answer = (hexes(report.final_state), report[1:], seen)
+        except SolverError as exc:
+            answer = (type(exc), str(exc), hexes(x), exc.partial_report and exc.partial_report[1:])
+        answers.append((answer, stepper.last_iteration_count, stepper._factorizations))
+    assert [ImplicitEuler(algebra)._record(x).pieces[0] for algebra, x in runs] == \
+        ["implicit_euler numpy", "implicit_euler numpy kernels", "implicit_euler sequence"][:len(runs)]
+    assert all(answer == answers[0] for answer in answers[1:])

@@ -34,7 +34,7 @@ from odekit.algebra import MAX_TERMS, NUMPY_ALGEBRA, UNROLL, NumpyAlgebra, Seque
 from odekit.controlled import _trial_code
 from odekit.explicit import ExplicitRungeKutta, _step_code
 from odekit.tableaus import ButcherTableau
-from test_properties import delegating
+from test_properties import delegating, hexes
 
 X0 = [10.0, 10.0, 10.0]
 
@@ -133,8 +133,8 @@ def test_tableau_beyond_max_terms_rejected_before_any_call():
     assert counter.count == 0
 
 
-class LoggingAlgebra(SequenceAlgebra):
-    """A backend that overrides ``scale_sum`` and ``copy``."""
+class Logging:
+    """Overrides ``scale_sum`` and ``copy`` of the backend it is mixed into, logging each call."""
 
     def __init__(self):
         self.log = []
@@ -148,10 +148,18 @@ class LoggingAlgebra(SequenceAlgebra):
         return super().copy(out, src)
 
 
-def logging_instance():
+class LoggingAlgebra(Logging, SequenceAlgebra):
+    """A sequence backend that overrides ``scale_sum`` and ``copy``."""
+
+
+class LoggingNumpy(Logging, NumpyAlgebra):
+    """A numpy backend that overrides ``scale_sum`` and ``copy``."""
+
+
+def logging_instance(base=SequenceAlgebra):
     """A shipped backend with ``scale_sum`` and ``copy`` replaced on
     the instance, logging as :class:`LoggingAlgebra` does."""
-    algebra = SequenceAlgebra()
+    algebra = base()
     algebra.log = []
     scale_sum, copy = algebra.scale_sum, algebra.copy
 
@@ -430,6 +438,22 @@ def test_implicit_euler_hands_a_replaced_scale_sum_every_newton_update(make):
     ImplicitEuler(algebra).do_step(system, x, 0.0, 0.1)
     assert " ".join(algebra.log) == "c s1 s3 s2 s3 c s1"
     assert x == ImplicitEuler().do_step(system, plain, 0.0, 0.1)
+
+
+@pytest.mark.parametrize("make", [LoggingNumpy, lambda: logging_instance(NumpyAlgebra)], ids=["class", "instance"])
+def test_implicit_euler_on_numpy_hands_a_replaced_scale_sum_every_newton_update(make):
+    # The default numpy backend's step calls ufuncs, not kernels; a
+    # replaced method still receives the same calls as on a sequence,
+    # manual and driven, with the default backend's bits.
+    algebra, system = make(), JacobianSystem(decay_rows, decay_rows_jacobian)
+    x, plain = np.array([1.0, -2.0, 3.0]), np.array([1.0, -2.0, 3.0])
+    ImplicitEuler(algebra).do_step(system, x, 0.0, 0.1)
+    assert " ".join(algebra.log) == "c s1 s3 s2 s3 c s1"
+    assert hexes(x) == hexes(ImplicitEuler().do_step(system, plain, 0.0, 0.1))
+    driven = make()
+    report = integrate_const(ImplicitEuler(driven), system, np.array([1.0, -2.0, 3.0]), 0.0, 0.1, 0.1)
+    assert driven.log == ["c", "s1", *algebra.log]
+    assert hexes(report.final_state) == hexes(x)
 
 
 def decay_rows(x, dxdt, t):
