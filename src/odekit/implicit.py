@@ -59,17 +59,18 @@ def _newton_code(form):
     residual, the update and the copies as the ufunc calls numpy's own kernels make on these operands;
     ``numpy kernels`` and ``sequence`` call the kernels, ``sequence`` on Python floats."""
     inline = form == "numpy"
-    head = [f"u, f, g, {'(copy, subtract, add, multiply)' if inline else 'copy'}, floor, eye, square, (norm, absolute,"
-            " zeros, linalg, LinAlgError, isfinite, ConvergenceError, SingularMatrixError) = k"]
+    head = [f"u, f, g, {'(copy, subtract, add, multiply)' if inline else 'copy'}, floor, eye, square, (absolute, zeros,"
+            " linalg, LinAlgError, isfinite, ConvergenceError, SingularMatrixError) = k"]
     check = ["jac_f = getattr(system, 'jacobian', None)", "if jac_f is None:",
              "    raise ValueError('implicit Euler needs a system that carries a jacobian')"]
     stop = "        raise ConvergenceError(applied, f'Newton {} at t={{t_new!r}}')".format
+    norm = "(a := absolute({})).item(a.argmax())".format  # a selection, not a reduction: numpy's max bits, a NaN too
     step = [
-        "t_new = t + dt", "tol = floor * max(1.0, float(norm(absolute(x), None)))", "copy(u, x)", "applied = 0",
+        "t_new = t + dt", f"s = {norm('x')}", "tol = floor * (s if s > 1.0 else 1.0)", "copy(u, x)", "applied = 0",
         "while True:", "    system(u, f, t_new)",
         *(["    subtract(u, x, out=g)", "    add(g, multiply(f, -dt), out=g)"] if inline else
           ["    K3(g, (1.0, -1.0, -dt), (u, x, f))"]),
-        "    if applied and float(norm(absolute(g), None)) <= tol:", "        break",
+        f"    if applied and {norm('g')} <= tol:", "        break",
         f"    if applied >= {NEWTON_MAX_ITER}:", stop("stalled after {applied} updates"),
         "    jac = zeros(square)  # a jacobian may write only its nonzero entries", "    jac_f(u, jac, t_new)",
         "    try:", "        if applied:  # u has moved, and with it a nonlinear system's Jacobian",
@@ -83,7 +84,7 @@ def _newton_code(form):
         "        raise SingularMatrixError(f'singular Newton matrix at t={t_new!r}') from None",
         *(["    delta = delta.tolist()  # a sequence state keeps Python floats"] if form == "sequence" else []),
         "    subtract(u, delta, out=u)" if inline else "    K2(u, (1.0, -1.0), (u, delta))", "    applied += 1",
-        "    size = float(norm(absolute(delta), None))",
+        f"    size = {norm('delta')}",
         "    if size <= tol:", "        break", "    if not isfinite(size):", stop("update {applied} is not finite"),
         "stepper.last_iteration_count = applied", "copy(target, u)",
     ]
@@ -127,8 +128,8 @@ class ImplicitEuler(Scratched):
         eps, n, copy = float(np.finfo(getattr(buffers[0], "dtype", float)).eps), len(x), algebra._copy_kernel(x)
         form = "numpy" if copy is _numpy_copy else "numpy kernels" if isinstance(buffers[0], np.ndarray) else "sequence"
         k = (*buffers, (np.copyto, np.subtract, np.add, np.multiply) if form == "numpy" else copy,
-             max(NEWTON_TOL, 8.0 * eps), np.eye(n), (n, n), (np.maximum.reduce, np.abs, np.zeros, np.linalg,
-             np.linalg.LinAlgError, math.isfinite, ConvergenceError, SingularMatrixError))
+             max(NEWTON_TOL, 8.0 * eps), np.eye(n), (n, n), (np.abs, np.zeros, np.linalg, np.linalg.LinAlgError,
+             math.isfinite, ConvergenceError, SingularMatrixError))
         pieces, make = _newton_code(form)
         return Bound(_bound(make, algebra._kernel, k), pieces, (algebra._kernel, k))
 

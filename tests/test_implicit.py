@@ -242,34 +242,51 @@ def test_a_newton_failure_mid_run_carries_an_exact_partial_report(kind, error, m
     assert [v.hex() for v in report.final_state] == [v.hex() for v in clean.final_state]
 
 
-@pytest.mark.parametrize("box", [list, np.array], ids=["list", "numpy"])
-def test_a_non_finite_newton_update_raises_at_once(box):
-    # From t = 0.25 on the derivative is NaN, so the third step's first
-    # update is too: Newton stops there, after one update and its one
-    # held inverse, not after NEWTON_MAX_ITER updates and as many
-    # factorizations.  Two steps of two passes each, then one.
+NON_FINITE_BOXES = {
+    "list": list,
+    "float64": lambda v: np.array(v, dtype=np.float64),
+    "float32": lambda v: np.array(v, dtype=np.float32),
+}
+
+
+@pytest.mark.parametrize("box", sorted(NON_FINITE_BOXES))
+@pytest.mark.parametrize("where", [None, 0, 3, 7], ids=["all", "first", "middle", "last"])
+@pytest.mark.parametrize("value, when", [(math.nan, "from"), (math.inf, "from"), (math.nan, "check")],
+                         ids=["nan-from", "inf-from", "nan-on-check"])
+def test_a_non_finite_newton_update_raises_at_once(box, where, value, when):
+    # x' = -x on 8 elements, whose derivative is ``value`` in element
+    # ``where`` (None: in every element).  "from": from t = 0.25 on, so
+    # the third step's first update is not finite either, and Newton
+    # stops there, after one update and its one held inverse, not after
+    # NEWTON_MAX_ITER updates and as many factorizations.  Two steps of
+    # two passes each, then one.  "check": only on the third step's
+    # checking pass; a residual with a NaN anywhere must not stop Newton
+    # (a max-norm that drops NaN would), and the solved update 2 is not
+    # finite.
     calls = []
 
     def rhs(x, dxdt, t):
         calls.append(t)
+        bad = t >= 0.25 if when == "from" else t > 0.25 and calls.count(t) == 2
         for i in range(len(x)):
-            dxdt[i] = math.nan if t >= 0.25 else -x[i]
+            dxdt[i] = value if bad and where in (None, i) else -x[i]
 
     def jac(x, out, t):
         np.fill_diagonal(out, -1.0)
 
-    system = JacobianSystem(rhs, jac)
-    clean = integrate_const(ImplicitEuler(), system, box([1.0, 1.0]), 0.0, 0.2, 0.1)
+    system, x0 = JacobianSystem(rhs, jac), [1.0, -0.5, 0.25, 2.0, -3.0, 0.125, 1.5, -1.0]
+    clean = integrate_const(ImplicitEuler(), system, NON_FINITE_BOXES[box](x0), 0.0, 0.2, 0.1)
     calls.clear()
     stepper = ImplicitEuler()
-    with pytest.raises(ConvergenceError) as info:
-        integrate_const(stepper, system, box([1.0, 1.0]), 0.0, 1.0, 0.1)
-    assert str(info.value) == "Newton update 1 is not finite at t=0.30000000000000004"
-    assert info.value.iterations == stepper._factorizations == 1
+    with pytest.raises(ConvergenceError) as info, np.errstate(invalid="ignore"):  # inf * 0 in the inverse's dot
+        integrate_const(stepper, system, NON_FINITE_BOXES[box](x0), 0.0, 1.0, 0.1)
+    updates = 1 if when == "from" else 2
+    assert str(info.value) == f"Newton update {updates} is not finite at t=0.30000000000000004"
+    assert info.value.iterations == stepper._factorizations == updates
     report = info.value.partial_report
-    assert report.system_evaluations == len(calls) == 5
+    assert report.system_evaluations == len(calls) == 4 + updates
     assert (report.final_time, report.steps_accepted, report.steps_rejected) == (0.2, 2, 0)
-    assert [v.hex() for v in report.final_state] == [v.hex() for v in clean.final_state]
+    assert [v.hex() for v in map(float, report.final_state)] == [v.hex() for v in map(float, clean.final_state)]
 
 
 @pytest.mark.parametrize(

@@ -18,10 +18,13 @@ evaluations a counting closure sees; the controller's in-place error
 ratio equals the checked one, the textbook formula and the list
 backend bit for bit; the numpy kernel's exact ±1 coefficients give
 the bits of a product per term and of the sequence kernel; a warm
-implicit Euler steps as a fresh one does, bit for bit."""
+implicit Euler steps as a fresh one does, bit for bit, and the max-norms
+its Newton step emits give the bits of numpy's reduction."""
 
 import array
+import functools
 import math
+import re
 
 import numpy as np
 from hypothesis import assume, example, given, settings
@@ -1283,3 +1286,67 @@ def test_the_numpy_newton_step_matches_its_kernel_form_and_a_list(x0, dtype, cub
     assert [ImplicitEuler(algebra)._record(x).pieces[0] for algebra, x in runs] == \
         ["implicit_euler numpy", "implicit_euler numpy kernels", "implicit_euler sequence"][:len(runs)]
     assert all(answer == answers[0] for answer in answers[1:])
+
+
+@functools.lru_cache(maxsize=None)
+def emitted_norms(form, integer):
+    """The Newton step's max-norms as ``_newton_code(form)`` emits them,
+    run in the names its head unpacks from the ``k`` of a step bound on
+    a 2-element state (of ints when ``integer``): ``tol(v)``, the stop
+    for a start state ``v``, and ``residual(v)`` and ``update(v)``."""
+    algebra, box = {"numpy": (None, np.array), "numpy kernels": (DelegatingNumpy(), np.array),
+                    "sequence": (None, list)}[form]
+    bound = ImplicitEuler(algebra)._record(box([1, 2] if integer else [1.0, 2.0]))
+    key, _, head, step = bound.pieces
+    assert key == f"implicit_euler {form}"
+    names = {"k": bound.args[1]}
+    exec(next(line for line in head if line.endswith(" = k")), names)
+    scale = "\n".join(step[:next(i for i, line in enumerate(step) if line.startswith("tol = ")) + 1])
+    (residual,) = [m[1] for m in map(re.compile(r" *if applied and (.+) <= tol:").fullmatch, step) if m]
+    (update,) = [line.split(" = ", 1)[1] for line in step if line.lstrip().startswith("size = ")]
+
+    def tol(v):
+        local = {"x": v, "t": 0.0, "dt": 0.1}
+        exec(scale, names, local)
+        return local["tol"]
+
+    return (tol, lambda v: eval(residual, names, {"g": v}), lambda v: eval(update, names, {"delta": v}),
+            names["floor"])
+
+
+def special_values(dtype):
+    if dtype is np.int64:
+        return st.one_of(st.sampled_from([0, 1, -1, 2**53 + 1, 2**63 - 1, -2**63]), st.integers(-2**63, 2**63 - 1))
+    tiny = float(np.finfo(dtype).smallest_subnormal)
+    return st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, tiny, -tiny]),
+                     st.floats(width=np.finfo(dtype).bits))
+
+
+@st.composite
+def norm_inputs(draw):
+    """float64, float32 or int64 arrays of 1 to 40 elements, 1-D or 2-D."""
+    dtype = draw(st.sampled_from([np.float64, np.float32, np.int64]))
+    rows = draw(st.integers(1, 40))
+    shape = draw(st.sampled_from([(rows,), (rows, draw(st.integers(1, 40 // rows)))]))
+    return draw(arrays(dtype, shape, elements=special_values(dtype)))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(v=norm_inputs())
+@example(v=np.array([1.0, -math.nan, math.inf]))
+@example(v=np.array([[-0.0], [-0.0]], dtype=np.float32))
+@example(v=np.array([-2**63, 3]))
+def test_the_emitted_newton_norms_select_numpys_maximum_bit_for_bit(v):
+    # The stop's scale, the residual check and the update size take
+    # a max-norm; each form's emitted text gives, for every value,
+    # the bits of numpy's reduction: NaN wherever it sits, +0.0 for
+    # -0.0, a subnormal as it is.  The scale of an integer state is an
+    # int, which must give the same tol as its float did.
+    reference, integer = float(np.maximum.reduce(np.abs(v), None)), v.dtype == np.int64
+    for form in ("numpy", "numpy kernels", "sequence"):
+        tol, residual, update, floor = emitted_norms(form, integer)
+        state = v.ravel().tolist() if form == "sequence" else v
+        assert tol(state).hex() == (floor * max(1.0, reference)).hex()
+        for norm in () if integer else (residual, update):
+            got = norm(state)
+            assert type(got) is float and got.hex() == reference.hex()
