@@ -49,8 +49,8 @@ MAX_TERMS = 7
 # Generated sequence code writes one statement per element for states
 # up to this length, and one loop for longer ones.
 UNROLL = 8
-# A stepper's binding for one state type: manual step, inline pieces and their make's args, error, at and sample.
-Bound = namedtuple("Bound", "step pieces args error at sample", defaults=(None,) * 5)
+# A stepper's binding for one state type: manual step, inline pieces and their make's args, error, dense output.
+Bound = namedtuple("Bound", "step pieces args error dense", defaults=(None,) * 4)
 
 
 class Algebra:

@@ -99,14 +99,13 @@ class ControlledStepper(Scratched):
     system evaluations.  ``try_step`` keeps no count: wrap the system
     in an :class:`EvaluationCounter` to count a manual run's.
 
-    Instances carry scratch states (the derivative cache among them),
-    the rejection history and the last step when it was accepted; do
-    not share one instance between concurrent integrations.  Call
-    ``reset`` after modifying the state externally; the drivers call it
-    at the start of every run.
+    Instances carry scratch states (the derivative cache among them)
+    and the rejection history; do not share one instance between
+    concurrent integrations.  Call ``reset`` after modifying the state
+    externally; the drivers call it at the start of every run.
     """
 
-    _caches = ("_scratch", "_dxdt", "_span")
+    _caches = ("_scratch", "_dxdt")
 
     def __init__(self, stepper, params=None, algebra=None):
         self.stepper = stepper
@@ -130,14 +129,12 @@ class ControlledStepper(Scratched):
                    if getattr(stepper, name, None) is None]
         if missing:
             raise TypeError(f"{type(stepper).__name__} is no embedded error stepper: it has no {', '.join(missing)}")
-        self._stepper, self._scratch, self._span = stepper, None, None
+        vars(self).update(dict.fromkeys(self._caches), _stepper=stepper)
 
     def reset(self):
-        """Drop the cached derivative, the last step and the rejection
-        flag."""
-        self._dxdt = None  # the scratch buffer holding f(x, t), when valid
-        self._span = None  # (t, t + dt, dt) of the last trial, if accepted
-        self._rejected = False
+        """Drop the cached derivative, every other cache but the scratch
+        states, and the rejection flag."""
+        vars(self).update(dict.fromkeys(self._caches[1:]), _rejected=False)
 
     def _plain(self):
         # Whether the stepper's trial is EmbeddedRungeKutta's, which
@@ -198,10 +195,9 @@ def _trial_code(fsal, error_order, tableau, n, fit=((), ())):
     ``try_step``'s walk of one trial, ``one(stepper, system, x, t,
     dt)``, returning the :class:`StepResult`; no driver runs it.
     ``head`` reads the controller; ``step`` hands ``f(x, t)`` over into ``k0`` and leaves the trial's error ratio in
-    ``worst``; ``accept`` (ratio at most one) or ``reject`` sets
-    ``dt_next`` as ``next_step_size`` would, with its constants as
-    literals: only ``FAC_MAX`` bounds an accepted ratio's factor, only
-    ``FAC_MIN`` a rejected one's; ``tail`` writes the controller back.
+    ``worst``; ``accept`` (ratio at most one), given the end time ``t_new``, or ``reject`` sets ``dt_next`` as
+    ``next_step_size`` would, with its constants as literals: only ``FAC_MAX`` bounds an accepted ratio's factor,
+    only ``FAC_MIN`` a rejected one's; ``tail`` writes the controller back.
     A shipped pair's trial is generated from its ``tableau``, the code
     ``algebra``'s module docstring describes: the other stages, the
     solution ``u``, a first-same-as-last stage at it and the error
@@ -211,7 +207,8 @@ def _trial_code(fsal, error_order, tableau, n, fit=((), ())):
     ``e``.  Then ``accept`` runs a dense stepper's ``fit``, ``(states,
     fit)`` (see ``dense._dense_code``), whose states follow the trial's
     own in ``k``, copies ``u`` into ``x`` and, after a user's
-    first-same-as-last pair, ``trial[2].new_derivative`` into ``k0``."""
+    first-same-as-last pair, ``trial[2].new_derivative`` into ``k0``.
+    With a ``fit``, ``step`` drops the dense stepper's step interval and ``accept`` sets it to ``(t, t_new, dt)``."""
     power = f"{SAFETY!r} * worst ** {-1.0 / (error_order + 1)!r}"
     states, fit = fit
     called = tableau is None or n is None  # the error ratio is a call on the state e
@@ -232,13 +229,13 @@ def _trial_code(fsal, error_order, tableau, n, fit=((), ())):
     head = [f"{', '.join(names)} = k", *pair, "params = stepper.params",
             "atol, rtol, dt_min = params.atol, params.rtol, params.dt_min",
             "dxdt, again = stepper._dxdt, stepper._rejected"]
-    step = ["stepper._span = None", "if t + dt == t:", "    raise StepSizeUnderflowError(dt, t)",
+    step = [*(["stepper._span = None"] if fit else []), "if t + dt == t:", "    raise StepSizeUnderflowError(dt, t)",
             "if dxdt is not k0:", f"    if dxdt is {kl}:", f"        k0, {kl} = {kl}, k0",
             "    else:", "        system(x, k0, t)", "    dxdt = k0", *body,
             *(["worst = ratio(e, x, k0, atol, rtol, dt)"] if called else [])]
     accept = [*copied,
               *(["copy(k0, trial[2].new_derivative)"] if fsal and tableau is None else []),
-              "stepper._span = t, t + dt, dt",
+              *(["stepper._span = t, t_new, dt"] if fit else []),
               f"factor = {FAC_MAX!r} if worst == 0.0 else {power}",
               f"if factor > {FAC_MAX!r}:", f"    factor = {FAC_MAX!r}",
               "if again and factor > 1.0:", "    factor = 1.0",
@@ -253,7 +250,8 @@ def _trial_code(fsal, error_order, tableau, n, fit=((), ())):
     pieces = (key, n is None, *map(tuple, (head, step, accept, reject, tail)))
     return pieces, _lazy_make(n is None, "ratio, copy, k", [
         "def one(stepper, system, x, t, dt):", *_indent(["counted = system", *head, "try:", *_indent([
-            *step, "if worst <= 1.0:", *_indent([*accept, "return StepResult(True, t + dt, dt_next, worst)"]),
+            *step, "if worst <= 1.0:",
+            *_indent(["t_new = t + dt", *accept, "return StepResult(True, t_new, dt_next, worst)"]),
             *reject, "return StepResult(False, t, dt_next, worst)"]), "finally:", *_indent(tail)]),
     ], "one", f"trial {key}", StepResult=StepResult, SolverError=SolverError,
         StepSizeUnderflowError=StepSizeUnderflowError, isfinite=math.isfinite)

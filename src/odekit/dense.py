@@ -35,15 +35,14 @@ _ROW = (["1.0", "theta", "theta * omt", "theta * theta * omt", "theta * theta * 
 @lru_cache(maxsize=None)  # n is None or at most UNROLL + 1
 def _dense_code(n, paired=False):
     """The interpolation, generated once per length ``n`` as the
-    explicit steppers' step is: ``((_P, fit), at, sample)``.  ``fit(at)``'s
+    explicit steppers' step is: ``((_P, fit), make)``.  ``fit(at)``'s
     lines copy the state ``x`` at the step's start into ``p0`` and fit
     ``p1``..``p4`` from it, the new state ``u``, the stage derivatives
     ``k0``..``k6`` (a ``paired`` user's pair's from its record) and the
     width ``dt``; the controller's generated trial runs them on acceptance.
-    ``at()`` and ``sample()`` compile, on their first call only, two
-    makes binding the states ``p``: ``at()(kernel, p)`` returns
-    ``at(theta, out)``, and ``sample()(kernel, clone, readonly, p)``
-    returns ``sample(observer, lo, hi, h, t0, dt, j, t_end, limit)``,
+    ``make()``, compiled on its first call only, binds the states ``p``:
+    ``make()(kernel, clone, readonly, p)`` returns the interpolant
+    ``at(theta, out)`` and ``sample(observer, lo, hi, h, t0, dt, j, t_end, limit)``,
     which observes each grid point ``t0 + j*dt`` (``j`` counting up)
     below ``t_end`` and up to ``limit``, interpolated on the step ``[lo,
     hi]`` of width ``h`` at that time or ``hi`` if earlier, and returns
@@ -56,17 +55,14 @@ def _dense_code(n, paired=False):
                       *update("p2", ["dt", "-1.0"], ["k0", "p1"], at),
                       *update("p3", ["1.0", "-dt", "-1.0"], ["p1", "k6", "p2"], at),
                       *update("p4", [f"dt * {w!r}" for w in _D.values()], [f"k{j}" for j in _D], at))
-    interpolant = ["def at(theta, out):", "    omt = 1.0 - theta", *_indent(update("out", *_ROW)), "    return out"]
-    head, unpack, snap = interpolant, [], ["s = readonly(at(theta, clone(p0)), True)"]
+    unpack, snap = [], ["s = readonly(at(theta, clone(p0)), True)"]
     if n and n <= UNROLL:
-        head, unpack = [], [f"{''.join(f'{p}_{i}, ' for i in range(n))}= {p}" for p in _P]
+        unpack = [f"{''.join(f'{p}_{i}, ' for i in range(n))}= {p}" for p in _P]
         snap = ["omt = 1.0 - theta", *update(lambda i, v: f"s{i} = {v}", *_ROW, at="{}_{}".format),
                 f"s = {''.join(f's{i}, ' for i in range(n))}"]
-    states = f"{', '.join(_P)} = p"
-    at = _lazy_make(n is None, "p", [states, *interpolant], "at", f"dense at n={n}")
-    return (_P, fit), at, _lazy_make(n is None, "clone, readonly, p", [
-        states,
-        *head,
+    return (_P, fit), _lazy_make(n is None, "clone, readonly, p", [
+        f"{', '.join(_P)} = p",
+        "def at(theta, out):", "    omt = 1.0 - theta", *_indent(update("out", *_ROW)), "    return out",
         "def sample(observer, lo, hi, h, t0, dt, j, t_end, limit):",
         *_indent(unpack),
         "    t = t0 + j * dt",
@@ -77,7 +73,7 @@ def _dense_code(n, paired=False):
         "        j += 1",
         "        t = t0 + j * dt",
         "    return j",
-    ], "sample", f"dense n={n}")
+    ], "at, sample", f"dense n={n}")
 
 
 class DenseOutputDopri5(ControlledStepper):
@@ -106,6 +102,8 @@ class DenseOutputDopri5(ControlledStepper):
         State backend; defaults to the container of the state stepped.
     """
 
+    _caches = (*ControlledStepper._caches, "_span")  # _span: (t, t_new, dt) of the last trial, if accepted
+
     def __init__(self, params=None, algebra=None):
         super().__init__(DormandPrince5(algebra), params)
         self._x = self._t = self._dt = None
@@ -122,11 +120,11 @@ class DenseOutputDopri5(ControlledStepper):
 
     def _bind(self, algebra, buffers, x):
         # The controller's Bound with the fit, on all the states (the interpolant's last), and calc_state's at and
-        # the grid sampler on the interpolant's, each compiled on first call.  A user's pair's fit reads its record.
-        fit, at, sample = _dense_code(algebra._fused_length(x), not self._plain())
-        kernel, p = algebra._kernel, buffers[len(buffers) - len(_P):]
+        # the grid sampler on the interpolant's, compiled on first call.  A user's pair's fit reads its record.
+        fit, make = _dense_code(algebra._fused_length(x), not self._plain())
+        p = buffers[len(buffers) - len(_P):]
         return super()._bind(algebra, buffers, x, fit)._replace(
-            at=_bound(at, kernel, p), sample=_bound(sample, kernel, algebra.clone_shape, _readonly, p))
+            dense=_bound(make, algebra._kernel, algebra.clone_shape, _readonly, p))
 
     def initialize(self, x0, t0, dt0):
         """Set the start state, start time, and first width proposal:
@@ -192,4 +190,4 @@ class DenseOutputDopri5(ControlledStepper):
             out = algebra.clone_shape(x)
         else:
             algebra._check_shapes(x, out)
-        return bound.at()((t - lo) / h, out)
+        return bound.dense()[0]((t - lo) / h, out)

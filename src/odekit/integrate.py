@@ -10,7 +10,7 @@ shipped method (marked ``_shipped``): every :class:`ControlledStepper`'s
 trial and step size control, dense output's fit among them, an
 explicit stepper's step or implicit Euler's Newton step; any other
 method, a proxy's too, is called.  A dense stepper's grid sampler is
-its record's ``sample``.  Every run returns an :class:`IntegrationReport`
+its record's ``dense``.  Every run returns an :class:`IntegrationReport`
 with the final state and the step and evaluation counters.
 
 The drivers write every count line; steppers generate plain code and
@@ -155,7 +155,7 @@ def _walk_code(trial, observe):
     inline one is ``controlled._trial_code``'s pieces, bound by
     ``make(kernel, ratio, copy, k)``, with the system calls of their
     ``step`` counted here: ``step`` leaves a trial's error ratio in
-    ``worst``, and ``accept`` or ``reject`` sets ``dt_next``."""
+    ``worst``, and ``accept``, given the end time ``t_new``, or ``reject`` sets ``dt_next``."""
     seen = ["observer(snap(x), t)"]
     on_step = {"steps": seen, "samples": ["j = sample(observer, lo, t, dt, t0, h, j, t_end, t + reach)"]}
     on_step = on_step.get(observe, [])
@@ -175,8 +175,7 @@ def _walk_code(trial, observe):
         "        clamped = dt_next >= target - t", "        dt = target - t if clamped else dt_next",
         "        if clamped and t + dt > target:  # the largest width that ends on or before target",
         "            dt = nextafter(dt, 0.0)", *_indent(step, 2),
-        *_indent([*accept, "accepted += 1", f"lo, t = t, target if clamped else {after}",
-                  *(["if clamped:  # the step covers [lo, target]", "    stepper._span = lo, t, dt"] if trial else []),
+        *_indent([f"t_new = target if clamped else {after}", *accept, "accepted += 1", "lo, t = t, t_new",
                   *on_step], 3),
         "        else:", *_indent([*reject, "rejected += 1"], 3), "    t = target", *_indent(on_target),
     ], "x, t, accepted, rejected", "x, t, accepted, rejected", f"walk {key} {observe or 'unobserved'}", tail)
@@ -231,11 +230,11 @@ def integrate_const(stepper, system, x0, t0, t1, dt, observer=None):
     if not (controlled or hasattr(stepper, "do_step")):
         raise TypeError(f"{type(stepper).__name__} is not a stepper")
     x, t0, t1, dt = _start(stepper, x0, t0, t1, dt, observer)
-    sample = controlled and getattr(stepper, "_record", None) and stepper._record(x).sample
-    if sample:
+    dense = controlled and getattr(stepper, "_record", None) and stepper._record(x).dense
+    if dense:
         # After each accepted step the dense stepper's sampler observes
         # the grid points strictly inside the interval the step reached.
-        sample = None if observer is None else (sample(), t0, dt, t1 - GRID_SNAP * dt, GRID_SNAP * dt)
+        sample = None if observer is None else (dense()[1], t0, dt, t1 - GRID_SNAP * dt, GRID_SNAP * dt)
         return _controlled_walk(stepper, system, x, t0, (t1,), dt, observer, False, sample)
     steps, t_last = _grid(t0, t1, dt)
     if controlled:

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from odekit import DimensionError, algebra_for
-from odekit.algebra import MAX_TERMS, NUMPY_ALGEBRA, SEQUENCE_ALGEBRA, NumpyAlgebra, SequenceAlgebra, _initial_copy
+from odekit.algebra import (
+    MAX_TERMS, NUMPY_ALGEBRA, SEQUENCE_ALGEBRA, Algebra, NumpyAlgebra, SequenceAlgebra, _initial_copy,
+)
 
 ALGEBRAS = [NUMPY_ALGEBRA, SEQUENCE_ALGEBRA]
 
@@ -234,3 +236,17 @@ def test_algebra_for_dispatch():
     assert algebra_for([0.0, 0.0]) is SEQUENCE_ALGEBRA
     with pytest.raises(TypeError):
         algebra_for(3.5)
+
+
+def test_a_backend_without_kernels_implements_no_operation():
+    # A subclass that supplies no kernels and no clone_shape runs none of
+    # the three operations that need them; copy reaches the missing scale_sum.
+    bare, x = type("Bare", (Algebra,), {})(), [1.0, 2.0]
+    with pytest.raises(NotImplementedError):
+        bare.scale_sum(x, (1.0,), (x,))
+    with pytest.raises(NotImplementedError):
+        bare.clone_shape(x)
+    with pytest.raises(NotImplementedError):
+        bare.error_ratio_max(x, x, x, 1e-6, 1e-6, 0.1)
+    with pytest.raises(NotImplementedError):
+        bare.copy(x, x)

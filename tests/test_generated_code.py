@@ -271,13 +271,41 @@ print(json.dumps([after_run, keys()]))
 
 @pytest.mark.parametrize("observer", ["", ", lambda x, t: None"], ids=["unobserved", "observed"])
 def test_a_dense_run_compiles_the_sampler_only_when_observed(observer):
-    # calc_state's interpolant is compiled on its first call, apart from
-    # the grid sampler, which only an observed run compiles.
+    # calc_state's interpolant and the grid sampler are one make, which
+    # an observed run or else the first calc_state compiles.
     after_run, after_manual = fresh(DENSE_PROBE.format(observer=observer))
-    assert ("<odekit dense n=3>" in after_run) == bool(observer)
-    assert not [key for key in after_run if key.startswith(("<odekit dense at ", "<odekit trial "))]
-    manual = {"<odekit trial dormand_prince_54 dense n=3>", "<odekit dense at n=3>"}
+    dense = lambda keys: [key for key in keys if key.startswith("<odekit dense ")]
+    assert dense(after_run) == (["<odekit dense n=3>"] if observer else [])
+    assert dense(after_manual) == ["<odekit dense n=3>"]
+    assert not [key for key in after_run if key.startswith("<odekit trial ")]
+    manual = {"<odekit trial dormand_prince_54 dense n=3>", *([] if observer else dense(after_manual))}
     assert set(after_manual) - set(after_run) == manual
+
+
+PLAIN_PROBE = """
+import json, linecache
+import numpy as np
+from odekit import *
+kept = []
+for controller, x in ((ControlledStepper(DormandPrince5()), [1.0, 2.0, 20.0]),
+                      (ControlledStepper(CashKarp54()), np.array([1.0, 2.0, 20.0]))):
+    integrate_adaptive(controller, LORENZ, x, 0.0, 0.5, 0.01)
+    controller.try_step(LORENZ, x, 0.0, 0.01)
+    kept.append("_span" in vars(controller))
+sources = {key: "".join(linecache.cache[key][2]) for key in linecache.cache
+           if key.startswith(("<odekit walk ", "<odekit trial "))}
+print(json.dumps([kept, sources]))
+"""
+
+
+def test_a_plain_controller_keeps_no_step_interval():
+    # Only dense output reads the step interval, so only its trial writes it.
+    kept, sources = fresh(PLAIN_PROBE)
+    assert kept == [False, False]
+    assert sorted(sources) == ["<odekit trial cash_karp_54 n=None>", "<odekit trial dormand_prince_54 n=3>",
+                               "<odekit walk cash_karp_54 n=None unobserved>",
+                               "<odekit walk dormand_prince_54 n=3 unobserved>"]
+    assert not [key for key, text in sources.items() if "_span" in text]
 
 
 def test_two_tableaus_give_two_profile_rows():

@@ -745,7 +745,7 @@ def public_walk(stepper, rhs, x, t1, dt, targets, observe, observe_steps, sample
                 if result.accepted:
                     accepted += 1
                     lo, t = t, target if clamped else result.t
-                    if clamped:  # the step covers [lo, target]
+                    if clamped and isinstance(stepper, DenseOutputDopri5):  # the step covers [lo, target]
                         stepper._span = lo, t, width
                     if observe_steps:
                         observe(x, t)
@@ -763,11 +763,13 @@ def public_walk(stepper, rhs, x, t1, dt, targets, observe, observe_steps, sample
 
 def controller_state(stepper):
     """What a run leaves on the controller: its rejection flag, which
-    buffer holds the cached derivative, its last step if accepted, and
-    the buffers' bits (a dense stepper's interpolant among them)."""
+    buffer holds the cached derivative, a dense stepper's last step if
+    accepted (whether any other holds one), and the buffers' bits (a
+    dense stepper's interpolant among them)."""
     k = stepper._scratch[1][1]
     where = next((i for i, b in enumerate(k) if b is stepper._dxdt), stepper._dxdt)
-    span = stepper._span and [t.hex() for t in stepper._span]
+    span = stepper._span and [t.hex() for t in stepper._span] if isinstance(stepper, DenseOutputDopri5) \
+        else "_span" in vars(stepper)
     return stepper._rejected, where, span, [hexes(b) for b in k]
 
 

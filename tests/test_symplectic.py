@@ -42,6 +42,10 @@ def test_pair_state_len():
     assert len(PairState([1.0, 2.0], [3.0, 4.0])) == 2
 
 
+def test_pair_state_repr_shows_both_halves():
+    assert repr(PairState([1.0], np.array([0.5]))) == "PairState(q=[1.0], p=array([0.5]))"
+
+
 def test_free_particle_exact():
     s = SymplecticEuler().do_step(free_particle(), PairState([0.0], [1.0]), 0.0, 0.5)
     assert s.p[0] == 1.0
