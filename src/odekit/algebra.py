@@ -29,9 +29,9 @@ instance's own ``do_step``, behind one guard on the state's type and
 length (:func:`_enter`); any other call runs the class's method.
 Each stepper binds a state type once (:func:`scratch`), into one
 :class:`Bound` that the drivers read (``Scratched._record``) for the
-``pieces`` they run inline on every backend (see ``integrate``).
-Code that only a manual call runs, such as ``try_step``'s trial, is
-compiled on first call (:func:`_lazy_make`, :func:`_bound`).
+``pieces`` they run inline on every backend (see ``integrate``); a
+bind compiles nothing, and the code only a manual call runs, an entry
+too, is compiled on that call (:func:`_lazy_make`, :func:`_bound`).
 """
 
 from __future__ import annotations
@@ -49,8 +49,8 @@ MAX_TERMS = 7
 # Generated sequence code writes one statement per element for states
 # up to this length, and one loop for longer ones.
 UNROLL = 8
-# A stepper's binding for one state type: manual step, inline pieces and their make's args, error, dense output.
-Bound = namedtuple("Bound", "step pieces args error dense", defaults=(None,) * 4)
+# A stepper's binding for one state type: manual step (a thunk), inline pieces and their make's args, dense output.
+Bound = namedtuple("Bound", "step pieces args dense", defaults=(None,) * 3)
 
 
 class Algebra:
@@ -301,15 +301,15 @@ def _sequence_ratio(n):
 
 def _numpy_error_ratio(w, v):
     # The formula's operations and operands, in place: same bits, no
-    # temporary.  A zero scale's NaN or inf quotient is silent, as in
-    # the sequence code.
+    # temporary; the maximum by selection, numpy's bits, a first NaN too.
+    # A zero scale's NaN or inf quotient is silent, as in the sequence code.
     def ratio(xerr, x, dxdt, atol, rtol, dt):
         np.multiply(np.abs(dxdt, out=w), abs(dt), out=w)
         np.add(np.abs(x, out=v), w, out=w)
         np.add(np.multiply(w, rtol, out=w), atol, out=w)
         with np.errstate(divide="ignore", invalid="ignore"):
             np.divide(np.abs(xerr, out=v), w, out=v)
-        return float(v.max())
+        return v.item(v.argmax())
 
     return ratio
 
@@ -425,10 +425,10 @@ class Scratched:
 
 
 def _entry_lines(n, args, head, guard, lines):
-    """Lines handing :func:`_enter` ``entry(args)`` (None for ``n`` None): ``lines``
+    """Lines handing :func:`_enter` ``entry(args)`` (none for ``n`` None): ``lines``
     where ``guard`` holds after ``head``, else the shipped ``fallback`` on ``owner``."""
     if n is None:
-        return ["_enter(owner, None, fallback)"]
+        return []
     return ["def entry(" + args + "):", *_indent(head), f"    if {guard}:", *_indent(lines, 2),
             f"    return fallback(owner, {args.replace('=None', '')})", "_enter(owner, entry, fallback)"]
 
@@ -454,8 +454,8 @@ def scratch(owner, x):
     ``len(x)`` (shape and dtype for numpy states), matches returns the
     cached result at once; a fixed step through its :func:`_enter`
     entry skips even that.  Any other state is refused when empty,
-    else gets new buffers, checked and bound again, so a stepper
-    answers it as a fresh one would.  The copy is
+    else gets new buffers, checked and bound again, with no entry,
+    so a stepper answers it as a fresh one would.  The copy is
     ``Algebra._copy_kernel``'s.  Returns ``(algebra, buffers, copy,
     bound)``.
     """
@@ -469,5 +469,6 @@ def scratch(owner, x):
         count = count(algebra, x)
     buffers = [algebra.clone_shape(x) for _ in range(count)]
     algebra._check_shapes(x, *buffers)
+    _enter(owner, None, None)
     owner._scratch = (tag, (algebra, buffers, algebra._copy_kernel(x), owner._bind(algebra, buffers, x)))
     return owner._scratch[1]

@@ -15,7 +15,8 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache, partial
 
-from .algebra import MAX_TERMS, Bound, Scratched, _entry_lines, _held, _indent, _make, _update_lines, scratch
+from .algebra import MAX_TERMS, Bound, Scratched, _bound, _entry_lines, _held, _indent, _lazy_make, _update_lines
+from .algebra import scratch
 from .tableaus import CASH_KARP_54, DORMAND_PRINCE_54, EULER, RK4_CLASSIC
 
 class StageRecord(namedtuple("StageRecord", ["derivatives"])):
@@ -59,11 +60,9 @@ class ExplicitRungeKutta(Scratched):
     _count = property(lambda self: self.stage_count + 1)  # stage derivatives, then the stage state
 
     def _bind(self, algebra, k, x):
-        # Once per buffer set: the generated step and error, inline for the length on the sequence
-        # backend (with the do_step entry), else on kernels; the step's pieces.
+        # The step's pieces and their make's args; the manual step, error and do_step entry, compiled on first call.
         pieces, make = _step_code(self.tableau, algebra._fused_length(x))
-        advance, error = make(algebra._kernel, k, self, type(x), len(x))
-        return Bound(advance, pieces, (algebra._kernel, k), error)
+        return Bound(_bound(make, algebra._kernel, k, self, type(x), len(x)), pieces, (algebra._kernel, k))
 
     def do_step(self, system, x, t, dt, out=None):
         """Advance ``x`` from ``t`` by ``dt``.
@@ -76,7 +75,7 @@ class ExplicitRungeKutta(Scratched):
         if out is not None:
             algebra._check_shapes(x, out)
         system(x, k[0], t)
-        return bound.step(system, x, t, dt, x if out is None else out)
+        return bound.step()[0](system, x, t, dt, x if out is None else out)
 
     do_step._shipped = True  # the fixed-step loop runs its Bound's pieces inline
 
@@ -107,18 +106,18 @@ def _stages(tableau, update, unpack):
 
 @lru_cache(maxsize=64)
 def _step_code(tableau, n=None):
-    """Straight-line step code for ``tableau``, generated once per
-    tableau value and length ``n``: ``(pieces, make)``.  ``make(kernel,
-    k, owner, T, N)`` binds the kernels by term count and the buffers,
-    and returns ``advance(system, x, t, dt, target)``, which runs the
-    stages after the first and writes the solution, and ``error(dt,
-    xerr)`` (None without embedded weights).  With ``n`` None every
-    update is a kernel call; with a length (see ``Algebra._fused_length``)
-    it is written inline, and ``owner`` gets its ``do_step`` entry for
-    a ``T`` of length ``N`` (``algebra._enter``); ``pieces`` are the
-    entry's whole step, plain code that ``integrate._fixed_code`` runs
-    and counts.  Zero weights are left out, the others are exact
-    floats: the stage loop's bits, read from ``algebra._held``'s locals."""
+    """Straight-line step code for ``tableau``, generated once per tableau
+    value and length ``n``: ``(pieces, make)``.  ``make()(kernel, k, owner,
+    T, N)``, compiled on the first ``make()``, binds the kernels by term
+    count and the buffers and returns ``advance(system, x, t, dt, target)``,
+    which runs the stages after the first and writes the solution, and
+    ``error(dt, xerr)`` (None without embedded weights).  With ``n`` None
+    every update is a kernel call; with a length (see ``Algebra._fused_length``)
+    it is written inline, and ``owner`` gets its ``do_step`` entry for a
+    ``T`` of length ``N`` (``algebra._enter``); ``pieces`` are the entry's
+    whole step, plain code that ``integrate._fixed_code`` runs and counts.
+    Zero weights are left out, the others are exact floats: the stage
+    loop's bits, read from ``algebra._held``'s locals."""
     update = partial(_update, tableau, n)
     step = _held(n, lambda at, unpack: [*unpack("x"), *unpack("k0"), *_stages(
         tableau, partial(update, at=at), unpack), *update("target", tableau.b, 1, at)])
@@ -131,8 +130,8 @@ def _step_code(tableau, n=None):
     head = f"{''.join(f'k{j}, ' for j in range(tableau.stage_count))}u = k"
     key = f"{tableau.name} n={n}"
     pieces = (key, n is None, (head, "target = x"), ("system(x, k0, t)", *step))
-    return pieces, _make(n is None, "k, owner, T, N", [head, *body], "advance, error", f"step {key}",
-                         fallback=ExplicitRungeKutta.do_step)
+    return pieces, _lazy_make(n is None, "k, owner, T, N", [head, *body], "advance, error", f"step {key}",
+                              fallback=ExplicitRungeKutta.do_step)
 
 
 class EmbeddedRungeKutta(ExplicitRungeKutta):
@@ -165,13 +164,13 @@ class EmbeddedRungeKutta(ExplicitRungeKutta):
             system(x, k[0], t)
         else:
             copy(k[0], dxdt_in)
-        target = bound.step(system, x, t, dt, x if out is None else out)
+        target = bound.step()[0](system, x, t, dt, x if out is None else out)
         # A first-same-as-last stage is evaluated at the new state.
         if self.fsal:
             system(target, k[s - 1], t + dt)
         if xerr is None:
             xerr = algebra.clone_shape(k[0])
-        bound.error(dt, xerr)
+        bound.step()[1](dt, xerr)
         if self.fsal:
             return target, xerr, StageRecord(tuple(k[:s]))
         return target, xerr

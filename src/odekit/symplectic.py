@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache
 
-from .algebra import Bound, Scratched, _entry_lines, _indent, _make, _update_lines, scratch
+from .algebra import Bound, Scratched, _bound, _entry_lines, _indent, _lazy_make, _update_lines, scratch
 from .errors import DimensionError
 
 
@@ -76,23 +76,23 @@ class SymplecticEuler(Scratched):
         algebra, (buf,), _, bound = scratch(self, state.q)
         target = state if out is None else out
         algebra._check_shapes(buf, state.p, target.q, target.p)
-        return bound.step(system, state, dt, target)
+        return bound.step()(system, state, dt, target)
 
     def _bind(self, algebra, buffers, q):
-        # The generated step; inline, the instance's do_step entry too.
-        return Bound(_kick_drift(algebra._fused_length(q))(algebra._kernel, buffers[0], self, type(q), len(q)))
+        # The generated step, compiled on first call; inline, the instance's do_step entry too.
+        return Bound(_bound(_kick_drift(algebra._fused_length(q)), algebra._kernel, buffers[0], self, type(q), len(q)))
 
 
 @lru_cache(maxsize=None)  # n is None or at most UNROLL + 1
 def _kick_drift(n):
     """Symplectic Euler's step, generated once per length ``n`` as the
-    explicit steppers' is: ``make(kernel, buf, owner, T, N)`` returns
+    explicit steppers' is: ``make()(kernel, buf, owner, T, N)`` returns
     ``step(system, state, dt, target)``, and inline gives ``owner`` a
     ``do_step`` entry for pairs of ``T`` of length ``N``."""
     unpack = ["q, p, qn, pn = state.q, state.p, target.q, target.p"]
     step = ["system.dpdt(q, buf)", *_update_lines(n, "pn", ["1.0", "dt"], ["p", "buf"]),
             "system.dqdt(pn, buf)", *_update_lines(n, "qn", ["1.0", "dt"], ["q", "buf"]), "return target"]
-    return _make(n is None, "buf, owner, T, N", [
+    return _lazy_make(n is None, "buf, owner, T, N", [
         "def step(system, state, dt, target):", *_indent(unpack + step),
         *_entry_lines(n, "system, state, t, dt, out=None", ["target = state if out is None else out", *unpack],
                       "type(q) is T and len(q) == len(p) == len(qn) == len(pn) == N", step),

@@ -1,0 +1,39 @@
+def make(kernel, k):
+    K1, K2, K3, K4, K5, K6, K7 = map(kernel, range(1, 8))
+    def loop(stepper, system, x, t, steps, width, t_last, dt_last, observer, snap):
+        evaluations, counted = 0, EvaluationCounter(system)
+        k0, k1, k2, k3, k4, k5, k6, u = k
+        target = x
+        t0, dt = t, width
+        try:
+            for j in range(1, steps + 1):
+                if j == steps:
+                    t_next, dt = t_last, dt_last
+                else:
+                    t_next = t0 + j * width
+                if t_next <= t:  # a width too small to move t
+                    raise StepSizeUnderflowError(width, t)
+                evaluations += 1
+                system(x, k0, t)
+                K2(u, (1.0, dt * 0.2,), (x, k0,))
+                evaluations += 1
+                system(u, k1, t + 0.2 * dt)
+                K3(u, (1.0, dt * 0.075, dt * 0.225,), (x, k0, k1,))
+                evaluations += 1
+                system(u, k2, t + 0.3 * dt)
+                K4(u, (1.0, dt * 0.9777777777777777, dt * -3.7333333333333334, dt * 3.5555555555555554,), (x, k0, k1, k2,))
+                evaluations += 1
+                system(u, k3, t + 0.8 * dt)
+                K5(u, (1.0, dt * 2.9525986892242035, dt * -11.595793324188385, dt * 9.822892851699436, dt * -0.2908093278463649,), (x, k0, k1, k2, k3,))
+                evaluations += 1
+                system(u, k4, t + 0.8888888888888888 * dt)
+                K6(u, (1.0, dt * 2.8462752525252526, dt * -10.757575757575758, dt * 8.906422717743473, dt * 0.2784090909090909, dt * -0.2735313036020583,), (x, k0, k1, k2, k3, k4,))
+                evaluations += 1
+                system(u, k5, t + 1.0 * dt)
+                K6(target, (1.0, dt * 0.09114583333333333, dt * 0.44923629829290207, dt * 0.6510416666666666, dt * -0.322376179245283, dt * 0.13095238095238096,), (x, k0, k2, k3, k4, k5,))
+                t = t_next
+        except SolverError as exc:
+            exc.partial_report = IntegrationReport(x, t, j - 1, 0, evaluations + counted.count)
+            raise
+        return IntegrationReport(x, t_last, steps, 0, evaluations + counted.count)
+    return loop

@@ -1,9 +1,11 @@
-"""Generated code as a reader sees it: every generated function is
-compiled under a file name that names its generator and key, so a
-traceback shows the generated line and ``inspect`` finds the source;
-states read twice or more are held in locals, and that changes no bit
-on any shipped tableau, length or special value; the sequence copy
-still turns a user's ints into floats."""
+"""Generated code as a reader sees it: every run of the scenario table
+(``tests/generated/scenarios.py``) compiles the keys of its row, each
+the source of its golden file; every generated function is compiled
+under a file name that names its generator and key, so a traceback
+shows the generated line and ``inspect`` finds the source; states read
+twice or more are held in locals, and that changes no bit on any
+shipped tableau, length or special value; the sequence copy still
+turns a user's ints into floats."""
 
 import cProfile
 import inspect
@@ -42,6 +44,7 @@ from odekit.dense import _dense_code
 from odekit.explicit import EmbeddedRungeKutta, ExplicitRungeKutta, _step_code
 from odekit.integrate import _fixed_code, _walk_code
 from odekit.tableaus import CASH_KARP_54, DORMAND_PRINCE_54, EULER, RK4_CLASSIC
+from generated import scenarios
 from test_properties import (DelegatingNumpy, GeneralAlgebra, ReferenceController, class_do_step_loop, delegating, hexes,
                              stage_loop)
 
@@ -193,15 +196,14 @@ def raising(system):
             raise ValueError("the rhs gives up")
         system(x, dxdt, t)
     return rhs
-keys = lambda: sorted(key for key in linecache.cache if key.startswith("<odekit "))
 {run}
-after_run, dataclasses = keys(), "dataclasses" in sys.modules
+dataclasses = "dataclasses" in sys.modules
 try:
     {manual}
 except ValueError as exc:
     frame = [f for f in traceback.extract_tb(exc.__traceback__) if f.filename.startswith("<odekit ")][-1]
     shown = linecache.getline(frame.filename, frame.lineno).strip()
-print(json.dumps([after_run, dataclasses, keys(), [frame.filename, frame.name, frame.line, shown]]))
+print(json.dumps([dataclasses, [frame.filename, frame.name, frame.line, shown]]))
 """
 
 
@@ -213,73 +215,48 @@ def fresh(code):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
+@pytest.fixture(scope="module")
+def regenerated():
+    """``{row: {key: source}}`` for every row of the scenario table, in one fresh interpreter."""
+    return fresh(f"import json, sys; sys.path.insert(0, {str(Path(__file__).parent)!r}); "
+                 "from generated import scenarios; print(json.dumps(scenarios.regenerate()))")
+
+
+@pytest.mark.parametrize("name", list(scenarios.SCENARIOS))
+def test_a_run_compiles_the_keys_of_its_row_each_the_source_of_its_golden_file(name, regenerated):
+    # After a change to generated code, `python tests/generated/scenarios.py` rewrites the golden files;
+    # a row's keys are edited by hand.
+    keys = regenerated[name]
+    assert sorted(keys) == sorted(scenarios.SCENARIOS[name][1:])
+    for key, text in keys.items():
+        assert scenarios.path(key).read_text() == text, key
+
+
+def test_every_golden_file_is_the_source_of_a_key_of_a_row():
+    files = set(scenarios.HERE.glob("*.py")) - {scenarios.HERE / "scenarios.py"}
+    assert files == {scenarios.path(key) for row in scenarios.SCENARIOS.values() for key in row[1:]}
+
+
 @pytest.mark.parametrize("name", sorted(LAZY_RUNS))
-def test_a_driver_run_compiles_no_manual_entry(name):
-    # The drivers run the trial's and the Newton step's pieces in code of
-    # their own, so a run compiles neither manual entry and builds no
-    # dataclass; the first manual call compiles its entry under the same
-    # file name, and a traceback through it shows the generated line.
+def test_a_manual_entry_compiled_after_a_driver_run_shows_its_line(name):
+    # The first manual call after a driver's run, which builds no dataclass, compiles its entry (the table's
+    # rows show which keys each compiles); a traceback through it shows the generated line.
     run, manual, filename, function, line = LAZY_RUNS[name]
-    after_run, dataclasses, after_manual, frame = fresh(LAZY_PROBE.format(run=run, manual=manual))
-    entries = [key for key in after_run
-               if key.startswith(("<odekit trial ", "<odekit step implicit_euler ", "<odekit dense at "))]
-    assert after_run and not entries and not dataclasses
-    # The initial copy is the copy bound for the state, no scale_sum.
-    assert "<odekit scale_sum k=1>" not in after_run
-    assert set(after_manual) - set(after_run) == {filename}
+    dataclasses, frame = fresh(LAZY_PROBE.format(run=run, manual=manual))
+    assert not dataclasses
     assert frame == [filename, function, line, line]
 
 
-RATIO_PROBE = """
-import json, linecache, math
-from odekit import *
-keys = lambda: sorted(key for key in linecache.cache if key.startswith("<odekit ratio "))
-def poisoned(x, dxdt, t):
-    LORENZ(x, dxdt, t)
-    dxdt[0] = math.nan
-integrate_adaptive(ControlledStepper(DormandPrince5()), LORENZ, [1.0, 2.0, 20.0], 0.0, 0.5, 0.01)
-after_run = keys()
-try:
-    integrate_adaptive(ControlledStepper(DormandPrince5()), poisoned, [1.0, 2.0, 20.0], 0.0, 0.5, 0.01)
-except SolverError as exc:
-    message = str(exc)
-print(json.dumps([after_run, keys(), message]))
-"""
-
-
-def test_a_list_trial_compiles_the_error_ratio_on_its_first_call():
+def test_a_list_trial_blames_a_non_finite_derivative_through_the_algebras_ratio():
     # A list trial written inline folds its own error ratio, and calls the
     # algebra's only to test the derivative once its own is not finite.
-    after_run, after_failure, message = fresh(RATIO_PROBE)
-    assert after_run == [] and after_failure == ["<odekit ratio n=3>"]
-    assert message == "the derivative at t=0.0 is not finite"
+    def poisoned(x, dxdt, t):
+        LORENZ(x, dxdt, t)
+        dxdt[0] = math.nan
 
-
-DENSE_PROBE = """
-import json, linecache
-from odekit import *
-keys = lambda: sorted(key for key in linecache.cache if key.startswith("<odekit "))
-integrate_const(DenseOutputDopri5(), LORENZ, [1.0, 2.0, 20.0], 0.0, 0.5, 0.01{observer})
-after_run = keys()
-dense = DenseOutputDopri5()
-dense.initialize([1.0, 2.0, 20.0], 0.0, 0.01)
-lo, hi = dense.do_step(LORENZ)
-dense.calc_state(0.5 * (lo + hi))
-print(json.dumps([after_run, keys()]))
-"""
-
-
-@pytest.mark.parametrize("observer", ["", ", lambda x, t: None"], ids=["unobserved", "observed"])
-def test_a_dense_run_compiles_the_sampler_only_when_observed(observer):
-    # calc_state's interpolant and the grid sampler are one make, which
-    # an observed run or else the first calc_state compiles.
-    after_run, after_manual = fresh(DENSE_PROBE.format(observer=observer))
-    dense = lambda keys: [key for key in keys if key.startswith("<odekit dense ")]
-    assert dense(after_run) == (["<odekit dense n=3>"] if observer else [])
-    assert dense(after_manual) == ["<odekit dense n=3>"]
-    assert not [key for key in after_run if key.startswith("<odekit trial ")]
-    manual = {"<odekit trial dormand_prince_54 dense n=3>", *([] if observer else dense(after_manual))}
-    assert set(after_manual) - set(after_run) == manual
+    with pytest.raises(SolverError) as info:
+        integrate_adaptive(ControlledStepper(DormandPrince5()), poisoned, [1.0, 2.0, 20.0], 0.0, 0.5, 0.01)
+    assert str(info.value) == "the derivative at t=0.0 is not finite"
 
 
 PLAIN_PROBE = """

@@ -19,7 +19,8 @@ ratio equals the checked one, the textbook formula and the list
 backend bit for bit; the numpy kernel's exact ±1 coefficients give
 the bits of a product per term and of the sequence kernel; a warm
 implicit Euler steps as a fresh one does, bit for bit, and the max-norms
-its Newton step emits give the bits of numpy's reduction."""
+its Newton step emits and the numpy error ratio's maximum give the bits
+of numpy's reduction."""
 
 import array
 import functools
@@ -60,6 +61,7 @@ from odekit.algebra import (
     NumpyAlgebra,
     SequenceAlgebra,
     _numpy_copy,
+    _numpy_error_ratio,
     _numpy_scale_sum,
     _sequence_scale_sum,
 )
@@ -1343,8 +1345,13 @@ def test_the_emitted_newton_norms_select_numpys_maximum_bit_for_bit(v):
     # a max-norm; each form's emitted text gives, for every value,
     # the bits of numpy's reduction: NaN wherever it sits, +0.0 for
     # -0.0, a subnormal as it is.  The scale of an integer state is an
-    # int, which must give the same tol as its float did.
+    # int, which must give the same tol as its float did.  So does the
+    # numpy error ratio's maximum, here over |v| / 1.0 (atol 1, rtol 0).
     reference, integer = float(np.maximum.reduce(np.abs(v), None)), v.dtype == np.int64
+    if not integer:
+        zero = np.zeros_like(v)
+        ratio = _numpy_error_ratio(np.zeros_like(v), np.zeros_like(v))(v, zero, zero, 1.0, 0.0, 0.0)
+        assert type(ratio) is float and ratio.hex() == reference.hex()
     for form in ("numpy", "numpy kernels", "sequence"):
         tol, residual, update, floor = emitted_norms(form, integer)
         state = v.ravel().tolist() if form == "sequence" else v

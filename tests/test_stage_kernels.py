@@ -327,7 +327,7 @@ def test_step_code_is_generated_once_per_tableau():
             for make in (DormandPrince5, RungeKutta4):
                 stepper, x = make(), box(X0)
                 stepper.do_step(LORENZ, x, 0.0, 0.01)
-                advances.append((make, box, stepper._record(x).step))
+                advances.append((make, box, stepper._record(x).step()[0]))
             dense = DenseOutputDopri5()
             dense.initialize(box(X0), 0.0, 0.01)
             dense.do_step(LORENZ)

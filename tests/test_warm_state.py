@@ -3,15 +3,18 @@ runs, manual calls, resets, deep copies, pickling and changes of the
 state's type, dtype and length answers every call as a fresh stepper
 does, ``float.hex`` for ``float.hex``.  A manual ``try_step`` reads the
 derivative its controller cached at the call before, so a chain of them
-is compared only right after a ``reset``, as the contract says."""
+is compared only right after a ``reset``, as the contract says.  A
+``do_step`` entry on the instance is always the one bound for the
+state type and length of the stepper's scratch."""
 
 import copy
+import inspect
 import pickle
 
 import numpy as np
 from hypothesis import settings
 from hypothesis import strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, initialize, precondition, rule
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
 from odekit import (
     CashKarp54,
@@ -129,6 +132,14 @@ class WarmEqualsFresh(RuleBasedStateMachine):
     def reset(self):
         self.warm.reset()
         self.clean = True
+
+    @invariant()
+    def an_entry_is_bound_to_the_scratch_state(self):
+        # A rebind, to numpy or to another length, drops the entry bound before.
+        entry = vars(self.warm).get("do_step")
+        if entry is not None:
+            bound = inspect.getclosurevars(entry).nonlocals
+            assert (bound["T"], bound["N"]) == self.warm._scratch[0]
 
     @rule(how=st.sampled_from(["deepcopy", "pickle"]))
     def duplicate(self, how):
