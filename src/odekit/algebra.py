@@ -22,8 +22,8 @@ state gets the copy and the error ratio generated for its length and
 writes its updates inline, the controller its whole trial; on numpy
 states, and wherever any of the three methods is replaced, the same
 generated code calls the kernels (see ``Algebra._fused_length``), each
-on one scaffold, :func:`_make`, under a file name of its own
-(:func:`_define`).
+on one scaffold, :func:`_make`, which binds the kernels its lines call,
+under a file name of its own (:func:`_define`).
 On a sequence state a fixed-step stepper's whole step is also its
 instance's own ``do_step``, behind one guard on the state's type and
 length (:func:`_enter`); any other call runs the class's method.
@@ -241,13 +241,13 @@ def _indent(lines, depth=1):
     return [" " * 4 * depth + line for line in lines]
 
 
-def _make(kernels, args, lines, returns, key, **names):
+def _make(args, lines, returns, key, **names):
     """Every generator's ``make(kernel, <args>)``, named by ``key`` (see
-    :func:`_define`): it binds ``K<k>``, the kernel of k terms, when
-    ``kernels`` is set (``n`` None), runs ``lines`` and returns
-    ``returns``; ``names`` and :func:`_enter` are its globals."""
-    terms = range(1, MAX_TERMS + 1)
-    head = [f"{', '.join(f'K{k}' for k in terms)} = map(kernel, {terms!r})"] if kernels else []
+    :func:`_define`): it binds ``K<k>``, the kernel of k terms, for each
+    ``K<k>(`` call in ``lines``, runs ``lines`` and returns ``returns``;
+    ``names`` and :func:`_enter` are its globals."""
+    called = tuple(k for k in range(1, MAX_TERMS + 1) if any(f"K{k}(" in line for line in lines))
+    head = [f"{''.join(f'K{k}, ' for k in called)}= map(kernel, {called!r})"] if called else []
     return _define("make", f"kernel, {args}", [*head, *lines, f"return {returns}"], key, _enter=_enter, **names)
 
 

@@ -188,7 +188,7 @@ class ControlledStepper(Scratched):
 def _trial_code(fsal, error_order, tableau, n, fit=((), ())):
     """One controlled trial, generated once per pair and length ``n``
     as ``explicit._step_code``'s step is: ``(pieces, make)``.  The
-    plain pieces ``(key, kernels, head, step, accept, reject, tail)``
+    plain pieces ``(key, head, step, accept, reject, tail)``
     (``key`` names the code, see ``algebra._define``) run in
     ``integrate._walk_code``, which counts.  ``make()(kernel, ratio,
     copy, k)``, compiled on the first ``make()``, binds them into
@@ -247,8 +247,8 @@ def _trial_code(fsal, error_order, tableau, n, fit=((), ())):
               "if abs(dt_next) < dt_min:", "    raise StepSizeUnderflowError(dt_next, t, worst)"]
     tail = [f"k[0], k[{s - 1}] = k0, {kl}", "stepper._dxdt, stepper._rejected = dxdt, again"]
     key = f"{tableau.name if tableau else 'pair'}{' dense' if fit else ''} n={n}"
-    pieces = (key, n is None, *map(tuple, (head, step, accept, reject, tail)))
-    return pieces, _lazy_make(n is None, "ratio, copy, k", [
+    pieces = (key, *map(tuple, (head, step, accept, reject, tail)))
+    return pieces, _lazy_make("ratio, copy, k", [
         "def one(stepper, system, x, t, dt):", *_indent(["counted = system", *head, "try:", *_indent([
             *step, "if worst <= 1.0:",
             *_indent(["t_new = t + dt", *accept, "return StepResult(True, t_new, dt_next, worst)"]),

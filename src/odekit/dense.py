@@ -1,8 +1,8 @@
 """Dense output stepping: adapt freely, interpolate anywhere.
 
-``DenseOutputDopri5`` is a :class:`ControlledStepper` over the
-Dormand-Prince pair whose trial, on acceptance, also fits the quartic
-continuous extension over the step just taken, so ``calc_state``
+``DenseOutputDopri5`` is a :class:`ControlledStepper` whose trial, on
+acceptance, also fits the quartic continuous extension its pair's
+tableau carries over the step just taken, so ``calc_state``
 evaluates the trajectory inside that step at no system evaluations.
 On a grid, :func:`integrate_const` hands each accepted step to a
 sampler, which observes every grid point inside it at once.  The fit,
@@ -17,14 +17,8 @@ from functools import lru_cache, partial
 
 from .algebra import UNROLL, _bound, _indent, _initial_copy, _lazy_make, _readonly, _update_lines, algebra_of
 from .controlled import ControlledStepper
-from .explicit import DormandPrince5
-from .tableaus import DORMAND_PRINCE_54
+from .explicit import DormandPrince5, _update
 
-# Quartic-term weights by stage, from the continuous extension
-# published for the Dormand-Prince 5(4) pair.
-_D = {0: -12715105075.0 / 11282082432.0, 2: 87487479700.0 / 32700410799.0,
-      3: -10690763975.0 / 1880347072.0, 4: 701980252875.0 / 199316789632.0,
-      5: -1453857185.0 / 822651844.0, 6: 69997945.0 / 29380423.0}
 # The interpolant's states, after the controller's own in its scratch.
 _P = ("p0", "p1", "p2", "p3", "p4")
 # The interpolant at theta = (t - t_prev) / h, with omt = 1 - theta,
@@ -32,14 +26,15 @@ _P = ("p0", "p1", "p2", "p3", "p4")
 _ROW = (["1.0", "theta", "theta * omt", "theta * theta * omt", "theta * theta * omt * omt"], _P)
 
 
-@lru_cache(maxsize=None)  # n is None or at most UNROLL + 1
-def _dense_code(n, paired=False):
-    """The interpolation, generated once per length ``n`` as the
+@lru_cache(maxsize=64)
+def _dense_code(tableau, n, paired=False):
+    """The interpolation, generated once per tableau and length ``n`` as the
     explicit steppers' step is: ``((_P, fit), make)``.  ``fit(at)``'s
     lines copy the state ``x`` at the step's start into ``p0`` and fit
     ``p1``..``p4`` from it, the new state ``u``, the stage derivatives
-    ``k0``..``k6`` (a ``paired`` user's pair's from its record) and the
-    width ``dt``; the controller's generated trial runs them on acceptance.
+    ``k0``, ``k1``, ... (a ``paired`` user's pair's from its record), the
+    last at ``u``, and the width ``dt``, ``p4`` by ``tableau``'s dense
+    weights; the controller's generated trial runs them on acceptance.
     ``make()``, compiled on its first call only, binds the states ``p``:
     ``make()(kernel, clone, readonly, p)`` returns the interpolant
     ``at(theta, out)`` and ``sample(observer, lo, hi, h, t0, dt, j, t_end, limit)``,
@@ -48,19 +43,19 @@ def _dense_code(n, paired=False):
     hi]`` of width ``h`` at that time or ``hi`` if earlier, and returns
     the next ``j``.  A snapshot is a tuple built inline from locals up
     to ``UNROLL`` elements, else ``at``'s fresh state made read-only."""
-    update = partial(_update_lines, n)
-    fit = lambda at: (*(["_, k1, k2, k3, k4, k5, k6 = trial[2].derivatives"] if paired else []),
+    update, s = partial(_update_lines, n), tableau.stage_count
+    fit = lambda at: (*([f"_, {', '.join(f'k{j}' for j in range(1, s))} = trial[2].derivatives"] if paired else []),
                       *(["copy(p0, x)"] if n is None else update("p0", ["1.0"], ["x"], at)),
                       *update("p1", ["1.0", "-1.0"], ["u", "p0"], at),
                       *update("p2", ["dt", "-1.0"], ["k0", "p1"], at),
-                      *update("p3", ["1.0", "-dt", "-1.0"], ["p1", "k6", "p2"], at),
-                      *update("p4", [f"dt * {w!r}" for w in _D.values()], [f"k{j}" for j in _D], at))
+                      *update("p3", ["1.0", "-dt", "-1.0"], ["p1", f"k{s - 1}", "p2"], at),
+                      *_update(tableau, n, "p4", tableau.dense_weights, 0, at))
     unpack, snap = [], ["s = readonly(at(theta, clone(p0)), True)"]
     if n and n <= UNROLL:
         unpack = [f"{''.join(f'{p}_{i}, ' for i in range(n))}= {p}" for p in _P]
         snap = ["omt = 1.0 - theta", *update(lambda i, v: f"s{i} = {v}", *_ROW, at="{}_{}".format),
                 f"s = {''.join(f's{i}, ' for i in range(n))}"]
-    return (_P, fit), _lazy_make(n is None, "clone, readonly, p", [
+    return (_P, fit), _lazy_make("clone, readonly, p", [
         f"{', '.join(_P)} = p",
         "def at(theta, out):", "    omt = 1.0 - theta", *_indent(update("out", *_ROW)), "    return out",
         "def sample(observer, lo, hi, h, t0, dt, j, t_end, limit):",
@@ -90,9 +85,9 @@ class DenseOutputDopri5(ControlledStepper):
 
     Each trial is :class:`ControlledStepper`'s with the fit run inside
     it on acceptance (see :func:`_dense_code`).  ``stepper`` takes only
-    a pair with the Dormand-Prince tableau, whose stages the
-    interpolant is fitted to: a pair of the user's hands over the
-    stages after the first in its :class:`StageRecord`.
+    a first-same-as-last pair whose tableau carries dense weights, the
+    interpolant's by stage: a pair of the user's hands over the stages
+    after the first in its :class:`StageRecord`.
 
     Parameters
     ----------
@@ -110,8 +105,10 @@ class DenseOutputDopri5(ControlledStepper):
 
     @ControlledStepper.stepper.setter
     def stepper(self, stepper):
-        if getattr(stepper, "tableau", None) != DORMAND_PRINCE_54:
-            raise TypeError(f"dense output needs the Dormand-Prince 5(4) pair, not {type(stepper).__name__}")
+        tableau = getattr(stepper, "tableau", None)
+        if getattr(tableau, "dense_weights", None) is None or not tableau.is_fsal:
+            raise TypeError(f"dense output needs a first-same-as-last pair whose tableau carries dense weights,"
+                            f" not {type(stepper).__name__}")
         ControlledStepper.stepper.fset(self, stepper)
 
     def _count(self, algebra, x):
@@ -121,7 +118,7 @@ class DenseOutputDopri5(ControlledStepper):
     def _bind(self, algebra, buffers, x):
         # The controller's Bound with the fit, on all the states (the interpolant's last), and calc_state's at and
         # the grid sampler on the interpolant's, compiled on first call.  A user's pair's fit reads its record.
-        fit, make = _dense_code(algebra._fused_length(x), not self._plain())
+        fit, make = _dense_code(self._stepper.tableau, algebra._fused_length(x), not self._plain())
         p = buffers[len(buffers) - len(_P):]
         return super()._bind(algebra, buffers, x, fit)._replace(
             dense=_bound(make, algebra._kernel, algebra.clone_shape, _readonly, p))

@@ -108,8 +108,8 @@ def _stages(tableau, update, unpack):
 def _step_code(tableau, n=None):
     """Straight-line step code for ``tableau``, generated once per tableau
     value and length ``n``: ``(pieces, make)``.  ``make()(kernel, k, owner,
-    T, N)``, compiled on the first ``make()``, binds the kernels by term
-    count and the buffers and returns ``advance(system, x, t, dt, target)``,
+    T, N)``, compiled on the first ``make()``, binds the kernels its updates
+    call and the buffers and returns ``advance(system, x, t, dt, target)``,
     which runs the stages after the first and writes the solution, and
     ``error(dt, xerr)`` (None without embedded weights).  With ``n`` None
     every update is a kernel call; with a length (see ``Algebra._fused_length``)
@@ -129,8 +129,8 @@ def _step_code(tableau, n=None):
                          "type(x) is T and len(x) == len(target) == N", ["system(x, k0, t)", *step, "return target"])
     head = f"{''.join(f'k{j}, ' for j in range(tableau.stage_count))}u = k"
     key = f"{tableau.name} n={n}"
-    pieces = (key, n is None, (head, "target = x"), ("system(x, k0, t)", *step))
-    return pieces, _lazy_make(n is None, "k, owner, T, N", [head, *body], "advance, error", f"step {key}",
+    pieces = (key, (head, "target = x"), ("system(x, k0, t)", *step))
+    return pieces, _lazy_make("k, owner, T, N", [head, *body], "advance, error", f"step {key}",
                               fallback=ExplicitRungeKutta.do_step)
 
 

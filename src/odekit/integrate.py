@@ -73,7 +73,7 @@ class EvaluationCounter:
 def _grid(t0, t1, dt):
     """Number of whole widths in the interval and the clamped end time;
     a run that fits no whole width ends at ``t0``."""
-    count = int(np.floor((t1 - t0) / dt + GRID_SNAP))
+    count = math.floor((t1 - t0) / dt + GRID_SNAP)
     t_last = t0 + count * dt
     if count and abs(t_last - t1) <= GRID_SNAP * dt:
         t_last = t1
@@ -129,14 +129,14 @@ def _count_calls(lines):
     return re.sub(r"^( *)system\(", r"\1evaluations += 1\n\g<0>", "\n".join(lines), flags=re.M).split("\n")
 
 
-def _run_code(kernels, args, signature, head, loop, partial, final, key, tail=()):
+def _run_code(args, signature, head, loop, partial, final, key, tail=()):
     """Both drivers' generated run, ``make(kernel, <args>)`` named by
     ``key`` (see ``algebra._define``) returning ``signature``: it counts
     in ``evaluations`` and ``counted``, runs ``head`` and ``loop`` (then
     ``tail``), and reports ``final`` or, in a :class:`SolverError`'s
     ``partial_report``, ``partial``."""
     report = "IntegrationReport({}, evaluations + counted.count)".format
-    return _make(kernels, args, [
+    return _make(args, [
         f"def {signature}:", "    evaluations, counted = 0, EvaluationCounter(system)", *_indent(head),
         "    try:", *_indent(loop, 2),
         "    except SolverError as exc:", f"        exc.partial_report = {report(partial)}", "        raise",
@@ -162,13 +162,13 @@ def _walk_code(trial, observe):
     on_target = seen if observe in ("targets", "samples") else []
     sampler = ["(sample, t0, h, t_end, reach), j = sample, 1"] if observe == "samples" else []
     if trial is None:
-        kernels, args, accept, reject, tail, after, key = False, "", [], [], (), "result.t", "try_step"
+        args, accept, reject, tail, after, key = "", [], [], (), "result.t", "try_step"
         head = ["try_step = stepper.try_step"]
         step = ["result = try_step(counted, x, t, dt)", "dt_next = result.dt", "if result.accepted:"]
     else:
-        (key, kernels, head, step, accept, reject, tail), args, after = trial, "ratio, copy, k", "t + dt"
+        (key, head, step, accept, reject, tail), args, after = trial, "ratio, copy, k", "t + dt"
         step = [*_count_calls(step), "if worst <= 1.0:"]
-    return _run_code(kernels, args, "walk(stepper, system, x, t, targets, dt_next, observer, sample, snap)",
+    return _run_code(args, "walk(stepper, system, x, t, targets, dt_next, observer, sample, snap)",
                      [*sampler, *head, "accepted = rejected = 0"], [
         "for target in targets:", "    if target <= t:  # a grid point that rounds onto the time reached",
         "        raise StepSizeUnderflowError(dt_next, t)", "    while t < target:",
@@ -190,8 +190,8 @@ def _fixed_code(step, observed):
     ``counted``; an inline one is ``explicit._step_code``'s or
     ``implicit._newton_code``'s pieces, with the system calls of their
     step counted here."""
-    key, kernels, head, step = step or ("do_step", False, [], ["stepper.do_step(counted, x, t, dt)"])
-    return _run_code(kernels, "k", "loop(stepper, system, x, t, steps, width, t_last, dt_last, observer, snap)",
+    key, head, step = step or ("do_step", [], ["stepper.do_step(counted, x, t, dt)"])
+    return _run_code("k", "loop(stepper, system, x, t, steps, width, t_last, dt_last, observer, snap)",
                      [*head, "t0, dt = t, width"], [
         "for j in range(1, steps + 1):", "    if j == steps:", "        t_next, dt = t_last, dt_last",
         "    else:", "        t_next = t0 + j * width", "    if t_next <= t:  # a width too small to move t",

@@ -92,7 +92,7 @@ def _kick_drift(n):
     unpack = ["q, p, qn, pn = state.q, state.p, target.q, target.p"]
     step = ["system.dpdt(q, buf)", *_update_lines(n, "pn", ["1.0", "dt"], ["p", "buf"]),
             "system.dqdt(pn, buf)", *_update_lines(n, "qn", ["1.0", "dt"], ["q", "buf"]), "return target"]
-    return _lazy_make(n is None, "buf, owner, T, N", [
+    return _lazy_make("buf, owner, T, N", [
         "def step(system, state, dt, target):", *_indent(unpack + step),
         *_entry_lines(n, "system, state, t, dt, out=None", ["target = state if out is None else out", *unpack],
                       "type(q) is T and len(q) == len(p) == len(qn) == len(pn) == N", step),

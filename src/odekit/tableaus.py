@@ -15,7 +15,7 @@ from collections import namedtuple
 CONSISTENCY_TOL = 1e-14
 
 
-class ButcherTableau(namedtuple("ButcherTableau", "name a b c order b_embedded error_order")):
+class ButcherTableau(namedtuple("ButcherTableau", "name a b c order b_embedded error_order dense_weights")):
     """Coefficients of an explicit Runge-Kutta scheme: a frozen record,
     stored as tuples, so a tableau is hashable and keys its step code.
 
@@ -36,14 +36,16 @@ class ButcherTableau(namedtuple("ButcherTableau", "name a b c order b_embedded e
         Weights of the embedded comparison solution.
     error_order : int, optional
         Order of the embedded solution; must be below ``order``.
+    dense_weights : sequence, optional
+        Weights of the quartic term of a first-same-as-last pair's
+        continuous extension, one per stage (see ``dense``).
     """
 
     __slots__ = ()
 
-    def __new__(cls, name, a, b, c, order, b_embedded=None, error_order=None):
+    def __new__(cls, name, a, b, c, order, b_embedded=None, error_order=None, dense_weights=None):
         a, b, c = tuple(map(tuple, a)), tuple(b), tuple(c)
-        if b_embedded is not None:
-            b_embedded = tuple(b_embedded)
+        b_embedded, dense_weights = (w if w is None else tuple(w) for w in (b_embedded, dense_weights))
         s = len(b)
         if len(c) != s or len(a) != s - 1:
             raise ValueError(f"{name}: inconsistent tableau dimensions")
@@ -66,7 +68,9 @@ class ButcherTableau(namedtuple("ButcherTableau", "name a b c order b_embedded e
                 raise ValueError(f"{name}: embedded order must be below {order}")
         elif error_order is not None:
             raise ValueError(f"{name}: error_order given without embedded weights")
-        return super().__new__(cls, name, a, b, c, order, b_embedded, error_order)
+        if dense_weights is not None and (len(dense_weights) != s or not all(map(math.isfinite, dense_weights))):
+            raise ValueError(f"{name}: dense weights must be {s} finite numbers")
+        return super().__new__(cls, name, a, b, c, order, b_embedded, error_order, dense_weights)
 
     # _replace builds through _make: both check and store tuples, as the constructor does.
     _make = classmethod(lambda cls, fields: cls(*super(ButcherTableau, cls)._make(fields)))
@@ -129,8 +133,8 @@ CASH_KARP_54 = ButcherTableau(
 )
 
 # Dormand, J. R. and Prince, P. J. (1980), J. Comp. Appl. Math. 6(1), 19-26.
-# The seventh row repeats the solution weights, so the last stage
-# derivative belongs to the new state (first-same-as-last).
+# The seventh row repeats the solution weights, so the last stage derivative belongs to the
+# new state (first-same-as-last); the dense weights are the published continuous extension's.
 DORMAND_PRINCE_54 = ButcherTableau(
     name="dormand_prince_54",
     a=(
@@ -154,4 +158,6 @@ DORMAND_PRINCE_54 = ButcherTableau(
         1 / 40,
     ),
     error_order=4,
+    dense_weights=(-12715105075 / 11282082432, 0.0, 87487479700 / 32700410799, -10690763975 / 1880347072,
+                   701980252875 / 199316789632, -1453857185 / 822651844, 69997945 / 29380423),
 )

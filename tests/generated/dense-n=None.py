@@ -1,5 +1,5 @@
 def make(kernel, clone, readonly, p):
-    K1, K2, K3, K4, K5, K6, K7 = map(kernel, range(1, 8))
+    K5, = map(kernel, (5,))
     p0, p1, p2, p3, p4 = p
     def at(theta, out):
         omt = 1.0 - theta

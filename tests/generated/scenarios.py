@@ -164,20 +164,16 @@ SCENARIOS = {
         "loop dormand_prince_54 n=None observed"),
     "implicit list-3 const": (
         "integrate_const(ImplicitEuler(), RING, short(), 0.0, 0.05, 0.01)",
-        "copy n=3", "loop implicit_euler sequence unobserved", "scale_sum k=1", "scale_sum k=2", "scale_sum k=3",
-        "scale_sum k=4", "scale_sum k=5", "scale_sum k=6", "scale_sum k=7"),
+        "copy n=3", "loop implicit_euler sequence unobserved", "scale_sum k=2", "scale_sum k=3"),
     "implicit list-3 const observed": (
         "integrate_const(ImplicitEuler(), RING, short(), 0.0, 0.05, 0.01, seen)",
-        "copy n=3", "loop implicit_euler sequence observed", "scale_sum k=1", "scale_sum k=2", "scale_sum k=3",
-        "scale_sum k=4", "scale_sum k=5", "scale_sum k=6", "scale_sum k=7"),
+        "copy n=3", "loop implicit_euler sequence observed", "scale_sum k=2", "scale_sum k=3"),
     "implicit list-9 const": (
         "integrate_const(ImplicitEuler(), RING, unrolled(), 0.0, 0.05, 0.01)",
-        "copy n=9", "loop implicit_euler sequence unobserved", "scale_sum k=1", "scale_sum k=2", "scale_sum k=3",
-        "scale_sum k=4", "scale_sum k=5", "scale_sum k=6", "scale_sum k=7"),
+        "copy n=9", "loop implicit_euler sequence unobserved", "scale_sum k=2", "scale_sum k=3"),
     "implicit list-9 const observed": (
         "integrate_const(ImplicitEuler(), RING, unrolled(), 0.0, 0.05, 0.01, seen)",
-        "copy n=9", "loop implicit_euler sequence observed", "scale_sum k=1", "scale_sum k=2", "scale_sum k=3",
-        "scale_sum k=4", "scale_sum k=5", "scale_sum k=6", "scale_sum k=7"),
+        "copy n=9", "loop implicit_euler sequence observed", "scale_sum k=2", "scale_sum k=3"),
     "implicit numpy const": (
         "integrate_const(ImplicitEuler(), RING, np.array(short()), 0.0, 0.05, 0.01)",
         "loop implicit_euler numpy unobserved"),
@@ -330,12 +326,10 @@ SCENARIOS = {
         "step dormand_prince_54 n=None"),
     "implicit list-3 do_step": (
         "ImplicitEuler().do_step(RING, short(), 0.0, 0.01)",
-        "copy n=3", "scale_sum k=1", "scale_sum k=2", "scale_sum k=3", "scale_sum k=4", "scale_sum k=5",
-        "scale_sum k=6", "scale_sum k=7", "step implicit_euler sequence"),
+        "copy n=3", "scale_sum k=2", "scale_sum k=3", "step implicit_euler sequence"),
     "implicit list-9 do_step": (
         "ImplicitEuler().do_step(RING, unrolled(), 0.0, 0.01)",
-        "copy n=9", "scale_sum k=1", "scale_sum k=2", "scale_sum k=3", "scale_sum k=4", "scale_sum k=5",
-        "scale_sum k=6", "scale_sum k=7", "step implicit_euler sequence"),
+        "copy n=9", "scale_sum k=2", "scale_sum k=3", "step implicit_euler sequence"),
     "implicit numpy do_step": (
         "ImplicitEuler().do_step(RING, np.array(short()), 0.0, 0.01)",
         "step implicit_euler numpy"),

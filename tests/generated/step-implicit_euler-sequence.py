@@ -1,5 +1,5 @@
 def make(kernel, k):
-    K1, K2, K3, K4, K5, K6, K7 = map(kernel, range(1, 8))
+    K2, K3, = map(kernel, (2, 3))
     u, f, g, copy, floor, eye, square, (absolute, zeros, linalg, LinAlgError, isfinite, ConvergenceError, SingularMatrixError) = k
     def step(stepper, system, x, t, dt, target):
         jac_f = getattr(system, 'jacobian', None)

@@ -1,5 +1,5 @@
 def make(kernel, ratio, copy, k):
-    K1, K2, K3, K4, K5, K6, K7 = map(kernel, range(1, 8))
+    K2, K3, K4, K5, K6, = map(kernel, (2, 3, 4, 5, 6))
     def walk(stepper, system, x, t, targets, dt_next, observer, sample, snap):
         evaluations, counted = 0, EvaluationCounter(system)
         k0, k1, k2, k3, k4, k5, k6, u, e, _, _ = k

@@ -43,18 +43,31 @@ def test_tolerances_live_in_the_controller_only():
     assert DenseOutputDopri5().params == ControllerParams()
 
 
-def test_only_the_dormand_prince_pair_is_assigned():
-    # The interpolant fits the Dormand-Prince stages: another pair is
-    # refused at assignment, before any trial, and the old one stays.
+class Delegating(DormandPrince5):
+    # A pair of the user's: the controller runs its trial as called.
+    def do_step_with_error(self, *args, **kwargs):
+        return super().do_step_with_error(*args, **kwargs)
+
+
+def test_only_a_fsal_pair_whose_tableau_carries_dense_weights_is_assigned():
+    # The interpolant is fitted with the tableau's dense weights: a pair
+    # without them is refused at assignment, before any trial, and the
+    # old one stays.
     d = DenseOutputDopri5()
     pair = d.stepper
-    with pytest.raises(TypeError, match="Dormand-Prince"):
-        d.stepper = CashKarp54()
-    assert d.stepper is pair
-    d.stepper = DormandPrince5()
-    d.initialize([1.0], 0.0, 0.1)
-    lo, hi = d.do_step(expgrow)
-    assert d.calc_state(hi)[0] == d.current_state[0]
+    weightless = DormandPrince5()
+    weightless.tableau = weightless.tableau._replace(dense_weights=None)
+    for refused in (CashKarp54(), weightless):
+        with pytest.raises(TypeError, match="^dense output needs a first-same-as-last pair whose tableau carries"
+                                            f" dense weights, not {type(refused).__name__}$"):
+            d.stepper = refused
+        assert d.stepper is pair
+    for accepted in (DormandPrince5(), Delegating()):
+        d.stepper = accepted
+        assert d.stepper is accepted
+        d.initialize([1.0], 0.0, 0.1)
+        lo, hi = d.do_step(expgrow)
+        assert d.calc_state(hi)[0] == d.current_state[0]
 
 
 def test_initialize_rejects_bad_dt0():

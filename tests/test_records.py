@@ -37,9 +37,10 @@ HEUN = dict(name="heun", a=((1.0,),), b=(0.5, 0.5), c=(0.0, 1.0), order=2, b_emb
 
 # name: (record, its fields, a record built by keyword, its repr)
 RECORDS = {
-    "tableau": (ButcherTableau, ("name", "a", "b", "c", "order", "b_embedded", "error_order"), ButcherTableau(**HEUN),
+    "tableau": (ButcherTableau, ("name", "a", "b", "c", "order", "b_embedded", "error_order", "dense_weights"),
+                ButcherTableau(**HEUN),
                 "ButcherTableau(name='heun', a=((1.0,),), b=(0.5, 0.5), c=(0.0, 1.0), order=2, b_embedded=(1.0, 0.0),"
-                " error_order=1)"),
+                " error_order=1, dense_weights=None)"),
     "params": (ControllerParams, ("atol", "rtol", "dt_min"), ControllerParams(atol=1e-8, rtol=1e-6, dt_min=1e-12),
                "ControllerParams(atol=1e-08, rtol=1e-06, dt_min=1e-12)"),
     "report": (IntegrationReport, ("final_state", "final_time", "steps_accepted", "steps_rejected",
@@ -136,6 +137,8 @@ TABLEAU_ERRORS = [
     (dict(error_order=None), "heun: embedded order must be below 2"),
     (dict(error_order=2), "heun: embedded order must be below 2"),
     (dict(b_embedded=None), "heun: error_order given without embedded weights"),
+    (dict(dense_weights=(0.5,)), "heun: dense weights must be 2 finite numbers"),
+    (dict(dense_weights=(0.5, math.inf)), "heun: dense weights must be 2 finite numbers"),
 ]
 
 
@@ -163,7 +166,7 @@ def test_a_replaced_tableau_stores_tuples_and_keys_caches(build):
     assert all(type(value) is tuple for value in (lists.a, lists.a[0], lists.b))
     assert type(lists) is ButcherTableau and lists.is_fsal and hash(lists) == hash(lists._replace())
     assert odekit.explicit._step_code(lists, 3) is odekit.explicit._step_code(lists._replace(), 3)
-    with pytest.raises(TypeError, match="^Expected 7 arguments, got 5$"):
+    with pytest.raises(TypeError, match="^Expected 8 arguments, got 5$"):
         ButcherTableau._make(tuple(DORMAND_PRINCE_54)[:5])
 
 
