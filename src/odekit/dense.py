@@ -15,7 +15,8 @@ from __future__ import annotations
 import math
 from functools import lru_cache, partial
 
-from .algebra import UNROLL, _bound, _indent, _initial_copy, _lazy_make, _readonly, _update_lines, algebra_of
+from .algebra import MAX_TERMS, UNROLL, _bound, _indent, _initial_copy, _lazy_make, _readonly, _update_lines
+from .algebra import algebra_of
 from .controlled import ControlledStepper
 from .explicit import DormandPrince5, _update
 
@@ -109,6 +110,9 @@ class DenseOutputDopri5(ControlledStepper):
         if getattr(tableau, "dense_weights", None) is None or not tableau.is_fsal:
             raise TypeError(f"dense output needs a first-same-as-last pair whose tableau carries dense weights,"
                             f" not {type(stepper).__name__}")
+        if not 1 <= sum(w != 0.0 for w in tableau.dense_weights) <= MAX_TERMS:
+            raise ValueError(f"{tableau.name}: dense weights {tableau.dense_weights} must have 1..{MAX_TERMS} nonzero"
+                             " entries, the interpolant's quartic term is one update")
         ControlledStepper.stepper.fset(self, stepper)
 
     def _count(self, algebra, x):

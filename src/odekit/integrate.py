@@ -129,21 +129,22 @@ def _count_calls(lines):
     return re.sub(r"^( *)system\(", r"\1evaluations += 1\n\g<0>", "\n".join(lines), flags=re.M).split("\n")
 
 
-def _run_code(args, signature, head, loop, partial, final, key, tail=()):
+def _run_code(args, signature, head, loop, partial, final, key, tail=(), end=()):
     """Both drivers' generated run, ``make(kernel, <args>)`` named by
     ``key`` (see ``algebra._define``) returning ``signature``: it counts
     in ``evaluations`` and ``counted``, runs ``head`` and ``loop`` (then
-    ``tail``), and reports ``final`` or, in a :class:`SolverError`'s
+    ``tail``), then ``end``, and reports ``final`` or, in a :class:`SolverError`'s
     ``partial_report``, ``partial``."""
     report = "IntegrationReport({}, evaluations + counted.count)".format
     return _make(args, [
         f"def {signature}:", "    evaluations, counted = 0, EvaluationCounter(system)", *_indent(head),
         "    try:", *_indent(loop, 2),
         "    except SolverError as exc:", f"        exc.partial_report = {report(partial)}", "        raise",
-        *(["    finally:", *_indent(tail, 2)] if tail else []), f"    return {report(final)}",
+        *(["    finally:", *_indent(tail, 2)] if tail else []), *_indent(end), f"    return {report(final)}",
     ], signature[:signature.index("(")], key, IntegrationReport=IntegrationReport, SolverError=SolverError,
         StepSizeUnderflowError=StepSizeUnderflowError, isfinite=math.isfinite, nextafter=math.nextafter,
-        EvaluationCounter=EvaluationCounter)
+        EvaluationCounter=EvaluationCounter, finite=lambda x: np.isfinite(x).all() if isinstance(x, np.ndarray)
+        else all(map(math.isfinite, x)))
 
 
 @lru_cache(maxsize=64)
@@ -191,13 +192,23 @@ def _fixed_code(step, observed):
     ``implicit._newton_code``'s pieces, with the system calls of their
     step counted here."""
     key, head, step = step or ("do_step", [], ["stepper.do_step(counted, x, t, dt)"])
+    products = {}  # the products of dt and a literal in the step, by text: each a name bound once per width
+    step = [re.sub(r"\bdt \* -?[\d.]+(?:e[+-]\d+)?|\b[\d.]+(?:e[+-]\d+)? \* dt\b",
+                   lambda m: products.setdefault(m[0], f"w{len(products)}"), line) for line in _count_calls(step)]
+    bind = [f"{''.join(f'{w}, ' for w in products.values())}= {', '.join(products)},"] if products else []
+    # The state is checked at each observation and at the end, unless Newton refuses a non-finite update itself.
+    checked = not key.startswith("implicit_euler")
+    seen = [*(["if not finite(x):", "    break"] if checked else []), "observer(snap(x), t)"] if observed else []
+    end = ["if not finite(x):", "    exc = SolverError(f'the state is not finite at t={t!r}')",
+           "    exc.partial_report = IntegrationReport(x, t, j, 0, evaluations + counted.count)", "    raise exc"]
     return _run_code("k", "loop(stepper, system, x, t, steps, width, t_last, dt_last, observer, snap)",
-                     [*head, "t0, dt = t, width"], [
+                     [*head, "t0, dt = t, width", *bind], [
         "for j in range(1, steps + 1):", "    if j == steps:", "        t_next, dt = t_last, dt_last",
-        "    else:", "        t_next = t0 + j * width", "    if t_next <= t:  # a width too small to move t",
-        "        raise StepSizeUnderflowError(width, t)",
-        *_indent([*_count_calls(step), "t = t_next", *(["observer(snap(x), t)"] if observed else [])]),
-    ], "x, t, j - 1, 0", "x, t_last, steps, 0", f"loop {key} {'observed' if observed else 'unobserved'}")
+        *_indent(bind, 2), "    else:", "        t_next = t0 + j * width",
+        "    if t_next <= t:  # a width too small to move t", "        raise StepSizeUnderflowError(width, t)",
+        *_indent([*step, "t = t_next", *seen]),
+    ], "x, t, j - 1, 0", "x, t_last, steps, 0", f"loop {key} {'observed' if observed else 'unobserved'}",
+        end=end if checked else ())
 
 
 def integrate_const(stepper, system, x0, t0, t1, dt, observer=None):
@@ -222,9 +233,10 @@ def integrate_const(stepper, system, x0, t0, t1, dt, observer=None):
     controlled one.
 
     A fixed step or a grid point that would not move the time raises
-    :class:`StepSizeUnderflowError` before it is taken.  A
-    :class:`SolverError` carries the counters so far, and the last
-    time reached, in ``partial_report``.
+    :class:`StepSizeUnderflowError` before it is taken; a fixed-step
+    state not finite at an observation or at the end, a
+    :class:`SolverError`.  A :class:`SolverError` carries the counters
+    so far, and the last time reached, in ``partial_report``.
     """
     controlled = hasattr(stepper, "try_step")
     if not (controlled or hasattr(stepper, "do_step")):

@@ -94,6 +94,8 @@ def _kick_drift(n):
             "system.dqdt(pn, buf)", *_update_lines(n, "qn", ["1.0", "dt"], ["q", "buf"]), "return target"]
     return _lazy_make("buf, owner, T, N", [
         "def step(system, state, dt, target):", *_indent(unpack + step),
-        *_entry_lines(n, "system, state, t, dt, out=None", ["target = state if out is None else out", *unpack],
-                      "type(q) is T and len(q) == len(p) == len(qn) == len(pn) == N", step),
+        *_entry_lines(n, "system, state, t, dt, out=None", [
+            "target, q, p = state if out is None else out, state.q, state.p",
+            "if target is state:", "    qn, pn = q, p", "else:", "    qn, pn = target.q, target.p",
+        ], "type(q) is T and len(q) == len(p) == N and (target is state or len(qn) == len(pn) == N)", step),
     ], "step", f"kick_drift n={n}", fallback=SymplecticEuler.do_step)

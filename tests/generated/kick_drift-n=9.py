@@ -11,9 +11,12 @@ def make(kernel, buf, owner, T, N):
             qn[i] = q[i] + c1 * buf[i]
         return target
     def entry(system, state, t, dt, out=None):
-        target = state if out is None else out
-        q, p, qn, pn = state.q, state.p, target.q, target.p
-        if type(q) is T and len(q) == len(p) == len(qn) == len(pn) == N:
+        target, q, p = state if out is None else out, state.q, state.p
+        if target is state:
+            qn, pn = q, p
+        else:
+            qn, pn = target.q, target.p
+        if type(q) is T and len(q) == len(p) == N and (target is state or len(qn) == len(pn) == N):
             system.dpdt(q, buf)
             c1, = dt,
             for i in range(len(pn)):

@@ -4,10 +4,12 @@ def make(kernel, k):
         k0, k1, k2, k3, k4, k5, u = k
         target = x
         t0, dt = t, width
+        w0, w1, w2, w3, w4, w5, w6, w7, w8, w9, w10, w11, w12, w13, w14, w15, w16, w17, w18, w19, w20, w21, w22, w23, = dt * 0.2, 0.2 * dt, dt * 0.075, dt * 0.225, 0.3 * dt, dt * 0.3, dt * -0.9, dt * 1.2, 0.6 * dt, dt * -0.2037037037037037, dt * 2.5, dt * -2.5925925925925926, dt * 1.2962962962962963, 1.0 * dt, dt * 0.029495804398148147, dt * 0.341796875, dt * 0.041594328703703706, dt * 0.40034541377314814, dt * 0.061767578125, 0.875 * dt, dt * 0.09788359788359788, dt * 0.4025764895330113, dt * 0.21043771043771045, dt * 0.2891022021456804,
         try:
             for j in range(1, steps + 1):
                 if j == steps:
                     t_next, dt = t_last, dt_last
+                    w0, w1, w2, w3, w4, w5, w6, w7, w8, w9, w10, w11, w12, w13, w14, w15, w16, w17, w18, w19, w20, w21, w22, w23, = dt * 0.2, 0.2 * dt, dt * 0.075, dt * 0.225, 0.3 * dt, dt * 0.3, dt * -0.9, dt * 1.2, 0.6 * dt, dt * -0.2037037037037037, dt * 2.5, dt * -2.5925925925925926, dt * 1.2962962962962963, 1.0 * dt, dt * 0.029495804398148147, dt * 0.341796875, dt * 0.041594328703703706, dt * 0.40034541377314814, dt * 0.061767578125, 0.875 * dt, dt * 0.09788359788359788, dt * 0.4025764895330113, dt * 0.21043771043771045, dt * 0.2891022021456804,
                 else:
                     t_next = t0 + j * width
                 if t_next <= t:  # a width too small to move t
@@ -16,47 +18,53 @@ def make(kernel, k):
                 system(x, k0, t)
                 x_0, x_1, x_2, = x
                 k0_0, k0_1, k0_2, = k0
-                c1, = dt * 0.2,
+                c1, = w0,
                 u[0] = x_0 + c1 * k0_0
                 u[1] = x_1 + c1 * k0_1
                 u[2] = x_2 + c1 * k0_2
                 evaluations += 1
-                system(u, k1, t + 0.2 * dt)
+                system(u, k1, t + w1)
                 k1_0, k1_1, k1_2, = k1
-                c1, c2, = dt * 0.075, dt * 0.225,
+                c1, c2, = w2, w3,
                 u[0] = x_0 + c1 * k0_0 + c2 * k1_0
                 u[1] = x_1 + c1 * k0_1 + c2 * k1_1
                 u[2] = x_2 + c1 * k0_2 + c2 * k1_2
                 evaluations += 1
-                system(u, k2, t + 0.3 * dt)
+                system(u, k2, t + w4)
                 k2_0, k2_1, k2_2, = k2
-                c1, c2, c3, = dt * 0.3, dt * -0.9, dt * 1.2,
+                c1, c2, c3, = w5, w6, w7,
                 u[0] = x_0 + c1 * k0_0 + c2 * k1_0 + c3 * k2_0
                 u[1] = x_1 + c1 * k0_1 + c2 * k1_1 + c3 * k2_1
                 u[2] = x_2 + c1 * k0_2 + c2 * k1_2 + c3 * k2_2
                 evaluations += 1
-                system(u, k3, t + 0.6 * dt)
+                system(u, k3, t + w8)
                 k3_0, k3_1, k3_2, = k3
-                c1, c2, c3, c4, = dt * -0.2037037037037037, dt * 2.5, dt * -2.5925925925925926, dt * 1.2962962962962963,
+                c1, c2, c3, c4, = w9, w10, w11, w12,
                 u[0] = x_0 + c1 * k0_0 + c2 * k1_0 + c3 * k2_0 + c4 * k3_0
                 u[1] = x_1 + c1 * k0_1 + c2 * k1_1 + c3 * k2_1 + c4 * k3_1
                 u[2] = x_2 + c1 * k0_2 + c2 * k1_2 + c3 * k2_2 + c4 * k3_2
                 evaluations += 1
-                system(u, k4, t + 1.0 * dt)
-                c1, c2, c3, c4, c5, = dt * 0.029495804398148147, dt * 0.341796875, dt * 0.041594328703703706, dt * 0.40034541377314814, dt * 0.061767578125,
+                system(u, k4, t + w13)
+                c1, c2, c3, c4, c5, = w14, w15, w16, w17, w18,
                 u[0] = x_0 + c1 * k0_0 + c2 * k1_0 + c3 * k2_0 + c4 * k3_0 + c5 * k4[0]
                 u[1] = x_1 + c1 * k0_1 + c2 * k1_1 + c3 * k2_1 + c4 * k3_1 + c5 * k4[1]
                 u[2] = x_2 + c1 * k0_2 + c2 * k1_2 + c3 * k2_2 + c4 * k3_2 + c5 * k4[2]
                 evaluations += 1
-                system(u, k5, t + 0.875 * dt)
-                c1, c2, c3, c4, = dt * 0.09788359788359788, dt * 0.4025764895330113, dt * 0.21043771043771045, dt * 0.2891022021456804,
+                system(u, k5, t + w19)
+                c1, c2, c3, c4, = w20, w21, w22, w23,
                 target[0] = x_0 + c1 * k0_0 + c2 * k2_0 + c3 * k3_0 + c4 * k5[0]
                 target[1] = x_1 + c1 * k0_1 + c2 * k2_1 + c3 * k3_1 + c4 * k5[1]
                 target[2] = x_2 + c1 * k0_2 + c2 * k2_2 + c3 * k3_2 + c4 * k5[2]
                 t = t_next
+                if not finite(x):
+                    break
                 observer(snap(x), t)
         except SolverError as exc:
             exc.partial_report = IntegrationReport(x, t, j - 1, 0, evaluations + counted.count)
             raise
+        if not finite(x):
+            exc = SolverError(f'the state is not finite at t={t!r}')
+            exc.partial_report = IntegrationReport(x, t, j, 0, evaluations + counted.count)
+            raise exc
         return IntegrationReport(x, t_last, steps, 0, evaluations + counted.count)
     return loop

@@ -4,22 +4,28 @@ def make(kernel, k):
         k0, u = k
         target = x
         t0, dt = t, width
+        w0, = dt * 1.0,
         try:
             for j in range(1, steps + 1):
                 if j == steps:
                     t_next, dt = t_last, dt_last
+                    w0, = dt * 1.0,
                 else:
                     t_next = t0 + j * width
                 if t_next <= t:  # a width too small to move t
                     raise StepSizeUnderflowError(width, t)
                 evaluations += 1
                 system(x, k0, t)
-                c1, = dt * 1.0,
+                c1, = w0,
                 target[0] = x[0] + c1 * k0[0]
                 target[1] = x[1] + c1 * k0[1]
                 t = t_next
         except SolverError as exc:
             exc.partial_report = IntegrationReport(x, t, j - 1, 0, evaluations + counted.count)
             raise
+        if not finite(x):
+            exc = SolverError(f'the state is not finite at t={t!r}')
+            exc.partial_report = IntegrationReport(x, t, j, 0, evaluations + counted.count)
+            raise exc
         return IntegrationReport(x, t_last, steps, 0, evaluations + counted.count)
     return loop

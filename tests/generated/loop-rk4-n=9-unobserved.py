@@ -4,37 +4,43 @@ def make(kernel, k):
         k0, k1, k2, k3, u = k
         target = x
         t0, dt = t, width
+        w0, w1, w2, w3, w4, w5, = dt * 0.5, 0.5 * dt, dt * 1.0, 1.0 * dt, dt * 0.16666666666666666, dt * 0.3333333333333333,
         try:
             for j in range(1, steps + 1):
                 if j == steps:
                     t_next, dt = t_last, dt_last
+                    w0, w1, w2, w3, w4, w5, = dt * 0.5, 0.5 * dt, dt * 1.0, 1.0 * dt, dt * 0.16666666666666666, dt * 0.3333333333333333,
                 else:
                     t_next = t0 + j * width
                 if t_next <= t:  # a width too small to move t
                     raise StepSizeUnderflowError(width, t)
                 evaluations += 1
                 system(x, k0, t)
-                c1, = dt * 0.5,
+                c1, = w0,
                 for i in range(len(u)):
                     u[i] = x[i] + c1 * k0[i]
                 evaluations += 1
-                system(u, k1, t + 0.5 * dt)
-                c1, = dt * 0.5,
+                system(u, k1, t + w1)
+                c1, = w0,
                 for i in range(len(u)):
                     u[i] = x[i] + c1 * k1[i]
                 evaluations += 1
-                system(u, k2, t + 0.5 * dt)
-                c1, = dt * 1.0,
+                system(u, k2, t + w1)
+                c1, = w2,
                 for i in range(len(u)):
                     u[i] = x[i] + c1 * k2[i]
                 evaluations += 1
-                system(u, k3, t + 1.0 * dt)
-                c1, c2, c3, c4, = dt * 0.16666666666666666, dt * 0.3333333333333333, dt * 0.3333333333333333, dt * 0.16666666666666666,
+                system(u, k3, t + w3)
+                c1, c2, c3, c4, = w4, w5, w5, w4,
                 for i in range(len(target)):
                     target[i] = x[i] + c1 * k0[i] + c2 * k1[i] + c3 * k2[i] + c4 * k3[i]
                 t = t_next
         except SolverError as exc:
             exc.partial_report = IntegrationReport(x, t, j - 1, 0, evaluations + counted.count)
             raise
+        if not finite(x):
+            exc = SolverError(f'the state is not finite at t={t!r}')
+            exc.partial_report = IntegrationReport(x, t, j, 0, evaluations + counted.count)
+            raise exc
         return IntegrationReport(x, t_last, steps, 0, evaluations + counted.count)
     return loop

@@ -333,6 +333,10 @@ SCENARIOS = {
     "implicit numpy do_step": (
         "ImplicitEuler().do_step(RING, np.array(short()), 0.0, 0.01)",
         "step implicit_euler numpy"),
+    "symplectic list-1 do_step": (
+        "pair = PairState([1.0], [0.0]); "
+        "SymplecticEuler().do_step(OSCILLATOR, pair, 0.0, 0.01, out=pair)",
+        "copy n=1", "kick_drift n=1"),
     "symplectic list-3 do_step": (
         "SymplecticEuler().do_step(OSCILLATOR, PairState(short(), short()), 0.0, 0.01)",
         "copy n=3", "kick_drift n=3"),

@@ -2,6 +2,7 @@
 continuous extension built from the stored stages."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,7 +16,8 @@ from odekit import (
     HARMONIC,
     integrate_adaptive,
 )
-from odekit.algebra import NumpyAlgebra, SequenceAlgebra
+from odekit.algebra import MAX_TERMS, NumpyAlgebra, SequenceAlgebra
+from odekit.tableaus import DORMAND_PRINCE_54, ButcherTableau
 
 
 def expgrow(x, dxdt, t):
@@ -68,6 +70,26 @@ def test_only_a_fsal_pair_whose_tableau_carries_dense_weights_is_assigned():
         d.initialize([1.0], 0.0, 0.1)
         lo, hi = d.do_step(expgrow)
         assert d.calc_state(hi)[0] == d.current_state[0]
+
+
+def test_dense_weights_the_fit_cannot_use_are_refused_at_assignment():
+    # The quartic term is one update over the stages whose dense weight
+    # is not zero: none, or more than MAX_TERMS, is refused before any
+    # trial, naming the tableau and its weights, and the old pair stays.
+    s = MAX_TERMS + 1
+    even = (1 / (s - 1),) * (s - 1)
+    wide = ButcherTableau("wide", [(0.0,) * i for i in range(1, s - 1)] + [even], even + (0.0,),
+                          (0.0,) * (s - 1) + (1.0,), 2, even + (0.0,), 1, (1.0,) * s)
+    d = DenseOutputDopri5()
+    pair = d.stepper
+    for tableau in (DORMAND_PRINCE_54._replace(dense_weights=(0.0,) * 7), wide):
+        refused = DormandPrince5()
+        refused.tableau = tableau
+        assert tableau.is_fsal
+        with pytest.raises(ValueError, match=f"^{tableau.name}: dense weights {re.escape(str(tableau.dense_weights))}"
+                                             f" must have 1..{MAX_TERMS} nonzero entries"):
+            d.stepper = refused
+        assert d.stepper is pair
 
 
 def test_initialize_rejects_bad_dt0():

@@ -140,13 +140,28 @@ def test_swapped_longer_momenta_raise_before_dpdt():
     calls = []
     watched = SeparableHamiltonian(dqdt=_dqdt, dpdt=lambda q, out: calls.append(1))
     pair.p = [0.0, 0.25, 0.5]
+    swapped = pair_hexes(pair)
     with pytest.raises(DimensionError):
         stepper.do_step(watched, pair, 0.0, 0.1)
     with pytest.raises(DimensionError):
         stepper.do_step(watched, PairState([1.0, 0.5], [0.0, 0.25]), 0.0, 0.1, out=pair)
     with pytest.raises(DimensionError):
         stepper.do_step(watched, pair, 0.0, 0.1, out=PairState([0.0, 0.0], [0.0, 0.0]))
-    assert calls == []
+    # In place through out=pair, where the entry checks the state's halves alone.
+    with pytest.raises(DimensionError):
+        stepper.do_step(watched, pair, 0.0, 0.1, out=pair)
+    assert calls == [] and pair_hexes(pair) == swapped
+    # Momenta grown in place after warm in-place calls, either way of asking for one.
+    grown = PairState([1.0, 0.5], [0.0, 0.25])
+    for _ in range(3):
+        stepper.do_step(PENDULUM, grown, 0.0, 0.1, out=grown)
+    assert "do_step" in vars(stepper)
+    grown.p.append(0.5)
+    before = pair_hexes(grown)
+    for out in (None, grown):
+        with pytest.raises(DimensionError):
+            stepper.do_step(watched, grown, 0.0, 0.1, out=out)
+    assert calls == [] and pair_hexes(grown) == before
 
 
 def test_the_guard_takes_only_the_bound_type_and_length():

@@ -373,6 +373,38 @@ def test_a_fixed_width_that_cannot_move_t_raises_before_any_call(kind, box):
     assert report.steps_attempted == report.system_evaluations == 0
 
 
+def blowing_up(x, dxdt, t):
+    """-x, with inf in element 0 from t = 0.25 on."""
+    for i in range(len(x)):
+        dxdt[i] = -x[i]
+    if t >= 0.25:
+        dxdt[0] = math.inf
+
+
+@pytest.mark.parametrize("observed", [False, True], ids=["unobserved", "observed"])
+@pytest.mark.parametrize("box", [list, np.array], ids=["list", "numpy"])
+@pytest.mark.parametrize("kind", ["euler", "rk4", "override", "own"])
+def test_a_state_that_is_not_finite_raises_at_the_first_observation_or_the_end(kind, box, observed):
+    # Against a loop over do_step: the first observed state that is not
+    # finite, else the final one, raises with the state, time and counts
+    # of the steps taken to it, and the observer never sees it.
+    reference, x, counter = make_fixed(kind), box([1.0, 0.5]), EvaluationCounter(blowing_up)
+    for k in range(1, 11):
+        reference.do_step(counter, x, (k - 1) * 0.1, 0.1)
+        if observed and not np.isfinite(x).all():
+            break
+    seen = []
+    observer = (lambda v, t: seen.append(t)) if observed else None
+    with pytest.raises(SolverError, match=f"^the state is not finite at t={k * 0.1!r}$") as info:
+        integrate_const(make_fixed(kind), blowing_up, box([1.0, 0.5]), 0.0, 1.0, 0.1, observer)
+    report = info.value.partial_report
+    assert [v.hex() for v in report.final_state] == [v.hex() for v in x] and math.isinf(x[0])
+    assert (report.final_time, report.steps_accepted, report.steps_rejected) == (k * 0.1, k, 0)
+    assert report.system_evaluations == counter.count
+    assert seen == ([j * 0.1 for j in range(k)] if observed else [])
+    assert k == ((4 if kind == "euler" else 3) if observed else 10)
+
+
 @pytest.mark.parametrize("kind", ["override", "own"])
 def test_a_do_step_of_the_users_is_called_once_per_step_through_a_counter(kind):
     stepper = make_fixed(kind)

@@ -483,6 +483,8 @@ def class_do_step_loop(stepper, system, x, t0, t1, dt, observer):
          observed=True)
 @example(x0=[0.3] * (UNROLL + 2), t0=1.0, steps=4, dt=0.125, end="snapped-above", stepper="dopri5",
          box="general", observed=False)
+@example(x0=[0.125 * i for i in range(UNROLL + 1)], t0=0.0, steps=5, dt=0.1, end="snapped-below", stepper="rk4",
+         box="list", observed=False)
 def test_generated_fixed_loop_matches_a_loop_over_the_class_do_step(x0, t0, steps, dt, end, stepper, box,
                                                                     observed):
     # The final state, every observation and the counters, bit for bit;
