@@ -190,8 +190,8 @@ def _each(n, length, row):
 
 def _update_lines(n, out, coeffs, terms, at="{}[{}]".format):
     """Lines writing ``out[i] = c0 * t0[i] + c1 * t1[i] + ...``, added
-    left to right, for the coefficient expressions ``coeffs`` (each
-    evaluated once, first) and the term names ``terms``: with ``n``
+    left to right, for the coefficients ``coeffs`` (an expression bound
+    once, a name read as it is) and the term names ``terms``: with ``n``
     None a call of the kernel ``K<k>`` of the k terms, else inline for
     states of length ``n`` (see :func:`_each`).  Every generated update
     is written here, so every one has the same bits.  Inline, as in the
@@ -203,9 +203,10 @@ def _update_lines(n, out, coeffs, terms, at="{}[{}]".format):
     if n is None:
         return [f"K{len(terms)}({out}, ({', '.join(coeffs)},), ({', '.join(terms)},))"]
     bare = [len(coeffs) > 1 and coeffs[0] == "1.0", *(cj in ("1.0", "-1.0") for cj in coeffs[1:])]
-    c = [j for j in range(len(coeffs)) if not bare[j]]
+    c = [j for j in range(len(coeffs)) if not (bare[j] or coeffs[j].isidentifier())]
     sign = lambda j: ("- " if coeffs[j] == "-1.0" else "+ ") if j else ""
-    value = lambda i: " ".join(sign(j) + (at(t, i) if bare[j] else f"c{j} * {at(t, i)}") for j, t in enumerate(terms))
+    times = lambda j: "" if bare[j] else f"c{j} * " if j in c else f"{coeffs[j]} * "
+    value = lambda i: " ".join(sign(j) + times(j) + at(t, i) for j, t in enumerate(terms))
     if callable(out):
         row, length = (lambda i: out(i, value(i))), f"len({terms[0]})"
     else:

@@ -80,27 +80,28 @@ class ExplicitRungeKutta(Scratched):
     do_step._shipped = True  # the fixed-step loop runs its Bound's pieces inline
 
 
-def _update(tableau, n, out, weights, lead, at="{}[{}]".format):
-    """The update of ``out`` by ``weights`` on the stages ``k<j>``,
-    after ``x`` when ``lead`` is 1, elements named by ``at``."""
+def _update(tableau, n, out, weights, lead, at="{}[{}]".format, name=str):
+    """The update of ``out`` by ``weights`` on the stages ``k<j>``, after ``x`` when ``lead`` is 1,
+    elements named by ``at``, each coefficient ``name(f"dt * {w!r}")``, by default the product itself."""
     idx = [j for j, w in enumerate(weights) if w != 0.0]
     k = len(idx) + lead
     if not 1 <= k <= MAX_TERMS:
         raise ValueError(f"{tableau.name}: {k} terms in one update;"
                          f" the algebra takes 1..{MAX_TERMS}")
-    coeffs = ["1.0"] * lead + [f"dt * {float(weights[j])!r}" for j in idx]
+    coeffs = ["1.0"] * lead + [name(f"dt * {float(weights[j])!r}") for j in idx]
     terms = ["x"] * lead + [f"k{j}" for j in idx]
     return _update_lines(n, out, coeffs, terms, at)
 
 
-def _stages(tableau, update, unpack):
+def _stages(tableau, update, unpack, name=str):
     """Lines running the stages after the first, each update made by
-    ``update(out, weights, lead)`` and each stage's ``unpack`` lines
-    after its call.  A first-same-as-last stage state is the new state
-    itself, and its derivative has zero weight, so its row is left out."""
+    ``update(out, weights, lead)``, each stage at ``t + name(f"{c!r} * dt")``
+    and its ``unpack`` lines after its call.  A first-same-as-last stage state
+    is the new state itself, and its derivative has zero weight, so its row is left out."""
     lines = []
     for i, row in enumerate(tableau.a[:-1] if tableau.is_fsal else tableau.a, start=1):
-        lines += [*update("u", row, 1), f"system(u, k{i}, t + {float(tableau.c[i])!r} * dt)", *unpack(f"k{i}")]
+        lines += update("u", row, 1)
+        lines += [f"system(u, k{i}, t + {name(f'{float(tableau.c[i])!r} * dt')})", *unpack(f"k{i}")]
     return lines
 
 
@@ -114,22 +115,24 @@ def _step_code(tableau, n=None):
     ``error(dt, xerr)`` (None without embedded weights).  With ``n`` None
     every update is a kernel call; with a length (see ``Algebra._fused_length``)
     it is written inline, and ``owner`` gets its ``do_step`` entry for a
-    ``T`` of length ``N`` (``algebra._enter``); ``pieces`` are the entry's
-    whole step, plain code that ``integrate._fixed_code`` runs and counts.
-    Zero weights are left out, the others are exact floats: the stage
-    loop's bits, read from ``algebra._held``'s locals."""
-    update = partial(_update, tableau, n)
-    step = _held(n, lambda at, unpack: [*unpack("x"), *unpack("k0"), *_stages(
-        tableau, partial(update, at=at), unpack), *update("target", tableau.b, 1, at)])
-    body = ["def advance(system, x, t, dt, target):", *_indent(step + ["return target"])]
-    ew = tableau.error_weights
-    body += ["error = None"] if ew is None else [
-        "def error(dt, xerr):", *_indent(update("xerr", ew, 0) + ["return xerr"])]
+    ``T`` of length ``N`` (``algebra._enter``); ``pieces`` ``(key, head, bind, step)``
+    are the entry's whole step, plain code that ``integrate._fixed_code`` runs and counts,
+    ``bind`` the line naming each product of ``dt`` that ``step`` reads.  Zero weights are left
+    out, the others are exact floats: the stage loop's bits, read from ``algebra._held``'s locals."""
+    tables = {}, {}  # the products of dt that the step and the error read, by text: each named w<i> once
+    name, name_e = (lambda product, table=table: table.setdefault(product, f"w{len(table)}") for table in tables)
+    update, ew = partial(_update, tableau, n), tableau.error_weights
+    step = ("system(x, k0, t)", *_held(n, lambda at, unpack: [*unpack("x"), *unpack("k0"), *_stages(
+        tableau, partial(update, at=at, name=name), unpack, name), *update("target", tableau.b, 1, at, name)]))
+    error = () if ew is None else update("xerr", ew, 0, name=name_e)
+    bind, bind_e = ((f"{''.join(f'{w}, ' for w in t.values())}= {', '.join(t)},",) if t else () for t in tables)
+    body = ["def advance(system, x, t, dt, target):", *_indent([*bind, *step[1:], "return target"])]
+    body += ["error = None"] if ew is None else ["def error(dt, xerr):", *_indent([*bind_e, *error, "return xerr"])]
     body += _entry_lines(n, "system, x, t, dt, out=None", ["target = x if out is None else out"],
-                         "type(x) is T and len(x) == len(target) == N", ["system(x, k0, t)", *step, "return target"])
+                         "type(x) is T and len(x) == len(target) == N", [*bind, *step, "return target"])
     head = f"{''.join(f'k{j}, ' for j in range(tableau.stage_count))}u = k"
     key = f"{tableau.name} n={n}"
-    pieces = (key, (head, "target = x"), ("system(x, k0, t)", *step))
+    pieces = (key, (head, "target = x"), bind, step)
     return pieces, _lazy_make("k, owner, T, N", [head, *body], "advance, error", f"step {key}",
                               fallback=ExplicitRungeKutta.do_step)
 

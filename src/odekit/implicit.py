@@ -89,7 +89,7 @@ def _newton_code(form):
         "stepper.last_iteration_count = applied", "copy(target, u)",
     ]
     key = f"implicit_euler {form}"
-    pieces = (key, (*head, *check, "target = x"), tuple(step))
+    pieces = (key, (*head, *check, "target = x"), (), tuple(step))
     return pieces, _lazy_make("k", [*head, "def step(stepper, system, x, t, dt, target):",
                                     *_indent([*check, *step, "return target"])], "step", f"step {key}")
 

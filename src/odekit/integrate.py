@@ -189,26 +189,21 @@ def _fixed_code(step, observed):
     ``loop(stepper, system, x, t, steps, width, t_last, dt_last,
     observer, snap)``.  A ``step`` None calls ``do_step`` on
     ``counted``; an inline one is ``explicit._step_code``'s or
-    ``implicit._newton_code``'s pieces, with the system calls of their
-    step counted here."""
-    key, head, step = step or ("do_step", [], ["stepper.do_step(counted, x, t, dt)"])
-    products = {}  # the products of dt and a literal in the step, by text: each a name bound once per width
-    step = [re.sub(r"\bdt \* -?[\d.]+(?:e[+-]\d+)?|\b[\d.]+(?:e[+-]\d+)? \* dt\b",
-                   lambda m: products.setdefault(m[0], f"w{len(products)}"), line) for line in _count_calls(step)]
-    bind = [f"{''.join(f'{w}, ' for w in products.values())}= {', '.join(products)},"] if products else []
-    # The state is checked at each observation and at the end, unless Newton refuses a non-finite update itself.
-    checked = not key.startswith("implicit_euler")
-    seen = [*(["if not finite(x):", "    break"] if checked else []), "observer(snap(x), t)"] if observed else []
+    ``implicit._newton_code``'s pieces ``(key, head, bind, step)``,
+    ``bind`` run per width, the system calls of ``step`` counted here."""
+    key, head, bind, step = step or ("do_step", [], [], ["stepper.do_step(counted, x, t, dt)"])
+    seen = ["if not finite(x):", "    break", "observer(snap(x), t)"] if observed else []
     end = ["if not finite(x):", "    exc = SolverError(f'the state is not finite at t={t!r}')",
            "    exc.partial_report = IntegrationReport(x, t, j, 0, evaluations + counted.count)", "    raise exc"]
+    # Step j is taken once t is t_next, after which only the observer raises; a width too small clears t_next.
     return _run_code("k", "loop(stepper, system, x, t, steps, width, t_last, dt_last, observer, snap)",
                      [*head, "t0, dt = t, width", *bind], [
         "for j in range(1, steps + 1):", "    if j == steps:", "        t_next, dt = t_last, dt_last",
         *_indent(bind, 2), "    else:", "        t_next = t0 + j * width",
-        "    if t_next <= t:  # a width too small to move t", "        raise StepSizeUnderflowError(width, t)",
-        *_indent([*step, "t = t_next", *seen]),
-    ], "x, t, j - 1, 0", "x, t_last, steps, 0", f"loop {key} {'observed' if observed else 'unobserved'}",
-        end=end if checked else ())
+        "    if t_next <= t:  # a width too small to move t", "        t_next = None",
+        "        raise StepSizeUnderflowError(width, t)", *_indent([*_count_calls(step), "t = t_next", *seen]),
+    ], "x, t, j if t == t_next else j - 1, 0", "x, t_last, steps, 0",
+        f"loop {key} {'observed' if observed else 'unobserved'}", end=end)
 
 
 def integrate_const(stepper, system, x0, t0, t1, dt, observer=None):

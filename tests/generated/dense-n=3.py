@@ -2,10 +2,10 @@ def make(kernel, clone, readonly, p):
     p0, p1, p2, p3, p4 = p
     def at(theta, out):
         omt = 1.0 - theta
-        c1, c2, c3, c4, = theta, theta * omt, theta * theta * omt, theta * theta * omt * omt,
-        out[0] = p0[0] + c1 * p1[0] + c2 * p2[0] + c3 * p3[0] + c4 * p4[0]
-        out[1] = p0[1] + c1 * p1[1] + c2 * p2[1] + c3 * p3[1] + c4 * p4[1]
-        out[2] = p0[2] + c1 * p1[2] + c2 * p2[2] + c3 * p3[2] + c4 * p4[2]
+        c2, c3, c4, = theta * omt, theta * theta * omt, theta * theta * omt * omt,
+        out[0] = p0[0] + theta * p1[0] + c2 * p2[0] + c3 * p3[0] + c4 * p4[0]
+        out[1] = p0[1] + theta * p1[1] + c2 * p2[1] + c3 * p3[1] + c4 * p4[1]
+        out[2] = p0[2] + theta * p1[2] + c2 * p2[2] + c3 * p3[2] + c4 * p4[2]
         return out
     def sample(observer, lo, hi, h, t0, dt, j, t_end, limit):
         p0_0, p0_1, p0_2, = p0
@@ -17,10 +17,10 @@ def make(kernel, clone, readonly, p):
         while t < t_end and t <= limit:
             theta = ((hi if hi < t else t) - lo) / h
             omt = 1.0 - theta
-            c1, c2, c3, c4, = theta, theta * omt, theta * theta * omt, theta * theta * omt * omt,
-            s0 = p0_0 + c1 * p1_0 + c2 * p2_0 + c3 * p3_0 + c4 * p4_0
-            s1 = p0_1 + c1 * p1_1 + c2 * p2_1 + c3 * p3_1 + c4 * p4_1
-            s2 = p0_2 + c1 * p1_2 + c2 * p2_2 + c3 * p3_2 + c4 * p4_2
+            c2, c3, c4, = theta * omt, theta * theta * omt, theta * theta * omt * omt,
+            s0 = p0_0 + theta * p1_0 + c2 * p2_0 + c3 * p3_0 + c4 * p4_0
+            s1 = p0_1 + theta * p1_1 + c2 * p2_1 + c3 * p3_1 + c4 * p4_1
+            s2 = p0_2 + theta * p1_2 + c2 * p2_2 + c3 * p3_2 + c4 * p4_2
             s = s0, s1, s2, 
             observer(s, t)
             j += 1

@@ -14,6 +14,7 @@ def make(kernel, k):
                 else:
                     t_next = t0 + j * width
                 if t_next <= t:  # a width too small to move t
+                    t_next = None
                     raise StepSizeUnderflowError(width, t)
                 evaluations += 1
                 system(x, k0, t)
@@ -35,7 +36,7 @@ def make(kernel, k):
                 K5(target, (1.0, w20, w21, w22, w23,), (x, k0, k2, k3, k5,))
                 t = t_next
         except SolverError as exc:
-            exc.partial_report = IntegrationReport(x, t, j - 1, 0, evaluations + counted.count)
+            exc.partial_report = IntegrationReport(x, t, j if t == t_next else j - 1, 0, evaluations + counted.count)
             raise
         if not finite(x):
             exc = SolverError(f'the state is not finite at t={t!r}')

@@ -13,55 +13,50 @@ def make(kernel, k):
                 else:
                     t_next = t0 + j * width
                 if t_next <= t:  # a width too small to move t
+                    t_next = None
                     raise StepSizeUnderflowError(width, t)
                 evaluations += 1
                 system(x, k0, t)
                 x_0, x_1, x_2, = x
                 k0_0, k0_1, k0_2, = k0
-                c1, = w0,
-                u[0] = x_0 + c1 * k0_0
-                u[1] = x_1 + c1 * k0_1
-                u[2] = x_2 + c1 * k0_2
+                u[0] = x_0 + w0 * k0_0
+                u[1] = x_1 + w0 * k0_1
+                u[2] = x_2 + w0 * k0_2
                 evaluations += 1
                 system(u, k1, t + w1)
                 k1_0, k1_1, k1_2, = k1
-                c1, c2, = w2, w3,
-                u[0] = x_0 + c1 * k0_0 + c2 * k1_0
-                u[1] = x_1 + c1 * k0_1 + c2 * k1_1
-                u[2] = x_2 + c1 * k0_2 + c2 * k1_2
+                u[0] = x_0 + w2 * k0_0 + w3 * k1_0
+                u[1] = x_1 + w2 * k0_1 + w3 * k1_1
+                u[2] = x_2 + w2 * k0_2 + w3 * k1_2
                 evaluations += 1
                 system(u, k2, t + w4)
                 k2_0, k2_1, k2_2, = k2
-                c1, c2, c3, = w5, w6, w7,
-                u[0] = x_0 + c1 * k0_0 + c2 * k1_0 + c3 * k2_0
-                u[1] = x_1 + c1 * k0_1 + c2 * k1_1 + c3 * k2_1
-                u[2] = x_2 + c1 * k0_2 + c2 * k1_2 + c3 * k2_2
+                u[0] = x_0 + w5 * k0_0 + w6 * k1_0 + w7 * k2_0
+                u[1] = x_1 + w5 * k0_1 + w6 * k1_1 + w7 * k2_1
+                u[2] = x_2 + w5 * k0_2 + w6 * k1_2 + w7 * k2_2
                 evaluations += 1
                 system(u, k3, t + w8)
                 k3_0, k3_1, k3_2, = k3
-                c1, c2, c3, c4, = w9, w10, w11, w12,
-                u[0] = x_0 + c1 * k0_0 + c2 * k1_0 + c3 * k2_0 + c4 * k3_0
-                u[1] = x_1 + c1 * k0_1 + c2 * k1_1 + c3 * k2_1 + c4 * k3_1
-                u[2] = x_2 + c1 * k0_2 + c2 * k1_2 + c3 * k2_2 + c4 * k3_2
+                u[0] = x_0 + w9 * k0_0 + w10 * k1_0 + w11 * k2_0 + w12 * k3_0
+                u[1] = x_1 + w9 * k0_1 + w10 * k1_1 + w11 * k2_1 + w12 * k3_1
+                u[2] = x_2 + w9 * k0_2 + w10 * k1_2 + w11 * k2_2 + w12 * k3_2
                 evaluations += 1
                 system(u, k4, t + w13)
                 k4_0, k4_1, k4_2, = k4
-                c1, c2, c3, c4, c5, = w14, w15, w16, w17, w18,
-                u[0] = x_0 + c1 * k0_0 + c2 * k1_0 + c3 * k2_0 + c4 * k3_0 + c5 * k4_0
-                u[1] = x_1 + c1 * k0_1 + c2 * k1_1 + c3 * k2_1 + c4 * k3_1 + c5 * k4_1
-                u[2] = x_2 + c1 * k0_2 + c2 * k1_2 + c3 * k2_2 + c4 * k3_2 + c5 * k4_2
+                u[0] = x_0 + w14 * k0_0 + w15 * k1_0 + w16 * k2_0 + w17 * k3_0 + w18 * k4_0
+                u[1] = x_1 + w14 * k0_1 + w15 * k1_1 + w16 * k2_1 + w17 * k3_1 + w18 * k4_1
+                u[2] = x_2 + w14 * k0_2 + w15 * k1_2 + w16 * k2_2 + w17 * k3_2 + w18 * k4_2
                 evaluations += 1
                 system(u, k5, t + w19)
-                c1, c2, c3, c4, c5, = w20, w21, w22, w23, w24,
-                target[0] = x_0 + c1 * k0_0 + c2 * k2_0 + c3 * k3_0 + c4 * k4_0 + c5 * k5[0]
-                target[1] = x_1 + c1 * k0_1 + c2 * k2_1 + c3 * k3_1 + c4 * k4_1 + c5 * k5[1]
-                target[2] = x_2 + c1 * k0_2 + c2 * k2_2 + c3 * k3_2 + c4 * k4_2 + c5 * k5[2]
+                target[0] = x_0 + w20 * k0_0 + w21 * k2_0 + w22 * k3_0 + w23 * k4_0 + w24 * k5[0]
+                target[1] = x_1 + w20 * k0_1 + w21 * k2_1 + w22 * k3_1 + w23 * k4_1 + w24 * k5[1]
+                target[2] = x_2 + w20 * k0_2 + w21 * k2_2 + w22 * k3_2 + w23 * k4_2 + w24 * k5[2]
                 t = t_next
                 if not finite(x):
                     break
                 observer(snap(x), t)
         except SolverError as exc:
-            exc.partial_report = IntegrationReport(x, t, j - 1, 0, evaluations + counted.count)
+            exc.partial_report = IntegrationReport(x, t, j if t == t_next else j - 1, 0, evaluations + counted.count)
             raise
         if not finite(x):
             exc = SolverError(f'the state is not finite at t={t!r}')

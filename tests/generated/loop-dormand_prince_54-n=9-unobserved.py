@@ -13,40 +13,35 @@ def make(kernel, k):
                 else:
                     t_next = t0 + j * width
                 if t_next <= t:  # a width too small to move t
+                    t_next = None
                     raise StepSizeUnderflowError(width, t)
                 evaluations += 1
                 system(x, k0, t)
-                c1, = w0,
                 for i in range(len(u)):
-                    u[i] = x[i] + c1 * k0[i]
+                    u[i] = x[i] + w0 * k0[i]
                 evaluations += 1
                 system(u, k1, t + w1)
-                c1, c2, = w2, w3,
                 for i in range(len(u)):
-                    u[i] = x[i] + c1 * k0[i] + c2 * k1[i]
+                    u[i] = x[i] + w2 * k0[i] + w3 * k1[i]
                 evaluations += 1
                 system(u, k2, t + w4)
-                c1, c2, c3, = w5, w6, w7,
                 for i in range(len(u)):
-                    u[i] = x[i] + c1 * k0[i] + c2 * k1[i] + c3 * k2[i]
+                    u[i] = x[i] + w5 * k0[i] + w6 * k1[i] + w7 * k2[i]
                 evaluations += 1
                 system(u, k3, t + w8)
-                c1, c2, c3, c4, = w9, w10, w11, w12,
                 for i in range(len(u)):
-                    u[i] = x[i] + c1 * k0[i] + c2 * k1[i] + c3 * k2[i] + c4 * k3[i]
+                    u[i] = x[i] + w9 * k0[i] + w10 * k1[i] + w11 * k2[i] + w12 * k3[i]
                 evaluations += 1
                 system(u, k4, t + w13)
-                c1, c2, c3, c4, c5, = w14, w15, w16, w17, w18,
                 for i in range(len(u)):
-                    u[i] = x[i] + c1 * k0[i] + c2 * k1[i] + c3 * k2[i] + c4 * k3[i] + c5 * k4[i]
+                    u[i] = x[i] + w14 * k0[i] + w15 * k1[i] + w16 * k2[i] + w17 * k3[i] + w18 * k4[i]
                 evaluations += 1
                 system(u, k5, t + w19)
-                c1, c2, c3, c4, c5, = w20, w21, w22, w23, w24,
                 for i in range(len(target)):
-                    target[i] = x[i] + c1 * k0[i] + c2 * k2[i] + c3 * k3[i] + c4 * k4[i] + c5 * k5[i]
+                    target[i] = x[i] + w20 * k0[i] + w21 * k2[i] + w22 * k3[i] + w23 * k4[i] + w24 * k5[i]
                 t = t_next
         except SolverError as exc:
-            exc.partial_report = IntegrationReport(x, t, j - 1, 0, evaluations + counted.count)
+            exc.partial_report = IntegrationReport(x, t, j if t == t_next else j - 1, 0, evaluations + counted.count)
             raise
         if not finite(x):
             exc = SolverError(f'the state is not finite at t={t!r}')

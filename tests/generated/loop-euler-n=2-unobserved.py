@@ -13,15 +13,15 @@ def make(kernel, k):
                 else:
                     t_next = t0 + j * width
                 if t_next <= t:  # a width too small to move t
+                    t_next = None
                     raise StepSizeUnderflowError(width, t)
                 evaluations += 1
                 system(x, k0, t)
-                c1, = w0,
-                target[0] = x[0] + c1 * k0[0]
-                target[1] = x[1] + c1 * k0[1]
+                target[0] = x[0] + w0 * k0[0]
+                target[1] = x[1] + w0 * k0[1]
                 t = t_next
         except SolverError as exc:
-            exc.partial_report = IntegrationReport(x, t, j - 1, 0, evaluations + counted.count)
+            exc.partial_report = IntegrationReport(x, t, j if t == t_next else j - 1, 0, evaluations + counted.count)
             raise
         if not finite(x):
             exc = SolverError(f'the state is not finite at t={t!r}')

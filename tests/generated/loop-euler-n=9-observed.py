@@ -13,18 +13,18 @@ def make(kernel, k):
                 else:
                     t_next = t0 + j * width
                 if t_next <= t:  # a width too small to move t
+                    t_next = None
                     raise StepSizeUnderflowError(width, t)
                 evaluations += 1
                 system(x, k0, t)
-                c1, = w0,
                 for i in range(len(target)):
-                    target[i] = x[i] + c1 * k0[i]
+                    target[i] = x[i] + w0 * k0[i]
                 t = t_next
                 if not finite(x):
                     break
                 observer(snap(x), t)
         except SolverError as exc:
-            exc.partial_report = IntegrationReport(x, t, j - 1, 0, evaluations + counted.count)
+            exc.partial_report = IntegrationReport(x, t, j if t == t_next else j - 1, 0, evaluations + counted.count)
             raise
         if not finite(x):
             exc = SolverError(f'the state is not finite at t={t!r}')

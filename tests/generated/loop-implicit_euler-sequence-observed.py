@@ -15,6 +15,7 @@ def make(kernel, k):
                 else:
                     t_next = t0 + j * width
                 if t_next <= t:  # a width too small to move t
+                    t_next = None
                     raise StepSizeUnderflowError(width, t)
                 t_new = t + dt
                 s = (a := absolute(x)).item(a.argmax())
@@ -57,9 +58,15 @@ def make(kernel, k):
                 stepper.last_iteration_count = applied
                 copy(target, u)
                 t = t_next
+                if not finite(x):
+                    break
                 observer(snap(x), t)
         except SolverError as exc:
-            exc.partial_report = IntegrationReport(x, t, j - 1, 0, evaluations + counted.count)
+            exc.partial_report = IntegrationReport(x, t, j if t == t_next else j - 1, 0, evaluations + counted.count)
             raise
+        if not finite(x):
+            exc = SolverError(f'the state is not finite at t={t!r}')
+            exc.partial_report = IntegrationReport(x, t, j, 0, evaluations + counted.count)
+            raise exc
         return IntegrationReport(x, t_last, steps, 0, evaluations + counted.count)
     return loop

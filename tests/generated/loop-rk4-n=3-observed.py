@@ -13,41 +13,38 @@ def make(kernel, k):
                 else:
                     t_next = t0 + j * width
                 if t_next <= t:  # a width too small to move t
+                    t_next = None
                     raise StepSizeUnderflowError(width, t)
                 evaluations += 1
                 system(x, k0, t)
                 x_0, x_1, x_2, = x
                 k0_0, k0_1, k0_2, = k0
-                c1, = w0,
-                u[0] = x_0 + c1 * k0_0
-                u[1] = x_1 + c1 * k0_1
-                u[2] = x_2 + c1 * k0_2
+                u[0] = x_0 + w0 * k0_0
+                u[1] = x_1 + w0 * k0_1
+                u[2] = x_2 + w0 * k0_2
                 evaluations += 1
                 system(u, k1, t + w1)
                 k1_0, k1_1, k1_2, = k1
-                c1, = w0,
-                u[0] = x_0 + c1 * k1_0
-                u[1] = x_1 + c1 * k1_1
-                u[2] = x_2 + c1 * k1_2
+                u[0] = x_0 + w0 * k1_0
+                u[1] = x_1 + w0 * k1_1
+                u[2] = x_2 + w0 * k1_2
                 evaluations += 1
                 system(u, k2, t + w1)
                 k2_0, k2_1, k2_2, = k2
-                c1, = w2,
-                u[0] = x_0 + c1 * k2_0
-                u[1] = x_1 + c1 * k2_1
-                u[2] = x_2 + c1 * k2_2
+                u[0] = x_0 + w2 * k2_0
+                u[1] = x_1 + w2 * k2_1
+                u[2] = x_2 + w2 * k2_2
                 evaluations += 1
                 system(u, k3, t + w3)
-                c1, c2, c3, c4, = w4, w5, w5, w4,
-                target[0] = x_0 + c1 * k0_0 + c2 * k1_0 + c3 * k2_0 + c4 * k3[0]
-                target[1] = x_1 + c1 * k0_1 + c2 * k1_1 + c3 * k2_1 + c4 * k3[1]
-                target[2] = x_2 + c1 * k0_2 + c2 * k1_2 + c3 * k2_2 + c4 * k3[2]
+                target[0] = x_0 + w4 * k0_0 + w5 * k1_0 + w5 * k2_0 + w4 * k3[0]
+                target[1] = x_1 + w4 * k0_1 + w5 * k1_1 + w5 * k2_1 + w4 * k3[1]
+                target[2] = x_2 + w4 * k0_2 + w5 * k1_2 + w5 * k2_2 + w4 * k3[2]
                 t = t_next
                 if not finite(x):
                     break
                 observer(snap(x), t)
         except SolverError as exc:
-            exc.partial_report = IntegrationReport(x, t, j - 1, 0, evaluations + counted.count)
+            exc.partial_report = IntegrationReport(x, t, j if t == t_next else j - 1, 0, evaluations + counted.count)
             raise
         if not finite(x):
             exc = SolverError(f'the state is not finite at t={t!r}')

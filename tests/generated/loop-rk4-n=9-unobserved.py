@@ -13,30 +13,27 @@ def make(kernel, k):
                 else:
                     t_next = t0 + j * width
                 if t_next <= t:  # a width too small to move t
+                    t_next = None
                     raise StepSizeUnderflowError(width, t)
                 evaluations += 1
                 system(x, k0, t)
-                c1, = w0,
                 for i in range(len(u)):
-                    u[i] = x[i] + c1 * k0[i]
+                    u[i] = x[i] + w0 * k0[i]
                 evaluations += 1
                 system(u, k1, t + w1)
-                c1, = w0,
                 for i in range(len(u)):
-                    u[i] = x[i] + c1 * k1[i]
+                    u[i] = x[i] + w0 * k1[i]
                 evaluations += 1
                 system(u, k2, t + w1)
-                c1, = w2,
                 for i in range(len(u)):
-                    u[i] = x[i] + c1 * k2[i]
+                    u[i] = x[i] + w2 * k2[i]
                 evaluations += 1
                 system(u, k3, t + w3)
-                c1, c2, c3, c4, = w4, w5, w5, w4,
                 for i in range(len(target)):
-                    target[i] = x[i] + c1 * k0[i] + c2 * k1[i] + c3 * k2[i] + c4 * k3[i]
+                    target[i] = x[i] + w4 * k0[i] + w5 * k1[i] + w5 * k2[i] + w4 * k3[i]
                 t = t_next
         except SolverError as exc:
-            exc.partial_report = IntegrationReport(x, t, j - 1, 0, evaluations + counted.count)
+            exc.partial_report = IntegrationReport(x, t, j if t == t_next else j - 1, 0, evaluations + counted.count)
             raise
         if not finite(x):
             exc = SolverError(f'the state is not finite at t={t!r}')

@@ -1,20 +1,20 @@
 def make(kernel, k, owner, T, N):
     k0, u = k
     def advance(system, x, t, dt, target):
-        c1, = dt * 1.0,
-        target[0] = x[0] + c1 * k0[0]
-        target[1] = x[1] + c1 * k0[1]
-        target[2] = x[2] + c1 * k0[2]
+        w0, = dt * 1.0,
+        target[0] = x[0] + w0 * k0[0]
+        target[1] = x[1] + w0 * k0[1]
+        target[2] = x[2] + w0 * k0[2]
         return target
     error = None
     def entry(system, x, t, dt, out=None):
         target = x if out is None else out
         if type(x) is T and len(x) == len(target) == N:
+            w0, = dt * 1.0,
             system(x, k0, t)
-            c1, = dt * 1.0,
-            target[0] = x[0] + c1 * k0[0]
-            target[1] = x[1] + c1 * k0[1]
-            target[2] = x[2] + c1 * k0[2]
+            target[0] = x[0] + w0 * k0[0]
+            target[1] = x[1] + w0 * k0[1]
+            target[2] = x[2] + w0 * k0[2]
             return target
         return fallback(owner, system, x, t, dt, out)
     _enter(owner, entry, fallback)

@@ -85,10 +85,9 @@ def make(kernel, ratio, copy, k):
                         p1[0] = u_0 - p0[0]
                         p1[1] = u_1 - p0[1]
                         p1[2] = u_2 - p0[2]
-                        c0, = dt,
-                        p2[0] = c0 * k0_0 - p1[0]
-                        p2[1] = c0 * k0_1 - p1[1]
-                        p2[2] = c0 * k0_2 - p1[2]
+                        p2[0] = dt * k0_0 - p1[0]
+                        p2[1] = dt * k0_1 - p1[1]
+                        p2[2] = dt * k0_2 - p1[2]
                         c1, = -dt,
                         p3[0] = p1[0] + c1 * k6_0 - p2[0]
                         p3[1] = p1[1] + c1 * k6_1 - p2[1]

@@ -68,9 +68,8 @@ def make(kernel, ratio, copy, k):
                             p0[i] = c0 * x[i]
                         for i in range(len(p1)):
                             p1[i] = u[i] - p0[i]
-                        c0, = dt,
                         for i in range(len(p2)):
-                            p2[i] = c0 * k0[i] - p1[i]
+                            p2[i] = dt * k0[i] - p1[i]
                         c1, = -dt,
                         for i in range(len(p3)):
                             p3[i] = p1[i] + c1 * k6[i] - p2[i]

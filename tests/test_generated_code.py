@@ -104,7 +104,7 @@ RAISING_RUNS = {
     "try_step": (lambda: ControlledStepper(CashKarp54()).try_step(raising_on(2), list(X3), 0.0, 0.01),
                  "<odekit trial cash_karp_54 n=3>", "one", "system(u, k1, t + 0.2 * dt)"),
     "do_step-entry": (lambda: two_steps(RungeKutta4(), raising_on(6)),
-                      "<odekit step rk4 n=3>", "entry", "system(u, k1, t + 0.5 * dt)"),
+                      "<odekit step rk4 n=3>", "entry", "system(u, k1, t + w1)"),
     "sampler": (lambda: integrate_const(DenseOutputDopri5(), lorenz, list(X3), 0.0, 1.0, 0.01, observer_raising),
                 "<odekit dense n=3>", "sample", "observer(s, t)"),
     "newton-loop": (lambda: integrate_const(ImplicitEuler(), JacobianSystem(raising_on(3), LORENZ.jacobian),
@@ -141,7 +141,7 @@ def test_inspect_finds_the_source_of_generated_functions():
     entry = stepper.do_step
     assert inspect.getsource(entry).lstrip().startswith("def entry(system, x, t, dt, out=None):")
     bound = stepper._record(x)
-    assert "target[2] = x[2] + c1 * k0[2]" in inspect.getsource(_fixed_code(bound.pieces, False)(*bound.args))
+    assert "target[2] = x[2] + w0 * k0[2]" in inspect.getsource(_fixed_code(bound.pieces, False)(*bound.args))
 
     # Implicit Euler's residual: the ufunc calls of numpy's own kernel, a
     # kernel call where scale_sum is replaced.
@@ -250,6 +250,21 @@ def test_a_golden_make_binds_exactly_the_kernels_its_body_calls():
     assert not wrong, f"{len(wrong)} makes bind other kernels than they call: {', '.join(wrong)}"
 
 
+def test_no_golden_binds_a_name_and_no_explicit_step_binds_a_coefficient():
+    # A coefficient that is already a name is read as it is; an explicit
+    # step reads each product of dt by its name w<i>, bound per width or call.
+    bare, explicit = [], []
+    for path in sorted(set(scenarios.HERE.glob("*.py")) - {scenarios.HERE / "scenarios.py"}):
+        for line in path.read_text().splitlines():
+            bind = re.fullmatch(r" *(?:c\d+, )+= (.*),", line)
+            if bind and any(value.isidentifier() for value in bind[1].split(", ")):
+                bare.append(path.name)
+            if bind and path.name.startswith(("loop-", "step-")) and "implicit_euler" not in path.name:
+                explicit.append(path.name)
+    assert not bare, f"coefficients that are names bound in {', '.join(sorted(set(bare)))}"
+    assert not explicit, f"coefficients bound in {', '.join(sorted(set(explicit)))}"
+
+
 @pytest.mark.parametrize("name", sorted(LAZY_RUNS))
 def test_a_manual_entry_compiled_after_a_driver_run_shows_its_line(name):
     # The first manual call after a driver's run, which builds no dataclass, compiles its entry (the table's
@@ -316,15 +331,16 @@ UNPACK = re.compile(r"^(\w+_\d+, )+= \w+$")
 
 
 def test_eulers_fixed_step_holds_no_local():
-    # x and k0 are each read once, so the step is the subscripted one.
-    (key, head, step), _ = _step_code(EULER, 3)
-    assert step == ("system(x, k0, t)", "c1, = dt * 1.0,", "target[0] = x[0] + c1 * k0[0]",
-                    "target[1] = x[1] + c1 * k0[1]", "target[2] = x[2] + c1 * k0[2]")
-    assert (key, head) == ("euler n=3", ("k0, u = k", "target = x"))
+    # x and k0 are each read once, so the step is the subscripted one; its
+    # one product of dt is named, and bound apart from the step.
+    (key, head, bind, step), _ = _step_code(EULER, 3)
+    assert step == ("system(x, k0, t)", "target[0] = x[0] + w0 * k0[0]",
+                    "target[1] = x[1] + w0 * k0[1]", "target[2] = x[2] + w0 * k0[2]")
+    assert (key, head, bind) == ("euler n=3", ("k0, u = k", "target = x"), ("w0, = dt * 1.0,",))
 
 
 def test_rk4s_fixed_step_reads_x_and_the_stages_once():
-    (_, _, step), _ = _step_code(RK4_CLASSIC, 3)
+    (_, _, _, step), _ = _step_code(RK4_CLASSIC, 3)
     unpacked = [line for line in step if UNPACK.match(line)]
     assert unpacked == ["x_0, x_1, x_2, = x", "k0_0, k0_1, k0_2, = k0", "k1_0, k1_1, k1_2, = k1",
                         "k2_0, k2_1, k2_2, = k2"]

@@ -6,6 +6,8 @@ from collections import UserList
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from odekit import (
     CashKarp54,
@@ -403,6 +405,50 @@ def test_a_state_that_is_not_finite_raises_at_the_first_observation_or_the_end(k
     assert report.system_evaluations == counter.count
     assert seen == ([j * 0.1 for j in range(k)] if observed else [])
     assert k == ((4 if kind == "euler" else 3) if observed else 10)
+
+
+@settings(max_examples=10, deadline=None, database=None)
+@given(step=st.integers(1, 10))
+@pytest.mark.parametrize("box", [list, np.array], ids=["list", "numpy"])
+@pytest.mark.parametrize("kind", ["euler", "rk4", "implicit"])
+def test_an_observer_that_raises_leaves_the_report_of_the_steps_it_saw(kind, box, step):
+    # The observer raises at step `step`, taken: against a loop over
+    # do_step, the state, time, steps and evaluations after it.
+    system, calls = failing_harmonic(0)
+    reference, x, counter = make_fixed(kind), box([1.0, 0.5]), EvaluationCounter(system)
+    for k in range(step):
+        reference.do_step(counter, x, k * 0.1, 0.1)
+    seen = []
+
+    def observer(v, t):
+        seen.append(t)
+        if len(seen) > step:
+            raise SolverError("the observer gives up")
+
+    with pytest.raises(SolverError, match="^the observer gives up$") as info:
+        integrate_const(make_fixed(kind), system, box([1.0, 0.5]), 0.0, 1.0, 0.1, observer)
+    report = info.value.partial_report
+    assert [v.hex() for v in report.final_state] == [v.hex() for v in x]
+    assert (report.final_time, report.steps_accepted, report.steps_rejected) == (step * 0.1, step, 0)
+    assert report.system_evaluations == counter.count == len(calls) - counter.count
+    assert seen == [k * 0.1 for k in range(step + 1)]
+
+
+@pytest.mark.parametrize("box", [list, np.array], ids=["list", "numpy"])
+@pytest.mark.parametrize("kind", ["euler", "rk4", "implicit"])
+def test_a_width_that_stops_moving_t_midway_leaves_the_report_of_the_steps_before(kind, box):
+    # From 1.0, 0.6 ulp moves t by one ulp on step 1, then 1.2 ulp rounds
+    # onto the time reached: step 2 raises before any call, t_next == t.
+    width = 0.6 * math.ulp(1.0)
+    system, calls = failing_harmonic(0)
+    reference, x, counter = make_fixed(kind), box([1.0, 0.5]), EvaluationCounter(system)
+    reference.do_step(counter, x, 1.0, width)
+    with pytest.raises(StepSizeUnderflowError) as info:
+        integrate_const(make_fixed(kind), system, box([1.0, 0.5]), 1.0, 1.0 + 64 * math.ulp(1.0), width)
+    report = info.value.partial_report
+    assert [v.hex() for v in report.final_state] == [v.hex() for v in x]
+    assert (report.final_time, report.steps_accepted) == (1.0 + width, 1)
+    assert report.system_evaluations == counter.count == len(calls) - counter.count
 
 
 @pytest.mark.parametrize("kind", ["override", "own"])

@@ -1303,7 +1303,7 @@ def emitted_norms(form, integer):
     algebra, box = {"numpy": (None, np.array), "numpy kernels": (DelegatingNumpy(), np.array),
                     "sequence": (None, list)}[form]
     bound = ImplicitEuler(algebra)._record(box([1, 2] if integer else [1.0, 2.0]))
-    key, head, step = bound.pieces
+    key, head, _, step = bound.pieces
     assert key == f"implicit_euler {form}"
     names = {"k": bound.args[1]}
     exec(next(line for line in head if line.endswith(" = k")), names)
