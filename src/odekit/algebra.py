@@ -37,6 +37,7 @@ too, is compiled on that call (:func:`_lazy_make`, :func:`_bound`).
 from __future__ import annotations
 
 import linecache
+import math
 from collections import namedtuple
 from functools import cache, lru_cache, partial
 
@@ -51,6 +52,8 @@ MAX_TERMS = 7
 UNROLL = 8
 # A stepper's binding for one state type: manual step (a thunk), inline pieces and their make's args, dense output.
 Bound = namedtuple("Bound", "step pieces args dense", defaults=(None,) * 3)
+# Whether every element of a state is finite: numpy's test on an array, else math.isfinite on each element.
+_finite = lambda x: np.isfinite(x).all() if isinstance(x, np.ndarray) else all(map(math.isfinite, x))
 
 
 class Algebra:
@@ -102,7 +105,7 @@ class Algebra:
 
     def _replaced(self, name):
         """Whether the class or the instance replaced Algebra's method ``name``."""
-        return getattr(self, name) != getattr(Algebra, name).__get__(self)
+        return name in vars(self) or getattr(type(self), name) is not getattr(Algebra, name)
 
     def _kernel(self, k):
         """Unchecked ``scale_sum`` of ``k`` terms, unless absent or replaced."""
@@ -189,9 +192,9 @@ def _each(n, length, row):
 
 
 def _update_lines(n, out, coeffs, terms, at="{}[{}]".format):
-    """Lines writing ``out[i] = c0 * t0[i] + c1 * t1[i] + ...``, added
-    left to right, for the coefficients ``coeffs`` (an expression bound
-    once, a name read as it is) and the term names ``terms``: with ``n``
+    """Lines writing ``out[i] = c0 * t0[i] + c1 * t1[i] + ...``, added left to
+    right, for the coefficients ``coeffs`` (an expression bound once, one name
+    per line, a name read as it is) and the term names ``terms``: with ``n``
     None a call of the kernel ``K<k>`` of the k terms, else inline for
     states of length ``n`` (see :func:`_each`).  Every generated update
     is written here, so every one has the same bits.  Inline, as in the
@@ -211,8 +214,7 @@ def _update_lines(n, out, coeffs, terms, at="{}[{}]".format):
         row, length = (lambda i: out(i, value(i))), f"len({terms[0]})"
     else:
         row, length = (lambda i: f"{out}[{i}] = {value(i)}"), f"len({out})"
-    bind = [f"{', '.join(f'c{j}' for j in c)}, = {', '.join(coeffs[j] for j in c)},"] if c else []
-    return [*bind, *_each(n, length, row)]
+    return [*(f"c{j} = {coeffs[j]}" for j in c), *_each(n, length, row)]
 
 
 def _held(n, code):
@@ -403,7 +405,7 @@ def _initial_copy(owner, x0):
     _refuse_empty(x, "the initial state is empty")
     algebra._check_shapes(x, x0)
     algebra._copy_kernel(x)(x, x0)  # the copy a stepper binds: a replaced copy or scale_sum still runs
-    if not np.isfinite(x).all():
+    if not _finite(x):
         raise ValueError("the initial state is not finite")
     return algebra, x
 

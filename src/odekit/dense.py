@@ -15,16 +15,17 @@ from __future__ import annotations
 import math
 from functools import lru_cache, partial
 
-from .algebra import MAX_TERMS, UNROLL, _bound, _indent, _initial_copy, _lazy_make, _readonly, _update_lines
+from .algebra import MAX_TERMS, UNROLL, _bound, _each, _indent, _initial_copy, _lazy_make, _readonly, _update_lines
 from .algebra import algebra_of
 from .controlled import ControlledStepper
 from .explicit import DormandPrince5, _update
 
 # The interpolant's states, after the controller's own in its scratch.
 _P = ("p0", "p1", "p2", "p3", "p4")
-# The interpolant at theta = (t - t_prev) / h, with omt = 1 - theta,
-# from the state p0 at t_prev and the fitted p1..p4, Horner-ready.
-_ROW = (["1.0", "theta", "theta * omt", "theta * theta * omt", "theta * theta * omt * omt"], _P)
+# The interpolant at theta = (t - t_prev) / h: the state p0 at t_prev and the fitted p1..p4 weighted by the
+# basis terms _BASIS binds, not in Horner form; c4 = c3 * omt is theta * theta * omt * omt, taken left to right.
+_BASIS = ["omt = 1.0 - theta", "c2 = theta * omt", "c3 = theta * theta * omt", "c4 = c3 * omt"]
+_ROW = (["1.0", "theta", "c2", "c3", "c4"], _P)
 
 
 @lru_cache(maxsize=64)
@@ -42,23 +43,22 @@ def _dense_code(tableau, n, paired=False):
     which observes each grid point ``t0 + j*dt`` (``j`` counting up)
     below ``t_end`` and up to ``limit``, interpolated on the step ``[lo,
     hi]`` of width ``h`` at that time or ``hi`` if earlier, and returns
-    the next ``j``.  A snapshot is a tuple built inline from locals up
+    the next ``j``.  A snapshot is one tuple expression on locals up
     to ``UNROLL`` elements, else ``at``'s fresh state made read-only."""
     update, s = partial(_update_lines, n), tableau.stage_count
     fit = lambda at: (*([f"_, {', '.join(f'k{j}' for j in range(1, s))} = trial[2].derivatives"] if paired else []),
-                      *(["copy(p0, x)"] if n is None else update("p0", ["1.0"], ["x"], at)),
-                      *update("p1", ["1.0", "-1.0"], ["u", "p0"], at),
+                      *(["copy(p0, x)"] if n is None else _each(n, "len(x)", lambda i: f"p0[{i}] = {at('x', i)}")),
+                      *update("p1", ["1.0", "-1.0"], ["u", "x"], at),
                       *update("p2", ["dt", "-1.0"], ["k0", "p1"], at),
                       *update("p3", ["1.0", "-dt", "-1.0"], ["p1", f"k{s - 1}", "p2"], at),
                       *_update(tableau, n, "p4", tableau.dense_weights, 0, at))
     unpack, snap = [], ["s = readonly(at(theta, clone(p0)), True)"]
     if n and n <= UNROLL:
         unpack = [f"{''.join(f'{p}_{i}, ' for i in range(n))}= {p}" for p in _P]
-        snap = ["omt = 1.0 - theta", *update(lambda i, v: f"s{i} = {v}", *_ROW, at="{}_{}".format),
-                f"s = {''.join(f's{i}, ' for i in range(n))}"]
+        snap = [*_BASIS, "s = (", *update(lambda i, v: f"    {v},", *_ROW, at="{}_{}".format), ")"]
     return (_P, fit), _lazy_make("clone, readonly, p", [
         f"{', '.join(_P)} = p",
-        "def at(theta, out):", "    omt = 1.0 - theta", *_indent(update("out", *_ROW)), "    return out",
+        "def at(theta, out):", *_indent([*_BASIS, *update("out", *_ROW), "return out"]),
         "def sample(observer, lo, hi, h, t0, dt, j, t_end, limit):",
         *_indent(unpack),
         "    t = t0 + j * dt",

@@ -117,7 +117,7 @@ def _step_code(tableau, n=None):
     it is written inline, and ``owner`` gets its ``do_step`` entry for a
     ``T`` of length ``N`` (``algebra._enter``); ``pieces`` ``(key, head, bind, step)``
     are the entry's whole step, plain code that ``integrate._fixed_code`` runs and counts,
-    ``bind`` the line naming each product of ``dt`` that ``step`` reads.  Zero weights are left
+    ``bind`` a line naming each product of ``dt`` that ``step`` reads.  Zero weights are left
     out, the others are exact floats: the stage loop's bits, read from ``algebra._held``'s locals."""
     tables = {}, {}  # the products of dt that the step and the error read, by text: each named w<i> once
     name, name_e = (lambda product, table=table: table.setdefault(product, f"w{len(table)}") for table in tables)
@@ -125,7 +125,7 @@ def _step_code(tableau, n=None):
     step = ("system(x, k0, t)", *_held(n, lambda at, unpack: [*unpack("x"), *unpack("k0"), *_stages(
         tableau, partial(update, at=at, name=name), unpack, name), *update("target", tableau.b, 1, at, name)]))
     error = () if ew is None else update("xerr", ew, 0, name=name_e)
-    bind, bind_e = ((f"{''.join(f'{w}, ' for w in t.values())}= {', '.join(t)},",) if t else () for t in tables)
+    bind, bind_e = (tuple(f"{w} = {product}" for product, w in t.items()) for t in tables)
     body = ["def advance(system, x, t, dt, target):", *_indent([*bind, *step[1:], "return target"])]
     body += ["error = None"] if ew is None else ["def error(dt, xerr):", *_indent([*bind_e, *error, "return xerr"])]
     body += _entry_lines(n, "system, x, t, dt, out=None", ["target = x if out is None else out"],

@@ -28,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import Bound, _indent, _initial_copy, _make, _readonly
+from .algebra import Bound, _finite, _indent, _initial_copy, _make, _readonly
 from .errors import SolverError, StepSizeUnderflowError
 
 # Grid times within this fraction of a width of the interval end are
@@ -97,7 +97,11 @@ def _start(stepper, x0, t0, t1, dt, observer):
         raise ValueError("step or grid width must be positive")
     x = _initial_copy(stepper, x0)[1]
     if observer is not None:
-        observer(_readonly(x), t0)
+        try:
+            observer(_readonly(x), t0)
+        except SolverError as exc:
+            exc.partial_report = IntegrationReport(x, t0, 0, 0, 0)
+            raise
     return x, t0, t1, dt
 
 
@@ -143,8 +147,7 @@ def _run_code(args, signature, head, loop, partial, final, key, tail=(), end=())
         *(["    finally:", *_indent(tail, 2)] if tail else []), *_indent(end), f"    return {report(final)}",
     ], signature[:signature.index("(")], key, IntegrationReport=IntegrationReport, SolverError=SolverError,
         StepSizeUnderflowError=StepSizeUnderflowError, isfinite=math.isfinite, nextafter=math.nextafter,
-        EvaluationCounter=EvaluationCounter, finite=lambda x: np.isfinite(x).all() if isinstance(x, np.ndarray)
-        else all(map(math.isfinite, x)))
+        EvaluationCounter=EvaluationCounter, finite=_finite)
 
 
 @lru_cache(maxsize=64)

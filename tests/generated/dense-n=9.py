@@ -2,7 +2,9 @@ def make(kernel, clone, readonly, p):
     p0, p1, p2, p3, p4 = p
     def at(theta, out):
         omt = 1.0 - theta
-        c2, c3, c4, = theta * omt, theta * theta * omt, theta * theta * omt * omt,
+        c2 = theta * omt
+        c3 = theta * theta * omt
+        c4 = c3 * omt
         for i in range(len(out)):
             out[i] = p0[i] + theta * p1[i] + c2 * p2[i] + c3 * p3[i] + c4 * p4[i]
         return out

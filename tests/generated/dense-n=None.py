@@ -3,7 +3,10 @@ def make(kernel, clone, readonly, p):
     p0, p1, p2, p3, p4 = p
     def at(theta, out):
         omt = 1.0 - theta
-        K5(out, (1.0, theta, theta * omt, theta * theta * omt, theta * theta * omt * omt,), (p0, p1, p2, p3, p4,))
+        c2 = theta * omt
+        c3 = theta * theta * omt
+        c4 = c3 * omt
+        K5(out, (1.0, theta, c2, c3, c4,), (p0, p1, p2, p3, p4,))
         return out
     def sample(observer, lo, hi, h, t0, dt, j, t_end, limit):
         t = t0 + j * dt

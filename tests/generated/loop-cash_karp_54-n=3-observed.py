@@ -4,12 +4,58 @@ def make(kernel, k):
         k0, k1, k2, k3, k4, k5, u = k
         target = x
         t0, dt = t, width
-        w0, w1, w2, w3, w4, w5, w6, w7, w8, w9, w10, w11, w12, w13, w14, w15, w16, w17, w18, w19, w20, w21, w22, w23, = dt * 0.2, 0.2 * dt, dt * 0.075, dt * 0.225, 0.3 * dt, dt * 0.3, dt * -0.9, dt * 1.2, 0.6 * dt, dt * -0.2037037037037037, dt * 2.5, dt * -2.5925925925925926, dt * 1.2962962962962963, 1.0 * dt, dt * 0.029495804398148147, dt * 0.341796875, dt * 0.041594328703703706, dt * 0.40034541377314814, dt * 0.061767578125, 0.875 * dt, dt * 0.09788359788359788, dt * 0.4025764895330113, dt * 0.21043771043771045, dt * 0.2891022021456804,
+        w0 = dt * 0.2
+        w1 = 0.2 * dt
+        w2 = dt * 0.075
+        w3 = dt * 0.225
+        w4 = 0.3 * dt
+        w5 = dt * 0.3
+        w6 = dt * -0.9
+        w7 = dt * 1.2
+        w8 = 0.6 * dt
+        w9 = dt * -0.2037037037037037
+        w10 = dt * 2.5
+        w11 = dt * -2.5925925925925926
+        w12 = dt * 1.2962962962962963
+        w13 = 1.0 * dt
+        w14 = dt * 0.029495804398148147
+        w15 = dt * 0.341796875
+        w16 = dt * 0.041594328703703706
+        w17 = dt * 0.40034541377314814
+        w18 = dt * 0.061767578125
+        w19 = 0.875 * dt
+        w20 = dt * 0.09788359788359788
+        w21 = dt * 0.4025764895330113
+        w22 = dt * 0.21043771043771045
+        w23 = dt * 0.2891022021456804
         try:
             for j in range(1, steps + 1):
                 if j == steps:
                     t_next, dt = t_last, dt_last
-                    w0, w1, w2, w3, w4, w5, w6, w7, w8, w9, w10, w11, w12, w13, w14, w15, w16, w17, w18, w19, w20, w21, w22, w23, = dt * 0.2, 0.2 * dt, dt * 0.075, dt * 0.225, 0.3 * dt, dt * 0.3, dt * -0.9, dt * 1.2, 0.6 * dt, dt * -0.2037037037037037, dt * 2.5, dt * -2.5925925925925926, dt * 1.2962962962962963, 1.0 * dt, dt * 0.029495804398148147, dt * 0.341796875, dt * 0.041594328703703706, dt * 0.40034541377314814, dt * 0.061767578125, 0.875 * dt, dt * 0.09788359788359788, dt * 0.4025764895330113, dt * 0.21043771043771045, dt * 0.2891022021456804,
+                    w0 = dt * 0.2
+                    w1 = 0.2 * dt
+                    w2 = dt * 0.075
+                    w3 = dt * 0.225
+                    w4 = 0.3 * dt
+                    w5 = dt * 0.3
+                    w6 = dt * -0.9
+                    w7 = dt * 1.2
+                    w8 = 0.6 * dt
+                    w9 = dt * -0.2037037037037037
+                    w10 = dt * 2.5
+                    w11 = dt * -2.5925925925925926
+                    w12 = dt * 1.2962962962962963
+                    w13 = 1.0 * dt
+                    w14 = dt * 0.029495804398148147
+                    w15 = dt * 0.341796875
+                    w16 = dt * 0.041594328703703706
+                    w17 = dt * 0.40034541377314814
+                    w18 = dt * 0.061767578125
+                    w19 = 0.875 * dt
+                    w20 = dt * 0.09788359788359788
+                    w21 = dt * 0.4025764895330113
+                    w22 = dt * 0.21043771043771045
+                    w23 = dt * 0.2891022021456804
                 else:
                     t_next = t0 + j * width
                 if t_next <= t:  # a width too small to move t

@@ -4,12 +4,12 @@ def make(kernel, k):
         k0, u = k
         target = x
         t0, dt = t, width
-        w0, = dt * 1.0,
+        w0 = dt * 1.0
         try:
             for j in range(1, steps + 1):
                 if j == steps:
                     t_next, dt = t_last, dt_last
-                    w0, = dt * 1.0,
+                    w0 = dt * 1.0
                 else:
                     t_next = t0 + j * width
                 if t_next <= t:  # a width too small to move t

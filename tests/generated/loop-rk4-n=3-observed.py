@@ -4,12 +4,22 @@ def make(kernel, k):
         k0, k1, k2, k3, u = k
         target = x
         t0, dt = t, width
-        w0, w1, w2, w3, w4, w5, = dt * 0.5, 0.5 * dt, dt * 1.0, 1.0 * dt, dt * 0.16666666666666666, dt * 0.3333333333333333,
+        w0 = dt * 0.5
+        w1 = 0.5 * dt
+        w2 = dt * 1.0
+        w3 = 1.0 * dt
+        w4 = dt * 0.16666666666666666
+        w5 = dt * 0.3333333333333333
         try:
             for j in range(1, steps + 1):
                 if j == steps:
                     t_next, dt = t_last, dt_last
-                    w0, w1, w2, w3, w4, w5, = dt * 0.5, 0.5 * dt, dt * 1.0, 1.0 * dt, dt * 0.16666666666666666, dt * 0.3333333333333333,
+                    w0 = dt * 0.5
+                    w1 = 0.5 * dt
+                    w2 = dt * 1.0
+                    w3 = 1.0 * dt
+                    w4 = dt * 0.16666666666666666
+                    w5 = dt * 0.3333333333333333
                 else:
                     t_next = t0 + j * width
                 if t_next <= t:  # a width too small to move t

@@ -1,6 +1,8 @@
 def scale_sum(out, coeffs, terms):
     t0, t1, t2, = terms
-    c0, c1, c2, = coeffs[0], coeffs[1], coeffs[2],
+    c0 = coeffs[0]
+    c1 = coeffs[1]
+    c2 = coeffs[2]
     for i in range(len(out)):
         out[i] = c0 * t0[i] + c1 * t1[i] + c2 * t2[i]
     return out

@@ -1,7 +1,31 @@
 def make(kernel, k, owner, T, N):
     k0, k1, k2, k3, k4, k5, k6, u = k
     def advance(system, x, t, dt, target):
-        w0, w1, w2, w3, w4, w5, w6, w7, w8, w9, w10, w11, w12, w13, w14, w15, w16, w17, w18, w19, w20, w21, w22, w23, w24, = dt * 0.2, 0.2 * dt, dt * 0.075, dt * 0.225, 0.3 * dt, dt * 0.9777777777777777, dt * -3.7333333333333334, dt * 3.5555555555555554, 0.8 * dt, dt * 2.9525986892242035, dt * -11.595793324188385, dt * 9.822892851699436, dt * -0.2908093278463649, 0.8888888888888888 * dt, dt * 2.8462752525252526, dt * -10.757575757575758, dt * 8.906422717743473, dt * 0.2784090909090909, dt * -0.2735313036020583, 1.0 * dt, dt * 0.09114583333333333, dt * 0.44923629829290207, dt * 0.6510416666666666, dt * -0.322376179245283, dt * 0.13095238095238096,
+        w0 = dt * 0.2
+        w1 = 0.2 * dt
+        w2 = dt * 0.075
+        w3 = dt * 0.225
+        w4 = 0.3 * dt
+        w5 = dt * 0.9777777777777777
+        w6 = dt * -3.7333333333333334
+        w7 = dt * 3.5555555555555554
+        w8 = 0.8 * dt
+        w9 = dt * 2.9525986892242035
+        w10 = dt * -11.595793324188385
+        w11 = dt * 9.822892851699436
+        w12 = dt * -0.2908093278463649
+        w13 = 0.8888888888888888 * dt
+        w14 = dt * 2.8462752525252526
+        w15 = dt * -10.757575757575758
+        w16 = dt * 8.906422717743473
+        w17 = dt * 0.2784090909090909
+        w18 = dt * -0.2735313036020583
+        w19 = 1.0 * dt
+        w20 = dt * 0.09114583333333333
+        w21 = dt * 0.44923629829290207
+        w22 = dt * 0.6510416666666666
+        w23 = dt * -0.322376179245283
+        w24 = dt * 0.13095238095238096
         for i in range(len(u)):
             u[i] = x[i] + w0 * k0[i]
         system(u, k1, t + w1)
@@ -21,14 +45,43 @@ def make(kernel, k, owner, T, N):
             target[i] = x[i] + w20 * k0[i] + w21 * k2[i] + w22 * k3[i] + w23 * k4[i] + w24 * k5[i]
         return target
     def error(dt, xerr):
-        w0, w1, w2, w3, w4, w5, = dt * 0.0012326388888888873, dt * -0.004252770290506136, dt * 0.036979166666666674, dt * -0.05086379716981132, dt * 0.04190476190476192, dt * -0.025,
+        w0 = dt * 0.0012326388888888873
+        w1 = dt * -0.004252770290506136
+        w2 = dt * 0.036979166666666674
+        w3 = dt * -0.05086379716981132
+        w4 = dt * 0.04190476190476192
+        w5 = dt * -0.025
         for i in range(len(xerr)):
             xerr[i] = w0 * k0[i] + w1 * k2[i] + w2 * k3[i] + w3 * k4[i] + w4 * k5[i] + w5 * k6[i]
         return xerr
     def entry(system, x, t, dt, out=None):
         target = x if out is None else out
         if type(x) is T and len(x) == len(target) == N:
-            w0, w1, w2, w3, w4, w5, w6, w7, w8, w9, w10, w11, w12, w13, w14, w15, w16, w17, w18, w19, w20, w21, w22, w23, w24, = dt * 0.2, 0.2 * dt, dt * 0.075, dt * 0.225, 0.3 * dt, dt * 0.9777777777777777, dt * -3.7333333333333334, dt * 3.5555555555555554, 0.8 * dt, dt * 2.9525986892242035, dt * -11.595793324188385, dt * 9.822892851699436, dt * -0.2908093278463649, 0.8888888888888888 * dt, dt * 2.8462752525252526, dt * -10.757575757575758, dt * 8.906422717743473, dt * 0.2784090909090909, dt * -0.2735313036020583, 1.0 * dt, dt * 0.09114583333333333, dt * 0.44923629829290207, dt * 0.6510416666666666, dt * -0.322376179245283, dt * 0.13095238095238096,
+            w0 = dt * 0.2
+            w1 = 0.2 * dt
+            w2 = dt * 0.075
+            w3 = dt * 0.225
+            w4 = 0.3 * dt
+            w5 = dt * 0.9777777777777777
+            w6 = dt * -3.7333333333333334
+            w7 = dt * 3.5555555555555554
+            w8 = 0.8 * dt
+            w9 = dt * 2.9525986892242035
+            w10 = dt * -11.595793324188385
+            w11 = dt * 9.822892851699436
+            w12 = dt * -0.2908093278463649
+            w13 = 0.8888888888888888 * dt
+            w14 = dt * 2.8462752525252526
+            w15 = dt * -10.757575757575758
+            w16 = dt * 8.906422717743473
+            w17 = dt * 0.2784090909090909
+            w18 = dt * -0.2735313036020583
+            w19 = 1.0 * dt
+            w20 = dt * 0.09114583333333333
+            w21 = dt * 0.44923629829290207
+            w22 = dt * 0.6510416666666666
+            w23 = dt * -0.322376179245283
+            w24 = dt * 0.13095238095238096
             system(x, k0, t)
             for i in range(len(u)):
                 u[i] = x[i] + w0 * k0[i]

@@ -1,7 +1,7 @@
 def make(kernel, k, owner, T, N):
     k0, u = k
     def advance(system, x, t, dt, target):
-        w0, = dt * 1.0,
+        w0 = dt * 1.0
         target[0] = x[0] + w0 * k0[0]
         target[1] = x[1] + w0 * k0[1]
         return target
@@ -9,7 +9,7 @@ def make(kernel, k, owner, T, N):
     def entry(system, x, t, dt, out=None):
         target = x if out is None else out
         if type(x) is T and len(x) == len(target) == N:
-            w0, = dt * 1.0,
+            w0 = dt * 1.0
             system(x, k0, t)
             target[0] = x[0] + w0 * k0[0]
             target[1] = x[1] + w0 * k0[1]

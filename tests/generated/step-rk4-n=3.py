@@ -1,7 +1,12 @@
 def make(kernel, k, owner, T, N):
     k0, k1, k2, k3, u = k
     def advance(system, x, t, dt, target):
-        w0, w1, w2, w3, w4, w5, = dt * 0.5, 0.5 * dt, dt * 1.0, 1.0 * dt, dt * 0.16666666666666666, dt * 0.3333333333333333,
+        w0 = dt * 0.5
+        w1 = 0.5 * dt
+        w2 = dt * 1.0
+        w3 = 1.0 * dt
+        w4 = dt * 0.16666666666666666
+        w5 = dt * 0.3333333333333333
         x_0, x_1, x_2, = x
         k0_0, k0_1, k0_2, = k0
         u[0] = x_0 + w0 * k0_0
@@ -26,7 +31,12 @@ def make(kernel, k, owner, T, N):
     def entry(system, x, t, dt, out=None):
         target = x if out is None else out
         if type(x) is T and len(x) == len(target) == N:
-            w0, w1, w2, w3, w4, w5, = dt * 0.5, 0.5 * dt, dt * 1.0, 1.0 * dt, dt * 0.16666666666666666, dt * 0.3333333333333333,
+            w0 = dt * 0.5
+            w1 = 0.5 * dt
+            w2 = dt * 1.0
+            w3 = 1.0 * dt
+            w4 = dt * 0.16666666666666666
+            w5 = dt * 0.3333333333333333
             system(x, k0, t)
             x_0, x_1, x_2, = x
             k0_0, k0_1, k0_2, = k0

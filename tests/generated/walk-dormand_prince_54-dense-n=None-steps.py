@@ -49,7 +49,7 @@ def make(kernel, ratio, copy, k):
                     if worst <= 1.0:
                         t_new = target if clamped else t + dt
                         copy(p0, x)
-                        K2(p1, (1.0, -1.0,), (u, p0,))
+                        K2(p1, (1.0, -1.0,), (u, x,))
                         K2(p2, (dt, -1.0,), (k0, p1,))
                         K3(p3, (1.0, -dt, -1.0,), (p1, k6, p2,))
                         K6(p4, (dt * -1.1270175653862835, dt * 2.675424484351598, dt * -5.685526961588504, dt * 3.5219323679207912, dt * -1.7672812570757455, dt * 2.382468931778144,), (k0, k2, k3, k4, k5, k6,))

@@ -1,11 +1,14 @@
 """Algebra layer: fused scale_sum, norms, allocation, backend parity."""
 
+import math
+from collections import UserList
+
 import numpy as np
 import pytest
 
-from odekit import DimensionError, algebra_for
+from odekit import HARMONIC, DimensionError, RungeKutta4, algebra_for, integrate_const
 from odekit.algebra import (
-    MAX_TERMS, NUMPY_ALGEBRA, SEQUENCE_ALGEBRA, Algebra, NumpyAlgebra, SequenceAlgebra, _initial_copy,
+    MAX_TERMS, NUMPY_ALGEBRA, SEQUENCE_ALGEBRA, Algebra, NumpyAlgebra, SequenceAlgebra, _finite, _initial_copy,
 )
 
 ALGEBRAS = [NUMPY_ALGEBRA, SEQUENCE_ALGEBRA]
@@ -140,6 +143,31 @@ def test_a_runs_initial_copy_is_the_copy_a_stepper_binds(shipped, values, replac
     assert type(algebra) is Replacing and calls == ([replaced] if replaced else [])
     assert type(x) is type(expected) and [float(v).hex() for v in x] == [float(v).hex() for v in expected]
     assert all(type(v) is float for v in x) if base is SequenceAlgebra else x.dtype == np.float64
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan], ids=["inf", "nan"])
+@pytest.mark.parametrize("box", [list, UserList, np.array], ids=["list", "UserList", "numpy"])
+def test_a_non_finite_initial_state_is_refused_by_one_rule(box, bad, monkeypatch):
+    # numpy's test on an array, math.isfinite on each element of any other state: a sequence's takes no numpy call.
+    if box is not np.array:
+        monkeypatch.setattr(np, "isfinite", None)
+    assert _finite(box([1.0, -2.0])) and not _finite(box([1.0, bad]))
+    with pytest.raises(ValueError, match="^the initial state is not finite$"):
+        _initial_copy(RungeKutta4(), box([1.0, bad, 2.0]))
+
+
+@pytest.mark.parametrize("name", ["scale_sum", "copy"])
+@pytest.mark.parametrize("base", [SequenceAlgebra, NumpyAlgebra])
+def test_a_method_set_on_the_instance_after_a_run_takes_effect_at_the_next_bind(base, name):
+    algebra, calls = base(), []
+    x0 = [1.0, 0.5] if base is SequenceAlgebra else np.array([1.0, 0.5])
+    first = integrate_const(RungeKutta4(algebra), HARMONIC, x0, 0.0, 0.3, 0.1).final_state
+    assert not algebra._replaced(name)
+    method = getattr(algebra, name)
+    setattr(algebra, name, lambda *args: calls.append(name) or method(*args))
+    assert algebra._replaced(name) and not algebra._replaced("error_ratio_max")
+    again = integrate_const(RungeKutta4(algebra), HARMONIC, x0, 0.0, 0.3, 0.1).final_state
+    assert calls and [v.hex() for v in again] == [v.hex() for v in first]
 
 
 @pytest.mark.parametrize("algebra", ALGEBRAS)

@@ -16,7 +16,7 @@ from odekit import (
     HARMONIC,
     integrate_adaptive,
 )
-from odekit.algebra import MAX_TERMS, NumpyAlgebra, SequenceAlgebra
+from odekit.algebra import MAX_TERMS, UNROLL, NumpyAlgebra, SequenceAlgebra
 from odekit.tableaus import DORMAND_PRINCE_54, ButcherTableau
 
 
@@ -238,6 +238,28 @@ def test_interior_interpolation_order():
         widths.append(t_cur - t_prev)
     slope = np.polyfit(np.log(widths), np.log(errs), 1)[0]
     assert slope >= 3.5
+
+
+@pytest.mark.parametrize("n", [3, UNROLL + 1])
+@pytest.mark.parametrize("box", [list, np.array], ids=["list", "numpy"])
+def test_grid_samples_and_the_interpolant_take_the_quartic_term_by_term(box, n):
+    # p0 + theta*p1 + theta*omt*p2 + theta*theta*omt*p3 + theta*theta*omt*omt*p4 with omt = 1 - theta, every
+    # product and sum taken left to right, bit for bit (Hairer, Norsett, Wanner, Solving ODEs I, II.6).
+    stepper = DenseOutputDopri5()
+    stepper.initialize(box([1.0] * n), 0.0, 0.01)
+    stepper.do_step(zero_rhs)
+    _, buffers, _, bound = stepper._scratch[1]
+    p = buffers[-5:]
+    for k, state in enumerate(p):  # each state 1000 times the last, so a basis term rounded otherwise shows
+        for i in range(n):
+            state[i] = math.pi * (k + 1) / (i + 3) * 1e3 ** k
+    at, sample = bound.dense()
+    seen, thetas = [], [j * 0.03 for j in range(34)]  # the grid times t0 + j*dt on [0, 1]: theta is t
+    assert sample(lambda s, t: seen.append([float(v).hex() for v in s]), 0.0, 1.0, 1.0, 0.0, 0.03, 0, 1.0, 1.0) == 34
+    expected = [[(p[0][i] + th * p[1][i] + th * (1.0 - th) * p[2][i] + th * th * (1.0 - th) * p[3][i]
+                  + th * th * (1.0 - th) * (1.0 - th) * p[4][i]).hex() for i in range(n)] for th in thetas]
+    assert seen == expected
+    assert [[float(v).hex() for v in at(th, box([0.0] * n))] for th in thetas] == expected
 
 
 def test_calc_state_outside_interval_rejected():

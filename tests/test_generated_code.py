@@ -251,16 +251,23 @@ def test_a_golden_make_binds_exactly_the_kernels_its_body_calls():
 
 
 def test_no_golden_binds_a_name_and_no_explicit_step_binds_a_coefficient():
-    # A coefficient that is already a name is read as it is; an explicit
-    # step reads each product of dt by its name w<i>, bound per width or call.
-    bare, explicit = [], []
+    # Each coefficient c<j> and product w<i> is bound on a line of its own, never
+    # in a tuple; a coefficient that is already a name is read as it is; an
+    # explicit step reads each product of dt by its name w<i>, bound per width or call.
+    binds, bare, explicit, tupled = 0, [], [], []
     for path in sorted(set(scenarios.HERE.glob("*.py")) - {scenarios.HERE / "scenarios.py"}):
+        stepping = path.name.startswith(("loop-", "step-")) and "implicit_euler" not in path.name
         for line in path.read_text().splitlines():
-            bind = re.fullmatch(r" *(?:c\d+, )+= (.*),", line)
-            if bind and any(value.isidentifier() for value in bind[1].split(", ")):
+            if re.match(r" *(?:[cw]\d+, )+(?:[cw]\d+)?=", line):
+                tupled.append(path.name)
+            bind = re.fullmatch(r" *([cw])\d+ = (.*)", line)
+            binds += bool(bind)
+            if bind and bind[2].isidentifier():
                 bare.append(path.name)
-            if bind and path.name.startswith(("loop-", "step-")) and "implicit_euler" not in path.name:
+            if bind and bind[1] == "c" and stepping:
                 explicit.append(path.name)
+    assert binds > 100
+    assert not tupled, f"coefficients bound in a tuple in {', '.join(sorted(set(tupled)))}"
     assert not bare, f"coefficients that are names bound in {', '.join(sorted(set(bare)))}"
     assert not explicit, f"coefficients bound in {', '.join(sorted(set(explicit)))}"
 
@@ -336,7 +343,7 @@ def test_eulers_fixed_step_holds_no_local():
     (key, head, bind, step), _ = _step_code(EULER, 3)
     assert step == ("system(x, k0, t)", "target[0] = x[0] + w0 * k0[0]",
                     "target[1] = x[1] + w0 * k0[1]", "target[2] = x[2] + w0 * k0[2]")
-    assert (key, head, bind) == ("euler n=3", ("k0, u = k", "target = x"), ("w0, = dt * 1.0,",))
+    assert (key, head, bind) == ("euler n=3", ("k0, u = k", "target = x"), ("w0 = dt * 1.0",))
 
 
 def test_rk4s_fixed_step_reads_x_and_the_stages_once():

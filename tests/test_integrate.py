@@ -434,6 +434,33 @@ def test_an_observer_that_raises_leaves_the_report_of_the_steps_it_saw(kind, box
     assert seen == [k * 0.1 for k in range(step + 1)]
 
 
+START_RAISING = {
+    "rk4 const": (RungeKutta4, integrate_const),
+    "implicit const": (ImplicitEuler, integrate_const),
+    "dp5 const": (lambda: ControlledStepper(DormandPrince5()), integrate_const),
+    "dense const": (DenseOutputDopri5, integrate_const),
+    "dp5 adaptive": (lambda: ControlledStepper(DormandPrince5()), integrate_adaptive),
+    "dense adaptive": (DenseOutputDopri5, integrate_adaptive),
+}
+
+
+@pytest.mark.parametrize("box", [list, np.array], ids=["list", "numpy"])
+@pytest.mark.parametrize("path", list(START_RAISING))
+def test_an_observer_that_raises_at_the_start_leaves_an_empty_report(path, box):
+    # The first observation, at t0, comes before any step or evaluation.
+    make, run = START_RAISING[path]
+    system, calls = failing_harmonic(0)
+
+    def observer(v, t):
+        raise SolverError("the observer gives up")
+
+    with pytest.raises(SolverError, match="^the observer gives up$") as info:
+        run(make(), system, box([1.0, 0.5]), 0.25, 1.0, 0.1, observer)
+    report = info.value.partial_report
+    assert [float(v) for v in report.final_state] == [1.0, 0.5]
+    assert tuple(report)[1:] == (0.25, 0, 0, 0) and calls == []
+
+
 @pytest.mark.parametrize("box", [list, np.array], ids=["list", "numpy"])
 @pytest.mark.parametrize("kind", ["euler", "rk4", "implicit"])
 def test_a_width_that_stops_moving_t_midway_leaves_the_report_of_the_steps_before(kind, box):
