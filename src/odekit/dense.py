@@ -1,8 +1,8 @@
 """Dense output stepping: adapt freely, interpolate anywhere.
 
 ``DenseOutputDopri5`` is a :class:`ControlledStepper` whose trial, on
-acceptance, also fits the quartic continuous extension its pair's
-tableau carries over the step just taken, so ``calc_state``
+acceptance, also fits the cubic Hermite interpolant (plus its tableau's
+quartic term, if any) over the step just taken, so ``calc_state``
 evaluates the trajectory inside that step at no system evaluations.
 On a grid, :func:`integrate_const` hands each accepted step to a
 sampler, which observes every grid point inside it at once.  The fit,
@@ -36,7 +36,8 @@ def _dense_code(tableau, n, paired=False):
     ``p1``..``p4`` from it, the new state ``u``, the stage derivatives
     ``k0``, ``k1``, ... (a ``paired`` user's pair's from its record), the
     last at ``u``, and the width ``dt``, ``p4`` by ``tableau``'s dense
-    weights; the controller's generated trial runs them on acceptance.
+    weights, else left zero; the controller's generated trial runs them
+    on acceptance.
     ``make()``, compiled on its first call only, binds the states ``p``:
     ``make()(kernel, clone, readonly, p)`` returns the interpolant
     ``at(theta, out)`` and ``sample(observer, lo, hi, h, t0, dt, j, t_end, limit)``,
@@ -45,13 +46,13 @@ def _dense_code(tableau, n, paired=False):
     hi]`` of width ``h`` at that time or ``hi`` if earlier, and returns
     the next ``j``.  A snapshot is one tuple expression on locals up
     to ``UNROLL`` elements, else ``at``'s fresh state made read-only."""
-    update, s = partial(_update_lines, n), tableau.stage_count
+    update, s, w = partial(_update_lines, n), tableau.stage_count, tableau.dense_weights
     fit = lambda at: (*([f"_, {', '.join(f'k{j}' for j in range(1, s))} = trial[2].derivatives"] if paired else []),
                       *(["copy(p0, x)"] if n is None else _each(n, "len(x)", lambda i: f"p0[{i}] = {at('x', i)}")),
                       *update("p1", ["1.0", "-1.0"], ["u", "x"], at),
                       *update("p2", ["dt", "-1.0"], ["k0", "p1"], at),
                       *update("p3", ["1.0", "-dt", "-1.0"], ["p1", f"k{s - 1}", "p2"], at),
-                      *_update(tableau, n, "p4", tableau.dense_weights, 0, at))
+                      *(_update(tableau, n, "p4", w, 0, at) if any(w or ()) else ()))
     unpack, snap = [], ["s = readonly(at(theta, clone(p0)), True)"]
     if n and n <= UNROLL:
         unpack = [f"{''.join(f'{p}_{i}, ' for i in range(n))}= {p}" for p in _P]
@@ -80,15 +81,15 @@ class DenseOutputDopri5(ControlledStepper):
     first width proposal and then call ``do_step``, which retries until
     a trial is accepted.  After each accepted trial ``calc_state``
     answers for any time inside the step just taken, at no system
-    evaluations; the quartic interpolant reproduces both interval ends
-    to rounding accuracy.  Any new trial discards it, so
-    ``calc_state`` raises until the next acceptance.
+    evaluations; the interpolant reproduces both interval ends to
+    rounding accuracy.  Any new trial discards it, so ``calc_state``
+    raises until the next acceptance.
 
     Each trial is :class:`ControlledStepper`'s with the fit run inside
-    it on acceptance (see :func:`_dense_code`).  ``stepper`` takes only
-    a first-same-as-last pair whose tableau carries dense weights, the
-    interpolant's by stage: a pair of the user's hands over the stages
-    after the first in its :class:`StageRecord`.
+    it on acceptance (see :func:`_dense_code`).  ``stepper`` takes any
+    first-same-as-last pair with a tableau, quartic with its dense
+    weights and cubic Hermite without: a pair of the user's hands over
+    the stages after the first in its :class:`StageRecord`.
 
     Parameters
     ----------
@@ -107,12 +108,11 @@ class DenseOutputDopri5(ControlledStepper):
     @ControlledStepper.stepper.setter
     def stepper(self, stepper):
         tableau = getattr(stepper, "tableau", None)
-        if getattr(tableau, "dense_weights", None) is None or not tableau.is_fsal:
-            raise TypeError(f"dense output needs a first-same-as-last pair whose tableau carries dense weights,"
-                            f" not {type(stepper).__name__}")
-        if not 1 <= sum(w != 0.0 for w in tableau.dense_weights) <= MAX_TERMS:
-            raise ValueError(f"{tableau.name}: dense weights {tableau.dense_weights} must have 1..{MAX_TERMS} nonzero"
-                             " entries, the interpolant's quartic term is one update")
+        if not getattr(tableau, "is_fsal", False):
+            raise TypeError(f"dense output needs a first-same-as-last tableau, not {type(stepper).__name__}")
+        if sum(w != 0.0 for w in tableau.dense_weights or ()) > MAX_TERMS:
+            raise ValueError(f"{tableau.name}: dense weights {tableau.dense_weights} must have at most {MAX_TERMS}"
+                             " nonzero entries, the interpolant's quartic term is one update")
         ControlledStepper.stepper.fset(self, stepper)
 
     def _count(self, algebra, x):

@@ -89,7 +89,7 @@ def _kick_drift(n):
     explicit steppers' is: ``make()(kernel, buf, owner, T, N)`` returns
     ``step(system, state, dt, target)``, and inline gives ``owner`` a
     ``do_step`` entry for pairs of ``T`` of length ``N``."""
-    unpack = ["q, p, qn, pn = state.q, state.p, target.q, target.p"]
+    unpack = ["q = state.q", "p = state.p", "qn = target.q", "pn = target.p"]
     step = ["system.dpdt(q, buf)", *_update_lines(n, "pn", ["1.0", "dt"], ["p", "buf"]),
             "system.dqdt(pn, buf)", *_update_lines(n, "qn", ["1.0", "dt"], ["q", "buf"]), "return target"]
     return _lazy_make("buf, owner, T, N", [

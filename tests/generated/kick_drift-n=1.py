@@ -1,6 +1,9 @@
 def make(kernel, buf, owner, T, N):
     def step(system, state, dt, target):
-        q, p, qn, pn = state.q, state.p, target.q, target.p
+        q = state.q
+        p = state.p
+        qn = target.q
+        pn = target.p
         system.dpdt(q, buf)
         pn[0] = p[0] + dt * buf[0]
         system.dqdt(pn, buf)

@@ -29,6 +29,8 @@ from odekit import (HARMONIC, CashKarp54, ControlledStepper, DenseOutputDopri5, 
                     ImplicitEuler, JacobianSystem, PairState, RungeKutta4, SolverError, SymplecticEuler,
                     harmonic_separable, integrate_adaptive, integrate_const)
 from odekit.algebra import UNROLL, NumpyAlgebra, SequenceAlgebra
+from odekit.explicit import EmbeddedRungeKutta
+from odekit.tableaus import ButcherTableau
 
 
 # A linear ring of any length, with the Jacobian implicit Euler needs.
@@ -63,6 +65,18 @@ class Replaced(SequenceAlgebra):
 class NumpyReplaced(NumpyAlgebra):
     def scale_sum(self, out, coeffs, terms):
         return NumpyAlgebra.scale_sum(self, out, coeffs, terms)
+
+
+# Bogacki and Shampine's 3(2) pair, first-same-as-last with no dense weights: dense output fits the cubic Hermite.
+BOGACKI_SHAMPINE_32 = ButcherTableau("bogacki_shampine_32", [(1 / 2,), (0.0, 3 / 4), (2 / 9, 1 / 3, 4 / 9)],
+                                     (2 / 9, 1 / 3, 4 / 9, 0.0), (0.0, 1 / 2, 3 / 4, 1.0), 3,
+                                     (7 / 24, 1 / 4, 1 / 3, 1 / 8), 2)
+
+
+def hermite():
+    dense = DenseOutputDopri5()
+    dense.stepper = EmbeddedRungeKutta(BOGACKI_SHAMPINE_32)
+    return dense
 
 
 RING, POISONED = JacobianSystem(ring, ring_jacobian), JacobianSystem(poisoned, ring_jacobian)
@@ -288,6 +302,9 @@ SCENARIOS = {
     "dense numpy adaptive observed": (
         "integrate_adaptive(DenseOutputDopri5(), RING, np.array(short()), 0.0, 0.05, 0.01, seen)",
         "walk dormand_prince_54 dense n=None steps"),
+    "hermite list-3 const observed": (
+        "integrate_const(hermite(), RING, short(), 0.0, 0.05, 0.01, seen)",
+        "copy n=3", "dense n=3", "walk bogacki_shampine_32 dense n=3 samples"),
     "euler list-3 do_step": (
         "ExplicitEuler().do_step(RING, short(), 0.0, 0.01)",
         "copy n=3", "step euler n=3"),

@@ -1,11 +1,14 @@
-"""Dense output for Dormand-Prince: interval bookkeeping and the
-continuous extension built from the stored stages."""
+"""Dense output: interval bookkeeping, Dormand-Prince's quartic
+continuous extension built from the stored stages, and the cubic
+Hermite fit of a first-same-as-last pair without dense weights."""
 
 import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from odekit import (
     CashKarp54,
@@ -14,10 +17,28 @@ from odekit import (
     DormandPrince5,
     EvaluationCounter,
     HARMONIC,
+    SymplecticEuler,
+    fit_order,
     integrate_adaptive,
+    integrate_const,
 )
 from odekit.algebra import MAX_TERMS, UNROLL, NumpyAlgebra, SequenceAlgebra
+from odekit.explicit import EmbeddedRungeKutta
 from odekit.tableaus import DORMAND_PRINCE_54, ButcherTableau
+
+# Bogacki and Shampine's 3(2) pair, first-same-as-last with no dense weights.
+BOGACKI_SHAMPINE_32 = ButcherTableau("bogacki_shampine_32", [(1 / 2,), (0.0, 3 / 4), (2 / 9, 1 / 3, 4 / 9)],
+                                     (2 / 9, 1 / 3, 4 / 9, 0.0), (0.0, 1 / 2, 3 / 4, 1.0), 3,
+                                     (7 / 24, 1 / 4, 1 / 3, 1 / 8), 2)
+# Named apart from the shipped pair, whose generated trials keep their own file names.
+WEIGHTLESS = {"bs32": BOGACKI_SHAMPINE_32, "dp5": DORMAND_PRINCE_54._replace(name="dp5_hermite", dense_weights=None)}
+
+
+def hermite(tableau, params=None):
+    """A dense stepper on the first-same-as-last pair of ``tableau``."""
+    dense = DenseOutputDopri5(params)
+    dense.stepper = EmbeddedRungeKutta(tableau)
+    return dense
 
 
 def expgrow(x, dxdt, t):
@@ -51,20 +72,21 @@ class Delegating(DormandPrince5):
         return super().do_step_with_error(*args, **kwargs)
 
 
-def test_only_a_fsal_pair_whose_tableau_carries_dense_weights_is_assigned():
-    # The interpolant is fitted with the tableau's dense weights: a pair
-    # without them is refused at assignment, before any trial, and the
+def test_any_first_same_as_last_pair_is_assigned_with_or_without_dense_weights():
+    # The interpolant is fitted from the tableau: quartic with dense
+    # weights, cubic Hermite without.  A pair that is not first-same-as-last
+    # or has no tableau is refused at assignment, before any trial, and the
     # old one stays.
     d = DenseOutputDopri5()
     pair = d.stepper
-    weightless = DormandPrince5()
-    weightless.tableau = weightless.tableau._replace(dense_weights=None)
-    for refused in (CashKarp54(), weightless):
-        with pytest.raises(TypeError, match="^dense output needs a first-same-as-last pair whose tableau carries"
-                                            f" dense weights, not {type(refused).__name__}$"):
+    for refused in (CashKarp54(), SymplecticEuler()):
+        with pytest.raises(TypeError, match="^dense output needs a first-same-as-last tableau,"
+                                            f" not {type(refused).__name__}$"):
             d.stepper = refused
         assert d.stepper is pair
-    for accepted in (DormandPrince5(), Delegating()):
+    weightless = DormandPrince5()
+    weightless.tableau = weightless.tableau._replace(dense_weights=None)
+    for accepted in (DormandPrince5(), Delegating(), weightless):
         d.stepper = accepted
         assert d.stepper is accepted
         d.initialize([1.0], 0.0, 0.1)
@@ -74,22 +96,80 @@ def test_only_a_fsal_pair_whose_tableau_carries_dense_weights_is_assigned():
 
 def test_dense_weights_the_fit_cannot_use_are_refused_at_assignment():
     # The quartic term is one update over the stages whose dense weight
-    # is not zero: none, or more than MAX_TERMS, is refused before any
-    # trial, naming the tableau and its weights, and the old pair stays.
+    # is not zero: more than MAX_TERMS is refused before any trial, naming
+    # the tableau and its weights, and the old pair stays.  None leaves
+    # the quartic term out: all-zero weights give the cubic Hermite's bits.
     s = MAX_TERMS + 1
     even = (1 / (s - 1),) * (s - 1)
     wide = ButcherTableau("wide", [(0.0,) * i for i in range(1, s - 1)] + [even], even + (0.0,),
                           (0.0,) * (s - 1) + (1.0,), 2, even + (0.0,), 1, (1.0,) * s)
     d = DenseOutputDopri5()
     pair = d.stepper
-    for tableau in (DORMAND_PRINCE_54._replace(dense_weights=(0.0,) * 7), wide):
-        refused = DormandPrince5()
-        refused.tableau = tableau
-        assert tableau.is_fsal
-        with pytest.raises(ValueError, match=f"^{tableau.name}: dense weights {re.escape(str(tableau.dense_weights))}"
-                                             f" must have 1..{MAX_TERMS} nonzero entries"):
-            d.stepper = refused
-        assert d.stepper is pair
+    refused = DormandPrince5()
+    refused.tableau = wide
+    assert wide.is_fsal
+    with pytest.raises(ValueError, match=f"^wide: dense weights {re.escape(str(wide.dense_weights))}"
+                                         f" must have at most {MAX_TERMS} nonzero entries"):
+        d.stepper = refused
+    assert d.stepper is pair
+    states = []
+    for weights in (None, (0.0,) * 7):
+        d = hermite(WEIGHTLESS["dp5"]._replace(dense_weights=weights))
+        d.initialize([1.0, -0.5], 0.0, 0.1)
+        lo, hi = d.do_step(HARMONIC)
+        states.append([[v.hex() for v in d.calc_state(lo + theta * (hi - lo))] for theta in (0.25, 0.5, 0.75)])
+    assert states[0] == states[1]
+
+
+def test_the_hermite_fit_of_a_third_order_pair_is_third_order():
+    # Bogacki-Shampine 3(2) without dense weights: the mid-step error of
+    # one step against e^t falls as h^4, the local error of a third-order
+    # continuous extension, over h = 0.1 / 2^k with no trial rejected.
+    widths, errs = [0.1 * 2.0 ** -k for k in range(5)], []
+    for h in widths:
+        d = hermite(BOGACKI_SHAMPINE_32, ControllerParams(atol=1e-4, rtol=1e-4))
+        d.initialize([1.0], 0.0, h)
+        assert d.do_step(expgrow) == (0.0, h)
+        errs.append(abs(d.calc_state(0.5 * h)[0] - math.exp(0.5 * h)))
+    assert 3.8 < fit_order(widths, errs).slope < 4.2
+
+
+def test_the_hermite_fit_samples_a_grid_within_tolerance():
+    seen = []
+    d = hermite(BOGACKI_SHAMPINE_32, ControllerParams(atol=1e-8, rtol=1e-8))
+    integrate_const(d, HARMONIC, [1.0, 0.0], 0.0, 1.0, 0.01, lambda x, t: seen.append(abs(x[0] - math.cos(t))))
+    assert len(seen) == 101 and max(seen) < 2e-8
+
+
+def bend(x, dxdt, t):
+    for i in range(len(x)):
+        dxdt[i] = math.sin(x[i - 1]) - x[i] * x[i] + t
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(
+    x0=st.lists(st.floats(-1.5, 1.5), min_size=1, max_size=3),
+    t0=st.floats(-2.0, 2.0),
+    dt=st.floats(0.01, 1.0),
+    theta=st.floats(0.0, 1.0),
+    pair=st.sampled_from(sorted(WEIGHTLESS)),
+)
+def test_a_pair_without_dense_weights_interpolates_by_the_textbook_hermite_cubic(x0, t0, dt, theta, pair):
+    # On the step from x at t to u at t + h, with f0 = f(x, t) and f1 = f(u, t + h):
+    # H(th) = (2th^3 - 3th^2 + 1) x + (th^3 - 2th^2 + th) h f0 + (3th^2 - 2th^3) u + (th^3 - th^2) h f1,
+    # which is x at th = 0 and u at th = 1.
+    d = hermite(WEIGHTLESS[pair])
+    d.initialize(list(x0), t0, dt)
+    x = d.current_state
+    lo, hi = d.do_step(bend)
+    u, h, f0, f1 = d.current_state, hi - lo, [0.0] * len(x), [0.0] * len(x)
+    bend(x, f0, lo)
+    bend(u, f1, hi)
+    for th, t in ((theta, min(lo + theta * h, hi)), (0.0, lo), (1.0, hi)):
+        want = [(2 * th ** 3 - 3 * th ** 2 + 1) * a + (th ** 3 - 2 * th ** 2 + th) * h * fa
+                + (3 * th ** 2 - 2 * th ** 3) * b + (th ** 3 - th ** 2) * h * fb for a, fa, b, fb in zip(x, f0, u, f1)]
+        for got, w, a, fa, b, fb in zip(d.calc_state(t), want, x, f0, u, f1):
+            assert abs(got - w) <= 1e-12 * max(abs(a), abs(h * fa), abs(b), abs(h * fb), 1e-300)
 
 
 def test_initialize_rejects_bad_dt0():

@@ -8,6 +8,7 @@ shipped tableau, length or special value; the sequence copy still
 turns a user's ints into floats."""
 
 import cProfile
+import dis
 import inspect
 import json
 import linecache
@@ -270,6 +271,24 @@ def test_no_golden_binds_a_name_and_no_explicit_step_binds_a_coefficient():
     assert not tupled, f"coefficients bound in a tuple in {', '.join(sorted(set(tupled)))}"
     assert not bare, f"coefficients that are names bound in {', '.join(sorted(set(bare)))}"
     assert not explicit, f"coefficients bound in {', '.join(sorted(set(explicit)))}"
+
+
+def test_no_golden_builds_a_tuple_only_to_unpack_it():
+    # A bind of four or more names to as many values, `a, b, c, d = w, x, y, z`, compiles to BUILD_TUPLE then
+    # UNPACK_SEQUENCE on every call; one name per line binds without the tuple.
+    def codes(code):
+        yield code
+        for const in code.co_consts:
+            if inspect.iscode(const):
+                yield from codes(const)
+
+    tupled = []
+    for path in sorted(set(scenarios.HERE.glob("*.py")) - {scenarios.HERE / "scenarios.py"}):
+        for code in codes(compile(path.read_text(), path.name, "exec")):
+            ops = [instruction.opname for instruction in dis.get_instructions(code)]
+            if any(op == "BUILD_TUPLE" and after == "UNPACK_SEQUENCE" for op, after in zip(ops, ops[1:])):
+                tupled.append(f"{path.name}:{code.co_name}")
+    assert not tupled, f"a tuple built only to be unpacked in {', '.join(tupled)}"
 
 
 @pytest.mark.parametrize("name", sorted(LAZY_RUNS))
