@@ -17,7 +17,7 @@ import math
 from collections import namedtuple
 from functools import lru_cache, partial
 
-from .algebra import Bound, Scratched, _bound, _each, _held, _indent, _lazy_make, _ratio_lines, _update_lines, scratch
+from .algebra import Bound, Scratched, _bound, _each, _finite, _held, _indent, _lazy_make, _ratio_lines, _update_lines
 from .errors import SolverError, StepSizeUnderflowError
 from .explicit import EmbeddedRungeKutta, _stages, _update
 
@@ -152,10 +152,10 @@ class ControlledStepper(Scratched):
     def _bind(self, algebra, buffers, x, fit=((), ())):
         # try_step's walk of one trial, compiled on first call, the trial's pieces and their make's args.  Dense
         # output hands in its fit; its states follow the controller's, the last two of which the ratio runs in.
-        # One backend runs it all.  An inline trial calls the ratio only on a non-finite error: compiled then.
+        # One backend runs it all.  An inline list trial folds its own error ratio, so it binds none.
         states, n = buffers[:len(buffers) - len(fit[0])], algebra._fused_length(x)
         tableau = self._stepper.tableau if self._plain() else None
-        ratio = (lambda *a: algebra._error_kernel(states)(*a)) if n and tableau else algebra._error_kernel(states)
+        ratio = None if n and tableau else algebra._error_kernel(states)
         pieces, make = _trial_code(self._stepper.fsal, self._stepper.error_order, tableau, n, fit)
         args = (algebra._kernel, ratio, algebra._copy_kernel(x), buffers)
         return Bound(_bound(make, *args), pieces, args)
@@ -240,7 +240,7 @@ def _trial_code(fsal, error_order, tableau, n, fit=((), ())):
               f"if factor > {FAC_MAX!r}:", f"    factor = {FAC_MAX!r}",
               "if again and factor > 1.0:", "    factor = 1.0",
               f"dt_next, again, dxdt = dt * factor, False, {kl if fsal else None}"]
-    reject = ["if not isfinite(worst) and not isfinite(ratio(k0, k0, k0, 1.0, 0.0, 0.0)):",
+    reject = ["if not isfinite(worst) and not finite(k0):",
               "    raise SolverError(f'the derivative at t={t!r} is not finite')",
               f"again, factor = True, {power}",
               f"dt_next = dt * (factor if factor > {FAC_MIN!r} else {FAC_MIN!r})",
@@ -254,4 +254,4 @@ def _trial_code(fsal, error_order, tableau, n, fit=((), ())):
             *_indent(["t_new = t + dt", *accept, "return StepResult(True, t_new, dt_next, worst)"]),
             *reject, "return StepResult(False, t, dt_next, worst)"]), "finally:", *_indent(tail)]),
     ], "one", f"trial {key}", StepResult=StepResult, SolverError=SolverError,
-        StepSizeUnderflowError=StepSizeUnderflowError, isfinite=math.isfinite)
+        StepSizeUnderflowError=StepSizeUnderflowError, isfinite=math.isfinite, finite=_finite)

@@ -10,8 +10,8 @@ class DimensionError(ValueError):
 class SolverError(RuntimeError):
     """Base class for numerical failures during stepping or solving.
 
-    When raised from a controlled integration run, ``partial_report``
-    holds the counters and state accumulated before the failure.
+    Raised from any driver run, fixed-step, controlled or dense, it
+    carries the counters and state so far in ``partial_report``.
     """
 
     partial_report = None

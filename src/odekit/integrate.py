@@ -80,10 +80,10 @@ def _grid(t0, t1, dt):
     return count, t_last
 
 
-def _start(stepper, x0, t0, t1, dt, observer):
+def _start(stepper, x0, t0, t1, dt):
     """Check the run's bounds, then return a floating working copy of
-    the initial state, made by the stepper's backend, checked before
-    any evaluation, and observed at ``t0``, and the bounds as floats."""
+    the initial state, made by the stepper's backend and checked before
+    any evaluation, and the bounds as floats."""
     try:
         finite = all(map(math.isfinite, (t0, t1, dt))) and math.isfinite(float(t1) - float(t0))
     except OverflowError:  # an int beyond the float range
@@ -95,21 +95,14 @@ def _start(stepper, x0, t0, t1, dt, observer):
         raise ValueError("end time must exceed start time")
     if dt <= 0.0:
         raise ValueError("step or grid width must be positive")
-    x = _initial_copy(stepper, x0)[1]
-    if observer is not None:
-        try:
-            observer(_readonly(x), t0)
-        except SolverError as exc:
-            exc.partial_report = IntegrationReport(x, t0, 0, 0, 0)
-            raise
-    return x, t0, t1, dt
+    return _initial_copy(stepper, x0)[1], t0, t1, dt
 
 
 def _controlled_walk(stepper, system, x, t0, targets, dt, observer, observe_steps, sample=None):
     """Adapt freely from ``t0`` and land exactly on each of ``targets``.
 
-    The observer sees every accepted step when ``observe_steps`` is
-    set, otherwise each target once it is reached.  A ``sample`` is
+    The observer sees ``t0``, then each accepted step if ``observe_steps``
+    is set, otherwise each target once it is reached.  A ``sample`` is
     ``(sample, t0, dt, t_end, reach)``, a dense stepper's generated
     sampler first: after each accepted step of width ``w`` from ``lo``
     to ``t``, ``j = sample(observer, lo, t, w, t0, dt, j, t_end, t +
@@ -133,18 +126,18 @@ def _count_calls(lines):
     return re.sub(r"^( *)system\(", r"\1evaluations += 1\n\g<0>", "\n".join(lines), flags=re.M).split("\n")
 
 
-def _run_code(args, signature, head, loop, partial, final, key, tail=(), end=()):
+def _run_code(args, signature, head, loop, partial, final, key, tail=()):
     """Both drivers' generated run, ``make(kernel, <args>)`` named by
     ``key`` (see ``algebra._define``) returning ``signature``: it counts
     in ``evaluations`` and ``counted``, runs ``head`` and ``loop`` (then
-    ``tail``), then ``end``, and reports ``final`` or, in a :class:`SolverError`'s
-    ``partial_report``, ``partial``."""
+    ``tail``), and reports ``final``, or ``partial`` in the one place
+    that sets a :class:`SolverError`'s ``partial_report``."""
     report = "IntegrationReport({}, evaluations + counted.count)".format
     return _make(args, [
         f"def {signature}:", "    evaluations, counted = 0, EvaluationCounter(system)", *_indent(head),
         "    try:", *_indent(loop, 2),
         "    except SolverError as exc:", f"        exc.partial_report = {report(partial)}", "        raise",
-        *(["    finally:", *_indent(tail, 2)] if tail else []), *_indent(end), f"    return {report(final)}",
+        *(["    finally:", *_indent(tail, 2)] if tail else []), f"    return {report(final)}",
     ], signature[:signature.index("(")], key, IntegrationReport=IntegrationReport, SolverError=SolverError,
         StepSizeUnderflowError=StepSizeUnderflowError, isfinite=math.isfinite, nextafter=math.nextafter,
         EvaluationCounter=EvaluationCounter, finite=_finite)
@@ -173,7 +166,7 @@ def _walk_code(trial, observe):
         (key, head, step, accept, reject, tail), args, after = trial, "ratio, copy, k", "t + dt"
         step = [*_count_calls(step), "if worst <= 1.0:"]
     return _run_code(args, "walk(stepper, system, x, t, targets, dt_next, observer, sample, snap)",
-                     [*sampler, *head, "accepted = rejected = 0"], [
+                     [*sampler, *head, "accepted = rejected = 0"], [*(seen if observe else []),
         "for target in targets:", "    if target <= t:  # a grid point that rounds onto the time reached",
         "        raise StepSizeUnderflowError(dt_next, t)", "    while t < target:",
         "        clamped = dt_next >= target - t", "        dt = target - t if clamped else dt_next",
@@ -196,17 +189,17 @@ def _fixed_code(step, observed):
     ``bind`` run per width, the system calls of ``step`` counted here."""
     key, head, bind, step = step or ("do_step", [], [], ["stepper.do_step(counted, x, t, dt)"])
     seen = ["if not finite(x):", "    break", "observer(snap(x), t)"] if observed else []
-    end = ["if not finite(x):", "    exc = SolverError(f'the state is not finite at t={t!r}')",
-           "    exc.partial_report = IntegrationReport(x, t, j, 0, evaluations + counted.count)", "    raise exc"]
-    # Step j is taken once t is t_next, after which only the observer raises; a width too small clears t_next.
+    # The observation alone, seen[-1:], sees t0 before the head, which may refuse the system.  Step j is taken
+    # once t is t_next, then only the observer or the end check raises; too small a width clears t_next.
     return _run_code("k", "loop(stepper, system, x, t, steps, width, t_last, dt_last, observer, snap)",
-                     [*head, "t0, dt = t, width", *bind], [
+                     ["j = 0", "t_next = t"], [*seen[-1:], *head, "t0, dt = t, width", *bind,
         "for j in range(1, steps + 1):", "    if j == steps:", "        t_next, dt = t_last, dt_last",
         *_indent(bind, 2), "    else:", "        t_next = t0 + j * width",
         "    if t_next <= t:  # a width too small to move t", "        t_next = None",
         "        raise StepSizeUnderflowError(width, t)", *_indent([*_count_calls(step), "t = t_next", *seen]),
+        "if not finite(x):", "    raise SolverError(f'the state is not finite at t={t!r}')",
     ], "x, t, j if t == t_next else j - 1, 0", "x, t_last, steps, 0",
-        f"loop {key} {'observed' if observed else 'unobserved'}", end=end)
+        f"loop {key} {'observed' if observed else 'unobserved'}")
 
 
 def integrate_const(stepper, system, x0, t0, t1, dt, observer=None):
@@ -239,11 +232,10 @@ def integrate_const(stepper, system, x0, t0, t1, dt, observer=None):
     controlled = hasattr(stepper, "try_step")
     if not (controlled or hasattr(stepper, "do_step")):
         raise TypeError(f"{type(stepper).__name__} is not a stepper")
-    x, t0, t1, dt = _start(stepper, x0, t0, t1, dt, observer)
+    x, t0, t1, dt = _start(stepper, x0, t0, t1, dt)
     dense = controlled and getattr(stepper, "_record", None) and stepper._record(x).dense
     if dense:
-        # After each accepted step the dense stepper's sampler observes
-        # the grid points strictly inside the interval the step reached.
+        # The dense stepper's sampler observes the grid points strictly inside each accepted step's interval.
         sample = None if observer is None else (dense()[1], t0, dt, t1 - GRID_SNAP * dt, GRID_SNAP * dt)
         return _controlled_walk(stepper, system, x, t0, (t1,), dt, observer, False, sample)
     steps, t_last = _grid(t0, t1, dt)
@@ -270,5 +262,5 @@ def integrate_adaptive(stepper, system, x0, t0, t1, dt0, observer=None):
     """
     if not hasattr(stepper, "try_step"):
         raise TypeError("integrate_adaptive needs a stepper with try_step")
-    x, t0, t1, dt0 = _start(stepper, x0, t0, t1, dt0, observer)
+    x, t0, t1, dt0 = _start(stepper, x0, t0, t1, dt0)
     return _controlled_walk(stepper, system, x, t0, (t1,), dt0, observer, True)

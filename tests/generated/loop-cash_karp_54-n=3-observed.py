@@ -1,34 +1,37 @@
 def make(kernel, k):
     def loop(stepper, system, x, t, steps, width, t_last, dt_last, observer, snap):
         evaluations, counted = 0, EvaluationCounter(system)
-        k0, k1, k2, k3, k4, k5, u = k
-        target = x
-        t0, dt = t, width
-        w0 = dt * 0.2
-        w1 = 0.2 * dt
-        w2 = dt * 0.075
-        w3 = dt * 0.225
-        w4 = 0.3 * dt
-        w5 = dt * 0.3
-        w6 = dt * -0.9
-        w7 = dt * 1.2
-        w8 = 0.6 * dt
-        w9 = dt * -0.2037037037037037
-        w10 = dt * 2.5
-        w11 = dt * -2.5925925925925926
-        w12 = dt * 1.2962962962962963
-        w13 = 1.0 * dt
-        w14 = dt * 0.029495804398148147
-        w15 = dt * 0.341796875
-        w16 = dt * 0.041594328703703706
-        w17 = dt * 0.40034541377314814
-        w18 = dt * 0.061767578125
-        w19 = 0.875 * dt
-        w20 = dt * 0.09788359788359788
-        w21 = dt * 0.4025764895330113
-        w22 = dt * 0.21043771043771045
-        w23 = dt * 0.2891022021456804
+        j = 0
+        t_next = t
         try:
+            observer(snap(x), t)
+            k0, k1, k2, k3, k4, k5, u = k
+            target = x
+            t0, dt = t, width
+            w0 = dt * 0.2
+            w1 = 0.2 * dt
+            w2 = dt * 0.075
+            w3 = dt * 0.225
+            w4 = 0.3 * dt
+            w5 = dt * 0.3
+            w6 = dt * -0.9
+            w7 = dt * 1.2
+            w8 = 0.6 * dt
+            w9 = dt * -0.2037037037037037
+            w10 = dt * 2.5
+            w11 = dt * -2.5925925925925926
+            w12 = dt * 1.2962962962962963
+            w13 = 1.0 * dt
+            w14 = dt * 0.029495804398148147
+            w15 = dt * 0.341796875
+            w16 = dt * 0.041594328703703706
+            w17 = dt * 0.40034541377314814
+            w18 = dt * 0.061767578125
+            w19 = 0.875 * dt
+            w20 = dt * 0.09788359788359788
+            w21 = dt * 0.4025764895330113
+            w22 = dt * 0.21043771043771045
+            w23 = dt * 0.2891022021456804
             for j in range(1, steps + 1):
                 if j == steps:
                     t_next, dt = t_last, dt_last
@@ -100,12 +103,10 @@ def make(kernel, k):
                 if not finite(x):
                     break
                 observer(snap(x), t)
+            if not finite(x):
+                raise SolverError(f'the state is not finite at t={t!r}')
         except SolverError as exc:
             exc.partial_report = IntegrationReport(x, t, j if t == t_next else j - 1, 0, evaluations + counted.count)
             raise
-        if not finite(x):
-            exc = SolverError(f'the state is not finite at t={t!r}')
-            exc.partial_report = IntegrationReport(x, t, j, 0, evaluations + counted.count)
-            raise exc
         return IntegrationReport(x, t_last, steps, 0, evaluations + counted.count)
     return loop

@@ -1,11 +1,13 @@
 def make(kernel, k):
     def loop(stepper, system, x, t, steps, width, t_last, dt_last, observer, snap):
         evaluations, counted = 0, EvaluationCounter(system)
-        k0, u = k
-        target = x
-        t0, dt = t, width
-        w0 = dt * 1.0
+        j = 0
+        t_next = t
         try:
+            k0, u = k
+            target = x
+            t0, dt = t, width
+            w0 = dt * 1.0
             for j in range(1, steps + 1):
                 if j == steps:
                     t_next, dt = t_last, dt_last
@@ -21,12 +23,10 @@ def make(kernel, k):
                 target[1] = x[1] + w0 * k0[1]
                 target[2] = x[2] + w0 * k0[2]
                 t = t_next
+            if not finite(x):
+                raise SolverError(f'the state is not finite at t={t!r}')
         except SolverError as exc:
             exc.partial_report = IntegrationReport(x, t, j if t == t_next else j - 1, 0, evaluations + counted.count)
             raise
-        if not finite(x):
-            exc = SolverError(f'the state is not finite at t={t!r}')
-            exc.partial_report = IntegrationReport(x, t, j, 0, evaluations + counted.count)
-            raise exc
         return IntegrationReport(x, t_last, steps, 0, evaluations + counted.count)
     return loop

@@ -2,11 +2,13 @@ def make(kernel, k):
     K2, = map(kernel, (2,))
     def loop(stepper, system, x, t, steps, width, t_last, dt_last, observer, snap):
         evaluations, counted = 0, EvaluationCounter(system)
-        k0, u = k
-        target = x
-        t0, dt = t, width
-        w0 = dt * 1.0
+        j = 0
+        t_next = t
         try:
+            k0, u = k
+            target = x
+            t0, dt = t, width
+            w0 = dt * 1.0
             for j in range(1, steps + 1):
                 if j == steps:
                     t_next, dt = t_last, dt_last
@@ -20,12 +22,10 @@ def make(kernel, k):
                 system(x, k0, t)
                 K2(target, (1.0, w0,), (x, k0,))
                 t = t_next
+            if not finite(x):
+                raise SolverError(f'the state is not finite at t={t!r}')
         except SolverError as exc:
             exc.partial_report = IntegrationReport(x, t, j if t == t_next else j - 1, 0, evaluations + counted.count)
             raise
-        if not finite(x):
-            exc = SolverError(f'the state is not finite at t={t!r}')
-            exc.partial_report = IntegrationReport(x, t, j, 0, evaluations + counted.count)
-            raise exc
         return IntegrationReport(x, t_last, steps, 0, evaluations + counted.count)
     return loop

@@ -1,13 +1,15 @@
 def make(kernel, k):
     def loop(stepper, system, x, t, steps, width, t_last, dt_last, observer, snap):
         evaluations, counted = 0, EvaluationCounter(system)
-        u, f, g, (copy, subtract, add, multiply), floor, eye, square, (absolute, zeros, linalg, LinAlgError, isfinite, ConvergenceError, SingularMatrixError) = k
-        jac_f = getattr(system, 'jacobian', None)
-        if jac_f is None:
-            raise ValueError('implicit Euler needs a system that carries a jacobian')
-        target = x
-        t0, dt = t, width
+        j = 0
+        t_next = t
         try:
+            u, f, g, (copy, subtract, add, multiply), floor, eye, square, (absolute, zeros, linalg, LinAlgError, isfinite, ConvergenceError, SingularMatrixError) = k
+            jac_f = getattr(system, 'jacobian', None)
+            if jac_f is None:
+                raise ValueError('implicit Euler needs a system that carries a jacobian')
+            target = x
+            t0, dt = t, width
             for j in range(1, steps + 1):
                 if j == steps:
                     t_next, dt = t_last, dt_last
@@ -57,12 +59,10 @@ def make(kernel, k):
                 stepper.last_iteration_count = applied
                 copy(target, u)
                 t = t_next
+            if not finite(x):
+                raise SolverError(f'the state is not finite at t={t!r}')
         except SolverError as exc:
             exc.partial_report = IntegrationReport(x, t, j if t == t_next else j - 1, 0, evaluations + counted.count)
             raise
-        if not finite(x):
-            exc = SolverError(f'the state is not finite at t={t!r}')
-            exc.partial_report = IntegrationReport(x, t, j, 0, evaluations + counted.count)
-            raise exc
         return IntegrationReport(x, t_last, steps, 0, evaluations + counted.count)
     return loop

@@ -1,16 +1,18 @@
 def make(kernel, k):
     def loop(stepper, system, x, t, steps, width, t_last, dt_last, observer, snap):
         evaluations, counted = 0, EvaluationCounter(system)
-        k0, k1, k2, k3, u = k
-        target = x
-        t0, dt = t, width
-        w0 = dt * 0.5
-        w1 = 0.5 * dt
-        w2 = dt * 1.0
-        w3 = 1.0 * dt
-        w4 = dt * 0.16666666666666666
-        w5 = dt * 0.3333333333333333
+        j = 0
+        t_next = t
         try:
+            k0, k1, k2, k3, u = k
+            target = x
+            t0, dt = t, width
+            w0 = dt * 0.5
+            w1 = 0.5 * dt
+            w2 = dt * 1.0
+            w3 = 1.0 * dt
+            w4 = dt * 0.16666666666666666
+            w5 = dt * 0.3333333333333333
             for j in range(1, steps + 1):
                 if j == steps:
                     t_next, dt = t_last, dt_last
@@ -50,12 +52,10 @@ def make(kernel, k):
                 target[1] = x_1 + w4 * k0_1 + w5 * k1_1 + w5 * k2_1 + w4 * k3[1]
                 target[2] = x_2 + w4 * k0_2 + w5 * k1_2 + w5 * k2_2 + w4 * k3[2]
                 t = t_next
+            if not finite(x):
+                raise SolverError(f'the state is not finite at t={t!r}')
         except SolverError as exc:
             exc.partial_report = IntegrationReport(x, t, j if t == t_next else j - 1, 0, evaluations + counted.count)
             raise
-        if not finite(x):
-            exc = SolverError(f'the state is not finite at t={t!r}')
-            exc.partial_report = IntegrationReport(x, t, j, 0, evaluations + counted.count)
-            raise exc
         return IntegrationReport(x, t_last, steps, 0, evaluations + counted.count)
     return loop

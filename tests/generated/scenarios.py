@@ -103,7 +103,7 @@ SCENARIOS = {
         "loop rk4 n=None unobserved", "step rk4 n=None"),
     "dp5 controlled list-3 adaptive, derivative not finite": (
         "refused(integrate_adaptive, ControlledStepper(DormandPrince5()), POISONED, short(), 0.0, 0.05, 0.01)",
-        "copy n=3", "ratio n=3", "walk dormand_prince_54 n=3 unobserved"),
+        "copy n=3", "walk dormand_prince_54 n=3 unobserved"),
     "euler list-3 const": (
         "integrate_const(ExplicitEuler(), RING, short(), 0.0, 0.05, 0.01)",
         "copy n=3", "loop euler n=3 unobserved"),

@@ -114,7 +114,7 @@ def make(kernel, ratio, copy, k):
                     factor = 1.0
                 dt_next, again, dxdt = dt * factor, False, k6
                 return StepResult(True, t_new, dt_next, worst)
-            if not isfinite(worst) and not isfinite(ratio(k0, k0, k0, 1.0, 0.0, 0.0)):
+            if not isfinite(worst) and not finite(k0):
                 raise SolverError(f'the derivative at t={t!r} is not finite')
             again, factor = True, 0.9 * worst ** -0.2
             dt_next = dt * (factor if factor > 0.2 else 0.2)

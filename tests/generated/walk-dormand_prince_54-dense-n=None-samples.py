@@ -9,6 +9,7 @@ def make(kernel, ratio, copy, k):
         dxdt, again = stepper._dxdt, stepper._rejected
         accepted = rejected = 0
         try:
+            observer(snap(x), t)
             for target in targets:
                 if target <= t:  # a grid point that rounds onto the time reached
                     raise StepSizeUnderflowError(dt_next, t)
@@ -66,7 +67,7 @@ def make(kernel, ratio, copy, k):
                         lo, t = t, t_new
                         j = sample(observer, lo, t, dt, t0, h, j, t_end, t + reach)
                     else:
-                        if not isfinite(worst) and not isfinite(ratio(k0, k0, k0, 1.0, 0.0, 0.0)):
+                        if not isfinite(worst) and not finite(k0):
                             raise SolverError(f'the derivative at t={t!r} is not finite')
                         again, factor = True, 0.9 * worst ** -0.2
                         dt_next = dt * (factor if factor > 0.2 else 0.2)

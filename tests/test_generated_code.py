@@ -166,9 +166,12 @@ def test_two_sources_under_one_key_get_two_file_names():
         assert ("new_derivative" in inspect.getsource(one)) == (pair is DormandPrince5)
     assert names[0] != names[1]
     assert all(re.fullmatch(r"<odekit trial pair n=3( #\d+)?>", name) for name in names)
-    dense = DenseOutputDopri5()
-    dense.try_step(lorenz, list(X3), 0.0, 0.01)
-    assert dense._record(list(X3)).step().__code__.co_filename == "<odekit trial dormand_prince_54 dense n=3>"
+    # The shipped dense trial's name, from a fresh interpreter: in this one, a test that compiled a dense trial
+    # on another tableau named dormand_prince_54 would hold the plain name and leave this trial the " #1" one.
+    assert fresh("import json\nfrom odekit import LORENZ, DenseOutputDopri5\ndense = DenseOutputDopri5()\n"
+                 f"dense.try_step(LORENZ, {X3}, 0.0, 0.01)\n"
+                 f"print(json.dumps(dense._record({X3}).step().__code__.co_filename))") \
+        == "<odekit trial dormand_prince_54 dense n=3>"
 
 
 # A driver's run in a fresh interpreter, then a manual call of the entry

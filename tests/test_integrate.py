@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from odekit import (
     CashKarp54,
+    ConvergenceError,
     ControlledStepper,
     ControllerParams,
     DenseOutputDopri5,
@@ -28,6 +29,7 @@ from odekit import (
     integrate_const,
 )
 from odekit.algebra import SequenceAlgebra
+from odekit.integrate import GRID_SNAP, IntegrationReport
 
 
 def expgrow(x, dxdt, t):
@@ -459,6 +461,149 @@ def test_an_observer_that_raises_at_the_start_leaves_an_empty_report(path, box):
     report = info.value.partial_report
     assert [float(v) for v in report.final_state] == [1.0, 0.5]
     assert tuple(report)[1:] == (0.25, 0, 0, 0) and calls == []
+
+
+# --- one failure contract over every driver path -----------------------------
+
+
+# Each driver path on [0, 1] with width or first width 0.1: its stepper,
+# its driver, and how the run meets the grid.
+CONTRACT_PATHS = {
+    "fixed explicit": (RungeKutta4, integrate_const, "fixed"),
+    "fixed implicit": (ImplicitEuler, integrate_const, "fixed"),
+    "controlled targets": (lambda: ControlledStepper(DormandPrince5()), integrate_const, "targets"),
+    "dense samples": (DenseOutputDopri5, integrate_const, "samples"),
+    "adaptive": (lambda: ControlledStepper(DormandPrince5()), integrate_adaptive, "steps"),
+}
+CONTRACT_WIDTH, CONTRACT_STEPS = 0.1, 10
+
+
+def contract_cases():
+    """Every (path, observed, failure) the contract covers: the observer
+    raises at its first call (t0) or its third, the rhs at its tenth, a
+    Newton step does not converge, a fixed state stops being finite."""
+    for path, (_, _, grid) in CONTRACT_PATHS.items():
+        for observed in (False, True):
+            failures = ["rhs 10", *(["observer 1", "observer 3"] if observed else []),
+                        *(["not finite"] if grid == "fixed" else []), *(["newton"] if path == "fixed implicit" else [])]
+            yield from ((path, observed, failure) for failure in failures)
+
+
+def contract_system(failure):
+    """HARMONIC with its Jacobian, failing as ``failure`` says, and the log of its calls' times."""
+    calls = []
+
+    def rhs(x, dxdt, t):
+        calls.append(t.hex())
+        if failure == "rhs 10" and len(calls) == 10:
+            raise SolverError("the rhs gives up")
+        HARMONIC(x, dxdt, t)
+        if failure == "not finite" and t >= 0.25:
+            dxdt[0] = math.inf
+
+    def jacobian(x, jac, t):
+        HARMONIC.jacobian(x, jac, t)
+        if failure == "newton" and t >= 0.35:  # a Jacobian of the wrong sign: each Newton update overshoots more
+            for row in jac:
+                row *= -30.0
+
+    return JacobianSystem(rhs, jacobian), calls
+
+
+def contract_observer(failure, seen):
+    """An observer logging (t, state) in ``seen``, raising at the call ``failure`` names."""
+    def observer(x, t):
+        seen.append((t.hex(), [float(v).hex() for v in x]))
+        if failure == f"observer {len(seen)}":
+            raise SolverError("the observer gives up")
+
+    return observer
+
+
+def reference_run(stepper, grid, system, x, observer):
+    """A driver path as a plain loop over the public per-step API
+    (``do_step``, ``try_step``, ``calc_state``, ``interval``) with an
+    :class:`EvaluationCounter`, by the drivers' documented rules: the
+    observer first at t0; a fixed state not finite at an observation or
+    at the end raises; a controlled run lands on each target, clamping
+    the width, and a dense run samples the grid after each accepted
+    step.  Returns the :class:`SolverError` raised, if any, and the
+    report of the steps taken."""
+    h = CONTRACT_WIDTH
+    counter, dt, t, accepted, rejected = EvaluationCounter(system), h, 0.0, 0, 0
+    targets = [k * h for k in range(1, CONTRACT_STEPS + 1)] if grid in ("fixed", "targets") else [1.0]
+    finite = lambda: all(math.isfinite(v) for v in x)  # noqa: E731
+    try:
+        if observer:
+            observer(x, t)
+        if grid == "fixed":
+            for target in targets:
+                stepper.do_step(counter, x, t, dt)
+                t, accepted = target, accepted + 1
+                if observer:
+                    if not finite():
+                        break
+                    observer(x, t)
+            if not finite():
+                raise SolverError(f"the state is not finite at t={t!r}")
+            return None, IntegrationReport(x, t, accepted, 0, counter.count)
+        j = 1
+        for target in targets:
+            while t < target:
+                clamped = dt >= target - t
+                width = target - t if clamped else dt
+                if clamped and t + width > target:
+                    width = math.nextafter(width, 0.0)
+                result = stepper.try_step(counter, x, t, width)
+                dt = result.dt
+                if not result.accepted:
+                    rejected += 1
+                    continue
+                accepted, t = accepted + 1, target if clamped else result.t
+                if observer and grid == "steps":
+                    observer(x, t)
+                if observer and grid == "samples":
+                    while j * h < 1.0 - GRID_SNAP * h and j * h <= t + GRID_SNAP * h:
+                        observer(stepper.calc_state(min(j * h, stepper.interval[1])), j * h)
+                        j += 1
+            t = target
+            if observer and grid in ("targets", "samples"):
+                observer(x, t)
+    except SolverError as exc:
+        return exc, IntegrationReport(x, t, accepted, rejected, counter.count)
+    return None, IntegrationReport(x, t, accepted, rejected, counter.count)
+
+
+def contract_outcome(error, report, calls, seen):
+    return (type(error), str(error), [float(v).hex() for v in report.final_state], report.final_time.hex(),
+            report.steps_accepted, report.steps_rejected, report.system_evaluations, calls, seen)
+
+
+@pytest.mark.parametrize("box", [list, np.array], ids=["list", "numpy"])
+@pytest.mark.parametrize("path, observed, failure", list(contract_cases()))
+def test_every_driver_path_fails_as_a_loop_over_the_public_per_step_api(path, observed, failure, box):
+    # The error's type and message, its partial report field by field
+    # (the state by float.hex), the rhs calls and the observations,
+    # against reference_run.  Pytest's default warning filters apply:
+    # numpy's RuntimeWarnings on a non-finite numpy state are not this
+    # test's subject.
+    make, driver, grid = CONTRACT_PATHS[path]
+    outcomes = []
+    for run in ("driver", "reference"):
+        (system, calls), seen = contract_system(failure), []
+        observer = contract_observer(failure, seen) if observed else None
+        if run == "reference":
+            error, report = reference_run(make(), grid, system, box([1.0, 0.5]), observer)
+        else:
+            with pytest.raises(SolverError) as info:
+                driver(make(), system, box([1.0, 0.5]), 0.0, 1.0, CONTRACT_WIDTH, observer)
+            error, report = info.value, info.value.partial_report
+        outcomes.append(contract_outcome(error, report, calls, seen))
+    assert outcomes[0] == outcomes[1]
+    newton = failure == "newton" or (path, failure) == ("fixed implicit", "not finite")
+    assert outcomes[1][0] is (ConvergenceError if newton else SolverError)
+    if failure == "observer 1":
+        assert outcomes[1][3:7] == ((0.0).hex(), 0, 0, 0)
 
 
 @pytest.mark.parametrize("box", [list, np.array], ids=["list", "numpy"])
