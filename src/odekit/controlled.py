@@ -214,7 +214,7 @@ def _trial_code(fsal, error_order, tableau, n, fit=((), ())):
     called = tableau is None or n is None  # the error ratio is a call on the state e
     s, pair = (1, ["pair = stepper._stepper.do_step_with_error"]) if tableau is None else (tableau.stage_count, [])
     def code(at, unpack):  # the trial, then, on acceptance, the fit and the copy into x
-        update = partial(_update, tableau, n, at=at)
+        update = partial(_update, n, at=at)
         copy = ["copy(x, u)"] if n is None else _update_lines(n, "x", ["1.0"], ["u"]) if tableau is None \
             else _each(n, "len(x)", lambda i: f"x[{i}] = {at('u', i)}")  # a shipped pair's floats as they are
         return ["trial = pair(counted, x, t, dt, out=u, xerr=e, dxdt_in=k0)"] if tableau is None else [

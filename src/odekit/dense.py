@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache, partial
 
-from .algebra import MAX_TERMS, UNROLL, _bound, _each, _indent, _initial_copy, _lazy_make, _readonly, _update_lines
+from .algebra import UNROLL, _bound, _each, _indent, _initial_copy, _lazy_make, _readonly, _update_lines
 from .algebra import algebra_of
 from .controlled import ControlledStepper
 from .explicit import DormandPrince5, _update
@@ -52,7 +52,7 @@ def _dense_code(tableau, n, paired=False):
                       *update("p1", ["1.0", "-1.0"], ["u", "x"], at),
                       *update("p2", ["dt", "-1.0"], ["k0", "p1"], at),
                       *update("p3", ["1.0", "-dt", "-1.0"], ["p1", f"k{s - 1}", "p2"], at),
-                      *(_update(tableau, n, "p4", w, 0, at) if any(w or ()) else ()))
+                      *(_update(n, "p4", w, 0, at) if any(w or ()) else ()))
     unpack, snap = [], ["s = readonly(at(theta, clone(p0)), True)"]
     if n and n <= UNROLL:
         unpack = [f"{''.join(f'{p}_{i}, ' for i in range(n))}= {p}" for p in _P]
@@ -107,12 +107,8 @@ class DenseOutputDopri5(ControlledStepper):
 
     @ControlledStepper.stepper.setter
     def stepper(self, stepper):
-        tableau = getattr(stepper, "tableau", None)
-        if not getattr(tableau, "is_fsal", False):
+        if not getattr(getattr(stepper, "tableau", None), "is_fsal", False):
             raise TypeError(f"dense output needs a first-same-as-last tableau, not {type(stepper).__name__}")
-        if sum(w != 0.0 for w in tableau.dense_weights or ()) > MAX_TERMS:
-            raise ValueError(f"{tableau.name}: dense weights {tableau.dense_weights} must have at most {MAX_TERMS}"
-                             " nonzero entries, the interpolant's quartic term is one update")
         ControlledStepper.stepper.fset(self, stepper)
 
     def _count(self, algebra, x):

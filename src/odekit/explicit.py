@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache, partial
 
-from .algebra import MAX_TERMS, Bound, Scratched, _bound, _entry_lines, _held, _indent, _lazy_make, _update_lines
+from .algebra import Bound, Scratched, _bound, _entry_lines, _held, _indent, _lazy_make, _update_lines
 from .algebra import scratch
 from .tableaus import CASH_KARP_54, DORMAND_PRINCE_54, EULER, RK4_CLASSIC
 
@@ -50,13 +50,14 @@ class ExplicitRungeKutta(Scratched):
     """
 
     def __init__(self, tableau, algebra=None):
-        self.tableau = tableau
+        self._tableau = tableau
         self.order = tableau.order
         self.error_order = tableau.error_order
         self.stage_count = tableau.stage_count
         self.fsal = tableau.is_fsal
         self._fixed_algebra = algebra
 
+    tableau = property(lambda self: self._tableau)  # read-only: the bound code is generated from it
     _count = property(lambda self: self.stage_count + 1)  # stage derivatives, then the stage state
 
     def _bind(self, algebra, k, x):
@@ -80,14 +81,10 @@ class ExplicitRungeKutta(Scratched):
     do_step._shipped = True  # the fixed-step loop runs its Bound's pieces inline
 
 
-def _update(tableau, n, out, weights, lead, at="{}[{}]".format, name=str):
+def _update(n, out, weights, lead, at="{}[{}]".format, name=str):
     """The update of ``out`` by ``weights`` on the stages ``k<j>``, after ``x`` when ``lead`` is 1,
     elements named by ``at``, each coefficient ``name(f"dt * {w!r}")``, by default the product itself."""
     idx = [j for j, w in enumerate(weights) if w != 0.0]
-    k = len(idx) + lead
-    if not 1 <= k <= MAX_TERMS:
-        raise ValueError(f"{tableau.name}: {k} terms in one update;"
-                         f" the algebra takes 1..{MAX_TERMS}")
     coeffs = ["1.0"] * lead + [name(f"dt * {float(weights[j])!r}") for j in idx]
     terms = ["x"] * lead + [f"k{j}" for j in idx]
     return _update_lines(n, out, coeffs, terms, at)
@@ -121,7 +118,7 @@ def _step_code(tableau, n=None):
     out, the others are exact floats: the stage loop's bits, read from ``algebra._held``'s locals."""
     tables = {}, {}  # the products of dt that the step and the error read, by text: each named w<i> once
     name, name_e = (lambda product, table=table: table.setdefault(product, f"w{len(table)}") for table in tables)
-    update, ew = partial(_update, tableau, n), tableau.error_weights
+    update, ew = partial(_update, n), tableau.error_weights
     step = ("system(x, k0, t)", *_held(n, lambda at, unpack: [*unpack("x"), *unpack("k0"), *_stages(
         tableau, partial(update, at=at, name=name), unpack, name), *update("target", tableau.b, 1, at, name)]))
     error = () if ew is None else update("xerr", ew, 0, name=name_e)

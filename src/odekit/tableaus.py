@@ -33,7 +33,7 @@ class ButcherTableau(namedtuple("ButcherTableau", "name a b c order b_embedded e
     order : int
         Order of the propagated solution.
     b_embedded : sequence, optional
-        Weights of the embedded comparison solution.
+        Weights of the embedded comparison solution, other than ``b``.
     error_order : int, optional
         Order of the embedded solution; must be below ``order``.
     dense_weights : sequence, optional
@@ -64,6 +64,8 @@ class ButcherTableau(namedtuple("ButcherTableau", "name a b c order b_embedded e
                 raise ValueError(f"{name}: embedded weights length mismatch")
             if not abs(sum(b_embedded) - 1.0) <= CONSISTENCY_TOL:
                 raise ValueError(f"{name}: embedded weights do not sum to 1")
+            if b_embedded == b:
+                raise ValueError(f"{name}: embedded weights equal the solution weights, so no error is estimated")
             if error_order is None or not error_order < order:
                 raise ValueError(f"{name}: embedded order must be below {order}")
         elif error_order is not None:

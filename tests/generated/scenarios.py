@@ -30,7 +30,7 @@ from odekit import (HARMONIC, CashKarp54, ControlledStepper, DenseOutputDopri5, 
                     harmonic_separable, integrate_adaptive, integrate_const)
 from odekit.algebra import UNROLL, NumpyAlgebra, SequenceAlgebra
 from odekit.explicit import EmbeddedRungeKutta
-from odekit.tableaus import ButcherTableau
+from odekit.tableaus import RK4_CLASSIC, ButcherTableau
 
 
 # A linear ring of any length, with the Jacobian implicit Euler needs.
@@ -79,6 +79,12 @@ def hermite():
     return dense
 
 
+# Two RK4 half steps as one pair of nine stages, built from RK4_CLASSIC as tests/test_explicit.py builds RK4X2_FSAL:
+# the last stage at the new state (first-same-as-last), the midpoint rule on stage 5 the embedded estimate.
+halved = lambda values: tuple(0.5 * v for v in values)
+ha, hb, hc = [*map(halved, RK4_CLASSIC.a)], halved(RK4_CLASSIC.b), halved(RK4_CLASSIC.c)
+RK4X2_FSAL = ButcherTableau("rk4x2_fsal", [*ha, hb, *(hb + row for row in ha), hb * 2], hb * 2 + (0.0,),
+                            hc + tuple(0.5 + c for c in hc) + (1.0,), 4, tuple(float(j == 4) for j in range(9)), 2)
 RING, POISONED = JacobianSystem(ring, ring_jacobian), JacobianSystem(poisoned, ring_jacobian)
 OSCILLATOR = harmonic_separable()
 short = lambda: [1.0, 0.5, -0.25]
@@ -305,6 +311,9 @@ SCENARIOS = {
     "hermite list-3 const observed": (
         "integrate_const(hermite(), RING, short(), 0.0, 0.05, 0.01, seen)",
         "copy n=3", "dense n=3", "walk bogacki_shampine_32 dense n=3 samples"),
+    "rk4x2 controlled list-3 adaptive": (
+        "integrate_adaptive(ControlledStepper(EmbeddedRungeKutta(RK4X2_FSAL)), RING, short(), 0.0, 0.05, 0.01)",
+        "copy n=3", "walk rk4x2_fsal n=3 unobserved"),
     "euler list-3 do_step": (
         "ExplicitEuler().do_step(RING, short(), 0.0, 0.01)",
         "copy n=3", "step euler n=3"),

@@ -8,10 +8,12 @@ import pytest
 
 from odekit import HARMONIC, DimensionError, RungeKutta4, algebra_for, integrate_const
 from odekit.algebra import (
-    MAX_TERMS, NUMPY_ALGEBRA, SEQUENCE_ALGEBRA, Algebra, NumpyAlgebra, SequenceAlgebra, _finite, _initial_copy,
+    NUMPY_ALGEBRA, SEQUENCE_ALGEBRA, Algebra, NumpyAlgebra, SequenceAlgebra, _finite, _initial_copy,
 )
 
 ALGEBRAS = [NUMPY_ALGEBRA, SEQUENCE_ALGEBRA]
+# One term to thirteen, the stages of a Fehlberg 7(8) pair: no term count but zero is refused.
+TERM_COUNTS = range(1, 14)
 
 
 def make_state(algebra, values):
@@ -54,7 +56,7 @@ def test_scale_sum_aliases_first_term(algebra):
 
 
 @pytest.mark.parametrize("algebra", ALGEBRAS)
-@pytest.mark.parametrize("k", range(1, MAX_TERMS + 1))
+@pytest.mark.parametrize("k", TERM_COUNTS)
 def test_scale_sum_term_counts(algebra, k):
     rng = np.random.default_rng(17 + k)
     coeffs = tuple(rng.normal(size=k))
@@ -89,11 +91,9 @@ def test_scale_sum_rejects_bad_shapes(algebra):
         algebra.scale_sum(out, (1.0, 2.0), (make_state(algebra, [1.0, 1.0]),))
     with pytest.raises(DimensionError):
         algebra.scale_sum(out, (1.0,), (make_state(algebra, [1.0, 1.0, 1.0]),))
-    with pytest.raises(ValueError):
+    # An empty update is the one term count refused.
+    with pytest.raises(ValueError, match="^scale_sum needs at least one term$"):
         algebra.scale_sum(out, (), ())
-    too_many = tuple(make_state(algebra, [1.0, 1.0]) for _ in range(MAX_TERMS + 1))
-    with pytest.raises(ValueError):
-        algebra.scale_sum(out, (1.0,) * (MAX_TERMS + 1), too_many)
 
 
 @pytest.mark.parametrize("algebra", ALGEBRAS)
@@ -248,7 +248,7 @@ def test_backend_parity_bitwise():
     # same coefficients, same accumulation order: results must agree to the
     # bit, checked or through the unchecked kernels the steppers bind
     rng = np.random.default_rng(99)
-    for k in range(1, MAX_TERMS + 1):
+    for k in TERM_COUNTS:
         coeffs = tuple(float(c) for c in rng.normal(size=k))
         base = [[float(v) for v in rng.normal(size=5)] for _ in range(k)]
         expected = reference_scale_sum(coeffs, base)

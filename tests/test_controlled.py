@@ -15,13 +15,19 @@ from odekit import (
     ExplicitEuler,
     HARMONIC,
     ImplicitEuler,
+    LORENZ,
     RungeKutta4,
     SolverError,
     StepSizeUnderflowError,
     SymplecticEuler,
+    integrate_adaptive,
+    integrate_const,
     next_step_size,
 )
 from odekit.algebra import SEQUENCE_ALGEBRA
+from odekit.explicit import EmbeddedRungeKutta
+from test_explicit import RK4X2_FSAL
+from test_properties import hexes
 
 
 def expgrow(x, dxdt, t):
@@ -337,6 +343,34 @@ def test_a_replaced_stepper_runs_its_own_tableau(box):
     got = controller.try_step(HARMONIC, x, 0.0, 0.1)
     assert got == ControlledStepper(CashKarp54()).try_step(HARMONIC, fresh, 0.0, 0.1)
     assert list(x) == list(fresh)
+
+
+def dense_on(pair, params):
+    dense = DenseOutputDopri5(params)
+    dense.stepper = pair
+    return dense
+
+
+@pytest.mark.parametrize("make", [ControlledStepper, dense_on], ids=["controlled", "dense"])
+def test_a_nine_stage_pair_adapts_on_lists_and_numpy_bit_for_bit(make):
+    # Two RK4 half steps with a first-same-as-last stage, the midpoint rule
+    # on their middle stage the error estimate: a ten-term update.  Its run
+    # on LORENZ is one on both backends and near a tight Dormand-Prince
+    # run's; a dense stepper also samples a grid on its cubic Hermite fit.
+    params, x0 = ControllerParams(atol=1e-8, rtol=1e-8), [10.0, 10.0, 10.0]
+    tight = ControllerParams(atol=1e-12, rtol=1e-12)
+    reference = integrate_adaptive(ControlledStepper(DormandPrince5(), tight), LORENZ, x0, 0.0, 2.0, 0.01)
+    runs = []
+    for box in (list, np.array):
+        seen = []
+        observe = lambda x, t: seen.append((hexes(x), t))
+        report = integrate_adaptive(make(EmbeddedRungeKutta(RK4X2_FSAL), params), LORENZ, box(x0), 0.0, 2.0, 0.01,
+                                    observe)
+        assert max(map(abs, np.subtract(report.final_state, reference.final_state))) < 1e-9
+        if make is dense_on:
+            integrate_const(make(EmbeddedRungeKutta(RK4X2_FSAL), params), LORENZ, box(x0), 0.0, 2.0, 0.01, observe)
+        runs.append((report._replace(final_state=hexes(report.final_state)), seen))
+    assert runs[0] == runs[1]
 
 
 def test_reset_clears_cached_derivative():

@@ -3,7 +3,6 @@ continuous extension built from the stored stages, and the cubic
 Hermite fit of a first-same-as-last pair without dense weights."""
 
 import math
-import re
 
 import numpy as np
 import pytest
@@ -22,7 +21,7 @@ from odekit import (
     integrate_adaptive,
     integrate_const,
 )
-from odekit.algebra import MAX_TERMS, UNROLL, NumpyAlgebra, SequenceAlgebra
+from odekit.algebra import UNROLL, NumpyAlgebra, SequenceAlgebra
 from odekit.explicit import EmbeddedRungeKutta
 from odekit.tableaus import DORMAND_PRINCE_54, ButcherTableau
 
@@ -84,8 +83,7 @@ def test_any_first_same_as_last_pair_is_assigned_with_or_without_dense_weights()
                                             f" not {type(refused).__name__}$"):
             d.stepper = refused
         assert d.stepper is pair
-    weightless = DormandPrince5()
-    weightless.tableau = weightless.tableau._replace(dense_weights=None)
+    weightless = EmbeddedRungeKutta(DORMAND_PRINCE_54._replace(dense_weights=None))
     for accepted in (DormandPrince5(), Delegating(), weightless):
         d.stepper = accepted
         assert d.stepper is accepted
@@ -94,24 +92,25 @@ def test_any_first_same_as_last_pair_is_assigned_with_or_without_dense_weights()
         assert d.calc_state(hi)[0] == d.current_state[0]
 
 
-def test_dense_weights_the_fit_cannot_use_are_refused_at_assignment():
+def test_dense_weights_on_any_number_of_stages_are_fitted():
     # The quartic term is one update over the stages whose dense weight
-    # is not zero: more than MAX_TERMS is refused before any trial, naming
-    # the tableau and its weights, and the old pair stays.  None leaves
-    # the quartic term out: all-zero weights give the cubic Hermite's bits.
-    s = MAX_TERMS + 1
+    # is not zero, however many: eight move the interpolant inside the
+    # step and leave its ends.  None leaves the quartic term out:
+    # all-zero weights give the cubic Hermite's bits.
+    s = 8
     even = (1 / (s - 1),) * (s - 1)
     wide = ButcherTableau("wide", [(0.0,) * i for i in range(1, s - 1)] + [even], even + (0.0,),
-                          (0.0,) * (s - 1) + (1.0,), 2, even + (0.0,), 1, (1.0,) * s)
-    d = DenseOutputDopri5()
-    pair = d.stepper
-    refused = DormandPrince5()
-    refused.tableau = wide
+                          (0.0,) * (s - 1) + (1.0,), 2, (1.0,) + (0.0,) * (s - 1), 1, (1.0,) * s)
     assert wide.is_fsal
-    with pytest.raises(ValueError, match=f"^wide: dense weights {re.escape(str(wide.dense_weights))}"
-                                         f" must have at most {MAX_TERMS} nonzero entries"):
-        d.stepper = refused
-    assert d.stepper is pair
+    ends, middles = [], []
+    for weights in (wide.dense_weights, None):
+        d = hermite(wide._replace(dense_weights=weights))
+        d.initialize([1.0, -0.5], 0.0, 0.1)
+        lo, hi = d.do_step(HARMONIC)
+        ends.append([[v.hex() for v in d.calc_state(t)] for t in (lo, hi)])
+        assert ends[-1] == [[v.hex() for v in x] for x in ([1.0, -0.5], d.current_state)]
+        middles.append(list(d.calc_state(0.5 * (lo + hi))))
+    assert ends[0] == ends[1] and middles[0] != middles[1]
     states = []
     for weights in (None, (0.0,) * 7):
         d = hermite(WEIGHTLESS["dp5"]._replace(dense_weights=weights))

@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 
 from odekit import (
+    EULER,
+    HARMONIC,
     LORENZ,
     CashKarp54,
     DormandPrince5,
@@ -17,8 +19,11 @@ from odekit import (
     ExplicitEuler,
     RK4_CLASSIC,
     RungeKutta4,
+    integrate_const,
 )
-from odekit.explicit import EmbeddedRungeKutta, StageRecord
+from odekit.explicit import EmbeddedRungeKutta, ExplicitRungeKutta, StageRecord
+from odekit.tableaus import ButcherTableau
+from test_properties import hexes
 
 
 def expgrow(x, dxdt, t):
@@ -178,6 +183,50 @@ def test_dp5_order_info():
     stepper = DormandPrince5()
     assert stepper.order == 5 and stepper.error_order == 4 and stepper.stage_count == 7
     assert stepper.fsal
+
+
+# --- eight stages and more: two RK4 half steps in one tableau --------------
+
+
+def halved(values):
+    return tuple(0.5 * v for v in values)
+
+
+# Two RK4 steps of half the width, built from RK4_CLASSIC alone: its rows halved; its weights halved, the second
+# step's start, then that row followed by each halved row.  Its weights halved, twice; its nodes halved, then 0.5 on.
+HA, HB, HC = [*map(halved, RK4_CLASSIC.a)], halved(RK4_CLASSIC.b), halved(RK4_CLASSIC.c)
+RK4X2 = ButcherTableau("rk4x2", [*HA, HB, *(HB + row for row in HA)], HB * 2, HC + tuple(0.5 + c for c in HC), 4)
+# Its first-same-as-last form: a ninth stage at the new state, the midpoint rule on stage 5 the embedded estimate.
+RK4X2_FSAL = ButcherTableau("rk4x2_fsal", [*RK4X2.a, RK4X2.b], RK4X2.b + (0.0,), RK4X2.c + (1.0,), 4,
+                            tuple(float(j == 4) for j in range(9)), 2)
+
+
+@pytest.mark.parametrize("box", [list, np.array], ids=["list", "numpy"])
+@pytest.mark.parametrize("system, x0", [(HARMONIC, [1.0, 0.5]), (LORENZ, [10.0, 10.0, 10.0])],
+                         ids=["harmonic", "lorenz"])
+def test_an_eight_stage_step_is_two_rk4_half_steps_bit_for_bit(box, system, x0):
+    # Each halving is exact and the left-to-right sums share their partial
+    # sums, so on an autonomous system the nine-term update has RK4's bits,
+    # stepped by hand and by integrate_const.
+    x, halves, rk4 = box(x0), box(x0), RungeKutta4()
+    ExplicitRungeKutta(RK4X2).do_step(system, x, 0.0, 0.125)
+    rk4.do_step(system, halves, 0.0, 0.0625)
+    rk4.do_step(system, halves, 0.0625, 0.0625)
+    assert hexes(x) == hexes(halves)
+    run = integrate_const(ExplicitRungeKutta(RK4X2), system, box(x0), 0.0, 1.0, 0.125)
+    twice = integrate_const(RungeKutta4(), system, box(x0), 0.0, 1.0, 0.0625)
+    assert hexes(run.final_state) == hexes(twice.final_state)
+    assert (run.steps_accepted, run.system_evaluations, twice.system_evaluations) == (8, 64, 64)
+
+
+def test_a_steppers_tableau_is_read_only():
+    # Its bound code is generated from the tableau, so none other replaces it.
+    stepper, x = RungeKutta4(), [1.0, 0.0]
+    stepper.do_step(HARMONIC, x, 0.0, 0.1)
+    with pytest.raises(AttributeError):
+        stepper.tableau = EULER
+    assert stepper.tableau is RK4_CLASSIC
+    assert hexes(stepper.do_step(HARMONIC, [1.0, 0.0], 0.0, 0.1)) == hexes(x)
 
 
 # --- shared stepper contracts ----------------------------------------------

@@ -54,7 +54,6 @@ from odekit import (
     next_step_size,
 )
 from odekit.algebra import (
-    MAX_TERMS,
     NUMPY_ALGEBRA,
     SEQUENCE_ALGEBRA,
     UNROLL,
@@ -333,7 +332,7 @@ def summing_to_one(draw, count):
 @st.composite
 def tableaus(draw):
     fsal = draw(st.booleans())
-    s = draw(st.integers(2 if fsal else 1, 7 if fsal else 6))
+    s = draw(st.integers(2 if fsal else 1, 13))
     a = [tuple(draw(weights(i))) for i in range(1, s)]
     if fsal:  # the last row repeats b, and b[-1] == 0
         b = (*summing_to_one(draw, s - 1), 0.0)
@@ -344,6 +343,7 @@ def tableaus(draw):
     if fsal:
         c = (*c[:-1], 1.0)
     embedded = summing_to_one(draw, s) if draw(st.booleans()) else None
+    assume(embedded != b)  # equal weights estimate no error: a refused tableau
     tableau = ButcherTableau(name="drawn", a=tuple(a), b=b, c=c, order=2,
                              b_embedded=embedded, error_order=None if embedded is None else 1)
     assert tableau.is_fsal or not fsal  # zeros can make a drawn tableau FSAL too
@@ -413,8 +413,6 @@ STATES = st.lists(st.floats(-1.5, 1.5), min_size=1, max_size=UNROLL + 2)
 def test_generated_step_matches_the_stage_loop(tableau, x0, t, dt, box):
     box, chosen = BOXES[box]
     algebra = chosen or (NUMPY_ALGEBRA if box is np.array else SEQUENCE_ALGEBRA)
-    error_terms = sum(w != 0.0 for w in tableau.error_weights or (1.0,))
-    assume(error_terms > 0)  # an error update needs at least one term
     reference = EvaluationCounter(ring)
     new, err, k = stage_loop(tableau, reference, box(x0), t, dt, algebra)
 
@@ -1077,9 +1075,9 @@ TERM_VALUES = {
 
 @st.composite
 def scale_sum_inputs(draw):
-    # 1..MAX_TERMS terms, each coefficient 1.0, -1.0 or any other float
+    # 1..13 terms, each coefficient 1.0, -1.0 or any other float
     # at any position; each term float64, float32 or int64 elements.
-    k, n = draw(st.integers(1, MAX_TERMS)), draw(st.sampled_from([1, 3]))
+    k, n = draw(st.integers(1, 13)), draw(st.sampled_from([1, 3]))
     coeffs = tuple(draw(st.one_of(st.just(1.0), st.just(-1.0), st.floats())) for _ in range(k))
     kinds = [draw(st.sampled_from(sorted(TERM_VALUES))) for _ in range(k)]
     terms = [draw(st.lists(TERM_VALUES[kind], min_size=n, max_size=n)) for kind in kinds]

@@ -134,6 +134,7 @@ TABLEAU_ERRORS = [
     (dict(b=(0.5, math.nan)), "heun: solution weights sum to nan, not 1"),
     (dict(b_embedded=(1.0,)), "heun: embedded weights length mismatch"),
     (dict(b_embedded=(1.0, 1.0)), "heun: embedded weights do not sum to 1"),
+    (dict(b_embedded=(0.5, 0.5)), "heun: embedded weights equal the solution weights, so no error is estimated"),
     (dict(error_order=None), "heun: embedded order must be below 2"),
     (dict(error_order=2), "heun: embedded order must be below 2"),
     (dict(b_embedded=None), "heun: error_order given without embedded weights"),

@@ -26,15 +26,16 @@ from odekit import (
     SeparableHamiltonian,
     SolverError,
     SymplecticEuler,
+    algebra_for,
     harmonic_separable,
     integrate_adaptive,
     integrate_const,
 )
-from odekit.algebra import MAX_TERMS, NUMPY_ALGEBRA, UNROLL, NumpyAlgebra, SequenceAlgebra
+from odekit.algebra import NUMPY_ALGEBRA, UNROLL, NumpyAlgebra, SequenceAlgebra
 from odekit.controlled import _trial_code
 from odekit.explicit import ExplicitRungeKutta, _step_code
 from odekit.tableaus import ButcherTableau
-from test_properties import delegating, hexes
+from test_properties import delegating, hexes, stage_loop
 
 X0 = [10.0, 10.0, 10.0]
 
@@ -122,15 +123,17 @@ def test_calc_state_rejects_mismatched_out():
         dense.calc_state(0.5 * (lo + hi), out=[0.0, 0.0])
 
 
-def test_tableau_beyond_max_terms_rejected_before_any_call():
-    s = MAX_TERMS + 1  # the solution update needs s + 1 terms
+@pytest.mark.parametrize("box", [list, np.array], ids=["list", "numpy"])
+def test_a_tableau_of_thirteen_stages_steps_as_its_stage_loop(box):
+    # The solution update has fourteen terms, one generated update as every other.
+    s = 13
     c = tuple(i / s for i in range(s))
     a = tuple((c[i] / i,) * i for i in range(1, s))
     wide = ButcherTableau(name="wide", a=a, b=(1.0 / s,) * s, c=c, order=1)
-    counter = EvaluationCounter(LORENZ)
-    with pytest.raises(ValueError):
-        ExplicitRungeKutta(wide).do_step(counter, list(X0), 0.0, 0.01)
-    assert counter.count == 0
+    counter, reference = EvaluationCounter(LORENZ), EvaluationCounter(LORENZ)
+    got = ExplicitRungeKutta(wide).do_step(counter, box(X0), 0.0, 0.01)
+    assert hexes(got) == hexes(stage_loop(wide, reference, box(X0), 0.0, 0.01, algebra_for(box(X0)))[0])
+    assert counter.count == reference.count == s
 
 
 class Logging:
