@@ -15,8 +15,8 @@ evaluation; one override rule (class or instance) for ``scale_sum``,
 
 The sequence backend's code is generated per state length, and one
 function, :func:`_update_lines`, writes every update in it: one
-statement per element up to ``UNROLL`` elements, where an element
-that more than one update reads is read once, into a local
+statement per element up to ``UNROLL`` elements, where each state
+the updates read is read once, into locals, after its last write
 (:func:`_held`), and one loop beyond.  A stepper binding a sequence
 state gets the copy and the error ratio generated for its length and
 writes its updates inline, the controller its whole trial; on numpy
@@ -220,13 +220,12 @@ def _update_lines(n, out, coeffs, terms, at="{}[{}]".format):
 
 
 def _held(n, code):
-    """``code(at, unpack)`` with each state it unpacks and reads twice or more held in locals ``<state>_<i>``
-    (``at(state, i)``), read by ``unpack(state)``'s line where ``state`` was written, up to ``UNROLL`` elements."""
-    reads, offered = [], set()
-    code(lambda state, i: reads.append(state) or f"{state}[{i}]", lambda state: offered.add(state) or [])
-    held = {state for state in offered if reads.count(state) > n} if n and n <= UNROLL else ()
+    """``code(at, unpack)``, each state it offers read into locals ``<state>_<i>`` (``at(state, i)``) by its
+    ``unpack(state)`` line, up to ``UNROLL`` elements: a state is offered only once final, so no local goes stale."""
+    held = set()
     return code(lambda state, i: f"{state}_{i}" if state in held else f"{state}[{i}]",
-                lambda state: [f"{''.join(f'{state}_{i}, ' for i in range(n))}= {state}"] if state in held else [])
+                lambda state: held.add(state) or [f"{''.join(f'{state}_{i}, ' for i in range(n))}= {state}"]
+                if n and n <= UNROLL else [])
 
 
 def _define(name, args, lines, key, **names):
@@ -399,7 +398,7 @@ def _readonly(x, fresh=False):
 
 
 def _initial_copy(owner, x0):
-    """``owner``'s backend and its copy of a run's initial state, refused if 0-d, empty or non-finite."""
+    """``owner``'s copy of a run's initial state, made by its backend, refused if 0-d, empty or non-finite."""
     if getattr(x0, "ndim", None) == 0:
         raise DimensionError("the initial state is a 0-d array, with no length; give it 1 element")
     algebra = algebra_of(owner, x0)
@@ -409,7 +408,7 @@ def _initial_copy(owner, x0):
     algebra._copy_kernel(x)(x, x0)  # the copy a stepper binds: a replaced copy or scale_sum still runs
     if not _finite(x):
         raise ValueError("the initial state is not finite")
-    return algebra, x
+    return x
 
 
 class Scratched:

@@ -215,14 +215,14 @@ def _trial_code(fsal, error_order, tableau, n, fit=((), ())):
     s, pair = (1, ["pair = stepper._stepper.do_step_with_error"]) if tableau is None else (tableau.stage_count, [])
     def code(at, unpack):  # the trial, then, on acceptance, the fit and the copy into x
         update = partial(_update, n, at=at)
-        copy = ["copy(x, u)"] if n is None else _update_lines(n, "x", ["1.0"], ["u"]) if tableau is None \
+        copy = lambda: ["copy(x, u)"] if n is None else _update_lines(n, "x", ["1.0"], ["u"]) if tableau is None \
             else _each(n, "len(x)", lambda i: f"x[{i}] = {at('u', i)}")  # a shipped pair's floats as they are
         return ["trial = pair(counted, x, t, dt, out=u, xerr=e, dxdt_in=k0)"] if tableau is None else [
             *unpack("x"), *unpack("k0"), *_stages(tableau, update, unpack), *update("u", tableau.b, 1), *unpack("u"),
             *([f"system(u, k{s - 1}, t + dt)", *unpack(f"k{s - 1}")] if tableau.is_fsal else []),
             *(update("e", tableau.error_weights, 0) if n is None
               else _ratio_lines(lambda row: update(row, tableau.error_weights, 0), "k0", at)),
-        ], [*(fit(at) if fit else ()), *copy]
+        ], [*(fit(at) if fit else ()), *copy()]  # after the trial's lines: it reads the solution's locals
     body, copied = _held(n if tableau else None, code)
     names = [*(f"k{j}" for j in range(s)), "u", *(["e", "_", "_"] if called else []), *states]
     kl = f"k{s - 1}"

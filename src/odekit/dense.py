@@ -128,7 +128,7 @@ class DenseOutputDopri5(ControlledStepper):
         all finite, the state non-empty, the width positive."""
         if not (math.isfinite(t0) and 0.0 < dt0 < math.inf):
             raise ValueError("need a finite start time and a finite positive width proposal")
-        self._x = _initial_copy(self, x0)[1]
+        self._x = _initial_copy(self, x0)
         self._t, self._dt = float(t0), float(dt0)
         self.reset()
 

@@ -51,13 +51,13 @@ class ExplicitRungeKutta(Scratched):
 
     def __init__(self, tableau, algebra=None):
         self._tableau = tableau
-        self.order = tableau.order
-        self.error_order = tableau.error_order
-        self.stage_count = tableau.stage_count
-        self.fsal = tableau.is_fsal
         self._fixed_algebra = algebra
 
-    tableau = property(lambda self: self._tableau)  # read-only: the bound code is generated from it
+    tableau = property(lambda self: self._tableau)  # read-only, as the facts below: bound code is generated from it
+    order = property(lambda self: self._tableau.order)
+    error_order = property(lambda self: self._tableau.error_order)
+    stage_count = property(lambda self: self._tableau.stage_count)
+    fsal = property(lambda self: self._tableau.is_fsal)
     _count = property(lambda self: self.stage_count + 1)  # stage derivatives, then the stage state
 
     def _bind(self, algebra, k, x):

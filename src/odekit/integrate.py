@@ -95,7 +95,7 @@ def _start(stepper, x0, t0, t1, dt):
         raise ValueError("end time must exceed start time")
     if dt <= 0.0:
         raise ValueError("step or grid width must be positive")
-    return _initial_copy(stepper, x0)[1], t0, t1, dt
+    return _initial_copy(stepper, x0), t0, t1, dt
 
 
 def _controlled_walk(stepper, system, x, t0, targets, dt, observer, observe_steps, sample=None):

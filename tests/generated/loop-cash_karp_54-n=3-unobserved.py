@@ -90,14 +90,16 @@ def make(kernel, k):
                 u[2] = x_2 + w9 * k0_2 + w10 * k1_2 + w11 * k2_2 + w12 * k3_2
                 evaluations += 1
                 system(u, k4, t + w13)
-                u[0] = x_0 + w14 * k0_0 + w15 * k1_0 + w16 * k2_0 + w17 * k3_0 + w18 * k4[0]
-                u[1] = x_1 + w14 * k0_1 + w15 * k1_1 + w16 * k2_1 + w17 * k3_1 + w18 * k4[1]
-                u[2] = x_2 + w14 * k0_2 + w15 * k1_2 + w16 * k2_2 + w17 * k3_2 + w18 * k4[2]
+                k4_0, k4_1, k4_2, = k4
+                u[0] = x_0 + w14 * k0_0 + w15 * k1_0 + w16 * k2_0 + w17 * k3_0 + w18 * k4_0
+                u[1] = x_1 + w14 * k0_1 + w15 * k1_1 + w16 * k2_1 + w17 * k3_1 + w18 * k4_1
+                u[2] = x_2 + w14 * k0_2 + w15 * k1_2 + w16 * k2_2 + w17 * k3_2 + w18 * k4_2
                 evaluations += 1
                 system(u, k5, t + w19)
-                target[0] = x_0 + w20 * k0_0 + w21 * k2_0 + w22 * k3_0 + w23 * k5[0]
-                target[1] = x_1 + w20 * k0_1 + w21 * k2_1 + w22 * k3_1 + w23 * k5[1]
-                target[2] = x_2 + w20 * k0_2 + w21 * k2_2 + w22 * k3_2 + w23 * k5[2]
+                k5_0, k5_1, k5_2, = k5
+                target[0] = x_0 + w20 * k0_0 + w21 * k2_0 + w22 * k3_0 + w23 * k5_0
+                target[1] = x_1 + w20 * k0_1 + w21 * k2_1 + w22 * k3_1 + w23 * k5_1
+                target[2] = x_2 + w20 * k0_2 + w21 * k2_2 + w22 * k3_2 + w23 * k5_2
                 t = t_next
             if not finite(x):
                 raise SolverError(f'the state is not finite at t={t!r}')

@@ -99,9 +99,10 @@ def make(kernel, k):
                 u[2] = x_2 + w14 * k0_2 + w15 * k1_2 + w16 * k2_2 + w17 * k3_2 + w18 * k4_2
                 evaluations += 1
                 system(u, k5, t + w19)
-                target[0] = x_0 + w20 * k0_0 + w21 * k2_0 + w22 * k3_0 + w23 * k4_0 + w24 * k5[0]
-                target[1] = x_1 + w20 * k0_1 + w21 * k2_1 + w22 * k3_1 + w23 * k4_1 + w24 * k5[1]
-                target[2] = x_2 + w20 * k0_2 + w21 * k2_2 + w22 * k3_2 + w23 * k4_2 + w24 * k5[2]
+                k5_0, k5_1, k5_2, = k5
+                target[0] = x_0 + w20 * k0_0 + w21 * k2_0 + w22 * k3_0 + w23 * k4_0 + w24 * k5_0
+                target[1] = x_1 + w20 * k0_1 + w21 * k2_1 + w22 * k3_1 + w23 * k4_1 + w24 * k5_1
+                target[2] = x_2 + w20 * k0_2 + w21 * k2_2 + w22 * k3_2 + w23 * k4_2 + w24 * k5_2
                 t = t_next
                 if not finite(x):
                     break

@@ -19,8 +19,10 @@ def make(kernel, k):
                     raise StepSizeUnderflowError(width, t)
                 evaluations += 1
                 system(x, k0, t)
-                target[0] = x[0] + w0 * k0[0]
-                target[1] = x[1] + w0 * k0[1]
+                x_0, x_1, = x
+                k0_0, k0_1, = k0
+                target[0] = x_0 + w0 * k0_0
+                target[1] = x_1 + w0 * k0_1
                 t = t_next
             if not finite(x):
                 raise SolverError(f'the state is not finite at t={t!r}')

@@ -20,9 +20,11 @@ def make(kernel, k):
                     raise StepSizeUnderflowError(width, t)
                 evaluations += 1
                 system(x, k0, t)
-                target[0] = x[0] + w0 * k0[0]
-                target[1] = x[1] + w0 * k0[1]
-                target[2] = x[2] + w0 * k0[2]
+                x_0, x_1, x_2, = x
+                k0_0, k0_1, k0_2, = k0
+                target[0] = x_0 + w0 * k0_0
+                target[1] = x_1 + w0 * k0_1
+                target[2] = x_2 + w0 * k0_2
                 t = t_next
                 if not finite(x):
                     break

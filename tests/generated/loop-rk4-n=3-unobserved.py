@@ -48,9 +48,10 @@ def make(kernel, k):
                 u[2] = x_2 + w2 * k2_2
                 evaluations += 1
                 system(u, k3, t + w3)
-                target[0] = x_0 + w4 * k0_0 + w5 * k1_0 + w5 * k2_0 + w4 * k3[0]
-                target[1] = x_1 + w4 * k0_1 + w5 * k1_1 + w5 * k2_1 + w4 * k3[1]
-                target[2] = x_2 + w4 * k0_2 + w5 * k1_2 + w5 * k2_2 + w4 * k3[2]
+                k3_0, k3_1, k3_2, = k3
+                target[0] = x_0 + w4 * k0_0 + w5 * k1_0 + w5 * k2_0 + w4 * k3_0
+                target[1] = x_1 + w4 * k0_1 + w5 * k1_1 + w5 * k2_1 + w4 * k3_1
+                target[2] = x_2 + w4 * k0_2 + w5 * k1_2 + w5 * k2_2 + w4 * k3_2
                 t = t_next
             if not finite(x):
                 raise SolverError(f'the state is not finite at t={t!r}')

@@ -23,9 +23,10 @@ def make(kernel, k, owner, T, N):
         u[1] = x_1 + w2 * k2_1
         u[2] = x_2 + w2 * k2_2
         system(u, k3, t + w3)
-        target[0] = x_0 + w4 * k0_0 + w5 * k1_0 + w5 * k2_0 + w4 * k3[0]
-        target[1] = x_1 + w4 * k0_1 + w5 * k1_1 + w5 * k2_1 + w4 * k3[1]
-        target[2] = x_2 + w4 * k0_2 + w5 * k1_2 + w5 * k2_2 + w4 * k3[2]
+        k3_0, k3_1, k3_2, = k3
+        target[0] = x_0 + w4 * k0_0 + w5 * k1_0 + w5 * k2_0 + w4 * k3_0
+        target[1] = x_1 + w4 * k0_1 + w5 * k1_1 + w5 * k2_1 + w4 * k3_1
+        target[2] = x_2 + w4 * k0_2 + w5 * k1_2 + w5 * k2_2 + w4 * k3_2
         return target
     error = None
     def entry(system, x, t, dt, out=None):
@@ -54,9 +55,10 @@ def make(kernel, k, owner, T, N):
             u[1] = x_1 + w2 * k2_1
             u[2] = x_2 + w2 * k2_2
             system(u, k3, t + w3)
-            target[0] = x_0 + w4 * k0_0 + w5 * k1_0 + w5 * k2_0 + w4 * k3[0]
-            target[1] = x_1 + w4 * k0_1 + w5 * k1_1 + w5 * k2_1 + w4 * k3[1]
-            target[2] = x_2 + w4 * k0_2 + w5 * k1_2 + w5 * k2_2 + w4 * k3[2]
+            k3_0, k3_1, k3_2, = k3
+            target[0] = x_0 + w4 * k0_0 + w5 * k1_0 + w5 * k2_0 + w4 * k3_0
+            target[1] = x_1 + w4 * k0_1 + w5 * k1_1 + w5 * k2_1 + w4 * k3_1
+            target[2] = x_2 + w4 * k0_2 + w5 * k1_2 + w5 * k2_2 + w4 * k3_2
             return target
         return fallback(owner, system, x, t, dt, out)
     _enter(owner, entry, fallback)

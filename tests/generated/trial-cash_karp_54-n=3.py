@@ -63,6 +63,7 @@ def make(kernel, ratio, copy, k):
             u[0] = x_0 + c1 * k0_0 + c2 * k2_0 + c3 * k3_0 + c4 * k5_0
             u[1] = x_1 + c1 * k0_1 + c2 * k2_1 + c3 * k3_1 + c4 * k5_1
             u[2] = x_2 + c1 * k0_2 + c2 * k2_2 + c3 * k3_2 + c4 * k5_2
+            u_0, u_1, u_2, = u
             adt, worst = abs(dt), 0.0
             c0 = dt * -0.004293774801587311
             c1 = dt * 0.018668586093857853
@@ -75,9 +76,9 @@ def make(kernel, ratio, copy, k):
             worst = float(worst)
             if worst <= 1.0:
                 t_new = t + dt
-                x[0] = u[0]
-                x[1] = u[1]
-                x[2] = u[2]
+                x[0] = u_0
+                x[1] = u_1
+                x[2] = u_2
                 factor = 5.0 if worst == 0.0 else 0.9 * worst ** -0.2
                 if factor > 5.0:
                     factor = 5.0

@@ -80,8 +80,10 @@ def make(kernel, ratio, copy, k):
                     u[0] = x_0 + c1 * k0_0 + c2 * k2_0 + c3 * k3_0 + c4 * k4_0 + c5 * k5_0
                     u[1] = x_1 + c1 * k0_1 + c2 * k2_1 + c3 * k3_1 + c4 * k4_1 + c5 * k5_1
                     u[2] = x_2 + c1 * k0_2 + c2 * k2_2 + c3 * k3_2 + c4 * k4_2 + c5 * k5_2
+                    u_0, u_1, u_2, = u
                     evaluations += 1
                     system(u, k6, t + dt)
+                    k6_0, k6_1, k6_2, = k6
                     adt, worst = abs(dt), 0.0
                     c0 = dt * 0.0012326388888888873
                     c1 = dt * -0.004252770290506136
@@ -89,15 +91,15 @@ def make(kernel, ratio, copy, k):
                     c3 = dt * -0.05086379716981132
                     c4 = dt * 0.04190476190476192
                     c5 = dt * -0.025
-                    r, s = abs(c0 * k0_0 + c1 * k2_0 + c2 * k3_0 + c3 * k4_0 + c4 * k5_0 + c5 * k6[0]), (atol + rtol * (abs(x_0) + adt * abs(k0_0))); r = r / s if s else r * float('inf'); worst = r if r > worst or r != r else worst
-                    r, s = abs(c0 * k0_1 + c1 * k2_1 + c2 * k3_1 + c3 * k4_1 + c4 * k5_1 + c5 * k6[1]), (atol + rtol * (abs(x_1) + adt * abs(k0_1))); r = r / s if s else r * float('inf'); worst = r if r > worst or r != r else worst
-                    r, s = abs(c0 * k0_2 + c1 * k2_2 + c2 * k3_2 + c3 * k4_2 + c4 * k5_2 + c5 * k6[2]), (atol + rtol * (abs(x_2) + adt * abs(k0_2))); r = r / s if s else r * float('inf'); worst = r if r > worst or r != r else worst
+                    r, s = abs(c0 * k0_0 + c1 * k2_0 + c2 * k3_0 + c3 * k4_0 + c4 * k5_0 + c5 * k6_0), (atol + rtol * (abs(x_0) + adt * abs(k0_0))); r = r / s if s else r * float('inf'); worst = r if r > worst or r != r else worst
+                    r, s = abs(c0 * k0_1 + c1 * k2_1 + c2 * k3_1 + c3 * k4_1 + c4 * k5_1 + c5 * k6_1), (atol + rtol * (abs(x_1) + adt * abs(k0_1))); r = r / s if s else r * float('inf'); worst = r if r > worst or r != r else worst
+                    r, s = abs(c0 * k0_2 + c1 * k2_2 + c2 * k3_2 + c3 * k4_2 + c4 * k5_2 + c5 * k6_2), (atol + rtol * (abs(x_2) + adt * abs(k0_2))); r = r / s if s else r * float('inf'); worst = r if r > worst or r != r else worst
                     worst = float(worst)
                     if worst <= 1.0:
                         t_new = target if clamped else t + dt
-                        x[0] = u[0]
-                        x[1] = u[1]
-                        x[2] = u[2]
+                        x[0] = u_0
+                        x[1] = u_1
+                        x[2] = u_2
                         factor = 5.0 if worst == 0.0 else 0.9 * worst ** -0.2
                         if factor > 5.0:
                             factor = 5.0

@@ -101,8 +101,10 @@ def make(kernel, ratio, copy, k):
                     u[0] = x_0 + c1 * k0_0 + c2 * k1_0 + c3 * k2_0 + c4 * k3_0 + c5 * k4_0 + c6 * k5_0 + c7 * k6_0 + c8 * k7_0
                     u[1] = x_1 + c1 * k0_1 + c2 * k1_1 + c3 * k2_1 + c4 * k3_1 + c5 * k4_1 + c6 * k5_1 + c7 * k6_1 + c8 * k7_1
                     u[2] = x_2 + c1 * k0_2 + c2 * k1_2 + c3 * k2_2 + c4 * k3_2 + c5 * k4_2 + c6 * k5_2 + c7 * k6_2 + c8 * k7_2
+                    u_0, u_1, u_2, = u
                     evaluations += 1
                     system(u, k8, t + dt)
+                    k8_0, k8_1, k8_2, = k8
                     adt, worst = abs(dt), 0.0
                     c0 = dt * 0.08333333333333333
                     c1 = dt * 0.16666666666666666
@@ -118,9 +120,9 @@ def make(kernel, ratio, copy, k):
                     worst = float(worst)
                     if worst <= 1.0:
                         t_new = target if clamped else t + dt
-                        x[0] = u[0]
-                        x[1] = u[1]
-                        x[2] = u[2]
+                        x[0] = u_0
+                        x[1] = u_1
+                        x[2] = u_2
                         factor = 5.0 if worst == 0.0 else 0.9 * worst ** -0.3333333333333333
                         if factor > 5.0:
                             factor = 5.0

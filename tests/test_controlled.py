@@ -26,8 +26,8 @@ from odekit import (
 )
 from odekit.algebra import SEQUENCE_ALGEBRA
 from odekit.explicit import EmbeddedRungeKutta
+from reference import hexes
 from test_explicit import RK4X2_FSAL
-from test_properties import hexes
 
 
 def expgrow(x, dxdt, t):

@@ -29,16 +29,11 @@ from odekit import (
 )
 from odekit.algebra import UNROLL, SequenceAlgebra
 from odekit.explicit import ExplicitRungeKutta
+from reference import hexes, ring
 
 
 class Row(list):
     """A list subclass: a container type of its own for the scratch tag."""
-
-
-def ring(x, dxdt, t):
-    n = len(x)
-    for i in range(n):
-        dxdt[i] = x[(i + 1) % n] - x[i] * x[i] * x[i] + 0.5 * t
 
 
 def _dqdt(p, out):
@@ -53,10 +48,6 @@ def _dpdt(q, out):
 
 PENDULUM = SeparableHamiltonian(dqdt=_dqdt, dpdt=_dpdt)
 BOXES = {"list": list, "row": Row, "numpy": lambda v: np.array(v, dtype=np.float64)}
-
-
-def hexes(state):
-    return [float(v).hex() for v in state]
 
 
 def pair_hexes(pair):

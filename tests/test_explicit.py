@@ -23,7 +23,7 @@ from odekit import (
 )
 from odekit.explicit import EmbeddedRungeKutta, ExplicitRungeKutta, StageRecord
 from odekit.tableaus import ButcherTableau
-from test_properties import hexes
+from reference import hexes
 
 
 def expgrow(x, dxdt, t):
@@ -220,12 +220,15 @@ def test_an_eight_stage_step_is_two_rk4_half_steps_bit_for_bit(box, system, x0):
 
 
 def test_a_steppers_tableau_is_read_only():
-    # Its bound code is generated from the tableau, so none other replaces it.
+    # Its bound code is generated from the tableau, so none other replaces it, nor any scheme fact read from it.
     stepper, x = RungeKutta4(), [1.0, 0.0]
     stepper.do_step(HARMONIC, x, 0.0, 0.1)
-    with pytest.raises(AttributeError):
-        stepper.tableau = EULER
+    for name, value in (("tableau", EULER), ("order", 1), ("error_order", 1), ("stage_count", 2), ("fsal", True)):
+        with pytest.raises(AttributeError):
+            setattr(stepper, name, value)
     assert stepper.tableau is RK4_CLASSIC
+    facts = RK4_CLASSIC.order, RK4_CLASSIC.error_order, RK4_CLASSIC.stage_count, RK4_CLASSIC.is_fsal
+    assert (stepper.order, stepper.error_order, stepper.stage_count, stepper.fsal) == facts
     assert hexes(stepper.do_step(HARMONIC, [1.0, 0.0], 0.0, 0.1)) == hexes(x)
 
 

@@ -46,8 +46,8 @@ from odekit.explicit import EmbeddedRungeKutta, ExplicitRungeKutta, _step_code
 from odekit.integrate import _fixed_code, _walk_code
 from odekit.tableaus import CASH_KARP_54, DORMAND_PRINCE_54, EULER, RK4_CLASSIC
 from generated import scenarios
-from test_properties import (DelegatingNumpy, GeneralAlgebra, ReferenceController, class_do_step_loop, delegating, hexes,
-                             stage_loop)
+from reference import hexes, reference_run
+from test_properties import DelegatingNumpy, GeneralAlgebra, ReferenceController, delegating, stage_loop
 
 X3 = [1.0, -0.5, 0.25]
 
@@ -142,7 +142,7 @@ def test_inspect_finds_the_source_of_generated_functions():
     entry = stepper.do_step
     assert inspect.getsource(entry).lstrip().startswith("def entry(system, x, t, dt, out=None):")
     bound = stepper._record(x)
-    assert "target[2] = x[2] + w0 * k0[2]" in inspect.getsource(_fixed_code(bound.pieces, False)(*bound.args))
+    assert "target[2] = x_2 + w0 * k0_2" in inspect.getsource(_fixed_code(bound.pieces, False)(*bound.args))
 
     # Implicit Euler's residual: the ufunc calls of numpy's own kernel, a
     # kernel call where scale_sum is replaced.
@@ -359,12 +359,13 @@ def test_two_tableaus_give_two_profile_rows():
 UNPACK = re.compile(r"^(\w+_\d+, )+= \w+$")
 
 
-def test_eulers_fixed_step_holds_no_local():
-    # x and k0 are each read once, so the step is the subscripted one; its
-    # one product of dt is named, and bound apart from the step.
+def test_eulers_fixed_step_holds_x_and_k0():
+    # x and k0 are each offered, so each is read once, into locals, though
+    # the update reads them once; its one product of dt is named, and
+    # bound apart from the step.
     (key, head, bind, step), _ = _step_code(EULER, 3)
-    assert step == ("system(x, k0, t)", "target[0] = x[0] + w0 * k0[0]",
-                    "target[1] = x[1] + w0 * k0[1]", "target[2] = x[2] + w0 * k0[2]")
+    assert step == ("system(x, k0, t)", "x_0, x_1, x_2, = x", "k0_0, k0_1, k0_2, = k0",
+                    "target[0] = x_0 + w0 * k0_0", "target[1] = x_1 + w0 * k0_1", "target[2] = x_2 + w0 * k0_2")
     assert (key, head, bind) == ("euler n=3", ("k0, u = k", "target = x"), ("w0 = dt * 1.0",))
 
 
@@ -372,19 +373,20 @@ def test_rk4s_fixed_step_reads_x_and_the_stages_once():
     (_, _, _, step), _ = _step_code(RK4_CLASSIC, 3)
     unpacked = [line for line in step if UNPACK.match(line)]
     assert unpacked == ["x_0, x_1, x_2, = x", "k0_0, k0_1, k0_2, = k0", "k1_0, k1_1, k1_2, = k1",
-                        "k2_0, k2_1, k2_2, = k2"]
-    # k3 is read once, by the solution.
-    assert [re.findall(r"\b(x|k\d)\[\d\]", line) for line in step if line.startswith("target[")] == [["k3"]] * 3
+                        "k2_0, k2_1, k2_2, = k2", "k3_0, k3_1, k3_2, = k3"]
+    # k3 is read once, by the solution, and held all the same.
+    assert [re.findall(r"\b(x|k\d)\[\d\]", line) for line in step if line.startswith("target[")] == [[]] * 3
 
 
 def test_the_dp5_trial_reads_each_stage_once():
     (_, _, step, accept, _, _), _ = _trial_code(True, 4, DORMAND_PRINCE_54, 3)
-    # Every state read twice or more is read once, into locals: of the
-    # subscripts read, the last stage's are the error ratio's and the
-    # solution's the accept's, one read each.
-    reads = re.findall(r"\b(x|u|k\d)\[\d\](?! =)", "\n".join(step + accept))
-    assert sorted(reads) == ["k6"] * 3 + ["u"] * 3
-    assert accept[:3] == ("x[0] = u[0]", "x[1] = u[1]", "x[2] = u[2]")
+    # Every state is read once, into locals, on the line after its last
+    # write: no subscript is read, the solution's and the last stage's
+    # included, which the error ratio and the accept read once each.
+    assert not re.findall(r"\b(x|u|k\d)\[\d\](?! =)", "\n".join(step + accept))
+    assert step[step.index("u_0, u_1, u_2, = u") - 1].startswith("u[2] = ")
+    assert step[step.index("k6_0, k6_1, k6_2, = k6") - 1] == "system(u, k6, t + dt)"
+    assert accept[:3] == ("x[0] = u_0", "x[1] = u_1", "x[2] = u_2")
     # In the dense trial the fit reads the solution and the last stage too.
     dense = _trial_code(True, 4, DORMAND_PRINCE_54, 3, _dense_code(DORMAND_PRINCE_54, 3)[0])[0]
     code = "\n".join(dense[2] + dense[3])
@@ -443,8 +445,8 @@ def test_the_fixed_loop_matches_the_class_do_step_with_signed_zeros(name, n):
     seen, expected = [], []
     report = integrate_const(ExplicitRungeKutta(TABLEAUS[name]), apart, list(x0), 0.0, 0.5, 0.125,
                              lambda x, t: seen.append((t.hex(), hexes(x))))
-    reference = class_do_step_loop(ExplicitRungeKutta(TABLEAUS[name]), apart, list(x0), 0.0, 0.5, 0.125,
-                                   lambda x, t: expected.append((t.hex(), hexes(x))))
+    _, reference, _ = reference_run(ExplicitRungeKutta(TABLEAUS[name]), apart, list(x0), 0.0, 0.5, 0.125,
+                                    lambda x, t: expected.append((t.hex(), hexes(x))))
     assert seen == expected and hexes(report.final_state) == hexes(reference.final_state)
 
 

@@ -24,8 +24,8 @@ from odekit import (
     integrate_const,
 )
 from odekit.implicit import NEWTON_MAX_ITER
-from odekit.integrate import GRID_SNAP
-from test_properties import DelegatingNumpy, hexes
+from reference import hexes, reference_run
+from test_properties import DelegatingNumpy
 from test_stage_kernels import LoggingAlgebra, decay_rows, decay_rows_jacobian, logging_instance
 
 
@@ -556,23 +556,6 @@ INLINE_BOXES = {
 }
 
 
-def loop_over_do_step(system, x0, t0, t1, dt, seen):
-    """``integrate_const``'s steps on a float copy of ``x0`` as a loop
-    over the class ``do_step`` on a counter, each state after a step
-    handed to ``seen``: the stepper, the state and the counter."""
-    stepper, counter = ImplicitEuler(), EvaluationCounter(system)
-    x = np.array(x0, dtype=np.result_type(x0, 0.0)) if isinstance(x0, np.ndarray) else [float(v) for v in x0]
-    steps = int(np.floor((t1 - t0) / dt + GRID_SNAP))
-    t_last = t1 if abs(t0 + steps * dt - t1) <= GRID_SNAP * dt else t0 + steps * dt
-    seen(x, t0)
-    for j in range(1, steps + 1):
-        t = t0 + (j - 1) * dt
-        width = dt if j < steps or t_last == t0 + steps * dt else t_last - t
-        ImplicitEuler.do_step(stepper, counter, x, t, width)
-        seen(x, t_last if j == steps else t0 + j * dt)
-    return stepper, x, counter
-
-
 @pytest.mark.parametrize("observed", [True, False], ids=["observed", "unobserved"])
 @pytest.mark.parametrize("box", sorted(INLINE_BOXES))
 @pytest.mark.parametrize("name", sorted(INLINE_SYSTEMS))
@@ -586,12 +569,13 @@ def test_the_inline_newton_step_is_the_class_do_step(name, box, observed):
     stepper = ImplicitEuler()
     report = integrate_const(stepper, system, make(x0), 0.0, 0.3, 0.1,
                              (lambda x, t: driven.append((t.hex(), hexes(x)))) if observed else None)
-    reference, x, counter = loop_over_do_step(system, make(x0), 0.0, 0.3, 0.1,
-                                              lambda x, t: looped.append((t.hex(), hexes(x))))
+    reference = ImplicitEuler()
+    _, (x, _, _, _, evaluations), _ = reference_run(reference, system, make(x0), 0.0, 0.3, 0.1,
+                                                     lambda x, t: looped.append((t.hex(), hexes(x))))
     assert hexes(report.final_state) == hexes(x) and type(report.final_state) is type(x)
     assert getattr(report.final_state, "dtype", None) == getattr(x, "dtype", None)
     assert driven == (looped if observed else [])
-    assert (report.final_time, report.steps_accepted, report.system_evaluations) == (0.3, 3, counter.count)
+    assert (report.final_time, report.steps_accepted, report.system_evaluations) == (0.3, 3, evaluations)
     assert (stepper._factorizations, stepper.last_iteration_count) == \
         (reference._factorizations, reference.last_iteration_count)
     if name in ("cubic32", "lorenz"):

@@ -29,7 +29,7 @@ from odekit import (
     integrate_const,
 )
 from odekit.algebra import SequenceAlgebra
-from odekit.integrate import GRID_SNAP, IntegrationReport
+from reference import reference_run, ring
 
 
 def expgrow(x, dxdt, t):
@@ -138,12 +138,11 @@ def test_a_clamped_last_step_evaluates_nothing_past_t1(make):
     params = ControllerParams(atol=tol, rtol=tol)
     stepper = DenseOutputDopri5(params) if make == "dense" else ControlledStepper(make(), params)
 
-    def ring(x, dxdt, t):
+    def logged(x, dxdt, t):
         seen.append(t)
-        for i in range(2):
-            dxdt[i] = x[(i + 1) % 2] - x[i] * x[i] * x[i] + 0.5 * t
+        ring(x, dxdt, t)
 
-    report = integrate_adaptive(stepper, ring, [0.3, -0.7], -0.15625, 0.03125, 0.05389669397121018)
+    report = integrate_adaptive(stepper, logged, [0.3, -0.7], -0.15625, 0.03125, 0.05389669397121018)
     assert report.final_time == 0.03125 and max(seen) <= 0.03125
     if make == "dense":
         lo, hi, _ = stepper._span
@@ -475,7 +474,7 @@ CONTRACT_PATHS = {
     "dense samples": (DenseOutputDopri5, integrate_const, "samples"),
     "adaptive": (lambda: ControlledStepper(DormandPrince5()), integrate_adaptive, "steps"),
 }
-CONTRACT_WIDTH, CONTRACT_STEPS = 0.1, 10
+CONTRACT_WIDTH = 0.1
 
 
 def contract_cases():
@@ -520,60 +519,6 @@ def contract_observer(failure, seen):
     return observer
 
 
-def reference_run(stepper, grid, system, x, observer):
-    """A driver path as a plain loop over the public per-step API
-    (``do_step``, ``try_step``, ``calc_state``, ``interval``) with an
-    :class:`EvaluationCounter`, by the drivers' documented rules: the
-    observer first at t0; a fixed state not finite at an observation or
-    at the end raises; a controlled run lands on each target, clamping
-    the width, and a dense run samples the grid after each accepted
-    step.  Returns the :class:`SolverError` raised, if any, and the
-    report of the steps taken."""
-    h = CONTRACT_WIDTH
-    counter, dt, t, accepted, rejected = EvaluationCounter(system), h, 0.0, 0, 0
-    targets = [k * h for k in range(1, CONTRACT_STEPS + 1)] if grid in ("fixed", "targets") else [1.0]
-    finite = lambda: all(math.isfinite(v) for v in x)  # noqa: E731
-    try:
-        if observer:
-            observer(x, t)
-        if grid == "fixed":
-            for target in targets:
-                stepper.do_step(counter, x, t, dt)
-                t, accepted = target, accepted + 1
-                if observer:
-                    if not finite():
-                        break
-                    observer(x, t)
-            if not finite():
-                raise SolverError(f"the state is not finite at t={t!r}")
-            return None, IntegrationReport(x, t, accepted, 0, counter.count)
-        j = 1
-        for target in targets:
-            while t < target:
-                clamped = dt >= target - t
-                width = target - t if clamped else dt
-                if clamped and t + width > target:
-                    width = math.nextafter(width, 0.0)
-                result = stepper.try_step(counter, x, t, width)
-                dt = result.dt
-                if not result.accepted:
-                    rejected += 1
-                    continue
-                accepted, t = accepted + 1, target if clamped else result.t
-                if observer and grid == "steps":
-                    observer(x, t)
-                if observer and grid == "samples":
-                    while j * h < 1.0 - GRID_SNAP * h and j * h <= t + GRID_SNAP * h:
-                        observer(stepper.calc_state(min(j * h, stepper.interval[1])), j * h)
-                        j += 1
-            t = target
-            if observer and grid in ("targets", "samples"):
-                observer(x, t)
-    except SolverError as exc:
-        return exc, IntegrationReport(x, t, accepted, rejected, counter.count)
-    return None, IntegrationReport(x, t, accepted, rejected, counter.count)
-
-
 def contract_outcome(error, report, calls, seen):
     return (type(error), str(error), [float(v).hex() for v in report.final_state], report.final_time.hex(),
             report.steps_accepted, report.steps_rejected, report.system_evaluations, calls, seen)
@@ -587,13 +532,14 @@ def test_every_driver_path_fails_as_a_loop_over_the_public_per_step_api(path, ob
     # against reference_run.  Pytest's default warning filters apply:
     # numpy's RuntimeWarnings on a non-finite numpy state are not this
     # test's subject.
-    make, driver, grid = CONTRACT_PATHS[path]
+    make, driver, _ = CONTRACT_PATHS[path]
     outcomes = []
     for run in ("driver", "reference"):
         (system, calls), seen = contract_system(failure), []
         observer = contract_observer(failure, seen) if observed else None
         if run == "reference":
-            error, report = reference_run(make(), grid, system, box([1.0, 0.5]), observer)
+            error, report, _ = reference_run(make(), system, box([1.0, 0.5]), 0.0, 1.0, CONTRACT_WIDTH, observer,
+                                             adaptive=driver is integrate_adaptive)
         else:
             with pytest.raises(SolverError) as info:
                 driver(make(), system, box([1.0, 0.5]), 0.0, 1.0, CONTRACT_WIDTH, observer)

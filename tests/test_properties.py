@@ -41,7 +41,6 @@ from odekit import (
     EvaluationCounter,
     ExplicitEuler,
     ImplicitEuler,
-    IntegrationReport,
     JacobianSystem,
     PairState,
     RungeKutta4,
@@ -68,14 +67,8 @@ from odekit.controlled import StepResult
 from odekit.explicit import EmbeddedRungeKutta, ExplicitRungeKutta
 from odekit.integrate import GRID_SNAP
 from odekit.tableaus import ButcherTableau
+from reference import ArrayAlgebra, grid_times, hexes, reference_run, ring
 from test_integrate import DuckEuler
-
-
-def ring(x, dxdt, t):
-    # Elementwise so both containers run the same float operations.
-    n = len(x)
-    for i in range(n):
-        dxdt[i] = x[(i + 1) % n] - x[i] * x[i] * x[i] + 0.5 * t
 
 
 PLAIN = {"euler": ExplicitEuler, "rk4": RungeKutta4}
@@ -153,14 +146,6 @@ def test_rejected_trial_leaves_state_and_time(x0, dt, tol, kind, as_numpy):
         dt = result.dt
 
 
-def expected_grid(t0, t1, dt):
-    count = int(np.floor((t1 - t0) / dt + GRID_SNAP))
-    times = [t0 + k * dt for k in range(count + 1)]
-    if abs(times[-1] - t1) <= GRID_SNAP * dt:
-        times[-1] = t1
-    return times
-
-
 def record_run(driver, stepper, t0, t1, dt):
     evals, seen = [], []
 
@@ -190,7 +175,7 @@ def test_drivers_observe_the_grid_and_stop_at_t1(t0, span, dt, tol, case):
     if case in ("fixed", "controlled"):
         stepper = RungeKutta4() if case == "fixed" else make_trial_stepper("dopri5", tol)
         report, evals, seen = record_run(integrate_const, stepper, t0, t1, dt)
-        grid = expected_grid(t0, t1, dt)
+        grid = grid_times(t0, t1, dt)
         assert seen == grid and report.final_time == grid[-1]
     elif case == "adaptive":
         stepper = make_trial_stepper("ck54", tol)
@@ -200,7 +185,7 @@ def test_drivers_observe_the_grid_and_stop_at_t1(t0, span, dt, tol, case):
     else:
         stepper = make_trial_stepper("dense", tol)
         report, evals, seen = record_run(integrate_const, stepper, t0, t1, dt)
-        inner = [t for t in expected_grid(t0, t1, dt) if t < t1 - GRID_SNAP * dt]
+        inner = [t for t in grid_times(t0, t1, dt) if t < t1 - GRID_SNAP * dt]
         assert seen == inner + [t1] and report.final_time == t1
     assert max(evals, default=t0) <= math.nextafter(t1, math.inf)
 
@@ -374,17 +359,6 @@ def stage_loop(tableau, system, x, t, dt, algebra):
     return new, combine(algebra.clone_shape(x), 0, tableau.error_weights, k), k
 
 
-def hexes(v):
-    return None if v is None else [float(e).hex() for e in v]
-
-
-class ArrayAlgebra(SequenceAlgebra):
-    """The sequence arithmetic on ``array.array('d')`` states."""
-
-    def clone_shape(self, src):
-        return array.array("d", bytes(8 * len(src)))
-
-
 class GeneralAlgebra(SequenceAlgebra):
     """A replaced ``scale_sum``: every update is a call of it."""
 
@@ -446,26 +420,6 @@ FIXED_BOXES = {"list": (list, None), "numpy": (np.array, None), "general": (list
 ENDS = {"whole": 0.0, "snapped-below": -0.3 * GRID_SNAP, "snapped-above": 0.3 * GRID_SNAP, "between": 0.5}
 
 
-def class_do_step_loop(stepper, system, x, t0, t1, dt, observer):
-    """``integrate_const``'s fixed steps as a loop over the class
-    ``ExplicitRungeKutta.do_step``, called unbound, which the generated
-    loop does not call: its counters in an :class:`IntegrationReport`,
-    the evaluations counted by an :class:`EvaluationCounter`."""
-    counter = EvaluationCounter(system)
-    steps = int(math.floor((t1 - t0) / dt + GRID_SNAP))
-    t_last = t0 + steps * dt
-    if steps and abs(t_last - t1) <= GRID_SNAP * dt:
-        t_last = t1
-    dt_last = dt if t_last == t0 + steps * dt else t_last - (t0 + (steps - 1) * dt)
-    t = t0
-    observer(x, t)
-    for k in range(1, steps + 1):
-        ExplicitRungeKutta.do_step(stepper, counter, x, t, dt_last if k == steps else dt)
-        t = t_last if k == steps else t0 + k * dt
-        observer(x, t)
-    return IntegrationReport(x, t_last, steps, 0, counter.count)
-
-
 @settings(max_examples=150, deadline=None, database=None)
 @given(
     x0=STATES,
@@ -491,7 +445,7 @@ def test_generated_fixed_loop_matches_a_loop_over_the_class_do_step(x0, t0, step
     t1 = t0 + steps * dt + ENDS[end] * dt
     container, algebra = FIXED_BOXES[box]
     runs = []
-    for drive in (integrate_const, class_do_step_loop):
+    for drive in (integrate_const, lambda *args: reference_run(*args)[1]):
         calls, seen = [], []
 
         def rhs(x, dxdt, t):
@@ -710,59 +664,6 @@ WALK_FORMS = {
 WALK_BOXES = {"list": (list, None), "numpy": (np.array, None), "general": (list, GeneralAlgebra())}
 
 
-def public_samples(stepper, observe, j, h, t_end, limit):
-    """The grid points ``j*h``, ``j`` counting up, below ``t_end`` and
-    up to ``limit``, observed through the public ``calc_state`` at that
-    time or the end of the step if earlier: the next ``j``."""
-    hi = stepper.interval[1]
-    while j * h < t_end and j * h <= limit:
-        observe(stepper.calc_state(min(j * h, hi)), j * h)
-        j += 1
-    return j
-
-
-def public_walk(stepper, rhs, x, t1, dt, targets, observe, observe_steps, sampled=False):
-    """The drivers' walk from t = 0 as a loop over the public
-    ``try_step``, each width taken from ``next_step_size`` and checked
-    against the one ``try_step`` proposed, and, ``sampled``, the grid
-    of the first width observed after each accepted step as
-    ``integrate_const`` samples it: the trials and the outcome."""
-    order, trials, t, accepted, rejected, again = stepper.stepper.error_order, [], 0.0, 0, 0, False
-    h, j = dt, 1
-    observe(x, t)
-    try:
-        for target in targets:
-            if target <= t:
-                raise StepSizeUnderflowError(dt, t)
-            while t < target:
-                clamped = dt >= target - t
-                width = target - t if clamped else dt
-                if clamped and t + width > target:  # the largest width that ends on or before target
-                    width = math.nextafter(width, 0.0)
-                result = stepper.try_step(rhs, x, t, width)
-                trials.append((t.hex(), width.hex(), result.accepted))
-                dt = next_step_size(width, result.error_ratio, order, again)
-                assert dt.hex() == result.dt.hex()
-                again = not result.accepted
-                if result.accepted:
-                    accepted += 1
-                    lo, t = t, target if clamped else result.t
-                    if clamped and isinstance(stepper, DenseOutputDopri5):  # the step covers [lo, target]
-                        stepper._span = lo, t, width
-                    if observe_steps:
-                        observe(x, t)
-                    elif sampled:
-                        j = public_samples(stepper, observe, j, h, t1 - GRID_SNAP * h, t + GRID_SNAP * h)
-                else:
-                    rejected += 1
-            t = target
-            if not observe_steps:
-                observe(x, t)
-    except SolverError as exc:
-        return trials, (type(exc), str(exc)), IntegrationReport(x, t, accepted, rejected, None)
-    return trials, None, IntegrationReport(x, t, accepted, rejected, None)
-
-
 def controller_state(stepper):
     """What a run leaves on the controller: its rejection flag, which
     buffer holds the cached derivative, a dense stepper's last step if
@@ -833,11 +734,9 @@ def test_generated_walk_matches_a_loop_over_the_public_try_step(x0, t1, dt0, tol
     # points through calc_state after each accepted step, and the
     # interpolant left after the run is compared too.
     box, algebra = WALK_BOXES[box]
-    sampled = grid and form.startswith("dense")
     if grid:
         dt0 = min(dt0, t1)
     params = ControllerParams(atol=tol, rtol=tol, dt_min=1e-6)
-    targets = expected_grid(0.0, t1, dt0)[1:] if grid and not sampled else [t1]
 
     rhs, calls = walk_system(kind)
     walked, seen = WALK_FORMS[form](algebra, params), []
@@ -849,9 +748,9 @@ def test_generated_walk_matches_a_loop_over_the_public_try_step(x0, t1, dt0, tol
 
     ref_rhs, ref_calls = walk_system(kind)
     reference, ref_seen = WALK_FORMS[form](algebra, params), []
-    trials, ref_failure, ref_report = public_walk(
-        reference, ref_rhs, box(x0), t1, dt0, targets,
-        lambda x, t: ref_seen.append((t.hex(), hexes(x))), not grid, sampled)
+    error, ref_report, trials = reference_run(reference, ref_rhs, box(x0), 0.0, t1, dt0,
+                                              lambda x, t: ref_seen.append((t.hex(), hexes(x))), adaptive=not grid)
+    ref_failure = None if error is None else (type(error), str(error))
 
     assert calls == ref_calls and seen == ref_seen and failure == ref_failure
     assert outcome(report, report.system_evaluations) == outcome(ref_report, len(ref_calls))
@@ -936,14 +835,14 @@ def test_controller_matches_a_loop_over_the_public_pair_ratio_and_controller(
     if grid:
         dt0 = min(dt0, t1)
     params = ControllerParams(atol=tol, rtol=tol, dt_min=1e-6)
-    targets = expected_grid(0.0, t1, dt0)[1:] if grid else [t1]
     backend = algebra or (NUMPY_ALGEBRA if box is np.array else SEQUENCE_ALGEBRA)
 
     def looped(stepper):
         rhs, calls = walk_system(kind)
         seen = []
-        trials, failure, report = public_walk(stepper, rhs, box(x0), t1, dt0, targets,
-                                              lambda x, t: seen.append((t.hex(), hexes(x))), not grid)
+        error, report, trials = reference_run(stepper, rhs, box(x0), 0.0, t1, dt0,
+                                              lambda x, t: seen.append((t.hex(), hexes(x))), adaptive=not grid)
+        failure = None if error is None else (type(error), str(error))
         return trials, (calls, seen, failure, outcome(report, len(calls)))
 
     reference = ReferenceController(PAIRS[pair](algebra), backend, params)

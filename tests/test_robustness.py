@@ -39,6 +39,7 @@ from odekit import (
     integrate_const,
 )
 from odekit.algebra import SequenceAlgebra
+from reference import hexes
 
 
 def decay(x, dxdt, t):
@@ -438,10 +439,6 @@ def test_pickling_test_covers_every_solver_error():
 
 
 # --- pickling and copying used steppers ---------------------------------------
-
-
-def hexes(values):
-    return [float(v).hex() for v in values]
 
 
 def run_fixed(stepper, box):

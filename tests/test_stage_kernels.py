@@ -35,7 +35,8 @@ from odekit.algebra import NUMPY_ALGEBRA, UNROLL, NumpyAlgebra, SequenceAlgebra
 from odekit.controlled import _trial_code
 from odekit.explicit import ExplicitRungeKutta, _step_code
 from odekit.tableaus import ButcherTableau
-from test_properties import delegating, hexes, stage_loop
+from reference import ArrayAlgebra, hexes
+from test_properties import delegating, stage_loop
 
 X0 = [10.0, 10.0, 10.0]
 
@@ -554,14 +555,6 @@ def test_a_warmed_stepper_answers_an_array_as_a_fresh_one(kind):
             outcomes.append((TypeError, str(exc)))
     assert outcomes[0] == outcomes[1]
     assert outcomes[0][0] is TypeError
-
-
-class ArrayAlgebra(SequenceAlgebra):
-    """The sequence arithmetic on ``array.array('d')`` states, which
-    the default backend cannot build."""
-
-    def clone_shape(self, src):
-        return array.array("d", bytes(8 * len(src)))
 
 
 TIGHT = ControllerParams(atol=1e-8, rtol=1e-8)

@@ -30,7 +30,8 @@ from odekit import (
     integrate_const,
 )
 from odekit.algebra import UNROLL
-from test_properties import hexes, rescaled_ring
+from reference import hexes
+from test_properties import rescaled_ring
 
 SYSTEM = rescaled_ring(1.0)  # ring, with the Jacobian implicit Euler needs
 PARAMS = ControllerParams(atol=1e-6, rtol=1e-6)
