@@ -8,10 +8,12 @@ floating point operations of ``scale_sum`` in the same left-to-right
 order, which keeps trajectories bit-identical across containers.
 
 Only this module decides which backend handles a state
-(:func:`algebra_of`), how states are checked and which kernels run:
+(:func:`algebra_of`), which snapshot a run's observers get
+(:func:`_snapshot`), how states are checked and which kernels run:
 one shape rule checks every buffer a caller passes before any
 evaluation; one override rule (class or instance) for ``scale_sum``,
-``copy`` and ``error_ratio_max`` is fixed when a stepper binds.
+``copy`` and ``error_ratio_max`` is fixed when a stepper binds; an
+unreplaced copy is the one-term update, numpy's too.
 
 The sequence backend's code is generated per state length, and one
 function, :func:`_update_lines`, writes every update in it: one
@@ -117,14 +119,15 @@ class Algebra:
 
     def _copy_kernel(self, x):
         """Unchecked copy on states like ``x``, unless replaced: inline
-        for the length generated, numpy's own, else a one-term kernel call."""
+        for the length generated, else a one-term kernel call, numpy's
+        too: ``out[...] = src``, or a multiply by 1.0 across dtypes."""
         n = self._fused_length(x)
         if n is not None:
             return _sequence_copy(n)
         if self._replaced("copy"):
             return self.copy
         one = self._kernel(1)
-        return _numpy_copy if one is _numpy_scale_sum else lambda out, src: one(out, (1.0,), (src,))
+        return lambda out, src: one(out, (1.0,), (src,))
 
     def _error_kernel(self, buffers):
         """Unchecked error ratio in the last two of ``buffers``, unless absent or replaced."""
@@ -173,14 +176,6 @@ def _numpy_scale_sum(out, coeffs, terms):
             acc = np.add(acc, np.multiply(term, c), out=out)
     if acc is not out:
         out[...] = acc
-    return out
-
-
-def _numpy_copy(out, src):
-    # The one-term update 1.0 * src, as _numpy_scale_sum writes it.
-    if getattr(src, "dtype", None) is not out.dtype:
-        return np.multiply(src, 1.0, out=out)
-    out[...] = src
     return out
 
 
@@ -395,6 +390,11 @@ def _readonly(x, fresh=False):
         x = x.copy()
     x.flags.writeable = False
     return x
+
+
+def _snapshot(x):
+    """The observers' snapshot for a run on states like ``x``, chosen once: ``tuple``, or :func:`_readonly` on numpy."""
+    return _readonly if isinstance(x, np.ndarray) else tuple
 
 
 def _initial_copy(owner, x0):

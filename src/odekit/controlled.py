@@ -105,13 +105,12 @@ class ControlledStepper(Scratched):
     externally; the drivers call it at the start of every run.
     """
 
-    _caches = ("_scratch", "_dxdt")
+    _caches = ("_scratch", "_dxdt", "_rejected")
 
     def __init__(self, stepper, params=None, algebra=None):
         self.stepper = stepper
         self.params = ControllerParams() if params is None else params
         self._algebra = algebra
-        self.reset()
 
     @property
     def _fixed_algebra(self):
@@ -132,9 +131,9 @@ class ControlledStepper(Scratched):
         vars(self).update(dict.fromkeys(self._caches), _stepper=stepper)
 
     def reset(self):
-        """Drop the cached derivative, every other cache but the scratch
-        states, and the rejection flag."""
-        vars(self).update(dict.fromkeys(self._caches[1:]), _rejected=False)
+        """Drop every cache but the scratch states: the cached
+        derivative and the rejection flag among them."""
+        vars(self).update(dict.fromkeys(self._caches[1:]))
 
     def _plain(self):
         # Whether the stepper's trial is EmbeddedRungeKutta's, which
@@ -201,7 +200,8 @@ def _trial_code(fsal, error_order, tableau, n, fit=((), ())):
     A shipped pair's trial is generated from its ``tableau``, the code
     ``algebra``'s module docstring describes: the other stages, the
     solution ``u``, a first-same-as-last stage at it and the error
-    ratio, read from ``algebra._held``'s locals.  With no ``tableau`` it
+    ratio, read from ``algebra._held``'s locals, the last stage's only
+    where its error weight or the ``fit`` reads it.  With no ``tableau`` it
     is ``trial =`` one call of the user's pair's ``do_step_with_error``
     on ``counted`` (``one``'s system itself) from ``k0`` into ``u`` and
     ``e``.  Then ``accept`` runs a dense stepper's ``fit``, ``(states,
@@ -213,19 +213,20 @@ def _trial_code(fsal, error_order, tableau, n, fit=((), ())):
     states, fit = fit
     called = tableau is None or n is None  # the error ratio is a call on the state e
     s, pair = (1, ["pair = stepper._stepper.do_step_with_error"]) if tableau is None else (tableau.stage_count, [])
+    kl = f"k{s - 1}"
     def code(at, unpack):  # the trial, then, on acceptance, the fit and the copy into x
         update = partial(_update, n, at=at)
         copy = lambda: ["copy(x, u)"] if n is None else _update_lines(n, "x", ["1.0"], ["u"]) if tableau is None \
             else _each(n, "len(x)", lambda i: f"x[{i}] = {at('u', i)}")  # a shipped pair's floats as they are
         return ["trial = pair(counted, x, t, dt, out=u, xerr=e, dxdt_in=k0)"] if tableau is None else [
             *unpack("x"), *unpack("k0"), *_stages(tableau, update, unpack), *update("u", tableau.b, 1), *unpack("u"),
-            *([f"system(u, k{s - 1}, t + dt)", *unpack(f"k{s - 1}")] if tableau.is_fsal else []),
+            *([f"system(u, {kl}, t + dt)", *(unpack(kl) if fit or tableau.error_weights[-1] else ())]
+              if tableau.is_fsal else []),
             *(update("e", tableau.error_weights, 0) if n is None
               else _ratio_lines(lambda row: update(row, tableau.error_weights, 0), "k0", at)),
         ], [*(fit(at) if fit else ()), *copy()]  # after the trial's lines: it reads the solution's locals
     body, copied = _held(n if tableau else None, code)
     names = [*(f"k{j}" for j in range(s)), "u", *(["e", "_", "_"] if called else []), *states]
-    kl = f"k{s - 1}"
     head = [f"{', '.join(names)} = k", *pair, "params = stepper.params",
             "atol, rtol, dt_min = params.atol, params.rtol, params.dt_min",
             "dxdt, again = stepper._dxdt, stepper._rejected"]

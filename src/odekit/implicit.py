@@ -23,7 +23,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .algebra import Bound, Scratched, _bound, _indent, _lazy_make, _numpy_copy, scratch
+from .algebra import Bound, Scratched, _bound, _indent, _lazy_make, _numpy_scale_sum, scratch
 from .errors import ConvergenceError, SingularMatrixError
 
 NEWTON_TOL = 1e-12
@@ -122,11 +122,12 @@ class ImplicitEuler(Scratched):
         self.last_iteration_count = 0
 
     def _bind(self, algebra, buffers, x):
-        # The generated Newton step on states like x (compiled on first call), its pieces and their make's args:
-        # the buffers, the copy (numpy's own kernels: copyto and the ufuncs they call), the stop's floor for the
-        # dtype, the identity, the Newton matrix's shape and names.
+        # The generated Newton step on states like x (compiled on first call), its pieces and their make's args: the
+        # buffers, the copy (numpy's copyto and ufuncs on arrays unless scale_sum or copy is replaced; arrays tested
+        # first, as _kernel compiles on a list), the stop's floor for the dtype, the identity, its shape, names.
         eps, n, copy = float(np.finfo(getattr(buffers[0], "dtype", float)).eps), len(x), algebra._copy_kernel(x)
-        form = "numpy" if copy is _numpy_copy else "numpy kernels" if isinstance(buffers[0], np.ndarray) else "sequence"
+        form = "sequence" if not isinstance(buffers[0], np.ndarray) else "numpy kernels" \
+            if algebra._replaced("copy") or algebra._kernel(1) is not _numpy_scale_sum else "numpy"
         k = (*buffers, (np.copyto, np.subtract, np.add, np.multiply) if form == "numpy" else copy,
              max(NEWTON_TOL, 8.0 * eps), np.eye(n), (n, n), (np.abs, np.zeros, np.linalg, np.linalg.LinAlgError,
              math.isfinite, ConvergenceError, SingularMatrixError))

@@ -26,9 +26,7 @@ import re
 from collections import namedtuple
 from functools import lru_cache
 
-import numpy as np
-
-from .algebra import Bound, _finite, _indent, _initial_copy, _make, _readonly
+from .algebra import Bound, _finite, _indent, _initial_copy, _make, _snapshot
 from .errors import SolverError, StepSizeUnderflowError
 
 # Grid times within this fraction of a width of the interval end are
@@ -115,8 +113,7 @@ def _controlled_walk(stepper, system, x, t0, targets, dt, observer, observe_step
     bound = stepper._record(x) if getattr(stepper.try_step, "_shipped", False) else Bound(None, None, (None,))
     observe = None if observer is None else "steps" if observe_steps else "samples" if sample else "targets"
     walk = _walk_code(bound.pieces, observe)(*bound.args)
-    return walk(stepper, system, x, t0, targets, dt, observer, sample,
-                _readonly if isinstance(x, np.ndarray) else tuple)
+    return walk(stepper, system, x, t0, targets, dt, observer, sample, _snapshot(x))
 
 
 def _count_calls(lines):
@@ -154,8 +151,8 @@ def _walk_code(trial, observe):
     ``step`` counted here: ``step`` leaves a trial's error ratio in
     ``worst``, and ``accept``, given the end time ``t_new``, or ``reject`` sets ``dt_next``."""
     seen = ["observer(snap(x), t)"]
-    on_step = {"steps": seen, "samples": ["j = sample(observer, lo, t, dt, t0, h, j, t_end, t + reach)"]}
-    on_step = on_step.get(observe, [])
+    sampled = ["lo, t = t, t_new", "j = sample(observer, lo, t, dt, t0, h, j, t_end, t + reach)"]  # only it reads lo
+    on_step = {"steps": ["t = t_new", *seen], "samples": sampled}.get(observe, ["t = t_new"])
     on_target = seen if observe in ("targets", "samples") else []
     sampler = ["(sample, t0, h, t_end, reach), j = sample, 1"] if observe == "samples" else []
     if trial is None:
@@ -172,8 +169,7 @@ def _walk_code(trial, observe):
         "        clamped = dt_next >= target - t", "        dt = target - t if clamped else dt_next",
         "        if clamped and t + dt > target:  # the largest width that ends on or before target",
         "            dt = nextafter(dt, 0.0)", *_indent(step, 2),
-        *_indent([f"t_new = target if clamped else {after}", *accept, "accepted += 1", "lo, t = t, t_new",
-                  *on_step], 3),
+        *_indent([f"t_new = target if clamped else {after}", *accept, "accepted += 1", *on_step], 3),
         "        else:", *_indent([*reject, "rejected += 1"], 3), "    t = target", *_indent(on_target),
     ], "x, t, accepted, rejected", "x, t, accepted, rejected", f"walk {key} {observe or 'unobserved'}", tail)
 
@@ -247,8 +243,7 @@ def integrate_const(stepper, system, x0, t0, t1, dt, observer=None):
     # A last grid point snapped onto t1 ends the last step there.
     dt_last = dt if t_last == t0 + steps * dt else t_last - (t0 + (steps - 1) * dt)
     loop = _fixed_code(bound.pieces, observer is not None)(*bound.args)
-    return loop(stepper, system, x, t0, steps, dt, t_last, dt_last, observer,
-                _readonly if isinstance(x, np.ndarray) else tuple)
+    return loop(stepper, system, x, t0, steps, dt, t_last, dt_last, observer, _snapshot(x))
 
 
 def integrate_adaptive(stepper, system, x0, t0, t1, dt0, observer=None):

@@ -8,6 +8,7 @@ from functools import partial
 
 import numpy as np
 
+from .algebra import _finite
 from .errors import SolverError
 from .integrate import integrate_const
 from .symplectic import SeparableHamiltonian
@@ -244,7 +245,7 @@ def order_study(stepper, system, x0, t0, t1, dt_list):
         try:
             report = integrate_const(scheme, system, x0, t0, t1, dt)
         except SolverError as exc:  # a run that blew up still has an error: one that is not finite
-            if np.isfinite((report := exc.partial_report).final_state).all():
+            if _finite((report := exc.partial_report).final_state):
                 raise
         if report.final_time != t1:
             raise ValueError(f"width {dt!r} does not divide the interval")

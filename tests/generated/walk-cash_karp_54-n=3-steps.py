@@ -102,7 +102,7 @@ def make(kernel, ratio, copy, k):
                             factor = 1.0
                         dt_next, again, dxdt = dt * factor, False, None
                         accepted += 1
-                        lo, t = t, t_new
+                        t = t_new
                         observer(snap(x), t)
                     else:
                         if not isfinite(worst) and not finite(k0):

@@ -107,7 +107,7 @@ def make(kernel, ratio, copy, k):
                             factor = 1.0
                         dt_next, again, dxdt = dt * factor, False, k6
                         accepted += 1
-                        lo, t = t, t_new
+                        t = t_new
                     else:
                         if not isfinite(worst) and not finite(k0):
                             raise SolverError(f'the derivative at t={t!r} is not finite')

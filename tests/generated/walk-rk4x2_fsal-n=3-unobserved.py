@@ -104,7 +104,6 @@ def make(kernel, ratio, copy, k):
                     u_0, u_1, u_2, = u
                     evaluations += 1
                     system(u, k8, t + dt)
-                    k8_0, k8_1, k8_2, = k8
                     adt, worst = abs(dt), 0.0
                     c0 = dt * 0.08333333333333333
                     c1 = dt * 0.16666666666666666
@@ -130,7 +129,7 @@ def make(kernel, ratio, copy, k):
                             factor = 1.0
                         dt_next, again, dxdt = dt * factor, False, k8
                         accepted += 1
-                        lo, t = t, t_new
+                        t = t_new
                     else:
                         if not isfinite(worst) and not finite(k0):
                             raise SolverError(f'the derivative at t={t!r} is not finite')

@@ -23,6 +23,27 @@ def hexes(v):
     return None if v is None else [float(e).hex() for e in v]
 
 
+def expgrow(x, dxdt, t):
+    dxdt[0] = x[0]
+
+
+def zero_rhs(x, dxdt, t):
+    for i in range(len(x)):
+        dxdt[i] = 0.0
+
+
+def nan_after_start(x, dxdt, t):
+    # Finite at the start state, NaN at every later stage: no width is
+    # accepted, yet only the error estimate is not finite.
+    dxdt[0] = -x[0] if t == 0.0 else float("nan")
+
+
+def e_series(z, terms=30):
+    # A high-precision oracle for e^z, summed smallest first.
+    parts = [z**k / math.factorial(k) for k in range(terms)]
+    return sum(reversed(parts))
+
+
 class ArrayAlgebra(SequenceAlgebra):
     """The sequence arithmetic on ``array.array('d')`` states, which
     the default backend cannot build."""

@@ -31,15 +31,7 @@ from odekit import (
     integrate_adaptive,
     integrate_const,
 )
-
-
-def expgrow(x, dxdt, t):
-    dxdt[0] = x[0]
-
-
-def e_series(z, terms=30):
-    parts = [z**k / math.factorial(k) for k in range(terms)]
-    return sum(reversed(parts))
+from reference import e_series, expgrow
 
 
 def fixed_run(stepper, system, x0, dt, n):

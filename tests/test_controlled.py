@@ -26,17 +26,8 @@ from odekit import (
 )
 from odekit.algebra import SEQUENCE_ALGEBRA
 from odekit.explicit import EmbeddedRungeKutta
-from reference import hexes
+from reference import expgrow, hexes, nan_after_start, zero_rhs
 from test_explicit import RK4X2_FSAL
-
-
-def expgrow(x, dxdt, t):
-    dxdt[0] = x[0]
-
-
-def zero_rhs(x, dxdt, t):
-    for i in range(len(x)):
-        dxdt[i] = 0.0
 
 
 # --- ControllerParams -------------------------------------------------------
@@ -272,12 +263,6 @@ def test_rejections_shrink_dt_monotonically():
         res = ctl.try_step(expgrow, x, 0.0, res.dt)
         seen.append(res.dt)
     assert all(b < a for a, b in zip(seen[:-2], seen[1:-1]))
-
-
-def nan_after_start(x, dxdt, t):
-    # Finite at t = 0, NaN at every later stage: only a narrower trial
-    # could help, so the controller keeps shrinking.
-    dxdt[0] = -x[0] if t == 0.0 else float("nan")
 
 
 def test_underflow_raises_with_location():

@@ -24,6 +24,7 @@ from odekit import (
 from odekit.algebra import UNROLL, NumpyAlgebra, SequenceAlgebra
 from odekit.explicit import EmbeddedRungeKutta
 from odekit.tableaus import DORMAND_PRINCE_54, ButcherTableau
+from reference import expgrow, zero_rhs
 
 # Bogacki and Shampine's 3(2) pair, first-same-as-last with no dense weights.
 BOGACKI_SHAMPINE_32 = ButcherTableau("bogacki_shampine_32", [(1 / 2,), (0.0, 3 / 4), (2 / 9, 1 / 3, 4 / 9)],
@@ -38,15 +39,6 @@ def hermite(tableau, params=None):
     dense = DenseOutputDopri5(params)
     dense.stepper = EmbeddedRungeKutta(tableau)
     return dense
-
-
-def expgrow(x, dxdt, t):
-    dxdt[0] = x[0]
-
-
-def zero_rhs(x, dxdt, t):
-    for i in range(len(x)):
-        dxdt[i] = 0.0
 
 
 def test_initialize_sets_time():

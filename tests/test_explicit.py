@@ -23,22 +23,7 @@ from odekit import (
 )
 from odekit.explicit import EmbeddedRungeKutta, ExplicitRungeKutta, StageRecord
 from odekit.tableaus import ButcherTableau
-from reference import hexes
-
-
-def expgrow(x, dxdt, t):
-    dxdt[0] = x[0]
-
-
-def zero_rhs(x, dxdt, t):
-    for i in range(len(x)):
-        dxdt[i] = 0.0
-
-
-def e_series(z, terms=30):
-    # high-precision oracle for e^z, summed smallest-first
-    parts = [z**k / math.factorial(k) for k in range(terms)]
-    return sum(reversed(parts))
+from reference import e_series, expgrow, hexes, zero_rhs
 
 
 # --- explicit Euler ---------------------------------------------------------

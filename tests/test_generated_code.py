@@ -7,6 +7,7 @@ twice or more are held in locals, and that changes no bit on any
 shipped tableau, length or special value; the sequence copy still
 turns a user's ints into floats."""
 
+import ast
 import cProfile
 import dis
 import inspect
@@ -292,6 +293,23 @@ def test_no_golden_builds_a_tuple_only_to_unpack_it():
             if any(op == "BUILD_TUPLE" and after == "UNPACK_SEQUENCE" for op, after in zip(ops, ops[1:])):
                 tupled.append(f"{path.name}:{code.co_name}")
     assert not tupled, f"a tuple built only to be unpacked in {', '.join(tupled)}"
+
+
+def test_no_golden_loop_stores_a_name_no_line_reads():
+    # A name stored in a for or while body runs its store on every pass; one that no line of its function reads,
+    # `_` aside, is dead work.
+    def names(nodes, ctx):
+        return {n.id for node in nodes for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ctx)}
+
+    dead = set()
+    for path in sorted(set(scenarios.HERE.glob("*.py")) - {scenarios.HERE / "scenarios.py"}):
+        for function in ast.walk(ast.parse(path.read_text())):
+            if isinstance(function, ast.FunctionDef):
+                loops = [line for loop in ast.walk(function) if isinstance(loop, (ast.For, ast.While))
+                         for line in loop.body + loop.orelse]
+                read = names([function], ast.Load)
+                dead.update(f"{path.name}:{name}" for name in names(loops, ast.Store) - read - {"_"})
+    assert not dead, f"names stored in a loop and never read: {', '.join(sorted(dead))}"
 
 
 @pytest.mark.parametrize("name", sorted(LAZY_RUNS))

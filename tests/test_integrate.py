@@ -29,16 +29,7 @@ from odekit import (
     integrate_const,
 )
 from odekit.algebra import SequenceAlgebra
-from reference import reference_run, ring
-
-
-def expgrow(x, dxdt, t):
-    dxdt[0] = x[0]
-
-
-def zero_rhs(x, dxdt, t):
-    for i in range(len(x)):
-        dxdt[i] = 0.0
+from reference import expgrow, reference_run, ring, zero_rhs
 
 
 def one_rhs(x, dxdt, t):

@@ -100,6 +100,15 @@ def test_no_module_imports_the_package_namespace():
     assert importers == []
 
 
+def test_only_the_algebra_implicit_euler_and_the_systems_import_numpy():
+    # The algebra is the one layer that knows the container; implicit Euler's Newton matrix and the order study's
+    # errors are numpy's own.  A list run through any other module loads numpy only through the algebra.
+    importers = [path.stem for path in sorted(SOURCE.glob("*.py")) for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.Import) and any(alias.name.split(".")[0] == "numpy" for alias in node.names)
+                 or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy"]
+    assert importers == ["algebra", "implicit", "systems"]
+
+
 def test_no_stepper_module_imports_the_drivers():
     # Steppers generate plain code; the drivers own the run and its
     # counts, so the dependency runs one way only.

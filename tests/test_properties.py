@@ -58,7 +58,6 @@ from odekit.algebra import (
     UNROLL,
     NumpyAlgebra,
     SequenceAlgebra,
-    _numpy_copy,
     _numpy_error_ratio,
     _numpy_scale_sum,
     _sequence_scale_sum,
@@ -998,9 +997,9 @@ def test_the_numpy_kernel_skips_exact_unit_products_bit_for_bit(case):
     # subtract: the same bits as multiplying every term, and on float64
     # as the sequence kernel, signed zeros, inf, NaN and ints included,
     # with out aliasing the first term or not.
-    # The numpy copy kernel is the one-term update 1.0 * src.
+    # The copy numpy's backend binds is the one-term update 1.0 * src.
     coeffs, kinds, terms, dtype, alias = case
-    got, copying = [], [lambda out, _, terms: _numpy_copy(out, terms[0])] if coeffs == (1.0,) else []
+    got, copying = [], [lambda out, _, t: NUMPY_ALGEBRA._copy_kernel(out)(out, t[0])] if coeffs == (1.0,) else []
     for kernel in (_numpy_scale_sum, multiply_then_add, *copying):
         arrays_ = [np.array(term, dtype=kind) for kind, term in zip(kinds, terms)]
         out = np.full(len(terms[0]), np.nan, dtype)

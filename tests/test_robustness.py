@@ -39,7 +39,7 @@ from odekit import (
     integrate_const,
 )
 from odekit.algebra import SequenceAlgebra
-from reference import hexes
+from reference import hexes, nan_after_start
 
 
 def decay(x, dxdt, t):
@@ -48,12 +48,6 @@ def decay(x, dxdt, t):
 
 def nan_rhs(x, dxdt, t):
     dxdt[0] = float("nan")
-
-
-def nan_after_start(x, dxdt, t):
-    # Finite at the start state, NaN at every later stage: no width is
-    # accepted, yet only the error estimate is not finite.
-    dxdt[0] = -x[0] if t == 0.0 else float("nan")
 
 
 def tight():
@@ -489,15 +483,19 @@ def test_used_steppers_pickle_and_copy(kind, box):
     # A stepper's scratch and generated code are left out of a pickle
     # or a copy; the copy binds its own and runs as the original does
     # after reset(), bit for bit, and leaves the original untouched.
+    # A controller's copy, taken after a rejected trial, proposes the
+    # width of its first manual trial as the original does after reset().
     make, run = USED_STEPPERS[kind]
     stepper = make()
     run(stepper, box)
+    trial = getattr(stepper, "try_step", None) and (lambda s, dt: s.try_step(LORENZ, box([10.0, 10.0, 10.0]), 0.0, dt))
+    assert not trial or not trial(stepper, 1.0).accepted
     copies = [pickle.loads(pickle.dumps(stepper)), copy.deepcopy(stepper)]
     getattr(stepper, "reset", lambda: None)()
-    expected = run(stepper, box)
+    expected = trial and trial(stepper, 0.001), run(stepper, box)
     for twin in copies:
-        assert run(twin, box) == expected
-    assert run(stepper, box) == expected
+        assert (trial and trial(twin, 0.001), run(twin, box)) == expected
+    assert run(stepper, box) == expected[1]
 
 
 @pytest.mark.parametrize("box", [list, np.array], ids=["list", "numpy"])

@@ -30,17 +30,9 @@ from odekit import (
     integrate_adaptive,
     integrate_const,
 )
+from reference import expgrow, nan_after_start
 from test_integrate import failing_harmonic
 from test_properties import delegating
-
-
-def expgrow(x, dxdt, t):
-    dxdt[0] = x[0]
-
-
-def nan_after_start(x, dxdt, t):
-    # Finite at the start state, NaN at every later stage.
-    dxdt[0] = -x[0] if t == 0.0 else float("nan")
 
 
 def test_dense_driver_never_evaluates_past_t1():
